@@ -27,6 +27,9 @@ from .schemes import NoiseSpec
 
 EULER_MASCHERONI = 0.5772156649015329
 
+# relative gap below which optimize_repetitions treats two totals as tied
+TIE_RTOL = 1e-12
+
 
 class InfeasibleBudgetError(ValueError):
     """No repetition assignment fits the memristor budget."""
@@ -122,7 +125,9 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     Enumerates t_L over its full feasible range and fills t_R greedily
     with the remaining budget; the error is nonincreasing in t_R, so the
     greedy fill dominates any smaller t_R at the same t_L and the scan
-    is exact. Ties prefer smaller t_L, then smaller t_R.
+    is exact. Ties prefer smaller t_L, then smaller t_R; totals within a
+    relative TIE_RTOL count as tied, so round-off in the spectrum cannot
+    break an exact tie (m = n with sigma_L_sq = sigma_R_sq).
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
@@ -138,7 +143,7 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
         t_R = (m * n - t_L * m * k) // (n * k)
         bd = _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
                         noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
-        if best is None or bd.total < best[2].total:
+        if best is None or bd.total < best[2].total * (1.0 - TIE_RTOL):
             best = (t_L, t_R, bd)
     assert best is not None
     return best

@@ -52,14 +52,16 @@ def _seed_arg(text: str) -> int:
     return v
 
 
-def _positive_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {v}")
-    return v
+def _int_at_least(lo: int):
+    def parse(text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {v}")
+        return v
+    return parse
 
 
 def _add_common(sp, with_trials: bool = True, with_format: bool = True,
@@ -68,12 +70,13 @@ def _add_common(sp, with_trials: bool = True, with_format: bool = True,
     sp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     sp.add_argument("--seed", type=_seed_arg, help="override master_seed")
     if with_trials:
-        sp.add_argument("--trials", type=_positive_int, help="override trial count")
+        sp.add_argument("--trials", type=_int_at_least(0), help="override trial count")
     if with_format:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_lanes:
-        sp.add_argument("--lanes", type=int, default=1,
-                        help="parallel execution lanes (result-invariant)")
+        sp.add_argument("--lanes", type=_int_at_least(1), default=1,
+                        help="parallel execution lanes, capped at the core count "
+                             "(result-invariant)")
 
 
 def build_parser() -> argparse.ArgumentParser:

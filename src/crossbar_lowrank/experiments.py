@@ -45,6 +45,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _finite_positive(v: float) -> bool:
+    return math.isfinite(v) and v > 0
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     m: int = 100
@@ -73,21 +77,23 @@ class ExperimentConfig:
             raise ConfigError(f"m and n must be positive, got {self.m}x{self.n}")
         if not 1 <= self.r <= min(self.m, self.n):
             raise ConfigError(f"r must be in [1, min(m, n)], got {self.r}")
-        if self.lam != "max" and not float(self.lam) > 0:
-            raise ConfigError(f"lambda must be positive or 'max', got {self.lam}")
+        if self.lam != "max" and not _finite_positive(float(self.lam)):
+            raise ConfigError(f"lambda must be finite and positive or 'max', got {self.lam}")
         for name in ("sigma_e_sq", "sigma_L_sq", "sigma_R_sq"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if not self.sigma_b_sq > 0:
-            raise ConfigError(f"sigma_b_sq must be positive, got {self.sigma_b_sq}")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and nonnegative, got {v}")
+        if not _finite_positive(self.sigma_b_sq):
+            raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
         if self.trials < 0 or self.trials == 1:
             raise ConfigError(f"trials must be 0 (analytic only) or >= 2, got {self.trials}")
         if not 0 <= self.master_seed <= MASK64:
             raise ConfigError(f"master_seed must fit in 64 bits, got {self.master_seed}")
         if self.dist not in SUPPORTED_DISTS:
             raise ConfigError(f"dist must be one of {SUPPORTED_DISTS}, got {self.dist!r}")
-        if not self.rho > 0 or not self.r_T > 0:
-            raise ConfigError("rho and r_T must be positive")
+        if not _finite_positive(self.rho) or not _finite_positive(self.r_T):
+            raise ConfigError(f"rho and r_T must be finite and positive, "
+                              f"got rho={self.rho}, r_T={self.r_T}")
         if self.k_range != "all":
             ks = self.k_range
             if not ks or any(not 1 <= k <= self.r for k in ks):

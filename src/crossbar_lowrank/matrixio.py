@@ -43,7 +43,11 @@ def loads_matrix(text: str) -> np.ndarray:
     header = lines[0].split()
     if len(header) != 2:
         raise MatrixFormatError(1, f"expected 'm n' header with two integers, got {lines[0]!r}")
+    # int() and float() accept digit-group underscores ("1_0"); the format
+    # does not
     try:
+        if "_" in lines[0]:
+            raise ValueError(lines[0])
         m, n = int(header[0]), int(header[1])
     except ValueError:
         raise MatrixFormatError(1, f"non-integer dimension in header {lines[0]!r}") from None
@@ -57,6 +61,9 @@ def loads_matrix(text: str) -> np.ndarray:
         fields = lines[1 + i].split()
         if len(fields) != n:
             raise MatrixFormatError(line_no, f"expected {n} values, found {len(fields)}")
+        if "_" in lines[1 + i]:
+            bad = next(tok for tok in fields if "_" in tok)
+            raise MatrixFormatError(line_no, f"invalid number {bad!r}")
         for j, tok in enumerate(fields):
             try:
                 A[i, j] = float(tok)

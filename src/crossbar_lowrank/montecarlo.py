@@ -1,27 +1,48 @@
 """Reproducible Monte Carlo estimation of expected computation errors.
 
-Each trial owns two private child streams derived from (master_seed,
-trial_index, role): one for the input vector, one for the write noise.
-Per-trial squared errors land in a trial-indexed buffer and the final
-reduction is a fixed-order compensated sum, so the result is bit-identical
-for any number of execution lanes.
+Trials run in fixed blocks of BLOCK_TRIALS consecutive trial indices (the
+last block may be shorter). Lanes take whole blocks in stripes and write
+per-trial squared errors into a trial-indexed buffer; the final reduction
+is a fixed-order compensated sum, so the result is bit-identical for any
+number of execution lanes.
+
+Gaussian noise is sampled by its effect, not cell by cell. The error
+depends on a write-noise matrix only through x E for the row vector x
+that meets it, and the mean of t iid N(0, s) matrices has iid N(0, s/t)
+entries, so x E has the law of ||x|| sqrt(s/t) z with z iid N(0, 1).
+A two-step trial then draws m + k + n normals and a baseline trial
+m + n, instead of one per device cell. Each block owns one stream keyed
+by (master_seed, ROLE_BLOCK, block index). Gaussian MC values therefore
+differ from versions that sampled every cell; the per-cell device model
+in `schemes` stays the reference the tests check this sampler against.
+
+Uniform noise is not exact in law under that reduction, so its trials run
+the per-cell device model, each trial with two private streams keyed by
+(master_seed, trial_index, ROLE_INPUT / ROLE_NOISE).
 """
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import as_matrix, sample_input
+from .core import as_matrix, iid_entries, sample_input
 from .lowrank import LrFactors
 from .rng import child_stream
 from .schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
 
+# Trials per block. Block streams and lane invariance are defined on it,
+# so changing it changes every Gaussian MC value.
+BLOCK_TRIALS = 64
+
 ROLE_INPUT = 0
 ROLE_NOISE = 1
+# a run keys its streams either per trial (uniform) or per block (Gaussian)
+ROLE_BLOCK = 2
 
 Z_PASS_LIMIT = 4.0
 
@@ -35,23 +56,51 @@ class TrialBatchResult:
     scheme_label: str
 
 
-def _run_striped(trials: int, lanes: int, trial_fn: Callable[[int], float]) -> np.ndarray:
+def lane_count(lanes: int, blocks: int) -> int:
+    """Worker threads for `blocks` blocks of work: at most one per block
+    and one per core."""
+    if lanes < 1:
+        raise ValueError(f"lanes must be >= 1, got {lanes}")
+    return max(1, min(lanes, blocks, os.cpu_count() or 1))
+
+
+def _run_blocks(trials: int, lanes: int,
+                block_fn: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """Squared errors of trials [0, trials), block_fn(lo, hi) giving those
+    of trials lo..hi-1; blocks are striped over the lanes."""
     buf = np.empty(trials)
+    blocks = -(-trials // BLOCK_TRIALS)
+    workers = lane_count(lanes, blocks)
 
-    def fill(lo: int, hi: int) -> None:
-        for t in range(lo, hi):
-            buf[t] = trial_fn(t)
+    def fill(first: int) -> None:
+        for blk in range(first, blocks, workers):
+            lo = blk * BLOCK_TRIALS
+            hi = min(lo + BLOCK_TRIALS, trials)
+            buf[lo:hi] = block_fn(lo, hi)
 
-    if lanes <= 1:
-        fill(0, trials)
+    if workers == 1:
+        fill(0)
     else:
-        # disjoint contiguous stripes; placement never affects values
-        bounds = [trials * i // lanes for i in range(lanes + 1)]
-        with ThreadPoolExecutor(max_workers=lanes) as pool:
-            futures = [pool.submit(fill, bounds[i], bounds[i + 1]) for i in range(lanes)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(fill, w) for w in range(workers)]
             for fut in futures:
                 fut.result()
     return buf
+
+
+def _per_trial(trial_fn: Callable[[int], float]) -> Callable[[int, int], list[float]]:
+    return lambda lo, hi: [trial_fn(t) for t in range(lo, hi)]
+
+
+def _row_sq(X: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", X, X)
+
+
+def _noise_effect(X: np.ndarray, scale: float, cols: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """Rows x E for each row x of X, E with iid N(0, scale^2) entries:
+    ||x|| * scale * z with z iid N(0, 1) in R^cols."""
+    return (scale * np.sqrt(_row_sq(X)))[:, None] * rng.standard_normal((X.shape[0], cols))
 
 
 def _reduce(errors: np.ndarray, master_seed: int, label: str) -> TrialBatchResult:
@@ -73,16 +122,27 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
     """Empirical mean of ||b(A+E) - bA||^2 over per-trial fresh (b, E)."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
+    if not 0 < sigma_b_sq < math.inf:
+        raise ValueError(f"input variance must be positive and finite, got {sigma_b_sq}")
     A = as_matrix(A)
-    m = A.shape[0]
+    m, n = A.shape
 
-    def trial(t: int) -> float:
-        b = sample_input(m, sigma_b_sq, noise.dist, child_stream(master_seed, t, ROLE_INPUT))
-        out = baseline_noisy_vmm(b, A, noise, child_stream(master_seed, t, ROLE_NOISE))
-        d = out - b @ A
-        return float(d @ d)
+    if noise.dist == "gaussian":
+        def block(lo: int, hi: int) -> np.ndarray:
+            # ||b E||^2 = ||b||^2 sigma_e^2 ||z||^2
+            rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
+            B = iid_entries((hi - lo, m), sigma_b_sq, "gaussian", rng)
+            Z = rng.standard_normal((hi - lo, n))
+            return noise.sigma_e_sq * _row_sq(B) * _row_sq(Z)
+    else:
+        def trial(t: int) -> float:
+            b = sample_input(m, sigma_b_sq, noise.dist, child_stream(master_seed, t, ROLE_INPUT))
+            out = baseline_noisy_vmm(b, A, noise, child_stream(master_seed, t, ROLE_NOISE))
+            d = out - b @ A
+            return float(d @ d)
+        block = _per_trial(trial)
 
-    errors = _run_striped(trials, lanes, trial)
+    errors = _run_blocks(trials, lanes, block)
     return _reduce(errors, master_seed, "baseline")
 
 
@@ -100,16 +160,35 @@ def run_two_step_trials(f: LrFactors, A, cfg: SchemeConfig, trials: int,
         )
     if A.shape != (cfg.m, cfg.n):
         raise ValueError(f"matrix shape {A.shape} does not match config {(cfg.m, cfg.n)}")
+    noise = cfg.noise
 
-    def trial(t: int) -> float:
-        b = sample_input(cfg.m, cfg.sigma_b_sq, cfg.noise.dist,
-                         child_stream(master_seed, t, ROLE_INPUT))
-        out = two_step_vmm(b, f, cfg.t_L, cfg.t_R, cfg.noise,
-                           child_stream(master_seed, t, ROLE_NOISE))
-        d = out - b @ A
-        return float(d @ d)
+    if noise.dist == "gaussian":
+        scale_L = math.sqrt(noise.sigma_L_sq / cfg.t_L)
+        scale_R = math.sqrt(noise.sigma_R_sq / cfg.t_R)
 
-    errors = _run_striped(trials, lanes, trial)
+        def block(lo: int, hi: int) -> np.ndarray:
+            # a noiseless stage takes the exact path, as in two_step_vmm
+            rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
+            B = iid_entries((hi - lo, cfg.m), cfg.sigma_b_sq, "gaussian", rng)
+            C = B @ f.L
+            if scale_L:
+                C += _noise_effect(B, scale_L, cfg.k, rng)
+            D = C @ f.R
+            if scale_R:
+                D += _noise_effect(C, scale_R, cfg.n, rng)
+            D -= B @ A
+            return _row_sq(D)
+    else:
+        def trial(t: int) -> float:
+            b = sample_input(cfg.m, cfg.sigma_b_sq, noise.dist,
+                             child_stream(master_seed, t, ROLE_INPUT))
+            out = two_step_vmm(b, f, cfg.t_L, cfg.t_R, noise,
+                               child_stream(master_seed, t, ROLE_NOISE))
+            d = out - b @ A
+            return float(d @ d)
+        block = _per_trial(trial)
+
+    errors = _run_blocks(trials, lanes, block)
     return _reduce(errors, master_seed, "two_step")
 
 

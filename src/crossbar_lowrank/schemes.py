@@ -12,6 +12,7 @@ to the budget t_L*m*k + t_R*n*k <= m*n.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,8 +33,8 @@ class NoiseSpec:
     def __post_init__(self):
         for name in ("sigma_e_sq", "sigma_L_sq", "sigma_R_sq"):
             v = getattr(self, name)
-            if v < 0:
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
         if self.dist not in SUPPORTED_DISTS:
             raise ValueError(
                 f"unsupported distribution {self.dist!r}; expected one of {SUPPORTED_DISTS}"
@@ -65,8 +66,8 @@ class SchemeConfig:
                 f"memristor budget violated: t_L*m*k + t_R*n*k = {used} "
                 f"> m*n = {self.m * self.n}"
             )
-        if not self.sigma_b_sq > 0:
-            raise ValueError(f"sigma_b_sq must be positive, got {self.sigma_b_sq}")
+        if not (math.isfinite(self.sigma_b_sq) and self.sigma_b_sq > 0):
+            raise ValueError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
 
 
 def sample_noise(rows: int, cols: int, sigma_sq: float, dist: str,

@@ -21,6 +21,10 @@ from crossbar_lowrank.analysis import (
     two_step_error_analytic,
 )
 from crossbar_lowrank.core import DeviceParams
+from crossbar_lowrank.experiments import STREAM_MATRIX, ExperimentConfig
+from crossbar_lowrank.lowrank import svd
+from crossbar_lowrank.matrixgen import harmonic_matrix
+from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import NoiseSpec
 
 
@@ -133,6 +137,18 @@ class TestOptimizeRepetitions:
             noise = NoiseSpec(sigma_L_sq=sig, sigma_R_sq=sig)
             t_L, t_R, _ = optimize_repetitions(singulars, n, n, k, noise, 2.0)
             assert abs(t_L - t_R) <= 1
+
+    def test_round_off_never_breaks_an_exact_tie(self):
+        # m = n and sigma_L_sq = sigma_R_sq make (12, 13) and (13, 12) tie
+        # exactly at k=4 on the default config; the SVD's round-off used to
+        # pick (13, 12) at seeds 0, 1, 7, 8, 18, 23, 31 and 38
+        cfg = ExperimentConfig()
+        for seed in (0, 1, 2, 7, 8, 18, 23, 31, 38):
+            A = harmonic_matrix(cfg.m, cfg.n, cfg.r, cfg.resolved_lambda(),
+                                child_stream(seed, STREAM_MATRIX))
+            t_L, t_R, _ = optimize_repetitions(svd(A).singulars, cfg.m, cfg.n, 4,
+                                               cfg.noise(), cfg.sigma_b_sq)
+            assert (t_L, t_R) == (12, 13), seed
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(24)

@@ -98,6 +98,19 @@ class TestUsageErrors:
         assert main(["sweep", "--seed", str(2 ** 64)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("lanes", ["0", "-3", "two"])
+    def test_bad_lanes(self, lanes, capsys):
+        assert main(["mc", "--lanes", lanes]) == 2
+        assert "--lanes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body", ["sigma_L_sq=nan\n", "sigma_b_sq=inf\n",
+                                      "rho=inf\nlambda=max\n"])
+    def test_non_finite_config_is_a_config_error(self, tmp_path, body, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(body + "trials=0\n")
+        assert main(["sweep", "--config", str(p)]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("mm=4\n")

@@ -130,6 +130,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             ExperimentConfig(c2=1.5)
 
+    @pytest.mark.parametrize("key", ["sigma_e_sq", "sigma_L_sq", "sigma_R_sq", "sigma_b_sq",
+                                     "rho", "r_T", "lambda"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, key, bad):
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_mapping({key: bad})
+
     def test_seed_width(self):
         with pytest.raises(ConfigError, match="64 bits"):
             ExperimentConfig(master_seed=2 ** 64)

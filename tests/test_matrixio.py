@@ -66,6 +66,13 @@ def test_bad_number_names_line():
         loads_matrix("1 2\nfoo 3\n")
 
 
+def test_digit_group_underscores_rejected():
+    with pytest.raises(MatrixFormatError, match="line 2: invalid number '1_0'"):
+        loads_matrix("1 1\n1_0\n")
+    with pytest.raises(MatrixFormatError, match="line 1"):
+        loads_matrix("1_0 1\n" + "1\n" * 10)
+
+
 def test_missing_rows():
     with pytest.raises(MatrixFormatError, match="expected 3 data rows"):
         loads_matrix("3 1\n1\n2\n")

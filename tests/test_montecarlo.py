@@ -3,16 +3,25 @@ import math
 import numpy as np
 import pytest
 
+from crossbar_lowrank import montecarlo
 from crossbar_lowrank.analysis import two_step_error_analytic
+from crossbar_lowrank.core import sample_input
+from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import SingularProfile, prescribed_matrix
 from crossbar_lowrank.montecarlo import (
+    BLOCK_TRIALS,
+    ROLE_INPUT,
+    ROLE_NOISE,
     TrialBatchResult,
+    _run_blocks,
     compare,
+    lane_count,
     run_baseline_trials,
     run_two_step_trials,
 )
-from crossbar_lowrank.schemes import NoiseSpec, SchemeConfig
+from crossbar_lowrank.rng import child_stream
+from crossbar_lowrank.schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
 
 
 def small_matrix(seed=17):
@@ -63,6 +72,13 @@ class TestBaselineTrials:
     def test_rejects_tiny_trial_counts(self):
         with pytest.raises(ValueError):
             run_baseline_trials(small_matrix(), NoiseSpec(), 1.0, trials=1, master_seed=0)
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("sigma_b_sq", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_input_variance(self, dist, sigma_b_sq):
+        with pytest.raises(ValueError, match="input variance"):
+            run_baseline_trials(small_matrix(), NoiseSpec(sigma_e_sq=0.05, dist=dist),
+                                sigma_b_sq, trials=10, master_seed=0)
 
     def test_standard_error_shrinks_as_root_trials(self):
         A = np.array([[0.0]])
@@ -150,3 +166,153 @@ class TestCompare:
         z, ok = compare(res, 0.5)
         assert z == pytest.approx(5.0, rel=1e-12)
         assert not ok
+
+
+class TestLanes:
+    def test_count_is_capped_by_blocks_and_cores(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        assert lane_count(1, 100) == 1
+        assert lane_count(3, 100) == 3
+        assert lane_count(8, 100) == 4
+        assert lane_count(8, 2) == 2
+        assert lane_count(1000, 1) == 1
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert lane_count(8, 100) == 1
+
+    @pytest.mark.parametrize("lanes", [0, -1])
+    def test_count_rejects_nonpositive(self, lanes):
+        with pytest.raises(ValueError, match="lanes"):
+            lane_count(lanes, 10)
+
+    def test_blocks_tile_the_trials_once(self):
+        seen = []
+
+        def block(lo, hi):
+            seen.append((lo, hi))
+            return np.arange(lo, hi, dtype=float)
+
+        trials = 3 * BLOCK_TRIALS + 5
+        out = _run_blocks(trials, 2, block)
+        assert np.array_equal(out, np.arange(trials, dtype=float))
+        assert sorted(seen) == [(lo, min(lo + BLOCK_TRIALS, trials))
+                                for lo in range(0, trials, BLOCK_TRIALS)]
+
+
+def _ks_statistic(x, y):
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_x - F_y|."""
+    x, y = np.sort(x), np.sort(y)
+    pts = np.concatenate([x, y])
+    fx = np.searchsorted(x, pts, side="right") / x.size
+    fy = np.searchsorted(y, pts, side="right") / y.size
+    return float(np.max(np.abs(fx - fy)))
+
+
+def _ks_critical(n1, n2, alpha):
+    return math.sqrt(-math.log(alpha / 2) / 2) * math.sqrt((n1 + n2) / (n1 * n2))
+
+
+def _device_errors(trials, seed, vmm, A, sigma_b_sq):
+    """Per-trial squared errors of the per-cell device model."""
+    out = np.empty(trials)
+    for t in range(trials):
+        b = sample_input(A.shape[0], sigma_b_sq, "gaussian", child_stream(seed, t, ROLE_INPUT))
+        d = vmm(b, child_stream(seed, t, ROLE_NOISE)) - b @ A
+        out[t] = d @ d
+    return out
+
+
+class _Capture:
+    """Wraps _reduce to keep the per-trial errors a run produced."""
+
+    def __init__(self, monkeypatch):
+        self.errors = None
+        real = montecarlo._reduce
+
+        def spy(errors, *args):
+            self.errors = errors.copy()
+            return real(errors, *args)
+
+        monkeypatch.setattr(montecarlo, "_reduce", spy)
+
+
+class TestEffectSamplerMatchesDevice:
+    """The Gaussian block sampler draws b E as ||b|| sigma z; it must agree
+    with the per-cell device model in mean and in the per-trial error law."""
+
+    TRIALS = 20_000
+    ALPHA = 0.001
+
+    def _check(self, effect, device, analytic):
+        for label, errs in (("effect", effect), ("device", device)):
+            se = errs.std(ddof=1) / math.sqrt(errs.size)
+            z = (errs.mean() - analytic) / se
+            assert abs(z) <= 4.0, f"{label}: z={z:.2f}"
+        d = _ks_statistic(effect, device)
+        assert d < _ks_critical(effect.size, device.size, self.ALPHA), f"KS D={d:.4f}"
+
+    def test_two_step(self, monkeypatch):
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
+        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
+        analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
+                                           0.05, 0.08, 2.0).total
+        cap = _Capture(monkeypatch)
+        res = run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=71)
+        assert res.mean_sq_error == math.fsum(cap.errors) / self.TRIALS
+        device = _device_errors(self.TRIALS, 72,
+                                lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
+        self._check(cap.errors, device, analytic)
+
+    def test_baseline(self, monkeypatch):
+        A = small_matrix()
+        noise = NoiseSpec(sigma_e_sq=0.05)
+        cap = _Capture(monkeypatch)
+        run_baseline_trials(A, noise, 3.0, self.TRIALS, master_seed=73)
+        device = _device_errors(self.TRIALS, 74,
+                                lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0)
+        self._check(cap.errors, device, 4 * 4 * 0.05 * 3.0)
+
+
+# Gaussian MC values depend on numpy's normal sampler; they were stored
+# with this numpy version
+PINNED_NUMPY = "2.4.6"
+
+PINNED_MC_GAUSSIAN = """\
+# crossbar-lowrank mc v1
+# config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
+sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
+scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
+baseline,,,,300,9.994014317981568,0.4211973723354212,9.600000000000001,0.9354624312988182,true
+two_step,2,2,2,300,11.257587884140595,0.561708986096911,10.327500000000002,1.6558180608848676,true
+# all_passed=true
+"""
+
+# uniform noise keeps the per-trial streams of the per-cell sampler: these
+# are the bytes that sampler has always produced
+PINNED_SWEEP_UNIFORM = """\
+# crossbar-lowrank sweep v1
+# config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
+sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
+k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
+analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
+1,6,6,true,11.579999999999998,9.749999999999998,0.9000000000000004,0.9000000000000004,\
+0.030000000000000002,12.370143037095056,0.6382341833923855,21.6,0.536111111111111
+2,3,3,true,8.640000000000002,3.0,2.700000000000001,2.700000000000001,\
+0.24000000000000002,8.523810948553798,0.37583331702496137,21.6,0.4000000000000001
+3,2,2,true,10.710000000000004,2.4136265686542753e-31,4.950000000000002,4.950000000000002,\
+0.81,10.960748238650853,0.4915447193078017,21.6,0.4958333333333335
+# argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001
+"""
+
+
+class TestPinnedOutputs:
+    @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                        reason=f"Gaussian MC values pinned with numpy {PINNED_NUMPY}")
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_gaussian_mc(self, lanes):
+        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, trials=300)
+        assert mc_csv(run_mc(cfg, lanes=lanes)) == PINNED_MC_GAUSSIAN
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_uniform_sweep(self, lanes):
+        cfg = ExperimentConfig(m=12, n=12, r=3, lam=3.0, dist="uniform", trials=300)
+        assert sweep_csv(run_sweep(cfg, lanes=lanes)) == PINNED_SWEEP_UNIFORM

@@ -30,6 +30,12 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(dist="cauchy")
 
+    @pytest.mark.parametrize("name", ["sigma_e_sq", "sigma_L_sq", "sigma_R_sq"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_variance(self, name, bad):
+        with pytest.raises(ValueError, match="finite"):
+            NoiseSpec(**{name: bad})
+
 
 class TestSchemeConfig:
     def test_budget_guard(self):
@@ -49,6 +55,11 @@ class TestSchemeConfig:
             SchemeConfig(m=4, n=4, k=0, t_L=1, t_R=1)
         with pytest.raises(ValueError):
             SchemeConfig(m=4, n=4, k=1, t_L=0, t_R=1)
+
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_rejects_bad_input_variance(self, bad):
+        with pytest.raises(ValueError, match="sigma_b_sq"):
+            SchemeConfig(m=4, n=4, k=1, t_L=1, t_R=1, sigma_b_sq=bad)
 
 
 class TestSampleNoise:
