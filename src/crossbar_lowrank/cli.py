@@ -21,7 +21,6 @@ from .experiments import (
     STREAM_MATRIX,
     ConfigError,
     ExperimentConfig,
-    fit_loglog_slope,
     load_config,
     mc_csv,
     mc_json,
@@ -39,7 +38,7 @@ from .matrixgen import harmonic_matrix
 from .matrixio import MatrixFormatError, dumps_matrix, read_matrix
 from .rng import MASK64, child_stream
 
-__all__ = ["main", "build_parser", "fit_loglog_slope"]
+__all__ = ["main", "build_parser"]
 
 
 def _seed_arg(text: str) -> int:

@@ -6,7 +6,6 @@ significant digits so a float64 round-trips value-exact.
 """
 from __future__ import annotations
 
-import io
 import os
 
 import numpy as np
@@ -81,7 +80,3 @@ def loads_matrix(text: str) -> np.ndarray:
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
     with open(path, "r") as fh:
         return loads_matrix(fh.read())
-
-
-def dump_matrix(A, fh: io.TextIOBase) -> None:
-    fh.write(dumps_matrix(A))

@@ -1,24 +1,30 @@
 """Reproducible Monte Carlo estimation of expected computation errors.
 
 Trials run in fixed blocks of BLOCK_TRIALS consecutive trial indices (the
-last block may be shorter). Lanes take whole blocks in stripes and write
-per-trial squared errors into a trial-indexed buffer; the final reduction
-is a fixed-order compensated sum, so the result is bit-identical for any
-number of execution lanes.
+last block may be shorter). Each block owns one stream keyed by
+(master_seed, ROLE_BLOCK, block index); from it the block draws its input
+rows B (trials x m), then the noise of all its trials. Lanes take whole
+blocks in stripes and write per-trial squared errors into a trial-indexed
+buffer; the final reduction is a fixed-order compensated sum, so the
+result is bit-identical for any number of execution lanes.
 
 Gaussian noise is sampled by its effect, not cell by cell. The error
 depends on a write-noise matrix only through x E for the row vector x
 that meets it, and the mean of t iid N(0, s) matrices has iid N(0, s/t)
 entries, so x E has the law of ||x|| sqrt(s/t) z with z iid N(0, 1).
 A two-step trial then draws m + k + n normals and a baseline trial
-m + n, instead of one per device cell. Each block owns one stream keyed
-by (master_seed, ROLE_BLOCK, block index). Gaussian MC values therefore
-differ from versions that sampled every cell; the per-cell device model
-in `schemes` stays the reference the tests check this sampler against.
+m + n, instead of one per device cell.
 
 Uniform noise is not exact in law under that reduction, so its trials run
-the per-cell device model, each trial with two private streams keyed by
-(master_seed, trial_index, ROLE_INPUT / ROLE_NOISE).
+the per-cell device model of `schemes`, batched over consecutive row
+chunks of the block: every cell of every replica array is still drawn
+iid. A chunk holds max(1, NOISE_CELLS // cells) trials, cells being the
+device count of one trial, which bounds a lane's noise buffer.
+
+BLOCK_TRIALS, NOISE_CELLS and the draw order above define the streams:
+changing any of them changes MC values. Both distributions' values
+differ from versions that gave each trial its own input and noise
+streams.
 """
 from __future__ import annotations
 
@@ -30,18 +36,22 @@ from typing import Callable
 
 import numpy as np
 
-from .core import as_matrix, iid_entries, sample_input
+from .core import as_matrix, iid_entries
 from .lowrank import LrFactors
 from .rng import child_stream
 from .schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
 
 # Trials per block. Block streams and lane invariance are defined on it,
-# so changing it changes every Gaussian MC value.
+# so changing it changes every MC value.
 BLOCK_TRIALS = 64
+# Noise cells drawn at once by uniform trials (128 KiB of float64). Each
+# lane thread keeps its peak buffers in its own malloc arena, so this sets
+# the resident memory that lanes add; at 2**16 two lanes added 2 MiB to a
+# 40 MiB 32x32 sweep. Chunk boundaries set the draw order within a block,
+# so changing it changes every uniform MC value.
+NOISE_CELLS = 2**14
 
-ROLE_INPUT = 0
-ROLE_NOISE = 1
-# a run keys its streams either per trial (uniform) or per block (Gaussian)
+# index that keys block streams (master_seed, ROLE_BLOCK, block)
 ROLE_BLOCK = 2
 
 Z_PASS_LIMIT = 4.0
@@ -54,6 +64,9 @@ class TrialBatchResult:
     std_error: float
     master_seed: int
     scheme_label: str
+    # |mean - analytic| at or below this is float64 round-off, not a
+    # discrepancy (see roundoff_floor)
+    roundoff: float = 0.0
 
 
 def lane_count(lanes: int, blocks: int) -> int:
@@ -62,6 +75,16 @@ def lane_count(lanes: int, blocks: int) -> int:
     if lanes < 1:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
     return max(1, min(lanes, blocks, os.cpu_count() or 1))
+
+
+def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
+    """Mean squared error that float64 round-off alone can leave in a
+    trial's product for an m x n matrix A: ((m + n) eps)^2 E||bA||^2, with
+    E||bA||^2 = sigma_b^2 ||A||_F^2. Each output entry is a sum of about
+    m + n rounded terms of magnitude |bA|, so its relative error is of
+    order (m + n) eps."""
+    m, n = A.shape
+    return ((m + n) * np.finfo(float).eps) ** 2 * sigma_b_sq * float(np.sum(A * A))
 
 
 def _run_blocks(trials: int, lanes: int,
@@ -88,12 +111,16 @@ def _run_blocks(trials: int, lanes: int,
     return buf
 
 
-def _per_trial(trial_fn: Callable[[int], float]) -> Callable[[int, int], list[float]]:
-    return lambda lo, hi: [trial_fn(t) for t in range(lo, hi)]
-
-
 def _row_sq(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
+
+
+def _by_chunks(B: np.ndarray, cells: int,
+               kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """kernel applied to consecutive chunks of max(1, NOISE_CELLS // cells)
+    rows of B, in order, stacked back into one array."""
+    rows = max(1, NOISE_CELLS // cells)
+    return np.concatenate([kernel(B[i:i + rows]) for i in range(0, B.shape[0], rows)])
 
 
 def _noise_effect(X: np.ndarray, scale: float, cols: int,
@@ -103,10 +130,11 @@ def _noise_effect(X: np.ndarray, scale: float, cols: int,
     return (scale * np.sqrt(_row_sq(X)))[:, None] * rng.standard_normal((X.shape[0], cols))
 
 
-def _reduce(errors: np.ndarray, master_seed: int, label: str) -> TrialBatchResult:
+def _reduce(errors: np.ndarray, master_seed: int, label: str,
+            roundoff: float) -> TrialBatchResult:
     trials = errors.shape[0]
-    mean = math.fsum(errors) / trials
-    var = math.fsum((e - mean) ** 2 for e in errors) / (trials - 1)
+    mean = math.fsum(errors.tolist()) / trials
+    var = math.fsum(((errors - mean) ** 2).tolist()) / (trials - 1)
     se = math.sqrt(var / trials)
     return TrialBatchResult(
         trials=trials,
@@ -114,6 +142,7 @@ def _reduce(errors: np.ndarray, master_seed: int, label: str) -> TrialBatchResul
         std_error=se,
         master_seed=master_seed,
         scheme_label=label,
+        roundoff=roundoff,
     )
 
 
@@ -127,23 +156,19 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
     A = as_matrix(A)
     m, n = A.shape
 
-    if noise.dist == "gaussian":
-        def block(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int, hi: int) -> np.ndarray:
+        rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
+        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
+        if noise.dist == "gaussian":
             # ||b E||^2 = ||b||^2 sigma_e^2 ||z||^2
-            rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
-            B = iid_entries((hi - lo, m), sigma_b_sq, "gaussian", rng)
             Z = rng.standard_normal((hi - lo, n))
             return noise.sigma_e_sq * _row_sq(B) * _row_sq(Z)
-    else:
-        def trial(t: int) -> float:
-            b = sample_input(m, sigma_b_sq, noise.dist, child_stream(master_seed, t, ROLE_INPUT))
-            out = baseline_noisy_vmm(b, A, noise, child_stream(master_seed, t, ROLE_NOISE))
-            d = out - b @ A
-            return float(d @ d)
-        block = _per_trial(trial)
+        D = _by_chunks(B, m * n, lambda X: baseline_noisy_vmm(X, A, noise, rng))
+        D -= B @ A
+        return _row_sq(D)
 
     errors = _run_blocks(trials, lanes, block)
-    return _reduce(errors, master_seed, "baseline")
+    return _reduce(errors, master_seed, "baseline", roundoff_floor(A, sigma_b_sq))
 
 
 def run_two_step_trials(f: LrFactors, A, cfg: SchemeConfig, trials: int,
@@ -162,45 +187,40 @@ def run_two_step_trials(f: LrFactors, A, cfg: SchemeConfig, trials: int,
         raise ValueError(f"matrix shape {A.shape} does not match config {(cfg.m, cfg.n)}")
     noise = cfg.noise
 
-    if noise.dist == "gaussian":
-        scale_L = math.sqrt(noise.sigma_L_sq / cfg.t_L)
-        scale_R = math.sqrt(noise.sigma_R_sq / cfg.t_R)
+    scale_L = math.sqrt(noise.sigma_L_sq / cfg.t_L)
+    scale_R = math.sqrt(noise.sigma_R_sq / cfg.t_R)
+    cells = (cfg.t_L * cfg.m + cfg.t_R * cfg.n) * cfg.k  # devices of one trial
 
-        def block(lo: int, hi: int) -> np.ndarray:
+    def block(lo: int, hi: int) -> np.ndarray:
+        rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
+        B = iid_entries((hi - lo, cfg.m), cfg.sigma_b_sq, noise.dist, rng)
+        if noise.dist == "gaussian":
             # a noiseless stage takes the exact path, as in two_step_vmm
-            rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
-            B = iid_entries((hi - lo, cfg.m), cfg.sigma_b_sq, "gaussian", rng)
             C = B @ f.L
             if scale_L:
                 C += _noise_effect(B, scale_L, cfg.k, rng)
             D = C @ f.R
             if scale_R:
                 D += _noise_effect(C, scale_R, cfg.n, rng)
-            D -= B @ A
-            return _row_sq(D)
-    else:
-        def trial(t: int) -> float:
-            b = sample_input(cfg.m, cfg.sigma_b_sq, noise.dist,
-                             child_stream(master_seed, t, ROLE_INPUT))
-            out = two_step_vmm(b, f, cfg.t_L, cfg.t_R, noise,
-                               child_stream(master_seed, t, ROLE_NOISE))
-            d = out - b @ A
-            return float(d @ d)
-        block = _per_trial(trial)
+        else:
+            D = _by_chunks(B, cells, lambda X: two_step_vmm(X, f, cfg.t_L, cfg.t_R, noise, rng))
+        D -= B @ A
+        return _row_sq(D)
 
     errors = _run_blocks(trials, lanes, block)
-    return _reduce(errors, master_seed, "two_step")
+    return _reduce(errors, master_seed, "two_step", roundoff_floor(A, cfg.sigma_b_sq))
 
 
 def compare(result: TrialBatchResult, analytic: float) -> tuple[float, bool]:
     """z-score of the empirical mean against the analytic value.
 
-    Passes at |z| <= 4. A zero standard error passes only on exact
-    agreement; any discrepancy then yields an infinite z and a fail.
+    Passes at |z| <= 4. A discrepancy within the result's round-off floor
+    reads z = 0 and passes, so a noiseless run is not judged on round-off.
+    Past the floor, a zero standard error yields an infinite z and a fail.
     """
+    if abs(result.mean_sq_error - analytic) <= result.roundoff:
+        return 0.0, True
     if result.std_error == 0:
-        if result.mean_sq_error == analytic:
-            return 0.0, True
         return math.copysign(math.inf, result.mean_sq_error - analytic), False
     z = (result.mean_sq_error - analytic) / result.std_error
     return z, abs(z) <= Z_PASS_LIMIT

@@ -1,8 +1,8 @@
 """Deterministic seed derivation for reproducible parallel sampling.
 
 Every random quantity in this package is drawn from a stream owned by
-exactly one logical task (one block of Monte Carlo trials, one trial, one
-matrix generation). Streams are derived from a 64-bit master seed plus an
+exactly one logical task (one block of Monte Carlo trials, or one matrix
+generation). Streams are derived from a 64-bit master seed plus an
 index tuple through a full-avalanche integer mix, so (seed, block=0) and
 (seed, block=1) share no usable structure and tasks can run on any number
 of lanes without coordinating.

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SUPPORTED_DISTS, as_vector, iid_entries, vmm_exact
+from .core import SUPPORTED_DISTS, as_matrix, as_vector, iid_entries
 from .lowrank import LrFactors
 
 
@@ -78,13 +78,45 @@ def sample_noise(rows: int, cols: int, sigma_sq: float, dist: str,
     return iid_entries((rows, cols), sigma_sq, dist, rng)
 
 
+def _as_rows(b) -> np.ndarray:
+    """b as a finite float64 row vector (m,) or stack of row vectors (T, m)."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1:
+        return as_vector(b)
+    if b.ndim != 2 or 0 in b.shape:
+        raise ValueError(f"expected a row vector or a (T, m) stack of them, got shape {b.shape}")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("vector entries must be finite")
+    return b
+
+
+def _noisy_stage(X: np.ndarray, W: np.ndarray, t: int, sigma_sq: float, dist: str,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Rows x of X times the mean of t noisy replicas W + E_i, as
+    x W + x mean_i(E_i). A 1-D x draws (t, rows, cols) noise cells; a
+    (T, rows) stack draws (T, t, rows, cols), one independent set per row.
+    Zero variance is the exact product and draws nothing.
+    """
+    if sigma_sq == 0:
+        return X @ W
+    E = iid_entries(X.shape[:-1] + (t,) + W.shape, sigma_sq, dist, rng)
+    Ebar = np.add.reduce(E, axis=-3) / t
+    return X @ W + (X[..., None, :] @ Ebar)[..., 0, :]
+
+
 def baseline_noisy_vmm(b, A, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
-    """One-shot noisy product c' = b (A + E), E freshly sampled per call."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got ndim={A.ndim}")
-    E = sample_noise(A.shape[0], A.shape[1], noise.sigma_e_sq, noise.dist, rng)
-    return vmm_exact(b, A + E)
+    """One-shot noisy product c' = b (A + E), E freshly sampled per call.
+
+    b is one row vector or a (T, m) stack of them; each row meets its own E.
+    """
+    b = _as_rows(b)
+    A = as_matrix(A)
+    if b.shape[-1] != A.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: b has length {b.shape[-1]}, A is "
+            f"{A.shape[0]}x{A.shape[1]}"
+        )
+    return _noisy_stage(b, A, 1, noise.sigma_e_sq, noise.dist, rng)
 
 
 def two_step_vmm(b, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
@@ -92,24 +124,19 @@ def two_step_vmm(b, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
     """Two-step averaged product through the L and R replica arrays.
 
     Samples all t_L + t_R noise matrices fresh and mutually independent.
-    A zero-variance stage takes the exact deterministic path and leaves
-    the stream untouched.
+    b is one row vector or a (T, m) stack of them; each row meets its own
+    replica arrays, and all rows' L noise is drawn before any R noise. A
+    zero-variance stage takes the exact deterministic path and leaves the
+    stream untouched.
     """
-    b = as_vector(b)
+    b = _as_rows(b)
     m, k = f.L.shape
     k2, n = f.R.shape
-    if b.shape[0] != m:
-        raise ValueError(f"dimension mismatch: b has length {b.shape[0]}, L is {m}x{k}")
+    if b.shape[-1] != m:
+        raise ValueError(f"dimension mismatch: b has length {b.shape[-1]}, L is {m}x{k}")
     if k2 != k:
         raise ValueError(f"factor mismatch: L is {m}x{k}, R is {k2}x{n}")
     if t_L < 1 or t_R < 1:
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
-    if noise.sigma_L_sq == 0:
-        c_mid = b @ f.L
-    else:
-        E_L = iid_entries((t_L, m, k), noise.sigma_L_sq, noise.dist, rng)
-        c_mid = np.matmul(b, f.L + E_L).mean(axis=0)
-    if noise.sigma_R_sq == 0:
-        return c_mid @ f.R
-    E_R = iid_entries((t_R, k, n), noise.sigma_R_sq, noise.dist, rng)
-    return np.matmul(c_mid, f.R + E_R).mean(axis=0)
+    c_mid = _noisy_stage(b, f.L, t_L, noise.sigma_L_sq, noise.dist, rng)
+    return _noisy_stage(c_mid, f.R, t_R, noise.sigma_R_sq, noise.dist, rng)

@@ -201,6 +201,17 @@ class TestMcCommand:
         assert out.startswith("# crossbar-lowrank mc v1\n")
         assert out.rstrip().endswith("# all_passed=true")
 
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_noiseless_run_is_not_judged_on_roundoff(self, tmp_path, capsys, dist, seed):
+        # full rank and no noise: the two-step error is round-off alone,
+        # about 6e-29 against an analytic 1e-30 with a standard error 1e-30
+        p = tmp_path / "quiet.cfg"
+        p.write_text(f"m=4\nn=4\nr=2\nsigma_e_sq=0\nsigma_L_sq=0\nsigma_R_sq=0\n"
+                     f"dist={dist}\ntrials=2000\n")
+        assert main(["mc", "--config", str(p), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("# all_passed=true")
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crossbar_lowrank import montecarlo
+from crossbar_lowrank import montecarlo, schemes
 from crossbar_lowrank.analysis import two_step_error_analytic
 from crossbar_lowrank.core import sample_input
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
@@ -11,12 +11,13 @@ from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import SingularProfile, prescribed_matrix
 from crossbar_lowrank.montecarlo import (
     BLOCK_TRIALS,
-    ROLE_INPUT,
-    ROLE_NOISE,
+    NOISE_CELLS,
     TrialBatchResult,
+    _reduce,
     _run_blocks,
     compare,
     lane_count,
+    roundoff_floor,
     run_baseline_trials,
     run_two_step_trials,
 )
@@ -167,6 +168,33 @@ class TestCompare:
         assert z == pytest.approx(5.0, rel=1e-12)
         assert not ok
 
+    def test_discrepancy_within_roundoff_floor_passes(self):
+        res = TrialBatchResult(2000, 6e-29, 2e-30, 0, "two_step", roundoff=1e-27)
+        assert compare(res, 1e-30) == (0.0, True)
+        assert compare(res, 9e-28) == (0.0, True)
+        z, ok = compare(res, 2e-27)
+        assert z < -4 and not ok
+
+    def test_floor_scales_with_signal_and_dimensions(self):
+        A = np.full((2, 3), 2.0)
+        eps = np.finfo(float).eps
+        assert roundoff_floor(A, 3.0) == pytest.approx((5 * eps) ** 2 * 3.0 * 24.0, rel=1e-15)
+
+    def test_runs_carry_their_floor(self):
+        A = small_matrix()
+        res = run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05), 3.0, trials=10, master_seed=1)
+        assert res.roundoff == roundoff_floor(A, 3.0)
+
+
+def test_reduce_sums_exactly_as_the_scalar_loop():
+    errors = 10.0 ** np.random.default_rng(5).uniform(-30, 5, 2_000)
+    n = errors.size
+    mean = math.fsum(e for e in errors) / n
+    var = math.fsum((e - mean) ** 2 for e in errors) / (n - 1)
+    res = _reduce(errors, 3, "baseline", 0.0)
+    assert res.mean_sq_error == mean
+    assert res.std_error == math.sqrt(var / n)
+
 
 class TestLanes:
     def test_count_is_capped_by_blocks_and_cores(self, monkeypatch):
@@ -211,12 +239,13 @@ def _ks_critical(n1, n2, alpha):
     return math.sqrt(-math.log(alpha / 2) / 2) * math.sqrt((n1 + n2) / (n1 * n2))
 
 
-def _device_errors(trials, seed, vmm, A, sigma_b_sq):
-    """Per-trial squared errors of the per-cell device model."""
+def _device_errors(trials, seed, vmm, A, sigma_b_sq, dist="gaussian"):
+    """Per-trial squared errors of the per-cell device model, one trial at a
+    time with its own input and noise streams (seed, trial, 0 / 1)."""
     out = np.empty(trials)
     for t in range(trials):
-        b = sample_input(A.shape[0], sigma_b_sq, "gaussian", child_stream(seed, t, ROLE_INPUT))
-        d = vmm(b, child_stream(seed, t, ROLE_NOISE)) - b @ A
+        b = sample_input(A.shape[0], sigma_b_sq, dist, child_stream(seed, t, 0))
+        d = vmm(b, child_stream(seed, t, 1)) - b @ A
         out[t] = d @ d
     return out
 
@@ -235,20 +264,22 @@ class _Capture:
         monkeypatch.setattr(montecarlo, "_reduce", spy)
 
 
+def _check_same_law(block, device, analytic, alpha=0.001):
+    """Both error samples meet the analytic mean at |z| <= 4, and a
+    two-sample KS test cannot tell them apart at level alpha."""
+    for label, errs in (("block", block), ("device", device)):
+        se = errs.std(ddof=1) / math.sqrt(errs.size)
+        z = (errs.mean() - analytic) / se
+        assert abs(z) <= 4.0, f"{label}: z={z:.2f}"
+    d = _ks_statistic(block, device)
+    assert d < _ks_critical(block.size, device.size, alpha), f"KS D={d:.4f}"
+
+
 class TestEffectSamplerMatchesDevice:
     """The Gaussian block sampler draws b E as ||b|| sigma z; it must agree
     with the per-cell device model in mean and in the per-trial error law."""
 
     TRIALS = 20_000
-    ALPHA = 0.001
-
-    def _check(self, effect, device, analytic):
-        for label, errs in (("effect", effect), ("device", device)):
-            se = errs.std(ddof=1) / math.sqrt(errs.size)
-            z = (errs.mean() - analytic) / se
-            assert abs(z) <= 4.0, f"{label}: z={z:.2f}"
-        d = _ks_statistic(effect, device)
-        assert d < _ks_critical(effect.size, device.size, self.ALPHA), f"KS D={d:.4f}"
 
     def test_two_step(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
@@ -260,7 +291,7 @@ class TestEffectSamplerMatchesDevice:
         assert res.mean_sq_error == math.fsum(cap.errors) / self.TRIALS
         device = _device_errors(self.TRIALS, 72,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
-        self._check(cap.errors, device, analytic)
+        _check_same_law(cap.errors, device, analytic)
 
     def test_baseline(self, monkeypatch):
         A = small_matrix()
@@ -269,7 +300,76 @@ class TestEffectSamplerMatchesDevice:
         run_baseline_trials(A, noise, 3.0, self.TRIALS, master_seed=73)
         device = _device_errors(self.TRIALS, 74,
                                 lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0)
-        self._check(cap.errors, device, 4 * 4 * 0.05 * 3.0)
+        _check_same_law(cap.errors, device, 4 * 4 * 0.05 * 3.0)
+
+
+class TestUniformBlockPath:
+    """Uniform trials run the per-cell model batched over row chunks of a
+    block; they must agree in law with one trial at a time on private
+    streams, bound their noise buffers and ignore the lane count."""
+
+    TRIALS = 20_000
+
+    def test_two_step_matches_device(self, monkeypatch):
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
+        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
+        analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
+                                           0.05, 0.08, 2.0).total
+        cap = _Capture(monkeypatch)
+        run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=81)
+        device = _device_errors(self.TRIALS, 82,
+                                lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0,
+                                "uniform")
+        _check_same_law(cap.errors, device, analytic)
+
+    def test_baseline_matches_device(self, monkeypatch):
+        # 1,600 cells a trial: each block spans several chunks
+        A = np.random.default_rng(8).normal(size=(40, 40)) / 4
+        noise = NoiseSpec(sigma_e_sq=0.05, dist="uniform")
+        cap = _Capture(monkeypatch)
+        run_baseline_trials(A, noise, 3.0, self.TRIALS, master_seed=83)
+        device = _device_errors(self.TRIALS, 84,
+                                lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0,
+                                "uniform")
+        _check_same_law(cap.errors, device, 40 * 40 * 0.05 * 3.0)
+
+    @staticmethod
+    def _spy_noise_draws(monkeypatch):
+        sizes = []
+        real = schemes.iid_entries
+
+        def spy(shape, *args):
+            sizes.append(math.prod(shape))
+            return real(shape, *args)
+
+        monkeypatch.setattr(schemes, "iid_entries", spy)
+        return sizes
+
+    def test_two_step_noise_draws_stay_within_a_chunk(self, monkeypatch):
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05, dist="uniform")
+        A, f, cfg = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
+        cells = (8 * 64 + 8 * 64) * 4
+        sizes = self._spy_noise_draws(monkeypatch)
+        run_two_step_trials(f, A, cfg, trials=100, master_seed=3)
+        assert max(sizes) <= max(cells, NOISE_CELLS)
+        assert sum(sizes) == 100 * cells
+        assert len(sizes) > 2 * 2  # more than one chunk per block
+
+    def test_oversized_trial_draws_one_trial_at_a_time(self, monkeypatch):
+        side = math.isqrt(NOISE_CELLS) + 1
+        A = np.zeros((side, side))
+        sizes = self._spy_noise_draws(monkeypatch)
+        run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05, dist="uniform"), 1.0,
+                            trials=3, master_seed=3)
+        assert sizes == [A.size] * 3
+
+    def test_lane_count_never_changes_result(self):
+        noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
+        A, f, cfg = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
+        runs = [(run_two_step_trials(f, A, cfg, 300, master_seed=4, lanes=lanes),
+                 run_baseline_trials(A, noise, 1.0, 300, master_seed=4, lanes=lanes))
+                for lanes in (1, 2)]
+        assert runs[0] == runs[1]
 
 
 # Gaussian MC values depend on numpy's normal sampler; they were stored
@@ -286,8 +386,9 @@ two_step,2,2,2,300,11.257587884140595,0.561708986096911,10.327500000000002,1.655
 # all_passed=true
 """
 
-# uniform noise keeps the per-trial streams of the per-cell sampler: these
-# are the bytes that sampler has always produced
+# uniform noise runs the per-cell model over row chunks of each block's
+# stream; these values depend on numpy's uniform sampler and on float64
+# round-off, not on its normal sampler
 PINNED_SWEEP_UNIFORM = """\
 # crossbar-lowrank sweep v1
 # config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
@@ -295,12 +396,22 @@ sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.579999999999998,9.749999999999998,0.9000000000000004,0.9000000000000004,\
-0.030000000000000002,12.370143037095056,0.6382341833923855,21.6,0.536111111111111
+0.030000000000000002,11.688130785582043,0.609750028631935,21.6,0.536111111111111
 2,3,3,true,8.640000000000002,3.0,2.700000000000001,2.700000000000001,\
-0.24000000000000002,8.523810948553798,0.37583331702496137,21.6,0.4000000000000001
+0.24000000000000002,7.965427049168943,0.33797439838790594,21.6,0.4000000000000001
 3,2,2,true,10.710000000000004,2.4136265686542753e-31,4.950000000000002,4.950000000000002,\
-0.81,10.960748238650853,0.4915447193078017,21.6,0.4958333333333335
+0.81,10.142994885962464,0.4597624868721804,21.6,0.4958333333333335
 # argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001
+"""
+
+PINNED_MC_UNIFORM = """\
+# crossbar-lowrank mc v1
+# config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
+sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
+scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
+baseline,,,,300,9.793039528504497,0.3123544399156963,9.600000000000001,0.61801435752473,true
+two_step,2,2,2,300,10.072382007099579,0.43018616242972896,10.327500000000002,-0.5930409092182203,true
+# all_passed=true
 """
 
 
@@ -311,6 +422,11 @@ class TestPinnedOutputs:
     def test_gaussian_mc(self, lanes):
         cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, trials=300)
         assert mc_csv(run_mc(cfg, lanes=lanes)) == PINNED_MC_GAUSSIAN
+
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_uniform_mc(self, lanes):
+        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=300)
+        assert mc_csv(run_mc(cfg, lanes=lanes)) == PINNED_MC_UNIFORM
 
     @pytest.mark.parametrize("lanes", [1, 2])
     def test_uniform_sweep(self, lanes):

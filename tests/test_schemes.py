@@ -191,6 +191,61 @@ class TestTwoStepVmm:
         assert abs(errs.mean() - analytic) <= 4 * se
 
 
+class TestBatchedRows:
+    """A (T, m) stack of inputs meets one independent set of replica arrays
+    per row; row i must equal the replica-average product on its own noise
+    slices, and a single row must draw the cells of the 1-D model."""
+
+    T = 5
+
+    def _setup(self):
+        rng = np.random.default_rng(30)
+        f = factor_lr(svd(rng.standard_normal((7, 6))), 3)
+        return f, rng.standard_normal((self.T, 7))
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    def test_two_step_rows_use_their_own_noise(self, dist):
+        f, B = self._setup()
+        ns = NoiseSpec(sigma_L_sq=0.1, sigma_R_sq=0.2, dist=dist)
+        out = two_step_vmm(B, f, 2, 3, ns, np.random.default_rng(9))
+        g = np.random.default_rng(9)
+        E_L = iid_entries((self.T, 2, 7, 3), 0.1, dist, g)
+        E_R = iid_entries((self.T, 3, 3, 6), 0.2, dist, g)
+        assert out.shape == (self.T, 6)
+        for i, b in enumerate(B):
+            c_mid = np.matmul(b, f.L + E_L[i]).mean(axis=0)
+            want = np.matmul(c_mid, f.R + E_R[i]).mean(axis=0)
+            np.testing.assert_allclose(out[i], want, rtol=1e-12)
+
+    def test_two_step_single_row_draws_the_replica_cells(self):
+        f, B = self._setup()
+        ns = NoiseSpec(sigma_L_sq=0.1, sigma_R_sq=0.2, dist="uniform")
+        out = two_step_vmm(B[0], f, 2, 3, ns, np.random.default_rng(10))
+        g = np.random.default_rng(10)
+        E_L = iid_entries((2, 7, 3), 0.1, "uniform", g)
+        E_R = iid_entries((3, 3, 6), 0.2, "uniform", g)
+        c_mid = np.matmul(B[0], f.L + E_L).mean(axis=0)
+        want = np.matmul(c_mid, f.R + E_R).mean(axis=0)
+        np.testing.assert_allclose(out, want, rtol=1e-12)
+
+    def test_baseline_rows_use_their_own_noise(self):
+        _, B = self._setup()
+        A = np.random.default_rng(31).standard_normal((7, 6))
+        ns = NoiseSpec(sigma_e_sq=0.1, dist="uniform")
+        out = baseline_noisy_vmm(B, A, ns, np.random.default_rng(11))
+        E = iid_entries((self.T, 1, 7, 6), 0.1, "uniform", np.random.default_rng(11))
+        for i, b in enumerate(B):
+            np.testing.assert_allclose(out[i], b @ (A + E[i, 0]), rtol=1e-12)
+        single = baseline_noisy_vmm(B[0], A, ns, np.random.default_rng(11))
+        np.testing.assert_allclose(single, B[0] @ (A + E[0, 0]), rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 2, 7)), np.full((2, 7), np.nan)])
+    def test_rejects_malformed_stacks(self, bad):
+        f, _ = self._setup()
+        with pytest.raises(ValueError):
+            two_step_vmm(bad, f, 1, 1, NoiseSpec(), np.random.default_rng(0))
+
+
 def test_averaging_law_variance_shrinks():
     # mean of t i.i.d. draws has variance sigma_sq / t
     t = 4
