@@ -5,9 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DeviceParams
-from .analysis import lambda_max
-
 
 @dataclass(frozen=True)
 class SingularProfile:
@@ -89,9 +86,3 @@ def harmonic_matrix(m: int, n: int, r: int, lam: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Member of the harmonic class: rank r, singular values lam/i."""
     return prescribed_matrix(m, n, SingularProfile.harmonic(lam, r), rng)
-
-
-def harmonic_matrix_at_max(m: int, n: int, r: int, dev: DeviceParams,
-                           rng: np.random.Generator) -> np.ndarray:
-    """Harmonic matrix saturating the magnitude budget's lam ceiling."""
-    return harmonic_matrix(m, n, r, lambda_max(m, n, dev), rng)

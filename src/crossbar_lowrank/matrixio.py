@@ -3,6 +3,12 @@
 Format: a header line "m n" (two base-10 integers), then m lines each
 holding n space-separated decimal reals. Values are written with 17
 significant digits so a float64 round-trips value-exact.
+
+Files are written and parsed one row at a time: a row is formatted with
+one "%.17g" template and parsed with one float() per token, straight
+into the result array, so no Python object is built for the whole
+matrix. A parse error names the 1-based line and, for a value that is
+not a number, the first such token of that line.
 """
 from __future__ import annotations
 
@@ -24,15 +30,26 @@ class MatrixFormatError(ValueError):
 def dumps_matrix(A) -> str:
     A = as_matrix(A)
     m, n = A.shape
+    # "%.17g" on a Python float gives the bytes f"{x:.17g}" gives on a
+    # numpy float64
+    fmt = " ".join(["%.17g"] * n)
     out = [f"{m} {n}"]
     for row in A:
-        out.append(" ".join(f"{x:.17g}" for x in row))
+        out.append(fmt % tuple(row.tolist()))
     return "\n".join(out) + "\n"
 
 
 def write_matrix(A, path: str | os.PathLike) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(dumps_matrix(A))
+
+
+def _is_number(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
 
 
 def loads_matrix(text: str) -> np.ndarray:
@@ -54,20 +71,25 @@ def loads_matrix(text: str) -> np.ndarray:
         raise MatrixFormatError(1, f"dimensions must be positive, got {m} {n}")
     if len(lines) < 1 + m:
         raise MatrixFormatError(len(lines) + 1, f"expected {m} data rows, found {len(lines) - 1}")
-    A = np.empty((m, n))
     for i in range(m):
         line_no = i + 2
         fields = lines[1 + i].split()
         if len(fields) != n:
             raise MatrixFormatError(line_no, f"expected {n} values, found {len(fields)}")
+        if i == 0:
+            # a row of n values takes at least 2n characters with its line
+            # end, so no more rows than this can parse before one fails: a
+            # header that overstates m or n gets its line error, not a
+            # failed allocation
+            A = np.empty((min(m, len(text) // (2 * n)), n))
         if "_" in lines[1 + i]:
             bad = next(tok for tok in fields if "_" in tok)
             raise MatrixFormatError(line_no, f"invalid number {bad!r}")
-        for j, tok in enumerate(fields):
-            try:
-                A[i, j] = float(tok)
-            except ValueError:
-                raise MatrixFormatError(line_no, f"invalid number {tok!r}") from None
+        try:
+            A[i] = list(map(float, fields))
+        except ValueError:
+            bad = next(tok for tok in fields if not _is_number(tok))
+            raise MatrixFormatError(line_no, f"invalid number {bad!r}") from None
     for extra in range(1 + m, len(lines)):
         if lines[extra].strip():
             raise MatrixFormatError(extra + 1, "unexpected content after matrix rows")

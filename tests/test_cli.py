@@ -1,6 +1,9 @@
+import hashlib
 import json
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,9 @@ from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import DeviceParams
 from crossbar_lowrank.matrixgen import harmonic_matrix
 from crossbar_lowrank.matrixio import loads_matrix, write_matrix
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+OVERSIZED_HEADER = "1 100000000000\n1\n"
 
 
 @pytest.fixture
@@ -58,6 +64,13 @@ class TestGenValidate:
         assert main(["validate", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "bad.mat" in err and "line 3" in err
+
+    def test_validate_reports_oversized_header(self, tmp_path, capsys):
+        big = tmp_path / "big.mat"
+        big.write_text(OVERSIZED_HEADER)
+        assert main(["validate", str(big)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {big}: line 2: expected 100000000000 values, found 1\n"
 
     def test_validate_flags_magnitude_violation(self, tmp_path, capsys):
         dev = DeviceParams()
@@ -211,6 +224,77 @@ class TestMcCommand:
                      f"dist={dist}\ntrials=2000\n")
         assert main(["mc", "--config", str(p), "--seed", str(seed)]) == 0
         assert capsys.readouterr().out.rstrip().endswith("# all_passed=true")
+
+
+PINNED_NUMPY = "2.4.6"
+
+# sha256 of `gen --seed 12345` output, and the `validate` report of the
+# first file; recorded with numpy 2.4.6, whose QR and SVD round-off they
+# include
+PINNED_GEN = {
+    "m=12\nn=12\nr=3\nlambda=3\n":
+        "5a5b5122db0e4af08dfe6256824bba65fd016c202299d9b41962c5eab664b721",
+    "m=64\nn=48\nr=8\nlambda=2\n":
+        "c9a2084b9a27c9de99e0042d7c297449e10feb35def2ae3575868ae4f30594a5",
+}
+PINNED_VALIDATE = """\
+rows 12
+cols 12
+rank 3
+singular_values 3.000000000000001 1.4999999999999998 1.0
+lambda_max 9.356361614804113
+magnitude_total 12.249999999999998
+magnitude_budget 144.0
+magnitude_ok true
+"""
+
+
+@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                    reason=f"matrix files pinned with numpy {PINNED_NUMPY}")
+class TestPinnedMatrixFiles:
+    @pytest.mark.parametrize("body", sorted(PINNED_GEN))
+    def test_gen_bytes(self, tmp_path, body):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(body)
+        mat = tmp_path / "p.mat"
+        assert main(["gen", "--config", str(cfg), "--seed", "12345", "--out", str(mat)]) == 0
+        assert hashlib.sha256(mat.read_bytes()).hexdigest() == PINNED_GEN[body]
+
+    def test_validate_report(self, tmp_path):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text("m=12\nn=12\nr=3\nlambda=3\n")
+        mat, report = tmp_path / "p.mat", tmp_path / "report.txt"
+        assert main(["gen", "--config", str(cfg), "--seed", "12345", "--out", str(mat)]) == 0
+        assert main(["validate", str(mat), "--config", str(cfg), "--out", str(report)]) == 0
+        assert report.read_text() == PINNED_VALIDATE
+
+
+class TestModuleProcess:
+    """The CLI run as its own interpreter, as `python -m crossbar_lowrank.cli`."""
+
+    @staticmethod
+    def run(*argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        return subprocess.run([sys.executable, "-m", "crossbar_lowrank.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    def test_gen_then_validate(self, tmp_path, small_config):
+        mat = str(tmp_path / "a.mat")
+        gen = self.run("gen", "--config", small_config, "--out", mat)
+        assert gen.returncode == 0, gen.stderr
+        val = self.run("validate", mat, "--config", small_config)
+        assert val.returncode == 0, val.stderr
+        assert val.stdout.startswith("rows 20\ncols 20\nrank 5\n")
+
+    def test_oversized_header_is_one_error_line(self, tmp_path):
+        big = tmp_path / "big.mat"
+        big.write_text(OVERSIZED_HEADER)
+        proc = self.run("validate", str(big))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [
+            f"error: {big}: line 2: expected 100000000000 values, found 1"]
 
 
 class TestConsoleScript:

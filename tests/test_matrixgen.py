@@ -11,7 +11,6 @@ from crossbar_lowrank.lowrank import svd
 from crossbar_lowrank.matrixgen import (
     SingularProfile,
     harmonic_matrix,
-    harmonic_matrix_at_max,
     prescribed_matrix,
     random_orthogonal,
 )
@@ -84,15 +83,6 @@ class TestHarmonicMatrix:
         assert res.rank == 16
         np.testing.assert_allclose(res.singulars[:16], 10.0 / np.arange(1, 17),
                                    rtol=1e-8)
-
-    def test_max_amplitude_meets_magnitude_budget(self):
-        dev = DeviceParams()
-        a = harmonic_matrix_at_max(32, 48, 8, dev, np.random.default_rng(5))
-        chk = magnitude_check(a, dev)
-        assert chk.satisfied
-        lam = lambda_max(32, 48, dev)
-        top = svd(a).singulars[0]
-        assert top == pytest.approx(lam, rel=1e-8)
 
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):

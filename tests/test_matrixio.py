@@ -91,3 +91,145 @@ def test_non_finite_rejected():
 def test_trailing_blank_lines_tolerated():
     A = loads_matrix("2 2\n1 2\n3 4\n\n")
     assert np.array_equal(A, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_oversized_header_is_a_line_error_not_an_allocation():
+    # 1 x 1e11 would need 745 GiB; the short row is reported instead
+    with pytest.raises(MatrixFormatError,
+                       match="line 2: expected 100000000000 values, found 1"):
+        loads_matrix("1 100000000000\n1\n")
+    # a full-width first row, then short rows: 2e11 values claimed from
+    # a 4 MB text
+    n, m = 100_000, 2_000_000
+    text = f"{m} {n}\n" + " ".join(["1"] * n) + "\n" + "1\n" * (m - 1)
+    with pytest.raises(MatrixFormatError, match="line 3: expected 100000 values, found 1"):
+        loads_matrix(text)
+
+
+# The per-value writer and parser that the row-at-a-time ones replaced,
+# kept as the reference they must match byte for byte and message for
+# message.
+
+def _reference_dumps(A):
+    A = np.asarray(A, dtype=float)
+    m, n = A.shape
+    out = [f"{m} {n}"]
+    for row in A:
+        out.append(" ".join(f"{x:.17g}" for x in row))
+    return "\n".join(out) + "\n"
+
+
+def _reference_loads(text):
+    lines = text.splitlines()
+    header = lines[0].split()
+    m, n = int(header[0]), int(header[1])
+    if len(lines) < 1 + m:
+        raise MatrixFormatError(len(lines) + 1, f"expected {m} data rows, found {len(lines) - 1}")
+    A = np.empty((m, n))
+    for i in range(m):
+        line_no = i + 2
+        fields = lines[1 + i].split()
+        if len(fields) != n:
+            raise MatrixFormatError(line_no, f"expected {n} values, found {len(fields)}")
+        if "_" in lines[1 + i]:
+            bad = next(tok for tok in fields if "_" in tok)
+            raise MatrixFormatError(line_no, f"invalid number {bad!r}")
+        for j, tok in enumerate(fields):
+            try:
+                A[i, j] = float(tok)
+            except ValueError:
+                raise MatrixFormatError(line_no, f"invalid number {tok!r}") from None
+    for extra in range(1 + m, len(lines)):
+        if lines[extra].strip():
+            raise MatrixFormatError(extra + 1, "unexpected content after matrix rows")
+    if not np.all(np.isfinite(A)):
+        bad = np.argwhere(~np.isfinite(A))[0]
+        raise MatrixFormatError(int(bad[0]) + 2, "non-finite value")
+    return A
+
+
+def _edge_values():
+    tiny = np.nextafter(0.0, 1.0)
+    rng = np.random.default_rng(29)
+    scaled = rng.standard_normal(25) * 10.0 ** rng.uniform(-300, 300, 25)
+    return np.concatenate([
+        [-0.0, 0.0, tiny, -tiny, tiny * 3, 2.2250738585072009e-308, 1e-310,
+         1.7976931348623157e308, -1.7976931348623157e308, 1e16, 1e16 + 2,
+         0.1, 1.0 / 3.0, 1.0, -7.0, 123456789.0, 2.0 ** 53],
+        scaled,
+    ])
+
+
+class TestRowWiseMatchesReference:
+    def test_edge_values_write_the_reference_bytes(self):
+        vals = _edge_values()
+        A = vals.reshape(3, -1)
+        assert dumps_matrix(A) == _reference_dumps(A)
+        B = loads_matrix(dumps_matrix(A))
+        assert np.array_equal(B, A)
+        assert np.array_equal(np.signbit(B), np.signbit(A))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (5, 7)])
+    def test_shapes(self, shape):
+        A = np.random.default_rng(3).standard_normal(shape) * 1e5
+        assert dumps_matrix(A) == _reference_dumps(A)
+        assert np.array_equal(loads_matrix(dumps_matrix(A)), A)
+
+    def test_transposed_array(self):
+        A = _edge_values()[:40].reshape(5, 8).T
+        assert not A.flags.c_contiguous
+        assert dumps_matrix(A) == _reference_dumps(A)
+        assert np.array_equal(loads_matrix(dumps_matrix(A)), A)
+
+    def test_integer_array(self):
+        A = np.arange(-6, 6, dtype=np.int64).reshape(3, 4) * 10 ** 15
+        text = dumps_matrix(A)
+        assert text == _reference_dumps(A)
+        assert text.splitlines()[1] == "-6000000000000000 -5000000000000000 " \
+                                       "-4000000000000000 -3000000000000000"
+        assert np.array_equal(loads_matrix(text), A)
+
+    def test_mutated_files_get_the_reference_result(self):
+        # valid files with one character inserted, deleted or replaced:
+        # the parse returns the reference's values or raises its message
+        rng = np.random.default_rng(41)
+        alphabet = list("0123456789 .-e_x\n\t") + ["nan", "inf", "\r\n"]
+        outcomes = set()
+        for _ in range(3000):
+            m, n = (int(v) for v in rng.integers(1, 5, 2))
+            text = _reference_dumps(rng.standard_normal((m, n)).round(int(rng.integers(0, 4))))
+            pos = int(rng.integers(len(f"{m} {n}\n"), len(text) + 1))
+            cut = int(rng.integers(0, 2))
+            text = text[:pos] + str(rng.choice(alphabet)) * int(rng.integers(0, 2)) + text[pos + cut:]
+            try:
+                want = _reference_loads(text)
+            except MatrixFormatError as exc:
+                with pytest.raises(MatrixFormatError) as got:
+                    loads_matrix(text)
+                assert str(got.value) == str(exc)
+                assert got.value.line_no == exc.line_no
+                outcomes.add(str(exc).split(": ", 1)[1].split(" ")[0])
+            else:
+                assert np.array_equal(loads_matrix(text), want)
+                outcomes.add("ok")
+        assert {"ok", "expected", "invalid", "non-finite", "unexpected"} <= outcomes
+
+
+class TestParseErrorNamesFirstBadToken:
+    def test_several_bad_tokens(self):
+        with pytest.raises(MatrixFormatError, match=r"^line 3: invalid number 'x1'$"):
+            loads_matrix("2 4\n1 2 3 4\nx1 y2 3 z4\n")
+
+    def test_bad_token_after_valid_ones(self):
+        with pytest.raises(MatrixFormatError, match=r"^line 2: invalid number '0x10'$"):
+            loads_matrix("1 4\n1.5 -2 3e4 0x10\n")
+
+    def test_nan_in_row_three(self):
+        with pytest.raises(MatrixFormatError, match=r"^line 4: non-finite value$"):
+            loads_matrix("4 2\n1 2\n3 4\n5 nan\n7 8\n")
+
+    def test_underscore_message_wins(self):
+        # "foo" comes first, but a line holding "_" is reported by its
+        # first underscored token
+        with pytest.raises(MatrixFormatError, match=r"^line 2: invalid number '1_0'$"):
+            loads_matrix("1 3\nfoo 1_0 2\n")
