@@ -18,7 +18,6 @@ import sys
 from .analysis import InfeasibleBudgetError, lambda_max
 from .core import DeviceParams, magnitude_check
 from .experiments import (
-    STREAM_MATRIX,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -32,11 +31,11 @@ from .experiments import (
     sweep_csv,
     sweep_json,
     sweep_summary,
+    target,
 )
 from .lowrank import svd
-from .matrixgen import harmonic_matrix
 from .matrixio import MatrixFormatError, dumps_matrix, read_matrix
-from .rng import MASK64, child_stream
+from .rng import MASK64
 
 __all__ = ["main", "build_parser"]
 
@@ -136,10 +135,7 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    config = _load(args)
-    A = harmonic_matrix(config.m, config.n, config.r, config.resolved_lambda(),
-                        child_stream(config.master_seed, STREAM_MATRIX))
-    _emit(dumps_matrix(A), args.out)
+    _emit(dumps_matrix(target(_load(args))), args.out)
     return 0
 
 

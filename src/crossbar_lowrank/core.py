@@ -7,6 +7,7 @@ magnitude: sum(g**2) <= m * n * rho for an m x n array.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -27,10 +28,10 @@ class DeviceParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        if not self.r_T > 0:
-            raise ValueError(f"r_T must be positive, got {self.r_T}")
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        for name in ("r_T", "rho"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
 
 
 class MagnitudeCheck(NamedTuple):

@@ -3,8 +3,15 @@
 Configs are flat key=value text files ('#' starts a comment); every key
 has a default matching the standard demonstration setup (100x100 array,
 rank-16 harmonic spectrum, lam=10, all write variances 0.05, input
-variance 3). Emission is deterministic: same config and seed give
-byte-identical CSV or JSON.
+variance 3). `ExperimentConfig` checks its own keys and leaves the noise
+and device keys to `NoiseSpec` and `DeviceParams`, turning their errors
+into `ConfigError`. `target(config)` is the one place the target matrix
+is built.
+
+Every result is a table of one row dataclass, written by one CSV and one
+JSON writer: the columns are the row's fields, and the extra lines or
+keys of each kind are `# key=value` comments in CSV. Emission is
+deterministic: same config and seed give byte-identical CSV or JSON.
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +31,7 @@ from .analysis import (
     optimize_rank,
     optimize_repetitions,
 )
-from .core import SUPPORTED_DISTS, DeviceParams
+from .core import DeviceParams
 from .lowrank import factor_lr, svd
 from .matrixgen import harmonic_matrix
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
@@ -79,21 +87,17 @@ class ExperimentConfig:
             raise ConfigError(f"r must be in [1, min(m, n)], got {self.r}")
         if self.lam != "max" and not _finite_positive(float(self.lam)):
             raise ConfigError(f"lambda must be finite and positive or 'max', got {self.lam}")
-        for name in ("sigma_e_sq", "sigma_L_sq", "sigma_R_sq"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ConfigError(f"{name} must be finite and nonnegative, got {v}")
+        try:
+            self.noise()
+            self.device()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not _finite_positive(self.sigma_b_sq):
             raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
         if self.trials < 0 or self.trials == 1:
             raise ConfigError(f"trials must be 0 (analytic only) or >= 2, got {self.trials}")
         if not 0 <= self.master_seed <= MASK64:
             raise ConfigError(f"master_seed must fit in 64 bits, got {self.master_seed}")
-        if self.dist not in SUPPORTED_DISTS:
-            raise ConfigError(f"dist must be one of {SUPPORTED_DISTS}, got {self.dist!r}")
-        if not _finite_positive(self.rho) or not _finite_positive(self.r_T):
-            raise ConfigError(f"rho and r_T must be finite and positive, "
-                              f"got rho={self.rho}, r_T={self.r_T}")
         if self.k_range != "all":
             ks = self.k_range
             if not ks or any(not 1 <= k <= self.r for k in ks):
@@ -173,10 +177,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             except ValueError:
                 raise ConfigError(f"{key} must be an integer, got {value!r}") from None
         elif key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from None
+            kwargs[key] = _parse_float(value, key)
         elif key == "lambda":
             kwargs["lam"] = "max" if value == "max" else _parse_float(value, "lambda")
         elif key == "beta":
@@ -210,8 +211,14 @@ def load_config(path: str | None) -> ExperimentConfig:
     return config_from_mapping(parse_config_text(text))
 
 
-def fit_loglog_slope(points) -> tuple[float, float, float]:
-    """Ordinary least squares on (ln n, ln value): (slope, intercept, r_squared)."""
+class Fit(NamedTuple):
+    slope: float
+    intercept: float
+    r_squared: float
+
+
+def fit_loglog_slope(points) -> Fit:
+    """Ordinary least squares on (ln n, ln value)."""
     pts = list(points)
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points, got {len(pts)}")
@@ -232,24 +239,26 @@ def fit_loglog_slope(points) -> tuple[float, float, float]:
     ss_res = math.fsum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys))
     ss_tot = math.fsum((y - ybar) ** 2 for y in ys)
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r_squared
+    return Fit(slope, intercept, r_squared)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SweepRow:
+    """One k of a sweep; an infeasible k leaves every optional column None."""
+
     k: int
     t_L: int
     t_R: int
     feasible: bool
-    analytic_total: float | None
-    analytic_truncation: float | None
-    analytic_stage1: float | None
-    analytic_stage2: float | None
-    analytic_accumulated: float | None
-    mc_mean: float | None
-    mc_stderr: float | None
+    analytic_total: float | None = None
+    analytic_truncation: float | None = None
+    analytic_stage1: float | None = None
+    analytic_stage2: float | None = None
+    analytic_accumulated: float | None = None
+    mc_mean: float | None = None
+    mc_stderr: float | None = None
     baseline_analytic: float
-    normalized: float | None
+    normalized: float | None = None
 
 
 @dataclass(frozen=True)
@@ -260,6 +269,29 @@ class SweepResult:
     config: ExperimentConfig
 
 
+def target(config: ExperimentConfig) -> np.ndarray:
+    """The config's harmonic target matrix, drawn from its own stream."""
+    return harmonic_matrix(config.m, config.n, config.r, config.resolved_lambda(),
+                           child_stream(config.master_seed, STREAM_MATRIX))
+
+
+def _analytic_columns(bd, baseline: float) -> dict:
+    """The closed-form columns shared by sweep and scaling rows."""
+    return dict(analytic_total=bd.total, analytic_truncation=bd.truncation,
+                analytic_stage1=bd.stage1_noise, analytic_stage2=bd.stage2_noise,
+                analytic_accumulated=bd.accumulated,
+                baseline_analytic=baseline, normalized=bd.total / baseline)
+
+
+def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int,
+                 t_R: int, role: int, lanes: int):
+    """MC of the two-step scheme at rank k, seeded by (role, k)."""
+    cfg = SchemeConfig(m=config.m, n=config.n, k=k, t_L=t_L, t_R=t_R,
+                       noise=config.noise(), sigma_b_sq=config.sigma_b_sq)
+    return run_two_step_trials(factor_lr(s, k), A, cfg, config.trials,
+                               child_seed(config.master_seed, role, k), lanes)
+
+
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     """Per-k comparison of the two-step scheme against the baseline.
 
@@ -268,9 +300,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     (when trials > 0) a Monte Carlo estimate from its own seed lineage.
     Infeasible k values are emitted flagged instead of aborting.
     """
-    lam = config.resolved_lambda()
-    A = harmonic_matrix(config.m, config.n, config.r, lam,
-                        child_stream(config.master_seed, STREAM_MATRIX))
+    A = target(config)
     s = svd(A)
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
@@ -279,38 +309,23 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     best: SweepRow | None = None
     for k in config.resolved_k_range():
         if not budget_feasible(config.m, config.n, k, 1, 1):
-            rows.append(SweepRow(
-                k=k, t_L=0, t_R=0, feasible=False,
-                analytic_total=None, analytic_truncation=None,
-                analytic_stage1=None, analytic_stage2=None,
-                analytic_accumulated=None, mc_mean=None, mc_stderr=None,
-                baseline_analytic=baseline, normalized=None,
-            ))
+            rows.append(SweepRow(k=k, t_L=0, t_R=0, feasible=False,
+                                 baseline_analytic=baseline))
             continue
         t_L, t_R, bd = optimize_repetitions(s.singulars, config.m, config.n,
                                             k, noise, config.sigma_b_sq)
         mc_mean = mc_stderr = None
         if config.trials > 0:
-            f = factor_lr(s, k)
-            cfg = SchemeConfig(m=config.m, n=config.n, k=k, t_L=t_L, t_R=t_R,
-                               noise=noise, sigma_b_sq=config.sigma_b_sq)
-            res = run_two_step_trials(
-                f, A, cfg, config.trials,
-                child_seed(config.master_seed, STREAM_SWEEP_MC, k), lanes)
+            res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_SWEEP_MC, lanes)
             mc_mean, mc_stderr = res.mean_sq_error, res.std_error
-        row = SweepRow(
-            k=k, t_L=t_L, t_R=t_R, feasible=True,
-            analytic_total=bd.total, analytic_truncation=bd.truncation,
-            analytic_stage1=bd.stage1_noise, analytic_stage2=bd.stage2_noise,
-            analytic_accumulated=bd.accumulated,
-            mc_mean=mc_mean, mc_stderr=mc_stderr,
-            baseline_analytic=baseline, normalized=bd.total / baseline,
-        )
+        row = SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
+                       mc_mean=mc_mean, mc_stderr=mc_stderr,
+                       **_analytic_columns(bd, baseline))
         rows.append(row)
         if best is None or row.analytic_total < best.analytic_total:
             best = row
     return SweepResult(rows=rows, argmin_k=None if best is None else best.k,
-                       lam_resolved=lam, config=config)
+                       lam_resolved=config.resolved_lambda(), config=config)
 
 
 @dataclass(frozen=True)
@@ -332,12 +347,8 @@ class ScalingRow:
 @dataclass(frozen=True)
 class ScalingResult:
     rows: list[ScalingRow]
-    slope_total: float
-    intercept_total: float
-    r_squared_total: float
-    slope_baseline: float
-    intercept_baseline: float
-    r_squared_baseline: float
+    fit_total: Fit
+    fit_baseline: Fit
     beta_resolved: float
     config: ExperimentConfig
 
@@ -375,19 +386,13 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         t_L, t_R, bd = optimize_repetitions(singulars, n, n, k, noise,
                                             config.sigma_b_sq)
         baseline = baseline_error_analytic(n, n, config.sigma_e_sq, config.sigma_b_sq)
-        rows.append(ScalingRow(
-            n=n, r=r, k=k, t_L=t_L, t_R=t_R,
-            analytic_total=bd.total, analytic_truncation=bd.truncation,
-            analytic_stage1=bd.stage1_noise, analytic_stage2=bd.stage2_noise,
-            analytic_accumulated=bd.accumulated,
-            baseline_analytic=baseline, normalized=bd.total / baseline,
-        ))
-    slope_t, icept_t, r2_t = fit_loglog_slope([(row.n, row.analytic_total) for row in rows])
-    slope_b, icept_b, r2_b = fit_loglog_slope([(row.n, row.baseline_analytic) for row in rows])
-    return ScalingResult(rows=rows, slope_total=slope_t, intercept_total=icept_t,
-                         r_squared_total=r2_t, slope_baseline=slope_b,
-                         intercept_baseline=icept_b, r_squared_baseline=r2_b,
-                         beta_resolved=beta, config=config)
+        rows.append(ScalingRow(n=n, r=r, k=k, t_L=t_L, t_R=t_R,
+                               **_analytic_columns(bd, baseline)))
+    return ScalingResult(
+        rows=rows,
+        fit_total=fit_loglog_slope([(row.n, row.analytic_total) for row in rows]),
+        fit_baseline=fit_loglog_slope([(row.n, row.baseline_analytic) for row in rows]),
+        beta_resolved=beta, config=config)
 
 
 @dataclass(frozen=True)
@@ -418,9 +423,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     k when k_range is 'all')."""
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
-    lam = config.resolved_lambda()
-    A = harmonic_matrix(config.m, config.n, config.r, lam,
-                        child_stream(config.master_seed, STREAM_MATRIX))
+    A = target(config)
     s = svd(A)
     noise = config.noise()
     rows: list[McRow] = []
@@ -444,23 +447,20 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     for k in ks:
         t_L, t_R, bd = optimize_repetitions(s.singulars, config.m, config.n,
                                             k, noise, config.sigma_b_sq)
-        f = factor_lr(s, k)
-        cfg = SchemeConfig(m=config.m, n=config.n, k=k, t_L=t_L, t_R=t_R,
-                           noise=noise, sigma_b_sq=config.sigma_b_sq)
-        res = run_two_step_trials(f, A, cfg, config.trials,
-                                  child_seed(config.master_seed, STREAM_MC_TWOSTEP, k),
-                                  lanes)
+        res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_MC_TWOSTEP, lanes)
         z, ok = compare(res, bd.total)
         rows.append(McRow(scheme="two_step", k=k, t_L=t_L, t_R=t_R,
                           trials=res.trials, mean_sq_error=res.mean_sq_error,
                           std_error=res.std_error, analytic=bd.total, z=z, passed=ok))
     return McResult(rows=rows, all_passed=all(r.passed for r in rows),
-                    lam_resolved=lam, config=config)
+                    lam_resolved=config.resolved_lambda(), config=config)
 
 
 def _fmt(v) -> str:
     if v is None:
         return ""
+    if isinstance(v, str):
+        return v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
@@ -468,123 +468,81 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
+def _comment(head: str, values: dict) -> str:
+    """A '# ...' line: head, then one key=value per entry."""
+    return " ".join([head, *(f"{k}={_fmt(v)}" for k, v in values.items())])
+
+
 def _config_comment(config: ExperimentConfig, lam: float) -> str:
     c = config
-    return ("# config "
-            f"m={c.m} n={c.n} r={c.r} lambda={_fmt(lam)} "
-            f"sigma_e_sq={_fmt(c.sigma_e_sq)} sigma_L_sq={_fmt(c.sigma_L_sq)} "
-            f"sigma_R_sq={_fmt(c.sigma_R_sq)} sigma_b_sq={_fmt(c.sigma_b_sq)} "
-            f"dist={c.dist} rho={_fmt(c.rho)} r_T={_fmt(c.r_T)} "
-            f"trials={c.trials} seed={c.master_seed}")
+    return _comment("# config", {
+        "m": c.m, "n": c.n, "r": c.r, "lambda": lam, "sigma_e_sq": c.sigma_e_sq,
+        "sigma_L_sq": c.sigma_L_sq, "sigma_R_sq": c.sigma_R_sq,
+        "sigma_b_sq": c.sigma_b_sq, "dist": c.dist, "rho": c.rho, "r_T": c.r_T,
+        "trials": c.trials, "seed": c.master_seed})
 
 
-_SWEEP_FIELDS = ("k", "t_L", "t_R", "feasible", "analytic_total",
-                 "analytic_truncation", "analytic_stage1", "analytic_stage2",
-                 "analytic_accumulated", "mc_mean", "mc_stderr",
-                 "baseline_analytic", "normalized")
-_SCALING_FIELDS = ("n", "r", "k", "t_L", "t_R", "analytic_total",
-                   "analytic_truncation", "analytic_stage1", "analytic_stage2",
-                   "analytic_accumulated", "baseline_analytic", "normalized")
-_MC_FIELDS = ("scheme", "k", "t_L", "t_R", "trials", "mean_sq_error",
-              "std_error", "analytic", "z", "passed")
-
-
-def _csv_rows(rows, fields) -> list[str]:
-    out = [",".join("pass" if f == "passed" else f for f in fields)]
-    for row in rows:
-        cells = []
-        for f in fields:
-            v = getattr(row, f)
-            cells.append(v if isinstance(v, str) else _fmt(v))
-        out.append(",".join(cells))
-    return out
-
-
-def sweep_csv(result: SweepResult) -> str:
-    lines = [SWEEP_SCHEMA, _config_comment(result.config, result.lam_resolved)]
-    lines.extend(_csv_rows(result.rows, _SWEEP_FIELDS))
-    lines.append(sweep_summary(result))
+def _table_csv(schema: str, config_line: str, row_type, rows, tail: list[str]) -> str:
+    """Schema, config line, header, one line per row, then the tail lines."""
+    names = [f.name for f in dataclasses.fields(row_type)]
+    lines = [schema, config_line,
+             ",".join("pass" if name == "passed" else name for name in names)]
+    lines.extend(",".join(_fmt(getattr(row, name)) for name in names) for row in rows)
+    lines.extend(tail)
     return "\n".join(lines) + "\n"
+
+
+def _table_json(schema: str, config: ExperimentConfig, rows, **extra) -> str:
+    d = dataclasses.asdict(config)
+    d["k_range"] = list(config.resolved_k_range())
+    d["n_grid"] = list(config.n_grid)
+    doc = {"schema": schema.lstrip("# "), "config": d,
+           "rows": [dataclasses.asdict(row) for row in rows], **extra}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def sweep_summary(result: SweepResult) -> str:
     if result.argmin_k is None:
         return "# argmin none (no feasible k)"
     row = next(r for r in result.rows if r.k == result.argmin_k)
-    return (f"# argmin k={row.k} t_L={row.t_L} t_R={row.t_R} "
-            f"normalized={_fmt(row.normalized)}")
+    return _comment("# argmin", {"k": row.k, "t_L": row.t_L, "t_R": row.t_R,
+                                 "normalized": row.normalized})
+
+
+def sweep_csv(result: SweepResult) -> str:
+    return _table_csv(SWEEP_SCHEMA, _config_comment(result.config, result.lam_resolved),
+                      SweepRow, result.rows, [sweep_summary(result)])
 
 
 def scaling_csv(result: ScalingResult) -> str:
     c = result.config
-    head = ("# config "
-            f"alpha={_fmt(c.alpha)} beta={_fmt(result.beta_resolved)} "
-            f"c1={_fmt(c.c1)} c2={_fmt(c.c2)} "
-            f"sigma_L_sq={_fmt(c.sigma_L_sq)} sigma_R_sq={_fmt(c.sigma_R_sq)} "
-            f"sigma_e_sq={_fmt(c.sigma_e_sq)} sigma_b_sq={_fmt(c.sigma_b_sq)} "
-            f"rho={_fmt(c.rho)} r_T={_fmt(c.r_T)}")
-    lines = [SCALING_SCHEMA, head]
-    lines.extend(_csv_rows(result.rows, _SCALING_FIELDS))
-    lines.append(f"# fit_total slope={_fmt(result.slope_total)} "
-                 f"intercept={_fmt(result.intercept_total)} "
-                 f"r_squared={_fmt(result.r_squared_total)}")
-    lines.append(f"# fit_baseline slope={_fmt(result.slope_baseline)} "
-                 f"intercept={_fmt(result.intercept_baseline)} "
-                 f"r_squared={_fmt(result.r_squared_baseline)}")
-    return "\n".join(lines) + "\n"
+    head = _comment("# config", {
+        "alpha": c.alpha, "beta": result.beta_resolved, "c1": c.c1, "c2": c.c2,
+        "sigma_L_sq": c.sigma_L_sq, "sigma_R_sq": c.sigma_R_sq,
+        "sigma_e_sq": c.sigma_e_sq, "sigma_b_sq": c.sigma_b_sq,
+        "rho": c.rho, "r_T": c.r_T})
+    return _table_csv(SCALING_SCHEMA, head, ScalingRow, result.rows,
+                      [_comment("# fit_total", result.fit_total._asdict()),
+                       _comment("# fit_baseline", result.fit_baseline._asdict())])
 
 
 def mc_csv(result: McResult) -> str:
-    lines = [MC_SCHEMA, _config_comment(result.config, result.lam_resolved)]
-    lines.extend(_csv_rows(result.rows, _MC_FIELDS))
-    lines.append(f"# all_passed={_fmt(result.all_passed)}")
-    return "\n".join(lines) + "\n"
-
-
-def _row_dicts(rows, fields) -> list[dict]:
-    return [{f: getattr(row, f) for f in fields} for row in rows]
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    d = dataclasses.asdict(config)
-    d["k_range"] = list(config.resolved_k_range())
-    d["n_grid"] = list(config.n_grid)
-    return d
+    return _table_csv(MC_SCHEMA, _config_comment(result.config, result.lam_resolved),
+                      McRow, result.rows, [_comment("#", {"all_passed": result.all_passed})])
 
 
 def sweep_json(result: SweepResult) -> str:
-    doc = {
-        "schema": SWEEP_SCHEMA.lstrip("# "),
-        "config": _config_dict(result.config),
-        "lambda_resolved": result.lam_resolved,
-        "rows": _row_dicts(result.rows, _SWEEP_FIELDS),
-        "argmin_k": result.argmin_k,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _table_json(SWEEP_SCHEMA, result.config, result.rows,
+                       lambda_resolved=result.lam_resolved, argmin_k=result.argmin_k)
 
 
 def scaling_json(result: ScalingResult) -> str:
-    doc = {
-        "schema": SCALING_SCHEMA.lstrip("# "),
-        "config": _config_dict(result.config),
-        "beta_resolved": result.beta_resolved,
-        "rows": _row_dicts(result.rows, _SCALING_FIELDS),
-        "fit_total": {"slope": result.slope_total,
-                      "intercept": result.intercept_total,
-                      "r_squared": result.r_squared_total},
-        "fit_baseline": {"slope": result.slope_baseline,
-                         "intercept": result.intercept_baseline,
-                         "r_squared": result.r_squared_baseline},
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _table_json(SCALING_SCHEMA, result.config, result.rows,
+                       beta_resolved=result.beta_resolved,
+                       fit_total=result.fit_total._asdict(),
+                       fit_baseline=result.fit_baseline._asdict())
 
 
 def mc_json(result: McResult) -> str:
-    doc = {
-        "schema": MC_SCHEMA.lstrip("# "),
-        "config": _config_dict(result.config),
-        "lambda_resolved": result.lam_resolved,
-        "rows": _row_dicts(result.rows, _MC_FIELDS),
-        "all_passed": result.all_passed,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _table_json(MC_SCHEMA, result.config, result.rows,
+                       lambda_resolved=result.lam_resolved, all_passed=result.all_passed)

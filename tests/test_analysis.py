@@ -21,10 +21,8 @@ from crossbar_lowrank.analysis import (
     two_step_error_analytic,
 )
 from crossbar_lowrank.core import DeviceParams
-from crossbar_lowrank.experiments import STREAM_MATRIX, ExperimentConfig
+from crossbar_lowrank.experiments import ExperimentConfig, target
 from crossbar_lowrank.lowrank import svd
-from crossbar_lowrank.matrixgen import harmonic_matrix
-from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import NoiseSpec
 
 
@@ -142,10 +140,9 @@ class TestOptimizeRepetitions:
         # m = n and sigma_L_sq = sigma_R_sq make (12, 13) and (13, 12) tie
         # exactly at k=4 on the default config; the SVD's round-off used to
         # pick (13, 12) at seeds 0, 1, 7, 8, 18, 23, 31 and 38
-        cfg = ExperimentConfig()
         for seed in (0, 1, 2, 7, 8, 18, 23, 31, 38):
-            A = harmonic_matrix(cfg.m, cfg.n, cfg.r, cfg.resolved_lambda(),
-                                child_stream(seed, STREAM_MATRIX))
+            cfg = ExperimentConfig(master_seed=seed)
+            A = target(cfg)
             t_L, t_R, _ = optimize_repetitions(svd(A).singulars, cfg.m, cfg.n, 4,
                                                cfg.noise(), cfg.sigma_b_sq)
             assert (t_L, t_R) == (12, 13), seed

@@ -124,6 +124,16 @@ class TestUsageErrors:
         assert main(["sweep", "--config", str(p)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,named", [("dist=poisson", "distribution 'poisson'"),
+                                            ("r_T=inf", "r_T"), ("rho=0", "rho"),
+                                            ("sigma_e_sq=-1", "sigma_e_sq")])
+    def test_noise_and_device_checks_are_config_errors(self, tmp_path, body, named, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text(body + "\ntrials=0\n")
+        assert main(["sweep", "--config", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("mm=4\n")
@@ -267,6 +277,73 @@ class TestPinnedMatrixFiles:
         assert main(["gen", "--config", str(cfg), "--seed", "12345", "--out", str(mat)]) == 0
         assert main(["validate", str(mat), "--config", str(cfg), "--out", str(report)]) == 0
         assert report.read_text() == PINNED_VALIDATE
+
+
+DET_CONFIG = "m=12\nn=12\nr=3\nlambda=3\ntrials=400\n"
+GRID_CONFIG = "n_grid=16 32 64 128\ntrials=0\n"
+INFEASIBLE_CONFIG = "m=8\nn=8\nr=8\nlambda=2\ntrials=0\n"
+NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
+
+# (command, config, format) -> sha256 of the `--out` file and the line
+# printed on stdout; recorded with numpy 2.4.6 before the table writers
+# were merged into one
+PINNED_TABLES = {
+    ("sweep", DET_CONFIG, "csv"):
+        ("9b1e285c9419f5a14f2d551b24e3fd517e65146a66dc030e7829fbd19dd28e56",
+         "argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001\n"),
+    ("sweep", DET_CONFIG, "json"):
+        ("b13553a328131f9abd4c2f1b539e98b5fa27bfa2a98714a036ef25a899cdc6ef",
+         "argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001\n"),
+    ("scaling", GRID_CONFIG, "csv"):
+        ("a4964e44067547e36d283a1b302af73bf961c3cdb8c185fc69c90fbcf3b04c41", ""),
+    ("scaling", GRID_CONFIG, "json"):
+        ("6572aa9539ae05d8dc0c987eab64050b93930fb14cc925b620de3234a265819b", ""),
+    ("mc", DET_CONFIG, "csv"):
+        ("2d304d4327ca6747170ccd389ad73ea2211631e210258b6e37ab765e0671026c", ""),
+    ("mc", DET_CONFIG, "json"):
+        ("1f455d0e486910d317e43fa5abd0bb5ecc2612bc79e9133337bf1c59e71296d1", ""),
+    ("sweep", INFEASIBLE_CONFIG, "csv"):
+        ("5308f28e44db6f87762eca24212625fdc505449bfdb552a6b236dff055192a04",
+         "argmin k=2 t_L=2 t_R=2 normalized=0.746777565192744\n"),
+    ("sweep", INFEASIBLE_CONFIG, "json"):
+        ("a110439529a3278a8737e545f2f0f6f16ddf5e42b1f1c2f9f028f9fd83e30223",
+         "argmin k=2 t_L=2 t_R=2 normalized=0.746777565192744\n"),
+    ("sweep", NO_FEASIBLE_CONFIG, "csv"):
+        ("f7bff80b3362d8f8b1fb859bff60e906e30bc48208d09b0c8d195f6d8f619fe7",
+         "argmin none (no feasible k)\n"),
+    ("sweep", NO_FEASIBLE_CONFIG, "json"):
+        ("f99b08303e49c8c0ce7f6e169ec73dc0eccf559d6a1331d094b03ebcbf6293fa",
+         "argmin none (no feasible k)\n"),
+}
+PINNED_NO_FEASIBLE_CSV = """\
+# crossbar-lowrank sweep v1
+# config m=2 n=2 r=2 lambda=1.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
+sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=0 seed=12345
+k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
+analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
+2,0,0,false,,,,,,,,0.6000000000000001,
+# argmin none (no feasible k)
+"""
+
+
+@pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                    reason=f"tables pinned with numpy {PINNED_NUMPY}")
+class TestPinnedTables:
+    @pytest.mark.parametrize("command,body,fmt", list(PINNED_TABLES))
+    def test_out_bytes_and_echo(self, tmp_path, capsys, command, body, fmt):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(body)
+        out = tmp_path / "p.out"
+        assert main([command, "--config", str(cfg), "--format", fmt, "--out", str(out)]) == 0
+        digest, echo = PINNED_TABLES[command, body, fmt]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert capsys.readouterr().out == echo
+
+    def test_no_feasible_k_sweep(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(NO_FEASIBLE_CONFIG)
+        assert main(["sweep", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == PINNED_NO_FEASIBLE_CSV
 
 
 class TestModuleProcess:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -75,9 +77,12 @@ class TestDeviceParams:
         dev = DeviceParams()
         assert dev.r_T == 1.0 and dev.rho == 1.0
 
-    @pytest.mark.parametrize("kwargs", [{"r_T": 0.0}, {"r_T": -1.0}, {"rho": 0.0}, {"rho": -2.0}])
+    @pytest.mark.parametrize("kwargs", [{"r_T": 0.0}, {"r_T": -1.0}, {"rho": 0.0}, {"rho": -2.0},
+                                        {"r_T": math.inf}, {"r_T": math.nan},
+                                        {"rho": math.inf}, {"rho": math.nan}])
     def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
+        (key,) = kwargs
+        with pytest.raises(ValueError, match=f"{key} must be finite"):
             DeviceParams(**kwargs)
 
 

@@ -296,12 +296,12 @@ class TestRunScaling:
 
     def test_baseline_slope_is_two(self):
         res = run_scaling(ExperimentConfig(**self.CFG))
-        assert res.slope_baseline == pytest.approx(2.0, abs=1e-10)
-        assert res.r_squared_baseline == pytest.approx(1.0, abs=1e-12)
+        assert res.fit_baseline.slope == pytest.approx(2.0, abs=1e-10)
+        assert res.fit_baseline.r_squared == pytest.approx(1.0, abs=1e-12)
 
     def test_total_grows_subquadratically(self):
         res = run_scaling(ExperimentConfig(**self.CFG))
-        assert 0.5 < res.slope_total < 2.0
+        assert 0.5 < res.fit_total.slope < 2.0
         totals = [row.analytic_total for row in res.rows]
         assert all(a < b for a, b in zip(totals, totals[1:]))
 
