@@ -33,7 +33,7 @@ from .experiments import (
     sweep_summary,
     target,
 )
-from .lowrank import svd
+from .lowrank import numerical_rank, singular_values
 from .matrixio import MatrixFormatError, dumps_matrix, read_matrix
 from .rng import MASK64
 
@@ -143,13 +143,14 @@ def _cmd_validate(args) -> int:
     config = _load(args)
     dev = config.device()
     A = read_matrix(args.matrix)
-    s = svd(A)
+    s = singular_values(A)
+    rank = numerical_rank(s)
     check = magnitude_check(A, dev)
-    singulars = " ".join(repr(float(v)) for v in s.singulars[:s.rank])
+    singulars = " ".join(repr(float(v)) for v in s[:rank])
     report = "\n".join([
         f"rows {A.shape[0]}",
         f"cols {A.shape[1]}",
-        f"rank {s.rank}",
+        f"rank {rank}",
         f"singular_values {singulars}",
         f"lambda_max {lambda_max(A.shape[0], A.shape[1], dev)!r}",
         f"magnitude_total {check.total!r}",

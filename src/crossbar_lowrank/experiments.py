@@ -6,7 +6,8 @@ rank-16 harmonic spectrum, lam=10, all write variances 0.05, input
 variance 3). `ExperimentConfig` checks its own keys and leaves the noise
 and device keys to `NoiseSpec` and `DeviceParams`, turning their errors
 into `ConfigError`. `target(config)` is the one place the target matrix
-is built.
+is built, and it refuses sizes whose Gaussian squares would exceed
+`MAX_SQUARE_CELLS`.
 
 Every result is a table of one row dataclass, written by one CSV and one
 JSON writer: the columns are the row's fields, and the extra lines or
@@ -43,6 +44,10 @@ STREAM_MATRIX = 0
 STREAM_SWEEP_MC = 1
 STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
+
+# cap on the cells of one Gaussian square drawn by target(): 2**26 float64
+# cells is 512 MiB, so max(m, n) may be at most 8192
+MAX_SQUARE_CELLS = 2 ** 26
 
 SWEEP_SCHEMA = "# crossbar-lowrank sweep v1"
 SCALING_SCHEMA = "# crossbar-lowrank scaling v1"
@@ -270,9 +275,26 @@ class SweepResult:
 
 
 def target(config: ExperimentConfig) -> np.ndarray:
-    """The config's harmonic target matrix, drawn from its own stream."""
+    """The config's harmonic target matrix, drawn from its own stream.
+
+    Building it draws an m x m and an n x n Gaussian square, so a config
+    whose larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
+    """
+    side = max(config.m, config.n)
+    if side * side > MAX_SQUARE_CELLS:
+        raise ConfigError(
+            f"m={config.m}, n={config.n}: building the target draws a "
+            f"{side}x{side} square, over the cap of {MAX_SQUARE_CELLS} cells")
     return harmonic_matrix(config.m, config.n, config.r, config.resolved_lambda(),
                            child_stream(config.master_seed, STREAM_MATRIX))
+
+
+def _require_baseline_noise(config: ExperimentConfig) -> None:
+    """Sweep and scaling rows normalize by the baseline error, which is 0
+    without baseline write noise."""
+    if config.sigma_e_sq == 0:
+        raise ConfigError("sigma_e_sq must be positive for sweep and scaling: "
+                          "their normalized column divides by the baseline error")
 
 
 def _analytic_columns(bd, baseline: float) -> dict:
@@ -300,6 +322,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     (when trials > 0) a Monte Carlo estimate from its own seed lineage.
     Infeasible k values are emitted flagged instead of aborting.
     """
+    _require_baseline_noise(config)
     A = target(config)
     s = svd(A)
     noise = config.noise()
@@ -374,6 +397,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     k = max(1, floor(c1*r^beta)); lam saturates the magnitude budget at
     every size. Emits per-n rows plus fitted log-log slopes."""
     _check_geometric(config.n_grid)
+    _require_baseline_noise(config)
     beta = config.resolved_beta()
     dev = config.device()
     noise = config.noise()

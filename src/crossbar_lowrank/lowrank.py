@@ -50,12 +50,32 @@ class LrFactors:
     k: int
 
 
-def svd(A) -> SvdResult:
-    A = as_matrix(A)
+def numerical_rank(s: np.ndarray) -> int:
+    """Count of singular values above RANK_TOL_REL * s[0], the one rank
+    rule of this module."""
+    tol = RANK_TOL_REL * s[0] if s.size and s[0] > 0 else 0.0
+    return int(np.count_nonzero(s > tol))
+
+
+def _lapack_svd(A: np.ndarray, compute_uv: bool):
     try:
-        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge for {A.shape} matrix") from exc
+
+
+def singular_values(A) -> np.ndarray:
+    """Nonincreasing singular values of A, with no singular vectors computed.
+
+    They agree with svd(A).singulars to round-off, not bit for bit,
+    because LAPACK takes a different path when it skips the vectors.
+    """
+    return _lapack_svd(as_matrix(A), compute_uv=False)
+
+
+def svd(A) -> SvdResult:
+    A = as_matrix(A)
+    U, s, Vt = _lapack_svd(A, compute_uv=True)
     V = Vt.T
     # sign convention: largest-magnitude entry of each U column is positive,
     # with V flipped jointly so the product is unchanged
@@ -64,9 +84,7 @@ def svd(A) -> SvdResult:
     signs = np.where(U[lead, np.arange(p)] < 0, -1.0, 1.0)
     U = U * signs
     V = V * signs
-    tol = RANK_TOL_REL * s[0] if s.size and s[0] > 0 else 0.0
-    rank = int(np.count_nonzero(s > tol))
-    return SvdResult(U=U, singulars=s, V=V, rank=rank)
+    return SvdResult(U=U, singulars=s, V=V, rank=numerical_rank(s))
 
 
 def truncate(s: SvdResult, k: int) -> np.ndarray:

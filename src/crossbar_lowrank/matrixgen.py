@@ -1,4 +1,11 @@
-"""Reproducible generation of matrices with prescribed singular values."""
+"""Reproducible generation of matrices with prescribed singular values.
+
+Stream contract: a rank-r m x n matrix draws a full m x m Gaussian
+square, then a full n x n one, from its stream, and orthogonalizes only
+the leading r columns of each. Stream use therefore does not depend on r,
+and the matrix equals the one built from the QR factors of the full
+squares up to round-off (within 1e-13 of its Frobenius norm).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -51,8 +58,16 @@ class SingularProfile:
         return np.asarray(self.values, dtype=float)
 
 
-def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Random orthogonal matrix from QR of an i.i.d. Gaussian square.
+def random_orthogonal(dim: int, rng: np.random.Generator,
+                      cols: int | None = None) -> np.ndarray:
+    """Leading `cols` columns (default all) of a random orthogonal matrix,
+    from QR of an i.i.d. Gaussian square.
+
+    The full dim x dim square is always drawn, so the stream advances by
+    dim*dim normals whatever `cols` is. Only its first `cols` columns are
+    factored, at O(dim*cols^2) cost: the first j columns of a QR factor
+    depend only on the first j input columns, so this is the full
+    square's factor's leading block up to round-off.
 
     Each column's sign is fixed so the orthogonal factor's diagonal is
     nonnegative, making the output deterministic per stream (dim=1
@@ -60,7 +75,11 @@ def random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    if cols is None:
+        cols = dim
+    if not 1 <= cols <= dim:
+        raise ValueError(f"cols must be in [1, {dim}], got {cols}")
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim))[:, :cols])
     signs = np.where(np.diag(Q) < 0, -1.0, 1.0)
     return Q * signs
 
@@ -69,16 +88,18 @@ def prescribed_matrix(m: int, n: int, profile: SingularProfile,
                       rng: np.random.Generator) -> np.ndarray:
     """m x n matrix with exactly the profile's singular values.
 
-    Built as U_r diag(s) V_r' from independent random orthogonal factors,
-    so the spectrum is exact up to orthogonalization round-off.
+    Built as U_r diag(s) V_r' from the leading r columns of independent
+    random orthogonal factors, so the spectrum is exact up to
+    orthogonalization round-off. U's m x m square is drawn before V's
+    n x n square.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
     if profile.r > min(m, n):
         raise ValueError(f"rank {profile.r} exceeds min(m, n) = {min(m, n)}")
     sigma = profile.resolve()
-    U = random_orthogonal(m, rng)[:, :profile.r]
-    V = random_orthogonal(n, rng)[:, :profile.r]
+    U = random_orthogonal(m, rng, profile.r)
+    V = random_orthogonal(n, rng, profile.r)
     return (U * sigma) @ V.T
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -7,8 +9,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossbar_lowrank.analysis import lambda_max
+from crossbar_lowrank import experiments
 from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import DeviceParams
 from crossbar_lowrank.matrixgen import harmonic_matrix
@@ -134,6 +139,43 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
+    @pytest.mark.parametrize("command,trials", [("sweep", 0), ("sweep", 50), ("scaling", 0)])
+    def test_zero_baseline_noise_is_a_config_error(self, tmp_path, command, trials, capsys):
+        # the normalized column divides by the baseline error, 0 here
+        p = tmp_path / "quiet.cfg"
+        p.write_text(f"m=8\nn=8\nr=2\nsigma_e_sq=0\ntrials={trials}\n"
+                     "n_grid=16 32 64 128\n")
+        assert main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "sigma_e_sq" in err[0]
+
+    def test_zero_baseline_noise_still_runs_mc(self, tmp_path, capsys):
+        p = tmp_path / "quiet.cfg"
+        p.write_text("m=8\nn=8\nr=2\nsigma_e_sq=0\ntrials=400\n")
+        assert main(["mc", "--config", str(p)]) == 0
+        assert capsys.readouterr().out.rstrip().endswith("# all_passed=true")
+
+    @pytest.mark.parametrize("command", ["gen", "sweep", "mc"])
+    def test_oversized_target_is_a_config_error(self, tmp_path, command, capsys, monkeypatch):
+        # the check must come before any allocation, so the target is
+        # never built even where the check is missing
+        def never(*args, **kwargs):
+            raise AssertionError("target matrix built")
+        monkeypatch.setattr(experiments, "harmonic_matrix", never)
+        p = tmp_path / "huge.cfg"
+        p.write_text("m=200000\nn=4\nr=2\ntrials=2\n")
+        assert main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "m=200000" in err[0]
+
+    def test_oversized_dims_still_run_scaling(self, tmp_path, capsys, monkeypatch):
+        # scaling forms no matrix, so the cap does not apply to it
+        monkeypatch.setattr(experiments, "harmonic_matrix", None)
+        p = tmp_path / "huge.cfg"
+        p.write_text("m=200000\nn=4\nr=2\nn_grid=16 32 64 128\n")
+        assert main(["scaling", "--config", str(p)]) == 0
+        capsys.readouterr()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
         p.write_text("mm=4\n")
@@ -204,6 +246,23 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_analytic_columns_do_not_depend_on_trials(self, tmp_path, small_config):
+        # with or without MC, the analytic columns come from the same SVD
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sweep", "--config", small_config, "--trials", "0", "--out", str(a)]) == 0
+        assert main(["sweep", "--config", small_config, "--trials", "400",
+                     "--out", str(b)]) == 0
+
+        def analytic(path):
+            lines = path.read_text().splitlines()
+            header = lines[2].split(",")
+            keep = [i for i, name in enumerate(header) if not name.startswith("mc_")]
+            return [[line.split(",")[i] for i in keep] for line in lines[2:-1]]
+
+        assert analytic(a) == analytic(b)
+        assert a.read_text().splitlines()[-1] == b.read_text().splitlines()[-1]
+
+
 class TestScalingCommand:
     def test_stdout_csv(self, tmp_path, capsys):
         p = tmp_path / "grid.cfg"
@@ -240,20 +299,22 @@ PINNED_NUMPY = "2.4.6"
 
 # sha256 of `gen --seed 12345` output, and the `validate` report of the
 # first file; recorded with numpy 2.4.6, whose QR and SVD round-off they
-# include
+# include. Regenerated when the target's QR became thin and `validate`
+# stopped computing singular vectors: every number moved by at most 2.5e-13
+# relative, and integers and flags did not move.
 PINNED_GEN = {
     "m=12\nn=12\nr=3\nlambda=3\n":
-        "5a5b5122db0e4af08dfe6256824bba65fd016c202299d9b41962c5eab664b721",
+        "7b08a51fd354dbb57b0a0a5f94be88577a850e2aa3052791b3b717de6f9dff6f",
     "m=64\nn=48\nr=8\nlambda=2\n":
-        "c9a2084b9a27c9de99e0042d7c297449e10feb35def2ae3575868ae4f30594a5",
+        "19800957a29b3593dfb9a99e1ba49ba867cbf0ae6b99c268dfb55124f63afa1a",
 }
 PINNED_VALIDATE = """\
 rows 12
 cols 12
 rank 3
-singular_values 3.000000000000001 1.4999999999999998 1.0
+singular_values 3.0 1.5 1.0000000000000002
 lambda_max 9.356361614804113
-magnitude_total 12.249999999999998
+magnitude_total 12.249999999999996
 magnitude_budget 144.0
 magnitude_ok true
 """
@@ -286,22 +347,24 @@ NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 
 # (command, config, format) -> sha256 of the `--out` file and the line
 # printed on stdout; recorded with numpy 2.4.6 before the table writers
-# were merged into one
+# were merged into one. The sweep and mc rows of DET_CONFIG were
+# regenerated when the target's QR became thin (round-off only: at most
+# 4.4e-16 relative, and an exact-zero truncation of 2.4e-31 became 4.4e-31)
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("9b1e285c9419f5a14f2d551b24e3fd517e65146a66dc030e7829fbd19dd28e56",
-         "argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001\n"),
+        ("7d879abe34fcc9591c7fb119f04ec39ff7060cddd50dfbed1febb61e379b2a83",
+         "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("b13553a328131f9abd4c2f1b539e98b5fa27bfa2a98714a036ef25a899cdc6ef",
-         "argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001\n"),
+        ("841abac91238d0a653f0959846ebd08635c0f77a357cd7a73ea1f8356f4b997a",
+         "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
         ("a4964e44067547e36d283a1b302af73bf961c3cdb8c185fc69c90fbcf3b04c41", ""),
     ("scaling", GRID_CONFIG, "json"):
         ("6572aa9539ae05d8dc0c987eab64050b93930fb14cc925b620de3234a265819b", ""),
     ("mc", DET_CONFIG, "csv"):
-        ("2d304d4327ca6747170ccd389ad73ea2211631e210258b6e37ab765e0671026c", ""),
+        ("1626b7792ec49723e2c4dae29cca5b0c1398703067359657f69d4f3461344666", ""),
     ("mc", DET_CONFIG, "json"):
-        ("1f455d0e486910d317e43fa5abd0bb5ecc2612bc79e9133337bf1c59e71296d1", ""),
+        ("cfb914008becefbf93fb2f6014c27071840baffd0365d460555760f4c52d4104", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
         ("5308f28e44db6f87762eca24212625fdc505449bfdb552a6b236dff055192a04",
          "argmin k=2 t_L=2 t_R=2 normalized=0.746777565192744\n"),
@@ -344,6 +407,77 @@ class TestPinnedTables:
         cfg.write_text(NO_FEASIBLE_CONFIG)
         assert main(["sweep", "--config", str(cfg)]) == 0
         assert capsys.readouterr().out == PINNED_NO_FEASIBLE_CSV
+
+
+# (valid, odd) values per config key; an example takes valid values for
+# some keys and then overrides up to three keys with odd ones, so that most
+# examples get past the config checks to the code behind them
+_NOISE = (["0", "0.05", "1"], ["1e-300", "1e300", "-1", "nan", "inf", "x"])
+_DEVICE = (["0.5", "1", "2"], ["0", "1e-300", "1e300", "-1", "nan", "inf"])
+_SIZE = (["1", "2", "3", "5", "8"], ["0", "-1", "2.5", "9000", "200000", "1000000000000"])
+CONFIG_VALUES = {
+    "m": _SIZE, "n": _SIZE,
+    "r": (["1", "2", "3"], ["0", "-1", "16"]),
+    "lambda": (["max", "0.5", "3"], ["0", "-1", "nan", "inf", "1e300", "1e-300", "x"]),
+    "sigma_e_sq": _NOISE, "sigma_L_sq": _NOISE, "sigma_R_sq": _NOISE,
+    "sigma_b_sq": (["0.5", "3"], ["0", "1e-300", "1e300", "-1", "nan", "inf"]),
+    "rho": _DEVICE, "r_T": _DEVICE,
+    "trials": (["0", "2", "7", "50"], ["1", "-1", "1e3"]),
+    "master_seed": (["0", "7", "12345"], ["-1", str(2 ** 64)]),
+    "dist": (["gaussian", "uniform"], ["poisson"]),
+    "k_range": (["all", "1", "1,2"], ["2,1", "0", "1,9", "a"]),
+    "alpha": (["1", "0.5"], ["0", "2", "nan", "inf"]),
+    "beta": (["optimal", "0.5", "1"], ["0", "2", "nan"]),
+    "c1": (["0.5", "1"], ["0", "2", "nan"]), "c2": (["0.5", "1"], ["0", "2", "nan"]),
+    "n_grid": (["16 32 64 128", "2 4 8 16"],
+               ["16 32 64", "16 32 48 128", "0 1 2 3", "128 64 32 16", "16,32,64,128"]),
+}
+# trials is always set and at most 50, so no example runs the default
+# 10,000 trials
+_valid = st.fixed_dictionaries(
+    {"trials": st.sampled_from(CONFIG_VALUES["trials"][0])},
+    optional={key: st.sampled_from(valid) for key, (valid, _) in CONFIG_VALUES.items()
+              if key != "trials"})
+_odd = st.lists(st.sampled_from([(key, value) for key, (_, odd) in CONFIG_VALUES.items()
+                                 for value in odd]), max_size=3)
+_configs = st.builds(lambda valid, odd: {**valid, **dict(odd)}, _valid, _odd)
+
+
+class TestExitCodesProperty:
+    """Any config, however odd, ends in a documented exit code and at most
+    an `error:` line, never a traceback."""
+
+    @settings(max_examples=150)
+    @given(command=st.sampled_from(["sweep", "scaling", "gen", "validate", "mc"]),
+           config=_configs, lanes=st.sampled_from(["1", "2"]))
+    def test_exit_code_is_documented(self, tmp_path_factory, command, config, lanes):
+        work = tmp_path_factory.mktemp("prop")
+        cfg = work / "p.cfg"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        argv = [command, "--config", str(cfg), "--out", str(work / "out")]
+        if command == "validate":
+            argv.insert(1, str(work / "a.mat"))
+            write_matrix(np.diag([3.0, 1.0, 0.0]), str(work / "a.mat"))
+        if command in ("sweep", "mc"):
+            argv += ["--lanes", lanes]
+        real = experiments.harmonic_matrix
+
+        def small_only(m, n, *rest):
+            # sizes above the cap must never reach the generator; the
+            # largest size drawn below it is the default 100
+            assert max(m, n) <= 100, f"built a {m}x{n} target"
+            return real(m, n, *rest)
+
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiments, "harmonic_matrix", small_only)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2), lines
+        assert "Traceback" not in err.getvalue()
+        assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), lines
+        assert lines or code != 2
 
 
 class TestModuleProcess:

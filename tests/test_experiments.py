@@ -4,7 +4,9 @@ import math
 import pytest
 
 from crossbar_lowrank.analysis import budget_feasible, lambda_max, optimal_beta
+from crossbar_lowrank import experiments
 from crossbar_lowrank.experiments import (
+    MAX_SQUARE_CELLS,
     MC_SCHEMA,
     SCALING_SCHEMA,
     SWEEP_SCHEMA,
@@ -24,6 +26,7 @@ from crossbar_lowrank.experiments import (
     sweep_csv,
     sweep_json,
     sweep_summary,
+    target,
 )
 
 SMALL = dict(m=16, n=16, r=4, lam=4.0, trials=0)
@@ -151,6 +154,30 @@ class TestConfigValidation:
         assert cfg.resolved_beta() == optimal_beta(1.0)[0]
         assert ExperimentConfig(r=3).resolved_k_range() == (1, 2, 3)
         assert ExperimentConfig(r=5, k_range=(2, 4)).resolved_k_range() == (2, 4)
+
+
+class TestTargetCap:
+    """target() draws an m x m and an n x n square; the larger one is capped."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "harmonic_matrix",
+                            lambda m, n, *rest: calls.append((m, n)) or "A")
+        return calls
+
+    def test_largest_allowed_side(self, built):
+        side = math.isqrt(MAX_SQUARE_CELLS)
+        assert side * side == MAX_SQUARE_CELLS
+        assert target(ExperimentConfig(m=1, n=side, r=1)) == "A"
+        assert target(ExperimentConfig(m=side, n=3, r=1)) == "A"
+        assert built == [(1, side), (side, 3)]
+
+    @pytest.mark.parametrize("m,n", [(8193, 1), (1, 8193), (200000, 4)])
+    def test_larger_side_rejected_before_building(self, built, m, n):
+        with pytest.raises(ConfigError, match="cap"):
+            target(ExperimentConfig(m=m, n=n, r=1))
+        assert built == []
 
 
 class TestLogLogFit:

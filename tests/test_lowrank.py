@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from crossbar_lowrank.lowrank import factor_lr, svd, truncate, truncation_error_sq
+from crossbar_lowrank.lowrank import (
+    DecompositionError,
+    factor_lr,
+    numerical_rank,
+    singular_values,
+    svd,
+    truncate,
+    truncation_error_sq,
+)
 
 
 def random_matrix(rng, m, n):
@@ -54,6 +62,52 @@ class TestSvd:
         s = svd(np.random.default_rng(4).standard_normal((12, 12)))
         lead = np.argmax(np.abs(s.U), axis=0)
         assert np.all(s.U[lead, np.arange(s.U.shape[1])] > 0)
+
+
+def _low_rank(rng, m, n, r):
+    return random_matrix(rng, m, r) @ random_matrix(rng, r, n)
+
+
+class TestSingularValues:
+    """The values-only path must agree with svd() to round-off, with one
+    rank rule for both."""
+
+    @pytest.mark.parametrize("m,n,r", [(1, 1, 1), (6, 6, 6), (9, 4, 4), (4, 9, 4),
+                                       (12, 12, 5), (30, 17, 3), (17, 30, 1),
+                                       (64, 48, 8)])
+    def test_matches_svd(self, m, n, r):
+        rng = np.random.default_rng(100 * m + n + r)
+        A = _low_rank(rng, m, n, r)
+        full = svd(A)
+        vals = singular_values(A)
+        assert vals.shape == full.singulars.shape
+        assert numerical_rank(vals) == full.rank == r
+        np.testing.assert_allclose(vals[:r], full.singulars[:r], rtol=1e-12)
+        # values past the rank are round-off of zero in both
+        np.testing.assert_allclose(vals[r:], full.singulars[r:], rtol=0,
+                                   atol=1e-12 * full.singulars[0])
+
+    def test_zero_matrix(self):
+        vals = singular_values(np.zeros((3, 5)))
+        assert np.array_equal(vals, np.zeros(3))
+        assert numerical_rank(vals) == 0
+
+    def test_rank_rule(self):
+        assert numerical_rank(np.array([1.0, 1e-9, 1e-11])) == 2
+        assert numerical_rank(np.array([0.0, 0.0])) == 0
+        assert numerical_rank(np.array([])) == 0
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            singular_values(np.array([[1.0, np.nan]]))
+
+    @pytest.mark.parametrize("fn", [svd, singular_values])
+    def test_non_convergence_is_a_decomposition_error(self, fn, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(DecompositionError, match="did not converge"):
+            fn(np.eye(2))
 
 
 class TestTruncate:

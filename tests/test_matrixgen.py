@@ -17,6 +17,18 @@ from crossbar_lowrank.matrixgen import (
 from crossbar_lowrank.rng import child_stream
 
 
+def _reference_prescribed_matrix(m, n, profile, rng):
+    """The construction before the thin QR: QR of the full Gaussian
+    squares, then their leading r columns."""
+    def full_q(dim):
+        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        return Q * np.where(np.diag(Q) < 0, -1.0, 1.0)
+
+    U = full_q(m)[:, :profile.r]
+    V = full_q(n)[:, :profile.r]
+    return (U * profile.resolve()) @ V.T
+
+
 class TestRandomOrthogonal:
     def test_dim_one_is_identity(self):
         for seed in range(20):
@@ -41,6 +53,21 @@ class TestRandomOrthogonal:
     def test_rejects_bad_dim(self):
         with pytest.raises(ValueError):
             random_orthogonal(0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("cols", [0, 9])
+    def test_rejects_bad_cols(self, cols):
+        with pytest.raises(ValueError, match="cols"):
+            random_orthogonal(8, np.random.default_rng(0), cols)
+
+    def test_leading_columns_use_the_whole_square(self):
+        # the thin factor is the full factor's leading block, and the
+        # stream advances by the full square either way
+        full_rng, thin_rng = np.random.default_rng(5), np.random.default_rng(5)
+        full = random_orthogonal(30, full_rng)
+        thin = random_orthogonal(30, thin_rng, 4)
+        assert thin.shape == (30, 4)
+        np.testing.assert_allclose(thin, full[:, :4], rtol=0, atol=1e-13)
+        assert full_rng.standard_normal() == thin_rng.standard_normal()
 
 
 class TestSingularProfile:
@@ -114,6 +141,22 @@ class TestPrescribedMatrix:
             res = svd(a)
             np.testing.assert_allclose(res.singulars[:r], vals, rtol=1e-8)
             assert np.linalg.norm(a) ** 2 == pytest.approx(float(vals @ vals), rel=1e-8)
+
+    @pytest.mark.parametrize("m,n,r", [(1, 1, 1), (7, 3, 3), (3, 7, 2), (12, 12, 12),
+                                       (40, 25, 6), (25, 40, 25), (64, 48, 8),
+                                       (100, 100, 16)])
+    def test_matches_full_square_reference(self, m, n, r):
+        rng = np.random.default_rng(1000 * m + n)
+        vals = np.sort(rng.uniform(0.1, 9.0, size=r))[::-1]
+        prof = SingularProfile.explicit(vals)
+        got_rng, ref_rng = child_stream(m, n, r), child_stream(m, n, r)
+        got = prescribed_matrix(m, n, prof, got_rng)
+        ref = _reference_prescribed_matrix(m, n, prof, ref_rng)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
+        np.testing.assert_allclose(svd(got).singulars[:r], svd(ref).singulars[:r],
+                                   rtol=1e-12)
+        # same stream use: the next draw agrees
+        assert got_rng.standard_normal() == ref_rng.standard_normal()
 
     def test_rejects_rank_beyond_dims(self):
         prof = SingularProfile.explicit([2.0, 1.0])

@@ -16,6 +16,10 @@ from crossbar_lowrank.schemes import (
 )
 from crossbar_lowrank.analysis import two_step_error_analytic
 
+# the 100k-trial moment tests draw their trials as this many (T, ...)
+# stacks, each from its own stream
+CHUNKS = 4
+
 
 class TestNoiseSpec:
     def test_defaults_are_noiseless_gaussian(self):
@@ -89,11 +93,13 @@ class TestBaselineNoisyVmm:
         assert np.array_equal(out, b @ A)
 
     def test_single_cell_noise_moments(self):
-        # b=[1], A=[[0]]: the output is one sample of the write noise
+        # b=[1], A=[[0]]: each output row is one sample of its own write
+        # noise; 100k rows in CHUNKS stacks, one stream per stack
         ns = NoiseSpec(sigma_e_sq=0.05)
-        vals = np.array([
-            baseline_noisy_vmm([1.0], [[0.0]], ns, child_stream(77, t))[0]
-            for t in range(100_000)
+        ones = np.ones((100_000 // CHUNKS, 1))
+        vals = np.concatenate([
+            baseline_noisy_vmm(ones, [[0.0]], ns, child_stream(77, j))[:, 0]
+            for j in range(CHUNKS)
         ])
         assert abs(vals.mean()) < 5 * math.sqrt(0.05 / vals.size)
         assert vals.var() == pytest.approx(0.05, rel=0.05)
@@ -162,12 +168,13 @@ class TestTwoStepVmm:
                                            0.05, 0.05, 3.0).total
         assert analytic == pytest.approx(1.23, rel=1e-10)
         trials = 100_000
-        errs = np.empty(trials)
-        for t in range(trials):
-            b = sample_input(4, 3.0, "gaussian", child_stream(555, t, 0))
-            out = two_step_vmm(b, f, 2, 2, ns, child_stream(555, t, 1))
-            d = out - b @ A
-            errs[t] = d @ d
+        errs = []
+        for j in range(CHUNKS):
+            B = iid_entries((trials // CHUNKS, 4), 3.0, "gaussian", child_stream(555, j, 0))
+            d = two_step_vmm(B, f, 2, 2, ns, child_stream(555, j, 1)) - B @ A
+            errs.append(np.einsum("ij,ij->i", d, d))
+        errs = np.concatenate(errs)
+        assert errs.size == trials
         se = errs.std(ddof=1) / math.sqrt(trials)
         assert abs(errs.mean() - analytic) <= 3 * se
 
@@ -265,14 +272,17 @@ def test_cross_term_cancellation():
     A = prescribed_matrix(m, n, SingularProfile.explicit([2.0, 1.0]), rng)
     f = factor_lr(svd(A), k)
     trials = 100_000
-    vals = np.empty(trials)
-    for t in range(trials):
-        b = sample_input(m, 3.0, "gaussian", child_stream(31, t, 0))
-        noise_rng = child_stream(31, t, 1)
-        ebar_L = iid_entries((t_L, m, k), sL, "gaussian", noise_rng).mean(axis=0)
-        ebar_R = iid_entries((t_R, k, n), sR, "gaussian", noise_rng).mean(axis=0)
-        c2 = b @ ebar_L @ f.R
-        c3 = (b @ f.L) @ ebar_R
-        vals[t] = c2 @ c3
+    T = trials // CHUNKS
+    vals = []
+    for j in range(CHUNKS):
+        B = iid_entries((T, m), 3.0, "gaussian", child_stream(31, j, 0))
+        noise_rng = child_stream(31, j, 1)
+        ebar_L = iid_entries((T, t_L, m, k), sL, "gaussian", noise_rng).mean(axis=1)
+        ebar_R = iid_entries((T, t_R, k, n), sR, "gaussian", noise_rng).mean(axis=1)
+        c2 = np.einsum("tm,tmk->tk", B, ebar_L) @ f.R
+        c3 = np.einsum("tk,tkn->tn", B @ f.L, ebar_R)
+        vals.append(np.einsum("tn,tn->t", c2, c3))
+    vals = np.concatenate(vals)
+    assert vals.size == trials
     se = vals.std(ddof=1) / math.sqrt(trials)
     assert abs(vals.mean()) <= 4 * se
