@@ -1,15 +1,8 @@
 """Noisy crossbar VMM simulation and low-rank two-step error analysis."""
 
-from .core import (
-    DeviceParams,
-    MagnitudeCheck,
-    conductance_map,
-    magnitude_check,
-    sample_input,
-    vmm_exact,
-)
+from .core import DeviceParams, MagnitudeCheck, conductance_map, magnitude_check
 from .lowrank import LrFactors, SvdResult, factor_lr, svd, truncate, truncation_error_sq
-from .schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, sample_noise, two_step_vmm
+from .schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
 from .analysis import (
     AsymptoticParams,
     ErrorBreakdown,
@@ -29,7 +22,7 @@ from .matrixgen import SingularProfile, harmonic_matrix, prescribed_matrix, rand
 from .matrixio import MatrixFormatError, dumps_matrix, loads_matrix, read_matrix, write_matrix
 from .montecarlo import TrialBatchResult, compare, run_baseline_trials, run_two_step_trials
 from .experiments import ExperimentConfig, fit_loglog_slope, run_mc, run_scaling, run_sweep
-from .rng import child_seed, child_stream, make_stream
+from .rng import child_seed, child_stream
 
 __version__ = "0.1.0"
 
@@ -63,7 +56,6 @@ __all__ = [
     "lambda_max",
     "loads_matrix",
     "magnitude_check",
-    "make_stream",
     "optimal_beta",
     "optimize_rank",
     "optimize_repetitions",
@@ -75,14 +67,11 @@ __all__ = [
     "run_scaling",
     "run_sweep",
     "run_two_step_trials",
-    "sample_input",
-    "sample_noise",
     "svd",
     "tail_bound",
     "truncate",
     "truncation_error_sq",
     "two_step_error_analytic",
     "two_step_vmm",
-    "vmm_exact",
     "write_matrix",
 ]

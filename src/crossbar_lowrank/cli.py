@@ -73,8 +73,8 @@ def _add_common(sp, with_trials: bool = True, with_format: bool = True,
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_lanes:
         sp.add_argument("--lanes", type=_int_at_least(1), default=1,
-                        help="parallel execution lanes, capped at the core count "
-                             "(result-invariant)")
+                        help="accepted for compatibility; has no effect "
+                             "(trials run on one thread)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,4 +1,4 @@
-"""Crossbar computation model: ideal VMM, conductance map, magnitude budget.
+"""Crossbar computation model: conductance map, magnitude budget, i.i.d. draws.
 
 A target matrix A is realized on the crossbar as conductances
 g[j, k] = r_T * a[j, k]; the array computes the row-vector product
@@ -52,30 +52,6 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
-def as_vector(b) -> np.ndarray:
-    """Validate and return b as a finite 1-D float64 array."""
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1:
-        raise ValueError(f"expected a 1-D row vector, got ndim={b.ndim}")
-    if b.shape[0] < 1:
-        raise ValueError("row vector must have positive length")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("vector entries must be finite")
-    return b
-
-
-def vmm_exact(b, A) -> np.ndarray:
-    """Ideal vector-matrix product c = b A (the noiseless crossbar output)."""
-    b = as_vector(b)
-    A = as_matrix(A)
-    if b.shape[0] != A.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: b has length {b.shape[0]}, A is "
-            f"{A.shape[0]}x{A.shape[1]}"
-        )
-    return b @ A
-
-
 def conductance_map(A, dev: DeviceParams) -> np.ndarray:
     """Conductances that realize A on the array: g = r_T * a."""
     return dev.r_T * as_matrix(A)
@@ -109,12 +85,3 @@ def iid_entries(shape, sigma_sq: float, dist: str, rng: np.random.Generator) -> 
     # uniform on [-w, w] has variance w^2/3
     w = np.sqrt(3.0 * sigma_sq)
     return rng.uniform(-w, w, size=shape)
-
-
-def sample_input(m: int, sigma_b_sq: float, dist: str, rng: np.random.Generator) -> np.ndarray:
-    """Random input row vector with i.i.d. zero-mean entries of variance sigma_b_sq."""
-    if m < 1:
-        raise ValueError(f"input length must be positive, got {m}")
-    if not sigma_b_sq > 0:
-        raise ValueError(f"input variance must be positive, got {sigma_b_sq}")
-    return iid_entries(m, sigma_b_sq, dist, rng)

@@ -305,13 +305,20 @@ def _analytic_columns(bd, baseline: float) -> dict:
                 baseline_analytic=baseline, normalized=bd.total / baseline)
 
 
+def _check_lanes(lanes: int) -> None:
+    """`lanes` is accepted for compatibility and has no effect: MC runs its
+    blocks in order on the calling thread. It must still be >= 1."""
+    if lanes < 1:
+        raise ValueError(f"lanes must be >= 1, got {lanes}")
+
+
 def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int,
-                 t_R: int, role: int, lanes: int):
+                 t_R: int, role: int):
     """MC of the two-step scheme at rank k, seeded by (role, k)."""
     cfg = SchemeConfig(m=config.m, n=config.n, k=k, t_L=t_L, t_R=t_R,
                        noise=config.noise(), sigma_b_sq=config.sigma_b_sq)
     return run_two_step_trials(factor_lr(s, k), A, cfg, config.trials,
-                               child_seed(config.master_seed, role, k), lanes)
+                               child_seed(config.master_seed, role, k))
 
 
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
@@ -320,8 +327,10 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     One harmonic target matrix is generated for the whole sweep; each k
     gets budget-optimal repetitions, the closed-form breakdown, and
     (when trials > 0) a Monte Carlo estimate from its own seed lineage.
-    Infeasible k values are emitted flagged instead of aborting.
+    Infeasible k values are emitted flagged instead of aborting. `lanes`
+    has no effect (see _check_lanes).
     """
+    _check_lanes(lanes)
     _require_baseline_noise(config)
     A = target(config)
     s = svd(A)
@@ -339,7 +348,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
                                             k, noise, config.sigma_b_sq)
         mc_mean = mc_stderr = None
         if config.trials > 0:
-            res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_SWEEP_MC, lanes)
+            res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_SWEEP_MC)
             mc_mean, mc_stderr = res.mean_sq_error, res.std_error
         row = SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
                        mc_mean=mc_mean, mc_stderr=mc_stderr,
@@ -444,7 +453,8 @@ class McResult:
 def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     """Monte Carlo vs analytic for one config: the baseline scheme plus
     the two-step scheme at each k in k_range (or at the overall optimal
-    k when k_range is 'all')."""
+    k when k_range is 'all'). `lanes` has no effect (see _check_lanes)."""
+    _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
     A = target(config)
@@ -455,8 +465,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     base_analytic = baseline_error_analytic(config.m, config.n,
                                             config.sigma_e_sq, config.sigma_b_sq)
     base_res = run_baseline_trials(A, noise, config.sigma_b_sq, config.trials,
-                                   child_seed(config.master_seed, STREAM_MC_BASELINE),
-                                   lanes)
+                                   child_seed(config.master_seed, STREAM_MC_BASELINE))
     z, ok = compare(base_res, base_analytic)
     rows.append(McRow(scheme="baseline", k=None, t_L=None, t_R=None,
                       trials=base_res.trials, mean_sq_error=base_res.mean_sq_error,
@@ -471,7 +480,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     for k in ks:
         t_L, t_R, bd = optimize_repetitions(s.singulars, config.m, config.n,
                                             k, noise, config.sigma_b_sq)
-        res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_MC_TWOSTEP, lanes)
+        res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_MC_TWOSTEP)
         z, ok = compare(res, bd.total)
         rows.append(McRow(scheme="two_step", k=k, t_L=t_L, t_R=t_R,
                           trials=res.trials, mean_sq_error=res.mean_sq_error,

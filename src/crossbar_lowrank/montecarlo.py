@@ -1,12 +1,11 @@
 """Reproducible Monte Carlo estimation of expected computation errors.
 
 Trials run in fixed blocks of BLOCK_TRIALS consecutive trial indices (the
-last block may be shorter). Each block owns one stream keyed by
-(master_seed, ROLE_BLOCK, block index); from it the block draws its input
-rows B (trials x m), then the noise of all its trials. Lanes take whole
-blocks in stripes and write per-trial squared errors into a trial-indexed
-buffer; the final reduction is a fixed-order compensated sum, so the
-result is bit-identical for any number of execution lanes.
+last block may be shorter), in block order on the calling thread. Each
+block owns one stream keyed by (master_seed, ROLE_BLOCK, block index);
+from it the block draws its input rows B (trials x m), then the noise of
+all its trials. The per-trial squared errors are reduced by a
+fixed-order compensated sum.
 
 Gaussian noise is sampled by its effect, not cell by cell. The error
 depends on a write-noise matrix only through x E for the row vector x
@@ -19,7 +18,7 @@ Uniform noise is not exact in law under that reduction, so its trials run
 the per-cell device model of `schemes`, batched over consecutive row
 chunks of the block: every cell of every replica array is still drawn
 iid. A chunk holds max(1, NOISE_CELLS // cells) trials, cells being the
-device count of one trial, which bounds a lane's noise buffer.
+device count of one trial, which bounds the noise buffer.
 
 BLOCK_TRIALS, NOISE_CELLS and the draw order above define the streams:
 changing any of them changes MC values. Both distributions' values
@@ -29,8 +28,6 @@ streams.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,14 +38,12 @@ from .lowrank import LrFactors
 from .rng import child_stream
 from .schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
 
-# Trials per block. Block streams and lane invariance are defined on it,
-# so changing it changes every MC value.
+# Trials per block. Block streams are defined on it, so changing it
+# changes every MC value.
 BLOCK_TRIALS = 64
-# Noise cells drawn at once by uniform trials (128 KiB of float64). Each
-# lane thread keeps its peak buffers in its own malloc arena, so this sets
-# the resident memory that lanes add; at 2**16 two lanes added 2 MiB to a
-# 40 MiB 32x32 sweep. Chunk boundaries set the draw order within a block,
-# so changing it changes every uniform MC value.
+# Noise cells drawn at once by uniform trials (128 KiB of float64), which
+# bounds the peak noise buffer. Chunk boundaries set the draw order within
+# a block, so changing it changes every uniform MC value.
 NOISE_CELLS = 2**14
 
 # index that keys block streams (master_seed, ROLE_BLOCK, block)
@@ -69,14 +64,6 @@ class TrialBatchResult:
     roundoff: float = 0.0
 
 
-def lane_count(lanes: int, blocks: int) -> int:
-    """Worker threads for `blocks` blocks of work: at most one per block
-    and one per core."""
-    if lanes < 1:
-        raise ValueError(f"lanes must be >= 1, got {lanes}")
-    return max(1, min(lanes, blocks, os.cpu_count() or 1))
-
-
 def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     """Mean squared error that float64 round-off alone can leave in a
     trial's product for an m x n matrix A: ((m + n) eps)^2 E||bA||^2, with
@@ -87,28 +74,11 @@ def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     return ((m + n) * np.finfo(float).eps) ** 2 * sigma_b_sq * float(np.sum(A * A))
 
 
-def _run_blocks(trials: int, lanes: int,
-                block_fn: Callable[[int, int], np.ndarray]) -> np.ndarray:
+def _run_blocks(trials: int, block_fn: Callable[[int, int], np.ndarray]) -> np.ndarray:
     """Squared errors of trials [0, trials), block_fn(lo, hi) giving those
-    of trials lo..hi-1; blocks are striped over the lanes."""
-    buf = np.empty(trials)
-    blocks = -(-trials // BLOCK_TRIALS)
-    workers = lane_count(lanes, blocks)
-
-    def fill(first: int) -> None:
-        for blk in range(first, blocks, workers):
-            lo = blk * BLOCK_TRIALS
-            hi = min(lo + BLOCK_TRIALS, trials)
-            buf[lo:hi] = block_fn(lo, hi)
-
-    if workers == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, w) for w in range(workers)]
-            for fut in futures:
-                fut.result()
-    return buf
+    of trials lo..hi-1; blocks run in order."""
+    return np.concatenate([block_fn(lo, min(lo + BLOCK_TRIALS, trials))
+                           for lo in range(0, trials, BLOCK_TRIALS)])
 
 
 def _row_sq(X: np.ndarray) -> np.ndarray:
@@ -147,7 +117,7 @@ def _reduce(errors: np.ndarray, master_seed: int, label: str,
 
 
 def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
-                        master_seed: int, lanes: int = 1) -> TrialBatchResult:
+                        master_seed: int) -> TrialBatchResult:
     """Empirical mean of ||b(A+E) - bA||^2 over per-trial fresh (b, E)."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
@@ -167,12 +137,12 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
         D -= B @ A
         return _row_sq(D)
 
-    errors = _run_blocks(trials, lanes, block)
+    errors = _run_blocks(trials, block)
     return _reduce(errors, master_seed, "baseline", roundoff_floor(A, sigma_b_sq))
 
 
 def run_two_step_trials(f: LrFactors, A, cfg: SchemeConfig, trials: int,
-                        master_seed: int, lanes: int = 1) -> TrialBatchResult:
+                        master_seed: int) -> TrialBatchResult:
     """Empirical mean of ||c'' - bA||^2; the error is against the exact
     product with the full matrix, so truncation cost is included."""
     if trials < 2:
@@ -207,7 +177,7 @@ def run_two_step_trials(f: LrFactors, A, cfg: SchemeConfig, trials: int,
         D -= B @ A
         return _row_sq(D)
 
-    errors = _run_blocks(trials, lanes, block)
+    errors = _run_blocks(trials, block)
     return _reduce(errors, master_seed, "two_step", roundoff_floor(A, cfg.sigma_b_sq))
 
 

@@ -1,11 +1,11 @@
-"""Deterministic seed derivation for reproducible parallel sampling.
+"""Deterministic seed derivation for reproducible sampling.
 
 Every random quantity in this package is drawn from a stream owned by
 exactly one logical task (one block of Monte Carlo trials, or one matrix
 generation). Streams are derived from a 64-bit master seed plus an
 index tuple through a full-avalanche integer mix, so (seed, block=0) and
-(seed, block=1) share no usable structure and tasks can run on any number
-of lanes without coordinating.
+(seed, block=1) share no usable structure and no task's draws depend on
+another task having run.
 
 Reproducibility promise: identical seeds give identical streams within
 this implementation. Bit-level agreement across languages or numpy
@@ -39,10 +39,6 @@ def child_seed(master_seed: int, *indices: int) -> int:
     return h
 
 
-def make_stream(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
 def child_stream(master_seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for the task addressed by the index tuple."""
-    return make_stream(child_seed(master_seed, *indices))
+    return np.random.default_rng(child_seed(master_seed, *indices))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import SUPPORTED_DISTS, as_matrix, as_vector, iid_entries
+from .core import SUPPORTED_DISTS, as_matrix, iid_entries
 from .lowrank import LrFactors
 
 
@@ -70,20 +70,12 @@ class SchemeConfig:
             raise ValueError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
 
 
-def sample_noise(rows: int, cols: int, sigma_sq: float, dist: str,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One additive write-noise realization for a rows x cols array."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"noise dimensions must be positive, got {rows}x{cols}")
-    return iid_entries((rows, cols), sigma_sq, dist, rng)
-
-
 def _as_rows(b) -> np.ndarray:
     """b as a finite float64 row vector (m,) or stack of row vectors (T, m)."""
     b = np.asarray(b, dtype=float)
-    if b.ndim == 1:
-        return as_vector(b)
-    if b.ndim != 2 or 0 in b.shape:
+    if b.ndim == 1 and b.shape[0] < 1:
+        raise ValueError("row vector must have positive length")
+    if b.ndim not in (1, 2) or 0 in b.shape:
         raise ValueError(f"expected a row vector or a (T, m) stack of them, got shape {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("vector entries must be finite")

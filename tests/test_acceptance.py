@@ -20,7 +20,7 @@ from crossbar_lowrank.analysis import (
     two_step_error_analytic,
 )
 from crossbar_lowrank.cli import main
-from crossbar_lowrank.core import DeviceParams, iid_entries, magnitude_check, sample_input
+from crossbar_lowrank.core import DeviceParams, iid_entries, magnitude_check
 from crossbar_lowrank.experiments import ExperimentConfig, run_sweep
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate, truncation_error_sq
 from crossbar_lowrank.matrixgen import SingularProfile, harmonic_matrix, prescribed_matrix
@@ -62,7 +62,7 @@ def _instrumented_accumulated(m, n, k, t_L, t_R, sl, sr, sb, dist, trials, seed)
     """Mean of ||b Ebar_L Ebar_R||^2: the stage-noise product in isolation."""
     vals = np.empty(trials)
     for t in range(trials):
-        b = sample_input(m, sb, dist, child_stream(seed, t, 0))
+        b = iid_entries(m, sb, dist, child_stream(seed, t, 0))
         noise_rng = child_stream(seed, t, 1)
         el = iid_entries((t_L, m, k), sl, dist, noise_rng).mean(axis=0)
         er = iid_entries((t_R, k, n), sr, dist, noise_rng).mean(axis=0)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossbar_lowrank.core import (
-    DeviceParams,
-    conductance_map,
-    iid_entries,
-    magnitude_check,
-    sample_input,
-    vmm_exact,
-)
+from crossbar_lowrank.core import DeviceParams, conductance_map, iid_entries, magnitude_check
+from crossbar_lowrank.schemes import NoiseSpec, baseline_noisy_vmm
+
+
+def ideal_vmm(b, A):
+    """The ideal product c = b A: the one-shot scheme at zero write noise,
+    which takes the exact path and draws nothing."""
+    return baseline_noisy_vmm(b, A, NoiseSpec(), np.random.default_rng(0))
 
 
 def naive_vmm(b, A):
@@ -28,10 +28,10 @@ def naive_vmm(b, A):
 
 class TestVmmExact:
     def test_unit_vector_selects_row(self):
-        assert np.array_equal(vmm_exact([1, 0], [[3, 4], [5, 6]]), [3, 4])
+        assert np.array_equal(ideal_vmm([1, 0], [[3, 4], [5, 6]]), [3, 4])
 
     def test_column_sums(self):
-        assert np.array_equal(vmm_exact([1, 1], [[1, 2], [3, 4]]), [4, 6])
+        assert np.array_equal(ideal_vmm([1, 1], [[1, 2], [3, 4]]), [4, 6])
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(11)
@@ -40,7 +40,7 @@ class TestVmmExact:
             n = int(rng.integers(1, 33))
             A = rng.uniform(-1, 1, (m, n))
             b = rng.uniform(-2, 2, m)
-            got = vmm_exact(b, A)
+            got = ideal_vmm(b, A)
             want = naive_vmm(b, A)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
@@ -48,7 +48,7 @@ class TestVmmExact:
         rng = np.random.default_rng(3)
         A = rng.uniform(-1, 1, (3, 2))
         b = np.array([2.0, -1.0, 0.5])
-        assert np.allclose(vmm_exact(b, A), naive_vmm(b, A), rtol=1e-12)
+        assert np.allclose(ideal_vmm(b, A), naive_vmm(b, A), rtol=1e-12)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -57,19 +57,19 @@ class TestVmmExact:
             b1 = rng.standard_normal(6)
             b2 = rng.standard_normal(6)
             alpha, beta = rng.uniform(-3, 3, 2)
-            lhs = vmm_exact(alpha * b1 + beta * b2, A)
-            rhs = alpha * vmm_exact(b1, A) + beta * vmm_exact(b2, A)
+            lhs = ideal_vmm(alpha * b1 + beta * b2, A)
+            rhs = alpha * ideal_vmm(b1, A) + beta * ideal_vmm(b2, A)
             assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
     def test_dimension_mismatch_reports_shapes(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            vmm_exact([1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]])
+            ideal_vmm([1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            vmm_exact([1.0, np.nan], [[1.0], [2.0]])
+            ideal_vmm([1.0, np.nan], [[1.0], [2.0]])
         with pytest.raises(ValueError):
-            vmm_exact([1.0], [[np.inf]])
+            ideal_vmm([1.0], [[np.inf]])
 
 
 class TestDeviceParams:
@@ -121,34 +121,27 @@ class TestMagnitudeCheck:
 
 
 class TestSampleInput:
-    def test_rejects_zero_variance(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_input(4, 0.0, "gaussian", rng)
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            sample_input(0, 1.0, "gaussian", np.random.default_rng(0))
+    """An input row vector is drawn as iid_entries(m, sigma_b_sq, dist, rng)."""
 
     def test_rejects_unknown_dist(self):
         with pytest.raises(ValueError, match="unsupported distribution"):
-            sample_input(4, 1.0, "laplace", np.random.default_rng(0))
+            iid_entries(4, 1.0, "laplace", np.random.default_rng(0))
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     def test_moments(self, dist):
         n = 100_000
-        x = sample_input(n, 3.0, dist, np.random.default_rng(42))
+        x = iid_entries(n, 3.0, dist, np.random.default_rng(42))
         se_mean = np.sqrt(3.0 / n)
         assert abs(x.mean()) < 5 * se_mean
         assert x.var() == pytest.approx(3.0, rel=0.05)
 
     def test_uniform_support(self):
-        x = sample_input(50_000, 2.0, "uniform", np.random.default_rng(1))
+        x = iid_entries(50_000, 2.0, "uniform", np.random.default_rng(1))
         assert np.max(np.abs(x)) <= np.sqrt(6.0) + 1e-12
 
     def test_same_seed_identical(self):
-        a = sample_input(64, 1.5, "gaussian", np.random.default_rng(99))
-        b = sample_input(64, 1.5, "gaussian", np.random.default_rng(99))
+        a = iid_entries(64, 1.5, "gaussian", np.random.default_rng(99))
+        b = iid_entries(64, 1.5, "gaussian", np.random.default_rng(99))
         assert np.array_equal(a, b)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from crossbar_lowrank import montecarlo, schemes
 from crossbar_lowrank.analysis import two_step_error_analytic
-from crossbar_lowrank.core import sample_input
+from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import SingularProfile, prescribed_matrix
@@ -16,7 +16,6 @@ from crossbar_lowrank.montecarlo import (
     _reduce,
     _run_blocks,
     compare,
-    lane_count,
     roundoff_floor,
     run_baseline_trials,
     run_two_step_trials,
@@ -61,14 +60,6 @@ class TestBaselineTrials:
         c = run_baseline_trials(A, noise, 3.0, trials=200, master_seed=6)
         assert a == b
         assert a.mean_sq_error != c.mean_sq_error
-
-    def test_lane_count_never_changes_result(self):
-        A = small_matrix()
-        noise = NoiseSpec(sigma_e_sq=0.05)
-        serial = run_baseline_trials(A, noise, 3.0, trials=500, master_seed=9, lanes=1)
-        striped = run_baseline_trials(A, noise, 3.0, trials=500, master_seed=9, lanes=8)
-        assert serial.mean_sq_error == striped.mean_sq_error
-        assert serial.std_error == striped.std_error
 
     def test_rejects_tiny_trial_counts(self):
         with pytest.raises(ValueError):
@@ -123,14 +114,6 @@ class TestTwoStepTrials:
         z, ok = compare(res, analytic)
         assert ok, f"z={z:.2f}"
         assert res.scheme_label == "two_step"
-
-    def test_lane_count_never_changes_result(self):
-        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
-        A, f, cfg = two_step_setup([3.0, 1.0], 12, 12, 2, 2, 2, noise, 1.0)
-        serial = run_two_step_trials(f, A, cfg, trials=500, master_seed=2, lanes=1)
-        striped = run_two_step_trials(f, A, cfg, trials=500, master_seed=2, lanes=6)
-        assert serial.mean_sq_error == striped.mean_sq_error
-        assert serial.std_error == striped.std_error
 
     def test_rejects_mismatched_factors(self):
         A, f, _ = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
@@ -197,20 +180,17 @@ def test_reduce_sums_exactly_as_the_scalar_loop():
 
 
 class TestLanes:
-    def test_count_is_capped_by_blocks_and_cores(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 4)
-        assert lane_count(1, 100) == 1
-        assert lane_count(3, 100) == 3
-        assert lane_count(8, 100) == 4
-        assert lane_count(8, 2) == 2
-        assert lane_count(1000, 1) == 1
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        assert lane_count(8, 100) == 1
+    """run_mc and run_sweep keep a `lanes` keyword that has no effect but
+    must be >= 1; the trials themselves run block by block in order."""
 
     @pytest.mark.parametrize("lanes", [0, -1])
     def test_count_rejects_nonpositive(self, lanes):
-        with pytest.raises(ValueError, match="lanes"):
-            lane_count(lanes, 10)
+        for trials in (0, 300):
+            cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, trials=trials)
+            with pytest.raises(ValueError, match="lanes"):
+                run_sweep(cfg, lanes=lanes)
+            with pytest.raises(ValueError, match="lanes"):
+                run_mc(cfg, lanes=lanes)
 
     def test_blocks_tile_the_trials_once(self):
         seen = []
@@ -220,10 +200,10 @@ class TestLanes:
             return np.arange(lo, hi, dtype=float)
 
         trials = 3 * BLOCK_TRIALS + 5
-        out = _run_blocks(trials, 2, block)
+        out = _run_blocks(trials, block)
         assert np.array_equal(out, np.arange(trials, dtype=float))
-        assert sorted(seen) == [(lo, min(lo + BLOCK_TRIALS, trials))
-                                for lo in range(0, trials, BLOCK_TRIALS)]
+        assert seen == [(lo, min(lo + BLOCK_TRIALS, trials))
+                        for lo in range(0, trials, BLOCK_TRIALS)]
 
 
 def _ks_statistic(x, y):
@@ -244,7 +224,7 @@ def _device_errors(trials, seed, vmm, A, sigma_b_sq, dist="gaussian"):
     time with its own input and noise streams (seed, trial, 0 / 1)."""
     out = np.empty(trials)
     for t in range(trials):
-        b = sample_input(A.shape[0], sigma_b_sq, dist, child_stream(seed, t, 0))
+        b = iid_entries(A.shape[0], sigma_b_sq, dist, child_stream(seed, t, 0))
         d = vmm(b, child_stream(seed, t, 1)) - b @ A
         out[t] = d @ d
     return out
@@ -306,7 +286,7 @@ class TestEffectSamplerMatchesDevice:
 class TestUniformBlockPath:
     """Uniform trials run the per-cell model batched over row chunks of a
     block; they must agree in law with one trial at a time on private
-    streams, bound their noise buffers and ignore the lane count."""
+    streams and bound their noise buffers."""
 
     TRIALS = 20_000
 
@@ -362,14 +342,6 @@ class TestUniformBlockPath:
         run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05, dist="uniform"), 1.0,
                             trials=3, master_seed=3)
         assert sizes == [A.size] * 3
-
-    def test_lane_count_never_changes_result(self):
-        noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
-        A, f, cfg = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
-        runs = [(run_two_step_trials(f, A, cfg, 300, master_seed=4, lanes=lanes),
-                 run_baseline_trials(A, noise, 1.0, 300, master_seed=4, lanes=lanes))
-                for lanes in (1, 2)]
-        assert runs[0] == runs[1]
 
 
 # Gaussian MC values depend on numpy's normal sampler; they were stored

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossbar_lowrank.rng import MASK64, child_seed, child_stream, make_stream, mix64
+from crossbar_lowrank.rng import MASK64, child_seed, child_stream, mix64
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -45,10 +45,10 @@ def test_child_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_make_stream_matches_default_rng():
+def test_child_stream_is_default_rng_of_child_seed():
     assert np.array_equal(
-        make_stream(123).standard_normal(8),
-        np.random.default_rng(123).standard_normal(8),
+        child_stream(123, 4, 1).standard_normal(8),
+        np.random.default_rng(child_seed(123, 4, 1)).standard_normal(8),
     )
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crossbar_lowrank.core import iid_entries, sample_input
+from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_matrix, SingularProfile
 from crossbar_lowrank.rng import child_stream
@@ -11,12 +11,11 @@ from crossbar_lowrank.schemes import (
     NoiseSpec,
     SchemeConfig,
     baseline_noisy_vmm,
-    sample_noise,
     two_step_vmm,
 )
 from crossbar_lowrank.analysis import two_step_error_analytic
 
-# the 100k-trial moment tests draw their trials as this many (T, ...)
+# the many-trial moment tests draw their trials as this many (T, ...)
 # stacks, each from its own stream
 CHUNKS = 4
 
@@ -67,20 +66,23 @@ class TestSchemeConfig:
 
 
 class TestSampleNoise:
+    """One rows x cols write-noise realization is drawn as
+    iid_entries((rows, cols), sigma_sq, dist, rng)."""
+
     def test_zero_variance_zero_matrix(self):
         rng = np.random.default_rng(1)
-        E = sample_noise(3, 4, 0.0, "gaussian", rng)
+        E = iid_entries((3, 4), 0.0, "gaussian", rng)
         assert np.array_equal(E, np.zeros((3, 4)))
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     def test_variance_moment(self, dist):
-        E = sample_noise(1000, 1000, 0.05, dist, np.random.default_rng(2))
+        E = iid_entries((1000, 1000), 0.05, dist, np.random.default_rng(2))
         assert E.var() == pytest.approx(0.05, rel=0.02)
         assert abs(E.mean()) < 5 * math.sqrt(0.05 / E.size)
 
     def test_same_seed_identical(self):
-        a = sample_noise(5, 6, 0.3, "uniform", np.random.default_rng(3))
-        b = sample_noise(5, 6, 0.3, "uniform", np.random.default_rng(3))
+        a = iid_entries((5, 6), 0.3, "uniform", np.random.default_rng(3))
+        b = iid_entries((5, 6), 0.3, "uniform", np.random.default_rng(3))
         assert np.array_equal(a, b)
 
 
@@ -188,12 +190,13 @@ class TestTwoStepVmm:
         analytic = two_step_error_analytic(s.singulars, 8, 8, 2, 2, 2,
                                            0.04, 0.06, 2.0).total
         trials = 20_000
-        errs = np.empty(trials)
-        for t in range(trials):
-            b = sample_input(8, 2.0, dist, child_stream(99, t, 0))
-            out = two_step_vmm(b, f, 2, 2, ns, child_stream(99, t, 1))
-            d = out - b @ A
-            errs[t] = d @ d
+        errs = []
+        for j in range(CHUNKS):
+            B = iid_entries((trials // CHUNKS, 8), 2.0, dist, child_stream(99, j, 0))
+            d = two_step_vmm(B, f, 2, 2, ns, child_stream(99, j, 1)) - B @ A
+            errs.append(np.einsum("ij,ij->i", d, d))
+        errs = np.concatenate(errs)
+        assert errs.size == trials
         se = errs.std(ddof=1) / math.sqrt(trials)
         assert abs(errs.mean() - analytic) <= 4 * se
 
