@@ -82,6 +82,11 @@ def iid_entries(shape, sigma_sq: float, dist: str, rng: np.random.Generator) -> 
         return np.zeros(shape)
     if dist == "gaussian":
         return np.sqrt(sigma_sq) * rng.standard_normal(shape)
-    # uniform on [-w, w] has variance w^2/3
+    # uniform on [-w, w] has variance w^2/3; rng.uniform(-w, w, shape)
+    # computes -w + 2w u with these two roundings, so this draws its bits
+    # without its per-call overhead
     w = np.sqrt(3.0 * sigma_sq)
-    return rng.uniform(-w, w, size=shape)
+    u = rng.random(shape)
+    u *= w - -w
+    u += -w
+    return u

@@ -11,8 +11,18 @@ Gaussian noise is sampled by its effect, not cell by cell. The error
 depends on a write-noise matrix only through x E for the row vector x
 that meets it, and the mean of t iid N(0, s) matrices has iid N(0, s/t)
 entries, so x E has the law of ||x|| sqrt(s/t) z with z iid N(0, 1).
-A two-step trial then draws m + k + n normals and a baseline trial
-m + n, instead of one per device cell.
+Each trial's squared error is then drawn from its exact law:
+
+- Baseline: ||b E||^2 = sigma_e^2 ||b||^2 ||z||^2, and ||b||^2 / sigma_b^2
+  is chi^2_m, so the error is sigma_e^2 sigma_b^2 chi^2_m chi^2_n. A trial
+  draws 2 numbers and no input b.
+- Two-step: stage 1 draws b and c = b L + ||b|| sigma_L/sqrt(t_L) z_1 as
+  above, and y = c R - b A is formed. With a = ||c|| sigma_R/sqrt(t_R),
+  rotating y onto the first axis gives
+  ||y + a z_2||^2 = (||y|| + a g)^2 + a^2 chi^2_{n-1}, g ~ N(0, 1)
+  (no chi^2 term when n = 1). A trial draws m + k + 2 numbers.
+
+A noiseless two-step stage takes the exact path and draws nothing.
 
 Uniform noise is not exact in law under that reduction, so its trials run
 the per-cell device model of `schemes`, batched over consecutive row
@@ -23,7 +33,8 @@ device count of one trial, which bounds the noise buffer.
 BLOCK_TRIALS, NOISE_CELLS and the draw order above define the streams:
 changing any of them changes MC values. Both distributions' values
 differ from versions that gave each trial its own input and noise
-streams.
+streams, and Gaussian values also from versions that drew every entry of
+z (m + k + n normals a two-step trial, m + n a baseline trial).
 """
 from __future__ import annotations
 
@@ -36,7 +47,7 @@ import numpy as np
 from .core import as_matrix, iid_entries
 from .lowrank import LrFactors
 from .rng import child_stream
-from .schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
+from .schemes import NoiseSpec, SchemeConfig, _noisy_stage, _two_step_stages
 
 # Trials per block. Block streams are defined on it, so changing it
 # changes every MC value.
@@ -100,6 +111,18 @@ def _noise_effect(X: np.ndarray, scale: float, cols: int,
     return (scale * np.sqrt(_row_sq(X)))[:, None] * rng.standard_normal((X.shape[0], cols))
 
 
+def _plus_isotropic(y_sq: np.ndarray, a: np.ndarray, dim: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """||y + a z||^2 for rows y with ||y||^2 = y_sq and z iid N(0, 1) in
+    R^dim, one draw per row: rotating y onto the first axis gives
+    (||y|| + a g)^2 + a^2 chi^2_{dim-1}, with g ~ N(0, 1)."""
+    out = np.sqrt(y_sq) + a * rng.standard_normal(y_sq.shape[0])
+    out *= out
+    if dim > 1:
+        out += a * a * rng.chisquare(dim - 1, y_sq.shape[0])
+    return out
+
+
 def _reduce(errors: np.ndarray, master_seed: int, label: str,
             roundoff: float) -> TrialBatchResult:
     trials = errors.shape[0]
@@ -128,12 +151,13 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
 
     def block(lo: int, hi: int) -> np.ndarray:
         rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
-        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
         if noise.dist == "gaussian":
-            # ||b E||^2 = ||b||^2 sigma_e^2 ||z||^2
-            Z = rng.standard_normal((hi - lo, n))
-            return noise.sigma_e_sq * _row_sq(B) * _row_sq(Z)
-        D = _by_chunks(B, m * n, lambda X: baseline_noisy_vmm(X, A, noise, rng))
+            # ||b E||^2 = sigma_e^2 sigma_b^2 chi^2_m chi^2_n
+            return (noise.sigma_e_sq * sigma_b_sq
+                    * rng.chisquare(m, hi - lo) * rng.chisquare(n, hi - lo))
+        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
+        D = _by_chunks(B, m * n,
+                       lambda X: _noisy_stage(X, A, 1, noise.sigma_e_sq, noise.dist, rng))
         D -= B @ A
         return _row_sq(D)
 
@@ -169,11 +193,12 @@ def run_two_step_trials(f: LrFactors, A, cfg: SchemeConfig, trials: int,
             C = B @ f.L
             if scale_L:
                 C += _noise_effect(B, scale_L, cfg.k, rng)
-            D = C @ f.R
+            Y = C @ f.R
+            Y -= B @ A
             if scale_R:
-                D += _noise_effect(C, scale_R, cfg.n, rng)
-        else:
-            D = _by_chunks(B, cells, lambda X: two_step_vmm(X, f, cfg.t_L, cfg.t_R, noise, rng))
+                return _plus_isotropic(_row_sq(Y), scale_R * np.sqrt(_row_sq(C)), cfg.n, rng)
+            return _row_sq(Y)
+        D = _by_chunks(B, cells, lambda X: _two_step_stages(X, f, cfg.t_L, cfg.t_R, noise, rng))
         D -= B @ A
         return _row_sq(D)
 

@@ -96,6 +96,13 @@ def _noisy_stage(X: np.ndarray, W: np.ndarray, t: int, sigma_sq: float, dist: st
     return X @ W + (X[..., None, :] @ Ebar)[..., 0, :]
 
 
+def _two_step_stages(b: np.ndarray, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
+                     rng: np.random.Generator) -> np.ndarray:
+    """two_step_vmm without its argument checks, for callers that made them."""
+    c_mid = _noisy_stage(b, f.L, t_L, noise.sigma_L_sq, noise.dist, rng)
+    return _noisy_stage(c_mid, f.R, t_R, noise.sigma_R_sq, noise.dist, rng)
+
+
 def baseline_noisy_vmm(b, A, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     """One-shot noisy product c' = b (A + E), E freshly sampled per call.
 
@@ -130,5 +137,4 @@ def two_step_vmm(b, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
         raise ValueError(f"factor mismatch: L is {m}x{k}, R is {k2}x{n}")
     if t_L < 1 or t_R < 1:
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
-    c_mid = _noisy_stage(b, f.L, t_L, noise.sigma_L_sq, noise.dist, rng)
-    return _noisy_stage(c_mid, f.R, t_R, noise.sigma_R_sq, noise.dist, rng)
+    return _two_step_stages(b, f, t_L, t_R, noise, rng)

@@ -283,6 +283,18 @@ class TestMcCommand:
         assert out.startswith("# crossbar-lowrank mc v1\n")
         assert out.rstrip().endswith("# all_passed=true")
 
+    @pytest.mark.parametrize("shape", ["m=1\nn=5", "m=5\nn=1"])
+    @pytest.mark.parametrize("k_range", ["all", "1"])
+    def test_single_row_or_column_is_a_budget_error(self, tmp_path, capsys, shape, k_range):
+        # at min(m, n) = 1 one unit of rank costs m + n > mn devices, so no
+        # two-step row exists and the run stops before any trial
+        p = tmp_path / "thin.cfg"
+        p.write_text(f"{shape}\nr=1\nlambda=1\nk_range={k_range}\ntrials=50\n")
+        assert main(["mc", "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1 and "budget" in err
+
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     @pytest.mark.parametrize("seed", range(1, 9))
     def test_noiseless_run_is_not_judged_on_roundoff(self, tmp_path, capsys, dist, seed):
@@ -349,22 +361,26 @@ NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 # printed on stdout; recorded with numpy 2.4.6 before the table writers
 # were merged into one. The sweep and mc rows of DET_CONFIG were
 # regenerated when the target's QR became thin (round-off only: at most
-# 4.4e-16 relative, and an exact-zero truncation of 2.4e-31 became 4.4e-31)
+# 4.4e-16 relative, and an exact-zero truncation of 2.4e-31 became 4.4e-31),
+# and again when Gaussian MC began drawing each trial's squared error from
+# its chi^2 law: only the MC columns (mc_mean, mc_stderr, mean_sq_error,
+# std_error, z) moved; analytic values, (t_L, t_R), argmins and pass flags
+# did not
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("7d879abe34fcc9591c7fb119f04ec39ff7060cddd50dfbed1febb61e379b2a83",
+        ("e793e94a5c10bf3dbe463e74d3cb726b1c6d2b60f90a8acc35c58d41b277ca26",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("841abac91238d0a653f0959846ebd08635c0f77a357cd7a73ea1f8356f4b997a",
+        ("4b3cc2d29b8bdda2ade413a281528283b5d1f53ce0a1db6b36136bd22f2d4dd4",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
         ("a4964e44067547e36d283a1b302af73bf961c3cdb8c185fc69c90fbcf3b04c41", ""),
     ("scaling", GRID_CONFIG, "json"):
         ("6572aa9539ae05d8dc0c987eab64050b93930fb14cc925b620de3234a265819b", ""),
     ("mc", DET_CONFIG, "csv"):
-        ("1626b7792ec49723e2c4dae29cca5b0c1398703067359657f69d4f3461344666", ""),
+        ("6dae2440b33589fff998f28546d226455ee825e48b3cb4fe4d2745c17d3fce9a", ""),
     ("mc", DET_CONFIG, "json"):
-        ("cfb914008becefbf93fb2f6014c27071840baffd0365d460555760f4c52d4104", ""),
+        ("a83deb303ba8f3b9efda04cdfb543e1710a16106934e3a749bb582cdce19abcd", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
         ("5308f28e44db6f87762eca24212625fdc505449bfdb552a6b236dff055192a04",
          "argmin k=2 t_L=2 t_R=2 normalized=0.746777565192744\n"),

@@ -157,3 +157,16 @@ class TestIidEntries:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             iid_entries((2, 2), -0.1, "gaussian", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    @pytest.mark.parametrize("shape", [1, (3, 4), (64, 1, 12, 2)])
+    @pytest.mark.parametrize("sigma_sq", [1.0, 0.05, 1e-300])
+    def test_uniform_draws_the_bits_of_rng_uniform(self, seed, shape, sigma_sq):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = iid_entries(shape, sigma_sq, "uniform", got_rng)
+        w = np.sqrt(3.0 * sigma_sq)
+        ref = ref_rng.uniform(-w, w, shape)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+        # and the stream is left where rng.uniform leaves it
+        assert got_rng.random(3).tobytes() == ref_rng.random(3).tobytes()

@@ -256,8 +256,11 @@ def _check_same_law(block, device, analytic, alpha=0.001):
 
 
 class TestEffectSamplerMatchesDevice:
-    """The Gaussian block sampler draws b E as ||b|| sigma z; it must agree
-    with the per-cell device model in mean and in the per-trial error law."""
+    """The Gaussian block sampler draws each trial's squared error from its
+    law: stage 1's b E_L as ||b|| sigma z, then stage 2 as
+    (||y|| + a g)^2 + a^2 chi^2_{n-1}, and the baseline as
+    sigma_e^2 sigma_b^2 chi^2_m chi^2_n. It must agree with the per-cell
+    device model in mean and in the per-trial error law."""
 
     TRIALS = 20_000
 
@@ -273,6 +276,20 @@ class TestEffectSamplerMatchesDevice:
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
 
+    @pytest.mark.parametrize("m,n,seed", [(20, 12, 91), (12, 20, 93)])
+    def test_two_step_rectangular(self, monkeypatch, m, n, seed):
+        # stage-2 noise and ||y|| are of one order here, so the cross term
+        # 2 a g ||y|| shapes the law (dropping it keeps the mean)
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
+        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], m, n, 2, 2, 3, noise, 2.0)
+        analytic = two_step_error_analytic(svd(A).singulars, m, n, 2, 2, 3,
+                                           0.05, 0.08, 2.0).total
+        cap = _Capture(monkeypatch)
+        run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=seed)
+        device = _device_errors(self.TRIALS, seed + 1,
+                                lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
+        _check_same_law(cap.errors, device, analytic)
+
     def test_baseline(self, monkeypatch):
         A = small_matrix()
         noise = NoiseSpec(sigma_e_sq=0.05)
@@ -281,6 +298,111 @@ class TestEffectSamplerMatchesDevice:
         device = _device_errors(self.TRIALS, 74,
                                 lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0)
         _check_same_law(cap.errors, device, 4 * 4 * 0.05 * 3.0)
+
+    def test_baseline_rectangular(self, monkeypatch):
+        A = np.random.default_rng(9).normal(size=(20, 12))
+        noise = NoiseSpec(sigma_e_sq=0.05)
+        cap = _Capture(monkeypatch)
+        run_baseline_trials(A, noise, 3.0, self.TRIALS, master_seed=95)
+        device = _device_errors(self.TRIALS, 96,
+                                lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0)
+        _check_same_law(cap.errors, device, 20 * 12 * 0.05 * 3.0)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1)])
+    def test_baseline_single_row_or_column(self, shape):
+        # chi^2 with one degree of freedom on either side
+        m, n = shape
+        res = run_baseline_trials(np.ones(shape), NoiseSpec(sigma_e_sq=0.05), 3.0,
+                                  trials=50_000, master_seed=97)
+        z, ok = compare(res, m * n * 0.05 * 3.0)
+        assert ok, f"z={z:.2f}"
+
+    def test_noiseless_stage_two_is_the_exact_norm(self, monkeypatch):
+        # sigma_R^2 = 0: the error is ||c R - b A||^2 of the block's own
+        # b and c, with nothing drawn for stage 2
+        noise = NoiseSpec(sigma_L_sq=0.05)
+        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
+        cap = _Capture(monkeypatch)
+        run_two_step_trials(f, A, cfg, BLOCK_TRIALS, master_seed=5)
+        rng = child_stream(5, montecarlo.ROLE_BLOCK, 0)
+        B = iid_entries((BLOCK_TRIALS, 20), 2.0, "gaussian", rng)
+        C = B @ f.L + montecarlo._noise_effect(B, math.sqrt(0.05 / 2), 2, rng)
+        Y = C @ f.R - B @ A
+        assert np.array_equal(cap.errors, np.einsum("ij,ij->i", Y, Y))
+
+
+class _CountingStream:
+    """A Generator whose draws are tallied by method name."""
+
+    def __init__(self, rng, counts):
+        self._rng, self._counts = rng, counts
+
+    def __getattr__(self, name):
+        fn = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            self._counts[name] = self._counts.get(name, 0) + np.size(out)
+            return out
+
+        return draw
+
+
+class TestGaussianDrawCounts:
+    """Numbers drawn per trial: m + k + 2 for two-step (m + k with a
+    noiseless stage 2, m with both stages noiseless), 2 for baseline."""
+
+    TRIALS = 100  # one full block and one partial
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {}
+        real = montecarlo.child_stream
+        monkeypatch.setattr(montecarlo, "child_stream",
+                            lambda *key: _CountingStream(real(*key), counts))
+        return counts
+
+    @pytest.mark.parametrize("sigma_L_sq,sigma_R_sq,normals,chisquares", [
+        (0.05, 0.08, 12 + 2 + 1, 1),
+        (0.05, 0.0, 12 + 2, 0),
+        (0.0, 0.08, 12 + 1, 1),
+        (0.0, 0.0, 12, 0),
+    ])
+    def test_two_step(self, counts, sigma_L_sq, sigma_R_sq, normals, chisquares):
+        noise = NoiseSpec(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq)
+        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
+        run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=3)
+        expected = {"standard_normal": self.TRIALS * normals}
+        if chisquares:
+            expected["chisquare"] = self.TRIALS * chisquares
+        assert counts == expected
+
+    def test_baseline_draws_no_input(self, counts):
+        run_baseline_trials(np.ones((20, 12)), NoiseSpec(sigma_e_sq=0.05), 3.0,
+                            self.TRIALS, master_seed=3)
+        assert counts == {"chisquare": 2 * self.TRIALS}
+
+
+class TestPlusIsotropic:
+    """_plus_isotropic(||y||^2, a, dim) has the law of ||y + a z||^2."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 12])
+    def test_matches_the_direct_draw_in_law(self, dim):
+        T = 20_000
+        rng = np.random.default_rng(dim)
+        Y = rng.normal(size=(T, dim)) * rng.uniform(0.0, 2.0, size=(T, 1))
+        a = rng.uniform(0.2, 1.5, size=T)
+        direct = np.sum((Y + a[:, None] * rng.standard_normal((T, dim))) ** 2, axis=1)
+        drawn = montecarlo._plus_isotropic(np.sum(Y * Y, axis=1), a, dim, rng)
+        _check_same_law(drawn, direct, float(np.mean(np.sum(Y * Y, axis=1) + dim * a * a)))
+
+    def test_one_dimension_draws_one_normal(self):
+        y_sq, a = np.array([0.0, 4.0, 2.25]), np.array([1.0, 0.5, 2.0])
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        out = montecarlo._plus_isotropic(y_sq, a, 1, rng)
+        g = ref.standard_normal(3)
+        assert np.array_equal(out, (np.sqrt(y_sq) + a * g) ** 2)
+        assert rng.random() == ref.random()
 
 
 class TestUniformBlockPath:
@@ -347,7 +469,11 @@ class TestUniformBlockPath:
 # Gaussian MC values depend on numpy's normal sampler; they were stored
 # with this numpy version. All three pins below were regenerated when the
 # target's QR became thin; every number moved by at most 6.7e-16 relative,
-# apart from the exact-zero k=r truncation (2.4e-31 -> 4.4e-31)
+# apart from the exact-zero k=r truncation (2.4e-31 -> 4.4e-31).
+# PINNED_MC_GAUSSIAN was regenerated again when Gaussian MC began drawing
+# each trial's squared error from its chi^2 law (2 numbers a baseline trial,
+# m + k + 2 a two-step trial): mean_sq_error, std_error and z moved, the
+# analytic values and pass flags did not
 PINNED_NUMPY = "2.4.6"
 
 PINNED_MC_GAUSSIAN = """\
@@ -355,8 +481,8 @@ PINNED_MC_GAUSSIAN = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.994014317981568,0.4211973723354212,9.600000000000001,0.9354624312988182,true
-two_step,2,2,2,300,11.257587884140598,0.5617089860969113,10.327500000000006,1.6558180608848665,true
+baseline,,,,300,10.223355452236854,0.46951254274837184,9.600000000000001,1.3276651750088186,true
+two_step,2,2,2,300,10.70825062493658,0.5387081083361268,10.327500000000006,0.7067846558177385,true
 # all_passed=true
 """
 
