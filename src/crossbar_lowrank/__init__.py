@@ -2,14 +2,13 @@
 
 from .core import DeviceParams, MagnitudeCheck, conductance_map, magnitude_check
 from .lowrank import LrFactors, SvdResult, factor_lr, svd, truncate, truncation_error_sq
-from .schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
+from .schemes import NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
 from .analysis import (
     AsymptoticParams,
     ErrorBreakdown,
     InfeasibleBudgetError,
     asymptotic_bound,
     baseline_error_analytic,
-    budget_feasible,
     harmonic_trace,
     lambda_max,
     optimal_beta,
@@ -36,7 +35,6 @@ __all__ = [
     "MagnitudeCheck",
     "MatrixFormatError",
     "NoiseSpec",
-    "SchemeConfig",
     "SingularProfile",
     "SvdResult",
     "TrialBatchResult",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import DeviceParams
-from .schemes import NoiseSpec
+from .schemes import NoiseSpec, budget_feasible
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -113,11 +113,6 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
                       sigma_L_sq, sigma_R_sq, sigma_b_sq)
 
 
-def budget_feasible(m: int, n: int, k: int, t_L: int, t_R: int) -> bool:
-    """True iff t_L*m*k + t_R*n*k <= m*n."""
-    return t_L * m * k + t_R * n * k <= m * n
-
-
 def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
                          sigma_b_sq: float) -> tuple[int, int, ErrorBreakdown]:
     """Best integer (t_L, t_R) for a fixed rank k under the memristor budget.
@@ -131,7 +126,7 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
-    if m * k + n * k > m * n:
+    if not budget_feasible(m, n, k, 1, 1):
         raise InfeasibleBudgetError(
             f"rank {k} does not fit the budget even at t_L=t_R=1: "
             f"mk+nk = {m * k + n * k} > mn = {m * n}"
@@ -156,7 +151,7 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
     best: tuple[int, int, int, ErrorBreakdown] | None = None
     for k in range(1, k_max + 1):
-        if m * k + n * k > m * n:
+        if not budget_feasible(m, n, k, 1, 1):
             break  # larger k only gets worse
         t_L, t_R, bd = optimize_repetitions(singulars, m, n, k, noise, sigma_b_sq)
         if best is None or bd.total < best[3].total:

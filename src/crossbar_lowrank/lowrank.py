@@ -43,11 +43,10 @@ class SvdResult:
 
 @dataclass(frozen=True)
 class LrFactors:
-    """Rank-k split A_k = L R used by the two-step scheme."""
+    """Rank-k split A_k = L R used by the two-step scheme; k is L.shape[1]."""
 
     L: np.ndarray
     R: np.ndarray
-    k: int
 
 
 def numerical_rank(s: np.ndarray) -> int:
@@ -108,7 +107,7 @@ def factor_lr(s: SvdResult, k: int) -> LrFactors:
     root = np.sqrt(s.singulars[:k])
     L = s.U[:, :k] * root
     R = (s.V[:, :k] * root).T
-    return LrFactors(L=L, R=R, k=k)
+    return LrFactors(L=L, R=R)
 
 
 def truncation_error_sq(s: SvdResult, k: int) -> float:

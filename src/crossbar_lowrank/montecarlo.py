@@ -47,7 +47,7 @@ import numpy as np
 from .core import as_matrix, iid_entries
 from .lowrank import LrFactors
 from .rng import child_stream
-from .schemes import NoiseSpec, SchemeConfig, _noisy_stage, _two_step_stages
+from .schemes import NoiseSpec, _noisy_stage, _two_step_stages, budget_feasible
 
 # Trials per block. Block streams are defined on it, so changing it
 # changes every MC value.
@@ -68,8 +68,6 @@ class TrialBatchResult:
     trials: int
     mean_sq_error: float
     std_error: float
-    master_seed: int
-    scheme_label: str
     # |mean - analytic| at or below this is float64 round-off, not a
     # discrepancy (see roundoff_floor)
     roundoff: float = 0.0
@@ -123,29 +121,26 @@ def _plus_isotropic(y_sq: np.ndarray, a: np.ndarray, dim: int,
     return out
 
 
-def _reduce(errors: np.ndarray, master_seed: int, label: str,
-            roundoff: float) -> TrialBatchResult:
+def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
     trials = errors.shape[0]
     mean = math.fsum(errors.tolist()) / trials
     var = math.fsum(((errors - mean) ** 2).tolist()) / (trials - 1)
-    se = math.sqrt(var / trials)
-    return TrialBatchResult(
-        trials=trials,
-        mean_sq_error=mean,
-        std_error=se,
-        master_seed=master_seed,
-        scheme_label=label,
-        roundoff=roundoff,
-    )
+    return TrialBatchResult(trials=trials, mean_sq_error=mean,
+                            std_error=math.sqrt(var / trials), roundoff=roundoff)
+
+
+def _check_run(sigma_b_sq: float, trials: int) -> None:
+    """The checks both MC entry points make first."""
+    if trials < 2:
+        raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
+    if not 0 < sigma_b_sq < math.inf:
+        raise ValueError(f"input variance must be positive and finite, got {sigma_b_sq}")
 
 
 def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
                         master_seed: int) -> TrialBatchResult:
     """Empirical mean of ||b(A+E) - bA||^2 over per-trial fresh (b, E)."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
-    if not 0 < sigma_b_sq < math.inf:
-        raise ValueError(f"input variance must be positive and finite, got {sigma_b_sq}")
+    _check_run(sigma_b_sq, trials)
     A = as_matrix(A)
     m, n = A.shape
 
@@ -162,48 +157,54 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
         return _row_sq(D)
 
     errors = _run_blocks(trials, block)
-    return _reduce(errors, master_seed, "baseline", roundoff_floor(A, sigma_b_sq))
+    return _reduce(errors, roundoff_floor(A, sigma_b_sq))
 
 
-def run_two_step_trials(f: LrFactors, A, cfg: SchemeConfig, trials: int,
-                        master_seed: int) -> TrialBatchResult:
-    """Empirical mean of ||c'' - bA||^2; the error is against the exact
-    product with the full matrix, so truncation cost is included."""
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
+def run_two_step_trials(f: LrFactors, A, t_L: int, t_R: int, noise: NoiseSpec,
+                        sigma_b_sq: float, trials: int, master_seed: int) -> TrialBatchResult:
+    """Empirical mean of ||c'' - bA||^2 for factors f of the m x n matrix A
+    on t_L + t_R replica arrays; the error is against the exact product
+    with the full matrix, so truncation cost is included.
+
+    m and n are read from A and k from f.L. The factors must match A, and
+    (k, t_L, t_R) must be positive and fit the device budget, which also
+    rules out k > min(m, n).
+    """
+    _check_run(sigma_b_sq, trials)
     A = as_matrix(A)
-    if f.L.shape != (cfg.m, cfg.k) or f.R.shape != (cfg.k, cfg.n):
-        raise ValueError(
-            f"factor shapes {f.L.shape}/{f.R.shape} do not match config "
-            f"m={cfg.m}, n={cfg.n}, k={cfg.k}"
-        )
-    if A.shape != (cfg.m, cfg.n):
-        raise ValueError(f"matrix shape {A.shape} does not match config {(cfg.m, cfg.n)}")
-    noise = cfg.noise
-
-    scale_L = math.sqrt(noise.sigma_L_sq / cfg.t_L)
-    scale_R = math.sqrt(noise.sigma_R_sq / cfg.t_R)
-    cells = (cfg.t_L * cfg.m + cfg.t_R * cfg.n) * cfg.k  # devices of one trial
+    m, n = A.shape
+    k = f.L.shape[1]
+    if k < 1 or f.L.shape != (m, k) or f.R.shape != (k, n):
+        raise ValueError(f"factor shapes {f.L.shape}/{f.R.shape} do not match "
+                         f"matrix shape {A.shape} with a rank k >= 1")
+    if t_L < 1 or t_R < 1:
+        raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
+    cells = (t_L * m + t_R * n) * k  # devices of one trial
+    if not budget_feasible(m, n, k, t_L, t_R):
+        raise ValueError(f"memristor budget violated: k={k}, t_L={t_L}, t_R={t_R} "
+                         f"need {cells} devices > m*n = {m * n}")
+    scale_L = math.sqrt(noise.sigma_L_sq / t_L)
+    scale_R = math.sqrt(noise.sigma_R_sq / t_R)
 
     def block(lo: int, hi: int) -> np.ndarray:
         rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
-        B = iid_entries((hi - lo, cfg.m), cfg.sigma_b_sq, noise.dist, rng)
+        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
         if noise.dist == "gaussian":
             # a noiseless stage takes the exact path, as in two_step_vmm
             C = B @ f.L
             if scale_L:
-                C += _noise_effect(B, scale_L, cfg.k, rng)
+                C += _noise_effect(B, scale_L, k, rng)
             Y = C @ f.R
             Y -= B @ A
             if scale_R:
-                return _plus_isotropic(_row_sq(Y), scale_R * np.sqrt(_row_sq(C)), cfg.n, rng)
+                return _plus_isotropic(_row_sq(Y), scale_R * np.sqrt(_row_sq(C)), n, rng)
             return _row_sq(Y)
-        D = _by_chunks(B, cells, lambda X: _two_step_stages(X, f, cfg.t_L, cfg.t_R, noise, rng))
+        D = _by_chunks(B, cells, lambda X: _two_step_stages(X, f, t_L, t_R, noise, rng))
         D -= B @ A
         return _row_sq(D)
 
     errors = _run_blocks(trials, block)
-    return _reduce(errors, master_seed, "two_step", roundoff_floor(A, cfg.sigma_b_sq))
+    return _reduce(errors, roundoff_floor(A, sigma_b_sq))
 
 
 def compare(result: TrialBatchResult, analytic: float) -> tuple[float, bool]:

@@ -8,12 +8,13 @@ replicated k x n arrays. Stage 1 averages b (L + E_L_i) over the t_L
 replicas; stage 2 multiplies the averaged intermediate by (R + E_R_j)
 and averages over the t_R replicas. Replication divides each stage's
 noise variance by its repetition count at the cost of devices, subject
-to the budget t_L*m*k + t_R*n*k <= m*n.
+to the budget t_L*m*k + t_R*n*k <= m*n. `budget_feasible` is the one
+statement of that budget; the optimizer and the Monte Carlo runs call it.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,33 +42,10 @@ class NoiseSpec:
             )
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    """Dimensions, rank, repetitions and variances of one two-step setup."""
-
-    m: int
-    n: int
-    k: int
-    t_L: int
-    t_R: int
-    noise: NoiseSpec = field(default_factory=NoiseSpec)
-    sigma_b_sq: float = 1.0
-
-    def __post_init__(self):
-        for name in ("m", "n", "k", "t_L", "t_R"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v}")
-        if self.k > min(self.m, self.n):
-            raise ValueError(f"k={self.k} exceeds min(m, n)={min(self.m, self.n)}")
-        used = self.t_L * self.m * self.k + self.t_R * self.n * self.k
-        if used > self.m * self.n:
-            raise ValueError(
-                f"memristor budget violated: t_L*m*k + t_R*n*k = {used} "
-                f"> m*n = {self.m * self.n}"
-            )
-        if not (math.isfinite(self.sigma_b_sq) and self.sigma_b_sq > 0):
-            raise ValueError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
+def budget_feasible(m: int, n: int, k: int, t_L: int, t_R: int) -> bool:
+    """True iff t_L*m*k + t_R*n*k <= m*n. With t_L, t_R >= 1 no
+    k > min(m, n) fits: one of the two terms alone exceeds m*n."""
+    return t_L * m * k + t_R * n * k <= m * n
 
 
 def _as_rows(b) -> np.ndarray:

@@ -27,7 +27,7 @@ from crossbar_lowrank.matrixgen import SingularProfile, harmonic_matrix, prescri
 from crossbar_lowrank.matrixio import write_matrix
 from crossbar_lowrank.montecarlo import compare, run_baseline_trials, run_two_step_trials
 from crossbar_lowrank.rng import child_stream
-from crossbar_lowrank.schemes import NoiseSpec, SchemeConfig
+from crossbar_lowrank.schemes import NoiseSpec
 
 Z_LIMIT = 4.0
 
@@ -96,10 +96,9 @@ def test_criterion_02_two_step_error_formula():
         vals = np.sort(rng.uniform(0.3, 5.0, size=r))[::-1]
         A = prescribed_matrix(m, n, SingularProfile.explicit(vals), rng)
         s = svd(A)
-        cfg = SchemeConfig(m=m, n=n, k=k, t_L=t_L, t_R=t_R, noise=noise, sigma_b_sq=sb)
         analytic = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R,
                                            noise.sigma_L_sq, noise.sigma_R_sq, sb).total
-        res = run_two_step_trials(factor_lr(s, k), A, cfg, trials=20_000,
+        res = run_two_step_trials(factor_lr(s, k), A, t_L, t_R, noise, sb, trials=20_000,
                                   master_seed=2000 + i)
         z, ok = compare(res, analytic)
         max_z = max(max_z, abs(z))
@@ -123,26 +122,26 @@ def test_criterion_02_two_step_error_formula():
         parts = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R, sl, sr, sb)
 
         quiet = NoiseSpec(dist=dist)
-        cfg = SchemeConfig(m=m, n=n, k=k, t_L=t_L, t_R=t_R, noise=quiet, sigma_b_sq=sb)
-        res = run_two_step_trials(factor_lr(s, k), A, cfg, 20_000, master_seed=30 + j)
+        res = run_two_step_trials(factor_lr(s, k), A, t_L, t_R, quiet, sb, 20_000,
+                                  master_seed=30 + j)
         z, ok = compare(res, parts.truncation)
         if not ok:
             failures.append(f"iso {j} truncation: z={z:.2f}")
 
         left = NoiseSpec(sigma_L_sq=sl, dist=dist)
-        cfg = SchemeConfig(m=m, n=n, k=r, t_L=t_L, t_R=t_R, noise=left, sigma_b_sq=sb)
         stage1 = two_step_error_analytic(s.singulars, m, n, r, t_L, t_R, sl, 0.0, sb)
         assert math.isclose(stage1.total, stage1.stage1_noise, rel_tol=1e-12)
-        res = run_two_step_trials(factor_lr(s, r), A, cfg, 20_000, master_seed=60 + j)
+        res = run_two_step_trials(factor_lr(s, r), A, t_L, t_R, left, sb, 20_000,
+                                  master_seed=60 + j)
         z, ok = compare(res, stage1.stage1_noise)
         if not ok:
             failures.append(f"iso {j} stage1: z={z:.2f}")
 
         right = NoiseSpec(sigma_R_sq=sr, dist=dist)
-        cfg = SchemeConfig(m=m, n=n, k=r, t_L=t_L, t_R=t_R, noise=right, sigma_b_sq=sb)
         stage2 = two_step_error_analytic(s.singulars, m, n, r, t_L, t_R, 0.0, sr, sb)
         assert math.isclose(stage2.total, stage2.stage2_noise, rel_tol=1e-12)
-        res = run_two_step_trials(factor_lr(s, r), A, cfg, 20_000, master_seed=90 + j)
+        res = run_two_step_trials(factor_lr(s, r), A, t_L, t_R, right, sb, 20_000,
+                                  master_seed=90 + j)
         z, ok = compare(res, stage2.stage2_noise)
         if not ok:
             failures.append(f"iso {j} stage2: z={z:.2f}")

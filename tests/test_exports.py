@@ -5,7 +5,8 @@ import pytest
 import crossbar_lowrank
 from crossbar_lowrank import core, experiments, montecarlo, rng, schemes
 
-REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_count")
+REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_count",
+           "SchemeConfig")
 
 
 def test_every_exported_name_resolves():

@@ -21,7 +21,7 @@ from crossbar_lowrank.montecarlo import (
     run_two_step_trials,
 )
 from crossbar_lowrank.rng import child_stream
-from crossbar_lowrank.schemes import NoiseSpec, SchemeConfig, baseline_noisy_vmm, two_step_vmm
+from crossbar_lowrank.schemes import NoiseSpec, baseline_noisy_vmm, two_step_vmm
 
 
 def small_matrix(seed=17):
@@ -49,8 +49,6 @@ class TestBaselineTrials:
         res = run_baseline_trials(small_matrix(), NoiseSpec(sigma_e_sq=0.01), 1.0,
                                   trials=10, master_seed=42)
         assert res.trials == 10
-        assert res.master_seed == 42
-        assert res.scheme_label == "baseline"
 
     def test_reproducible_and_seed_sensitive(self):
         A = small_matrix()
@@ -82,24 +80,24 @@ class TestBaselineTrials:
 
 
 def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
+    """A, its rank-k factors f, and run_two_step_trials' arguments after
+    them: (t_L, t_R, noise, sigma_b_sq)."""
     prof = SingularProfile.explicit(values)
     A = prescribed_matrix(m, n, prof, np.random.default_rng(seed))
     f = factor_lr(svd(A), k)
-    cfg = SchemeConfig(m=m, n=n, k=k, t_L=t_L, t_R=t_R,
-                       sigma_b_sq=sigma_b_sq, noise=noise)
-    return A, f, cfg
+    return A, f, (t_L, t_R, noise, sigma_b_sq)
 
 
 class TestTwoStepTrials:
     def test_full_rank_zero_noise_error_is_roundoff(self):
-        A, f, cfg = two_step_setup([3.0, 1.0], 6, 6, 2, 1, 1, NoiseSpec(), 2.0)
-        res = run_two_step_trials(f, A, cfg, trials=100, master_seed=4)
+        A, f, scheme = two_step_setup([3.0, 1.0], 6, 6, 2, 1, 1, NoiseSpec(), 2.0)
+        res = run_two_step_trials(f, A, *scheme, trials=100, master_seed=4)
         assert res.mean_sq_error <= 1e-18
 
     def test_zero_noise_truncation_only(self):
         noise = NoiseSpec()
-        A, f, cfg = two_step_setup([3.0, 2.0, 1.0], 8, 8, 1, 1, 1, noise, 2.0)
-        res = run_two_step_trials(f, A, cfg, trials=20_000, master_seed=13)
+        A, f, scheme = two_step_setup([3.0, 2.0, 1.0], 8, 8, 1, 1, 1, noise, 2.0)
+        res = run_two_step_trials(f, A, *scheme, trials=20_000, master_seed=13)
         analytic = two_step_error_analytic([3.0, 2.0, 1.0], 8, 8, 1, 1, 1,
                                            0.0, 0.0, 2.0).total
         z, ok = compare(res, analytic)
@@ -107,52 +105,50 @@ class TestTwoStepTrials:
 
     def test_rank_one_hand_case(self):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
-        A, f, cfg = two_step_setup([2.0], 4, 4, 1, 2, 2, noise, 3.0)
+        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, noise, 3.0)
         analytic = two_step_error_analytic([2.0], 4, 4, 1, 2, 2, 0.05, 0.05, 3.0).total
         assert analytic == pytest.approx(1.23, rel=1e-10)
-        res = run_two_step_trials(f, A, cfg, trials=20_000, master_seed=555)
+        res = run_two_step_trials(f, A, *scheme, trials=20_000, master_seed=555)
         z, ok = compare(res, analytic)
         assert ok, f"z={z:.2f}"
-        assert res.scheme_label == "two_step"
 
     def test_rejects_mismatched_factors(self):
-        A, f, _ = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
-        bad = SchemeConfig(m=5, n=4, k=1, t_L=2, t_R=2, sigma_b_sq=1.0)
+        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="factor shapes"):
-            run_two_step_trials(f, np.zeros((5, 4)), bad, trials=5, master_seed=0)
+            run_two_step_trials(f, np.zeros((5, 4)), *scheme, trials=5, master_seed=0)
 
     def test_rejects_mismatched_matrix(self):
-        A, f, cfg = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
+        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="matrix shape"):
-            run_two_step_trials(f, np.zeros((4, 5)), cfg, trials=5, master_seed=0)
+            run_two_step_trials(f, np.zeros((4, 5)), *scheme, trials=5, master_seed=0)
 
     def test_rejects_tiny_trial_counts(self):
-        A, f, cfg = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
+        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError):
-            run_two_step_trials(f, A, cfg, trials=1, master_seed=0)
+            run_two_step_trials(f, A, *scheme, trials=1, master_seed=0)
 
 
 class TestCompare:
     def test_zero_se_requires_exact_match(self):
-        res = TrialBatchResult(10, 5.0, 0.0, 0, "baseline")
+        res = TrialBatchResult(10, 5.0, 0.0)
         assert compare(res, 5.0) == (0.0, True)
         z, ok = compare(res, 4.0)
         assert math.isinf(z) and z > 0 and not ok
 
     def test_z_inside_limit_passes(self):
-        res = TrialBatchResult(10, 1.0, 0.1, 0, "baseline")
+        res = TrialBatchResult(10, 1.0, 0.1)
         z, ok = compare(res, 0.7)
         assert z == pytest.approx(3.0, rel=1e-12)
         assert ok
 
     def test_z_outside_limit_fails(self):
-        res = TrialBatchResult(10, 1.0, 0.1, 0, "baseline")
+        res = TrialBatchResult(10, 1.0, 0.1)
         z, ok = compare(res, 0.5)
         assert z == pytest.approx(5.0, rel=1e-12)
         assert not ok
 
     def test_discrepancy_within_roundoff_floor_passes(self):
-        res = TrialBatchResult(2000, 6e-29, 2e-30, 0, "two_step", roundoff=1e-27)
+        res = TrialBatchResult(2000, 6e-29, 2e-30, roundoff=1e-27)
         assert compare(res, 1e-30) == (0.0, True)
         assert compare(res, 9e-28) == (0.0, True)
         z, ok = compare(res, 2e-27)
@@ -174,7 +170,7 @@ def test_reduce_sums_exactly_as_the_scalar_loop():
     n = errors.size
     mean = math.fsum(e for e in errors) / n
     var = math.fsum((e - mean) ** 2 for e in errors) / (n - 1)
-    res = _reduce(errors, 3, "baseline", 0.0)
+    res = _reduce(errors, 0.0)
     assert res.mean_sq_error == mean
     assert res.std_error == math.sqrt(var / n)
 
@@ -266,11 +262,11 @@ class TestEffectSamplerMatchesDevice:
 
     def test_two_step(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
-        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
+        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        res = run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=71)
+        res = run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=71)
         assert res.mean_sq_error == math.fsum(cap.errors) / self.TRIALS
         device = _device_errors(self.TRIALS, 72,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
@@ -281,11 +277,11 @@ class TestEffectSamplerMatchesDevice:
         # stage-2 noise and ||y|| are of one order here, so the cross term
         # 2 a g ||y|| shapes the law (dropping it keeps the mean)
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
-        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], m, n, 2, 2, 3, noise, 2.0)
+        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], m, n, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(svd(A).singulars, m, n, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=seed)
+        run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=seed)
         device = _device_errors(self.TRIALS, seed + 1,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
@@ -321,9 +317,9 @@ class TestEffectSamplerMatchesDevice:
         # sigma_R^2 = 0: the error is ||c R - b A||^2 of the block's own
         # b and c, with nothing drawn for stage 2
         noise = NoiseSpec(sigma_L_sq=0.05)
-        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
+        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
         cap = _Capture(monkeypatch)
-        run_two_step_trials(f, A, cfg, BLOCK_TRIALS, master_seed=5)
+        run_two_step_trials(f, A, *scheme, BLOCK_TRIALS, master_seed=5)
         rng = child_stream(5, montecarlo.ROLE_BLOCK, 0)
         B = iid_entries((BLOCK_TRIALS, 20), 2.0, "gaussian", rng)
         C = B @ f.L + montecarlo._noise_effect(B, math.sqrt(0.05 / 2), 2, rng)
@@ -370,8 +366,8 @@ class TestGaussianDrawCounts:
     ])
     def test_two_step(self, counts, sigma_L_sq, sigma_R_sq, normals, chisquares):
         noise = NoiseSpec(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq)
-        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
-        run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=3)
+        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
+        run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=3)
         expected = {"standard_normal": self.TRIALS * normals}
         if chisquares:
             expected["chisquare"] = self.TRIALS * chisquares
@@ -414,11 +410,11 @@ class TestUniformBlockPath:
 
     def test_two_step_matches_device(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
-        A, f, cfg = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
+        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(f, A, cfg, self.TRIALS, master_seed=81)
+        run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=81)
         device = _device_errors(self.TRIALS, 82,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0,
                                 "uniform")
@@ -449,10 +445,10 @@ class TestUniformBlockPath:
 
     def test_two_step_noise_draws_stay_within_a_chunk(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05, dist="uniform")
-        A, f, cfg = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
+        A, f, scheme = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
         cells = (8 * 64 + 8 * 64) * 4
         sizes = self._spy_noise_draws(monkeypatch)
-        run_two_step_trials(f, A, cfg, trials=100, master_seed=3)
+        run_two_step_trials(f, A, *scheme, trials=100, master_seed=3)
         assert max(sizes) <= max(cells, NOISE_CELLS)
         assert sum(sizes) == 100 * cells
         assert len(sizes) > 2 * 2  # more than one chunk per block

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from crossbar_lowrank.core import iid_entries
-from crossbar_lowrank.lowrank import factor_lr, svd, truncate
+from crossbar_lowrank.lowrank import LrFactors, factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_matrix, SingularProfile
+from crossbar_lowrank.montecarlo import run_two_step_trials
 from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import (
     NoiseSpec,
-    SchemeConfig,
     baseline_noisy_vmm,
+    budget_feasible,
     two_step_vmm,
 )
-from crossbar_lowrank.analysis import two_step_error_analytic
+from crossbar_lowrank.analysis import (
+    InfeasibleBudgetError,
+    optimize_repetitions,
+    two_step_error_analytic,
+)
 
 # the many-trial moment tests draw their trials as this many (T, ...)
 # stacks, each from its own stream
@@ -40,29 +45,61 @@ class TestNoiseSpec:
             NoiseSpec(**{name: bad})
 
 
+def _run_scheme(m, n, k, t_L, t_R, sigma_b_sq=1.0):
+    """Two trials of run_two_step_trials on a random m x n matrix with
+    random m x k and k x n factors."""
+    rng = np.random.default_rng(0)
+    f = LrFactors(L=rng.normal(size=(m, k)), R=rng.normal(size=(k, n)))
+    noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
+    return run_two_step_trials(f, rng.normal(size=(m, n)), t_L, t_R, noise, sigma_b_sq,
+                               trials=2, master_seed=0)
+
+
 class TestSchemeConfig:
+    """run_two_step_trials checks the configuration of a two-step scheme
+    where the factors, the matrix and the repetitions meet."""
+
     def test_budget_guard(self):
         with pytest.raises(ValueError, match="budget"):
-            SchemeConfig(m=100, n=100, k=16, t_L=4, t_R=4)
+            _run_scheme(100, 100, 16, 4, 4)
+        # t_L*m*k + t_R*n*k = 3*2 + 5*2 = 16 = m*n + 1
+        with pytest.raises(ValueError, match="budget"):
+            _run_scheme(3, 5, 2, 1, 1)
 
     def test_boundary_budget_allowed(self):
-        cfg = SchemeConfig(m=100, n=100, k=50, t_L=1, t_R=1)
-        assert cfg.k == 50
+        assert _run_scheme(100, 100, 50, 1, 1).trials == 2
 
     def test_rejects_oversized_k(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            SchemeConfig(m=4, n=8, k=5, t_L=1, t_R=1)
+        with pytest.raises(ValueError, match="budget"):
+            _run_scheme(4, 8, 5, 1, 1)
 
     def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError):
-            SchemeConfig(m=4, n=4, k=0, t_L=1, t_R=1)
-        with pytest.raises(ValueError):
-            SchemeConfig(m=4, n=4, k=1, t_L=0, t_R=1)
+        with pytest.raises(ValueError, match="rank k >= 1"):
+            _run_scheme(4, 4, 0, 1, 1)
+        with pytest.raises(ValueError, match="repetition"):
+            _run_scheme(4, 4, 1, 0, 1)
+        with pytest.raises(ValueError, match="repetition"):
+            _run_scheme(4, 4, 1, 1, 0)
 
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_rejects_bad_input_variance(self, bad):
-        with pytest.raises(ValueError, match="sigma_b_sq"):
-            SchemeConfig(m=4, n=4, k=1, t_L=1, t_R=1, sigma_b_sq=bad)
+        with pytest.raises(ValueError, match="input variance"):
+            _run_scheme(4, 4, 1, 1, 1, sigma_b_sq=bad)
+
+    # (m, n, k) at t_L = t_R = 1 with (m + n) k = m n, then m n + 1
+    @pytest.mark.parametrize("m, n, k, fits", [(100, 100, 50, True), (3, 5, 2, False)])
+    def test_budget_boundary_agrees_everywhere(self, m, n, k, fits):
+        assert budget_feasible(m, n, k, 1, 1) is fits
+        singulars = np.linspace(2.0, 1.0, min(m, n))
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
+        if fits:
+            assert optimize_repetitions(singulars, m, n, k, noise, 1.0)[:2] == (1, 1)
+            assert _run_scheme(m, n, k, 1, 1).trials == 2
+        else:
+            with pytest.raises(InfeasibleBudgetError):
+                optimize_repetitions(singulars, m, n, k, noise, 1.0)
+            with pytest.raises(ValueError, match="budget"):
+                _run_scheme(m, n, k, 1, 1)
 
 
 class TestSampleNoise:
