@@ -34,7 +34,7 @@ from .experiments import (
     target,
 )
 from .lowrank import numerical_rank, singular_values
-from .matrixio import MatrixFormatError, dumps_matrix, read_matrix
+from .matrixio import MatrixFormatError, matrix_lines, read_matrix, write_matrix
 from .rng import MASK64
 
 __all__ = ["main", "build_parser"]
@@ -135,7 +135,11 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _emit(dumps_matrix(target(_load(args))), args.out)
+    A = target(_load(args))
+    if args.out is None:
+        sys.stdout.writelines(matrix_lines(A))
+    else:
+        write_matrix(A, args.out)
     return 0
 
 

@@ -32,7 +32,7 @@ from .analysis import (
     optimize_repetitions,
 )
 from .core import DeviceParams
-from .lowrank import factor_lr, svd
+from .lowrank import factor_lr, singular_values, svd
 from .matrixgen import harmonic_matrix
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
 from .rng import MASK64, child_seed, child_stream
@@ -44,8 +44,9 @@ STREAM_SWEEP_MC = 1
 STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
 
-# cap on the cells of one Gaussian square drawn by target(): 2**26 float64
-# cells is 512 MiB, so max(m, n) may be at most 8192
+# cap on the normals of one Gaussian square drawn by target(), so max(m, n)
+# may be at most 8192; the square is drawn in row blocks, so this bounds
+# the draws, not a buffer
 MAX_SQUARE_CELLS = 2 ** 26
 
 SWEEP_SCHEMA = "# crossbar-lowrank sweep v1"
@@ -327,11 +328,15 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     (when trials > 0) a Monte Carlo estimate from its own seed lineage.
     Infeasible k values are emitted flagged instead of aborting. `lanes`
     has no effect (see _check_lanes).
+
+    The analytic columns come from the singular values alone, whether or
+    not MC runs; the singular vectors are computed only for the MC factors.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
     A = target(config)
-    s = svd(A)
+    singulars = singular_values(A)
+    s = svd(A) if config.trials > 0 else None
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
@@ -342,7 +347,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
             rows.append(SweepRow(k=k, t_L=0, t_R=0, feasible=False,
                                  baseline_analytic=baseline))
             continue
-        t_L, t_R, bd = optimize_repetitions(s.singulars, config.m, config.n,
+        t_L, t_R, bd = optimize_repetitions(singulars, config.m, config.n,
                                             k, noise, config.sigma_b_sq)
         mc_mean = mc_stderr = None
         if config.trials > 0:

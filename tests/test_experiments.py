@@ -279,6 +279,24 @@ class TestRunSweep:
             b.rows[0].analytic_total, rel=1e-10)
 
 
+class TestSweepSingularVectors:
+    @staticmethod
+    def _refuse_svd(monkeypatch):
+        def svd(A):
+            raise AssertionError("singular vectors computed")
+        monkeypatch.setattr(experiments, "svd", svd)
+
+    def test_analytic_sweep_computes_none(self, monkeypatch):
+        self._refuse_svd(monkeypatch)
+        res = run_sweep(ExperimentConfig(**SMALL))
+        assert all(row.feasible and row.mc_mean is None for row in res.rows)
+
+    def test_mc_sweep_computes_them(self, monkeypatch):
+        self._refuse_svd(monkeypatch)
+        with pytest.raises(AssertionError, match="singular vectors"):
+            run_sweep(ExperimentConfig(**{**SMALL, "trials": 10}))
+
+
 class TestSweepOutput:
     def test_csv_layout(self):
         res = run_sweep(ExperimentConfig(**SMALL))

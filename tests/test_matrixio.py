@@ -1,3 +1,6 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +163,20 @@ def _edge_values():
     ])
 
 
+def _mutated_texts(count=3000):
+    """Valid files with one character or token inserted, deleted or
+    replaced, line breaks of every kind str.splitlines() knows among them."""
+    rng = np.random.default_rng(41)
+    alphabet = list("0123456789 .-e_x\n\t") + ["nan", "inf", "\r\n"] + list(
+        "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+    for _ in range(count):
+        m, n = (int(v) for v in rng.integers(1, 5, 2))
+        text = _reference_dumps(rng.standard_normal((m, n)).round(int(rng.integers(0, 4))))
+        pos = int(rng.integers(len(f"{m} {n}\n"), len(text) + 1))
+        cut = int(rng.integers(0, 2))
+        yield text[:pos] + str(rng.choice(alphabet)) * int(rng.integers(0, 2)) + text[pos + cut:]
+
+
 class TestRowWiseMatchesReference:
     def test_edge_values_write_the_reference_bytes(self):
         vals = _edge_values()
@@ -190,17 +207,9 @@ class TestRowWiseMatchesReference:
         assert np.array_equal(loads_matrix(text), A)
 
     def test_mutated_files_get_the_reference_result(self):
-        # valid files with one character inserted, deleted or replaced:
         # the parse returns the reference's values or raises its message
-        rng = np.random.default_rng(41)
-        alphabet = list("0123456789 .-e_x\n\t") + ["nan", "inf", "\r\n"]
         outcomes = set()
-        for _ in range(3000):
-            m, n = (int(v) for v in rng.integers(1, 5, 2))
-            text = _reference_dumps(rng.standard_normal((m, n)).round(int(rng.integers(0, 4))))
-            pos = int(rng.integers(len(f"{m} {n}\n"), len(text) + 1))
-            cut = int(rng.integers(0, 2))
-            text = text[:pos] + str(rng.choice(alphabet)) * int(rng.integers(0, 2)) + text[pos + cut:]
+        for text in _mutated_texts():
             try:
                 want = _reference_loads(text)
             except MatrixFormatError as exc:
@@ -213,6 +222,69 @@ class TestRowWiseMatchesReference:
                 assert np.array_equal(loads_matrix(text), want)
                 outcomes.add("ok")
         assert {"ok", "expected", "invalid", "non-finite", "unexpected"} <= outcomes
+
+
+def _outcome(parse, source):
+    try:
+        return parse(source)
+    except MatrixFormatError as exc:
+        return str(exc), exc.line_no
+
+
+class TestFileMatchesText:
+    def test_mutated_files_read_as_their_text(self, tmp_path):
+        # the file is written as is (no newline translation), so every
+        # kind of line break reaches read_matrix
+        path = tmp_path / "A.txt"
+        outcomes = set()
+        for text in _mutated_texts():
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            want, got = _outcome(loads_matrix, text), _outcome(read_matrix, path)
+            if isinstance(want, tuple):
+                assert got == want
+                outcomes.add(want[0].split(": ", 1)[1].split(" ")[0])
+            else:
+                assert np.array_equal(got, want)
+                outcomes.add("ok")
+        assert {"ok", "expected", "invalid", "non-finite", "unexpected"} <= outcomes
+
+    def test_short_file_count_beats_an_earlier_bad_row(self, tmp_path):
+        path = tmp_path / "A.txt"
+        path.write_text("4 2\n1 x\n3 4\n")
+        with pytest.raises(MatrixFormatError, match=r"^line 4: expected 4 data rows, found 2$"):
+            read_matrix(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_pipe_without_a_size(self):
+        # a pipe reports size 0, so the rows outgrow the first allocation
+        A = np.random.default_rng(8).standard_normal((9, 3))
+        r, w = os.pipe()
+        try:
+            os.write(w, dumps_matrix(A).encode())
+            os.close(w)
+            assert np.array_equal(read_matrix(f"/dev/fd/{r}"), A)
+        finally:
+            os.close(r)
+
+    def test_streams_hold_nothing_of_the_text_size(self, tmp_path):
+        # a 400x400 file is about 3 MB of text against A's 1.28 MB: writing
+        # holds a row at a time, reading holds the result and a row
+        A = np.random.default_rng(17).standard_normal((400, 400))
+        path = tmp_path / "A.txt"
+        tracemalloc.start()
+        try:
+            write_matrix(A, path)
+            _, write_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            B = read_matrix(path)
+            _, read_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(B, A)
+        assert path.stat().st_size > 2 * A.nbytes
+        assert write_peak < 0.5 * A.nbytes
+        assert read_peak < 1.5 * A.nbytes
 
 
 class TestParseErrorNamesFirstBadToken:

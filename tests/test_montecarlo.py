@@ -484,20 +484,24 @@ two_step,2,2,2,300,10.70825062493658,0.5387081083361268,10.327500000000006,0.706
 
 # uniform noise runs the per-cell model over row chunks of each block's
 # stream; these values depend on numpy's uniform sampler and on float64
-# round-off, not on its normal sampler
+# round-off, not on its normal sampler. Regenerated when the sweep's
+# analytic columns began to come from singular values computed without
+# vectors: only analytic_*, normalized and the argmin line moved, by at
+# most 1.2e-15 relative (the exact-zero k=3 truncation; 6.2e-16
+# elsewhere); mc_mean, mc_stderr, (t_L, t_R) and argmin k did not
 PINNED_SWEEP_UNIFORM = """\
 # crossbar-lowrank sweep v1
 # config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
-1,6,6,true,11.579999999999997,9.749999999999996,0.9000000000000004,0.9000000000000004,\
-0.030000000000000002,11.688130785582043,0.609750028631935,21.6,0.5361111111111109
-2,3,3,true,8.64,3.0,2.7,2.7,\
-0.24000000000000002,7.965427049168942,0.3379743983879059,21.6,0.4
-3,2,2,true,10.710000000000003,4.369420017943491e-31,4.950000000000001,4.950000000000001,\
+1,6,6,true,11.580000000000002,9.750000000000002,0.9000000000000001,0.9000000000000001,\
+0.030000000000000002,11.688130785582043,0.609750028631935,21.6,0.5361111111111112
+2,3,3,true,8.640000000000002,3.0000000000000013,2.7,2.7,\
+0.24000000000000002,7.965427049168942,0.3379743983879059,21.6,0.4000000000000001
+3,2,2,true,10.710000000000003,4.369420017943496e-31,4.950000000000001,4.950000000000001,\
 0.81,10.142994885962464,0.4597624868721803,21.6,0.4958333333333334
-# argmin k=2 t_L=3 t_R=3 normalized=0.4
+# argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001
 """
 
 PINNED_MC_UNIFORM = """\
