@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from typing import Iterable
 
 from .analysis import InfeasibleBudgetError, lambda_max
 from .core import DeviceParams, magnitude_check
@@ -34,7 +35,7 @@ from .experiments import (
     target,
 )
 from .lowrank import numerical_rank, singular_values
-from .matrixio import MatrixFormatError, matrix_lines, read_matrix, write_matrix
+from .matrixio import MatrixFormatError, matrix_lines, read_matrix
 from .rng import MASK64
 
 __all__ = ["main", "build_parser"]
@@ -96,12 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(lines: Iterable[str], out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     else:
         with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
 
 
 def _load(args) -> ExperimentConfig:
@@ -120,7 +121,7 @@ def _cmd_sweep(args) -> int:
     config = _load(args)
     result = run_sweep(config, lanes=args.lanes)
     text = sweep_csv(result) if args.format == "csv" else sweep_json(result)
-    _emit(text, args.out)
+    _emit([text], args.out)
     if args.out is not None:
         print(sweep_summary(result).lstrip("# "))
     return 0
@@ -130,16 +131,12 @@ def _cmd_scaling(args) -> int:
     config = _load(args)
     result = run_scaling(config)
     text = scaling_csv(result) if args.format == "csv" else scaling_json(result)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    A = target(_load(args))
-    if args.out is None:
-        sys.stdout.writelines(matrix_lines(A))
-    else:
-        write_matrix(A, args.out)
+    _emit(matrix_lines(target(_load(args))), args.out)
     return 0
 
 
@@ -161,7 +158,7 @@ def _cmd_validate(args) -> int:
         f"magnitude_budget {check.budget!r}",
         f"magnitude_ok {'true' if check.satisfied else 'false'}",
     ]) + "\n"
-    _emit(report, args.out)
+    _emit([report], args.out)
     return 0 if check.satisfied else 1
 
 
@@ -169,7 +166,7 @@ def _cmd_mc(args) -> int:
     config = _load(args)
     result = run_mc(config, lanes=args.lanes)
     text = mc_csv(result) if args.format == "csv" else mc_json(result)
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0 if result.all_passed else 1
 
 

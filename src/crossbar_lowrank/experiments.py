@@ -44,9 +44,8 @@ STREAM_SWEEP_MC = 1
 STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
 
-# cap on the normals of one Gaussian square drawn by target(), so max(m, n)
-# may be at most 8192; the square is drawn in row blocks, so this bounds
-# the draws, not a buffer
+# cap on the cells of one Gaussian square drawn by target(): 2**26 float64
+# cells is 512 MiB, so max(m, n) may be at most 8192
 MAX_SQUARE_CELLS = 2 ** 26
 
 SWEEP_SCHEMA = "# crossbar-lowrank sweep v1"

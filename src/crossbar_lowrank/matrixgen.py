@@ -4,19 +4,13 @@ Stream contract: a rank-r m x n matrix draws a full m x m Gaussian
 square, then a full n x n one, from its stream, and orthogonalizes only
 the leading r columns of each. Stream use therefore does not depend on r,
 and the matrix equals the one built from the QR factors of the full
-squares up to round-off (within 1e-13 of its Frobenius norm). A square
-is drawn in blocks of DRAW_ROWS rows, of which only the leading r
-columns are kept, so it takes O(dim*(r + DRAW_ROWS)) memory, not
-O(dim^2).
+squares up to round-off (within 1e-13 of its Frobenius norm).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# rows of a Gaussian square drawn at a time by random_orthogonal
-DRAW_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -69,12 +63,11 @@ def random_orthogonal(dim: int, rng: np.random.Generator,
     """Leading `cols` columns (default all) of a random orthogonal matrix,
     from QR of an i.i.d. Gaussian square.
 
-    The full dim x dim square is always drawn, row by row in blocks of
-    DRAW_ROWS, so the stream advances by dim*dim normals whatever `cols`
-    is. Only its first `cols` columns are kept and factored, at
-    O(dim*cols^2) cost: the first j columns of a QR factor depend only on
-    the first j input columns, so this is the full square's factor's
-    leading block up to round-off.
+    The full dim x dim square is always drawn, so the stream advances by
+    dim*dim normals whatever `cols` is. Only its first `cols` columns are
+    factored, at O(dim*cols^2) cost: the first j columns of a QR factor
+    depend only on the first j input columns, so this is the full
+    square's factor's leading block up to round-off.
 
     Each column's sign is fixed so the orthogonal factor's diagonal is
     nonnegative, making the output deterministic per stream (dim=1
@@ -86,11 +79,7 @@ def random_orthogonal(dim: int, rng: np.random.Generator,
         cols = dim
     if not 1 <= cols <= dim:
         raise ValueError(f"cols must be in [1, {dim}], got {cols}")
-    G = np.empty((dim, cols))
-    for i in range(0, dim, DRAW_ROWS):
-        rows = min(DRAW_ROWS, dim - i)
-        G[i:i + rows] = rng.standard_normal((rows, dim))[:, :cols]
-    Q, _ = np.linalg.qr(G)
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim))[:, :cols])
     signs = np.where(np.diag(Q) < 0, -1.0, 1.0)
     return Q * signs
 

@@ -122,6 +122,10 @@ def _parse(lines: Iterable[str], size: int) -> np.ndarray:
     if found < m:
         raise MatrixFormatError(found + 2, f"expected {m} data rows, found {found}")
     if error is not None:
+        # read to the end first: a file that does not decode fails as it
+        # does when read whole, wherever its bad bytes fall
+        for _ in lines:
+            pass
         raise error
     for line_no, line in enumerate(lines, start=m + 2):
         if line.strip():

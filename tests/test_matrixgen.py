@@ -9,7 +9,6 @@ from crossbar_lowrank.analysis import lambda_max
 from crossbar_lowrank.core import DeviceParams, magnitude_check
 from crossbar_lowrank.lowrank import svd
 from crossbar_lowrank.matrixgen import (
-    DRAW_ROWS,
     SingularProfile,
     harmonic_matrix,
     prescribed_matrix,
@@ -69,19 +68,6 @@ class TestRandomOrthogonal:
         assert thin.shape == (30, 4)
         np.testing.assert_allclose(thin, full[:, :4], rtol=0, atol=1e-13)
         assert full_rng.standard_normal() == thin_rng.standard_normal()
-
-    @pytest.mark.parametrize("dim", [1, DRAW_ROWS - 1, DRAW_ROWS, DRAW_ROWS + 1,
-                                     3 * DRAW_ROWS + 5])
-    def test_block_draws_are_the_square_draws(self, dim):
-        # the square drawn in row blocks holds the normals of one
-        # (dim, dim) draw, so its kept columns and the QR of them are the
-        # same bits, and the stream ends where the one draw leaves it
-        cols = min(dim, 7)
-        got_rng, ref_rng = np.random.default_rng(dim), np.random.default_rng(dim)
-        Q, _ = np.linalg.qr(ref_rng.standard_normal((dim, dim))[:, :cols])
-        want = Q * np.where(np.diag(Q) < 0, -1.0, 1.0)
-        assert np.array_equal(random_orthogonal(dim, got_rng, cols), want)
-        assert got_rng.standard_normal() == ref_rng.standard_normal()
 
 
 class TestSingularProfile:

@@ -255,6 +255,15 @@ class TestFileMatchesText:
         with pytest.raises(MatrixFormatError, match=r"^line 4: expected 4 data rows, found 2$"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("pad", [0, 9000])
+    def test_undecodable_bytes_beat_a_bad_row_wherever_they_fall(self, tmp_path, pad):
+        # text files decode in 8 KiB chunks; bytes past the first chunk
+        # must still fail the read, as they do when the file is read whole
+        path = tmp_path / "A.txt"
+        path.write_bytes(b"2 2\n1 x\n3 4\n" + b" " * pad + b"\n\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            read_matrix(path)
+
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_pipe_without_a_size(self):
         # a pipe reports size 0, so the rows outgrow the first allocation
