@@ -113,6 +113,12 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
                       sigma_L_sq, sigma_R_sq, sigma_b_sq)
 
 
+def t_L_max(m: int, n: int, k: int) -> int:
+    """Largest t_L that leaves budget for t_R >= 1 at rank k: the number
+    of t_L values optimize_repetitions scans (at most n)."""
+    return (m * n - n * k) // (m * k)
+
+
 def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
                          sigma_b_sq: float) -> tuple[int, int, ErrorBreakdown]:
     """Best integer (t_L, t_R) for a fixed rank k under the memristor budget.
@@ -133,8 +139,7 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
         )
     tail_sq, trace_k = _tail_and_trace(singulars, k)
     best: tuple[int, int, ErrorBreakdown] | None = None
-    t_L_hi = (m * n - n * k) // (m * k)
-    for t_L in range(1, t_L_hi + 1):
+    for t_L in range(1, t_L_max(m, n, k) + 1):
         t_R = (m * n - t_L * m * k) // (n * k)
         bd = _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
                         noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)

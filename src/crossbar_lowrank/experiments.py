@@ -7,7 +7,9 @@ variance 3). `ExperimentConfig` checks its own keys and leaves the noise
 and device keys to `NoiseSpec` and `DeviceParams`, turning their errors
 into `ConfigError`. `target(config)` is the one place the target matrix
 is built, and it refuses sizes whose Gaussian squares would exceed
-`MAX_SQUARE_CELLS`.
+`MAX_SQUARE_CELLS`. `spectrum(lam, r)` is the one statement of the
+singular values lam/i, i <= r, that the target is built from and that
+every closed form is evaluated on.
 
 Every result is a table of one row dataclass, written by one CSV and one
 JSON writer: the columns are the row's fields, and the extra lines or
@@ -30,10 +32,11 @@ from .analysis import (
     optimal_beta,
     optimize_rank,
     optimize_repetitions,
+    t_L_max,
 )
 from .core import DeviceParams
-from .lowrank import factor_lr, singular_values, svd
-from .matrixgen import harmonic_matrix
+from .lowrank import factor_lr, svd
+from .matrixgen import SingularProfile, harmonic_matrix
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
 from .rng import MASK64, child_seed, child_stream
 from .schemes import NoiseSpec, budget_feasible
@@ -45,8 +48,13 @@ STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
 
 # cap on the cells of one Gaussian square drawn by target(): 2**26 float64
-# cells is 512 MiB, so max(m, n) may be at most 8192
+# cells is 512 MiB, so max(m, n) may be at most 8192. sweep keeps it when it
+# builds no matrix, since it also bounds the optimizer's t_L scan to at most
+# 8192 candidates per k
 MAX_SQUARE_CELLS = 2 ** 26
+# cap on the t_L candidates the optimizer scans for one scaling row; a
+# row at k = 1 scans n - 1 of them, so such rows may have n up to 2**20 + 1
+MAX_SCALING_SCAN = 2 ** 20
 
 SWEEP_SCHEMA = "# crossbar-lowrank sweep v1"
 SCALING_SCHEMA = "# crossbar-lowrank scaling v1"
@@ -273,17 +281,29 @@ class SweepResult:
     config: ExperimentConfig
 
 
-def target(config: ExperimentConfig) -> np.ndarray:
-    """The config's harmonic target matrix, drawn from its own stream.
+def spectrum(lam: float, r: int) -> np.ndarray:
+    """The prescribed singular values lam/i, i <= r: the harmonic profile
+    target() builds its matrix from, and the spectrum every closed form is
+    evaluated on."""
+    return SingularProfile.harmonic(lam, r).resolve()
 
-    Building it draws an m x m and an n x n Gaussian square, so a config
-    whose larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
-    """
+
+def _check_target_size(config: ExperimentConfig) -> None:
     side = max(config.m, config.n)
     if side * side > MAX_SQUARE_CELLS:
         raise ConfigError(
             f"m={config.m}, n={config.n}: building the target draws a "
             f"{side}x{side} square, over the cap of {MAX_SQUARE_CELLS} cells")
+
+
+def target(config: ExperimentConfig) -> np.ndarray:
+    """The config's harmonic target matrix, drawn from its own stream: its
+    singular values are spectrum(resolved lambda, r) up to round-off.
+
+    Building it draws an m x m and an n x n Gaussian square, so a config
+    whose larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
+    """
+    _check_target_size(config)
     return harmonic_matrix(config.m, config.n, config.r, config.resolved_lambda(),
                            child_stream(config.master_seed, STREAM_MATRIX))
 
@@ -322,20 +342,21 @@ def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int,
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     """Per-k comparison of the two-step scheme against the baseline.
 
-    One harmonic target matrix is generated for the whole sweep; each k
-    gets budget-optimal repetitions, the closed-form breakdown, and
-    (when trials > 0) a Monte Carlo estimate from its own seed lineage.
-    Infeasible k values are emitted flagged instead of aborting. `lanes`
-    has no effect (see _check_lanes).
-
-    The analytic columns come from the singular values alone, whether or
-    not MC runs; the singular vectors are computed only for the MC factors.
+    Each k gets budget-optimal repetitions and the closed-form breakdown,
+    both evaluated on the prescribed spectrum, so they do not depend on
+    the seed. When trials > 0, one harmonic target matrix is generated for
+    the whole sweep and each k gets a Monte Carlo estimate from its own
+    seed lineage; the target and its SVD are computed only then. Infeasible
+    k values are emitted flagged instead of aborting. `lanes` has no effect
+    (see _check_lanes). The target's size cap holds at every trial count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
-    A = target(config)
-    singulars = singular_values(A)
-    s = svd(A) if config.trials > 0 else None
+    _check_target_size(config)
+    singulars = spectrum(config.resolved_lambda(), config.r)
+    if config.trials > 0:
+        A = target(config)
+        s = svd(A)
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
@@ -404,20 +425,29 @@ def _check_geometric(grid: tuple[int, ...]) -> None:
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
     """Analytic error growth along n with r = floor(c2*n^alpha) and
     k = max(1, floor(c1*r^beta)); lam saturates the magnitude budget at
-    every size. Emits per-n rows plus fitted log-log slopes."""
+    every size. Emits per-n rows plus fitted log-log slopes.
+
+    A row whose t_L scan would exceed MAX_SCALING_SCAN candidates is a
+    ConfigError, raised before any row is computed."""
     _check_geometric(config.n_grid)
     _require_baseline_noise(config)
     beta = config.resolved_beta()
     dev = config.device()
     noise = config.noise()
-    rows: list[ScalingRow] = []
+    sizes = []
     for n in config.n_grid:
         r = min(n, max(1, math.floor(config.c2 * n ** config.alpha)))
         k = min(r, max(1, math.floor(config.c1 * r ** beta)))
-        lam = lambda_max(n, n, dev)
-        singulars = lam / np.arange(1, r + 1)
-        t_L, t_R, bd = optimize_repetitions(singulars, n, n, k, noise,
-                                            config.sigma_b_sq)
+        scan = t_L_max(n, n, k)
+        if scan > MAX_SCALING_SCAN:
+            raise ConfigError(
+                f"scaling row n={n}, k={k}: the optimizer would scan {scan} "
+                f"t_L values, over the cap of {MAX_SCALING_SCAN}")
+        sizes.append((n, r, k))
+    rows: list[ScalingRow] = []
+    for n, r, k in sizes:
+        t_L, t_R, bd = optimize_repetitions(spectrum(lambda_max(n, n, dev), r),
+                                            n, n, k, noise, config.sigma_b_sq)
         baseline = baseline_error_analytic(n, n, config.sigma_e_sq, config.sigma_b_sq)
         rows.append(ScalingRow(n=n, r=r, k=k, t_L=t_L, t_R=t_R,
                                **_analytic_columns(bd, baseline)))
@@ -453,12 +483,18 @@ class McResult:
 def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     """Monte Carlo vs analytic for one config: the baseline scheme plus
     the two-step scheme at each k in k_range (or at the overall optimal
-    k when k_range is 'all'). `lanes` has no effect (see _check_lanes)."""
+    k when k_range is 'all'). `lanes` has no effect (see _check_lanes).
+
+    The analytic values, and the optimizer's choices, come from the
+    prescribed spectrum, as in run_sweep; the MC runs on the generated
+    target, whose SVD gives only the factors. Every verdict therefore also
+    checks that the target has the spectrum the formulas assume."""
     _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
     A = target(config)
     s = svd(A)
+    singulars = spectrum(config.resolved_lambda(), config.r)
     noise = config.noise()
     rows: list[McRow] = []
 
@@ -473,10 +509,10 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
                       z=z, passed=ok))
 
     if config.k_range == "all":
-        choices = [optimize_rank(s.singulars, config.m, config.n, noise,
+        choices = [optimize_rank(singulars, config.m, config.n, noise,
                                  config.sigma_b_sq, config.r)]
     else:
-        choices = [(k, *optimize_repetitions(s.singulars, config.m, config.n,
+        choices = [(k, *optimize_repetitions(singulars, config.m, config.n,
                                              k, noise, config.sigma_b_sq))
                    for k in config.k_range]
     for k, t_L, t_R, bd in choices:

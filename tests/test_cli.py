@@ -176,6 +176,31 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "m=200000" in err[0]
 
+    def test_oversized_analytic_sweep_is_a_config_error(self, tmp_path, capsys):
+        # --trials 0 builds no target, but the cap still bounds the sweep
+        p = tmp_path / "huge.cfg"
+        p.write_text("m=8193\nn=4\nr=2\n")
+        assert main(["sweep", "--config", str(p), "--trials", "0"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ") and "m=8193" in err[0]
+
+    def test_long_scaling_scan_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # r = k = 1 at alpha=0.01, so the row at n=1e7 would scan 1e7 - 1
+        # values of t_L; it is refused before any row is computed
+        def never(*args, **kwargs):
+            raise AssertionError("scaling row computed")
+        monkeypatch.setattr(experiments, "optimize_repetitions", never)
+        p = tmp_path / "grid.cfg"
+        p.write_text("alpha=0.01\nn_grid=1000000 10000000 100000000 1000000000\n")
+        assert main(["scaling", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "n=10000000" in err[0] and "k=1" in err[0]
+
     def test_oversized_dims_still_run_scaling(self, tmp_path, capsys, monkeypatch):
         # scaling forms no matrix, so the cap does not apply to it
         monkeypatch.setattr(experiments, "harmonic_matrix", None)
@@ -256,7 +281,7 @@ class TestSweepCommand:
 
     def test_analytic_columns_do_not_depend_on_trials(self, tmp_path, small_config):
         # with or without MC, the analytic columns come from the same
-        # singular values, computed without vectors
+        # prescribed spectrum
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["sweep", "--config", small_config, "--trials", "0", "--out", str(a)]) == 0
         assert main(["sweep", "--config", small_config, "--trials", "400",
@@ -270,6 +295,18 @@ class TestSweepCommand:
 
         assert analytic(a) == analytic(b)
         assert a.read_text().splitlines()[-1] == b.read_text().splitlines()[-1]
+
+
+    def test_analytic_sweep_does_not_depend_on_the_seed(self, tmp_path, small_config):
+        # only the config line's echo of the seed differs
+        outs = []
+        for seed in ("0", "18446744073709551615"):
+            out = tmp_path / f"{seed}.csv"
+            assert main(["sweep", "--config", small_config, "--trials", "0",
+                         "--seed", seed, "--out", str(out)]) == 0
+            outs.append(out.read_bytes().replace(f" seed={seed}\n".encode(), b"\n"))
+        assert b" seed=" not in outs[0]
+        assert outs[0] == outs[1]
 
 
 class TestScalingCommand:
@@ -379,14 +416,20 @@ NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 # from singular values computed without vectors: only analytic_*,
 # normalized and the argmin line's normalized moved, by at most 1.2e-15
 # relative (the exact-zero k=r truncation; 8.0e-16 elsewhere); MC
-# columns, (t_L, t_R), feasible and argmin k did not
+# columns, (t_L, t_R), feasible and argmin k did not. They were regenerated
+# a third time when sweep and mc began to evaluate the closed forms on the
+# prescribed spectrum lam/i instead of the computed one: again only
+# analytic_*, normalized and the argmin line's normalized moved, by at most
+# 6.7e-16 relative, and the exact-zero k=r truncation is now 0.0 (was
+# 4.4e-31). The mc rows of DET_CONFIG did not move: its analytic value was
+# already the exact 8.64
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("5cb2b328f6336b7d107e4513db754ed3aa9e6c3a3b5a70d7435403839d7e3175",
-         "argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001\n"),
+        ("4861b659773e23afb7ec9f1b8c1514c55ecd0d021f2c5cf8dd439b36ab1f2856",
+         "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("6adbbc5f2e29a753f08f1187b68496208b8111bcd564d4543ef70205033db6d4",
-         "argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001\n"),
+        ("4c1fd502320d24488557e50f6e3f6ae5abd3bc5cc3e97b2620b8bb33a0f2b054",
+         "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
         ("a4964e44067547e36d283a1b302af73bf961c3cdb8c185fc69c90fbcf3b04c41", ""),
     ("scaling", GRID_CONFIG, "json"):
@@ -396,11 +439,11 @@ PINNED_TABLES = {
     ("mc", DET_CONFIG, "json"):
         ("a83deb303ba8f3b9efda04cdfb543e1710a16106934e3a749bb582cdce19abcd", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
-        ("5fa15353e1b5515ae9493e1d60342cce83ea915e21119278dfd54dae3ef0a4e8",
-         "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927439\n"),
+        ("89b1bf17d76faf2af1164ea63484e95541260a737a81dfc27bd6bbbb45875202",
+         "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),
     ("sweep", INFEASIBLE_CONFIG, "json"):
-        ("8b228095e98539b546a51373c0700234f0134c543e238b7e78dc407d4132b987",
-         "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927439\n"),
+        ("01bce3a6fb3f2628f1df2cf0b9e26a4aabf17958c26a3ab75ea78f0d8be15440",
+         "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),
     ("sweep", NO_FEASIBLE_CONFIG, "csv"):
         ("f7bff80b3362d8f8b1fb859bff60e906e30bc48208d09b0c8d195f6d8f619fe7",
          "argmin none (no feasible k)\n"),

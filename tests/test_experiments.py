@@ -1,11 +1,18 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from crossbar_lowrank.analysis import budget_feasible, lambda_max, optimal_beta
-from crossbar_lowrank import experiments
+from crossbar_lowrank.analysis import (
+    ErrorBreakdown,
+    budget_feasible,
+    lambda_max,
+    optimal_beta,
+)
+from crossbar_lowrank import experiments, lowrank, matrixgen
 from crossbar_lowrank.experiments import (
+    MAX_SCALING_SCAN,
     MAX_SQUARE_CELLS,
     MC_SCHEMA,
     SCALING_SCHEMA,
@@ -23,11 +30,14 @@ from crossbar_lowrank.experiments import (
     run_sweep,
     scaling_csv,
     scaling_json,
+    spectrum,
     sweep_csv,
     sweep_json,
     sweep_summary,
     target,
 )
+from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values
+from crossbar_lowrank.rng import MASK64
 
 SMALL = dict(m=16, n=16, r=4, lam=4.0, trials=0)
 
@@ -237,9 +247,9 @@ class TestRunSweep:
     def test_full_rank_row_has_zero_truncation(self):
         res = run_sweep(ExperimentConfig(**SMALL, k_range=(4,)))
         (row,) = res.rows
-        # analytics come from the computed spectrum, so the tail past the
-        # numerical rank is roundoff squared, not an exact zero
-        assert row.analytic_truncation == pytest.approx(0.0, abs=1e-20)
+        # analytics come from the prescribed spectrum, which has nothing
+        # past r
+        assert row.analytic_truncation == 0.0
 
     def test_mc_rows_when_trials_positive(self):
         cfg = ExperimentConfig(m=12, n=12, r=3, lam=3.0, trials=400)
@@ -274,27 +284,88 @@ class TestRunSweep:
         b = run_sweep(ExperimentConfig(m=12, n=12, r=3, lam=3.0, trials=300,
                                        master_seed=999))
         assert a.rows[0].mc_mean != b.rows[0].mc_mean
-        # singular profile is prescribed, so the analytics barely move
-        assert a.rows[0].analytic_total == pytest.approx(
-            b.rows[0].analytic_total, rel=1e-10)
+        # the analytics come from the prescribed spectrum, not from the
+        # seeded target
+        assert a.rows[0].analytic_total == b.rows[0].analytic_total
 
 
 class TestSweepSingularVectors:
-    @staticmethod
-    def _refuse_svd(monkeypatch):
-        def svd(A):
-            raise AssertionError("singular vectors computed")
-        monkeypatch.setattr(experiments, "svd", svd)
+    """The analytic sweep builds no target and decomposes nothing."""
+
+    # each name's message, and the module attributes a call could go through
+    SITES = {
+        "svd": ("singular vectors computed", [(experiments, "svd"), (lowrank, "svd")]),
+        "singular_values": ("singular values computed",
+                            [(experiments, "singular_values"),
+                             (lowrank, "singular_values")]),
+        "harmonic_matrix": ("target matrix built",
+                            [(experiments, "harmonic_matrix"),
+                             (matrixgen, "harmonic_matrix"),
+                             (matrixgen, "prescribed_matrix")]),
+    }
+
+    @classmethod
+    def _refuse(cls, monkeypatch, *names):
+        for name in names:
+            what, sites = cls.SITES[name]
+
+            def refuse(*args, what=what, **kwargs):
+                raise AssertionError(what)
+            for module, attr in sites:
+                monkeypatch.setattr(module, attr, refuse, raising=False)
 
     def test_analytic_sweep_computes_none(self, monkeypatch):
-        self._refuse_svd(monkeypatch)
+        self._refuse(monkeypatch, "svd", "singular_values", "harmonic_matrix")
         res = run_sweep(ExperimentConfig(**SMALL))
         assert all(row.feasible and row.mc_mean is None for row in res.rows)
 
     def test_mc_sweep_computes_them(self, monkeypatch):
-        self._refuse_svd(monkeypatch)
+        self._refuse(monkeypatch, "svd")
         with pytest.raises(AssertionError, match="singular vectors"):
             run_sweep(ExperimentConfig(**{**SMALL, "trials": 10}))
+
+    def test_mc_sweep_builds_the_target(self, monkeypatch):
+        self._refuse(monkeypatch, "harmonic_matrix")
+        with pytest.raises(AssertionError, match="target matrix built"):
+            run_sweep(ExperimentConfig(**{**SMALL, "trials": 10}))
+
+    def test_largest_analytic_sweep_runs(self, monkeypatch):
+        # the target cap's largest side: no matrix is built, and the cap
+        # bounds every k's t_L scan to at most 8192 candidates
+        self._refuse(monkeypatch, "svd", "singular_values", "harmonic_matrix")
+        side = math.isqrt(MAX_SQUARE_CELLS)
+        res = run_sweep(ExperimentConfig(m=side, n=side, r=64, lam="max", trials=0))
+        assert [row.k for row in res.rows] == list(range(1, 65))
+        assert all(row.feasible and row.t_L <= side for row in res.rows)
+
+
+class TestPrescribedSpectrum:
+    """Analytic values come from spectrum(); MC runs on target(). These
+    pin the two to each other."""
+
+    @pytest.mark.parametrize("m,n,r,lam", [
+        (12, 12, 3, 3.0), (64, 48, 8, 2.0), (9, 30, 5, "max"),
+        (40, 17, 17, "max"), (100, 100, 16, 10.0)])
+    def test_target_has_the_spectrum(self, m, n, r, lam):
+        cfg = ExperimentConfig(m=m, n=n, r=r, lam=lam, master_seed=7)
+        expected = spectrum(cfg.resolved_lambda(), r)
+        s = singular_values(target(cfg))
+        np.testing.assert_allclose(s[:r], expected, rtol=1e-13, atol=0)
+        assert np.all(s[r:] < RANK_TOL_REL * s[0])
+
+    def test_sweep_and_mc_agree_bit_for_bit(self):
+        cfg = dict(m=12, n=12, r=3, lam=3.0)
+        sweep = run_sweep(ExperimentConfig(**cfg, trials=0))
+        fixed = run_mc(ExperimentConfig(**cfg, k_range=(2,), trials=50))
+        best = run_mc(ExperimentConfig(**cfg, trials=50))
+        row = next(r for r in sweep.rows if r.k == 2)
+        assert row.analytic_total == fixed.rows[1].analytic == 8.64
+        assert (best.rows[1].k, best.rows[1].analytic) == (sweep.argmin_k, 8.64)
+
+    def test_analytic_sweep_ignores_the_seed(self):
+        a = run_sweep(ExperimentConfig(**SMALL, master_seed=0))
+        b = run_sweep(ExperimentConfig(**SMALL, master_seed=MASK64))
+        assert a.rows == b.rows and a.argmin_k == b.argmin_k
 
 
 class TestSweepOutput:
@@ -363,6 +434,43 @@ class TestRunScaling:
     def test_grid_not_geometric(self):
         with pytest.raises(ConfigError, match="geometric"):
             run_scaling(ExperimentConfig(n_grid=(256, 512, 900, 2048), trials=0))
+
+    @staticmethod
+    def _fake_optimizer(monkeypatch):
+        # stands in for the scan, so these tests never run a long one
+        calls = []
+        bd = ErrorBreakdown(truncation=0.0, stage1_noise=1.0, stage2_noise=1.0,
+                            accumulated=1.0, total=3.0)
+
+        def optimize(singulars, m, n, k, noise, sigma_b_sq):
+            calls.append((n, k))
+            return 1, 1, bd
+        monkeypatch.setattr(experiments, "optimize_repetitions", optimize)
+        return calls
+
+    def test_scan_cap_rejects_before_any_row(self, monkeypatch):
+        # alpha=0.01 gives r = k = 1, so row n scans n - 1 values of t_L
+        calls = self._fake_optimizer(monkeypatch)
+        cfg = ExperimentConfig(alpha=0.01, n_grid=(10 ** 6, 10 ** 7, 10 ** 8, 10 ** 9))
+        with pytest.raises(ConfigError, match="n=10000000, k=1: .* 9999999 "):
+            run_scaling(cfg)
+        assert calls == []
+
+    def test_scan_cap_is_inclusive(self, monkeypatch):
+        calls = self._fake_optimizer(monkeypatch)
+        top = MAX_SCALING_SCAN + 1
+        grid = (top // 8, top // 4, top // 2, top)
+        run_scaling(ExperimentConfig(alpha=0.01, n_grid=grid))
+        assert calls == [(n, 1) for n in grid]
+        with pytest.raises(ConfigError, match=f"n={top + 1}, k=1"):
+            run_scaling(ExperimentConfig(alpha=0.01, n_grid=grid[:3] + (top + 1,)))
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0])
+    @pytest.mark.parametrize("grid", [ExperimentConfig().n_grid,
+                                      (256, 512, 1024, 2048, 4096, 8192, 16384)])
+    def test_standard_grids_run(self, alpha, grid):
+        res = run_scaling(ExperimentConfig(alpha=alpha, n_grid=grid))
+        assert [row.n for row in res.rows] == list(grid)
 
     def test_csv_layout(self):
         res = run_scaling(ExperimentConfig(**self.CFG))

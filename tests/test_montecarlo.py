@@ -469,7 +469,12 @@ class TestUniformBlockPath:
 # PINNED_MC_GAUSSIAN was regenerated again when Gaussian MC began drawing
 # each trial's squared error from its chi^2 law (2 numbers a baseline trial,
 # m + k + 2 a two-step trial): mean_sq_error, std_error and z moved, the
-# analytic values and pass flags did not
+# analytic values and pass flags did not. All three were regenerated when
+# sweep and mc began to evaluate the closed forms on the prescribed
+# spectrum lam/i instead of the computed one: only the analytic values,
+# normalized and z moved (at most 5.2e-16 relative in an analytic value,
+# 2.1e-14 in z), and the exact-zero k=3 truncation is now 0.0; MC columns,
+# (t_L, t_R), argmin k and pass flags did not
 PINNED_NUMPY = "2.4.6"
 
 PINNED_MC_GAUSSIAN = """\
@@ -478,7 +483,7 @@ PINNED_MC_GAUSSIAN = """\
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
 baseline,,,,300,10.223355452236854,0.46951254274837184,9.600000000000001,1.3276651750088186,true
-two_step,2,2,2,300,10.70825062493658,0.5387081083361268,10.327500000000006,0.7067846558177385,true
+two_step,2,2,2,300,10.70825062493658,0.5387081083361268,10.3275,0.7067846558177484,true
 # all_passed=true
 """
 
@@ -495,13 +500,13 @@ PINNED_SWEEP_UNIFORM = """\
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
-1,6,6,true,11.580000000000002,9.750000000000002,0.9000000000000001,0.9000000000000001,\
-0.030000000000000002,11.688130785582043,0.609750028631935,21.6,0.5361111111111112
-2,3,3,true,8.640000000000002,3.0000000000000013,2.7,2.7,\
-0.24000000000000002,7.965427049168942,0.3379743983879059,21.6,0.4000000000000001
-3,2,2,true,10.710000000000003,4.369420017943496e-31,4.950000000000001,4.950000000000001,\
+1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
+0.030000000000000002,11.688130785582043,0.609750028631935,21.6,0.5361111111111111
+2,3,3,true,8.64,3.0,2.7,2.7,\
+0.24000000000000002,7.965427049168942,0.3379743983879059,21.6,0.4
+3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
 0.81,10.142994885962464,0.4597624868721803,21.6,0.4958333333333334
-# argmin k=2 t_L=3 t_R=3 normalized=0.4000000000000001
+# argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
 PINNED_MC_UNIFORM = """\
@@ -510,7 +515,7 @@ PINNED_MC_UNIFORM = """\
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
 baseline,,,,300,9.793039528504497,0.3123544399156963,9.600000000000001,0.61801435752473,true
-two_step,2,2,2,300,10.072382007099582,0.4301861624297291,10.327500000000006,-0.5930409092182201,true
+two_step,2,2,2,300,10.072382007099582,0.4301861624297291,10.3275,-0.5930409092182077,true
 # all_passed=true
 """
 
