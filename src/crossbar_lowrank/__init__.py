@@ -17,7 +17,7 @@ from .analysis import (
     tail_bound,
     two_step_error_analytic,
 )
-from .matrixgen import SingularProfile, harmonic_matrix, prescribed_matrix, random_orthogonal
+from .matrixgen import harmonic_matrix, harmonic_spectrum, prescribed_matrix, random_orthogonal
 from .matrixio import MatrixFormatError, dumps_matrix, loads_matrix, read_matrix, write_matrix
 from .montecarlo import TrialBatchResult, compare, run_baseline_trials, run_two_step_trials
 from .experiments import ExperimentConfig, fit_loglog_slope, run_mc, run_scaling, run_sweep
@@ -35,7 +35,6 @@ __all__ = [
     "MagnitudeCheck",
     "MatrixFormatError",
     "NoiseSpec",
-    "SingularProfile",
     "SvdResult",
     "TrialBatchResult",
     "asymptotic_bound",
@@ -50,6 +49,7 @@ __all__ = [
     "factor_lr",
     "fit_loglog_slope",
     "harmonic_matrix",
+    "harmonic_spectrum",
     "harmonic_trace",
     "lambda_max",
     "loads_matrix",

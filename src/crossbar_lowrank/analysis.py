@@ -65,10 +65,16 @@ class AsymptoticParams:
             raise ValueError(f"lam must be positive, got {self.lam}")
 
 
+def _check_variances(*values: float) -> None:
+    if not all(math.isfinite(v) and v >= 0 for v in values):
+        raise ValueError(f"variances must be finite and nonnegative, got {values}")
+
+
 def baseline_error_analytic(m: int, n: int, sigma_e_sq: float, sigma_b_sq: float) -> float:
     """Expected squared error of the one-shot scheme: m*n*sigma_e_sq*sigma_b_sq."""
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
+    _check_variances(sigma_e_sq, sigma_b_sq)
     return m * n * sigma_e_sq * sigma_b_sq
 
 
@@ -90,6 +96,8 @@ def _breakdown(tail_sq: float, trace_k: float, m: int, n: int, k: int,
 
 def _tail_and_trace(singulars, k: int) -> tuple[float, float]:
     s = np.asarray(singulars, dtype=float)
+    if not (np.isfinite(s) & (s >= 0)).all():
+        raise ValueError("singular values must be finite and nonnegative")
     kk = min(k, s.shape[0])
     return float(np.sum(s[kk:] ** 2)), float(np.sum(s[:kk]))
 
@@ -106,8 +114,7 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
     if t_L < 1 or t_R < 1:
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
-    if sigma_L_sq < 0 or sigma_R_sq < 0 or sigma_b_sq < 0:
-        raise ValueError("variances must be nonnegative")
+    _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
     tail_sq, trace_k = _tail_and_trace(singulars, k)
     return _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
                       sigma_L_sq, sigma_R_sq, sigma_b_sq)
@@ -137,6 +144,7 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
             f"rank {k} does not fit the budget even at t_L=t_R=1: "
             f"mk+nk = {m * k + n * k} > mn = {m * n}"
         )
+    _check_variances(sigma_b_sq)
     tail_sq, trace_k = _tail_and_trace(singulars, k)
     best: tuple[int, int, ErrorBreakdown] | None = None
     for t_L in range(1, t_L_max(m, n, k) + 1):

@@ -7,9 +7,9 @@ variance 3). `ExperimentConfig` checks its own keys and leaves the noise
 and device keys to `NoiseSpec` and `DeviceParams`, turning their errors
 into `ConfigError`. `target(config)` is the one place the target matrix
 is built, and it refuses sizes whose Gaussian squares would exceed
-`MAX_SQUARE_CELLS`. `spectrum(lam, r)` is the one statement of the
-singular values lam/i, i <= r, that the target is built from and that
-every closed form is evaluated on.
+`MAX_SQUARE_CELLS`. The target is built from, and every closed form is
+evaluated on, the prescribed spectrum `matrixgen.harmonic_spectrum(lam, r)`,
+the singular values lam/i, i <= r.
 
 Every result is a table of one row dataclass, written by one CSV and one
 JSON writer: the columns are the row's fields, and the extra lines or
@@ -36,7 +36,7 @@ from .analysis import (
 )
 from .core import DeviceParams
 from .lowrank import factor_lr, svd
-from .matrixgen import SingularProfile, harmonic_matrix
+from .matrixgen import harmonic_matrix, harmonic_spectrum
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
 from .rng import MASK64, child_seed, child_stream
 from .schemes import NoiseSpec, budget_feasible
@@ -52,8 +52,10 @@ STREAM_MC_TWOSTEP = 3
 # builds no matrix, since it also bounds the optimizer's t_L scan to at most
 # 8192 candidates per k
 MAX_SQUARE_CELLS = 2 ** 26
-# cap on the t_L candidates the optimizer scans for one scaling row; a
-# row at k = 1 scans n - 1 of them, so such rows may have n up to 2**20 + 1
+# cap on one scaling row's work and memory: the t_L candidates the
+# optimizer scans (a row at k = 1 scans n - 1 of them, so such rows may
+# have n up to 2**20 + 1) and the rank r, whose spectrum is r floats
+# (8 MiB at the cap)
 MAX_SCALING_SCAN = 2 ** 20
 
 SWEEP_SCHEMA = "# crossbar-lowrank sweep v1"
@@ -281,13 +283,6 @@ class SweepResult:
     config: ExperimentConfig
 
 
-def spectrum(lam: float, r: int) -> np.ndarray:
-    """The prescribed singular values lam/i, i <= r: the harmonic profile
-    target() builds its matrix from, and the spectrum every closed form is
-    evaluated on."""
-    return SingularProfile.harmonic(lam, r).resolve()
-
-
 def _check_target_size(config: ExperimentConfig) -> None:
     side = max(config.m, config.n)
     if side * side > MAX_SQUARE_CELLS:
@@ -298,7 +293,8 @@ def _check_target_size(config: ExperimentConfig) -> None:
 
 def target(config: ExperimentConfig) -> np.ndarray:
     """The config's harmonic target matrix, drawn from its own stream: its
-    singular values are spectrum(resolved lambda, r) up to round-off.
+    singular values are harmonic_spectrum(resolved lambda, r) up to
+    round-off.
 
     Building it draws an m x m and an n x n Gaussian square, so a config
     whose larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
@@ -343,17 +339,18 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     """Per-k comparison of the two-step scheme against the baseline.
 
     Each k gets budget-optimal repetitions and the closed-form breakdown,
-    both evaluated on the prescribed spectrum, so they do not depend on
-    the seed. When trials > 0, one harmonic target matrix is generated for
-    the whole sweep and each k gets a Monte Carlo estimate from its own
-    seed lineage; the target and its SVD are computed only then. Infeasible
-    k values are emitted flagged instead of aborting. `lanes` has no effect
-    (see _check_lanes). The target's size cap holds at every trial count.
+    both evaluated on the prescribed spectrum harmonic_spectrum(resolved
+    lambda, r), so they do not depend on the seed. When trials > 0, one
+    harmonic target matrix is generated for the whole sweep and each k
+    gets a Monte Carlo estimate from its own seed lineage; the target and
+    its SVD are computed only then. Infeasible k values are emitted
+    flagged instead of aborting. `lanes` has no effect (see
+    _check_lanes). The target's size cap holds at every trial count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
     _check_target_size(config)
-    singulars = spectrum(config.resolved_lambda(), config.r)
+    singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     if config.trials > 0:
         A = target(config)
         s = svd(A)
@@ -427,7 +424,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     k = max(1, floor(c1*r^beta)); lam saturates the magnitude budget at
     every size. Emits per-n rows plus fitted log-log slopes.
 
-    A row whose t_L scan would exceed MAX_SCALING_SCAN candidates is a
+    A row whose rank r or t_L scan would exceed MAX_SCALING_SCAN is a
     ConfigError, raised before any row is computed."""
     _check_geometric(config.n_grid)
     _require_baseline_noise(config)
@@ -438,6 +435,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     for n in config.n_grid:
         r = min(n, max(1, math.floor(config.c2 * n ** config.alpha)))
         k = min(r, max(1, math.floor(config.c1 * r ** beta)))
+        if r > MAX_SCALING_SCAN:
+            raise ConfigError(
+                f"scaling row n={n}, r={r}: the spectrum would hold {r} "
+                f"values, over the cap of {MAX_SCALING_SCAN}")
         scan = t_L_max(n, n, k)
         if scan > MAX_SCALING_SCAN:
             raise ConfigError(
@@ -446,7 +447,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         sizes.append((n, r, k))
     rows: list[ScalingRow] = []
     for n, r, k in sizes:
-        t_L, t_R, bd = optimize_repetitions(spectrum(lambda_max(n, n, dev), r),
+        t_L, t_R, bd = optimize_repetitions(harmonic_spectrum(lambda_max(n, n, dev), r),
                                             n, n, k, noise, config.sigma_b_sq)
         baseline = baseline_error_analytic(n, n, config.sigma_e_sq, config.sigma_b_sq)
         rows.append(ScalingRow(n=n, r=r, k=k, t_L=t_L, t_R=t_R,
@@ -486,15 +487,16 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     k when k_range is 'all'). `lanes` has no effect (see _check_lanes).
 
     The analytic values, and the optimizer's choices, come from the
-    prescribed spectrum, as in run_sweep; the MC runs on the generated
-    target, whose SVD gives only the factors. Every verdict therefore also
-    checks that the target has the spectrum the formulas assume."""
+    prescribed spectrum harmonic_spectrum(resolved lambda, r), as in
+    run_sweep; the MC runs on the generated target, whose SVD gives only
+    the factors. Every verdict therefore also checks that the target has
+    the spectrum the formulas assume."""
     _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
     A = target(config)
     s = svd(A)
-    singulars = spectrum(config.resolved_lambda(), config.r)
+    singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     noise = config.noise()
     rows: list[McRow] = []
 

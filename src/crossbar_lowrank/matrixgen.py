@@ -1,5 +1,9 @@
 """Reproducible generation of matrices with prescribed singular values.
 
+A spectrum is a plain 1-D array of singular values. `harmonic_spectrum`
+is the one statement of the harmonic profile lam/i, i <= r, and
+`prescribed_matrix` builds a matrix with any valid spectrum.
+
 Stream contract: a rank-r m x n matrix draws a full m x m Gaussian
 square, then a full n x n one, from its stream, and orthogonalizes only
 the leading r columns of each. Stream use therefore does not depend on r,
@@ -8,54 +12,19 @@ squares up to round-off (within 1e-13 of its Frobenius norm).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class SingularProfile:
-    """Prescribed singular spectrum: harmonic lam/i or an explicit list."""
-
-    kind: str
-    r: int
-    lam: float | None = None
-    values: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("harmonic", "explicit"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.r < 1:
-            raise ValueError(f"rank must be positive, got {self.r}")
-        if self.kind == "harmonic":
-            if self.lam is None or not self.lam > 0:
-                raise ValueError(f"harmonic profile needs lam > 0, got {self.lam}")
-        else:
-            if not self.values:
-                raise ValueError("explicit profile needs a nonempty value list")
-            if len(self.values) != self.r:
-                raise ValueError(
-                    f"explicit profile length {len(self.values)} != r = {self.r}"
-                )
-            vals = self.values
-            if any(v <= 0 for v in vals):
-                raise ValueError("explicit singular values must be positive")
-            if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
-                raise ValueError("explicit singular values must be nonincreasing")
-
-    @classmethod
-    def harmonic(cls, lam: float, r: int) -> "SingularProfile":
-        return cls(kind="harmonic", r=r, lam=lam)
-
-    @classmethod
-    def explicit(cls, values) -> "SingularProfile":
-        vals = tuple(float(v) for v in values)
-        return cls(kind="explicit", r=len(vals), values=vals)
-
-    def resolve(self) -> np.ndarray:
-        if self.kind == "harmonic":
-            return self.lam / np.arange(1, self.r + 1)
-        return np.asarray(self.values, dtype=float)
+def harmonic_spectrum(lam: float, r: int) -> np.ndarray:
+    """The harmonic profile lam/i, i <= r: the spectrum every target is
+    built from and every closed form is evaluated on."""
+    if r < 1:
+        raise ValueError(f"rank must be positive, got {r}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
+    return lam / np.arange(1, r + 1)
 
 
 def random_orthogonal(dim: int, rng: np.random.Generator,
@@ -84,26 +53,36 @@ def random_orthogonal(dim: int, rng: np.random.Generator,
     return Q * signs
 
 
-def prescribed_matrix(m: int, n: int, profile: SingularProfile,
+def prescribed_matrix(m: int, n: int, singulars,
                       rng: np.random.Generator) -> np.ndarray:
-    """m x n matrix with exactly the profile's singular values.
+    """m x n matrix with exactly the given singular values.
 
-    Built as U_r diag(s) V_r' from the leading r columns of independent
-    random orthogonal factors, so the spectrum is exact up to
-    orthogonalization round-off. U's m x m square is drawn before V's
-    n x n square.
+    The values must form a nonempty, nonincreasing 1-D array of finite
+    positive numbers, at most min(m, n) long; they are checked before
+    anything is drawn. Built as U_r diag(s) V_r' from the leading r
+    columns of independent random orthogonal factors, so the spectrum is
+    exact up to orthogonalization round-off. U's m x m square is drawn
+    before V's n x n square.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
-    if profile.r > min(m, n):
-        raise ValueError(f"rank {profile.r} exceeds min(m, n) = {min(m, n)}")
-    sigma = profile.resolve()
-    U = random_orthogonal(m, rng, profile.r)
-    V = random_orthogonal(n, rng, profile.r)
+    sigma = np.asarray(singulars, dtype=float)
+    if sigma.ndim != 1 or sigma.size == 0:
+        raise ValueError(f"singular values must be a nonempty 1-D array, "
+                         f"got shape {sigma.shape}")
+    if not (np.isfinite(sigma) & (sigma > 0)).all():
+        raise ValueError("singular values must be finite and positive")
+    if (np.diff(sigma) > 0).any():
+        raise ValueError("singular values must be nonincreasing")
+    r = sigma.size
+    if r > min(m, n):
+        raise ValueError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
+    U = random_orthogonal(m, rng, r)
+    V = random_orthogonal(n, rng, r)
     return (U * sigma) @ V.T
 
 
 def harmonic_matrix(m: int, n: int, r: int, lam: float,
                     rng: np.random.Generator) -> np.ndarray:
     """Member of the harmonic class: rank r, singular values lam/i."""
-    return prescribed_matrix(m, n, SingularProfile.harmonic(lam, r), rng)
+    return prescribed_matrix(m, n, harmonic_spectrum(lam, r), rng)

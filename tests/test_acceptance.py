@@ -23,7 +23,7 @@ from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import DeviceParams, iid_entries, magnitude_check
 from crossbar_lowrank.experiments import ExperimentConfig, run_sweep
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate, truncation_error_sq
-from crossbar_lowrank.matrixgen import SingularProfile, harmonic_matrix, prescribed_matrix
+from crossbar_lowrank.matrixgen import harmonic_matrix, prescribed_matrix
 from crossbar_lowrank.matrixio import write_matrix
 from crossbar_lowrank.montecarlo import compare, run_baseline_trials, run_two_step_trials
 from crossbar_lowrank.rng import child_stream
@@ -94,7 +94,7 @@ def test_criterion_02_two_step_error_formula():
                           sigma_R_sq=float(rng.uniform(0.01, 0.1)), dist=dist)
         sb = float(rng.uniform(0.5, 4.0))
         vals = np.sort(rng.uniform(0.3, 5.0, size=r))[::-1]
-        A = prescribed_matrix(m, n, SingularProfile.explicit(vals), rng)
+        A = prescribed_matrix(m, n, vals, rng)
         s = svd(A)
         analytic = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R,
                                            noise.sigma_L_sq, noise.sigma_R_sq, sb).total
@@ -115,8 +115,7 @@ def test_criterion_02_two_step_error_formula():
         ([5.0, 1.0], 24, 12, 1, 4, 3, 0.02, 0.09, 1.0, "gaussian"),
     ]
     for j, (vals, m, n, k, t_L, t_R, sl, sr, sb, dist) in enumerate(iso_configs):
-        A = prescribed_matrix(m, n, SingularProfile.explicit(vals),
-                              np.random.default_rng(900 + j))
+        A = prescribed_matrix(m, n, vals, np.random.default_rng(900 + j))
         s = svd(A)
         r = len(vals)
         parts = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R, sl, sr, sb)
@@ -207,7 +206,7 @@ def test_criterion_04_best_rank_k_identity():
         if i % 3 == 0 and min(m, n) >= 2:
             r = int(rng.integers(1, min(m, n)))
             vals = np.sort(rng.uniform(0.1, 8.0, size=r))[::-1]
-            A = prescribed_matrix(m, n, SingularProfile.explicit(vals), rng)
+            A = prescribed_matrix(m, n, vals, rng)
         else:
             A = 10.0 ** rng.uniform(-2, 2) * rng.normal(size=(m, n))
         s = svd(A)

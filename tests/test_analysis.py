@@ -206,6 +206,42 @@ class TestOptimizeRank:
             optimize_rank([1.0], 4, 4, NoiseSpec(), 1.0, 5)
 
 
+class TestNonFiniteInput:
+    """A non-finite spectrum or variance is refused at the entry point, not
+    turned into a NaN breakdown or a made-up argmin."""
+
+    NOISE = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
+
+    @pytest.mark.parametrize("singulars", [[math.nan, 1.0], [math.inf, 1.0], [2.0, -1.0]])
+    def test_rejects_bad_spectrum(self, singulars):
+        with pytest.raises(ValueError, match="singular values"):
+            optimize_repetitions(singulars, 40, 40, 1, self.NOISE, 3.0)
+        with pytest.raises(ValueError, match="singular values"):
+            optimize_rank(singulars, 40, 40, self.NOISE, 3.0, 2)
+        with pytest.raises(ValueError, match="singular values"):
+            two_step_error_analytic(singulars, 40, 40, 1, 1, 1, 0.05, 0.05, 3.0)
+
+    @pytest.mark.parametrize("sigma_b_sq", [math.nan, math.inf])
+    def test_rejects_bad_input_variance(self, sigma_b_sq):
+        with pytest.raises(ValueError, match="variances"):
+            optimize_repetitions([2.0, 1.0], 40, 40, 1, self.NOISE, sigma_b_sq)
+        with pytest.raises(ValueError, match="variances"):
+            optimize_rank([2.0, 1.0], 40, 40, self.NOISE, sigma_b_sq, 2)
+        with pytest.raises(ValueError, match="variances"):
+            two_step_error_analytic([2.0, 1.0], 40, 40, 1, 1, 1, 0.05, 0.05, sigma_b_sq)
+        with pytest.raises(ValueError, match="variances"):
+            baseline_error_analytic(40, 40, 0.05, sigma_b_sq)
+
+    @pytest.mark.parametrize("sigma_sq", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_noise_variance(self, sigma_sq):
+        with pytest.raises(ValueError, match="variances"):
+            two_step_error_analytic([1.0], 4, 4, 1, 1, 1, sigma_sq, 0.05, 1.0)
+        with pytest.raises(ValueError, match="variances"):
+            two_step_error_analytic([1.0], 4, 4, 1, 1, 1, 0.05, sigma_sq, 1.0)
+        with pytest.raises(ValueError, match="variances"):
+            baseline_error_analytic(4, 4, sigma_sq, 1.0)
+
+
 class TestHarmonicTrace:
     def test_single_term(self):
         exact, bound = harmonic_trace(1.0, 1)

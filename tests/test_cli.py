@@ -201,6 +201,21 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "n=10000000" in err[0] and "k=1" in err[0]
 
+    def test_high_scaling_rank_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # r = n at alpha=1, so the row at n=2**21 would hold 2**21 singular
+        # values; it is refused before any row is computed
+        def never(*args, **kwargs):
+            raise AssertionError("scaling row computed")
+        monkeypatch.setattr(experiments, "optimize_repetitions", never)
+        p = tmp_path / "grid.cfg"
+        p.write_text("alpha=1\nn_grid=262144 524288 1048576 2097152\n")
+        assert main(["scaling", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "n=2097152" in err[0] and "r=2097152" in err[0]
+
     def test_oversized_dims_still_run_scaling(self, tmp_path, capsys, monkeypatch):
         # scaling forms no matrix, so the cap does not apply to it
         monkeypatch.setattr(experiments, "harmonic_matrix", None)

@@ -30,13 +30,13 @@ from crossbar_lowrank.experiments import (
     run_sweep,
     scaling_csv,
     scaling_json,
-    spectrum,
     sweep_csv,
     sweep_json,
     sweep_summary,
     target,
 )
 from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values
+from crossbar_lowrank.matrixgen import harmonic_spectrum
 from crossbar_lowrank.rng import MASK64
 
 SMALL = dict(m=16, n=16, r=4, lam=4.0, trials=0)
@@ -340,15 +340,15 @@ class TestSweepSingularVectors:
 
 
 class TestPrescribedSpectrum:
-    """Analytic values come from spectrum(); MC runs on target(). These
-    pin the two to each other."""
+    """Analytic values come from harmonic_spectrum(); MC runs on target().
+    These pin the two to each other."""
 
     @pytest.mark.parametrize("m,n,r,lam", [
         (12, 12, 3, 3.0), (64, 48, 8, 2.0), (9, 30, 5, "max"),
         (40, 17, 17, "max"), (100, 100, 16, 10.0)])
     def test_target_has_the_spectrum(self, m, n, r, lam):
         cfg = ExperimentConfig(m=m, n=n, r=r, lam=lam, master_seed=7)
-        expected = spectrum(cfg.resolved_lambda(), r)
+        expected = harmonic_spectrum(cfg.resolved_lambda(), r)
         s = singular_values(target(cfg))
         np.testing.assert_allclose(s[:r], expected, rtol=1e-13, atol=0)
         assert np.all(s[r:] < RANK_TOL_REL * s[0])
@@ -464,6 +464,24 @@ class TestRunScaling:
         assert calls == [(n, 1) for n in grid]
         with pytest.raises(ConfigError, match=f"n={top + 1}, k=1"):
             run_scaling(ExperimentConfig(alpha=0.01, n_grid=grid[:3] + (top + 1,)))
+
+    def test_rank_cap_rejects_before_any_row(self, monkeypatch):
+        # alpha=1 gives r = n; the row at n=2**21 scans only about 2900
+        # values of t_L but would hold 2**21 singular values
+        calls = self._fake_optimizer(monkeypatch)
+        top = 2 ** 21
+        cfg = ExperimentConfig(alpha=1.0, n_grid=(top // 8, top // 4, top // 2, top))
+        with pytest.raises(ConfigError, match=f"n={top}, r={top}:"):
+            run_scaling(cfg)
+        assert calls == []
+
+    def test_rank_cap_is_inclusive(self, monkeypatch):
+        calls = self._fake_optimizer(monkeypatch)
+        top = MAX_SCALING_SCAN
+        grid = (top // 8, top // 4, top // 2, top)
+        res = run_scaling(ExperimentConfig(alpha=1.0, n_grid=grid))
+        assert [row.r for row in res.rows] == list(grid)
+        assert [n for n, _ in calls] == list(grid)
 
     @pytest.mark.parametrize("alpha", [0.01, 0.5, 1.0])
     @pytest.mark.parametrize("grid", [ExperimentConfig().n_grid,

@@ -9,24 +9,24 @@ from crossbar_lowrank.analysis import lambda_max
 from crossbar_lowrank.core import DeviceParams, magnitude_check
 from crossbar_lowrank.lowrank import svd
 from crossbar_lowrank.matrixgen import (
-    SingularProfile,
     harmonic_matrix,
+    harmonic_spectrum,
     prescribed_matrix,
     random_orthogonal,
 )
 from crossbar_lowrank.rng import child_stream
 
 
-def _reference_prescribed_matrix(m, n, profile, rng):
+def _reference_prescribed_matrix(m, n, vals, rng):
     """The construction before the thin QR: QR of the full Gaussian
     squares, then their leading r columns."""
     def full_q(dim):
         Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
         return Q * np.where(np.diag(Q) < 0, -1.0, 1.0)
 
-    U = full_q(m)[:, :profile.r]
-    V = full_q(n)[:, :profile.r]
-    return (U * profile.resolve()) @ V.T
+    U = full_q(m)[:, :len(vals)]
+    V = full_q(n)[:, :len(vals)]
+    return (U * vals) @ V.T
 
 
 class TestRandomOrthogonal:
@@ -70,31 +70,18 @@ class TestRandomOrthogonal:
         assert full_rng.standard_normal() == thin_rng.standard_normal()
 
 
-class TestSingularProfile:
+class TestHarmonicSpectrum:
     def test_harmonic_values(self):
-        prof = SingularProfile.harmonic(6.0, 4)
-        np.testing.assert_allclose(prof.resolve(), [6.0, 3.0, 2.0, 1.5], rtol=1e-15)
+        np.testing.assert_array_equal(harmonic_spectrum(6.0, 4), [6.0, 3.0, 2.0, 1.5])
 
-    def test_explicit_passthrough(self):
-        prof = SingularProfile.explicit([4.0, 2.0, 2.0, 0.5])
-        np.testing.assert_array_equal(prof.resolve(), [4.0, 2.0, 2.0, 0.5])
-        assert prof.r == 4
+    @pytest.mark.parametrize("lam", [0.0, math.inf, math.nan])
+    def test_rejects_bad_lam(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            harmonic_spectrum(lam, 3)
 
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            SingularProfile.explicit([1.0, 2.0])
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            SingularProfile.explicit([2.0, 0.0])
-        with pytest.raises(ValueError):
-            SingularProfile.harmonic(0.0, 3)
-
-    def test_rejects_empty_or_bad_rank(self):
-        with pytest.raises(ValueError):
-            SingularProfile.explicit([])
-        with pytest.raises(ValueError):
-            SingularProfile.harmonic(1.0, 0)
+    def test_rejects_bad_rank(self):
+        with pytest.raises(ValueError, match="rank"):
+            harmonic_spectrum(1.0, 0)
 
 
 class TestHarmonicMatrix:
@@ -115,17 +102,19 @@ class TestHarmonicMatrix:
         with pytest.raises(ValueError):
             harmonic_matrix(4, 6, 5, 1.0, np.random.default_rng(0))
 
+    def test_rejects_infinite_lam(self):
+        with pytest.raises(ValueError, match="lam"):
+            harmonic_matrix(4, 4, 2, math.inf, np.random.default_rng(0))
+
 
 class TestPrescribedMatrix:
     def test_exact_spectrum(self):
-        prof = SingularProfile.explicit([3.0, 1.0])
-        a = prescribed_matrix(5, 4, prof, np.random.default_rng(11))
+        a = prescribed_matrix(5, 4, [3.0, 1.0], np.random.default_rng(11))
         got = svd(a).singulars[:2]
         np.testing.assert_allclose(got, [3.0, 1.0], rtol=1e-10)
 
     def test_rank_one_frobenius(self):
-        prof = SingularProfile.explicit([7.0])
-        a = prescribed_matrix(4, 3, prof, np.random.default_rng(2))
+        a = prescribed_matrix(4, 3, [7.0], np.random.default_rng(2))
         assert np.linalg.norm(a) == pytest.approx(7.0, rel=1e-9)
         assert svd(a).rank == 1
 
@@ -136,8 +125,7 @@ class TestPrescribedMatrix:
             n = int(rng.integers(2, 24))
             r = int(rng.integers(1, min(m, n) + 1))
             vals = np.sort(rng.uniform(0.1, 9.0, size=r))[::-1]
-            prof = SingularProfile.explicit(vals)
-            a = prescribed_matrix(m, n, prof, rng)
+            a = prescribed_matrix(m, n, vals, rng)
             res = svd(a)
             np.testing.assert_allclose(res.singulars[:r], vals, rtol=1e-8)
             assert np.linalg.norm(a) ** 2 == pytest.approx(float(vals @ vals), rel=1e-8)
@@ -148,20 +136,38 @@ class TestPrescribedMatrix:
     def test_matches_full_square_reference(self, m, n, r):
         rng = np.random.default_rng(1000 * m + n)
         vals = np.sort(rng.uniform(0.1, 9.0, size=r))[::-1]
-        prof = SingularProfile.explicit(vals)
         got_rng, ref_rng = child_stream(m, n, r), child_stream(m, n, r)
-        got = prescribed_matrix(m, n, prof, got_rng)
-        ref = _reference_prescribed_matrix(m, n, prof, ref_rng)
+        got = prescribed_matrix(m, n, vals, got_rng)
+        ref = _reference_prescribed_matrix(m, n, vals, ref_rng)
         np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
         np.testing.assert_allclose(svd(got).singulars[:r], svd(ref).singulars[:r],
                                    rtol=1e-12)
         # same stream use: the next draw agrees
         assert got_rng.standard_normal() == ref_rng.standard_normal()
 
+    @staticmethod
+    def _assert_nothing_drawn(rng):
+        assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
+
     def test_rejects_rank_beyond_dims(self):
-        prof = SingularProfile.explicit([2.0, 1.0])
-        with pytest.raises(ValueError):
-            prescribed_matrix(1, 5, prof, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="exceeds"):
+            prescribed_matrix(1, 5, [2.0, 1.0], rng)
+        self._assert_nothing_drawn(rng)
+
+    @pytest.mark.parametrize("vals", [
+        pytest.param([1.0, 2.0], id="increasing"),
+        pytest.param([2.0, 0.0], id="zero"),
+        pytest.param([], id="empty"),
+        pytest.param([math.nan], id="nan"),
+        pytest.param([math.inf, 1.0], id="inf"),
+        pytest.param([[2.0], [1.0]], id="two-dim"),
+    ])
+    def test_rejects_bad_values(self, vals):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="singular values"):
+            prescribed_matrix(4, 5, vals, rng)
+        self._assert_nothing_drawn(rng)
 
 
 class TestMagnitudeStrictness:

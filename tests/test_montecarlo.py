@@ -8,7 +8,7 @@ from crossbar_lowrank.analysis import two_step_error_analytic
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate
-from crossbar_lowrank.matrixgen import SingularProfile, prescribed_matrix
+from crossbar_lowrank.matrixgen import prescribed_matrix
 from crossbar_lowrank.montecarlo import (
     BLOCK_TRIALS,
     NOISE_CELLS,
@@ -82,8 +82,7 @@ class TestBaselineTrials:
 def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
     """A, its rank-k factors f, and run_two_step_trials' arguments after
     them: (t_L, t_R, noise, sigma_b_sq)."""
-    prof = SingularProfile.explicit(values)
-    A = prescribed_matrix(m, n, prof, np.random.default_rng(seed))
+    A = prescribed_matrix(m, n, values, np.random.default_rng(seed))
     f = factor_lr(svd(A), k)
     return A, f, (t_L, t_R, noise, sigma_b_sq)
 

@@ -5,7 +5,7 @@ import pytest
 
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.lowrank import LrFactors, factor_lr, svd, truncate
-from crossbar_lowrank.matrixgen import prescribed_matrix, SingularProfile
+from crossbar_lowrank.matrixgen import prescribed_matrix
 from crossbar_lowrank.montecarlo import run_two_step_trials
 from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import (
@@ -199,7 +199,7 @@ class TestTwoStepVmm:
     def test_monte_carlo_matches_analytic_hand_case(self):
         # m=n=4, k=1, singulars=[2], t_L=t_R=2, variances 0.05, input var 3
         gen = child_stream(1234, 0)
-        A = prescribed_matrix(4, 4, SingularProfile.explicit([2.0]), gen)
+        A = prescribed_matrix(4, 4, [2.0], gen)
         s = svd(A)
         f = factor_lr(s, 1)
         ns = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
@@ -220,7 +220,7 @@ class TestTwoStepVmm:
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     def test_distribution_invariance(self, dist):
         gen = child_stream(4321, 0)
-        A = prescribed_matrix(8, 8, SingularProfile.explicit([3.0, 2.0, 1.0]), gen)
+        A = prescribed_matrix(8, 8, [3.0, 2.0, 1.0], gen)
         s = svd(A)
         f = factor_lr(s, 2)
         ns = NoiseSpec(sigma_L_sq=0.04, sigma_R_sq=0.06, dist=dist)
@@ -309,7 +309,7 @@ def test_cross_term_cancellation():
     m, k, n = 4, 2, 4
     t_L = t_R = 2
     sL, sR = 0.05, 0.05
-    A = prescribed_matrix(m, n, SingularProfile.explicit([2.0, 1.0]), rng)
+    A = prescribed_matrix(m, n, [2.0, 1.0], rng)
     f = factor_lr(svd(A), k)
     trials = 100_000
     T = trials // CHUNKS
