@@ -98,6 +98,8 @@ def _tail_and_trace(singulars, k: int) -> tuple[float, float]:
     s = np.asarray(singulars, dtype=float)
     if not (np.isfinite(s) & (s >= 0)).all():
         raise ValueError("singular values must be finite and nonnegative")
+    if (np.diff(s) > 0).any():
+        raise ValueError("singular values must be nonincreasing")
     kk = min(k, s.shape[0])
     return float(np.sum(s[kk:] ** 2)), float(np.sum(s[:kk]))
 
@@ -162,13 +164,10 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
     """Joint best (k, t_L, t_R) over k in [1, k_max]; ties prefer smaller k."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
-    best: tuple[int, int, int, ErrorBreakdown] | None = None
-    for k in range(1, k_max + 1):
-        if not budget_feasible(m, n, k, 1, 1):
-            break  # larger k only gets worse
-        t_L, t_R, bd = optimize_repetitions(singulars, m, n, k, noise, sigma_b_sq)
-        if best is None or bd.total < best[3].total:
-            best = (k, t_L, t_R, bd)
+    # min keeps the first of equal totals, so ties go to the smaller k
+    best = min(((k, *optimize_repetitions(singulars, m, n, k, noise, sigma_b_sq))
+                for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)),
+               key=lambda choice: choice[3].total, default=None)
     if best is None:
         raise InfeasibleBudgetError(
             f"no rank fits the budget: m+n = {m + n} devices per unit rank "

@@ -16,7 +16,7 @@ import dataclasses
 import sys
 from typing import Iterable
 
-from .analysis import InfeasibleBudgetError, lambda_max
+from .analysis import lambda_max
 from .core import DeviceParams, magnitude_check
 from .experiments import (
     ConfigError,
@@ -193,10 +193,7 @@ def main(argv=None) -> int:
     except MatrixFormatError as exc:
         print(f"error: {args.matrix}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (InfeasibleBudgetError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,15 +1,18 @@
 """Experiment orchestration: rank sweeps, scaling studies, MC validation.
 
-Configs are flat key=value text files ('#' starts a comment); every key
-has a default matching the standard demonstration setup (100x100 array,
-rank-16 harmonic spectrum, lam=10, all write variances 0.05, input
-variance 3). `ExperimentConfig` checks its own keys and leaves the noise
-and device keys to `NoiseSpec` and `DeviceParams`, turning their errors
-into `ConfigError`. `target(config)` is the one place the target matrix
-is built, and it refuses sizes whose Gaussian squares would exceed
-`MAX_SQUARE_CELLS`. The target is built from, and every closed form is
-evaluated on, the prescribed spectrum `matrixgen.harmonic_spectrum(lam, r)`,
-the singular values lam/i, i <= r.
+Configs are flat key=value text files ('#' starts a comment), parsed by
+one table that gives each key its config field and its kind of value;
+every key has a default matching the standard demonstration setup
+(100x100 array, rank-16 harmonic spectrum, lam=10, all write variances
+0.05, input variance 3). `ExperimentConfig` checks its own keys and
+leaves the noise and device keys to `NoiseSpec` and `DeviceParams`,
+turning their errors into `ConfigError`. `lambda` and `beta` are checked
+as the values the program uses, so a `lambda=max` that resolves to a
+non-finite or zero value is a `ConfigError` too. `target(config)` is the
+one place the target matrix is built, and it refuses sizes whose
+Gaussian squares would exceed `MAX_SQUARE_CELLS`. The target is built
+from, and every closed form is evaluated on, the prescribed spectrum
+`matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
 
 Every result is a table of one row dataclass, written by one CSV and one
 JSON writer: the columns are the row's fields, and the extra lines or
@@ -99,19 +102,23 @@ class ExperimentConfig:
             raise ConfigError(f"m and n must be positive, got {self.m}x{self.n}")
         if not 1 <= self.r <= min(self.m, self.n):
             raise ConfigError(f"r must be in [1, min(m, n)], got {self.r}")
-        if self.lam != "max" and not _finite_positive(float(self.lam)):
-            raise ConfigError(f"lambda must be finite and positive or 'max', got {self.lam}")
         try:
             self.noise()
             self.device()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        lam = self.resolved_lambda()
+        if not _finite_positive(lam):
+            got = (f"{self.lam}, which resolves to {lam!r}"
+                   if isinstance(self.lam, str) else self.lam)
+            raise ConfigError(f"lambda must be finite and positive or 'max', got {got}")
         if not _finite_positive(self.sigma_b_sq):
             raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
         if self.trials < 0 or self.trials == 1:
             raise ConfigError(f"trials must be 0 (analytic only) or >= 2, got {self.trials}")
         if not 0 <= self.master_seed <= MASK64:
             raise ConfigError(f"master_seed must fit in 64 bits, got {self.master_seed}")
+        # checked as written: resolving "all" builds r ints, and scaling takes any r
         if self.k_range != "all":
             ks = self.k_range
             if not ks or any(not 1 <= k <= self.r for k in ks):
@@ -120,7 +127,7 @@ class ExperimentConfig:
                 raise ConfigError("k_range must be strictly increasing")
         if not 0 < self.alpha <= 1:
             raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.beta != "optimal" and not 0 < float(self.beta) <= 1:
+        if not 0 < self.resolved_beta() <= 1:
             raise ConfigError(f"beta must lie in (0, 1] or be 'optimal', got {self.beta}")
         if not 0 < self.c1 <= 1 or not 0 < self.c2 <= 1:
             raise ConfigError("c1 and c2 must lie in (0, 1]")
@@ -150,11 +157,6 @@ class ExperimentConfig:
         return tuple(self.k_range)
 
 
-_INT_KEYS = {"m", "n", "r", "trials", "master_seed"}
-_FLOAT_KEYS = {"sigma_e_sq", "sigma_L_sq", "sigma_R_sq", "sigma_b_sq",
-               "rho", "r_T", "alpha", "c1", "c2"}
-
-
 def parse_config_text(text: str) -> dict[str, str]:
     """key=value lines to a raw string mapping; '#' starts a comment."""
     raw: dict[str, str] = {}
@@ -175,43 +177,49 @@ def parse_config_text(text: str) -> dict[str, str]:
     return raw
 
 
-def _int_list(value: str, key: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in value.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"{key} must be a comma-separated integer list, got {value!r}") from None
+def _int_list(value: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in value.replace(",", " ").split())
+
+
+# a kind of value: its parser, which raises ValueError on a bad value, and
+# what the error message says a value must be
+_INTEGER = (int, "an integer")
+_NUMBER = (float, "a number")
+_NAME = (str, "a name")
+_INT_LIST = (_int_list, "a comma-separated integer list")
+
+
+def _keyword_or(keyword: str, kind):
+    """`kind`, except that `keyword` is kept as written."""
+    parse, what = kind
+    return (lambda value: value if value == keyword else parse(value)), what
+
+
+# config-file key -> (ExperimentConfig field, kind of value)
+_CONFIG_KEYS = {
+    "m": ("m", _INTEGER), "n": ("n", _INTEGER), "r": ("r", _INTEGER),
+    "lambda": ("lam", _keyword_or("max", _NUMBER)),
+    "sigma_e_sq": ("sigma_e_sq", _NUMBER), "sigma_L_sq": ("sigma_L_sq", _NUMBER),
+    "sigma_R_sq": ("sigma_R_sq", _NUMBER), "sigma_b_sq": ("sigma_b_sq", _NUMBER),
+    "trials": ("trials", _INTEGER), "master_seed": ("master_seed", _INTEGER),
+    "dist": ("dist", _NAME), "rho": ("rho", _NUMBER), "r_T": ("r_T", _NUMBER),
+    "k_range": ("k_range", _keyword_or("all", _INT_LIST)),
+    "alpha": ("alpha", _NUMBER), "beta": ("beta", _keyword_or("optimal", _NUMBER)),
+    "c1": ("c1", _NUMBER), "c2": ("c2", _NUMBER), "n_grid": ("n_grid", _INT_LIST),
+}
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     kwargs: dict = {}
     for key, value in raw.items():
-        if key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            kwargs[key] = _parse_float(value, key)
-        elif key == "lambda":
-            kwargs["lam"] = "max" if value == "max" else _parse_float(value, "lambda")
-        elif key == "beta":
-            kwargs["beta"] = "optimal" if value == "optimal" else _parse_float(value, "beta")
-        elif key == "dist":
-            kwargs["dist"] = value
-        elif key == "k_range":
-            kwargs["k_range"] = "all" if value == "all" else _int_list(value, "k_range")
-        elif key == "n_grid":
-            kwargs["n_grid"] = _int_list(value, "n_grid")
-        else:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
+        field, (parse, what) = _CONFIG_KEYS[key]
+        try:
+            kwargs[field] = parse(value)
+        except ValueError:
+            raise ConfigError(f"{key} must be {what}, got {value!r}") from None
     return ExperimentConfig(**kwargs)
-
-
-def _parse_float(value: str, key: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -358,7 +366,6 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
     rows: list[SweepRow] = []
-    best: SweepRow | None = None
     for k in config.resolved_k_range():
         if not budget_feasible(config.m, config.n, k, 1, 1):
             rows.append(SweepRow(k=k, t_L=0, t_R=0, feasible=False,
@@ -370,12 +377,12 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
         if config.trials > 0:
             res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_SWEEP_MC)
             mc_mean, mc_stderr = res.mean_sq_error, res.std_error
-        row = SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
-                       mc_mean=mc_mean, mc_stderr=mc_stderr,
-                       **_analytic_columns(bd, baseline))
-        rows.append(row)
-        if best is None or row.analytic_total < best.analytic_total:
-            best = row
+        rows.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
+                             mc_mean=mc_mean, mc_stderr=mc_stderr,
+                             **_analytic_columns(bd, baseline)))
+    # min keeps the first of equal totals, so ties go to the smaller k
+    best = min((row for row in rows if row.feasible),
+               key=lambda row: row.analytic_total, default=None)
     return SweepResult(rows=rows, argmin_k=None if best is None else best.k,
                        lam_resolved=config.resolved_lambda(), config=config)
 
@@ -424,8 +431,9 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     k = max(1, floor(c1*r^beta)); lam saturates the magnitude budget at
     every size. Emits per-n rows plus fitted log-log slopes.
 
-    A row whose rank r or t_L scan would exceed MAX_SCALING_SCAN is a
-    ConfigError, raised before any row is computed."""
+    A row whose rank r or t_L scan would exceed MAX_SCALING_SCAN, or whose
+    lambda_max is not finite and positive, is a ConfigError, raised before
+    any row is computed."""
     _check_geometric(config.n_grid)
     _require_baseline_noise(config)
     beta = config.resolved_beta()
@@ -444,10 +452,14 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
             raise ConfigError(
                 f"scaling row n={n}, k={k}: the optimizer would scan {scan} "
                 f"t_L values, over the cap of {MAX_SCALING_SCAN}")
-        sizes.append((n, r, k))
+        lam = lambda_max(n, n, dev)
+        if not _finite_positive(lam):
+            raise ConfigError(
+                f"scaling row n={n}: lambda_max is {lam!r}, not finite and positive")
+        sizes.append((n, r, k, lam))
     rows: list[ScalingRow] = []
-    for n, r, k in sizes:
-        t_L, t_R, bd = optimize_repetitions(harmonic_spectrum(lambda_max(n, n, dev), r),
+    for n, r, k, lam in sizes:
+        t_L, t_R, bd = optimize_repetitions(harmonic_spectrum(lam, r),
                                             n, n, k, noise, config.sigma_b_sq)
         baseline = baseline_error_analytic(n, n, config.sigma_e_sq, config.sigma_b_sq)
         rows.append(ScalingRow(n=n, r=r, k=k, t_L=t_L, t_R=t_R,
@@ -566,7 +578,6 @@ def _table_csv(schema: str, config_line: str, row_type, rows, tail: list[str]) -
 def _table_json(schema: str, config: ExperimentConfig, rows, **extra) -> str:
     d = dataclasses.asdict(config)
     d["k_range"] = list(config.resolved_k_range())
-    d["n_grid"] = list(config.n_grid)
     doc = {"schema": schema.lstrip("# "), "config": d,
            "rows": [dataclasses.asdict(row) for row in rows], **extra}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -18,10 +18,6 @@ from .core import as_matrix
 RANK_TOL_REL = 1e-10
 
 
-class DecompositionError(RuntimeError):
-    """The underlying numerical decomposition failed to converge."""
-
-
 @dataclass(frozen=True)
 class SvdResult:
     """Thin SVD A = U diag(singulars) V' with a deterministic sign convention.
@@ -56,25 +52,18 @@ def numerical_rank(s: np.ndarray) -> int:
     return int(np.count_nonzero(s > tol))
 
 
-def _lapack_svd(A: np.ndarray, compute_uv: bool):
-    try:
-        return np.linalg.svd(A, full_matrices=False, compute_uv=compute_uv)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD did not converge for {A.shape} matrix") from exc
-
-
 def singular_values(A) -> np.ndarray:
     """Nonincreasing singular values of A, with no singular vectors computed.
 
     They agree with svd(A).singulars to round-off, not bit for bit,
     because LAPACK takes a different path when it skips the vectors.
     """
-    return _lapack_svd(as_matrix(A), compute_uv=False)
+    return np.linalg.svd(as_matrix(A), full_matrices=False, compute_uv=False)
 
 
 def svd(A) -> SvdResult:
     A = as_matrix(A)
-    U, s, Vt = _lapack_svd(A, compute_uv=True)
+    U, s, Vt = np.linalg.svd(A, full_matrices=False, compute_uv=True)
     V = Vt.T
     # sign convention: largest-magnitude entry of each U column is positive,
     # with V flipped jointly so the product is unchanged

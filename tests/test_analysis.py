@@ -212,7 +212,8 @@ class TestNonFiniteInput:
 
     NOISE = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
 
-    @pytest.mark.parametrize("singulars", [[math.nan, 1.0], [math.inf, 1.0], [2.0, -1.0]])
+    @pytest.mark.parametrize("singulars", [[math.nan, 1.0], [math.inf, 1.0], [2.0, -1.0],
+                                           [1.0, 5.0]])
     def test_rejects_bad_spectrum(self, singulars):
         with pytest.raises(ValueError, match="singular values"):
             optimize_repetitions(singulars, 40, 40, 1, self.NOISE, 3.0)

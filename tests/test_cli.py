@@ -106,6 +106,18 @@ class TestGenValidate:
         assert main(["validate", str(tmp_path / "ghost.mat")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_failed_svd_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        path = str(tmp_path / "a.mat")
+        write_matrix(np.eye(3), path)
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        assert main(["validate", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: SVD did not converge"]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -185,6 +197,36 @@ class TestUsageErrors:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ") and "m=8193" in err[0]
+
+    @pytest.mark.parametrize("command", [["sweep", "--trials", "0"], ["gen"], ["mc"]])
+    @pytest.mark.parametrize("device,resolved", [("rho=1e308", "inf"),
+                                                 ("r_T=1e308 rho=1e-300", "0.0")])
+    def test_lambda_max_out_of_range_is_a_config_error(self, tmp_path, capsys,
+                                                       command, device, resolved):
+        p = tmp_path / "max.cfg"
+        p.write_text(f"m=8 n=8 r=2 lambda=max {device}".replace(" ", "\n") + "\n")
+        assert main([*command, "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: lambda ")
+        assert f"resolves to {resolved}" in err[0]
+
+    def test_scaling_lambda_max_out_of_range_is_a_config_error(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # lambda_max(n, n) overflows to inf from n=10000 on at rho=1e300; the
+        # row is refused before any row is computed
+        def never(*args, **kwargs):
+            raise AssertionError("scaling row computed")
+        monkeypatch.setattr(experiments, "optimize_repetitions", never)
+        p = tmp_path / "grid.cfg"
+        p.write_text("rho=1e300\nalpha=0.01\nn_grid=1000 10000 100000 1000000\n")
+        assert main(["scaling", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "n=10000:" in err[0] and "lambda_max is inf" in err[0]
 
     def test_long_scaling_scan_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # r = k = 1 at alpha=0.01, so the row at n=1e7 would scan 1e7 - 1

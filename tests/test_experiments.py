@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +93,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="number"):
             config_from_mapping({"sigma_e_sq": "lots"})
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"lambda": "huge"}, "lambda must be a number, got 'huge'"),
+        ({"lambda": "-1"}, "lambda must be finite and positive or 'max', got -1.0"),
+        ({"beta": "best"}, "beta must be a number, got 'best'"),
+        ({"beta": "1.5"}, "beta must lie in (0, 1] or be 'optimal', got 1.5"),
+        ({"k_range": "1,two"}, "k_range must be a comma-separated integer list, got '1,two'"),
+        ({"n_grid": "16 32.5"}, "n_grid must be a comma-separated integer list, got '16 32.5'"),
+    ])
+    def test_bad_value_messages(self, raw, message):
+        with pytest.raises(ConfigError) as info:
+            config_from_mapping(raw)
+        assert str(info.value) == message
+
+    def test_key_table_covers_every_field_once(self):
+        table = sorted(field for field, _ in experiments._CONFIG_KEYS.values())
+        assert table == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+    def test_readme_documents_every_key_and_default(self):
+        # the README's "Config keys and defaults" block is itself a config
+        # file: it must name every key and parse to the defaults
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Config keys and defaults:", 1)[1].split("```", 2)[1]
+        raw = parse_config_text(block)
+        assert set(raw) == set(experiments._CONFIG_KEYS)
+        assert config_from_mapping(raw) == ExperimentConfig()
+
     def test_load_config_defaults_without_path(self):
         assert load_config(None) == ExperimentConfig()
 
@@ -157,6 +185,10 @@ class TestConfigValidation:
     def test_bad_dist(self):
         with pytest.raises(ConfigError, match="dist"):
             ExperimentConfig(dist="poisson")
+
+    def test_lambda_checked_after_device(self):
+        with pytest.raises(ConfigError, match="rho"):
+            ExperimentConfig(lam="max", rho=0.0)
 
     def test_resolvers(self):
         cfg = ExperimentConfig(lam="max", beta="optimal", alpha=1.0)

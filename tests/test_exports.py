@@ -3,10 +3,10 @@ import inspect
 import pytest
 
 import crossbar_lowrank
-from crossbar_lowrank import core, experiments, matrixgen, montecarlo, rng, schemes
+from crossbar_lowrank import core, experiments, lowrank, matrixgen, montecarlo, rng, schemes
 
 REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_count",
-           "SchemeConfig", "SingularProfile", "spectrum")
+           "SchemeConfig", "SingularProfile", "spectrum", "DecompositionError")
 
 
 def test_every_exported_name_resolves():
@@ -29,5 +29,5 @@ def test_removed_name_cannot_be_imported(name):
     assert name not in crossbar_lowrank.__all__
     with pytest.raises(ImportError):
         exec(f"from crossbar_lowrank import {name}", {})
-    for module in (core, schemes, rng, montecarlo, experiments, matrixgen):
+    for module in (core, schemes, rng, montecarlo, experiments, matrixgen, lowrank):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
