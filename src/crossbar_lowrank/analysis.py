@@ -79,8 +79,11 @@ def baseline_error_analytic(m: int, n: int, sigma_e_sq: float, sigma_b_sq: float
 
 
 def _breakdown(tail_sq: float, trace_k: float, m: int, n: int, k: int,
-               t_L: int, t_R: int, sigma_L_sq: float, sigma_R_sq: float,
+               t_L, t_R, sigma_L_sq: float, sigma_R_sq: float,
                sigma_b_sq: float) -> ErrorBreakdown:
+    """The four parts and their total; t_L and t_R may be equal-length
+    integer arrays, giving array fields with one entry per pair and the
+    same floats the scalar calls give."""
     truncation = sigma_b_sq * tail_sq
     stage1 = sigma_b_sq * (m * sigma_L_sq / t_L) * trace_k
     stage2 = sigma_b_sq * (n * sigma_R_sq / t_R) * trace_k
@@ -132,12 +135,13 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
                          sigma_b_sq: float) -> tuple[int, int, ErrorBreakdown]:
     """Best integer (t_L, t_R) for a fixed rank k under the memristor budget.
 
-    Enumerates t_L over its full feasible range and fills t_R greedily
-    with the remaining budget; the error is nonincreasing in t_R, so the
-    greedy fill dominates any smaller t_R at the same t_L and the scan
-    is exact. Ties prefer smaller t_L, then smaller t_R; totals within a
-    relative TIE_RTOL count as tied, so round-off in the spectrum cannot
-    break an exact tie (m = n with sigma_L_sq = sigma_R_sq).
+    Scores every t_L of its feasible range in one array pass, t_R
+    filling the remaining budget greedily; the error is nonincreasing in
+    t_R, so the greedy fill dominates any smaller t_R at the same t_L and
+    the scan is exact. Ties prefer smaller t_L, then smaller t_R; totals
+    within a relative TIE_RTOL count as tied, so round-off in the
+    spectrum cannot break an exact tie (m = n with sigma_L_sq =
+    sigma_R_sq).
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
@@ -148,15 +152,17 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
         )
     _check_variances(sigma_b_sq)
     tail_sq, trace_k = _tail_and_trace(singulars, k)
-    best: tuple[int, int, ErrorBreakdown] | None = None
-    for t_L in range(1, t_L_max(m, n, k) + 1):
-        t_R = (m * n - t_L * m * k) // (n * k)
-        bd = _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
-                        noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
-        if best is None or bd.total < best[2].total * (1.0 - TIE_RTOL):
-            best = (t_L, t_R, bd)
-    assert best is not None
-    return best
+    t_L = np.arange(1, t_L_max(m, n, k) + 1)
+    t_R = (m * n - t_L * m * k) // (n * k)
+    totals = _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
+                        noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq).total.tolist()
+    best = 0
+    for i, total in enumerate(totals):
+        if total < totals[best] * (1.0 - TIE_RTOL):
+            best = i
+    t_L_best, t_R_best = int(t_L[best]), int(t_R[best])
+    return t_L_best, t_R_best, _breakdown(tail_sq, trace_k, m, n, k, t_L_best, t_R_best,
+                                          noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
 
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,

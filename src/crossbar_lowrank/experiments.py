@@ -38,7 +38,7 @@ from .analysis import (
     t_L_max,
 )
 from .core import DeviceParams
-from .lowrank import factor_lr, svd
+from .lowrank import svd
 from .matrixgen import harmonic_matrix, harmonic_spectrum
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
 from .rng import MASK64, child_seed, child_stream
@@ -338,7 +338,7 @@ def _check_lanes(lanes: int) -> None:
 def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int,
                  t_R: int, role: int):
     """MC of the two-step scheme at rank k, seeded by (role, k)."""
-    return run_two_step_trials(factor_lr(s, k), A, t_L, t_R, config.noise(),
+    return run_two_step_trials(s, A, k, t_L, t_R, config.noise(),
                                config.sigma_b_sq, config.trials,
                                child_seed(config.master_seed, role, k))
 

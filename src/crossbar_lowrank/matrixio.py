@@ -61,7 +61,7 @@ def _is_number(tok: str) -> bool:
     return True
 
 
-def _row_values(line: str, n: int, line_no: int) -> list[float]:
+def _row_values(line: str, n: int, line_no: int) -> np.ndarray:
     fields = line.split()
     if len(fields) != n:
         raise MatrixFormatError(line_no, f"expected {n} values, found {len(fields)}")
@@ -71,7 +71,7 @@ def _row_values(line: str, n: int, line_no: int) -> list[float]:
         bad = next(tok for tok in fields if "_" in tok)
         raise MatrixFormatError(line_no, f"invalid number {bad!r}")
     try:
-        return list(map(float, fields))
+        return np.fromiter(map(float, fields), float, n)
     except ValueError:
         bad = next(tok for tok in fields if not _is_number(tok))
         raise MatrixFormatError(line_no, f"invalid number {bad!r}") from None

@@ -3,8 +3,9 @@
 Trials run in fixed blocks of BLOCK_TRIALS consecutive trial indices (the
 last block may be shorter), in block order on the calling thread. Each
 block owns one stream keyed by (master_seed, ROLE_BLOCK, block index);
-from it the block draws its input rows B (trials x m), then the noise of
-all its trials. The per-trial squared errors are reduced by a
+from it the block draws its input rows B (trials x m), or for Gaussian
+two-step trials their coordinates W (trials x rank, see below), then the
+noise of all its trials. The per-trial squared errors are reduced by a
 fixed-order compensated sum.
 
 Gaussian noise is sampled by its effect, not cell by cell. The error
@@ -16,13 +17,22 @@ Each trial's squared error is then drawn from its exact law:
 - Baseline: ||b E||^2 = sigma_e^2 ||b||^2 ||z||^2, and ||b||^2 / sigma_b^2
   is chi^2_m, so the error is sigma_e^2 sigma_b^2 chi^2_m chi^2_n. A trial
   draws 2 numbers and no input b.
-- Two-step: stage 1 draws b and c = b L + ||b|| sigma_L/sqrt(t_L) z_1 as
-  above, and y = c R - b A is formed. With a = ||c|| sigma_R/sqrt(t_R),
-  rotating y onto the first axis gives
+- Two-step: b meets the error only through bL, bA and ||b||. With
+  Q = U[:, :rank] from the SVD of A, the columns of L lie in span(Q) and
+  those of A do up to singular values below the rank tolerance, so
+  bL = w Q'L and bA = w Q'A for w = bQ, which is iid
+  N(0, sigma_b^2) in R^rank; and ||b||^2 = ||w||^2 + sigma_b^2
+  chi^2_{m-rank}, independent of w (no chi^2 term when m = rank). Stage
+  1 draws w and c = w Q'L + ||b|| sigma_L/sqrt(t_L) z_1 as above, and
+  y = c R - w Q'A is formed. With a = ||c|| sigma_R/sqrt(t_R), rotating
+  y onto the first axis gives
   ||y + a z_2||^2 = (||y|| + a g)^2 + a^2 chi^2_{n-1}, g ~ N(0, 1)
-  (no chi^2 term when n = 1). A trial draws m + k + 2 numbers.
+  (no chi^2 term when n = 1). A trial draws rank + k + 3 numbers. The
+  trials still multiply by the actual L, R and A, so a verdict checks
+  the factorization and the target's spectrum too.
 
-A noiseless two-step stage takes the exact path and draws nothing.
+A noiseless two-step stage takes the exact path and draws nothing; a
+noiseless stage 1 needs no ||b|| and draws no chi^2_{m-rank}.
 
 Uniform noise is not exact in law under that reduction, so its trials run
 the per-cell device model of `schemes`, batched over consecutive row
@@ -34,7 +44,8 @@ BLOCK_TRIALS, NOISE_CELLS and the draw order above define the streams:
 changing any of them changes MC values. Both distributions' values
 differ from versions that gave each trial its own input and noise
 streams, and Gaussian values also from versions that drew every entry of
-z (m + k + n normals a two-step trial, m + n a baseline trial).
+z (m + k + n normals a two-step trial, m + n a baseline trial) or all m
+entries of a two-step trial's input b (m + k + 2 numbers a trial).
 """
 from __future__ import annotations
 
@@ -45,7 +56,7 @@ from typing import Callable
 import numpy as np
 
 from .core import as_matrix, iid_entries
-from .lowrank import LrFactors
+from .lowrank import RANK_TOL_REL, SvdResult, factor_lr
 from .rng import child_stream
 from .schemes import NoiseSpec, _noisy_stage, _two_step_stages, budget_feasible
 
@@ -61,6 +72,10 @@ NOISE_CELLS = 2**14
 ROLE_BLOCK = 2
 
 Z_PASS_LIMIT = 4.0
+
+# how far past what sub-tolerance singular values allow A may stray from
+# the span of its SVD's left singular vectors (see _span_coords)
+SPAN_SLACK = 10.0
 
 
 @dataclass(frozen=True)
@@ -102,11 +117,11 @@ def _by_chunks(B: np.ndarray, cells: int,
     return np.concatenate([kernel(B[i:i + rows]) for i in range(0, B.shape[0], rows)])
 
 
-def _noise_effect(X: np.ndarray, scale: float, cols: int,
+def _noise_effect(x_sq: np.ndarray, scale: float, cols: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Rows x E for each row x of X, E with iid N(0, scale^2) entries:
-    ||x|| * scale * z with z iid N(0, 1) in R^cols."""
-    return (scale * np.sqrt(_row_sq(X)))[:, None] * rng.standard_normal((X.shape[0], cols))
+    """Rows x E for rows x with ||x||^2 = x_sq, E with iid N(0, scale^2)
+    entries: ||x|| * scale * z with z iid N(0, 1) in R^cols."""
+    return (scale * np.sqrt(x_sq))[:, None] * rng.standard_normal((x_sq.shape[0], cols))
 
 
 def _plus_isotropic(y_sq: np.ndarray, a: np.ndarray, dim: int,
@@ -160,45 +175,72 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
     return _reduce(errors, roundoff_floor(A, sigma_b_sq))
 
 
-def run_two_step_trials(f: LrFactors, A, t_L: int, t_R: int, noise: NoiseSpec,
-                        sigma_b_sq: float, trials: int, master_seed: int) -> TrialBatchResult:
-    """Empirical mean of ||c'' - bA||^2 for factors f of the m x n matrix A
-    on t_L + t_R replica arrays; the error is against the exact product
-    with the full matrix, so truncation cost is included.
+def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
+    """Q'A for Q = s.U[:, :s.rank], after checking that s has A's shape
+    and that A lies in span(Q): ||A - Q Q'A||_F may exceed
+    sqrt(min(m, n)) * RANK_TOL_REL * s_1, the most that the singular
+    values below the rank tolerance can add up to, by SPAN_SLACK times at
+    most."""
+    if s.shape != A.shape:
+        raise ValueError(f"SVD shape {s.shape} does not match matrix shape {A.shape}")
+    Q = s.U[:, :s.rank]
+    QA = Q.T @ A
+    resid = math.sqrt(float(np.sum((A - Q @ QA) ** 2)))
+    tol = SPAN_SLACK * math.sqrt(min(A.shape)) * RANK_TOL_REL * float(s.singulars[0])
+    if not resid <= tol:
+        raise ValueError(f"the matrix lies outside the span of the SVD's {s.rank} left "
+                         f"singular vectors by {resid:.3g} > {tol:.3g}: not its SVD")
+    return QA
 
-    m and n are read from A and k from f.L. The factors must match A, and
-    (k, t_L, t_R) must be positive and fit the device budget, which also
-    rules out k > min(m, n).
+
+def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: NoiseSpec,
+                        sigma_b_sq: float, trials: int, master_seed: int) -> TrialBatchResult:
+    """Empirical mean of ||c'' - bA||^2 for the rank-k factors
+    factor_lr(s, k) of the m x n matrix A on t_L + t_R replica arrays; the
+    error is against the exact product with the full matrix, so truncation
+    cost is included.
+
+    s must be svd(A): a shape that differs, or an A outside the span of
+    its left singular vectors, is a ValueError. (k, t_L, t_R) must be
+    positive and fit the device budget, which also rules out
+    k > min(m, n), and k may not exceed s.rank.
     """
     _check_run(sigma_b_sq, trials)
     A = as_matrix(A)
+    QA = _span_coords(s, A)
     m, n = A.shape
-    k = f.L.shape[1]
-    if k < 1 or f.L.shape != (m, k) or f.R.shape != (k, n):
-        raise ValueError(f"factor shapes {f.L.shape}/{f.R.shape} do not match "
-                         f"matrix shape {A.shape} with a rank k >= 1")
+    if k < 1:
+        raise ValueError(f"need a rank k >= 1, got k={k}")
     if t_L < 1 or t_R < 1:
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
     cells = (t_L * m + t_R * n) * k  # devices of one trial
     if not budget_feasible(m, n, k, t_L, t_R):
         raise ValueError(f"memristor budget violated: k={k}, t_L={t_L}, t_R={t_R} "
                          f"need {cells} devices > m*n = {m * n}")
+    f = factor_lr(s, k)
+    rank = s.rank
+    QL = s.U[:, :rank].T @ f.L
     scale_L = math.sqrt(noise.sigma_L_sq / t_L)
     scale_R = math.sqrt(noise.sigma_R_sq / t_R)
 
     def block(lo: int, hi: int) -> np.ndarray:
         rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
-        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
         if noise.dist == "gaussian":
+            # w = bQ: b meets L and A only through it
+            W = iid_entries((hi - lo, rank), sigma_b_sq, noise.dist, rng)
+            C = W @ QL
             # a noiseless stage takes the exact path, as in two_step_vmm
-            C = B @ f.L
             if scale_L:
-                C += _noise_effect(B, scale_L, k, rng)
+                b_sq = _row_sq(W)
+                if m > rank:
+                    b_sq += sigma_b_sq * rng.chisquare(m - rank, hi - lo)
+                C += _noise_effect(b_sq, scale_L, k, rng)
             Y = C @ f.R
-            Y -= B @ A
+            Y -= W @ QA
             if scale_R:
                 return _plus_isotropic(_row_sq(Y), scale_R * np.sqrt(_row_sq(C)), n, rng)
             return _row_sq(Y)
+        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
         D = _by_chunks(B, cells, lambda X: _two_step_stages(X, f, t_L, t_R, noise, rng))
         D -= B @ A
         return _row_sq(D)

@@ -22,7 +22,7 @@ from crossbar_lowrank.analysis import (
 from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import DeviceParams, iid_entries, magnitude_check
 from crossbar_lowrank.experiments import ExperimentConfig, run_sweep
-from crossbar_lowrank.lowrank import factor_lr, svd, truncate, truncation_error_sq
+from crossbar_lowrank.lowrank import svd, truncate, truncation_error_sq
 from crossbar_lowrank.matrixgen import harmonic_matrix, prescribed_matrix
 from crossbar_lowrank.matrixio import write_matrix
 from crossbar_lowrank.montecarlo import compare, run_baseline_trials, run_two_step_trials
@@ -98,7 +98,7 @@ def test_criterion_02_two_step_error_formula():
         s = svd(A)
         analytic = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R,
                                            noise.sigma_L_sq, noise.sigma_R_sq, sb).total
-        res = run_two_step_trials(factor_lr(s, k), A, t_L, t_R, noise, sb, trials=20_000,
+        res = run_two_step_trials(s, A, k, t_L, t_R, noise, sb, trials=20_000,
                                   master_seed=2000 + i)
         z, ok = compare(res, analytic)
         max_z = max(max_z, abs(z))
@@ -121,7 +121,7 @@ def test_criterion_02_two_step_error_formula():
         parts = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R, sl, sr, sb)
 
         quiet = NoiseSpec(dist=dist)
-        res = run_two_step_trials(factor_lr(s, k), A, t_L, t_R, quiet, sb, 20_000,
+        res = run_two_step_trials(s, A, k, t_L, t_R, quiet, sb, 20_000,
                                   master_seed=30 + j)
         z, ok = compare(res, parts.truncation)
         if not ok:
@@ -130,7 +130,7 @@ def test_criterion_02_two_step_error_formula():
         left = NoiseSpec(sigma_L_sq=sl, dist=dist)
         stage1 = two_step_error_analytic(s.singulars, m, n, r, t_L, t_R, sl, 0.0, sb)
         assert math.isclose(stage1.total, stage1.stage1_noise, rel_tol=1e-12)
-        res = run_two_step_trials(factor_lr(s, r), A, t_L, t_R, left, sb, 20_000,
+        res = run_two_step_trials(s, A, r, t_L, t_R, left, sb, 20_000,
                                   master_seed=60 + j)
         z, ok = compare(res, stage1.stage1_noise)
         if not ok:
@@ -139,7 +139,7 @@ def test_criterion_02_two_step_error_formula():
         right = NoiseSpec(sigma_R_sq=sr, dist=dist)
         stage2 = two_step_error_analytic(s.singulars, m, n, r, t_L, t_R, 0.0, sr, sb)
         assert math.isclose(stage2.total, stage2.stage2_noise, rel_tol=1e-12)
-        res = run_two_step_trials(factor_lr(s, r), A, t_L, t_R, right, sb, 20_000,
+        res = run_two_step_trials(s, A, r, t_L, t_R, right, sb, 20_000,
                                   master_seed=90 + j)
         z, ok = compare(res, stage2.stage2_noise)
         if not ok:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crossbar_lowrank import analysis
 from crossbar_lowrank.analysis import (
     EULER_MASCHERONI,
     AsymptoticParams,
@@ -174,6 +176,42 @@ class TestOptimizeRepetitions:
                 t_L += 1
             assert (got[0], got[1]) == (best[0], best[1])
             assert got[2].total == best[2].total
+
+
+def _optimize_repetitions_by_loop(singulars, m, n, k, noise, sigma_b_sq):
+    """optimize_repetitions as one scalar _breakdown call per t_L: the
+    reference its array pass must equal."""
+    tail_sq, trace_k = analysis._tail_and_trace(singulars, k)
+    best = None
+    for t_L in range(1, analysis.t_L_max(m, n, k) + 1):
+        t_R = (m * n - t_L * m * k) // (n * k)
+        bd = analysis._breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
+                                 noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
+        if best is None or bd.total < best[2].total * (1.0 - analysis.TIE_RTOL):
+            best = (t_L, t_R, bd)
+    return best
+
+
+def test_optimize_repetitions_equals_the_scalar_loop():
+    rng = np.random.default_rng(25)
+    for case in range(2_000):
+        m = int(rng.integers(2, 120))
+        # every fourth case is square with equal stage noise, where exact
+        # ties between (t_L, t_R) and (t_R, t_L) are common
+        n = m if case % 4 == 0 else int(rng.integers(2, 120))
+        k_hi = min(m, n, (m * n) // (m + n))
+        if k_hi < 1:
+            continue
+        k = int(rng.integers(1, k_hi + 1))
+        sl = float(rng.choice([0.0, rng.uniform(0.001, 0.5)]))
+        sr = sl if case % 4 == 0 else float(rng.choice([0.0, rng.uniform(0.001, 0.5)]))
+        noise = NoiseSpec(sigma_L_sq=sl, sigma_R_sq=sr)
+        singulars = np.sort(rng.uniform(0.0, 5.0, size=int(rng.integers(1, min(m, n) + 1))))[::-1]
+        sb = float(rng.uniform(0.1, 4.0))
+        got = optimize_repetitions(singulars, m, n, k, noise, sb)
+        assert got == _optimize_repetitions_by_loop(singulars, m, n, k, noise, sb)
+        assert all(type(v) is int for v in got[:2])
+        assert all(type(v) is float for v in dataclasses.astuple(got[2]))
 
 
 class TestOptimizeRank:

@@ -80,23 +80,23 @@ class TestBaselineTrials:
 
 
 def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
-    """A, its rank-k factors f, and run_two_step_trials' arguments after
-    them: (t_L, t_R, noise, sigma_b_sq)."""
+    """A, its SVD s, its rank-k factors f, and run_two_step_trials'
+    arguments after s and A: (k, t_L, t_R, noise, sigma_b_sq)."""
     A = prescribed_matrix(m, n, values, np.random.default_rng(seed))
-    f = factor_lr(svd(A), k)
-    return A, f, (t_L, t_R, noise, sigma_b_sq)
+    s = svd(A)
+    return A, s, factor_lr(s, k), (k, t_L, t_R, noise, sigma_b_sq)
 
 
 class TestTwoStepTrials:
     def test_full_rank_zero_noise_error_is_roundoff(self):
-        A, f, scheme = two_step_setup([3.0, 1.0], 6, 6, 2, 1, 1, NoiseSpec(), 2.0)
-        res = run_two_step_trials(f, A, *scheme, trials=100, master_seed=4)
+        A, s, f, scheme = two_step_setup([3.0, 1.0], 6, 6, 2, 1, 1, NoiseSpec(), 2.0)
+        res = run_two_step_trials(s, A, *scheme, trials=100, master_seed=4)
         assert res.mean_sq_error <= 1e-18
 
     def test_zero_noise_truncation_only(self):
         noise = NoiseSpec()
-        A, f, scheme = two_step_setup([3.0, 2.0, 1.0], 8, 8, 1, 1, 1, noise, 2.0)
-        res = run_two_step_trials(f, A, *scheme, trials=20_000, master_seed=13)
+        A, s, f, scheme = two_step_setup([3.0, 2.0, 1.0], 8, 8, 1, 1, 1, noise, 2.0)
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=13)
         analytic = two_step_error_analytic([3.0, 2.0, 1.0], 8, 8, 1, 1, 1,
                                            0.0, 0.0, 2.0).total
         z, ok = compare(res, analytic)
@@ -104,27 +104,44 @@ class TestTwoStepTrials:
 
     def test_rank_one_hand_case(self):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
-        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, noise, 3.0)
+        A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, noise, 3.0)
         analytic = two_step_error_analytic([2.0], 4, 4, 1, 2, 2, 0.05, 0.05, 3.0).total
         assert analytic == pytest.approx(1.23, rel=1e-10)
-        res = run_two_step_trials(f, A, *scheme, trials=20_000, master_seed=555)
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=555)
         z, ok = compare(res, analytic)
         assert ok, f"z={z:.2f}"
 
     def test_rejects_mismatched_factors(self):
-        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
-        with pytest.raises(ValueError, match="factor shapes"):
-            run_two_step_trials(f, np.zeros((5, 4)), *scheme, trials=5, master_seed=0)
+        # the factors come from s, so an SVD of another matrix of the same
+        # shape is refused: A lies outside the span of its U[:, :rank]
+        other = svd(prescribed_matrix(4, 4, [2.0], np.random.default_rng(22)))
+        for dist in ("gaussian", "uniform"):
+            A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(dist=dist), 1.0)
+            with pytest.raises(ValueError, match="not its SVD"):
+                run_two_step_trials(other, A, *scheme, trials=5, master_seed=0)
+            with pytest.raises(ValueError, match="matrix shape"):
+                run_two_step_trials(s, np.zeros((5, 4)), *scheme, trials=5, master_seed=0)
+
+    def test_accepts_a_tail_below_the_rank_tolerance(self):
+        # s has rank 1; A strays from span(U[:, :1]) by its 1e-12 tail only
+        A, s, f, scheme = two_step_setup([2.0, 1e-12], 6, 6, 1, 2, 2, NoiseSpec(), 1.0)
+        assert s.rank == 1
+        assert run_two_step_trials(s, A, *scheme, trials=5, master_seed=0).trials == 5
+
+    def test_rejects_k_beyond_the_rank(self):
+        A, s, f, scheme = two_step_setup([2.0], 8, 8, 1, 1, 1, NoiseSpec(), 1.0)
+        with pytest.raises(ValueError, match="rank"):
+            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(), 1.0, trials=5, master_seed=0)
 
     def test_rejects_mismatched_matrix(self):
-        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
+        A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="matrix shape"):
-            run_two_step_trials(f, np.zeros((4, 5)), *scheme, trials=5, master_seed=0)
+            run_two_step_trials(s, np.zeros((4, 5)), *scheme, trials=5, master_seed=0)
 
     def test_rejects_tiny_trial_counts(self):
-        A, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
+        A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError):
-            run_two_step_trials(f, A, *scheme, trials=1, master_seed=0)
+            run_two_step_trials(s, A, *scheme, trials=1, master_seed=0)
 
 
 class TestCompare:
@@ -252,37 +269,53 @@ def _check_same_law(block, device, analytic, alpha=0.001):
 
 class TestEffectSamplerMatchesDevice:
     """The Gaussian block sampler draws each trial's squared error from its
-    law: stage 1's b E_L as ||b|| sigma z, then stage 2 as
-    (||y|| + a g)^2 + a^2 chi^2_{n-1}, and the baseline as
-    sigma_e^2 sigma_b^2 chi^2_m chi^2_n. It must agree with the per-cell
-    device model in mean and in the per-trial error law."""
+    law: a two-step input as its coordinates w = bQ in the span of A and
+    ||b||^2 = ||w||^2 + sigma_b^2 chi^2_{m-rank}, stage 1's b E_L as
+    ||b|| sigma z, then stage 2 as (||y|| + a g)^2 + a^2 chi^2_{n-1}, and
+    the baseline as sigma_e^2 sigma_b^2 chi^2_m chi^2_n. It must agree
+    with the per-cell device model in mean and in the per-trial error
+    law, with the rank below m and n or equal to m."""
 
     TRIALS = 20_000
 
     def test_two_step(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
-        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        res = run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=71)
+        res = run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=71)
         assert res.mean_sq_error == math.fsum(cap.errors) / self.TRIALS
         device = _device_errors(self.TRIALS, 72,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
 
-    @pytest.mark.parametrize("m,n,seed", [(20, 12, 91), (12, 20, 93)])
+    @pytest.mark.parametrize("m,n,seed", [(20, 12, 91), (12, 20, 93), (24, 20, 101)])
     def test_two_step_rectangular(self, monkeypatch, m, n, seed):
         # stage-2 noise and ||y|| are of one order here, so the cross term
         # 2 a g ||y|| shapes the law (dropping it keeps the mean)
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
-        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], m, n, 2, 2, 3, noise, 2.0)
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], m, n, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(svd(A).singulars, m, n, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=seed)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=seed)
         device = _device_errors(self.TRIALS, seed + 1,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
+        _check_same_law(cap.errors, device, analytic)
+
+    def test_two_step_at_full_row_rank(self, monkeypatch):
+        # m = rank: ||b||^2 = ||w||^2, with no chi^2_{m-rank} term
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
+        values = [3.0, 2.0, 1.5, 1.0, 0.7, 0.5]
+        A, s, f, scheme = two_step_setup(values, 6, 14, 2, 2, 2, noise, 2.0)
+        assert s.rank == 6
+        analytic = two_step_error_analytic(s.singulars, 6, 14, 2, 2, 2,
+                                           0.05, 0.08, 2.0).total
+        cap = _Capture(monkeypatch)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=103)
+        device = _device_errors(self.TRIALS, 104,
+                                lambda b, g: two_step_vmm(b, f, 2, 2, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
 
     def test_baseline(self, monkeypatch):
@@ -314,15 +347,17 @@ class TestEffectSamplerMatchesDevice:
 
     def test_noiseless_stage_two_is_the_exact_norm(self, monkeypatch):
         # sigma_R^2 = 0: the error is ||c R - b A||^2 of the block's own
-        # b and c, with nothing drawn for stage 2
+        # w = bQ, ||b|| and c, with nothing drawn for stage 2
         noise = NoiseSpec(sigma_L_sq=0.05)
-        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
         cap = _Capture(monkeypatch)
-        run_two_step_trials(f, A, *scheme, BLOCK_TRIALS, master_seed=5)
+        run_two_step_trials(s, A, *scheme, BLOCK_TRIALS, master_seed=5)
         rng = child_stream(5, montecarlo.ROLE_BLOCK, 0)
-        B = iid_entries((BLOCK_TRIALS, 20), 2.0, "gaussian", rng)
-        C = B @ f.L + montecarlo._noise_effect(B, math.sqrt(0.05 / 2), 2, rng)
-        Y = C @ f.R - B @ A
+        Q = s.U[:, :3]
+        W = iid_entries((BLOCK_TRIALS, 3), 2.0, "gaussian", rng)
+        b_sq = np.einsum("ij,ij->i", W, W) + 2.0 * rng.chisquare(20 - 3, BLOCK_TRIALS)
+        C = W @ (Q.T @ f.L) + montecarlo._noise_effect(b_sq, math.sqrt(0.05 / 2), 2, rng)
+        Y = C @ f.R - W @ (Q.T @ A)
         assert np.array_equal(cap.errors, np.einsum("ij,ij->i", Y, Y))
 
 
@@ -344,8 +379,11 @@ class _CountingStream:
 
 
 class TestGaussianDrawCounts:
-    """Numbers drawn per trial: m + k + 2 for two-step (m + k with a
-    noiseless stage 2, m with both stages noiseless), 2 for baseline."""
+    """Numbers drawn per trial: rank + k + 3 for two-step (rank normals
+    for w = bQ, chi^2_{m-rank} for ||b||, k normals for stage 1, a normal
+    and chi^2_{n-1} for stage 2). A noiseless stage draws nothing, and a
+    noiseless stage 1 needs no ||b||; m = rank needs no chi^2_{m-rank}.
+    A baseline trial draws 2."""
 
     TRIALS = 100  # one full block and one partial
 
@@ -357,6 +395,14 @@ class TestGaussianDrawCounts:
                             lambda *key: _CountingStream(real(*key), counts))
         return counts
 
+    @staticmethod
+    def _expected(trials, normals, chisquares):
+        expected = {"standard_normal": trials * normals}
+        if chisquares:
+            expected["chisquare"] = trials * chisquares
+        return expected
+
+    # a 12 x 20 target of rank 12 = m, at k = 2
     @pytest.mark.parametrize("sigma_L_sq,sigma_R_sq,normals,chisquares", [
         (0.05, 0.08, 12 + 2 + 1, 1),
         (0.05, 0.0, 12 + 2, 0),
@@ -365,12 +411,25 @@ class TestGaussianDrawCounts:
     ])
     def test_two_step(self, counts, sigma_L_sq, sigma_R_sq, normals, chisquares):
         noise = NoiseSpec(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq)
-        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
-        run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=3)
-        expected = {"standard_normal": self.TRIALS * normals}
-        if chisquares:
-            expected["chisquare"] = self.TRIALS * chisquares
-        assert counts == expected
+        values = np.linspace(3.0, 0.5, 12)
+        A, s, f, scheme = two_step_setup(values, 12, 20, 2, 2, 3, noise, 2.0)
+        assert s.rank == 12
+        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=3)
+        assert counts == self._expected(self.TRIALS, normals, chisquares)
+
+    # a 12 x 20 target of rank 3 < m, at k = 2
+    @pytest.mark.parametrize("sigma_L_sq,sigma_R_sq,normals,chisquares", [
+        (0.05, 0.08, 3 + 2 + 1, 2),
+        (0.05, 0.0, 3 + 2, 1),
+        (0.0, 0.08, 3 + 1, 1),
+        (0.0, 0.0, 3, 0),
+    ])
+    def test_two_step_below_full_rank(self, counts, sigma_L_sq, sigma_R_sq, normals,
+                                      chisquares):
+        noise = NoiseSpec(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq)
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=3)
+        assert counts == self._expected(self.TRIALS, normals, chisquares)
 
     def test_baseline_draws_no_input(self, counts):
         run_baseline_trials(np.ones((20, 12)), NoiseSpec(sigma_e_sq=0.05), 3.0,
@@ -409,11 +468,11 @@ class TestUniformBlockPath:
 
     def test_two_step_matches_device(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
-        A, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 12, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(f, A, *scheme, self.TRIALS, master_seed=81)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=81)
         device = _device_errors(self.TRIALS, 82,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0,
                                 "uniform")
@@ -444,10 +503,10 @@ class TestUniformBlockPath:
 
     def test_two_step_noise_draws_stay_within_a_chunk(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05, dist="uniform")
-        A, f, scheme = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
+        A, s, f, scheme = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
         cells = (8 * 64 + 8 * 64) * 4
         sizes = self._spy_noise_draws(monkeypatch)
-        run_two_step_trials(f, A, *scheme, trials=100, master_seed=3)
+        run_two_step_trials(s, A, *scheme, trials=100, master_seed=3)
         assert max(sizes) <= max(cells, NOISE_CELLS)
         assert sum(sizes) == 100 * cells
         assert len(sizes) > 2 * 2  # more than one chunk per block
@@ -473,7 +532,10 @@ class TestUniformBlockPath:
 # spectrum lam/i instead of the computed one: only the analytic values,
 # normalized and z moved (at most 5.2e-16 relative in an analytic value,
 # 2.1e-14 in z), and the exact-zero k=3 truncation is now 0.0; MC columns,
-# (t_L, t_R), argmin k and pass flags did not
+# (t_L, t_R), argmin k and pass flags did not. PINNED_MC_GAUSSIAN was
+# regenerated when Gaussian two-step trials began to draw their input as
+# its rank coordinates w = bQ (rank + k + 3 numbers a trial): only the
+# two-step row's mean_sq_error, std_error and z moved
 PINNED_NUMPY = "2.4.6"
 
 PINNED_MC_GAUSSIAN = """\
@@ -482,7 +544,7 @@ PINNED_MC_GAUSSIAN = """\
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
 baseline,,,,300,10.223355452236854,0.46951254274837184,9.600000000000001,1.3276651750088186,true
-two_step,2,2,2,300,10.70825062493658,0.5387081083361268,10.3275,0.7067846558177484,true
+two_step,2,2,2,300,10.719922138175347,0.519359471586043,10.3275,0.7555886811440069,true
 # all_passed=true
 """
 

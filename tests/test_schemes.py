@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crossbar_lowrank.core import iid_entries
-from crossbar_lowrank.lowrank import LrFactors, factor_lr, svd, truncate
+from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_matrix
 from crossbar_lowrank.montecarlo import run_two_step_trials
 from crossbar_lowrank.rng import child_stream
@@ -46,12 +46,11 @@ class TestNoiseSpec:
 
 
 def _run_scheme(m, n, k, t_L, t_R, sigma_b_sq=1.0):
-    """Two trials of run_two_step_trials on a random m x n matrix with
-    random m x k and k x n factors."""
-    rng = np.random.default_rng(0)
-    f = LrFactors(L=rng.normal(size=(m, k)), R=rng.normal(size=(k, n)))
+    """Two trials of run_two_step_trials at rank k on a random m x n
+    matrix."""
+    A = np.random.default_rng(0).normal(size=(m, n))
     noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
-    return run_two_step_trials(f, rng.normal(size=(m, n)), t_L, t_R, noise, sigma_b_sq,
+    return run_two_step_trials(svd(A), A, k, t_L, t_R, noise, sigma_b_sq,
                                trials=2, master_seed=0)
 
 
