@@ -70,12 +70,22 @@ def _check_variances(*values: float) -> None:
         raise ValueError(f"variances must be finite and nonnegative, got {values}")
 
 
+def _check_finite(value: float, what: str) -> None:
+    """A closed form that overflows float64 is refused, not passed on as an
+    inf (with a NaN normalized value or a made-up argmin downstream)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is {value} in float64: the variances or singular "
+                         f"values are too large")
+
+
 def baseline_error_analytic(m: int, n: int, sigma_e_sq: float, sigma_b_sq: float) -> float:
     """Expected squared error of the one-shot scheme: m*n*sigma_e_sq*sigma_b_sq."""
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
     _check_variances(sigma_e_sq, sigma_b_sq)
-    return m * n * sigma_e_sq * sigma_b_sq
+    baseline = m * n * sigma_e_sq * sigma_b_sq
+    _check_finite(baseline, "the baseline error")
+    return baseline
 
 
 def _breakdown(tail_sq: float, trace_k: float, m: int, n: int, k: int,
@@ -120,9 +130,11 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
     if t_L < 1 or t_R < 1:
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
     _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
-    tail_sq, trace_k = _tail_and_trace(singulars, k)
-    return _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
-                      sigma_L_sq, sigma_R_sq, sigma_b_sq)
+    with np.errstate(over="ignore"):  # an inf tail is refused with its total
+        tail_sq, trace_k = _tail_and_trace(singulars, k)
+    bd = _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R, sigma_L_sq, sigma_R_sq, sigma_b_sq)
+    _check_finite(bd.total, "the two-step error")
+    return bd
 
 
 def t_L_max(m: int, n: int, k: int) -> int:
@@ -141,7 +153,8 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     the scan is exact. Ties prefer smaller t_L, then smaller t_R; totals
     within a relative TIE_RTOL count as tied, so round-off in the
     spectrum cannot break an exact tie (m = n with sigma_L_sq =
-    sigma_R_sq).
+    sigma_R_sq). sigma_b_sq must be positive, and a least total that is
+    not finite in float64 is a ValueError.
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
@@ -151,18 +164,25 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
             f"mk+nk = {m * k + n * k} > mn = {m * n}"
         )
     _check_variances(sigma_b_sq)
-    tail_sq, trace_k = _tail_and_trace(singulars, k)
+    if sigma_b_sq == 0:
+        raise ValueError("the input variance must be positive: at sigma_b_sq = 0 "
+                         "every total is 0 and there is no argmin")
     t_L = np.arange(1, t_L_max(m, n, k) + 1)
     t_R = (m * n - t_L * m * k) // (n * k)
-    totals = _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
-                        noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq).total.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite winner is refused below
+        bd = _breakdown(*_tail_and_trace(singulars, k), m, n, k, t_L, t_R,
+                        noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
+    totals = bd.total.tolist()
     best = 0
     for i, total in enumerate(totals):
         if total < totals[best] * (1.0 - TIE_RTOL):
             best = i
-    t_L_best, t_R_best = int(t_L[best]), int(t_R[best])
-    return t_L_best, t_R_best, _breakdown(tail_sq, trace_k, m, n, k, t_L_best, t_R_best,
-                                          noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
+    _check_finite(totals[best], "the least two-step error")
+    # truncation does not depend on t_L: it is the one scalar field
+    return int(t_L[best]), int(t_R[best]), ErrorBreakdown(
+        truncation=float(bd.truncation), stage1_noise=float(bd.stage1_noise[best]),
+        stage2_noise=float(bd.stage2_noise[best]), accumulated=float(bd.accumulated[best]),
+        total=totals[best])
 
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,

@@ -34,18 +34,12 @@ Each trial's squared error is then drawn from its exact law:
 A noiseless two-step stage takes the exact path and draws nothing; a
 noiseless stage 1 needs no ||b|| and draws no chi^2_{m-rank}.
 
-Uniform noise is not exact in law under that reduction, so its trials run
-the per-cell device model of `schemes`, batched over consecutive row
-chunks of the block: every cell of every replica array is still drawn
-iid. A chunk holds max(1, NOISE_CELLS // cells) trials, cells being the
-device count of one trial, which bounds the noise buffer.
+Uniform noise is not exact in law under that reduction, so a uniform
+block runs the per-cell device model, one call of `two_step_vmm` or
+`baseline_noisy_vmm` on its input rows.
 
-BLOCK_TRIALS, NOISE_CELLS and the draw order above define the streams:
-changing any of them changes MC values. Both distributions' values
-differ from versions that gave each trial its own input and noise
-streams, and Gaussian values also from versions that drew every entry of
-z (m + k + n normals a two-step trial, m + n a baseline trial) or all m
-entries of a two-step trial's input b (m + k + 2 numbers a trial).
+BLOCK_TRIALS, schemes.NOISE_CELLS and the draw order above define the
+streams: changing any of them changes MC values.
 """
 from __future__ import annotations
 
@@ -58,15 +52,11 @@ import numpy as np
 from .core import as_matrix, iid_entries
 from .lowrank import RANK_TOL_REL, SvdResult, factor_lr
 from .rng import child_stream
-from .schemes import NoiseSpec, _noisy_stage, _two_step_stages, budget_feasible
+from .schemes import NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
 
 # Trials per block. Block streams are defined on it, so changing it
 # changes every MC value.
 BLOCK_TRIALS = 64
-# Noise cells drawn at once by uniform trials (128 KiB of float64), which
-# bounds the peak noise buffer. Chunk boundaries set the draw order within
-# a block, so changing it changes every uniform MC value.
-NOISE_CELLS = 2**14
 
 # index that keys block streams (master_seed, ROLE_BLOCK, block)
 ROLE_BLOCK = 2
@@ -109,14 +99,6 @@ def _row_sq(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def _by_chunks(B: np.ndarray, cells: int,
-               kernel: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """kernel applied to consecutive chunks of max(1, NOISE_CELLS // cells)
-    rows of B, in order, stacked back into one array."""
-    rows = max(1, NOISE_CELLS // cells)
-    return np.concatenate([kernel(B[i:i + rows]) for i in range(0, B.shape[0], rows)])
-
-
 def _noise_effect(x_sq: np.ndarray, scale: float, cols: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Rows x E for rows x with ||x||^2 = x_sq, E with iid N(0, scale^2)
@@ -137,9 +119,17 @@ def _plus_isotropic(y_sq: np.ndarray, a: np.ndarray, dim: int,
 
 
 def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
+    """Mean and standard error; a non-finite mean or variance is a ValueError."""
     trials = errors.shape[0]
-    mean = math.fsum(errors.tolist()) / trials
-    var = math.fsum(((errors - mean) ** 2).tolist()) / (trials - 1)
+    try:
+        mean = math.fsum(errors.tolist()) / trials
+        with np.errstate(over="ignore", invalid="ignore"):
+            var = math.fsum(((errors - mean) ** 2).tolist()) / (trials - 1)
+    except OverflowError:  # fsum's partial sums left float64
+        mean = var = math.inf
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise ValueError(f"the trials' mean squared error ({mean}) or its variance "
+                         f"({var}) is not finite in float64")
     return TrialBatchResult(trials=trials, mean_sq_error=mean,
                             std_error=math.sqrt(var / trials), roundoff=roundoff)
 
@@ -166,8 +156,7 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
             return (noise.sigma_e_sq * sigma_b_sq
                     * rng.chisquare(m, hi - lo) * rng.chisquare(n, hi - lo))
         B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
-        D = _by_chunks(B, m * n,
-                       lambda X: _noisy_stage(X, A, 1, noise.sigma_e_sq, noise.dist, rng))
+        D = baseline_noisy_vmm(B, A, noise, rng)
         D -= B @ A
         return _row_sq(D)
 
@@ -213,10 +202,9 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
         raise ValueError(f"need a rank k >= 1, got k={k}")
     if t_L < 1 or t_R < 1:
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
-    cells = (t_L * m + t_R * n) * k  # devices of one trial
     if not budget_feasible(m, n, k, t_L, t_R):
         raise ValueError(f"memristor budget violated: k={k}, t_L={t_L}, t_R={t_R} "
-                         f"need {cells} devices > m*n = {m * n}")
+                         f"need {(t_L * m + t_R * n) * k} devices > m*n = {m * n}")
     f = factor_lr(s, k)
     rank = s.rank
     QL = s.U[:, :rank].T @ f.L
@@ -241,7 +229,7 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
                 return _plus_isotropic(_row_sq(Y), scale_R * np.sqrt(_row_sq(C)), n, rng)
             return _row_sq(Y)
         B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
-        D = _by_chunks(B, cells, lambda X: _two_step_stages(X, f, t_L, t_R, noise, rng))
+        D = two_step_vmm(B, f, t_L, t_R, noise, rng)
         D -= B @ A
         return _row_sq(D)
 

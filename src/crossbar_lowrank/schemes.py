@@ -60,6 +60,18 @@ def _as_rows(b) -> np.ndarray:
     return b
 
 
+# Noise cells a stacked call draws at once (128 KiB of float64). Chunk
+# boundaries set a stack's draw order: changing it changes uniform MC values.
+NOISE_CELLS = 2**14
+
+
+def _chunks(b: np.ndarray, cells: int) -> list[np.ndarray]:
+    """Consecutive chunks of max(1, NOISE_CELLS // cells) rows of the stack
+    b, cells being the devices of one row; a 1-D row is one chunk."""
+    rows = b.shape[0] if b.ndim == 1 else max(1, NOISE_CELLS // cells)
+    return [b[i:i + rows] for i in range(0, b.shape[0], rows)]
+
+
 def _noisy_stage(X: np.ndarray, W: np.ndarray, t: int, sigma_sq: float, dist: str,
                  rng: np.random.Generator) -> np.ndarray:
     """Rows x of X times the mean of t noisy replicas W + E_i, as
@@ -74,26 +86,20 @@ def _noisy_stage(X: np.ndarray, W: np.ndarray, t: int, sigma_sq: float, dist: st
     return X @ W + (X[..., None, :] @ Ebar)[..., 0, :]
 
 
-def _two_step_stages(b: np.ndarray, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
-                     rng: np.random.Generator) -> np.ndarray:
-    """two_step_vmm without its argument checks, for callers that made them."""
-    c_mid = _noisy_stage(b, f.L, t_L, noise.sigma_L_sq, noise.dist, rng)
-    return _noisy_stage(c_mid, f.R, t_R, noise.sigma_R_sq, noise.dist, rng)
-
-
 def baseline_noisy_vmm(b, A, noise: NoiseSpec, rng: np.random.Generator) -> np.ndarray:
     """One-shot noisy product c' = b (A + E), E freshly sampled per call.
 
-    b is one row vector or a (T, m) stack of them; each row meets its own E.
+    b is one row vector or a (T, m) stack of them; each row meets its own
+    E. A stack runs in chunks of max(1, NOISE_CELLS // (m n)) rows, so a
+    call draws at most max(m n, NOISE_CELLS) noise cells at a time.
     """
     b = _as_rows(b)
     A = as_matrix(A)
-    if b.shape[-1] != A.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: b has length {b.shape[-1]}, A is "
-            f"{A.shape[0]}x{A.shape[1]}"
-        )
-    return _noisy_stage(b, A, 1, noise.sigma_e_sq, noise.dist, rng)
+    m, n = A.shape
+    if b.shape[-1] != m:
+        raise ValueError(f"dimension mismatch: b has length {b.shape[-1]}, A is {m}x{n}")
+    return np.concatenate([_noisy_stage(X, A, 1, noise.sigma_e_sq, noise.dist, rng)
+                           for X in _chunks(b, m * n)])
 
 
 def two_step_vmm(b, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
@@ -102,9 +108,11 @@ def two_step_vmm(b, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
 
     Samples all t_L + t_R noise matrices fresh and mutually independent.
     b is one row vector or a (T, m) stack of them; each row meets its own
-    replica arrays, and all rows' L noise is drawn before any R noise. A
-    zero-variance stage takes the exact deterministic path and leaves the
-    stream untouched.
+    replica arrays. A stack runs in chunks of max(1, NOISE_CELLS // cells)
+    rows, cells = (t_L m + t_R n) k; each chunk draws its rows' L noise,
+    then their R noise, so a call draws at most max(cells, NOISE_CELLS)
+    noise cells at a time. A zero-variance stage takes the exact
+    deterministic path and leaves the stream untouched.
     """
     b = _as_rows(b)
     m, k = f.L.shape
@@ -115,4 +123,8 @@ def two_step_vmm(b, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
         raise ValueError(f"factor mismatch: L is {m}x{k}, R is {k2}x{n}")
     if t_L < 1 or t_R < 1:
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
-    return _two_step_stages(b, f, t_L, t_R, noise, rng)
+    out = []
+    for X in _chunks(b, (t_L * m + t_R * n) * k):
+        c_mid = _noisy_stage(X, f.L, t_L, noise.sigma_L_sq, noise.dist, rng)
+        out.append(_noisy_stage(c_mid, f.R, t_R, noise.sigma_R_sq, noise.dist, rng))
+    return np.concatenate(out)

@@ -25,6 +25,7 @@ from crossbar_lowrank.analysis import (
 from crossbar_lowrank.core import DeviceParams
 from crossbar_lowrank.experiments import ExperimentConfig, target
 from crossbar_lowrank.lowrank import svd
+from crossbar_lowrank.matrixgen import harmonic_spectrum
 from crossbar_lowrank.schemes import NoiseSpec
 
 
@@ -279,6 +280,39 @@ class TestNonFiniteInput:
             two_step_error_analytic([1.0], 4, 4, 1, 1, 1, 0.05, sigma_sq, 1.0)
         with pytest.raises(ValueError, match="variances"):
             baseline_error_analytic(4, 4, sigma_sq, 1.0)
+
+
+    def test_optimizers_reject_zero_input_variance(self):
+        # every total would be 0, so any argmin would be made up
+        noise = NoiseSpec(0.05, 0.05, 0.05)
+        with pytest.raises(ValueError, match="input variance must be positive"):
+            optimize_repetitions(harmonic_spectrum(3, 3), 8, 8, 2, noise, 0.0)
+        with pytest.raises(ValueError, match="input variance must be positive"):
+            optimize_rank(harmonic_spectrum(3, 3), 8, 8, noise, 0.0, 3)
+        # the closed forms keep their value at zero input variance
+        assert two_step_error_analytic([3.0, 1.5], 8, 8, 1, 1, 1, 0.05, 0.05, 0.0).total == 0.0
+        assert baseline_error_analytic(8, 8, 0.05, 0.0) == 0.0
+
+    def test_overflowing_closed_forms_are_refused(self):
+        with pytest.raises(ValueError, match="baseline error is inf"):
+            baseline_error_analytic(100, 100, 0.05, 1e308)
+        spectrum = harmonic_spectrum(10.0, 4)
+        with pytest.raises(ValueError, match="two-step error is inf"):
+            two_step_error_analytic(spectrum, 100, 100, 1, 1, 1, 0.05, 0.05, 1e307)
+        with pytest.raises(ValueError, match="two-step error is inf"):
+            two_step_error_analytic([1e200, 1e200], 4, 4, 1, 1, 1, 0.05, 0.05, 1.0)
+        with pytest.raises(ValueError, match="least two-step error is inf"):
+            optimize_repetitions(spectrum, 100, 100, 1, self.NOISE, 1e307)
+        with pytest.raises(ValueError, match="least two-step error is inf"):
+            optimize_rank(spectrum, 100, 100, self.NOISE, 1e307, 4)
+
+    def test_an_overflowing_losing_candidate_is_harmless(self):
+        # at t_L = 1 stage 1 overflows (1e302 * 100 * 1e5); the winner does not
+        noise = NoiseSpec(sigma_L_sq=1.0, sigma_R_sq=1.0)
+        t_L, t_R, bd = optimize_repetitions([1e5], 100, 100, 1, noise, 1e302)
+        assert (t_L, t_R) == (50, 50)
+        assert bd == two_step_error_analytic([1e5], 100, 100, 1, 50, 50, 1.0, 1.0, 1e302)
+        assert math.isfinite(bd.total)
 
 
 class TestHarmonicTrace:

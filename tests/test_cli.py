@@ -169,6 +169,26 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "sigma_e_sq" in err[0]
 
+    @pytest.mark.parametrize("command,body", [
+        # the baseline overflows
+        ("sweep", "m=100\nn=100\nr=4\nsigma_b_sq=1e308\nk_range=1,2\ntrials=0\n"),
+        # the two-step totals overflow, the baseline does not
+        ("sweep", "m=100\nn=100\nr=4\nsigma_e_sq=1e-10\nsigma_b_sq=1e307\n"
+                  "k_range=1,2\ntrials=0\n"),
+        # the trials' variance overflows
+        ("mc", "m=8\nn=8\nr=2\nsigma_b_sq=1e300\ntrials=100\n"),
+        ("mc", "m=8\nn=8\nr=2\nsigma_b_sq=1e300\ntrials=100\ndist=uniform\n"),
+        ("sweep", "m=8\nn=8\nr=2\nsigma_b_sq=1e300\ntrials=100\n"),
+    ])
+    def test_overflow_is_one_error_line(self, tmp_path, capsys, command, body):
+        p = tmp_path / "huge.cfg"
+        p.write_text(body)
+        assert main([command, "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        err = err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "in float64" in err[0]
+
     def test_zero_baseline_noise_still_runs_mc(self, tmp_path, capsys):
         p = tmp_path / "quiet.cfg"
         p.write_text("m=8\nn=8\nr=2\nsigma_e_sq=0\ntrials=400\n")

@@ -1,4 +1,6 @@
+import ast
 import inspect
+import pathlib
 
 import pytest
 
@@ -31,3 +33,15 @@ def test_removed_name_cannot_be_imported(name):
         exec(f"from crossbar_lowrank import {name}", {})
     for module in (core, schemes, rng, montecarlo, experiments, matrixgen, lowrank):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_no_module_imports_a_private_name():
+    # a module uses another package module through its public names only
+    private = []
+    for path in sorted(pathlib.Path(crossbar_lowrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "crossbar_lowrank"):
+                private += [f"{path.name}: {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert private == []

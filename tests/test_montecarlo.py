@@ -11,7 +11,6 @@ from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_matrix
 from crossbar_lowrank.montecarlo import (
     BLOCK_TRIALS,
-    NOISE_CELLS,
     TrialBatchResult,
     _reduce,
     _run_blocks,
@@ -21,7 +20,7 @@ from crossbar_lowrank.montecarlo import (
     run_two_step_trials,
 )
 from crossbar_lowrank.rng import child_stream
-from crossbar_lowrank.schemes import NoiseSpec, baseline_noisy_vmm, two_step_vmm
+from crossbar_lowrank.schemes import NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, two_step_vmm
 
 
 def small_matrix(seed=17):
@@ -189,6 +188,14 @@ def test_reduce_sums_exactly_as_the_scalar_loop():
     res = _reduce(errors, 0.0)
     assert res.mean_sq_error == mean
     assert res.std_error == math.sqrt(var / n)
+
+
+@pytest.mark.parametrize("errors", [[1e308, 1e308], [3e300, 0.0, 1.0],
+                                    [math.inf, 1.0], [math.nan, 1.0]])
+def test_reduce_refuses_a_non_finite_mean_or_variance(errors):
+    # mean overflows, variance overflows, an inf trial, a NaN trial
+    with pytest.raises(ValueError, match="not finite"):
+        _reduce(np.array(errors), 0.0)
 
 
 class TestLanes:
@@ -460,11 +467,38 @@ class TestPlusIsotropic:
 
 
 class TestUniformBlockPath:
-    """Uniform trials run the per-cell model batched over row chunks of a
-    block; they must agree in law with one trial at a time on private
-    streams and bound their noise buffers."""
+    """Uniform trials run the per-cell model, one call of the public scheme
+    function per block, which runs the block's rows in chunks; they must
+    agree in law with one trial at a time on private streams and bound
+    their noise buffers."""
 
     TRIALS = 20_000
+
+    @staticmethod
+    def _spy_scheme_calls(monkeypatch):
+        """Rows per call of the scheme functions montecarlo calls, by name."""
+        rows = {"two_step_vmm": [], "baseline_noisy_vmm": []}
+        for name, calls in rows.items():
+            def spy(B, *args, _real=getattr(montecarlo, name), _calls=calls):
+                _calls.append(B.shape[0])
+                return _real(B, *args)
+            monkeypatch.setattr(montecarlo, name, spy)
+        return rows
+
+    def test_run_mc_calls_the_schemes_once_a_block(self, monkeypatch):
+        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=150)
+        want = mc_csv(run_mc(cfg))
+        rows = self._spy_scheme_calls(monkeypatch)
+        assert mc_csv(run_mc(cfg)) == want
+        assert rows == {"two_step_vmm": [64, 64, 22], "baseline_noisy_vmm": [64, 64, 22]}
+
+    def test_run_sweep_calls_the_schemes_once_a_block(self, monkeypatch):
+        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=100,
+                               k_range=(1, 2))
+        want = sweep_csv(run_sweep(cfg))
+        rows = self._spy_scheme_calls(monkeypatch)
+        assert sweep_csv(run_sweep(cfg)) == want
+        assert rows == {"two_step_vmm": [64, 36, 64, 36], "baseline_noisy_vmm": []}
 
     def test_two_step_matches_device(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from crossbar_lowrank import schemes
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_matrix
 from crossbar_lowrank.montecarlo import run_two_step_trials
 from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import (
+    NOISE_CELLS,
     NoiseSpec,
     baseline_noisy_vmm,
     budget_feasible,
@@ -290,6 +292,70 @@ class TestBatchedRows:
         f, _ = self._setup()
         with pytest.raises(ValueError):
             two_step_vmm(bad, f, 1, 1, NoiseSpec(), np.random.default_rng(0))
+
+
+class TestChunkedStacks:
+    """A stack runs in consecutive chunks of max(1, NOISE_CELLS // cells)
+    rows, each drawing its L noise and then its R noise, so a call draws
+    at most max(cells, NOISE_CELLS) noise cells at a time."""
+
+    NOISE = NoiseSpec(sigma_e_sq=0.1, sigma_L_sq=0.1, sigma_R_sq=0.2, dist="uniform")
+
+    @staticmethod
+    def _setup(m=8, n=8, k=2):
+        rng = np.random.default_rng(40)
+        A = rng.standard_normal((m, n))
+        return A, factor_lr(svd(A), k)
+
+    @staticmethod
+    def _spy_noise_draws(monkeypatch):
+        sizes = []
+        real = schemes.iid_entries
+
+        def spy(shape, *args):
+            sizes.append(math.prod(shape))
+            return real(shape, *args)
+
+        monkeypatch.setattr(schemes, "iid_entries", spy)
+        return sizes
+
+    @pytest.mark.parametrize("scheme", ["two_step", "baseline"])
+    def test_noise_draws_stay_within_a_chunk(self, monkeypatch, scheme):
+        A, f = self._setup()
+        if scheme == "two_step":
+            cells = (1 * 8 + 1 * 8) * 2
+
+            def call(B):
+                return two_step_vmm(B, f, 1, 1, self.NOISE, np.random.default_rng(1))
+        else:
+            cells = 8 * 8
+
+            def call(B):
+                return baseline_noisy_vmm(B, A, self.NOISE, np.random.default_rng(1))
+        rows = 3 * NOISE_CELLS // cells + 5  # three full chunks and a short one
+        sizes = self._spy_noise_draws(monkeypatch)
+        out = call(np.ones((rows, 8)))
+        assert out.shape == (rows, 8)
+        assert max(sizes) <= max(cells, NOISE_CELLS)
+        assert sum(sizes) == rows * cells
+        assert len(sizes) == (8 if scheme == "two_step" else 4)
+
+    def test_oversized_row_is_its_own_chunk(self, monkeypatch):
+        A, f = self._setup(m=100, n=100, k=4)
+        sizes = self._spy_noise_draws(monkeypatch)
+        two_step_vmm(np.ones((3, 100)), f, 12, 13, self.NOISE, np.random.default_rng(2))
+        assert sizes == [12 * 100 * 4, 13 * 4 * 100] * 3
+
+    def test_stack_is_its_chunks_in_order(self):
+        A, f = self._setup()
+        rows = NOISE_CELLS // ((2 * 8 + 3 * 8) * 2)
+        B = np.random.default_rng(3).standard_normal((2 * rows + 7, 8))
+        out = two_step_vmm(B, f, 2, 3, self.NOISE, np.random.default_rng(4))
+        g = np.random.default_rng(4)
+        parts = [two_step_vmm(B[i:i + rows], f, 2, 3, self.NOISE, g)
+                 for i in range(0, B.shape[0], rows)]
+        assert len(parts) == 3
+        assert np.array_equal(out, np.concatenate(parts))
 
 
 def test_averaging_law_variance_shrinks():
