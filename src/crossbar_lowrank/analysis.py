@@ -1,24 +1,28 @@
 """Closed-form expected errors, budget optimization, and asymptotic bounds.
 
 All expectations are over the random input b (zero mean, covariance
-sigma_b_sq * I) and the write-noise realizations. The baseline one-shot
-scheme has expected squared error m*n*sigma_e_sq*sigma_b_sq regardless
-of A. The two-step scheme's error splits into four additive parts:
+sigma_b_sq * I) and the write-noise realizations. Each expected squared
+error is sigma_b_sq * u, u being the error per unit input variance. The
+baseline one-shot scheme has u = m*n*sigma_e_sq regardless of A. The
+two-step scheme's u splits into four additive parts:
 
-  truncation   sigma_b_sq * sum_{i>k} s_i^2
-  stage1_noise sigma_b_sq * (m * sigma_L_sq / t_L) * trace_k
-  stage2_noise sigma_b_sq * (n * sigma_R_sq / t_R) * trace_k
-  accumulated  sigma_b_sq * m*k*n * sigma_L_sq*sigma_R_sq / (t_L*t_R)
+  truncation   sum_{i>k} s_i^2
+  stage1_noise (m * sigma_L_sq / t_L) * trace_k
+  stage2_noise (n * sigma_R_sq / t_R) * trace_k
+  accumulated  (m * sigma_L_sq / t_L) * (n * sigma_R_sq / t_R) * k
 
-with trace_k = sum_{i<=k} s_i. The harmonic singular-value class
-(s_i = lam/i) admits closed-form bounds on the trace and truncation
-tail, and an asymptotic error expression in the array size n when the
-rank and truncation level grow as r = c2*n^alpha, k = c1*r^beta.
+with trace_k = sum_{i<=k} s_i, each part evaluated left to right as
+written. So no argmin depends on sigma_b_sq: the optimizers score unit
+totals, and _scaled multiplies sigma_b_sq into the parts, in one place.
+The harmonic singular-value class (s_i = lam/i) admits closed-form bounds
+on the trace and truncation tail, and an asymptotic error expression in
+the array size n when the rank and truncation level grow as
+r = c2*n^alpha, k = c1*r^beta.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -70,12 +74,18 @@ def _check_variances(*values: float) -> None:
         raise ValueError(f"variances must be finite and nonnegative, got {values}")
 
 
-def _check_finite(value: float, what: str) -> None:
-    """A closed form that overflows float64 is refused, not passed on as an
-    inf (with a NaN normalized value or a made-up argmin downstream)."""
-    if not math.isfinite(value):
-        raise ValueError(f"{what} is {value} in float64: the variances or singular "
+def _scaled(sigma_b_sq: float, unit_parts, what: str) -> list[float]:
+    """sigma_b_sq times each unit part, then their sum; a ValueError if the sum is
+    not finite, or if it or the unit sum underflows to 0 or a subnormal from positive factors."""
+    parts = [sigma_b_sq * u for u in unit_parts]
+    total, unit_total = sum(parts), sum(unit_parts)
+    if not math.isfinite(total):
+        raise ValueError(f"{what} is {total} in float64: the variances or singular "
                          f"values are too large")
+    if sigma_b_sq > 0 and unit_total > 0 and min(total, unit_total) < 2.0 ** -1022:
+        raise ValueError(f"{what} underflows to {total} in float64 (sigma_b_sq * "
+                         f"{unit_total}): the variances or singular values are too small")
+    return parts + [total]
 
 
 def baseline_error_analytic(m: int, n: int, sigma_e_sq: float, sigma_b_sq: float) -> float:
@@ -83,28 +93,18 @@ def baseline_error_analytic(m: int, n: int, sigma_e_sq: float, sigma_b_sq: float
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
     _check_variances(sigma_e_sq, sigma_b_sq)
-    baseline = m * n * sigma_e_sq * sigma_b_sq
-    _check_finite(baseline, "the baseline error")
-    return baseline
+    return _scaled(sigma_b_sq, [m * n * sigma_e_sq], "the baseline error")[-1]
 
 
 def _breakdown(tail_sq: float, trace_k: float, m: int, n: int, k: int,
-               t_L, t_R, sigma_L_sq: float, sigma_R_sq: float,
-               sigma_b_sq: float) -> ErrorBreakdown:
-    """The four parts and their total; t_L and t_R may be equal-length
-    integer arrays, giving array fields with one entry per pair and the
-    same floats the scalar calls give."""
-    truncation = sigma_b_sq * tail_sq
-    stage1 = sigma_b_sq * (m * sigma_L_sq / t_L) * trace_k
-    stage2 = sigma_b_sq * (n * sigma_R_sq / t_R) * trace_k
-    accumulated = sigma_b_sq * m * k * n * sigma_L_sq * sigma_R_sq / (t_L * t_R)
-    return ErrorBreakdown(
-        truncation=truncation,
-        stage1_noise=stage1,
-        stage2_noise=stage2,
-        accumulated=accumulated,
-        total=truncation + stage1 + stage2 + accumulated,
-    )
+               t_L, t_R, sigma_L_sq: float, sigma_R_sq: float) -> ErrorBreakdown:
+    """The four parts per unit input variance and their total; t_L and t_R
+    may be equal-length integer arrays, giving array fields with one entry
+    per pair and the same floats the scalar calls give."""
+    left, right = m * sigma_L_sq / t_L, n * sigma_R_sq / t_R
+    stage1, stage2, accumulated = left * trace_k, right * trace_k, left * right * k
+    return ErrorBreakdown(tail_sq, stage1, stage2, accumulated,
+                          tail_sq + stage1 + stage2 + accumulated)
 
 
 def _tail_and_trace(singulars, k: int) -> tuple[float, float]:
@@ -131,10 +131,9 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
     _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
     with np.errstate(over="ignore"):  # an inf tail is refused with its total
-        tail_sq, trace_k = _tail_and_trace(singulars, k)
-    bd = _breakdown(tail_sq, trace_k, m, n, k, t_L, t_R, sigma_L_sq, sigma_R_sq, sigma_b_sq)
-    _check_finite(bd.total, "the two-step error")
-    return bd
+        unit = _breakdown(*_tail_and_trace(singulars, k), m, n, k, t_L, t_R,
+                          sigma_L_sq, sigma_R_sq)
+    return ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4], "the two-step error"))
 
 
 def t_L_max(m: int, n: int, k: int) -> int:
@@ -153,8 +152,8 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     the scan is exact. Ties prefer smaller t_L, then smaller t_R; totals
     within a relative TIE_RTOL count as tied, so round-off in the
     spectrum cannot break an exact tie (m = n with sigma_L_sq =
-    sigma_R_sq). sigma_b_sq must be positive, and a least total that is
-    not finite in float64 is a ValueError.
+    sigma_R_sq). Totals are scored per unit input variance, so the winner
+    does not depend on sigma_b_sq; see _scaled for what is refused.
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
@@ -164,34 +163,32 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
             f"mk+nk = {m * k + n * k} > mn = {m * n}"
         )
     _check_variances(sigma_b_sq)
-    if sigma_b_sq == 0:
-        raise ValueError("the input variance must be positive: at sigma_b_sq = 0 "
-                         "every total is 0 and there is no argmin")
     t_L = np.arange(1, t_L_max(m, n, k) + 1)
     t_R = (m * n - t_L * m * k) // (n * k)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite winner is refused below
-        bd = _breakdown(*_tail_and_trace(singulars, k), m, n, k, t_L, t_R,
-                        noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
-    totals = bd.total.tolist()
+        unit = _breakdown(*_tail_and_trace(singulars, k), m, n, k, t_L, t_R,
+                          noise.sigma_L_sq, noise.sigma_R_sq)
+    totals = unit.total.tolist()
     best = 0
     for i, total in enumerate(totals):
         if total < totals[best] * (1.0 - TIE_RTOL):
             best = i
-    _check_finite(totals[best], "the least two-step error")
     # truncation does not depend on t_L: it is the one scalar field
-    return int(t_L[best]), int(t_R[best]), ErrorBreakdown(
-        truncation=float(bd.truncation), stage1_noise=float(bd.stage1_noise[best]),
-        stage2_noise=float(bd.stage2_noise[best]), accumulated=float(bd.accumulated[best]),
-        total=totals[best])
+    return int(t_L[best]), int(t_R[best]), ErrorBreakdown(*_scaled(sigma_b_sq, [
+        float(unit.truncation), float(unit.stage1_noise[best]),
+        float(unit.stage2_noise[best]), float(unit.accumulated[best])],
+        "the least two-step error"))
 
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,
                   k_max: int) -> tuple[int, int, int, ErrorBreakdown]:
-    """Joint best (k, t_L, t_R) over k in [1, k_max]; ties prefer smaller k."""
+    """Joint best (k, t_L, t_R) over k in [1, k_max], scored on unit totals
+    like optimize_repetitions; ties prefer smaller k."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
+    _check_variances(sigma_b_sq)
     # min keeps the first of equal totals, so ties go to the smaller k
-    best = min(((k, *optimize_repetitions(singulars, m, n, k, noise, sigma_b_sq))
+    best = min(((k, *optimize_repetitions(singulars, m, n, k, noise, 1.0))
                 for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)),
                key=lambda choice: choice[3].total, default=None)
     if best is None:
@@ -199,7 +196,9 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
             f"no rank fits the budget: m+n = {m + n} devices per unit rank "
             f"exceed mn = {m * n}"
         )
-    return best
+    k, t_L, t_R, unit = best
+    return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4],
+                                                "the least two-step error"))
 
 
 def harmonic_trace(lam: float, k: int) -> tuple[float, float]:
@@ -247,6 +246,7 @@ def asymptotic_bound(n: int, p: AsymptoticParams, sigma_L_sq: float,
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
     ab = p.alpha * p.beta
     k_real = p.c1 * p.c2 ** p.beta * n ** ab
     r_real = p.c2 * n ** p.alpha
@@ -255,7 +255,7 @@ def asymptotic_bound(n: int, p: AsymptoticParams, sigma_L_sq: float,
                   * n ** ab * (ab * math.log(n) + 1.0 / (2.0 * k_real) + EULER_MASCHERONI))
     term_acc = (4.0 * p.c1 ** 3 * p.c2 ** (3.0 * p.beta) * n ** (3.0 * ab)
                 * sigma_L_sq * sigma_R_sq)
-    return sigma_b_sq * (term_trunc + term_stage + term_acc)
+    return _scaled(sigma_b_sq, [term_trunc + term_stage + term_acc], "the asymptotic bound")[-1]
 
 
 def optimal_beta(alpha: float) -> tuple[float, float]:

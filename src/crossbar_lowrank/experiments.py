@@ -321,11 +321,16 @@ def _require_baseline_noise(config: ExperimentConfig) -> None:
 
 
 def _analytic_columns(bd, baseline: float) -> dict:
-    """The closed-form columns shared by sweep and scaling rows."""
+    """The closed-form columns shared by sweep and scaling rows; a
+    normalized error that is not finite in float64 is a ValueError."""
+    normalized = bd.total / baseline
+    if not math.isfinite(normalized):
+        raise ValueError(f"the normalized error {bd.total} / {baseline} is {normalized} "
+                         f"in float64: the two-step error dwarfs the baseline error")
     return dict(analytic_total=bd.total, analytic_truncation=bd.truncation,
                 analytic_stage1=bd.stage1_noise, analytic_stage2=bd.stage2_noise,
                 analytic_accumulated=bd.accumulated,
-                baseline_analytic=baseline, normalized=bd.total / baseline)
+                baseline_analytic=baseline, normalized=normalized)
 
 
 def _check_lanes(lanes: int) -> None:

@@ -119,19 +119,21 @@ def _plus_isotropic(y_sq: np.ndarray, a: np.ndarray, dim: int,
 
 
 def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
-    """Mean and standard error; a non-finite mean or variance is a ValueError."""
+    """Mean and standard error of nonnegative errors, summed on errors / 2^e
+    (e the exponent of the largest) and scaled back: bit-identical to plain
+    sums where those stay in float64, and finite for finite errors. An inf
+    or NaN trial is a ValueError."""
     trials = errors.shape[0]
-    try:
-        mean = math.fsum(errors.tolist()) / trials
-        with np.errstate(over="ignore", invalid="ignore"):
-            var = math.fsum(((errors - mean) ** 2).tolist()) / (trials - 1)
-    except OverflowError:  # fsum's partial sums left float64
-        mean = var = math.inf
-    if not (math.isfinite(mean) and math.isfinite(var)):
-        raise ValueError(f"the trials' mean squared error ({mean}) or its variance "
-                         f"({var}) is not finite in float64")
-    return TrialBatchResult(trials=trials, mean_sq_error=mean,
-                            std_error=math.sqrt(var / trials), roundoff=roundoff)
+    e = math.frexp(float(errors.max()))[1]
+    x = np.ldexp(errors, -e)
+    mean = math.fsum(x.tolist()) / trials
+    if not math.isfinite(mean):
+        raise ValueError(f"the trials' mean squared error is {mean}: a trial's error "
+                         f"is not finite in float64")
+    var = math.fsum(((x - mean) ** 2).tolist()) / (trials - 1)
+    return TrialBatchResult(trials=trials, mean_sq_error=math.ldexp(mean, e),
+                            std_error=math.ldexp(math.sqrt(var / trials), e),
+                            roundoff=roundoff)
 
 
 def _check_run(sigma_b_sq: float, trials: int) -> None:

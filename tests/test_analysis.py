@@ -180,17 +180,20 @@ class TestOptimizeRepetitions:
 
 
 def _optimize_repetitions_by_loop(singulars, m, n, k, noise, sigma_b_sq):
-    """optimize_repetitions as one scalar _breakdown call per t_L: the
-    reference its array pass must equal."""
+    """optimize_repetitions as one scalar unit _breakdown call per t_L, the
+    winner's breakdown being the closed form there: the reference its
+    array pass must equal."""
     tail_sq, trace_k = analysis._tail_and_trace(singulars, k)
     best = None
     for t_L in range(1, analysis.t_L_max(m, n, k) + 1):
         t_R = (m * n - t_L * m * k) // (n * k)
-        bd = analysis._breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
-                                 noise.sigma_L_sq, noise.sigma_R_sq, sigma_b_sq)
-        if best is None or bd.total < best[2].total * (1.0 - analysis.TIE_RTOL):
-            best = (t_L, t_R, bd)
-    return best
+        unit = analysis._breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
+                                   noise.sigma_L_sq, noise.sigma_R_sq)
+        if best is None or unit.total < best[2] * (1.0 - analysis.TIE_RTOL):
+            best = (t_L, t_R, unit.total)
+    t_L, t_R, _ = best
+    return t_L, t_R, two_step_error_analytic(singulars, m, n, k, t_L, t_R, noise.sigma_L_sq,
+                                             noise.sigma_R_sq, sigma_b_sq)
 
 
 def test_optimize_repetitions_equals_the_scalar_loop():
@@ -213,6 +216,32 @@ def test_optimize_repetitions_equals_the_scalar_loop():
         assert got == _optimize_repetitions_by_loop(singulars, m, n, k, noise, sb)
         assert all(type(v) is int for v in got[:2])
         assert all(type(v) is float for v in dataclasses.astuple(got[2]))
+
+
+def test_the_argmin_does_not_depend_on_the_input_variance():
+    # the optimizers score totals per unit input variance and multiply
+    # sigma_b_sq into the winner's parts only
+    rng = np.random.default_rng(26)
+    for case in range(300):
+        m = int(rng.integers(2, 60))
+        n = m if case % 4 == 0 else int(rng.integers(2, 60))
+        k_max = min(m, n, (m * n) // (m + n))
+        if k_max < 1:
+            continue
+        sl = float(rng.uniform(0.001, 0.5))
+        noise = NoiseSpec(sigma_L_sq=sl, sigma_R_sq=sl if case % 4 == 0
+                          else float(rng.uniform(0.001, 0.5)))
+        singulars = np.sort(rng.uniform(0.1, 5.0, size=min(m, n)))[::-1]
+        k = int(rng.integers(1, k_max + 1))
+        unit_rep = optimize_repetitions(singulars, m, n, k, noise, 1.0)
+        unit_rank = optimize_rank(singulars, m, n, noise, 1.0, k_max)
+        for sb in (1e-200, 1.0, 1e200):
+            for got, unit in ((optimize_repetitions(singulars, m, n, k, noise, sb), unit_rep),
+                              (optimize_rank(singulars, m, n, noise, sb, k_max), unit_rank)):
+                assert got[:-1] == unit[:-1]
+                for part, unit_part in zip(dataclasses.astuple(got[-1]),
+                                           dataclasses.astuple(unit[-1])):
+                    assert part == pytest.approx(sb * unit_part, rel=2e-15, abs=0)
 
 
 class TestOptimizeRank:
@@ -282,13 +311,15 @@ class TestNonFiniteInput:
             baseline_error_analytic(4, 4, sigma_sq, 1.0)
 
 
-    def test_optimizers_reject_zero_input_variance(self):
-        # every total would be 0, so any argmin would be made up
+    def test_optimizers_at_zero_input_variance(self):
+        # the argmin of the unit totals, with every part 0
         noise = NoiseSpec(0.05, 0.05, 0.05)
-        with pytest.raises(ValueError, match="input variance must be positive"):
-            optimize_repetitions(harmonic_spectrum(3, 3), 8, 8, 2, noise, 0.0)
-        with pytest.raises(ValueError, match="input variance must be positive"):
-            optimize_rank(harmonic_spectrum(3, 3), 8, 8, noise, 0.0, 3)
+        zero = analysis.ErrorBreakdown(0.0, 0.0, 0.0, 0.0, 0.0)
+        spectrum = harmonic_spectrum(3, 3)
+        assert optimize_repetitions(spectrum, 8, 8, 2, noise, 0.0) == (
+            *optimize_repetitions(spectrum, 8, 8, 2, noise, 1.0)[:2], zero)
+        assert optimize_rank(spectrum, 8, 8, noise, 0.0, 3) == (
+            *optimize_rank(spectrum, 8, 8, noise, 1.0, 3)[:3], zero)
         # the closed forms keep their value at zero input variance
         assert two_step_error_analytic([3.0, 1.5], 8, 8, 1, 1, 1, 0.05, 0.05, 0.0).total == 0.0
         assert baseline_error_analytic(8, 8, 0.05, 0.0) == 0.0
@@ -304,15 +335,48 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="least two-step error is inf"):
             optimize_repetitions(spectrum, 100, 100, 1, self.NOISE, 1e307)
         with pytest.raises(ValueError, match="least two-step error is inf"):
-            optimize_rank(spectrum, 100, 100, self.NOISE, 1e307, 4)
+            optimize_rank(spectrum, 100, 100, self.NOISE, 1e307, 1)
+        # optimize_rank scales only its winner, so ranks 1 and 2, whose least
+        # totals overflow at this sigma_b_sq, lose harmlessly to rank 4
+        k, _, _, bd = optimize_rank(spectrum, 100, 100, self.NOISE, 1e307, 4)
+        assert k == 4 and math.isfinite(bd.total)
+
+    def _assert_the_balanced_split_wins(self, spectrum, sigma_b_sq):
+        noise = NoiseSpec(sigma_L_sq=1.0, sigma_R_sq=1.0)
+        t_L, t_R, bd = optimize_repetitions(spectrum, 100, 100, 1, noise, sigma_b_sq)
+        assert (t_L, t_R) == (50, 50)
+        assert bd == two_step_error_analytic(spectrum, 100, 100, 1, 50, 50, 1.0, 1.0,
+                                             sigma_b_sq)
+        assert math.isfinite(bd.total)
 
     def test_an_overflowing_losing_candidate_is_harmless(self):
         # at t_L = 1 stage 1 overflows (1e302 * 100 * 1e5); the winner does not
+        self._assert_the_balanced_split_wins([1e5], 1e302)
+
+    def test_a_losing_candidate_overflowing_per_unit_variance_is_harmless(self):
+        # at t_L = 1 stage 1 overflows even per unit input variance
+        # (100 * 1e307); the winner does not
+        self._assert_the_balanced_split_wins([1e307], 1.0)
+
+    def test_a_large_input_variance_does_not_overflow_an_intermediate(self):
+        # the accumulated part is (m sigma_L^2 / t_L)(n sigma_R^2 / t_R) k times
+        # sigma_b_sq, never the raw product sigma_b_sq m k n sigma_L^2 sigma_R^2
         noise = NoiseSpec(sigma_L_sq=1.0, sigma_R_sq=1.0)
-        t_L, t_R, bd = optimize_repetitions([1e5], 100, 100, 1, noise, 1e302)
-        assert (t_L, t_R) == (50, 50)
-        assert bd == two_step_error_analytic([1e5], 100, 100, 1, 50, 50, 1.0, 1.0, 1e302)
-        assert math.isfinite(bd.total)
+        assert optimize_repetitions([1.0], 100, 100, 1, noise, 1e306) == (
+            50, 50, analysis.ErrorBreakdown(0.0, 2e306, 2e306, 4e306, 8e306))
+
+    def test_underflowing_closed_forms_are_refused(self):
+        with pytest.raises(ValueError, match="baseline error underflows"):
+            baseline_error_analytic(8, 8, 1e-200, 1e-200)
+        with pytest.raises(ValueError, match="two-step error underflows"):
+            two_step_error_analytic([1.0], 8, 8, 1, 1, 1, 0.05, 0.05, 1e-320)
+        # a subnormal unit total: the truncation tail (1e-160)^2
+        with pytest.raises(ValueError, match="least two-step error underflows"):
+            optimize_repetitions([1.0, 1e-160], 8, 8, 1, NoiseSpec(), 1e200)
+        with pytest.raises(ValueError, match="least two-step error underflows"):
+            optimize_rank(harmonic_spectrum(1.0, 2), 8, 8, self.NOISE, 1e-320, 2)
+        # a total that is exactly 0 is not an underflow
+        assert two_step_error_analytic([1.0], 8, 8, 1, 1, 1, 0.0, 0.0, 1e-300).total == 0.0
 
 
 class TestHarmonicTrace:
@@ -400,6 +464,12 @@ class TestTailBound:
 class TestAsymptoticBound:
     def _params(self, lam=10.0):
         return AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=lam)
+
+    @pytest.mark.parametrize("variances", [(-0.05, 0.05, 1.0), (0.05, 0.05, -1.0),
+                                           (0.05, 0.05, math.nan), (math.inf, 0.05, 1.0)])
+    def test_rejects_bad_variances(self, variances):
+        with pytest.raises(ValueError, match="variances"):
+            asymptotic_bound(1024, self._params(), *variances)
 
     def test_zero_noise_reduction(self):
         p = self._params()

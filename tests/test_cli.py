@@ -3,13 +3,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossbar_lowrank.analysis import lambda_max
@@ -175,10 +176,14 @@ class TestUsageErrors:
         # the two-step totals overflow, the baseline does not
         ("sweep", "m=100\nn=100\nr=4\nsigma_e_sq=1e-10\nsigma_b_sq=1e307\n"
                   "k_range=1,2\ntrials=0\n"),
-        # the trials' variance overflows
-        ("mc", "m=8\nn=8\nr=2\nsigma_b_sq=1e300\ntrials=100\n"),
-        ("mc", "m=8\nn=8\nr=2\nsigma_b_sq=1e300\ntrials=100\ndist=uniform\n"),
-        ("sweep", "m=8\nn=8\nr=2\nsigma_b_sq=1e300\ntrials=100\n"),
+        # the baseline underflows to 0
+        ("sweep", "m=8\nn=8\nr=2\nsigma_e_sq=1e-200\nsigma_b_sq=1e-200\n"
+                  "k_range=1,2\ntrials=0\n"),
+        ("scaling", "m=8\nn=8\nr=2\nsigma_e_sq=1e-200\nsigma_b_sq=1e-200\n"),
+        # total / baseline overflows
+        ("sweep", "m=8\nn=8\nr=2\nsigma_e_sq=1e-300\nsigma_L_sq=1e10\nsigma_R_sq=1e10\n"
+                  "k_range=1,2\ntrials=0\n"),
+        ("scaling", "m=8\nn=8\nr=2\nsigma_e_sq=1e-300\nsigma_L_sq=1e10\nsigma_R_sq=1e10\n"),
     ])
     def test_overflow_is_one_error_line(self, tmp_path, capsys, command, body):
         p = tmp_path / "huge.cfg"
@@ -188,6 +193,21 @@ class TestUsageErrors:
         assert out == ""
         err = err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "in float64" in err[0]
+
+    @pytest.mark.parametrize("sigma_b_sq", ["1e-200", "1e200", "1e300"])
+    @pytest.mark.parametrize("command,body", [
+        ("mc", "k_range=1,2\n"), ("mc", "dist=uniform\n"), ("sweep", "k_range=1,2\n")])
+    def test_tiny_and_huge_input_variances_run(self, tmp_path, capsys, command, body,
+                                               sigma_b_sq):
+        # the MC reduction scales the errors by a power of two, so neither
+        # their squared deviations nor their sums leave float64
+        p = tmp_path / "scale.cfg"
+        p.write_text(f"m=8\nn=8\nr=2\ntrials=200\nsigma_b_sq={sigma_b_sq}\n{body}")
+        assert main([command, "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "inf" not in out and "nan" not in out
+        if command == "mc":
+            assert out.rstrip().endswith("# all_passed=true")
 
     def test_zero_baseline_noise_still_runs_mc(self, tmp_path, capsys):
         p = tmp_path / "quiet.cfg"
@@ -503,27 +523,32 @@ NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 # regenerated when Gaussian two-step trials began to draw their input as
 # its rank coordinates in the span of A: only mc_mean, mc_stderr,
 # mean_sq_error, std_error and z of the two-step rows moved; analytic
-# values, (t_L, t_R), argmins and pass flags did not
+# values, (t_L, t_R), argmins and pass flags did not. The sweep rows of
+# DET_CONFIG and INFEASIBLE_CONFIG and the scaling rows were regenerated
+# when the closed forms began to multiply sigma_b_sq into unit parts, the
+# accumulated part evaluated as (m sigma_L^2/t_L)(n sigma_R^2/t_R) k: only
+# analytic_*, normalized and the argmin line's normalized moved, by at most
+# 3.5e-16 relative; MC columns, (t_L, t_R), feasible and argmin k did not
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("50bf8eeeff007faac8fc4b2249a7af4a133fc1e8f2e92488e53b0f8f9d705bf6",
+        ("4dcc20d91b7a20022a18daa141f390eabd627b99ead5e661b86377e16a68b1c7",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("4644cfe89bfe7c410ef0f9835bc42d87a83fa13b69980f02cadd380846cb46dc",
+        ("6bc2efe4841e87263b754f14fdc99d055a994318fe66f6c64553a613d3d3c8cb",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
-        ("a4964e44067547e36d283a1b302af73bf961c3cdb8c185fc69c90fbcf3b04c41", ""),
+        ("d5bdfa01936624f10e326f77a5ac3dae1ebcbbb12df01a42f720ebcb790bfebf", ""),
     ("scaling", GRID_CONFIG, "json"):
-        ("6572aa9539ae05d8dc0c987eab64050b93930fb14cc925b620de3234a265819b", ""),
+        ("c779cafd67a1623faeb1e78a2aaa7993da8284e68e738de9fce4a2f28c4614c7", ""),
     ("mc", DET_CONFIG, "csv"):
         ("e0679d91c31f0ca6b73e343a7ef6070add9325cbe0db9850464b8c1fc28e15f0", ""),
     ("mc", DET_CONFIG, "json"):
         ("da274e0778061471fe8c3d12c62c6aa51fb2e8170aecdc92885ec770a202aa00", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
-        ("89b1bf17d76faf2af1164ea63484e95541260a737a81dfc27bd6bbbb45875202",
+        ("e9b6c3b44e104049ef112dff32e617971fc242cd895f339fef181923cb6f3468",
          "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),
     ("sweep", INFEASIBLE_CONFIG, "json"):
-        ("01bce3a6fb3f2628f1df2cf0b9e26a4aabf17958c26a3ab75ea78f0d8be15440",
+        ("4af110abf102de86416b112de8f3f91b5a0c8411a468603d3a58e37aff09643e",
          "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),
     ("sweep", NO_FEASIBLE_CONFIG, "csv"):
         ("f7bff80b3362d8f8b1fb859bff60e906e30bc48208d09b0c8d195f6d8f619fe7",
@@ -567,14 +592,16 @@ class TestPinnedTables:
 # some keys and then overrides up to three keys with odd ones, so that most
 # examples get past the config checks to the code behind them
 _NOISE = (["0", "0.05", "1"], ["1e-300", "1e300", "-1", "nan", "inf", "x"])
+_ODD_SCALE = ["1e-200", "1e200"]
 _DEVICE = (["0.5", "1", "2"], ["0", "1e-300", "1e300", "-1", "nan", "inf"])
 _SIZE = (["1", "2", "3", "5", "8"], ["0", "-1", "2.5", "9000", "200000", "1000000000000"])
 CONFIG_VALUES = {
     "m": _SIZE, "n": _SIZE,
     "r": (["1", "2", "3"], ["0", "-1", "16"]),
     "lambda": (["max", "0.5", "3"], ["0", "-1", "nan", "inf", "1e300", "1e-300", "x"]),
-    "sigma_e_sq": _NOISE, "sigma_L_sq": _NOISE, "sigma_R_sq": _NOISE,
-    "sigma_b_sq": (["0.5", "3"], ["0", "1e-300", "1e300", "-1", "nan", "inf"]),
+    "sigma_e_sq": (_NOISE[0], _NOISE[1] + _ODD_SCALE), "sigma_L_sq": _NOISE,
+    "sigma_R_sq": _NOISE,
+    "sigma_b_sq": (["0.5", "3"], ["0", "1e-300", "1e300", "-1", "nan", "inf"] + _ODD_SCALE),
     "rho": _DEVICE, "r_T": _DEVICE,
     "trials": (["0", "2", "7", "50"], ["1", "-1", "1e3"]),
     "master_seed": (["0", "7", "12345"], ["-1", str(2 ** 64)]),
@@ -599,8 +626,16 @@ _configs = st.builds(lambda valid, odd: {**valid, **dict(odd)}, _valid, _odd)
 
 class TestExitCodesProperty:
     """Any config, however odd, ends in a documented exit code and at most
-    an `error:` line, never a traceback."""
+    an `error:` line, never a traceback, and a table written with exit 0
+    holds no inf or NaN."""
 
+    # known holes: a baseline that underflows to 0, and normalized = inf
+    @example(command="sweep", lanes="1", config={
+        "m": "8", "n": "8", "r": "2", "sigma_e_sq": "1e-200", "sigma_b_sq": "1e-200",
+        "k_range": "1,2", "trials": "0"})
+    @example(command="scaling", lanes="1", config={
+        "m": "8", "n": "8", "r": "2", "sigma_e_sq": "1e-300", "sigma_L_sq": "1e10",
+        "sigma_R_sq": "1e10", "trials": "0"})
     @settings(max_examples=150)
     @given(command=st.sampled_from(["sweep", "scaling", "gen", "validate", "mc"]),
            config=_configs, lanes=st.sampled_from(["1", "2"]))
@@ -632,6 +667,9 @@ class TestExitCodesProperty:
         assert "Traceback" not in err.getvalue()
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), lines
         assert lines or code != 2
+        if code == 0 and command in ("sweep", "scaling", "mc"):
+            tokens = re.split(r"[\s,:=\[\]{}]+", (work / "out").read_text() + out.getvalue())
+            assert not {"inf", "-inf", "nan", "Infinity", "-Infinity", "NaN"} & set(tokens)
 
 
 class TestModuleProcess:

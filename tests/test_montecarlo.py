@@ -190,12 +190,36 @@ def test_reduce_sums_exactly_as_the_scalar_loop():
     assert res.std_error == math.sqrt(var / n)
 
 
-@pytest.mark.parametrize("errors", [[1e308, 1e308], [3e300, 0.0, 1.0],
-                                    [math.inf, 1.0], [math.nan, 1.0]])
+@pytest.mark.parametrize("errors", [[math.inf, 1.0], [math.nan, 1.0], [0.0, math.inf],
+                                    [math.inf, math.nan]])
 def test_reduce_refuses_a_non_finite_mean_or_variance(errors):
-    # mean overflows, variance overflows, an inf trial, a NaN trial
+    # an inf or NaN trial, first or not, and both: the largest error that
+    # sets the scaling is inf or NaN
     with pytest.raises(ValueError, match="not finite"):
         _reduce(np.array(errors), 0.0)
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -700, 1e-200, 1e200, 2.0 ** 700])
+def test_reduce_scales_exactly_by_powers_of_two(scale):
+    # the sums run on errors scaled by a power of two, so the results move
+    # by exactly that power, and the tiny or huge errors whose squared
+    # deviations used to leave float64 keep a finite, positive SE
+    errors = 10.0 ** np.random.default_rng(6).uniform(-3, 3, 500)
+    base, res = _reduce(errors, 0.0), _reduce(errors * scale, 0.0)
+    if math.frexp(scale)[0] == 0.5:
+        assert res.mean_sq_error == base.mean_sq_error * scale
+        assert res.std_error == base.std_error * scale
+    assert res.mean_sq_error == pytest.approx(base.mean_sq_error * scale, rel=1e-15)
+    assert res.std_error == pytest.approx(base.std_error * scale, rel=1e-14)
+
+
+@pytest.mark.parametrize("errors,mean,std_error", [([1e308, 1e308], 1e308, 0.0),
+                                                   ([3e300, 0.0, 1.0], 1e300, 1e300)])
+def test_reduce_keeps_a_finite_mean_whose_raw_sums_overflow(errors, mean, std_error):
+    # the raw sum of the errors, or of their squared deviations, overflows
+    res = _reduce(np.array(errors), 0.0)
+    assert res.mean_sq_error == pytest.approx(mean, rel=1e-15)
+    assert res.std_error == pytest.approx(std_error, rel=1e-15)
 
 
 class TestLanes:
@@ -588,7 +612,9 @@ two_step,2,2,2,300,10.719922138175347,0.519359471586043,10.3275,0.75558868114400
 # analytic columns began to come from singular values computed without
 # vectors: only analytic_*, normalized and the argmin line moved, by at
 # most 1.2e-15 relative (the exact-zero k=3 truncation; 6.2e-16
-# elsewhere); mc_mean, mc_stderr, (t_L, t_R) and argmin k did not
+# elsewhere); mc_mean, mc_stderr, (t_L, t_R) and argmin k did not.
+# Regenerated again when the closed forms began to multiply sigma_b_sq into
+# unit parts: only analytic_accumulated moved, by at most 3.5e-16 relative
 PINNED_SWEEP_UNIFORM = """\
 # crossbar-lowrank sweep v1
 # config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
@@ -596,11 +622,11 @@ sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
-0.030000000000000002,11.688130785582043,0.609750028631935,21.6,0.5361111111111111
+0.030000000000000013,11.688130785582043,0.609750028631935,21.6,0.5361111111111111
 2,3,3,true,8.64,3.0,2.7,2.7,\
-0.24000000000000002,7.965427049168942,0.3379743983879059,21.6,0.4
+0.2400000000000001,7.965427049168942,0.3379743983879059,21.6,0.4
 3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
-0.81,10.142994885962464,0.4597624868721803,21.6,0.4958333333333334
+0.8100000000000003,10.142994885962464,0.4597624868721803,21.6,0.4958333333333334
 # argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
