@@ -107,12 +107,29 @@ def _breakdown(tail_sq: float, trace_k: float, m: int, n: int, k: int,
                           tail_sq + stage1 + stage2 + accumulated)
 
 
-def _tail_and_trace(singulars, k: int) -> tuple[float, float]:
+@dataclass(frozen=True)
+class _CheckedSpectrum:
+    """A spectrum that _spectrum has checked: optimize_rank hands one to
+    each of its optimize_repetitions calls, so it checks the array once."""
+
+    values: np.ndarray
+
+
+def _spectrum(singulars) -> np.ndarray:
+    """singulars as a float64 array, checked to be finite, nonnegative and
+    nonincreasing unless it is a _CheckedSpectrum already."""
+    if isinstance(singulars, _CheckedSpectrum):
+        return singulars.values
     s = np.asarray(singulars, dtype=float)
     if not (np.isfinite(s) & (s >= 0)).all():
         raise ValueError("singular values must be finite and nonnegative")
     if (np.diff(s) > 0).any():
         raise ValueError("singular values must be nonincreasing")
+    return s
+
+
+def _tail_and_trace(singulars, k: int) -> tuple[float, float]:
+    s = _spectrum(singulars)
     kk = min(k, s.shape[0])
     return float(np.sum(s[kk:] ** 2)), float(np.sum(s[:kk]))
 
@@ -187,8 +204,9 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
     _check_variances(sigma_b_sq)
+    checked = _CheckedSpectrum(_spectrum(singulars))
     # min keeps the first of equal totals, so ties go to the smaller k
-    best = min(((k, *optimize_repetitions(singulars, m, n, k, noise, 1.0))
+    best = min(((k, *optimize_repetitions(checked, m, n, k, noise, 1.0))
                 for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)),
                key=lambda choice: choice[3].total, default=None)
     if best is None:

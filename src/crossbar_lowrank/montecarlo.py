@@ -1,12 +1,15 @@
 """Reproducible Monte Carlo estimation of expected computation errors.
 
-Trials run in fixed blocks of BLOCK_TRIALS consecutive trial indices (the
-last block may be shorter), in block order on the calling thread. Each
-block owns one stream keyed by (master_seed, ROLE_BLOCK, block index);
-from it the block draws its input rows B (trials x m), or for Gaussian
-two-step trials their coordinates W (trials x rank, see below), then the
-noise of all its trials. The per-trial squared errors are reduced by a
-fixed-order compensated sum.
+Trials run in blocks of consecutive trial indices, in block order on the
+calling thread. A block holds max(1, schemes.NOISE_CELLS // width) trials
+(the last may be shorter), width being the widest per-trial row that any
+array of the path holds: 1 for the Gaussian baseline, the rank of A for
+the Gaussian two-step, and max(m, n) for uniform noise, whose noise cells
+the scheme functions chunk by the same bound. Block i owns one stream
+keyed by (master_seed, ROLE_BLOCK, i); from it the block draws its input
+rows B (trials x m), or for Gaussian two-step trials their coordinates W
+(trials x rank, see below), then the noise of all its trials. The
+per-trial squared errors are reduced by a fixed-order compensated sum.
 
 Gaussian noise is sampled by its effect, not cell by cell. The error
 depends on a write-noise matrix only through x E for the row vector x
@@ -17,19 +20,22 @@ Each trial's squared error is then drawn from its exact law:
 - Baseline: ||b E||^2 = sigma_e^2 ||b||^2 ||z||^2, and ||b||^2 / sigma_b^2
   is chi^2_m, so the error is sigma_e^2 sigma_b^2 chi^2_m chi^2_n. A trial
   draws 2 numbers and no input b.
-- Two-step: b meets the error only through bL, bA and ||b||. With
-  Q = U[:, :rank] from the SVD of A, the columns of L lie in span(Q) and
-  those of A do up to singular values below the rank tolerance, so
-  bL = w Q'L and bA = w Q'A for w = bQ, which is iid
-  N(0, sigma_b^2) in R^rank; and ||b||^2 = ||w||^2 + sigma_b^2
-  chi^2_{m-rank}, independent of w (no chi^2 term when m = rank). Stage
-  1 draws w and c = w Q'L + ||b|| sigma_L/sqrt(t_L) z_1 as above, and
-  y = c R - w Q'A is formed. With a = ||c|| sigma_R/sqrt(t_R), rotating
-  y onto the first axis gives
+- Two-step: A = Q diag(s) V' on its rank singular vectors Q = U[:, :rank]
+  and V = V[:, :rank], up to singular values below the rank tolerance.
+  The input b meets the error only through bL, bA and ||b||. The
+  columns of L lie in span(Q), and so do those of A, so bL = w Q'L and
+  bA = w Q'A for w = bQ, which is iid N(0, sigma_b^2) in R^rank; and
+  ||b||^2 = ||w||^2 + sigma_b^2 chi^2_{m-rank}, independent of w (no
+  chi^2 term when m = rank). Stage 1 draws w and
+  c = w Q'L + ||b|| sigma_L/sqrt(t_L) z_1 as above. The rows of R and of
+  Q'A lie in span(V), so y = c R - w Q'A has ||y|| = ||y V||, and the
+  block forms y V = c (R V) - w (Q'A V), rank wide instead of n. With
+  a = ||c|| sigma_R/sqrt(t_R), rotating y onto the first axis gives
   ||y + a z_2||^2 = (||y|| + a g)^2 + a^2 chi^2_{n-1}, g ~ N(0, 1)
   (no chi^2 term when n = 1). A trial draws rank + k + 3 numbers. The
-  trials still multiply by the actual L, R and A, so a verdict checks
-  the factorization and the target's spectrum too.
+  trials still multiply by the actual L, R and A, projected on both
+  sides, so a verdict checks the factorization and the target's spectrum
+  too; an SVD that A does not satisfy on either side is refused first.
 
 A noiseless two-step stage takes the exact path and draws nothing; a
 noiseless stage 1 needs no ||b|| and draws no chi^2_{m-rank}.
@@ -38,7 +44,7 @@ Uniform noise is not exact in law under that reduction, so a uniform
 block runs the per-cell device model, one call of `two_step_vmm` or
 `baseline_noisy_vmm` on its input rows.
 
-BLOCK_TRIALS, schemes.NOISE_CELLS and the draw order above define the
+schemes.NOISE_CELLS, the widths and the draw order above define the
 streams: changing any of them changes MC values.
 """
 from __future__ import annotations
@@ -52,11 +58,7 @@ import numpy as np
 from .core import as_matrix, iid_entries
 from .lowrank import RANK_TOL_REL, SvdResult, factor_lr
 from .rng import child_stream
-from .schemes import NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
-
-# Trials per block. Block streams are defined on it, so changing it
-# changes every MC value.
-BLOCK_TRIALS = 64
+from .schemes import NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
 
 # index that keys block streams (master_seed, ROLE_BLOCK, block)
 ROLE_BLOCK = 2
@@ -64,7 +66,7 @@ ROLE_BLOCK = 2
 Z_PASS_LIMIT = 4.0
 
 # how far past what sub-tolerance singular values allow A may stray from
-# the span of its SVD's left singular vectors (see _span_coords)
+# its SVD on either side (see _span_coords)
 SPAN_SLACK = 10.0
 
 
@@ -88,11 +90,16 @@ def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     return ((m + n) * np.finfo(float).eps) ** 2 * sigma_b_sq * float(np.sum(A * A))
 
 
-def _run_blocks(trials: int, block_fn: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """Squared errors of trials [0, trials), block_fn(lo, hi) giving those
-    of trials lo..hi-1; blocks run in order."""
-    return np.concatenate([block_fn(lo, min(lo + BLOCK_TRIALS, trials))
-                           for lo in range(0, trials, BLOCK_TRIALS)])
+def _run_blocks(master_seed: int, trials: int, width: int,
+                block_fn: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
+    """Squared errors of trials [0, trials) in blocks of
+    max(1, NOISE_CELLS // width) trials, width being the widest per-trial
+    row of the path's arrays; block_fn(rng, size) gives those of one block
+    from its stream. Blocks run in order."""
+    size = max(1, NOISE_CELLS // width)
+    return np.concatenate([block_fn(child_stream(master_seed, ROLE_BLOCK, i),
+                                    min(size, trials - lo))
+                           for i, lo in enumerate(range(0, trials, size))])
 
 
 def _row_sq(X: np.ndarray) -> np.ndarray:
@@ -151,37 +158,43 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
     A = as_matrix(A)
     m, n = A.shape
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
-        if noise.dist == "gaussian":
+    gaussian = noise.dist == "gaussian"
+
+    def block(rng: np.random.Generator, size: int) -> np.ndarray:
+        if gaussian:
             # ||b E||^2 = sigma_e^2 sigma_b^2 chi^2_m chi^2_n
             return (noise.sigma_e_sq * sigma_b_sq
-                    * rng.chisquare(m, hi - lo) * rng.chisquare(n, hi - lo))
-        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
+                    * rng.chisquare(m, size) * rng.chisquare(n, size))
+        B = iid_entries((size, m), sigma_b_sq, noise.dist, rng)
         D = baseline_noisy_vmm(B, A, noise, rng)
         D -= B @ A
         return _row_sq(D)
 
-    errors = _run_blocks(trials, block)
+    errors = _run_blocks(master_seed, trials, 1 if gaussian else max(m, n), block)
     return _reduce(errors, roundoff_floor(A, sigma_b_sq))
 
 
 def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
-    """Q'A for Q = s.U[:, :s.rank], after checking that s has A's shape
-    and that A lies in span(Q): ||A - Q Q'A||_F may exceed
-    sqrt(min(m, n)) * RANK_TOL_REL * s_1, the most that the singular
+    """Q'A V for Q = s.U[:, :s.rank] and V = s.V[:, :s.rank], after
+    checking that s has A's shape and is A's SVD on both sides: A lies in
+    span(Q), and Q'A = diag(s.singulars[:s.rank]) V', so its rows lie in
+    span(V). Each residual, ||A - Q Q'A||_F and ||Q'A - diag(s) V'||_F, may
+    exceed sqrt(min(m, n)) * RANK_TOL_REL * s_1, the most that the singular
     values below the rank tolerance can add up to, by SPAN_SLACK times at
     most."""
     if s.shape != A.shape:
         raise ValueError(f"SVD shape {s.shape} does not match matrix shape {A.shape}")
-    Q = s.U[:, :s.rank]
+    Q, V = s.U[:, :s.rank], s.V[:, :s.rank]
     QA = Q.T @ A
-    resid = math.sqrt(float(np.sum((A - Q @ QA) ** 2)))
     tol = SPAN_SLACK * math.sqrt(min(A.shape)) * RANK_TOL_REL * float(s.singulars[0])
-    if not resid <= tol:
-        raise ValueError(f"the matrix lies outside the span of the SVD's {s.rank} left "
-                         f"singular vectors by {resid:.3g} > {tol:.3g}: not its SVD")
-    return QA
+    off_right = QA - s.singulars[:s.rank, None] * V.T
+    for what, resid in (("lies outside the span of", A - Q @ QA),
+                        ("has coordinates off diag(s) V' in", off_right)):
+        norm = math.sqrt(float(np.sum(resid * resid)))
+        if not norm <= tol:
+            raise ValueError(f"the matrix {what} the SVD's {s.rank} left singular "
+                             f"vectors by {norm:.3g} > {tol:.3g}: not its SVD")
+    return QA @ V
 
 
 def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: NoiseSpec,
@@ -191,14 +204,14 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
     error is against the exact product with the full matrix, so truncation
     cost is included.
 
-    s must be svd(A): a shape that differs, or an A outside the span of
-    its left singular vectors, is a ValueError. (k, t_L, t_R) must be
-    positive and fit the device budget, which also rules out
+    s must be svd(A): a shape that differs, or an A that s does not
+    factor on either side (see _span_coords), is a ValueError. (k, t_L,
+    t_R) must be positive and fit the device budget, which also rules out
     k > min(m, n), and k may not exceed s.rank.
     """
     _check_run(sigma_b_sq, trials)
     A = as_matrix(A)
-    QA = _span_coords(s, A)
+    QAV = _span_coords(s, A)
     m, n = A.shape
     if k < 1:
         raise ValueError(f"need a rank k >= 1, got k={k}")
@@ -210,32 +223,34 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
     f = factor_lr(s, k)
     rank = s.rank
     QL = s.U[:, :rank].T @ f.L
+    RV = f.R @ s.V[:, :rank]
     scale_L = math.sqrt(noise.sigma_L_sq / t_L)
     scale_R = math.sqrt(noise.sigma_R_sq / t_R)
+    gaussian = noise.dist == "gaussian"
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        rng = child_stream(master_seed, ROLE_BLOCK, lo // BLOCK_TRIALS)
-        if noise.dist == "gaussian":
+    def block(rng: np.random.Generator, size: int) -> np.ndarray:
+        if gaussian:
             # w = bQ: b meets L and A only through it
-            W = iid_entries((hi - lo, rank), sigma_b_sq, noise.dist, rng)
+            W = iid_entries((size, rank), sigma_b_sq, noise.dist, rng)
             C = W @ QL
             # a noiseless stage takes the exact path, as in two_step_vmm
             if scale_L:
                 b_sq = _row_sq(W)
                 if m > rank:
-                    b_sq += sigma_b_sq * rng.chisquare(m - rank, hi - lo)
+                    b_sq += sigma_b_sq * rng.chisquare(m - rank, size)
                 C += _noise_effect(b_sq, scale_L, k, rng)
-            Y = C @ f.R
-            Y -= W @ QA
+            # y V for y = c R - w Q'A, whose norm it keeps
+            Y = C @ RV
+            Y -= W @ QAV
             if scale_R:
                 return _plus_isotropic(_row_sq(Y), scale_R * np.sqrt(_row_sq(C)), n, rng)
             return _row_sq(Y)
-        B = iid_entries((hi - lo, m), sigma_b_sq, noise.dist, rng)
+        B = iid_entries((size, m), sigma_b_sq, noise.dist, rng)
         D = two_step_vmm(B, f, t_L, t_R, noise, rng)
         D -= B @ A
         return _row_sq(D)
 
-    errors = _run_blocks(trials, block)
+    errors = _run_blocks(master_seed, trials, rank if gaussian else max(m, n), block)
     return _reduce(errors, roundoff_floor(A, sigma_b_sq))
 
 

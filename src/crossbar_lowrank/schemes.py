@@ -60,8 +60,9 @@ def _as_rows(b) -> np.ndarray:
     return b
 
 
-# Noise cells a stacked call draws at once (128 KiB of float64). Chunk
-# boundaries set a stack's draw order: changing it changes uniform MC values.
+# Noise cells a stacked call draws at once (128 KiB of float64). It also
+# sizes Monte Carlo blocks (see montecarlo), so chunk and block boundaries
+# set the draw order: changing it changes every MC value.
 NOISE_CELLS = 2**14
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,9 @@ from crossbar_lowrank import montecarlo, schemes
 from crossbar_lowrank.analysis import two_step_error_analytic
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
-from crossbar_lowrank.lowrank import factor_lr, svd, truncate
+from crossbar_lowrank.lowrank import LrFactors, factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_matrix
 from crossbar_lowrank.montecarlo import (
-    BLOCK_TRIALS,
     TrialBatchResult,
     _reduce,
     _run_blocks,
@@ -70,12 +70,28 @@ class TestBaselineTrials:
                                 sigma_b_sq, trials=10, master_seed=0)
 
     def test_standard_error_shrinks_as_root_trials(self):
-        A = np.array([[0.0]])
-        noise = NoiseSpec(sigma_e_sq=0.05)
-        coarse = run_baseline_trials(A, noise, 3.0, trials=1_000, master_seed=31)
-        fine = run_baseline_trials(A, noise, 3.0, trials=100_000, master_seed=31)
+        # the errors are c chi^2_m chi^2_n; at m = n = 64 their kurtosis
+        # kappa is about 3.7, and a sample SD over T trials has a relative
+        # SD of about sqrt((kappa - 1) / (4 T)). The SE ratio of T and 100 T
+        # trials is 10 up to both SDs' errors, so the bound is 5 SDs of
+        # their difference: a false fail about once in 10^6 seeds, where an
+        # SE that scaled as 1/T or T^-1/4 would read 100 or 3.2
+        m = n = 64
+        coarse_trials, fine_trials = 4_000, 400_000
+
+        def chi2_moment(v, j):
+            return math.prod(v + 2 * i for i in range(j))
+
+        raw = [chi2_moment(m, j) * chi2_moment(n, j) for j in range(5)]
+        var = raw[2] - raw[1] ** 2
+        kappa = (raw[4] - 4 * raw[3] * raw[1] + 6 * raw[2] * raw[1] ** 2
+                 - 3 * raw[1] ** 4) / var ** 2
+        rel_sd = math.sqrt((kappa - 1) / 4 * (1 / coarse_trials + 1 / fine_trials))
+        A, noise = np.zeros((m, n)), NoiseSpec(sigma_e_sq=0.05)
+        coarse = run_baseline_trials(A, noise, 3.0, coarse_trials, master_seed=31)
+        fine = run_baseline_trials(A, noise, 3.0, fine_trials, master_seed=31)
         ratio = coarse.std_error / fine.std_error
-        assert ratio == pytest.approx(10.0, rel=0.10)
+        assert ratio == pytest.approx(10.0, rel=5 * rel_sd)
 
 
 def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
@@ -120,6 +136,38 @@ class TestTwoStepTrials:
                 run_two_step_trials(other, A, *scheme, trials=5, master_seed=0)
             with pytest.raises(ValueError, match="matrix shape"):
                 run_two_step_trials(s, np.zeros((5, 4)), *scheme, trials=5, master_seed=0)
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("wrong_V", ["swapped", "sign_flipped", "other_matrix"])
+    def test_rejects_an_svd_that_is_wrong_on_the_right(self, dist, wrong_V):
+        # U and the singular values are A's, so A lies in span(U[:, :rank]);
+        # a V that keeps span(V[:, :rank]) but pairs its columns wrongly, or
+        # spans another space, fails Q'A = diag(s) V'
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3,
+                                         NoiseSpec(dist=dist), 1.0)
+        V = s.V.copy()
+        if wrong_V == "swapped":
+            V[:, [0, 1]] = V[:, [1, 0]]
+        elif wrong_V == "sign_flipped":
+            V[:, 1] *= -1.0
+        else:
+            V = svd(prescribed_matrix(12, 20, [3.0, 1.5, 0.5], np.random.default_rng(22))).V
+        with pytest.raises(ValueError, match="diag\\(s\\) V'.*not its SVD"):
+            run_two_step_trials(dataclasses.replace(s, V=V), A, *scheme, trials=5,
+                                master_seed=0)
+
+    def test_a_scaled_R_fails_the_verdict(self, monkeypatch):
+        # R meets the trials only as R V: scaling it must show in the mean
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
+        analytic = two_step_error_analytic(s.singulars, 12, 20, 2, 2, 3, 0.05, 0.08,
+                                           2.0).total
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=7)
+        assert compare(res, analytic)[1]
+        monkeypatch.setattr(montecarlo, "factor_lr", lambda *args: LrFactors(f.L, 1.1 * f.R))
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=7)
+        z, ok = compare(res, analytic)
+        assert not ok, f"z={z:.2f}"
 
     def test_accepts_a_tail_below_the_rank_tolerance(self):
         # s has rank 1; A strays from span(U[:, :1]) by its 1e-12 tail only
@@ -235,18 +283,82 @@ class TestLanes:
             with pytest.raises(ValueError, match="lanes"):
                 run_mc(cfg, lanes=lanes)
 
-    def test_blocks_tile_the_trials_once(self):
-        seen = []
+    def test_blocks_tile_the_trials_once(self, monkeypatch):
+        # blocks of max(1, NOISE_CELLS // width) trials, block i on the
+        # stream (seed, ROLE_BLOCK, i)
+        keys = []
+        monkeypatch.setattr(montecarlo, "child_stream", lambda *key: keys.append(key) or key)
+        for width, size in ((1, NOISE_CELLS), (7, NOISE_CELLS // 7), (NOISE_CELLS, 1),
+                            (NOISE_CELLS + 1, 1)):
+            keys.clear()
+            seen = []
 
-        def block(lo, hi):
-            seen.append((lo, hi))
-            return np.arange(lo, hi, dtype=float)
+            def block(rng, count):
+                seen.append(count)
+                return np.full(count, float(len(seen)))
 
-        trials = 3 * BLOCK_TRIALS + 5
-        out = _run_blocks(trials, block)
-        assert np.array_equal(out, np.arange(trials, dtype=float))
-        assert seen == [(lo, min(lo + BLOCK_TRIALS, trials))
-                        for lo in range(0, trials, BLOCK_TRIALS)]
+            trials = 3 * size + size // 2 + 1  # three full blocks and a short one
+            out = _run_blocks(9, trials, width, block)
+            assert seen == [size] * 3 + [size // 2 + 1]
+            assert keys == [(9, montecarlo.ROLE_BLOCK, i) for i in range(4)]
+            assert np.array_equal(out, np.repeat([1.0, 2.0, 3.0, 4.0], seen))
+
+
+class TestBlockRule:
+    """Blocks hold max(1, NOISE_CELLS // width) trials, width being 1 for
+    the Gaussian baseline, the rank for the Gaussian two-step and max(m, n)
+    for uniform noise."""
+
+    def test_noise_cells_bound_every_draw_and_block_array(self, monkeypatch):
+        # at NOISE_CELLS = 256, with no row of a uniform stack over 256 noise
+        # cells, nothing a block draws, or sums by rows, holds more
+        for module in (montecarlo, schemes):
+            monkeypatch.setattr(module, "NOISE_CELLS", 256)
+        sizes, streams = [], []
+        real_stream, real_row_sq = montecarlo.child_stream, montecarlo._row_sq
+
+        def stream(*key):
+            streams.append(key)
+            return _DrawSpy(real_stream(*key), lambda name, out: sizes.append(np.size(out)))
+
+        def row_sq(X):
+            sizes.append(X.size)
+            return real_row_sq(X)
+
+        monkeypatch.setattr(montecarlo, "child_stream", stream)
+        monkeypatch.setattr(montecarlo, "_row_sq", row_sq)
+        for dist in ("gaussian", "uniform"):
+            noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.08, dist=dist)
+            A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 8, 12, 2, 2, 2, noise, 2.0)
+            for run in (lambda: run_baseline_trials(A, noise, 2.0, 600, master_seed=1),
+                        lambda: run_two_step_trials(s, A, *scheme, 600, master_seed=1)):
+                sizes.clear()
+                streams.clear()
+                run()
+                assert max(sizes) <= 256
+                assert len(streams) > 2
+
+    def test_one_block_runs_keep_their_draws(self, monkeypatch):
+        # 64 trials at m, n <= 256 are one block under this rule and under
+        # the fixed 64-trial blocks before it: the baseline and uniform
+        # errors are those of the one stream's draws, as they were
+        noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
+        A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
+        cap = _Capture(monkeypatch)
+        run_baseline_trials(A, dataclasses.replace(noise, dist="gaussian"), 2.0, 64,
+                            master_seed=8)
+        rng = child_stream(8, montecarlo.ROLE_BLOCK, 0)
+        assert np.array_equal(cap.errors,
+                              0.05 * 2.0 * rng.chisquare(12, 64) * rng.chisquare(20, 64))
+        for run, vmm in ((lambda: run_baseline_trials(A, noise, 2.0, 64, master_seed=8),
+                          lambda B, g: baseline_noisy_vmm(B, A, noise, g)),
+                         (lambda: run_two_step_trials(s, A, *scheme, 64, master_seed=8),
+                          lambda B, g: two_step_vmm(B, f, 2, 3, noise, g))):
+            run()
+            rng = child_stream(8, montecarlo.ROLE_BLOCK, 0)
+            B = iid_entries((64, 12), 2.0, "uniform", rng)
+            D = vmm(B, rng) - B @ A
+            assert np.array_equal(cap.errors, np.einsum("ij,ij->i", D, D))
 
 
 def _ks_statistic(x, y):
@@ -377,33 +489,38 @@ class TestEffectSamplerMatchesDevice:
         assert ok, f"z={z:.2f}"
 
     def test_noiseless_stage_two_is_the_exact_norm(self, monkeypatch):
-        # sigma_R^2 = 0: the error is ||c R - b A||^2 of the block's own
-        # w = bQ, ||b|| and c, with nothing drawn for stage 2
+        # sigma_R^2 = 0: the error is ||(c R - b A) V||^2 of one block's own
+        # w = bQ, ||b|| and c, with nothing drawn for stage 2; V keeps the
+        # norm, which the unprojected product matches to round-off
         noise = NoiseSpec(sigma_L_sq=0.05)
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
+        trials = NOISE_CELLS // 3  # one block, rank 3 wide
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, BLOCK_TRIALS, master_seed=5)
+        run_two_step_trials(s, A, *scheme, trials, master_seed=5)
         rng = child_stream(5, montecarlo.ROLE_BLOCK, 0)
-        Q = s.U[:, :3]
-        W = iid_entries((BLOCK_TRIALS, 3), 2.0, "gaussian", rng)
-        b_sq = np.einsum("ij,ij->i", W, W) + 2.0 * rng.chisquare(20 - 3, BLOCK_TRIALS)
+        Q, V = s.U[:, :3], s.V[:, :3]
+        W = iid_entries((trials, 3), 2.0, "gaussian", rng)
+        b_sq = np.einsum("ij,ij->i", W, W) + 2.0 * rng.chisquare(20 - 3, trials)
         C = W @ (Q.T @ f.L) + montecarlo._noise_effect(b_sq, math.sqrt(0.05 / 2), 2, rng)
-        Y = C @ f.R - W @ (Q.T @ A)
+        Y = C @ (f.R @ V) - W @ (Q.T @ A @ V)
         assert np.array_equal(cap.errors, np.einsum("ij,ij->i", Y, Y))
+        Y_full = C @ f.R - W @ (Q.T @ A)
+        np.testing.assert_allclose(cap.errors, np.einsum("ij,ij->i", Y_full, Y_full),
+                                   rtol=1e-12)
 
 
-class _CountingStream:
-    """A Generator whose draws are tallied by method name."""
+class _DrawSpy:
+    """A Generator that reports each draw as on_draw(method name, result)."""
 
-    def __init__(self, rng, counts):
-        self._rng, self._counts = rng, counts
+    def __init__(self, rng, on_draw):
+        self._rng, self._on_draw = rng, on_draw
 
     def __getattr__(self, name):
         fn = getattr(self._rng, name)
 
         def draw(*args, **kwargs):
             out = fn(*args, **kwargs)
-            self._counts[name] = self._counts.get(name, 0) + np.size(out)
+            self._on_draw(name, out)
             return out
 
         return draw
@@ -416,14 +533,18 @@ class TestGaussianDrawCounts:
     noiseless stage 1 needs no ||b||; m = rank needs no chi^2_{m-rank}.
     A baseline trial draws 2."""
 
-    TRIALS = 100  # one full block and one partial
+    TRIALS = 2_000  # two blocks of the 12-wide two-step, one of the baseline
 
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = {}
         real = montecarlo.child_stream
+
+        def tally(name, out):
+            counts[name] = counts.get(name, 0) + np.size(out)
+
         monkeypatch.setattr(montecarlo, "child_stream",
-                            lambda *key: _CountingStream(real(*key), counts))
+                            lambda *key: _DrawSpy(real(*key), tally))
         return counts
 
     @staticmethod
@@ -509,20 +630,22 @@ class TestUniformBlockPath:
             monkeypatch.setattr(montecarlo, name, spy)
         return rows
 
+    # blocks of NOISE_CELLS // max(m, n) = 2048 trials at 8 x 8
     def test_run_mc_calls_the_schemes_once_a_block(self, monkeypatch):
-        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=150)
+        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=4_200)
         want = mc_csv(run_mc(cfg))
         rows = self._spy_scheme_calls(monkeypatch)
         assert mc_csv(run_mc(cfg)) == want
-        assert rows == {"two_step_vmm": [64, 64, 22], "baseline_noisy_vmm": [64, 64, 22]}
+        assert rows == {"two_step_vmm": [2048, 2048, 104],
+                        "baseline_noisy_vmm": [2048, 2048, 104]}
 
     def test_run_sweep_calls_the_schemes_once_a_block(self, monkeypatch):
-        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=100,
+        cfg = ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=2_100,
                                k_range=(1, 2))
         want = sweep_csv(run_sweep(cfg))
         rows = self._spy_scheme_calls(monkeypatch)
         assert sweep_csv(run_sweep(cfg)) == want
-        assert rows == {"two_step_vmm": [64, 36, 64, 36], "baseline_noisy_vmm": []}
+        assert rows == {"two_step_vmm": [2048, 52, 2048, 52], "baseline_noisy_vmm": []}
 
     def test_two_step_matches_device(self, monkeypatch):
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
@@ -593,7 +716,12 @@ class TestUniformBlockPath:
 # (t_L, t_R), argmin k and pass flags did not. PINNED_MC_GAUSSIAN was
 # regenerated when Gaussian two-step trials began to draw their input as
 # its rank coordinates w = bQ (rank + k + 3 numbers a trial): only the
-# two-step row's mean_sq_error, std_error and z moved
+# two-step row's mean_sq_error, std_error and z moved. All three were
+# regenerated when blocks began to hold max(1, NOISE_CELLS // width) trials
+# instead of 64 (one block for each run here) and the Gaussian two-step
+# error began to be formed in A's right singular coordinates: only
+# mean_sq_error, std_error, z, mc_mean and mc_stderr moved; analytic
+# values, (t_L, t_R), argmins and pass flags did not
 PINNED_NUMPY = "2.4.6"
 
 PINNED_MC_GAUSSIAN = """\
@@ -601,8 +729,8 @@ PINNED_MC_GAUSSIAN = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,10.223355452236854,0.46951254274837184,9.600000000000001,1.3276651750088186,true
-two_step,2,2,2,300,10.719922138175347,0.519359471586043,10.3275,0.7555886811440069,true
+baseline,,,,300,9.855124048240512,0.4240038566247907,9.600000000000001,0.6017021879739053,true
+two_step,2,2,2,300,10.520171122079692,0.48825534896359757,10.3275,0.39461139030768894,true
 # all_passed=true
 """
 
@@ -614,7 +742,9 @@ two_step,2,2,2,300,10.719922138175347,0.519359471586043,10.3275,0.75558868114400
 # most 1.2e-15 relative (the exact-zero k=3 truncation; 6.2e-16
 # elsewhere); mc_mean, mc_stderr, (t_L, t_R) and argmin k did not.
 # Regenerated again when the closed forms began to multiply sigma_b_sq into
-# unit parts: only analytic_accumulated moved, by at most 3.5e-16 relative
+# unit parts: only analytic_accumulated moved, by at most 3.5e-16 relative.
+# Regenerated with PINNED_MC_GAUSSIAN for the width-sized blocks: only
+# mc_mean and mc_stderr moved
 PINNED_SWEEP_UNIFORM = """\
 # crossbar-lowrank sweep v1
 # config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
@@ -622,11 +752,11 @@ sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
-0.030000000000000013,11.688130785582043,0.609750028631935,21.6,0.5361111111111111
+0.030000000000000013,11.451763827638628,0.5642649048083319,21.6,0.5361111111111111
 2,3,3,true,8.64,3.0,2.7,2.7,\
-0.2400000000000001,7.965427049168942,0.3379743983879059,21.6,0.4
+0.2400000000000001,8.799880798078666,0.40367789932568093,21.6,0.4
 3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
-0.8100000000000003,10.142994885962464,0.4597624868721803,21.6,0.4958333333333334
+0.8100000000000003,10.667762552586623,0.4820337320659088,21.6,0.4958333333333334
 # argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
@@ -635,8 +765,8 @@ PINNED_MC_UNIFORM = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.793039528504497,0.3123544399156963,9.600000000000001,0.61801435752473,true
-two_step,2,2,2,300,10.072382007099582,0.4301861624297291,10.3275,-0.5930409092182077,true
+baseline,,,,300,9.55953846994939,0.2951202729111246,9.600000000000001,-0.13710183191243155,true
+two_step,2,2,2,300,9.328450092424797,0.3596062916671248,10.3275,-2.77817694163146,true
 # all_passed=true
 """
 
