@@ -14,6 +14,7 @@ two-step scheme's u splits into four additive parts:
 with trace_k = sum_{i<=k} s_i, each part evaluated left to right as
 written. So no argmin depends on sigma_b_sq: the optimizers score unit
 totals, and _scaled multiplies sigma_b_sq into the parts, in one place.
+One rule, least, picks every winner: t_L within a rank, k, and the sweep's k.
 The harmonic singular-value class (s_i = lam/i) admits closed-form bounds
 on the trace and truncation tail, and an asymptotic error expression in
 the array size n when the rank and truncation level grow as
@@ -27,11 +28,12 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .core import DeviceParams
+from .matrixgen import check_spectrum
 from .schemes import NoiseSpec, budget_feasible
 
 EULER_MASCHERONI = 0.5772156649015329
 
-# relative gap below which optimize_repetitions treats two totals as tied
+# relative gap within which least counts two totals as tied
 TIE_RTOL = 1e-12
 
 
@@ -74,6 +76,15 @@ def _check_variances(*values: float) -> None:
         raise ValueError(f"variances must be finite and nonnegative, got {values}")
 
 
+def least(totals) -> int:
+    """Index of the first total t that the least total does not undercut by
+    a relative TIE_RTOL (t (1 - TIE_RTOL) <= least), so round-off cannot
+    break an exact tie and ties go to the earlier index. A NaN never beats
+    a number; all-NaN totals give 0, whose NaN the caller refuses."""
+    low = min((t for t in totals if t == t), default=math.inf)  # NaN != NaN
+    return next((i for i, t in enumerate(totals) if t * (1.0 - TIE_RTOL) <= low), 0)
+
+
 def _scaled(sigma_b_sq: float, unit_parts, what: str) -> list[float]:
     """sigma_b_sq times each unit part, then their sum; a ValueError if the sum is
     not finite, or if it or the unit sum underflows to 0 or a subnormal from positive factors."""
@@ -107,29 +118,7 @@ def _breakdown(tail_sq: float, trace_k: float, m: int, n: int, k: int,
                           tail_sq + stage1 + stage2 + accumulated)
 
 
-@dataclass(frozen=True)
-class _CheckedSpectrum:
-    """A spectrum that _spectrum has checked: optimize_rank hands one to
-    each of its optimize_repetitions calls, so it checks the array once."""
-
-    values: np.ndarray
-
-
-def _spectrum(singulars) -> np.ndarray:
-    """singulars as a float64 array, checked to be finite, nonnegative and
-    nonincreasing unless it is a _CheckedSpectrum already."""
-    if isinstance(singulars, _CheckedSpectrum):
-        return singulars.values
-    s = np.asarray(singulars, dtype=float)
-    if not (np.isfinite(s) & (s >= 0)).all():
-        raise ValueError("singular values must be finite and nonnegative")
-    if (np.diff(s) > 0).any():
-        raise ValueError("singular values must be nonincreasing")
-    return s
-
-
-def _tail_and_trace(singulars, k: int) -> tuple[float, float]:
-    s = _spectrum(singulars)
+def _tail_and_trace(s: np.ndarray, k: int) -> tuple[float, float]:
     kk = min(k, s.shape[0])
     return float(np.sum(s[kk:] ** 2)), float(np.sum(s[:kk]))
 
@@ -148,8 +137,8 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
         raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
     _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
     with np.errstate(over="ignore"):  # an inf tail is refused with its total
-        unit = _breakdown(*_tail_and_trace(singulars, k), m, n, k, t_L, t_R,
-                          sigma_L_sq, sigma_R_sq)
+        unit = _breakdown(*_tail_and_trace(check_spectrum(singulars), k), m, n, k,
+                          t_L, t_R, sigma_L_sq, sigma_R_sq)
     return ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4], "the two-step error"))
 
 
@@ -159,18 +148,34 @@ def t_L_max(m: int, n: int, k: int) -> int:
     return (m * n - n * k) // (m * k)
 
 
+def _best_split(s: np.ndarray, m: int, n: int, k: int,
+                noise: NoiseSpec) -> tuple[int, int, list[float]]:
+    """The winning (t_L, t_R) at a feasible rank k of a checked spectrum s,
+    and its four parts per unit input variance: all t_L in one array pass."""
+    t_L = np.arange(1, t_L_max(m, n, k) + 1)
+    t_R = (m * n - t_L * m * k) // (n * k)
+    with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses a non-finite winner
+        unit = _breakdown(*_tail_and_trace(s, k), m, n, k, t_L, t_R,
+                          noise.sigma_L_sq, noise.sigma_R_sq)
+    best = least(unit.total.tolist())
+    # truncation does not depend on t_L: it is the one scalar field
+    return int(t_L[best]), int(t_R[best]), [
+        float(unit.truncation), float(unit.stage1_noise[best]),
+        float(unit.stage2_noise[best]), float(unit.accumulated[best])]
+
+
 def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
                          sigma_b_sq: float) -> tuple[int, int, ErrorBreakdown]:
     """Best integer (t_L, t_R) for a fixed rank k under the memristor budget.
 
-    Scores every t_L of its feasible range in one array pass, t_R
-    filling the remaining budget greedily; the error is nonincreasing in
-    t_R, so the greedy fill dominates any smaller t_R at the same t_L and
-    the scan is exact. Ties prefer smaller t_L, then smaller t_R; totals
-    within a relative TIE_RTOL count as tied, so round-off in the
-    spectrum cannot break an exact tie (m = n with sigma_L_sq =
-    sigma_R_sq). Totals are scored per unit input variance, so the winner
-    does not depend on sigma_b_sq; see _scaled for what is refused.
+    Scores every t_L of its feasible range, t_R filling the remaining
+    budget greedily; the error is nonincreasing in t_R, so the greedy fill
+    dominates any smaller t_R at the same t_L and the scan is exact. The
+    winner is the smallest t_L whose total lies within a relative TIE_RTOL
+    of the least (see least), so round-off in the spectrum cannot break an
+    exact tie (m = n with sigma_L_sq = sigma_R_sq). Totals are scored per
+    unit input variance, so the winner does not depend on sigma_b_sq; see
+    _scaled for what is refused.
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
@@ -180,43 +185,27 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
             f"mk+nk = {m * k + n * k} > mn = {m * n}"
         )
     _check_variances(sigma_b_sq)
-    t_L = np.arange(1, t_L_max(m, n, k) + 1)
-    t_R = (m * n - t_L * m * k) // (n * k)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite winner is refused below
-        unit = _breakdown(*_tail_and_trace(singulars, k), m, n, k, t_L, t_R,
-                          noise.sigma_L_sq, noise.sigma_R_sq)
-    totals = unit.total.tolist()
-    best = 0
-    for i, total in enumerate(totals):
-        if total < totals[best] * (1.0 - TIE_RTOL):
-            best = i
-    # truncation does not depend on t_L: it is the one scalar field
-    return int(t_L[best]), int(t_R[best]), ErrorBreakdown(*_scaled(sigma_b_sq, [
-        float(unit.truncation), float(unit.stage1_noise[best]),
-        float(unit.stage2_noise[best]), float(unit.accumulated[best])],
-        "the least two-step error"))
+    t_L, t_R, unit = _best_split(check_spectrum(singulars), m, n, k, noise)
+    return t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,
                   k_max: int) -> tuple[int, int, int, ErrorBreakdown]:
-    """Joint best (k, t_L, t_R) over k in [1, k_max], scored on unit totals
-    like optimize_repetitions; ties prefer smaller k."""
+    """Joint best (k, t_L, t_R) over k in [1, k_max], each k's unit total
+    being its best split's; least picks k, and only the winner is scaled."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
     _check_variances(sigma_b_sq)
-    checked = _CheckedSpectrum(_spectrum(singulars))
-    # min keeps the first of equal totals, so ties go to the smaller k
-    best = min(((k, *optimize_repetitions(checked, m, n, k, noise, 1.0))
-                for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)),
-               key=lambda choice: choice[3].total, default=None)
-    if best is None:
+    s = check_spectrum(singulars)
+    choices = [(k, *_best_split(s, m, n, k, noise))
+               for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)]
+    if not choices:
         raise InfeasibleBudgetError(
             f"no rank fits the budget: m+n = {m + n} devices per unit rank "
             f"exceed mn = {m * n}"
         )
-    k, t_L, t_R, unit = best
-    return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4],
-                                                "the least two-step error"))
+    k, t_L, t_R, unit = choices[least([sum(choice[3]) for choice in choices])]
+    return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 
 def harmonic_trace(lam: float, k: int) -> tuple[float, float]:

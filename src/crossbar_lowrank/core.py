@@ -74,8 +74,8 @@ def iid_entries(shape, sigma_sq: float, dist: str, rng: np.random.Generator) -> 
     sigma_sq = 0 returns zeros without consuming any randomness, so a
     noiseless stage leaves the stream untouched.
     """
-    if sigma_sq < 0:
-        raise ValueError(f"variance must be nonnegative, got {sigma_sq}")
+    if not (math.isfinite(sigma_sq) and sigma_sq >= 0):
+        raise ValueError(f"variance must be finite and nonnegative, got {sigma_sq}")
     if dist not in SUPPORTED_DISTS:
         raise ValueError(f"unsupported distribution {dist!r}; expected one of {SUPPORTED_DISTS}")
     if sigma_sq == 0:

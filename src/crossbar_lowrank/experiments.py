@@ -32,6 +32,7 @@ import numpy as np
 from .analysis import (
     baseline_error_analytic,
     lambda_max,
+    least,
     optimal_beta,
     optimize_rank,
     optimize_repetitions,
@@ -357,8 +358,9 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     harmonic target matrix is generated for the whole sweep and each k
     gets a Monte Carlo estimate from its own seed lineage; the target and
     its SVD are computed only then. Infeasible k values are emitted
-    flagged instead of aborting. `lanes` has no effect (see
-    _check_lanes). The target's size cap holds at every trial count.
+    flagged instead of aborting; analysis.least picks argmin_k, as it picks
+    optimize_rank's k. `lanes` has no effect (see _check_lanes). The
+    target's size cap holds at every trial count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
@@ -385,9 +387,8 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
         rows.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
                              mc_mean=mc_mean, mc_stderr=mc_stderr,
                              **_analytic_columns(bd, baseline)))
-    # min keeps the first of equal totals, so ties go to the smaller k
-    best = min((row for row in rows if row.feasible),
-               key=lambda row: row.analytic_total, default=None)
+    feasible = [row for row in rows if row.feasible]
+    best = feasible[least([row.analytic_total for row in feasible])] if feasible else None
     return SweepResult(rows=rows, argmin_k=None if best is None else best.k,
                        lam_resolved=config.resolved_lambda(), config=config)
 

@@ -1,8 +1,9 @@
 """Reproducible generation of matrices with prescribed singular values.
 
-A spectrum is a plain 1-D array of singular values. `harmonic_spectrum`
-is the one statement of the harmonic profile lam/i, i <= r, and
-`prescribed_matrix` builds a matrix with any valid spectrum.
+A spectrum is a plain 1-D array of singular values, valid when
+`check_spectrum` passes it. `harmonic_spectrum` is the one statement of
+the harmonic profile lam/i, i <= r, and `prescribed_matrix` builds a
+matrix with any valid, nonempty and positive spectrum.
 
 Stream contract: a rank-r m x n matrix draws a full m x m Gaussian
 square, then a full n x n one, from its stream, and orthogonalizes only
@@ -15,6 +16,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+
+def check_spectrum(singulars) -> np.ndarray:
+    """singulars as a float64 array, checked to be 1-D, finite,
+    nonnegative and nonincreasing."""
+    s = np.asarray(singulars, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"singular values must be a 1-D array, got shape {s.shape}")
+    if not (np.isfinite(s) & (s >= 0)).all():
+        raise ValueError("singular values must be finite and nonnegative")
+    if (np.diff(s) > 0).any():
+        raise ValueError("singular values must be nonincreasing")
+    return s
 
 
 def harmonic_spectrum(lam: float, r: int) -> np.ndarray:
@@ -57,24 +71,18 @@ def prescribed_matrix(m: int, n: int, singulars,
                       rng: np.random.Generator) -> np.ndarray:
     """m x n matrix with exactly the given singular values.
 
-    The values must form a nonempty, nonincreasing 1-D array of finite
-    positive numbers, at most min(m, n) long; they are checked before
-    anything is drawn. Built as U_r diag(s) V_r' from the leading r
-    columns of independent random orthogonal factors, so the spectrum is
-    exact up to orthogonalization round-off. U's m x m square is drawn
-    before V's n x n square.
+    The values must pass check_spectrum and be nonempty, positive and at
+    most min(m, n) long; they are checked before anything is drawn. Built
+    as U_r diag(s) V_r' from the leading r columns of independent random
+    orthogonal factors, so the spectrum is exact up to orthogonalization
+    round-off. U's m x m square is drawn before V's n x n square.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
-    sigma = np.asarray(singulars, dtype=float)
-    if sigma.ndim != 1 or sigma.size == 0:
-        raise ValueError(f"singular values must be a nonempty 1-D array, "
-                         f"got shape {sigma.shape}")
-    if not (np.isfinite(sigma) & (sigma > 0)).all():
-        raise ValueError("singular values must be finite and positive")
-    if (np.diff(sigma) > 0).any():
-        raise ValueError("singular values must be nonincreasing")
+    sigma = check_spectrum(singulars)
     r = sigma.size
+    if r == 0 or sigma[-1] == 0:  # nonincreasing, so the last value is the least
+        raise ValueError("singular values must be nonempty and positive")
     if r > min(m, n):
         raise ValueError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
     U = random_orthogonal(m, rng, r)

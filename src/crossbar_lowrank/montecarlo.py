@@ -85,9 +85,12 @@ def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     trial's product for an m x n matrix A: ((m + n) eps)^2 E||bA||^2, with
     E||bA||^2 = sigma_b^2 ||A||_F^2. Each output entry is a sum of about
     m + n rounded terms of magnitude |bA|, so its relative error is of
-    order (m + n) eps."""
+    order (m + n) eps. ||A||_F^2 is summed on A / max|a| and max|a| goes
+    into the square root's factor, so the floor is finite where its value is."""
     m, n = A.shape
-    return ((m + n) * np.finfo(float).eps) ** 2 * sigma_b_sq * float(np.sum(A * A))
+    top = float(np.max(np.abs(A))) or 1.0
+    root = (m + n) * np.finfo(float).eps * top * math.sqrt(sigma_b_sq)
+    return root * root * float(np.sum(np.square(A / top)))
 
 
 def _run_blocks(master_seed: int, trials: int, width: int,

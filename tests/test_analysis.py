@@ -181,17 +181,19 @@ class TestOptimizeRepetitions:
 
 def _optimize_repetitions_by_loop(singulars, m, n, k, noise, sigma_b_sq):
     """optimize_repetitions as one scalar unit _breakdown call per t_L, the
-    winner's breakdown being the closed form there: the reference its
-    array pass must equal."""
-    tail_sq, trace_k = analysis._tail_and_trace(singulars, k)
-    best = None
+    winner being the smallest t_L that the least total does not undercut by
+    a relative TIE_RTOL, and its breakdown the closed form there: the
+    reference its array pass must equal."""
+    tail_sq, trace_k = analysis._tail_and_trace(np.asarray(singulars, dtype=float), k)
+    candidates = []
     for t_L in range(1, analysis.t_L_max(m, n, k) + 1):
         t_R = (m * n - t_L * m * k) // (n * k)
         unit = analysis._breakdown(tail_sq, trace_k, m, n, k, t_L, t_R,
                                    noise.sigma_L_sq, noise.sigma_R_sq)
-        if best is None or unit.total < best[2] * (1.0 - analysis.TIE_RTOL):
-            best = (t_L, t_R, unit.total)
-    t_L, t_R, _ = best
+        candidates.append((t_L, t_R, unit.total))
+    least_total = min(total for _, _, total in candidates)
+    t_L, t_R = next((t_L, t_R) for t_L, t_R, total in candidates
+                    if total * (1.0 - analysis.TIE_RTOL) <= least_total)
     return t_L, t_R, two_step_error_analytic(singulars, m, n, k, t_L, t_R, noise.sigma_L_sq,
                                              noise.sigma_R_sq, sigma_b_sq)
 
@@ -211,6 +213,10 @@ def test_optimize_repetitions_equals_the_scalar_loop():
         sr = sl if case % 4 == 0 else float(rng.choice([0.0, rng.uniform(0.001, 0.5)]))
         noise = NoiseSpec(sigma_L_sq=sl, sigma_R_sq=sr)
         singulars = np.sort(rng.uniform(0.0, 5.0, size=int(rng.integers(1, min(m, n) + 1))))[::-1]
+        if case % 8 == 1:
+            # a flat tail that dwarfs the noise parts puts totals within
+            # TIE_RTOL of each other
+            singulars = np.full(singulars.size, 1e10)
         sb = float(rng.uniform(0.1, 4.0))
         got = optimize_repetitions(singulars, m, n, k, noise, sb)
         assert got == _optimize_repetitions_by_loop(singulars, m, n, k, noise, sb)
@@ -281,7 +287,7 @@ class TestNonFiniteInput:
     NOISE = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
 
     @pytest.mark.parametrize("singulars", [[math.nan, 1.0], [math.inf, 1.0], [2.0, -1.0],
-                                           [1.0, 5.0]])
+                                           [1.0, 5.0], [[2.0, 1.0], [4.0, 3.0]], 2.0])
     def test_rejects_bad_spectrum(self, singulars):
         with pytest.raises(ValueError, match="singular values"):
             optimize_repetitions(singulars, 40, 40, 1, self.NOISE, 3.0)
@@ -559,3 +565,51 @@ class TestLambdaMax:
         one = lambda_max(10, 20, DeviceParams(r_T=1.0))
         two = lambda_max(10, 20, DeviceParams(r_T=2.0))
         assert two == pytest.approx(one / 2.0, rel=1e-14)
+
+
+class TestLeast:
+    """One argmin rule: the first total that the least total does not
+    undercut by a relative TIE_RTOL."""
+
+    def test_exact_minimum_and_first_of_exact_ties(self):
+        assert analysis.least([3.0, 1.0, 2.0]) == 1
+        assert analysis.least([3.0, 1.0, 1.0]) == 1
+        assert analysis.least([0.0, 0.0]) == 0
+
+    def test_the_tie_band_does_not_depend_on_the_scan_order(self):
+        # the band is measured from the least total, so 1 + 0.9e-12 ties with
+        # 1 wherever it stands; a sequential scan measured it from the best
+        # so far (1 + 1.8e-12) and picked index 2 in the second list
+        assert analysis.least([1.0 + 0.9e-12, 1.0 + 1.8e-12, 1.0]) == 0
+        assert analysis.least([1.0 + 1.8e-12, 1.0 + 0.9e-12, 1.0]) == 1
+        assert analysis.least([1.0 + 3e-12, 1.0]) == 1
+
+    def test_a_nan_never_beats_a_number(self):
+        assert analysis.least([math.nan, 2.0, 1.0]) == 2
+        assert analysis.least([math.nan, math.inf]) == 1
+        assert analysis.least([math.inf, 1e308, math.nan]) == 1
+        assert analysis.least([math.nan, math.nan]) == 0
+
+    def test_an_all_nan_scan_is_refused_as_nan(self):
+        # sigma_L_sq = 0 times a trace that overflows makes every stage-1
+        # part, and so every total, NaN
+        noise = NoiseSpec(sigma_L_sq=0.0, sigma_R_sq=0.05)
+        with pytest.raises(ValueError, match="the least two-step error is nan"):
+            optimize_repetitions([1e308, 1e308], 40, 40, 2, noise, 1.0)
+
+
+class TestOneRuleRegressions:
+    NOISE = NoiseSpec(0.05, 0.05, 0.05)
+
+    def test_a_tie_band_winner_is_the_smallest_t_L(self):
+        # t_L = 16 totals 1.0000000000208334e20, 6.3e-13 relative above the
+        # least (t_L = 18, 1.0000000000202021e20): tied, so 16 wins; a
+        # sequential scan kept 18
+        t_L, t_R, bd = optimize_repetitions([1e10, 1e10], 40, 40, 1, self.NOISE, 1.0)
+        assert (t_L, t_R) == (16, 24)
+        assert bd.total == 1.0000000000208334e20
+
+    def test_an_overflowing_losing_rank_is_harmless(self):
+        # k = 1's unit truncation (1e200)^2 overflows; k = 2 has none
+        assert optimize_rank([1e200, 1e200], 40, 40, self.NOISE, 1.0, 2) == (
+            2, 10, 10, analysis.ErrorBreakdown(0.0, 4e199, 4e199, 0.08000000000000002, 8e199))

@@ -209,6 +209,17 @@ class TestUsageErrors:
         if command == "mc":
             assert out.rstrip().endswith("# all_passed=true")
 
+    @pytest.mark.parametrize("k_range", ["all", "3"])
+    def test_a_losing_rank_that_overflows_does_not_fail_mc(self, tmp_path, capsys, k_range):
+        # rank 1's unit truncation (1e160/2)^2 + (1e160/3)^2 overflows, and
+        # the MC's round-off floor sums squares of entries near 1e160
+        p = tmp_path / "huge.cfg"
+        p.write_text(f"m=40\nn=40\nr=3\nlambda=1e160\nsigma_b_sq=1e-100\ntrials=200\n"
+                     f"k_range={k_range}\n")
+        assert main(["mc", "--config", str(p)]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "\ntwo_step,3,6,7," in out
+
     def test_zero_baseline_noise_still_runs_mc(self, tmp_path, capsys):
         p = tmp_path / "quiet.cfg"
         p.write_text("m=8\nn=8\nr=2\nsigma_e_sq=0\ntrials=400\n")

@@ -158,6 +158,12 @@ class TestIidEntries:
         with pytest.raises(ValueError):
             iid_entries((2, 2), -0.1, "gaussian", np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("sigma_sq", [math.nan, math.inf])
+    def test_rejects_non_finite_variance(self, sigma_sq, dist):
+        with pytest.raises(ValueError, match="finite"):
+            iid_entries((2, 2), sigma_sq, dist, np.random.default_rng(0))
+
     @pytest.mark.parametrize("seed", [0, 7, 12345])
     @pytest.mark.parametrize("shape", [1, (3, 4), (64, 1, 12, 2)])
     @pytest.mark.parametrize("sigma_sq", [1.0, 0.05, 1e-300])

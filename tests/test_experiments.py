@@ -119,6 +119,13 @@ class TestConfigParsing:
         assert set(raw) == set(experiments._CONFIG_KEYS)
         assert config_from_mapping(raw) == ExperimentConfig()
 
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        total, mean = map(float, capsys.readouterr().out.split())
+        assert math.isfinite(total) and math.isfinite(mean) and mean > 0
+
     def test_load_config_defaults_without_path(self):
         assert load_config(None) == ExperimentConfig()
 
@@ -393,6 +400,18 @@ class TestPrescribedSpectrum:
         row = next(r for r in sweep.rows if r.k == 2)
         assert row.analytic_total == fixed.rows[1].analytic == 8.64
         assert (best.rows[1].k, best.rows[1].analytic) == (sweep.argmin_k, 8.64)
+
+    @pytest.mark.parametrize("cfg", [
+        dict(),  # m = n with sigma_L_sq = sigma_R_sq
+        dict(m=12, n=12, r=3, lam=3.0),
+        dict(m=40, n=24, r=8, lam=5.0, sigma_L_sq=0.02, sigma_R_sq=0.1),
+        dict(m=40, n=40, r=3, lam=1e10),
+        dict(m=40, n=40, r=8, lam=1e9, sigma_b_sq=1e-50),
+    ])
+    def test_sweep_and_mc_pick_the_same_rank(self, cfg):
+        # one argmin rule, analysis.least, picks both
+        sweep = run_sweep(ExperimentConfig(**cfg, trials=0))
+        assert sweep.argmin_k == run_mc(ExperimentConfig(**cfg, trials=2)).rows[1].k
 
     def test_analytic_sweep_ignores_the_seed(self):
         a = run_sweep(ExperimentConfig(**SMALL, master_seed=0))

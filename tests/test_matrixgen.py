@@ -162,6 +162,7 @@ class TestPrescribedMatrix:
         pytest.param([math.nan], id="nan"),
         pytest.param([math.inf, 1.0], id="inf"),
         pytest.param([[2.0], [1.0]], id="two-dim"),
+        pytest.param(2.0, id="zero-dim"),
     ])
     def test_rejects_bad_values(self, vals):
         rng = np.random.default_rng(0)

@@ -222,6 +222,17 @@ class TestCompare:
         eps = np.finfo(float).eps
         assert roundoff_floor(A, 3.0) == pytest.approx((5 * eps) ** 2 * 3.0 * 24.0, rel=1e-15)
 
+    def test_floor_of_huge_entries_does_not_overflow(self):
+        # sum(A * A) overflows past |a| ~ 1.3e154; the floor itself is finite
+        A = np.full((40, 40), 1e160)
+        A[0, 0] = -3e160
+        eps = np.finfo(float).eps
+        exact = (80 * eps) ** 2 * (1599 + 9) * 1e-100 * 1e160 * 1e160
+        floor = roundoff_floor(A, 1e-100)  # a RuntimeWarning fails the test
+        assert math.isfinite(floor)
+        assert floor == pytest.approx(exact, rel=1e-12)
+        assert roundoff_floor(np.zeros((3, 2)), 2.0) == 0.0
+
     def test_runs_carry_their_floor(self):
         A = small_matrix()
         res = run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05), 3.0, trials=10, master_seed=1)
