@@ -45,16 +45,16 @@ from .montecarlo import compare, run_baseline_trials, run_two_step_trials
 from .rng import MASK64, child_seed, child_stream
 from .schemes import NoiseSpec, budget_feasible
 
-# sub-seed roles so every stage of an experiment owns a distinct stream
+# sub-seed roles: the target's stream, and one seed per MC estimate (the
+# two-step one at rank k is keyed (STREAM_MC_TWOSTEP, k) in sweep and mc alike)
 STREAM_MATRIX = 0
-STREAM_SWEEP_MC = 1
 STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
 
 # cap on the cells of one Gaussian square drawn by target(): 2**26 float64
-# cells is 512 MiB, so max(m, n) may be at most 8192. sweep keeps it when it
-# builds no matrix, since it also bounds the optimizer's t_L scan to at most
-# 8192 candidates per k
+# cells is 512 MiB, so max(m, n) may be at most 8192. sweep keeps that side
+# cap when it builds no matrix, where it bounds the optimizer's t_L scan to
+# fewer than 8192 candidates per k
 MAX_SQUARE_CELLS = 2 ** 26
 # cap on one scaling row's work and memory: the t_L candidates the
 # optimizer scans (a row at k = 1 scans n - 1 of them, so such rows may
@@ -292,12 +292,14 @@ class SweepResult:
     config: ExperimentConfig
 
 
-def _check_target_size(config: ExperimentConfig) -> None:
+def _check_target_size(config: ExperimentConfig, builds: bool = True) -> None:
     side = max(config.m, config.n)
     if side * side > MAX_SQUARE_CELLS:
-        raise ConfigError(
-            f"m={config.m}, n={config.n}: building the target draws a "
-            f"{side}x{side} square, over the cap of {MAX_SQUARE_CELLS} cells")
+        raise ConfigError(f"m={config.m}, n={config.n}: " + (
+            f"building the target draws a {side}x{side} square, over the cap of "
+            f"{MAX_SQUARE_CELLS} cells" if builds else
+            f"no target is built at trials=0, but a side over {math.isqrt(MAX_SQUARE_CELLS)} "
+            f"is refused all the same, to bound the optimizer's t_L scan"))
 
 
 def target(config: ExperimentConfig) -> np.ndarray:
@@ -341,12 +343,11 @@ def _check_lanes(lanes: int) -> None:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
 
 
-def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int,
-                 t_R: int, role: int):
-    """MC of the two-step scheme at rank k, seeded by (role, k)."""
+def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int, t_R: int):
+    """MC of the two-step scheme at rank k; sweep and mc share its seed."""
     return run_two_step_trials(s, A, k, t_L, t_R, config.noise(),
                                config.sigma_b_sq, config.trials,
-                               child_seed(config.master_seed, role, k))
+                               child_seed(config.master_seed, STREAM_MC_TWOSTEP, k))
 
 
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
@@ -356,15 +357,15 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     both evaluated on the prescribed spectrum harmonic_spectrum(resolved
     lambda, r), so they do not depend on the seed. When trials > 0, one
     harmonic target matrix is generated for the whole sweep and each k
-    gets a Monte Carlo estimate from its own seed lineage; the target and
-    its SVD are computed only then. Infeasible k values are emitted
-    flagged instead of aborting; analysis.least picks argmin_k, as it picks
-    optimize_rank's k. `lanes` has no effect (see _check_lanes). The
-    target's size cap holds at every trial count.
+    gets the Monte Carlo estimate run_mc gives that k, from the same seed;
+    the target and its SVD are computed only then. Infeasible k values are
+    emitted flagged instead of aborting; analysis.least picks argmin_k, as
+    it picks optimize_rank's k. `lanes` has no effect (see _check_lanes).
+    The target's size cap holds at every trial count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
-    _check_target_size(config)
+    _check_target_size(config, builds=config.trials > 0)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     if config.trials > 0:
         A = target(config)
@@ -382,7 +383,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
                                             k, noise, config.sigma_b_sq)
         mc_mean = mc_stderr = None
         if config.trials > 0:
-            res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_SWEEP_MC)
+            res = _two_step_mc(config, A, s, k, t_L, t_R)
             mc_mean, mc_stderr = res.mean_sq_error, res.std_error
         rows.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
                              mc_mean=mc_mean, mc_stderr=mc_stderr,
@@ -508,26 +509,16 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     prescribed spectrum harmonic_spectrum(resolved lambda, r), as in
     run_sweep; the MC runs on the generated target, whose SVD gives only
     the factors. Every verdict therefore also checks that the target has
-    the spectrum the formulas assume."""
+    the spectrum the formulas assume. The ranks and repetitions are chosen
+    before any MC runs, so a choice that fails costs no trials."""
     _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
-    A = target(config)
-    s = svd(A)
+    _check_target_size(config)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     noise = config.noise()
-    rows: list[McRow] = []
-
     base_analytic = baseline_error_analytic(config.m, config.n,
                                             config.sigma_e_sq, config.sigma_b_sq)
-    base_res = run_baseline_trials(A, noise, config.sigma_b_sq, config.trials,
-                                   child_seed(config.master_seed, STREAM_MC_BASELINE))
-    z, ok = compare(base_res, base_analytic)
-    rows.append(McRow(scheme="baseline", k=None, t_L=None, t_R=None,
-                      trials=base_res.trials, mean_sq_error=base_res.mean_sq_error,
-                      std_error=base_res.std_error, analytic=base_analytic,
-                      z=z, passed=ok))
-
     if config.k_range == "all":
         choices = [optimize_rank(singulars, config.m, config.n, noise,
                                  config.sigma_b_sq, config.r)]
@@ -535,12 +526,20 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
         choices = [(k, *optimize_repetitions(singulars, config.m, config.n,
                                              k, noise, config.sigma_b_sq))
                    for k in config.k_range]
-    for k, t_L, t_R, bd in choices:
-        res = _two_step_mc(config, A, s, k, t_L, t_R, STREAM_MC_TWOSTEP)
-        z, ok = compare(res, bd.total)
-        rows.append(McRow(scheme="two_step", k=k, t_L=t_L, t_R=t_R,
-                          trials=res.trials, mean_sq_error=res.mean_sq_error,
-                          std_error=res.std_error, analytic=bd.total, z=z, passed=ok))
+    A = target(config)
+    s = svd(A)
+
+    def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
+        z, ok = compare(res, analytic)
+        return McRow(scheme=scheme, k=k, t_L=t_L, t_R=t_R, trials=res.trials,
+                     mean_sq_error=res.mean_sq_error, std_error=res.std_error,
+                     analytic=analytic, z=z, passed=ok)
+
+    base_res = run_baseline_trials(A, noise, config.sigma_b_sq, config.trials,
+                                   child_seed(config.master_seed, STREAM_MC_BASELINE))
+    rows = [row("baseline", None, None, None, base_res, base_analytic)]
+    rows += [row("two_step", k, t_L, t_R, _two_step_mc(config, A, s, k, t_L, t_R), bd.total)
+             for k, t_L, t_R, bd in choices]
     return McResult(rows=rows, all_passed=all(r.passed for r in rows),
                     lam_resolved=config.resolved_lambda(), config=config)
 

@@ -1,15 +1,15 @@
 """Reproducible Monte Carlo estimation of expected computation errors.
 
-Trials run in blocks of consecutive trial indices, in block order on the
-calling thread. A block holds max(1, schemes.NOISE_CELLS // width) trials
-(the last may be shorter), width being the widest per-trial row that any
-array of the path holds: 1 for the Gaussian baseline, the rank of A for
-the Gaussian two-step, and max(m, n) for uniform noise, whose noise cells
-the scheme functions chunk by the same bound. Block i owns one stream
-keyed by (master_seed, ROLE_BLOCK, i); from it the block draws its input
-rows B (trials x m), or for Gaussian two-step trials their coordinates W
-(trials x rank, see below), then the noise of all its trials. The
-per-trial squared errors are reduced by a fixed-order compensated sum.
+A run is one estimate and draws from one stream, child_stream(master_seed),
+in blocks of consecutive trials run in order on the calling thread; the
+blocks bound memory, not seeds. A block holds max(1,
+schemes.NOISE_CELLS // width) trials (the last may be shorter), width
+being the widest per-trial row of the path's arrays: 1 for the Gaussian
+baseline, the rank of A for the Gaussian two-step, and max(m, n) for
+uniform noise, whose noise cells the scheme functions chunk by the same
+bound. A block draws its input rows B (trials x m), or for Gaussian
+two-step trials their coordinates W (trials x rank, see below), then the
+noise of its trials. A fixed-order compensated sum reduces the errors.
 
 Gaussian noise is sampled by its effect, not cell by cell. The error
 depends on a write-noise matrix only through x E for the row vector x
@@ -44,8 +44,8 @@ Uniform noise is not exact in law under that reduction, so a uniform
 block runs the per-cell device model, one call of `two_step_vmm` or
 `baseline_noisy_vmm` on its input rows.
 
-schemes.NOISE_CELLS, the widths and the draw order above define the
-streams: changing any of them changes MC values.
+schemes.NOISE_CELLS, the widths and the draw order above define the order
+in which a run consumes its stream: changing any of them changes MC values.
 """
 from __future__ import annotations
 
@@ -60,9 +60,6 @@ from .lowrank import RANK_TOL_REL, SvdResult, factor_lr
 from .rng import child_stream
 from .schemes import NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
 
-# index that keys block streams (master_seed, ROLE_BLOCK, block)
-ROLE_BLOCK = 2
-
 Z_PASS_LIMIT = 4.0
 
 # how far past what sub-tolerance singular values allow A may stray from
@@ -76,7 +73,7 @@ class TrialBatchResult:
     mean_sq_error: float
     std_error: float
     # |mean - analytic| at or below this is float64 round-off, not a
-    # discrepancy (see roundoff_floor)
+    # discrepancy (see roundoff_floor); 0 where no trial forms a product with A
     roundoff: float = 0.0
 
 
@@ -89,20 +86,19 @@ def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     into the square root's factor, so the floor is finite where its value is."""
     m, n = A.shape
     top = float(np.max(np.abs(A))) or 1.0
-    root = (m + n) * np.finfo(float).eps * top * math.sqrt(sigma_b_sq)
+    root = (m + n) * math.ulp(1.0) * top * math.sqrt(sigma_b_sq)
     return root * root * float(np.sum(np.square(A / top)))
 
 
 def _run_blocks(master_seed: int, trials: int, width: int,
                 block_fn: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
     """Squared errors of trials [0, trials) in blocks of
-    max(1, NOISE_CELLS // width) trials, width being the widest per-trial
-    row of the path's arrays; block_fn(rng, size) gives those of one block
-    from its stream. Blocks run in order."""
+    max(1, NOISE_CELLS // width) trials, run in order on the run's one
+    stream; block_fn(rng, size) gives those of one block."""
     size = max(1, NOISE_CELLS // width)
-    return np.concatenate([block_fn(child_stream(master_seed, ROLE_BLOCK, i),
-                                    min(size, trials - lo))
-                           for i, lo in enumerate(range(0, trials, size))])
+    rng = child_stream(master_seed)
+    return np.concatenate([block_fn(rng, min(size, trials - lo))
+                           for lo in range(0, trials, size)])
 
 
 def _row_sq(X: np.ndarray) -> np.ndarray:
@@ -173,8 +169,8 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
         D -= B @ A
         return _row_sq(D)
 
-    errors = _run_blocks(master_seed, trials, 1 if gaussian else max(m, n), block)
-    return _reduce(errors, roundoff_floor(A, sigma_b_sq))
+    width, floor = (1, 0.0) if gaussian else (max(m, n), roundoff_floor(A, sigma_b_sq))
+    return _reduce(_run_blocks(master_seed, trials, width, block), floor)
 
 
 def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
@@ -261,9 +257,14 @@ def compare(result: TrialBatchResult, analytic: float) -> tuple[float, bool]:
     """z-score of the empirical mean against the analytic value.
 
     Passes at |z| <= 4. A discrepancy within the result's round-off floor
-    reads z = 0 and passes, so a noiseless run is not judged on round-off.
-    Past the floor, a zero standard error yields an infinite z and a fail.
+    reads z = 0 and passes, so a noiseless run is not judged on round-off;
+    a positive analytic value at or below the floor, which the trials cannot
+    resolve, is a ValueError. Past the floor, a zero standard error yields
+    an infinite z and a fail.
     """
+    if 0 < analytic <= result.roundoff:
+        raise ValueError(f"MC cannot resolve an analytic error of {analytic!r}: "
+                         f"float64 round-off alone may reach {result.roundoff!r}")
     if abs(result.mean_sq_error - analytic) <= result.roundoff:
         return 0.0, True
     if result.std_error == 0:

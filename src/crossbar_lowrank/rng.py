@@ -1,11 +1,10 @@
 """Deterministic seed derivation for reproducible sampling.
 
-Every random quantity in this package is drawn from a stream owned by
-exactly one logical task (one block of Monte Carlo trials, or one matrix
-generation). Streams are derived from a 64-bit master seed plus an
-index tuple through a full-avalanche integer mix, so (seed, block=0) and
-(seed, block=1) share no usable structure and no task's draws depend on
-another task having run.
+Every random quantity in this package comes from a stream owned by one
+task, a target matrix or one Monte Carlo estimate, seeded by a 64-bit
+master seed and an index tuple (a role, and a two-step estimate's rank)
+through a full-avalanche integer mix: sibling seeds share no usable
+structure, and no task's draws depend on another task having run.
 
 Reproducibility promise: identical seeds give identical streams within
 this implementation. Bit-level agreement across languages or numpy

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from crossbar_lowrank.analysis import lambda_max
 from crossbar_lowrank import experiments
-from crossbar_lowrank.cli import main
+from crossbar_lowrank.cli import build_parser, main
 from crossbar_lowrank.core import DeviceParams
 from crossbar_lowrank.matrixgen import harmonic_matrix
 from crossbar_lowrank.matrixio import dumps_matrix, loads_matrix, write_matrix
@@ -211,14 +212,31 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("k_range", ["all", "3"])
     def test_a_losing_rank_that_overflows_does_not_fail_mc(self, tmp_path, capsys, k_range):
-        # rank 1's unit truncation (1e160/2)^2 + (1e160/3)^2 overflows, and
-        # the MC's round-off floor sums squares of entries near 1e160
+        # the unit truncations of ranks 1 and 2, from (1e160/3)^2, overflow,
+        # and the MC's round-off floor sums squares of entries near 1e160;
+        # the write noise keeps rank 3's total far above that floor
         p = tmp_path / "huge.cfg"
-        p.write_text(f"m=40\nn=40\nr=3\nlambda=1e160\nsigma_b_sq=1e-100\ntrials=200\n"
-                     f"k_range={k_range}\n")
+        p.write_text(f"m=40\nn=40\nr=3\nlambda=1e160\nsigma_b_sq=1e-100\n"
+                     f"sigma_L_sq=1e140\nsigma_R_sq=1e140\ntrials=200\nk_range={k_range}\n")
         assert main(["mc", "--config", str(p)]) == 0
         out, err = capsys.readouterr()
         assert err == "" and "\ntwo_step,3,6,7," in out
+
+    @pytest.mark.parametrize("body", [
+        # an analytic two-step error of 1.1e60 under a floor of 4.3e192
+        "m=40\nn=40\nr=3\nlambda=1e160\nsigma_b_sq=1e-100\n",
+        # 7.3e-28 under a floor of 3.2e-26, where the trials' SE is 1.5e-29
+        "m=20\nn=20\nr=3\nsigma_e_sq=1e-30\nsigma_L_sq=1e-30\nsigma_R_sq=1e-30\nk_range=3\n",
+    ])
+    def test_a_row_under_its_roundoff_floor_is_refused(self, tmp_path, capsys, body):
+        # no verdict where round-off alone could hide the analytic value
+        p = tmp_path / "floor.cfg"
+        p.write_text(body + "trials=2000\n")
+        assert main(["mc", "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1
+        assert err[0].startswith("error: MC cannot resolve an analytic error of ")
 
     def test_zero_baseline_noise_still_runs_mc(self, tmp_path, capsys):
         p = tmp_path / "quiet.cfg"
@@ -248,6 +266,7 @@ class TestUsageErrors:
         err = captured.err.splitlines()
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ") and "m=8193" in err[0]
+        assert "t_L scan" in err[0] and "square" not in err[0]
 
     @pytest.mark.parametrize("command", [["sweep", "--trials", "0"], ["gen"], ["mc"]])
     @pytest.mark.parametrize("device,resolved", [("rho=1e308", "inf"),
@@ -544,22 +563,25 @@ NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 # to hold max(1, NOISE_CELLS // width) trials instead of 64 and the
 # Gaussian two-step error began to be formed in A's right singular
 # coordinates: only mc_mean, mc_stderr, mean_sq_error, std_error and z
-# moved; analytic values, (t_L, t_R), argmins and pass flags did not
+# moved; analytic values, (t_L, t_R), argmins and pass flags did not.
+# They were regenerated again when each MC estimate began to draw all its
+# blocks from one stream, and sweep began to seed its two-step estimate at
+# k as mc does: the same columns moved, and nothing else
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("9030e5e5c5e1a704e0449d8e20eefb1573d7b79f8d29540793d6e7f37ee9498d",
+        ("66b2def60c21f30fba7fe4a65615884e64437b05888f78ef30ee1592184afec6",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("353481ba72122848416dd072bc8e061ceaafc062c49353c537f2f975bcbabf82",
+        ("240109bdf72b6e2518d718bef1fc65aa2f5e327cfd8df82b583684f4eae7af13",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
         ("d5bdfa01936624f10e326f77a5ac3dae1ebcbbb12df01a42f720ebcb790bfebf", ""),
     ("scaling", GRID_CONFIG, "json"):
         ("c779cafd67a1623faeb1e78a2aaa7993da8284e68e738de9fce4a2f28c4614c7", ""),
     ("mc", DET_CONFIG, "csv"):
-        ("55afccd7a9f80d836a70a758784eec2fc5b4e2574a85e9d667c5a993dce313b0", ""),
+        ("4ca1c7b9e79def44e1e76177707f825c71b4dcb52a2a49c756a68f9f5f05ea72", ""),
     ("mc", DET_CONFIG, "json"):
-        ("b239d2d38c50537f53bcee93dd026c2401da3f266fc0842336b299b356da837b", ""),
+        ("e42bb47509cd72ac97440e3f0f913a7c6efae8a14d64afbc96daf50d0a4d140f", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
         ("e9b6c3b44e104049ef112dff32e617971fc242cd895f339fef181923cb6f3468",
          "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),
@@ -714,6 +736,17 @@ class TestModuleProcess:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [
             f"error: {big}: line 2: expected 100000000000 values, found 1"]
+
+
+def test_readme_cli_block_parses():
+    # every command line of README's CLI block is one the parser accepts
+    readme = open(os.path.join(os.path.dirname(SRC), "README.md")).read()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("crossbar-lowrank ")]
+    assert len(lines) == 5
+    parser = build_parser()
+    assert {parser.parse_args(shlex.split(line)[1:]).command for line in lines} == {
+        "sweep", "scaling", "gen", "validate", "mc"}
 
 
 class TestConsoleScript:

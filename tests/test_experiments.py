@@ -8,6 +8,7 @@ import pytest
 
 from crossbar_lowrank.analysis import (
     ErrorBreakdown,
+    baseline_error_analytic,
     budget_feasible,
     lambda_max,
     optimal_beta,
@@ -39,7 +40,8 @@ from crossbar_lowrank.experiments import (
 )
 from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values
 from crossbar_lowrank.matrixgen import harmonic_spectrum
-from crossbar_lowrank.rng import MASK64
+from crossbar_lowrank.montecarlo import compare, run_baseline_trials
+from crossbar_lowrank.rng import MASK64, child_seed
 
 SMALL = dict(m=16, n=16, r=4, lam=4.0, trials=0)
 
@@ -602,3 +604,37 @@ class TestRunMc:
     def test_rerun_is_byte_identical(self):
         cfg = ExperimentConfig(**self.CFG)
         assert mc_csv(run_mc(cfg)) == mc_csv(run_mc(cfg))
+
+    @pytest.mark.parametrize("k_range", ["all", (1,)])
+    def test_ranks_are_chosen_before_any_trial(self, monkeypatch, k_range):
+        # at m = 1 no rank fits the budget: the run stops before the baseline MC
+        def never(*args):
+            raise AssertionError("baseline MC ran")
+        monkeypatch.setattr(experiments, "run_baseline_trials", never)
+        with pytest.raises(ValueError, match="budget"):
+            run_mc(ExperimentConfig(m=1, n=5, r=1, lam=1.0, k_range=k_range, trials=50))
+
+    def test_a_gaussian_baseline_is_judged_on_its_z(self):
+        # it forms no product with A, so its round-off floor is 0 and a tiny
+        # baseline error gets a z (the two-step row of this config, below
+        # its floor, is refused)
+        cfg = ExperimentConfig(m=20, n=20, r=3, sigma_e_sq=1e-30, trials=2000)
+        res = run_baseline_trials(target(cfg), cfg.noise(), cfg.sigma_b_sq, cfg.trials,
+                                  child_seed(cfg.master_seed, experiments.STREAM_MC_BASELINE))
+        z, ok = compare(res, baseline_error_analytic(20, 20, 1e-30, 3.0))
+        assert res.roundoff == 0.0 and z != 0.0 and ok
+
+
+class TestSweepAndMcShareEstimates:
+    """The two-step estimate at rank k has one seed, (STREAM_MC_TWOSTEP, k),
+    whichever command runs it."""
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("k_range", ["all", (3,), (2, 4)])
+    def test_mc_columns_agree_bit_for_bit(self, dist, k_range):
+        cfg = ExperimentConfig(m=24, n=20, r=5, trials=3000, dist=dist, k_range=k_range)
+        sweep = {row.k: (row.mc_mean, row.mc_stderr) for row in run_sweep(cfg).rows}
+        mc = run_mc(cfg).rows[1:]
+        assert mc and all(row.scheme == "two_step" for row in mc)
+        for row in mc:
+            assert (row.mean_sq_error, row.std_error) == sweep[row.k]

@@ -8,7 +8,8 @@ import crossbar_lowrank
 from crossbar_lowrank import core, experiments, lowrank, matrixgen, montecarlo, rng, schemes
 
 REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_count",
-           "SchemeConfig", "SingularProfile", "spectrum", "DecompositionError")
+           "SchemeConfig", "SingularProfile", "spectrum", "DecompositionError",
+           "ROLE_BLOCK", "STREAM_SWEEP_MC")
 
 
 def test_every_exported_name_resolves():

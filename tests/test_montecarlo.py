@@ -211,9 +211,13 @@ class TestCompare:
         assert not ok
 
     def test_discrepancy_within_roundoff_floor_passes(self):
+        # only an analytic 0 passes on the floor: a positive analytic value at
+        # or below it is one the trials cannot resolve, and gets no verdict
         res = TrialBatchResult(2000, 6e-29, 2e-30, roundoff=1e-27)
-        assert compare(res, 1e-30) == (0.0, True)
-        assert compare(res, 9e-28) == (0.0, True)
+        assert compare(res, 0.0) == (0.0, True)
+        for analytic in (1e-30, 9e-28, 1e-27):
+            with pytest.raises(ValueError, match="cannot resolve"):
+                compare(res, analytic)
         z, ok = compare(res, 2e-27)
         assert z < -4 and not ok
 
@@ -234,9 +238,15 @@ class TestCompare:
         assert roundoff_floor(np.zeros((3, 2)), 2.0) == 0.0
 
     def test_runs_carry_their_floor(self):
+        # a Gaussian baseline run forms no product with A: its floor is 0
         A = small_matrix()
-        res = run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05), 3.0, trials=10, master_seed=1)
-        assert res.roundoff == roundoff_floor(A, 3.0)
+        for dist, floor in (("gaussian", 0.0), ("uniform", roundoff_floor(A, 3.0))):
+            res = run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05, dist=dist), 3.0,
+                                      trials=10, master_seed=1)
+            assert res.roundoff == floor
+        A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 3.0)
+        res = run_two_step_trials(s, A, *scheme, trials=10, master_seed=1)
+        assert res.roundoff == roundoff_floor(A, 3.0) > 0
 
 
 def test_reduce_sums_exactly_as_the_scalar_loop():
@@ -295,23 +305,24 @@ class TestLanes:
                 run_mc(cfg, lanes=lanes)
 
     def test_blocks_tile_the_trials_once(self, monkeypatch):
-        # blocks of max(1, NOISE_CELLS // width) trials, block i on the
-        # stream (seed, ROLE_BLOCK, i)
+        # blocks of max(1, NOISE_CELLS // width) trials, all on the run's
+        # one stream, child_stream(seed)
         keys = []
         monkeypatch.setattr(montecarlo, "child_stream", lambda *key: keys.append(key) or key)
         for width, size in ((1, NOISE_CELLS), (7, NOISE_CELLS // 7), (NOISE_CELLS, 1),
                             (NOISE_CELLS + 1, 1)):
             keys.clear()
-            seen = []
+            seen, rngs = [], []
 
             def block(rng, count):
                 seen.append(count)
+                rngs.append(rng)
                 return np.full(count, float(len(seen)))
 
             trials = 3 * size + size // 2 + 1  # three full blocks and a short one
             out = _run_blocks(9, trials, width, block)
             assert seen == [size] * 3 + [size // 2 + 1]
-            assert keys == [(9, montecarlo.ROLE_BLOCK, i) for i in range(4)]
+            assert keys == [(9,)] and rngs == [(9,)] * 4
             assert np.array_equal(out, np.repeat([1.0, 2.0, 3.0, 4.0], seen))
 
 
@@ -322,11 +333,13 @@ class TestBlockRule:
 
     def test_noise_cells_bound_every_draw_and_block_array(self, monkeypatch):
         # at NOISE_CELLS = 256, with no row of a uniform stack over 256 noise
-        # cells, nothing a block draws, or sums by rows, holds more
+        # cells, nothing a block draws, or sums by rows, holds more; each
+        # run, of 3 blocks or more on every path, opens one stream
         for module in (montecarlo, schemes):
             monkeypatch.setattr(module, "NOISE_CELLS", 256)
-        sizes, streams = [], []
+        sizes, streams, blocks = [], [], []
         real_stream, real_row_sq = montecarlo.child_stream, montecarlo._row_sq
+        real_run_blocks = montecarlo._run_blocks
 
         def stream(*key):
             streams.append(key)
@@ -336,8 +349,13 @@ class TestBlockRule:
             sizes.append(X.size)
             return real_row_sq(X)
 
+        def run_blocks(seed, trials, width, block_fn):
+            return real_run_blocks(seed, trials, width,
+                                   lambda rng, count: blocks.append(count) or block_fn(rng, count))
+
         monkeypatch.setattr(montecarlo, "child_stream", stream)
         monkeypatch.setattr(montecarlo, "_row_sq", row_sq)
+        monkeypatch.setattr(montecarlo, "_run_blocks", run_blocks)
         for dist in ("gaussian", "uniform"):
             noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.08, dist=dist)
             A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 8, 12, 2, 2, 2, noise, 2.0)
@@ -345,20 +363,34 @@ class TestBlockRule:
                         lambda: run_two_step_trials(s, A, *scheme, 600, master_seed=1)):
                 sizes.clear()
                 streams.clear()
+                blocks.clear()
                 run()
                 assert max(sizes) <= 256
-                assert len(streams) > 2
+                assert streams == [(1,)]
+                assert len(blocks) >= 3 and sum(blocks) == 600
+
+    def test_blocks_continue_one_stream(self, monkeypatch):
+        # 600 Gaussian baseline trials at NOISE_CELLS = 256 are blocks of 256,
+        # 256 and 88, each drawing where the one before it stopped
+        monkeypatch.setattr(montecarlo, "NOISE_CELLS", 256)
+        cap = _Capture(monkeypatch)
+        run_baseline_trials(np.ones((12, 20)), NoiseSpec(sigma_e_sq=0.05), 2.0, 600,
+                            master_seed=8)
+        rng = child_stream(8)
+        want = [0.05 * 2.0 * rng.chisquare(12, size) * rng.chisquare(20, size)
+                for size in (256, 256, 88)]
+        assert np.array_equal(cap.errors, np.concatenate(want))
 
     def test_one_block_runs_keep_their_draws(self, monkeypatch):
         # 64 trials at m, n <= 256 are one block under this rule and under
         # the fixed 64-trial blocks before it: the baseline and uniform
-        # errors are those of the one stream's draws, as they were
+        # errors are those of the run's one stream's draws
         noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.08, dist="uniform")
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
         cap = _Capture(monkeypatch)
         run_baseline_trials(A, dataclasses.replace(noise, dist="gaussian"), 2.0, 64,
                             master_seed=8)
-        rng = child_stream(8, montecarlo.ROLE_BLOCK, 0)
+        rng = child_stream(8)
         assert np.array_equal(cap.errors,
                               0.05 * 2.0 * rng.chisquare(12, 64) * rng.chisquare(20, 64))
         for run, vmm in ((lambda: run_baseline_trials(A, noise, 2.0, 64, master_seed=8),
@@ -366,7 +398,7 @@ class TestBlockRule:
                          (lambda: run_two_step_trials(s, A, *scheme, 64, master_seed=8),
                           lambda B, g: two_step_vmm(B, f, 2, 3, noise, g))):
             run()
-            rng = child_stream(8, montecarlo.ROLE_BLOCK, 0)
+            rng = child_stream(8)
             B = iid_entries((64, 12), 2.0, "uniform", rng)
             D = vmm(B, rng) - B @ A
             assert np.array_equal(cap.errors, np.einsum("ij,ij->i", D, D))
@@ -500,7 +532,7 @@ class TestEffectSamplerMatchesDevice:
         assert ok, f"z={z:.2f}"
 
     def test_noiseless_stage_two_is_the_exact_norm(self, monkeypatch):
-        # sigma_R^2 = 0: the error is ||(c R - b A) V||^2 of one block's own
+        # sigma_R^2 = 0: the error is ||(c R - b A) V||^2 of the run's own
         # w = bQ, ||b|| and c, with nothing drawn for stage 2; V keeps the
         # norm, which the unprojected product matches to round-off
         noise = NoiseSpec(sigma_L_sq=0.05)
@@ -508,7 +540,7 @@ class TestEffectSamplerMatchesDevice:
         trials = NOISE_CELLS // 3  # one block, rank 3 wide
         cap = _Capture(monkeypatch)
         run_two_step_trials(s, A, *scheme, trials, master_seed=5)
-        rng = child_stream(5, montecarlo.ROLE_BLOCK, 0)
+        rng = child_stream(5)
         Q, V = s.U[:, :3], s.V[:, :3]
         W = iid_entries((trials, 3), 2.0, "gaussian", rng)
         b_sq = np.einsum("ij,ij->i", W, W) + 2.0 * rng.chisquare(20 - 3, trials)
@@ -732,7 +764,10 @@ class TestUniformBlockPath:
 # instead of 64 (one block for each run here) and the Gaussian two-step
 # error began to be formed in A's right singular coordinates: only
 # mean_sq_error, std_error, z, mc_mean and mc_stderr moved; analytic
-# values, (t_L, t_R), argmins and pass flags did not
+# values, (t_L, t_R), argmins and pass flags did not. All three were
+# regenerated when each estimate began to draw all its blocks from one
+# stream, child_stream(seed), and sweep began to seed its two-step estimates
+# as mc does: the same columns moved, and nothing else
 PINNED_NUMPY = "2.4.6"
 
 PINNED_MC_GAUSSIAN = """\
@@ -740,8 +775,8 @@ PINNED_MC_GAUSSIAN = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.855124048240512,0.4240038566247907,9.600000000000001,0.6017021879739053,true
-two_step,2,2,2,300,10.520171122079692,0.48825534896359757,10.3275,0.39461139030768894,true
+baseline,,,,300,9.324738789694752,0.4134981631225626,9.600000000000001,-0.6656890764074824,true
+two_step,2,2,2,300,9.303776244235172,0.42849963584408785,10.3275,-2.3890889749491335,true
 # all_passed=true
 """
 
@@ -754,8 +789,8 @@ two_step,2,2,2,300,10.520171122079692,0.48825534896359757,10.3275,0.394611390307
 # elsewhere); mc_mean, mc_stderr, (t_L, t_R) and argmin k did not.
 # Regenerated again when the closed forms began to multiply sigma_b_sq into
 # unit parts: only analytic_accumulated moved, by at most 3.5e-16 relative.
-# Regenerated with PINNED_MC_GAUSSIAN for the width-sized blocks: only
-# mc_mean and mc_stderr moved
+# Regenerated with PINNED_MC_GAUSSIAN for the width-sized blocks, and again
+# for the one stream per estimate: only mc_mean and mc_stderr moved
 PINNED_SWEEP_UNIFORM = """\
 # crossbar-lowrank sweep v1
 # config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
@@ -763,11 +798,11 @@ sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
-0.030000000000000013,11.451763827638628,0.5642649048083319,21.6,0.5361111111111111
+0.030000000000000013,11.972212874396106,0.5898539504035758,21.6,0.5361111111111111
 2,3,3,true,8.64,3.0,2.7,2.7,\
-0.2400000000000001,8.799880798078666,0.40367789932568093,21.6,0.4
+0.2400000000000001,9.539102573737756,0.4372837496301022,21.6,0.4
 3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
-0.8100000000000003,10.667762552586623,0.4820337320659088,21.6,0.4958333333333334
+0.8100000000000003,10.094577524860913,0.45676633031785385,21.6,0.4958333333333334
 # argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
@@ -776,8 +811,8 @@ PINNED_MC_UNIFORM = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.55953846994939,0.2951202729111246,9.600000000000001,-0.13710183191243155,true
-two_step,2,2,2,300,9.328450092424797,0.3596062916671248,10.3275,-2.77817694163146,true
+baseline,,,,300,9.968277548755362,0.33384555656048986,9.600000000000001,1.1031374883332665,true
+two_step,2,2,2,300,11.852314557384979,0.4576513987233868,10.3275,3.3318254060589143,true
 # all_passed=true
 """
 
