@@ -36,6 +36,9 @@ EULER_MASCHERONI = 0.5772156649015329
 # relative gap within which least counts two totals as tied
 TIE_RTOL = 1e-12
 
+# the largest budget m*n that the optimizers' int64 scan arithmetic holds
+MAX_BUDGET = int(np.iinfo(np.int64).max)
+
 
 class InfeasibleBudgetError(ValueError):
     """No repetition assignment fits the memristor budget."""
@@ -151,7 +154,11 @@ def t_L_max(m: int, n: int, k: int) -> int:
 def _best_split(s: np.ndarray, m: int, n: int, k: int,
                 noise: NoiseSpec) -> tuple[int, int, list[float]]:
     """The winning (t_L, t_R) at a feasible rank k of a checked spectrum s,
-    and its four parts per unit input variance: all t_L in one array pass."""
+    and its four parts per unit input variance: all t_L in one array pass,
+    so a budget m*n over MAX_BUDGET is a ValueError."""
+    if m * n > MAX_BUDGET:
+        raise ValueError(f"the budget m*n = {m}*{n} = {m * n} exceeds {MAX_BUDGET}, "
+                         f"the most the optimizer's int64 arithmetic holds")
     t_L = np.arange(1, t_L_max(m, n, k) + 1)
     t_R = (m * n - t_L * m * k) // (n * k)
     with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses a non-finite winner

@@ -21,6 +21,7 @@ deterministic: same config and seed give byte-identical CSV or JSON.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -30,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
+    MAX_BUDGET,
     baseline_error_analytic,
     lambda_max,
     least,
@@ -42,7 +44,7 @@ from .core import DeviceParams
 from .lowrank import svd
 from .matrixgen import harmonic_matrix, harmonic_spectrum
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
-from .rng import MASK64, child_seed, child_stream
+from .rng import child_seed, child_stream
 from .schemes import NoiseSpec, budget_feasible
 
 # sub-seed roles: the target's stream, and one seed per MC estimate (the
@@ -117,8 +119,8 @@ class ExperimentConfig:
             raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
         if self.trials < 0 or self.trials == 1:
             raise ConfigError(f"trials must be 0 (analytic only) or >= 2, got {self.trials}")
-        if not 0 <= self.master_seed <= MASK64:
-            raise ConfigError(f"master_seed must fit in 64 bits, got {self.master_seed}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         # checked as written: resolving "all" builds r ints, and scaling takes any r
         if self.k_range != "all":
             ks = self.k_range
@@ -336,6 +338,15 @@ def _analytic_columns(bd, baseline: float) -> dict:
                 baseline_analytic=baseline, normalized=normalized)
 
 
+@contextlib.contextmanager
+def _naming(what: str):
+    """Put `what` in front of a ValueError raised in the block, keeping its type."""
+    try:
+        yield
+    except ValueError as exc:
+        raise type(exc)(f"{what}: {exc}") from None
+
+
 def _check_lanes(lanes: int) -> None:
     """`lanes` is accepted for compatibility and has no effect: MC runs its
     blocks in order on the calling thread. It must still be >= 1."""
@@ -379,15 +390,16 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
             rows.append(SweepRow(k=k, t_L=0, t_R=0, feasible=False,
                                  baseline_analytic=baseline))
             continue
-        t_L, t_R, bd = optimize_repetitions(singulars, config.m, config.n,
-                                            k, noise, config.sigma_b_sq)
-        mc_mean = mc_stderr = None
-        if config.trials > 0:
-            res = _two_step_mc(config, A, s, k, t_L, t_R)
-            mc_mean, mc_stderr = res.mean_sq_error, res.std_error
-        rows.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
-                             mc_mean=mc_mean, mc_stderr=mc_stderr,
-                             **_analytic_columns(bd, baseline)))
+        with _naming(f"rank {k}"):
+            t_L, t_R, bd = optimize_repetitions(singulars, config.m, config.n,
+                                                k, noise, config.sigma_b_sq)
+            mc_mean = mc_stderr = None
+            if config.trials > 0:
+                res = _two_step_mc(config, A, s, k, t_L, t_R)
+                mc_mean, mc_stderr = res.mean_sq_error, res.std_error
+            rows.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
+                                 mc_mean=mc_mean, mc_stderr=mc_stderr,
+                                 **_analytic_columns(bd, baseline)))
     feasible = [row for row in rows if row.feasible]
     best = feasible[least([row.analytic_total for row in feasible])] if feasible else None
     return SweepResult(rows=rows, argmin_k=None if best is None else best.k,
@@ -438,9 +450,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     k = max(1, floor(c1*r^beta)); lam saturates the magnitude budget at
     every size. Emits per-n rows plus fitted log-log slopes.
 
-    A row whose rank r or t_L scan would exceed MAX_SCALING_SCAN, or whose
-    lambda_max is not finite and positive, is a ConfigError, raised before
-    any row is computed."""
+    A row whose budget n*n would exceed analysis.MAX_BUDGET, whose rank r
+    or t_L scan would exceed MAX_SCALING_SCAN, or whose lambda_max is not
+    finite and positive, is a ConfigError, raised before any row is
+    computed."""
     _check_geometric(config.n_grid)
     _require_baseline_noise(config)
     beta = config.resolved_beta()
@@ -450,6 +463,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     for n in config.n_grid:
         r = min(n, max(1, math.floor(config.c2 * n ** config.alpha)))
         k = min(r, max(1, math.floor(config.c1 * r ** beta)))
+        if n * n > MAX_BUDGET:
+            raise ConfigError(
+                f"scaling row n={n}: the budget n*n = {n * n} exceeds {MAX_BUDGET}, "
+                f"the most the optimizer's int64 arithmetic holds")
         if r > MAX_SCALING_SCAN:
             raise ConfigError(
                 f"scaling row n={n}, r={r}: the spectrum would hold {r} "
@@ -523,14 +540,17 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
         choices = [optimize_rank(singulars, config.m, config.n, noise,
                                  config.sigma_b_sq, config.r)]
     else:
-        choices = [(k, *optimize_repetitions(singulars, config.m, config.n,
-                                             k, noise, config.sigma_b_sq))
-                   for k in config.k_range]
+        choices = []
+        for k in config.k_range:
+            with _naming(f"rank {k}"):
+                choices.append((k, *optimize_repetitions(singulars, config.m, config.n,
+                                                         k, noise, config.sigma_b_sq)))
     A = target(config)
     s = svd(A)
 
     def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
-        z, ok = compare(res, analytic)
+        with _naming(scheme if k is None else f"{scheme} k={k}"):
+            z, ok = compare(res, analytic)
         return McRow(scheme=scheme, k=k, t_L=t_L, t_R=t_R, trials=res.trials,
                      mean_sq_error=res.mean_sq_error, std_error=res.std_error,
                      analytic=analytic, z=z, passed=ok)

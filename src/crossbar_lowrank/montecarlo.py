@@ -1,8 +1,9 @@
 """Reproducible Monte Carlo estimation of expected computation errors.
 
-A run is one estimate and draws from one stream, child_stream(master_seed),
-in blocks of consecutive trials run in order on the calling thread; the
-blocks bound memory, not seeds. A block holds max(1,
+A run is one estimate and draws from one stream, child_stream(master_seed)
+(with no key, np.random.default_rng(master_seed)), in blocks of
+consecutive trials run in order on the calling thread; the blocks bound
+memory, not seeds. A block holds max(1,
 schemes.NOISE_CELLS // width) trials (the last may be shorter), width
 being the widest per-trial row of the path's arrays: 1 for the Gaussian
 baseline, the rank of A for the Gaussian two-step, and max(m, n) for

@@ -280,6 +280,32 @@ class TestOptimizeRank:
             optimize_rank([1.0], 4, 4, NoiseSpec(), 1.0, 5)
 
 
+class TestBudgetPastInt64:
+    """The optimizers scan t_L in int64, so a budget m*n over 2**63 - 1 is a
+    ValueError, raised before the scan; 3037000500 is the least n with
+    n*n past it."""
+
+    N = 3_037_000_500
+
+    def test_refused(self):
+        n = self.N
+        with pytest.raises(ValueError, match="int64"):
+            optimize_repetitions([1.0], n, n, n // 2, NoiseSpec(), 1.0)
+        with pytest.raises(ValueError, match="int64"):
+            optimize_rank([1.0], n, n, NoiseSpec(), 1.0, 1)
+        with pytest.raises(ValueError, match="int64"):
+            optimize_rank([1.0], 2 ** 62, 2, NoiseSpec(), 1.0, 1)
+
+    def test_computes_just_below(self):
+        # k = (n - 1) / 2 leaves one t_L to scan
+        n = self.N - 1
+        t_L, t_R, bd = optimize_repetitions([1.0], n, n, (n - 1) // 2, NoiseSpec(), 1.0)
+        assert (t_L, t_R) == (1, 1) and bd.truncation == 0.0
+        # m*n = 2**63 - 2: k = 1 and one t_L again
+        k, t_L, t_R, bd = optimize_rank([1.0], 2 ** 62 - 1, 2, NoiseSpec(), 1.0, 1)
+        assert (k, t_L, t_R) == (1, 1, (2 ** 62 - 1) // 2)
+
+
 class TestNonFiniteInput:
     """A non-finite spectrum or variance is refused at the entry point, not
     turned into a NaN breakdown or a made-up argmin."""

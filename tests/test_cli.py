@@ -134,9 +134,18 @@ class TestUsageErrors:
         assert main(["sweep", "--seed", "zebra"]) == 2
         capsys.readouterr()
 
-    def test_oversized_seed(self, capsys):
-        assert main(["sweep", "--seed", str(2 ** 64)]) == 2
-        capsys.readouterr()
+    def test_oversized_seed(self, tmp_path, small_config, capsys):
+        # a seed of any width is valid, and reruns byte-identically; a
+        # negative one is a usage error
+        outs = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            assert main(["mc", "--config", small_config, "--trials", "50",
+                         "--seed", str(2 ** 64 + 5), "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and b" seed=18446744073709551621\n" in outs[0]
+        assert main(["mc", "--config", small_config, "--seed=-1"]) == 2
+        assert "nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lanes", ["0", "-3", "two"])
     def test_bad_lanes(self, lanes, capsys):
@@ -229,14 +238,26 @@ class TestUsageErrors:
         "m=20\nn=20\nr=3\nsigma_e_sq=1e-30\nsigma_L_sq=1e-30\nsigma_R_sq=1e-30\nk_range=3\n",
     ])
     def test_a_row_under_its_roundoff_floor_is_refused(self, tmp_path, capsys, body):
-        # no verdict where round-off alone could hide the analytic value
+        # no verdict where round-off alone could hide the analytic value;
+        # the refusal names its row's scheme and rank
         p = tmp_path / "floor.cfg"
         p.write_text(body + "trials=2000\n")
         assert main(["mc", "--config", str(p)]) == 1
         out, err = capsys.readouterr()
         err = err.splitlines()
         assert out == "" and len(err) == 1
-        assert err[0].startswith("error: MC cannot resolve an analytic error of ")
+        assert err[0].startswith("error: two_step k=3: MC cannot resolve an analytic error of ")
+
+    @pytest.mark.parametrize("command", [["sweep", "--trials", "0"], ["mc"]])
+    def test_an_overflowing_rank_is_named(self, tmp_path, capsys, command):
+        # rank 2's truncation per unit input variance, (1e160/3)^2, is inf
+        p = tmp_path / "huge.cfg"
+        p.write_text("m=40\nn=40\nr=3\nlambda=1e160\nsigma_b_sq=1e-100\nk_range=2,3\n")
+        assert main([*command, "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: rank 2: the least two-step error is inf in float64: the variances "
+            "or singular values are too large"]
 
     def test_zero_baseline_noise_still_runs_mc(self, tmp_path, capsys):
         p = tmp_path / "quiet.cfg"
@@ -327,6 +348,34 @@ class TestUsageErrors:
         assert captured.out == ""
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "n=2097152" in err[0] and "r=2097152" in err[0]
+
+    @pytest.mark.parametrize("grid,refused", [
+        ("1073741824 2147483648 4294967296 8589934592", "n=4294967296:"),
+        ("379625062 759250125 1518500250 3037000500", "n=3037000500:"),
+    ])
+    def test_scaling_budget_past_int64_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         grid, refused):
+        # r = k = floor(sqrt(n)) at alpha=0.5 keeps the scan under its cap,
+        # but from n = 3037000500 on, n*n exceeds 2**63 - 1; the row is
+        # refused before any row is computed
+        def never(*args, **kwargs):
+            raise AssertionError("scaling row computed")
+        monkeypatch.setattr(experiments, "optimize_repetitions", never)
+        p = tmp_path / "grid.cfg"
+        p.write_text(f"alpha=0.5\nc1=1\nc2=1\nn_grid={grid}\n")
+        assert main(["scaling", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert refused in err[0] and "int64" in err[0]
+
+    def test_scaling_budget_just_under_int64_computes(self, tmp_path, capsys):
+        p = tmp_path / "grid.cfg"
+        p.write_text("alpha=0.5\nc1=1\nc2=1\nn_grid=379625062 759250124 1518500249 3037000499\n")
+        assert main(["scaling", "--config", str(p)]) == 0
+        rows = capsys.readouterr().out.splitlines()[3:7]
+        assert rows[-1].startswith("3037000499,55108,55108,27554,27555,")
 
     def test_oversized_dims_still_run_scaling(self, tmp_path, capsys, monkeypatch):
         # scaling forms no matrix, so the cap does not apply to it
@@ -484,20 +533,18 @@ PINNED_NUMPY = "2.4.6"
 
 # sha256 of `gen --seed 12345` output, and the `validate` report of the
 # first file; recorded with numpy 2.4.6, whose QR and SVD round-off they
-# include. Regenerated when the target's QR became thin and `validate`
-# stopped computing singular vectors: every number moved by at most 2.5e-13
-# relative, and integers and flags did not move.
+# include. CHANGES.md lists each regeneration and what moved
 PINNED_GEN = {
     "m=12\nn=12\nr=3\nlambda=3\n":
-        "7b08a51fd354dbb57b0a0a5f94be88577a850e2aa3052791b3b717de6f9dff6f",
+        "87491228b5445351194199b60ce0c984302b41d517cea5ea4e40776c8e5cac7a",
     "m=64\nn=48\nr=8\nlambda=2\n":
-        "19800957a29b3593dfb9a99e1ba49ba867cbf0ae6b99c268dfb55124f63afa1a",
+        "9ec512e54a5d24e1597c69f023db6e3242b0d520e306f39fcfa11c78d373375b",
 }
 PINNED_VALIDATE = """\
 rows 12
 cols 12
 rank 3
-singular_values 3.0 1.5 1.0000000000000002
+singular_values 2.9999999999999987 1.4999999999999998 1.0
 lambda_max 9.356361614804113
 magnitude_total 12.249999999999996
 magnitude_budget 144.0
@@ -531,57 +578,23 @@ INFEASIBLE_CONFIG = "m=8\nn=8\nr=8\nlambda=2\ntrials=0\n"
 NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 
 # (command, config, format) -> sha256 of the `--out` file and the line
-# printed on stdout; recorded with numpy 2.4.6 before the table writers
-# were merged into one. The sweep and mc rows of DET_CONFIG were
-# regenerated when the target's QR became thin (round-off only: at most
-# 4.4e-16 relative, and an exact-zero truncation of 2.4e-31 became 4.4e-31),
-# and again when Gaussian MC began drawing each trial's squared error from
-# its chi^2 law: only the MC columns (mc_mean, mc_stderr, mean_sq_error,
-# std_error, z) moved; analytic values, (t_L, t_R), argmins and pass flags
-# did not. The sweep rows of DET_CONFIG and INFEASIBLE_CONFIG were
-# regenerated once more when the sweep's analytic columns began to come
-# from singular values computed without vectors: only analytic_*,
-# normalized and the argmin line's normalized moved, by at most 1.2e-15
-# relative (the exact-zero k=r truncation; 8.0e-16 elsewhere); MC
-# columns, (t_L, t_R), feasible and argmin k did not. They were regenerated
-# a third time when sweep and mc began to evaluate the closed forms on the
-# prescribed spectrum lam/i instead of the computed one: again only
-# analytic_*, normalized and the argmin line's normalized moved, by at most
-# 6.7e-16 relative, and the exact-zero k=r truncation is now 0.0 (was
-# 4.4e-31). The mc rows of DET_CONFIG did not move: its analytic value was
-# already the exact 8.64. The sweep and mc rows of DET_CONFIG were
-# regenerated when Gaussian two-step trials began to draw their input as
-# its rank coordinates in the span of A: only mc_mean, mc_stderr,
-# mean_sq_error, std_error and z of the two-step rows moved; analytic
-# values, (t_L, t_R), argmins and pass flags did not. The sweep rows of
-# DET_CONFIG and INFEASIBLE_CONFIG and the scaling rows were regenerated
-# when the closed forms began to multiply sigma_b_sq into unit parts, the
-# accumulated part evaluated as (m sigma_L^2/t_L)(n sigma_R^2/t_R) k: only
-# analytic_*, normalized and the argmin line's normalized moved, by at most
-# 3.5e-16 relative; MC columns, (t_L, t_R), feasible and argmin k did not.
-# The sweep and mc rows of DET_CONFIG were regenerated when MC blocks began
-# to hold max(1, NOISE_CELLS // width) trials instead of 64 and the
-# Gaussian two-step error began to be formed in A's right singular
-# coordinates: only mc_mean, mc_stderr, mean_sq_error, std_error and z
-# moved; analytic values, (t_L, t_R), argmins and pass flags did not.
-# They were regenerated again when each MC estimate began to draw all its
-# blocks from one stream, and sweep began to seed its two-step estimate at
-# k as mc does: the same columns moved, and nothing else
+# printed on stdout; recorded with numpy 2.4.6. CHANGES.md lists each
+# regeneration and which columns moved
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("66b2def60c21f30fba7fe4a65615884e64437b05888f78ef30ee1592184afec6",
+        ("ce6eec8dce15aa3b7dc68dca22379f58be1a06926ec8b200d9d6853897e684a7",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("240109bdf72b6e2518d718bef1fc65aa2f5e327cfd8df82b583684f4eae7af13",
+        ("db06c85f398fb4716fce2f882ec07dca83f6fad3d2a95f8beb004cefaa244af3",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
         ("d5bdfa01936624f10e326f77a5ac3dae1ebcbbb12df01a42f720ebcb790bfebf", ""),
     ("scaling", GRID_CONFIG, "json"):
         ("c779cafd67a1623faeb1e78a2aaa7993da8284e68e738de9fce4a2f28c4614c7", ""),
     ("mc", DET_CONFIG, "csv"):
-        ("4ca1c7b9e79def44e1e76177707f825c71b4dcb52a2a49c756a68f9f5f05ea72", ""),
+        ("ec969011f48273ba73f8eb6b8abdac840a069e791aaa65e0cce3f404cfcbb193", ""),
     ("mc", DET_CONFIG, "json"):
-        ("e42bb47509cd72ac97440e3f0f913a7c6efae8a14d64afbc96daf50d0a4d140f", ""),
+        ("3486b934ff1c499d810c232b4ae6a021baf9ab0aa4c1ceda51590443536a530d", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
         ("e9b6c3b44e104049ef112dff32e617971fc242cd895f339fef181923cb6f3468",
          "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),

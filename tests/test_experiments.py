@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ from crossbar_lowrank.experiments import (
 from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values
 from crossbar_lowrank.matrixgen import harmonic_spectrum
 from crossbar_lowrank.montecarlo import compare, run_baseline_trials
-from crossbar_lowrank.rng import MASK64, child_seed
+from crossbar_lowrank.rng import child_seed
 
 SMALL = dict(m=16, n=16, r=4, lam=4.0, trials=0)
 
@@ -188,8 +189,10 @@ class TestConfigValidation:
             config_from_mapping({key: bad})
 
     def test_seed_width(self):
-        with pytest.raises(ConfigError, match="64 bits"):
-            ExperimentConfig(master_seed=2 ** 64)
+        # a seed of any width is valid; a negative one is not
+        assert ExperimentConfig(master_seed=2 ** 64).master_seed == 2 ** 64
+        with pytest.raises(ConfigError, match="nonnegative"):
+            ExperimentConfig(master_seed=-1)
 
     def test_bad_dist(self):
         with pytest.raises(ConfigError, match="dist"):
@@ -417,7 +420,7 @@ class TestPrescribedSpectrum:
 
     def test_analytic_sweep_ignores_the_seed(self):
         a = run_sweep(ExperimentConfig(**SMALL, master_seed=0))
-        b = run_sweep(ExperimentConfig(**SMALL, master_seed=MASK64))
+        b = run_sweep(ExperimentConfig(**SMALL, master_seed=2 ** 64))
         assert a.rows == b.rows and a.argmin_k == b.argmin_k
 
 
@@ -628,6 +631,15 @@ class TestRunMc:
 class TestSweepAndMcShareEstimates:
     """The two-step estimate at rank k has one seed, (STREAM_MC_TWOSTEP, k),
     whichever command runs it."""
+
+    def test_readme_states_the_stream_keys(self):
+        # README's Determinism section names the target's, the baseline's
+        # and the two-step estimate's keys, in that order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Determinism", 1)[1].split("\n## ", 1)[0]
+        keys = re.findall(r"keyed `\(master_seed, ([^`]*)\)`", section)
+        assert keys == [str(experiments.STREAM_MATRIX), str(experiments.STREAM_MC_BASELINE),
+                        f"{experiments.STREAM_MC_TWOSTEP}, k"]
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     @pytest.mark.parametrize("k_range", ["all", (3,), (2, 4)])

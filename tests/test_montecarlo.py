@@ -381,6 +381,14 @@ class TestBlockRule:
                 for size in (256, 256, 88)]
         assert np.array_equal(cap.errors, np.concatenate(want))
 
+    @pytest.mark.parametrize("seed", [8, 2 ** 64 + 3])
+    def test_a_run_draws_from_its_seeds_own_stream(self, seed):
+        # child_stream(seed) with no key is np.random.default_rng(seed)
+        res = run_baseline_trials(np.ones((12, 20)), NoiseSpec(sigma_e_sq=0.05), 2.0, 64,
+                                  master_seed=seed)
+        rng = np.random.default_rng(seed)
+        assert res == _reduce(0.05 * 2.0 * rng.chisquare(12, 64) * rng.chisquare(20, 64), 0.0)
+
     def test_one_block_runs_keep_their_draws(self, monkeypatch):
         # 64 trials at m, n <= 256 are one block under this rule and under
         # the fixed 64-trial blocks before it: the baseline and uniform
@@ -745,29 +753,8 @@ class TestUniformBlockPath:
 
 
 # Gaussian MC values depend on numpy's normal sampler; they were stored
-# with this numpy version. All three pins below were regenerated when the
-# target's QR became thin; every number moved by at most 6.7e-16 relative,
-# apart from the exact-zero k=r truncation (2.4e-31 -> 4.4e-31).
-# PINNED_MC_GAUSSIAN was regenerated again when Gaussian MC began drawing
-# each trial's squared error from its chi^2 law (2 numbers a baseline trial,
-# m + k + 2 a two-step trial): mean_sq_error, std_error and z moved, the
-# analytic values and pass flags did not. All three were regenerated when
-# sweep and mc began to evaluate the closed forms on the prescribed
-# spectrum lam/i instead of the computed one: only the analytic values,
-# normalized and z moved (at most 5.2e-16 relative in an analytic value,
-# 2.1e-14 in z), and the exact-zero k=3 truncation is now 0.0; MC columns,
-# (t_L, t_R), argmin k and pass flags did not. PINNED_MC_GAUSSIAN was
-# regenerated when Gaussian two-step trials began to draw their input as
-# its rank coordinates w = bQ (rank + k + 3 numbers a trial): only the
-# two-step row's mean_sq_error, std_error and z moved. All three were
-# regenerated when blocks began to hold max(1, NOISE_CELLS // width) trials
-# instead of 64 (one block for each run here) and the Gaussian two-step
-# error began to be formed in A's right singular coordinates: only
-# mean_sq_error, std_error, z, mc_mean and mc_stderr moved; analytic
-# values, (t_L, t_R), argmins and pass flags did not. All three were
-# regenerated when each estimate began to draw all its blocks from one
-# stream, child_stream(seed), and sweep began to seed its two-step estimates
-# as mc does: the same columns moved, and nothing else
+# with this numpy version. CHANGES.md lists each regeneration of the three
+# pins below and which columns moved
 PINNED_NUMPY = "2.4.6"
 
 PINNED_MC_GAUSSIAN = """\
@@ -775,22 +762,14 @@ PINNED_MC_GAUSSIAN = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.324738789694752,0.4134981631225626,9.600000000000001,-0.6656890764074824,true
-two_step,2,2,2,300,9.303776244235172,0.42849963584408785,10.3275,-2.3890889749491335,true
+baseline,,,,300,9.66861885541204,0.5212459447600104,9.600000000000001,0.13164391224881758,true
+two_step,2,2,2,300,11.073995896011256,0.5068260482061666,10.3275,1.4728838398368906,true
 # all_passed=true
 """
 
 # uniform noise runs the per-cell model over row chunks of each block's
 # stream; these values depend on numpy's uniform sampler and on float64
-# round-off, not on its normal sampler. Regenerated when the sweep's
-# analytic columns began to come from singular values computed without
-# vectors: only analytic_*, normalized and the argmin line moved, by at
-# most 1.2e-15 relative (the exact-zero k=3 truncation; 6.2e-16
-# elsewhere); mc_mean, mc_stderr, (t_L, t_R) and argmin k did not.
-# Regenerated again when the closed forms began to multiply sigma_b_sq into
-# unit parts: only analytic_accumulated moved, by at most 3.5e-16 relative.
-# Regenerated with PINNED_MC_GAUSSIAN for the width-sized blocks, and again
-# for the one stream per estimate: only mc_mean and mc_stderr moved
+# round-off, not on its normal sampler
 PINNED_SWEEP_UNIFORM = """\
 # crossbar-lowrank sweep v1
 # config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
@@ -798,11 +777,11 @@ sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
-0.030000000000000013,11.972212874396106,0.5898539504035758,21.6,0.5361111111111111
+0.030000000000000013,10.261151061485299,0.47337845695288205,21.6,0.5361111111111111
 2,3,3,true,8.64,3.0,2.7,2.7,\
-0.2400000000000001,9.539102573737756,0.4372837496301022,21.6,0.4
+0.2400000000000001,9.444370337655144,0.4055439230329585,21.6,0.4
 3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
-0.8100000000000003,10.094577524860913,0.45676633031785385,21.6,0.4958333333333334
+0.8100000000000003,10.457938800952002,0.46193057016459904,21.6,0.4958333333333334
 # argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
@@ -811,8 +790,8 @@ PINNED_MC_UNIFORM = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.968277548755362,0.33384555656048986,9.600000000000001,1.1031374883332665,true
-two_step,2,2,2,300,11.852314557384979,0.4576513987233868,10.3275,3.3318254060589143,true
+baseline,,,,300,9.680503458391314,0.3144094956969552,9.600000000000001,0.25604652369948216,true
+two_step,2,2,2,300,10.555102235927242,0.44562247415201783,10.3275,0.5107512505071683,true
 # all_passed=true
 """
 

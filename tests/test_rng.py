@@ -1,40 +1,36 @@
 import numpy as np
 import pytest
 
-from crossbar_lowrank.rng import MASK64, child_seed, child_stream, mix64
+from crossbar_lowrank.rng import child_seed, child_stream
 
 
-def test_mix64_is_deterministic_and_64bit():
-    assert mix64(0) == mix64(0)
-    for x in (0, 1, 2**63, MASK64, 0xDEADBEEF):
-        assert 0 <= mix64(x) <= MASK64
+def test_child_seed_known_value():
+    assert child_seed(12345, 3, 4) == 10437831462504346930
 
 
-def test_mix64_avalanche():
-    # flipping one input bit should flip about half the output bits
-    rng = np.random.default_rng(7)
-    flips = []
-    for _ in range(200):
-        x = int(rng.integers(0, 2**63))
-        bit = int(rng.integers(0, 64))
-        flips.append(bin(mix64(x) ^ mix64(x ^ (1 << bit))).count("1"))
-    mean = sum(flips) / len(flips)
-    assert 24 <= mean <= 40
+def test_child_stream_known_draws():
+    assert child_stream(12345, 0).bit_generator.random_raw(3).tolist() == [
+        16048646147195420845, 10346443762535315252, 4087151527457531500]
+    assert child_stream(12345, 0).standard_normal(3).tolist() == [
+        1.7875197842072932, -0.488640903086019, 1.0823729228035182]
 
 
 def test_child_seed_determinism_and_distinctness():
     assert child_seed(42, 0, 1) == child_seed(42, 0, 1)
     seen = {child_seed(42, t, role) for t in range(50) for role in (0, 1)}
     assert len(seen) == 100
+    assert child_seed(42, 0) != child_seed(42 + 2 ** 64, 0)
     assert child_seed(42, 0) != child_seed(43, 0)
     assert child_seed(42) != child_seed(42, 0)
+    assert 0 <= child_seed(2 ** 100, 7) < 2 ** 64
 
 
-def test_child_seed_rejects_oversized_master():
-    with pytest.raises(ValueError):
-        child_seed(2**64, 0)
-    with pytest.raises(ValueError):
-        child_seed(-1, 0)
+def test_child_seed_rejects_a_negative_seed_or_index():
+    for seed, key in ((-1, ()), (0, (-1,)), (5, (3, -2))):
+        with pytest.raises(ValueError):
+            child_seed(seed, *key)
+        with pytest.raises(ValueError):
+            child_stream(seed, *key)
 
 
 def test_child_stream_reproducible():
@@ -45,11 +41,16 @@ def test_child_stream_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_child_stream_is_default_rng_of_child_seed():
-    assert np.array_equal(
-        child_stream(123, 4, 1).standard_normal(8),
-        np.random.default_rng(child_seed(123, 4, 1)).standard_normal(8),
-    )
+def test_child_stream_is_default_rng_of_spawn_key():
+    for seed, key in ((123, (4, 1)), (12345, (3, 7)), (2 ** 64, (0,)), (7, ())):
+        ref = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+        assert np.array_equal(child_stream(seed, *key).standard_normal(8),
+                              ref.standard_normal(8))
+
+
+def test_empty_key_is_the_master_seeds_own_stream():
+    assert np.array_equal(child_stream(2024).standard_normal(8),
+                          np.random.default_rng(2024).standard_normal(8))
 
 
 def test_sibling_streams_uncorrelated():
