@@ -68,25 +68,41 @@ def magnitude_check(A, dev: DeviceParams) -> MagnitudeCheck:
     return MagnitudeCheck(total <= budget, total, budget)
 
 
-def iid_entries(shape, sigma_sq: float, dist: str, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. zero-mean entries with variance sigma_sq.
-
-    sigma_sq = 0 returns zeros without consuming any randomness, so a
-    noiseless stage leaves the stream untouched.
-    """
+def noise_law(sigma_sq: float, dist: str) -> tuple[float, float]:
+    """(scale, shift) that map unit cells u (see unit_cells) to the
+    zero-mean cells scale * u + shift of variance sigma_sq: (sigma, 0) for
+    Gaussian, and (2w, -w) with w = sqrt(3 sigma_sq) for uniform on [-w, w],
+    whose variance is w^2/3."""
     if not (math.isfinite(sigma_sq) and sigma_sq >= 0):
         raise ValueError(f"variance must be finite and nonnegative, got {sigma_sq}")
     if dist not in SUPPORTED_DISTS:
         raise ValueError(f"unsupported distribution {dist!r}; expected one of {SUPPORTED_DISTS}")
+    if dist == "gaussian":
+        return math.sqrt(sigma_sq), 0.0
+    w = math.sqrt(3.0 * sigma_sq)
+    return 2.0 * w, -w
+
+
+def unit_cells(shape, dist: str, rng: np.random.Generator) -> np.ndarray:
+    """Cells of the unit noise law: standard normal for Gaussian, U[0, 1)
+    for uniform."""
+    return rng.standard_normal(shape) if dist == "gaussian" else rng.random(shape)
+
+
+def iid_entries(shape, sigma_sq: float, dist: str, rng: np.random.Generator) -> np.ndarray:
+    """i.i.d. zero-mean entries with variance sigma_sq: unit cells through
+    noise_law's map.
+
+    sigma_sq = 0 returns zeros without consuming any randomness, so a
+    noiseless stage leaves the stream untouched.
+    """
+    scale, shift = noise_law(sigma_sq, dist)
     if sigma_sq == 0:
         return np.zeros(shape)
-    if dist == "gaussian":
-        return np.sqrt(sigma_sq) * rng.standard_normal(shape)
-    # uniform on [-w, w] has variance w^2/3; rng.uniform(-w, w, shape)
-    # computes -w + 2w u with these two roundings, so this draws its bits
-    # without its per-call overhead
-    w = np.sqrt(3.0 * sigma_sq)
-    u = rng.random(shape)
-    u *= w - -w
-    u += -w
+    # for uniform, rng.uniform(-w, w, shape) computes -w + 2w u with these
+    # two roundings, so this draws its bits without its per-call overhead
+    u = unit_cells(shape, dist, rng)
+    u *= scale
+    if shift:
+        u += shift
     return u

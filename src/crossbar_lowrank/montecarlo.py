@@ -7,10 +7,11 @@ memory, not seeds. A block holds max(1,
 schemes.NOISE_CELLS // width) trials (the last may be shorter), width
 being the widest per-trial row of the path's arrays: 1 for the Gaussian
 baseline, the rank of A for the Gaussian two-step, and max(m, n) for
-uniform noise, whose noise cells the scheme functions chunk by the same
-bound. A block draws its input rows B (trials x m), or for Gaussian
-two-step trials their coordinates W (trials x rank, see below), then the
-noise of its trials. A fixed-order compensated sum reduces the errors.
+uniform noise, whose scheme functions run a block's rows in chunks by the
+same bound (see schemes). A block draws its input rows B (trials x m), or
+for Gaussian two-step trials their coordinates W (trials x rank, see
+below), then the noise of its trials. A fixed-order compensated sum
+reduces the errors.
 
 Gaussian noise is sampled by its effect, not cell by cell. The error
 depends on a write-noise matrix only through x E for the row vector x
@@ -43,7 +44,9 @@ noiseless stage 1 needs no ||b|| and draws no chi^2_{m-rank}.
 
 Uniform noise is not exact in law under that reduction, so a uniform
 block runs the per-cell device model, one call of `two_step_vmm` or
-`baseline_noisy_vmm` on its input rows.
+`baseline_noisy_vmm` on its input rows. That call draws every cell, in
+row chunks, each drawing one slab per replica, stage 1's and then stage
+2's, of at most max(NOISE_CELLS, one row's slab) cells.
 
 schemes.NOISE_CELLS, the widths and the draw order above define the order
 in which a run consumes its stream: changing any of them changes MC values.

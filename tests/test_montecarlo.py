@@ -426,12 +426,19 @@ def _ks_critical(n1, n2, alpha):
 
 
 def _device_errors(trials, seed, vmm, A, sigma_b_sq, dist="gaussian"):
-    """Per-trial squared errors of the per-cell device model, one trial at a
-    time with its own input and noise streams (seed, trial, 0 / 1)."""
+    """Per-trial squared errors of the per-cell device model, all drawn from
+    the stream child_stream(seed, 0). Gaussian trials, whose block sampler
+    calls no scheme function, run as one stacked call; uniform trials, whose
+    block path is that stacked call, run one row at a time."""
+    rng = child_stream(seed, 0)
+    if dist == "gaussian":
+        B = iid_entries((trials, A.shape[0]), sigma_b_sq, dist, rng)
+        D = vmm(B, rng) - B @ A
+        return np.einsum("ij,ij->i", D, D)
     out = np.empty(trials)
     for t in range(trials):
-        b = iid_entries(A.shape[0], sigma_b_sq, dist, child_stream(seed, t, 0))
-        d = vmm(b, child_stream(seed, t, 1)) - b @ A
+        b = iid_entries(A.shape[0], sigma_b_sq, dist, rng)
+        d = vmm(b, rng) - b @ A
         out[t] = d @ d
     return out
 
@@ -724,24 +731,25 @@ class TestUniformBlockPath:
     @staticmethod
     def _spy_noise_draws(monkeypatch):
         sizes = []
-        real = schemes.iid_entries
+        real = schemes.unit_cells
 
         def spy(shape, *args):
             sizes.append(math.prod(shape))
             return real(shape, *args)
 
-        monkeypatch.setattr(schemes, "iid_entries", spy)
+        monkeypatch.setattr(schemes, "unit_cells", spy)
         return sizes
 
     def test_two_step_noise_draws_stay_within_a_chunk(self, monkeypatch):
+        # one block of 100 trials, in chunks of NOISE_CELLS // (64 * 4) = 64
+        # and 36 rows, each drawing one slab per replica
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05, dist="uniform")
         A, s, f, scheme = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
-        cells = (8 * 64 + 8 * 64) * 4
         sizes = self._spy_noise_draws(monkeypatch)
         run_two_step_trials(s, A, *scheme, trials=100, master_seed=3)
-        assert max(sizes) <= max(cells, NOISE_CELLS)
-        assert sum(sizes) == 100 * cells
-        assert len(sizes) > 2 * 2  # more than one chunk per block
+        assert max(sizes) <= NOISE_CELLS
+        assert sum(sizes) == 100 * (8 * 64 + 8 * 64) * 4
+        assert sizes == [64 * 64 * 4] * 16 + [36 * 64 * 4] * 16
 
     def test_oversized_trial_draws_one_trial_at_a_time(self, monkeypatch):
         side = math.isqrt(NOISE_CELLS) + 1
@@ -768,8 +776,9 @@ two_step,2,2,2,300,11.073995896011256,0.5068260482061666,10.3275,1.4728838398368
 """
 
 # uniform noise runs the per-cell model over row chunks of each block's
-# stream; these values depend on numpy's uniform sampler and on float64
-# round-off, not on its normal sampler
+# stream, each chunk drawing one slab of U[0, 1) cells per replica; these
+# values depend on numpy's uniform sampler, on that draw order and on
+# float64 round-off, not on numpy's normal sampler
 PINNED_SWEEP_UNIFORM = """\
 # crossbar-lowrank sweep v1
 # config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
@@ -777,11 +786,11 @@ sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
-0.030000000000000013,10.261151061485299,0.47337845695288205,21.6,0.5361111111111111
+0.030000000000000013,10.081750422027325,0.48094054312996926,21.6,0.5361111111111111
 2,3,3,true,8.64,3.0,2.7,2.7,\
-0.2400000000000001,9.444370337655144,0.4055439230329585,21.6,0.4
+0.2400000000000001,9.590307144682683,0.4579254502118412,21.6,0.4
 3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
-0.8100000000000003,10.457938800952002,0.46193057016459904,21.6,0.4958333333333334
+0.8100000000000003,10.171603089849619,0.46416912896828305,21.6,0.4958333333333334
 # argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
@@ -791,7 +800,7 @@ PINNED_MC_UNIFORM = """\
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
 baseline,,,,300,9.680503458391314,0.3144094956969552,9.600000000000001,0.25604652369948216,true
-two_step,2,2,2,300,10.555102235927242,0.44562247415201783,10.3275,0.5107512505071683,true
+two_step,2,2,2,300,10.559820708604695,0.470309423503658,10.3275,0.49397417316025266,true
 # all_passed=true
 """
 

@@ -256,13 +256,15 @@ class TestBatchedRows:
         f, B = self._setup()
         ns = NoiseSpec(sigma_L_sq=0.1, sigma_R_sq=0.2, dist=dist)
         out = two_step_vmm(B, f, 2, 3, ns, np.random.default_rng(9))
+        # one chunk: each L replica as a (T, 7, 3) slab, then each R replica
+        # as a (T, 3, 6) slab
         g = np.random.default_rng(9)
-        E_L = iid_entries((self.T, 2, 7, 3), 0.1, dist, g)
-        E_R = iid_entries((self.T, 3, 3, 6), 0.2, dist, g)
+        E_L = iid_entries((2, self.T, 7, 3), 0.1, dist, g)
+        E_R = iid_entries((3, self.T, 3, 6), 0.2, dist, g)
         assert out.shape == (self.T, 6)
         for i, b in enumerate(B):
-            c_mid = np.matmul(b, f.L + E_L[i]).mean(axis=0)
-            want = np.matmul(c_mid, f.R + E_R[i]).mean(axis=0)
+            c_mid = np.matmul(b, f.L + E_L[:, i]).mean(axis=0)
+            want = np.matmul(c_mid, f.R + E_R[:, i]).mean(axis=0)
             np.testing.assert_allclose(out[i], want, rtol=1e-12)
 
     def test_two_step_single_row_draws_the_replica_cells(self):
@@ -296,8 +298,10 @@ class TestBatchedRows:
 
 class TestChunkedStacks:
     """A stack runs in consecutive chunks of max(1, NOISE_CELLS // cells)
-    rows, each drawing its L noise and then its R noise, so a call draws
-    at most max(cells, NOISE_CELLS) noise cells at a time."""
+    rows, cells being one row's largest replica slab: m n for the baseline,
+    max(m, n) k for two-step. Each chunk draws its L replicas, then its R
+    replicas, one slab each, so a call draws at most max(cells, NOISE_CELLS)
+    noise cells at once."""
 
     NOISE = NoiseSpec(sigma_e_sq=0.1, sigma_L_sq=0.1, sigma_R_sq=0.2, dist="uniform")
 
@@ -310,25 +314,25 @@ class TestChunkedStacks:
     @staticmethod
     def _spy_noise_draws(monkeypatch):
         sizes = []
-        real = schemes.iid_entries
+        real = schemes.unit_cells
 
         def spy(shape, *args):
             sizes.append(math.prod(shape))
             return real(shape, *args)
 
-        monkeypatch.setattr(schemes, "iid_entries", spy)
+        monkeypatch.setattr(schemes, "unit_cells", spy)
         return sizes
 
     @pytest.mark.parametrize("scheme", ["two_step", "baseline"])
     def test_noise_draws_stay_within_a_chunk(self, monkeypatch, scheme):
         A, f = self._setup()
         if scheme == "two_step":
-            cells = (1 * 8 + 1 * 8) * 2
+            cells, row_cells, slabs = 8 * 2, (2 * 8 + 3 * 8) * 2, 2 + 3
 
             def call(B):
-                return two_step_vmm(B, f, 1, 1, self.NOISE, np.random.default_rng(1))
+                return two_step_vmm(B, f, 2, 3, self.NOISE, np.random.default_rng(1))
         else:
-            cells = 8 * 8
+            cells, row_cells, slabs = 8 * 8, 8 * 8, 1
 
             def call(B):
                 return baseline_noisy_vmm(B, A, self.NOISE, np.random.default_rng(1))
@@ -337,24 +341,41 @@ class TestChunkedStacks:
         out = call(np.ones((rows, 8)))
         assert out.shape == (rows, 8)
         assert max(sizes) <= max(cells, NOISE_CELLS)
-        assert sum(sizes) == rows * cells
-        assert len(sizes) == (8 if scheme == "two_step" else 4)
+        assert sum(sizes) == rows * row_cells
+        assert len(sizes) == 4 * slabs
 
     def test_oversized_row_is_its_own_chunk(self, monkeypatch):
-        A, f = self._setup(m=100, n=100, k=4)
+        # max(m, n) k = 18,000 > NOISE_CELLS, at (2 + 3) * 60 = 300 = m
+        A, f = self._setup(m=300, n=300, k=60)
         sizes = self._spy_noise_draws(monkeypatch)
-        two_step_vmm(np.ones((3, 100)), f, 12, 13, self.NOISE, np.random.default_rng(2))
-        assert sizes == [12 * 100 * 4, 13 * 4 * 100] * 3
+        two_step_vmm(np.ones((3, 300)), f, 2, 3, self.NOISE, np.random.default_rng(2))
+        assert sizes == [300 * 60] * (2 + 3) * 3
 
     def test_stack_is_its_chunks_in_order(self):
+        # 2 * 1024 + 7 rows at 1024 rows a chunk: each chunk draws its L
+        # replicas as (rows, 8, 2) slabs, then its R replicas as (rows, 2, 8)
         A, f = self._setup()
-        rows = NOISE_CELLS // ((2 * 8 + 3 * 8) * 2)
+        rows = NOISE_CELLS // (8 * 2)
         B = np.random.default_rng(3).standard_normal((2 * rows + 7, 8))
         out = two_step_vmm(B, f, 2, 3, self.NOISE, np.random.default_rng(4))
         g = np.random.default_rng(4)
+        want = []
+        for lo in range(0, B.shape[0], rows):
+            X = B[lo:lo + rows]
+            E_L = iid_entries((2, X.shape[0], 8, 2), 0.1, "uniform", g)
+            E_R = iid_entries((3, X.shape[0], 2, 8), 0.2, "uniform", g)
+            for i, b in enumerate(X):
+                c_mid = np.matmul(b, f.L + E_L[:, i]).mean(axis=0)
+                want.append(np.matmul(c_mid, f.R + E_R[:, i]).mean(axis=0))
+        assert len(want) == B.shape[0] and lo == 2 * rows
+        # rowwise, since among 16k entries some cancel to near zero
+        want = np.array(want)
+        assert np.all(np.linalg.norm(out - want, axis=1)
+                      <= 1e-12 * np.linalg.norm(want, axis=1))
+        # and bit for bit the chunks' own calls, in order on one stream
+        g = np.random.default_rng(4)
         parts = [two_step_vmm(B[i:i + rows], f, 2, 3, self.NOISE, g)
                  for i in range(0, B.shape[0], rows)]
-        assert len(parts) == 3
         assert np.array_equal(out, np.concatenate(parts))
 
 
