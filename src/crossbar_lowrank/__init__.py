@@ -21,7 +21,7 @@ from .matrixgen import harmonic_matrix, harmonic_spectrum, prescribed_matrix, ra
 from .matrixio import MatrixFormatError, dumps_matrix, loads_matrix, read_matrix, write_matrix
 from .montecarlo import TrialBatchResult, compare, run_baseline_trials, run_two_step_trials
 from .experiments import ExperimentConfig, fit_loglog_slope, run_mc, run_scaling, run_sweep
-from .rng import child_seed, child_stream
+from .rng import child_stream
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "baseline_error_analytic",
     "baseline_noisy_vmm",
     "budget_feasible",
-    "child_seed",
     "child_stream",
     "compare",
     "conductance_map",

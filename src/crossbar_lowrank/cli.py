@@ -40,16 +40,6 @@ from .matrixio import MatrixFormatError, matrix_lines, read_matrix
 __all__ = ["main", "build_parser"]
 
 
-def _seed_arg(text: str) -> int:
-    try:
-        v = int(text, 0)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if v < 0:
-        raise argparse.ArgumentTypeError(f"seed must be nonnegative, got {text}")
-    return v
-
-
 def _int_at_least(lo: int):
     def parse(text: str) -> int:
         try:
@@ -66,7 +56,7 @@ def _add_common(sp, with_trials: bool = True, with_format: bool = True,
                 with_lanes: bool = True) -> None:
     sp.add_argument("--config", metavar="PATH", help="key=value config file")
     sp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
-    sp.add_argument("--seed", type=_seed_arg, help="override master_seed")
+    sp.add_argument("--seed", type=int, help="override master_seed")
     if with_trials:
         sp.add_argument("--trials", type=_int_at_least(0), help="override trial count")
     if with_format:

@@ -9,10 +9,14 @@ leaves the noise and device keys to `NoiseSpec` and `DeviceParams`,
 turning their errors into `ConfigError`. `lambda` and `beta` are checked
 as the values the program uses, so a `lambda=max` that resolves to a
 non-finite or zero value is a `ConfigError` too. `target(config)` is the
-one place the target matrix is built, and it refuses sizes whose
-Gaussian squares would exceed `MAX_SQUARE_CELLS`. The target is built
+one place the target matrix is built, and it refuses a config whose
+larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
 `matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
+
+Every stream is `rng.child_stream(master_seed, *key)`, built here and
+handed as a Generator to the function that draws from it: the target's,
+keyed (STREAM_MATRIX,), and one per MC estimate.
 
 Every result is a table of one row dataclass, written by one CSV and one
 JSON writer: the columns are the row's fields, and the extra lines or
@@ -44,19 +48,18 @@ from .core import DeviceParams
 from .lowrank import svd
 from .matrixgen import harmonic_matrix, harmonic_spectrum
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
-from .rng import child_seed, child_stream
+from .rng import child_stream
 from .schemes import NoiseSpec, budget_feasible
 
-# sub-seed roles: the target's stream, and one seed per MC estimate (the
+# stream roles: the target's stream, and one stream per MC estimate (the
 # two-step one at rank k is keyed (STREAM_MC_TWOSTEP, k) in sweep and mc alike)
 STREAM_MATRIX = 0
 STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
 
-# cap on the cells of one Gaussian square drawn by target(): 2**26 float64
-# cells is 512 MiB, so max(m, n) may be at most 8192. sweep keeps that side
-# cap when it builds no matrix, where it bounds the optimizer's t_L scan to
-# fewer than 8192 candidates per k
+# cap on max(m, n)**2, so max(m, n) may be at most 8192: it bounds the
+# target's m*n float64 cells to 512 MiB, and the optimizer's t_L scan to
+# fewer than 8192 candidates per k, whether or not a target is built
 MAX_SQUARE_CELLS = 2 ** 26
 # cap on one scaling row's work and memory: the t_L candidates the
 # optimizer scans (a row at k = 1 scans n - 1 of them, so such rows may
@@ -294,23 +297,20 @@ class SweepResult:
     config: ExperimentConfig
 
 
-def _check_target_size(config: ExperimentConfig, builds: bool = True) -> None:
+def _check_target_size(config: ExperimentConfig) -> None:
     side = max(config.m, config.n)
     if side * side > MAX_SQUARE_CELLS:
-        raise ConfigError(f"m={config.m}, n={config.n}: " + (
-            f"building the target draws a {side}x{side} square, over the cap of "
-            f"{MAX_SQUARE_CELLS} cells" if builds else
-            f"no target is built at trials=0, but a side over {math.isqrt(MAX_SQUARE_CELLS)} "
-            f"is refused all the same, to bound the optimizer's t_L scan"))
+        raise ConfigError(
+            f"m={config.m}, n={config.n}: a side over {math.isqrt(MAX_SQUARE_CELLS)} is "
+            f"refused, a cap that bounds the target's cells and the optimizer's t_L scan")
 
 
 def target(config: ExperimentConfig) -> np.ndarray:
-    """The config's harmonic target matrix, drawn from its own stream: its
-    singular values are harmonic_spectrum(resolved lambda, r) up to
-    round-off.
-
-    Building it draws an m x m and an n x n Gaussian square, so a config
-    whose larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
+    """The config's harmonic target matrix, drawn from its own stream,
+    child_stream(master_seed, STREAM_MATRIX): an m x r Gaussian block for
+    U, then an n x r one for V. Its singular values are
+    harmonic_spectrum(resolved lambda, r) up to round-off. A config whose
+    larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
     """
     _check_target_size(config)
     return harmonic_matrix(config.m, config.n, config.r, config.resolved_lambda(),
@@ -355,10 +355,10 @@ def _check_lanes(lanes: int) -> None:
 
 
 def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int, t_R: int):
-    """MC of the two-step scheme at rank k; sweep and mc share its seed."""
+    """MC of the two-step scheme at rank k; sweep and mc share its stream."""
     return run_two_step_trials(s, A, k, t_L, t_R, config.noise(),
                                config.sigma_b_sq, config.trials,
-                               child_seed(config.master_seed, STREAM_MC_TWOSTEP, k))
+                               child_stream(config.master_seed, STREAM_MC_TWOSTEP, k))
 
 
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
@@ -368,7 +368,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     both evaluated on the prescribed spectrum harmonic_spectrum(resolved
     lambda, r), so they do not depend on the seed. When trials > 0, one
     harmonic target matrix is generated for the whole sweep and each k
-    gets the Monte Carlo estimate run_mc gives that k, from the same seed;
+    gets the Monte Carlo estimate run_mc gives that k, from the same stream;
     the target and its SVD are computed only then. Infeasible k values are
     emitted flagged instead of aborting; analysis.least picks argmin_k, as
     it picks optimize_rank's k. `lanes` has no effect (see _check_lanes).
@@ -376,7 +376,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
-    _check_target_size(config, builds=config.trials > 0)
+    _check_target_size(config)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     if config.trials > 0:
         A = target(config)
@@ -451,9 +451,9 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     every size. Emits per-n rows plus fitted log-log slopes.
 
     A row whose budget n*n would exceed analysis.MAX_BUDGET, whose rank r
-    or t_L scan would exceed MAX_SCALING_SCAN, or whose lambda_max is not
-    finite and positive, is a ConfigError, raised before any row is
-    computed."""
+    or t_L scan would exceed MAX_SCALING_SCAN, whose rank k does not fit
+    the budget even at t_L = t_R = 1, or whose lambda_max is not finite and
+    positive, is a ConfigError, raised before any row is computed."""
     _check_geometric(config.n_grid)
     _require_baseline_noise(config)
     beta = config.resolved_beta()
@@ -471,6 +471,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
             raise ConfigError(
                 f"scaling row n={n}, r={r}: the spectrum would hold {r} "
                 f"values, over the cap of {MAX_SCALING_SCAN}")
+        if not budget_feasible(n, n, k, 1, 1):
+            raise ConfigError(
+                f"scaling row n={n}, k={k}: the rank does not fit the budget "
+                f"even at t_L=t_R=1")
         scan = t_L_max(n, n, k)
         if scan > MAX_SCALING_SCAN:
             raise ConfigError(
@@ -556,7 +560,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
                      analytic=analytic, z=z, passed=ok)
 
     base_res = run_baseline_trials(A, noise, config.sigma_b_sq, config.trials,
-                                   child_seed(config.master_seed, STREAM_MC_BASELINE))
+                                   child_stream(config.master_seed, STREAM_MC_BASELINE))
     rows = [row("baseline", None, None, None, base_res, base_analytic)]
     rows += [row("two_step", k, t_L, t_R, _two_step_mc(config, A, s, k, t_L, t_R), bd.total)
              for k, t_L, t_R, bd in choices]

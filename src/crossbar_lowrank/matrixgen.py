@@ -5,11 +5,9 @@ A spectrum is a plain 1-D array of singular values, valid when
 the harmonic profile lam/i, i <= r, and `prescribed_matrix` builds a
 matrix with any valid, nonempty and positive spectrum.
 
-Stream contract: a rank-r m x n matrix draws a full m x m Gaussian
-square, then a full n x n one, from its stream, and orthogonalizes only
-the leading r columns of each. Stream use therefore does not depend on r,
-and the matrix equals the one built from the QR factors of the full
-squares up to round-off (within 1e-13 of its Frobenius norm).
+Stream contract: a rank-r m x n matrix draws an m x r Gaussian block,
+then an n x r one, from its stream, and orthogonalizes each: (m + n) r
+normals in all, and nothing of size m x m or n x n.
 """
 from __future__ import annotations
 
@@ -43,14 +41,9 @@ def harmonic_spectrum(lam: float, r: int) -> np.ndarray:
 
 def random_orthogonal(dim: int, rng: np.random.Generator,
                       cols: int | None = None) -> np.ndarray:
-    """Leading `cols` columns (default all) of a random orthogonal matrix,
-    from QR of an i.i.d. Gaussian square.
-
-    The full dim x dim square is always drawn, so the stream advances by
-    dim*dim normals whatever `cols` is. Only its first `cols` columns are
-    factored, at O(dim*cols^2) cost: the first j columns of a QR factor
-    depend only on the first j input columns, so this is the full
-    square's factor's leading block up to round-off.
+    """`cols` (default dim) orthonormal columns of a random orthogonal
+    matrix, from QR of an i.i.d. Gaussian dim x cols block: the stream
+    advances by dim*cols normals, and the QR costs O(dim*cols^2).
 
     Each column's sign is fixed so the orthogonal factor's diagonal is
     nonnegative, making the output deterministic per stream (dim=1
@@ -62,7 +55,7 @@ def random_orthogonal(dim: int, rng: np.random.Generator,
         cols = dim
     if not 1 <= cols <= dim:
         raise ValueError(f"cols must be in [1, {dim}], got {cols}")
-    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim))[:, :cols])
+    Q, _ = np.linalg.qr(rng.standard_normal((dim, cols)))
     signs = np.where(np.diag(Q) < 0, -1.0, 1.0)
     return Q * signs
 
@@ -73,9 +66,9 @@ def prescribed_matrix(m: int, n: int, singulars,
 
     The values must pass check_spectrum and be nonempty, positive and at
     most min(m, n) long; they are checked before anything is drawn. Built
-    as U_r diag(s) V_r' from the leading r columns of independent random
+    as U_r diag(s) V_r' from r orthonormal columns of independent random
     orthogonal factors, so the spectrum is exact up to orthogonalization
-    round-off. U's m x m square is drawn before V's n x n square.
+    round-off. U's m x r block is drawn before V's n x r block.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")

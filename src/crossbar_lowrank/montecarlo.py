@@ -1,9 +1,8 @@
 """Reproducible Monte Carlo estimation of expected computation errors.
 
-A run is one estimate and draws from one stream, child_stream(master_seed)
-(with no key, np.random.default_rng(master_seed)), in blocks of
-consecutive trials run in order on the calling thread; the blocks bound
-memory, not seeds. A block holds max(1,
+A run is one estimate and draws from the one Generator it is given, in
+blocks of consecutive trials run in order on the calling thread; the
+blocks bound memory only. A block holds max(1,
 schemes.NOISE_CELLS // width) trials (the last may be shorter), width
 being the widest per-trial row of the path's arrays: 1 for the Gaussian
 baseline, the rank of A for the Gaussian two-step, and max(m, n) for
@@ -49,7 +48,8 @@ row chunks, each drawing one slab per replica, stage 1's and then stage
 2's, of at most max(NOISE_CELLS, one row's slab) cells.
 
 schemes.NOISE_CELLS, the widths and the draw order above define the order
-in which a run consumes its stream: changing any of them changes MC values.
+in which a run consumes its Generator: changing any of them changes MC
+values.
 """
 from __future__ import annotations
 
@@ -61,7 +61,6 @@ import numpy as np
 
 from .core import as_matrix, iid_entries
 from .lowrank import RANK_TOL_REL, SvdResult, factor_lr
-from .rng import child_stream
 from .schemes import NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
 
 Z_PASS_LIMIT = 4.0
@@ -94,13 +93,12 @@ def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     return root * root * float(np.sum(np.square(A / top)))
 
 
-def _run_blocks(master_seed: int, trials: int, width: int,
+def _run_blocks(rng: np.random.Generator, trials: int, width: int,
                 block_fn: Callable[[np.random.Generator, int], np.ndarray]) -> np.ndarray:
     """Squared errors of trials [0, trials) in blocks of
     max(1, NOISE_CELLS // width) trials, run in order on the run's one
-    stream; block_fn(rng, size) gives those of one block."""
+    Generator; block_fn(rng, size) gives those of one block."""
     size = max(1, NOISE_CELLS // width)
-    rng = child_stream(master_seed)
     return np.concatenate([block_fn(rng, min(size, trials - lo))
                            for lo in range(0, trials, size)])
 
@@ -155,7 +153,7 @@ def _check_run(sigma_b_sq: float, trials: int) -> None:
 
 
 def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
-                        master_seed: int) -> TrialBatchResult:
+                        rng: np.random.Generator) -> TrialBatchResult:
     """Empirical mean of ||b(A+E) - bA||^2 over per-trial fresh (b, E)."""
     _check_run(sigma_b_sq, trials)
     A = as_matrix(A)
@@ -174,7 +172,7 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
         return _row_sq(D)
 
     width, floor = (1, 0.0) if gaussian else (max(m, n), roundoff_floor(A, sigma_b_sq))
-    return _reduce(_run_blocks(master_seed, trials, width, block), floor)
+    return _reduce(_run_blocks(rng, trials, width, block), floor)
 
 
 def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
@@ -201,7 +199,8 @@ def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
 
 
 def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: NoiseSpec,
-                        sigma_b_sq: float, trials: int, master_seed: int) -> TrialBatchResult:
+                        sigma_b_sq: float, trials: int,
+                        rng: np.random.Generator) -> TrialBatchResult:
     """Empirical mean of ||c'' - bA||^2 for the rank-k factors
     factor_lr(s, k) of the m x n matrix A on t_L + t_R replica arrays; the
     error is against the exact product with the full matrix, so truncation
@@ -253,7 +252,7 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
         D -= B @ A
         return _row_sq(D)
 
-    errors = _run_blocks(master_seed, trials, rank if gaussian else max(m, n), block)
+    errors = _run_blocks(rng, trials, rank if gaussian else max(m, n), block)
     return _reduce(errors, roundoff_floor(A, sigma_b_sq))
 
 

@@ -46,7 +46,7 @@ def test_criterion_01_baseline_error_formula():
         start = time.time()
         A = harmonic_matrix(m, n, 8, 10.0, np.random.default_rng(m * 1000 + n))
         res = run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05), 3.0,
-                                  trials=100_000, master_seed=101)
+                                  trials=100_000, rng=np.random.default_rng(101))
         z, ok = compare(res, m * n * 0.05 * 3.0)
         elapsed = time.time() - start
         zs.append(z)
@@ -99,7 +99,7 @@ def test_criterion_02_two_step_error_formula():
         analytic = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R,
                                            noise.sigma_L_sq, noise.sigma_R_sq, sb).total
         res = run_two_step_trials(s, A, k, t_L, t_R, noise, sb, trials=20_000,
-                                  master_seed=2000 + i)
+                                  rng=np.random.default_rng(2000 + i))
         z, ok = compare(res, analytic)
         max_z = max(max_z, abs(z))
         if not ok:
@@ -122,7 +122,7 @@ def test_criterion_02_two_step_error_formula():
 
         quiet = NoiseSpec(dist=dist)
         res = run_two_step_trials(s, A, k, t_L, t_R, quiet, sb, 20_000,
-                                  master_seed=30 + j)
+                                  rng=np.random.default_rng(30 + j))
         z, ok = compare(res, parts.truncation)
         if not ok:
             failures.append(f"iso {j} truncation: z={z:.2f}")
@@ -131,7 +131,7 @@ def test_criterion_02_two_step_error_formula():
         stage1 = two_step_error_analytic(s.singulars, m, n, r, t_L, t_R, sl, 0.0, sb)
         assert math.isclose(stage1.total, stage1.stage1_noise, rel_tol=1e-12)
         res = run_two_step_trials(s, A, r, t_L, t_R, left, sb, 20_000,
-                                  master_seed=60 + j)
+                                  rng=np.random.default_rng(60 + j))
         z, ok = compare(res, stage1.stage1_noise)
         if not ok:
             failures.append(f"iso {j} stage1: z={z:.2f}")
@@ -140,7 +140,7 @@ def test_criterion_02_two_step_error_formula():
         stage2 = two_step_error_analytic(s.singulars, m, n, r, t_L, t_R, 0.0, sr, sb)
         assert math.isclose(stage2.total, stage2.stage2_noise, rel_tol=1e-12)
         res = run_two_step_trials(s, A, r, t_L, t_R, right, sb, 20_000,
-                                  master_seed=90 + j)
+                                  rng=np.random.default_rng(90 + j))
         z, ok = compare(res, stage2.stage2_noise)
         if not ok:
             failures.append(f"iso {j} stage2: z={z:.2f}")

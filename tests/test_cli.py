@@ -147,6 +147,21 @@ class TestUsageErrors:
         assert main(["mc", "--config", small_config, "--seed=-1"]) == 2
         assert "nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["0x10", "010", "1_0", "-1"])
+    def test_seed_flag_parses_like_the_config_key(self, tmp_path, capsys, seed):
+        # --seed X and master_seed=X give the same exit code and bytes
+        body = "m=6\nn=5\nr=2\nlambda=2\n"
+        flag, key = tmp_path / "flag.cfg", tmp_path / "key.cfg"
+        flag.write_text(body)
+        key.write_text(body + f"master_seed={seed}\n")
+        runs = []
+        for argv in (["gen", "--config", str(flag), "--seed", seed],
+                     ["gen", "--config", str(key)]):
+            code = main(argv)
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == (0 if seed in ("010", "1_0") else 2)
+
     @pytest.mark.parametrize("lanes", ["0", "-3", "two"])
     def test_bad_lanes(self, lanes, capsys):
         assert main(["mc", "--lanes", lanes]) == 2
@@ -495,6 +510,17 @@ class TestScalingCommand:
         assert "# fit_total slope=" in out
         assert "# fit_baseline slope=" in out
 
+    def test_a_rank_that_does_not_fit_is_a_config_error(self, tmp_path, capsys):
+        # k = r = n at every size: refused before any row, naming n and k
+        p = tmp_path / "full.cfg"
+        p.write_text("alpha=1\nbeta=1\nc1=1\nc2=1\nn_grid=16 32 64 128\n")
+        assert main(["scaling", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "n=16" in err[0] and "k=16" in err[0] and "budget" in err[0]
+
 
 class TestMcCommand:
     def test_passing_run_exits_zero(self, tmp_path, capsys):
@@ -536,17 +562,17 @@ PINNED_NUMPY = "2.4.6"
 # include. CHANGES.md lists each regeneration and what moved
 PINNED_GEN = {
     "m=12\nn=12\nr=3\nlambda=3\n":
-        "87491228b5445351194199b60ce0c984302b41d517cea5ea4e40776c8e5cac7a",
+        "9a2d2214587dc8a4398adbe65be4efba35b0ebbbc9319a054271a31fa33104c0",
     "m=64\nn=48\nr=8\nlambda=2\n":
-        "9ec512e54a5d24e1597c69f023db6e3242b0d520e306f39fcfa11c78d373375b",
+        "5747cd577acdb935d44bf76034b31af5695e090cb3390e8d73d05d19593aa0b1",
 }
 PINNED_VALIDATE = """\
 rows 12
 cols 12
 rank 3
-singular_values 2.9999999999999987 1.4999999999999998 1.0
+singular_values 3.0 1.5 1.0000000000000002
 lambda_max 9.356361614804113
-magnitude_total 12.249999999999996
+magnitude_total 12.249999999999998
 magnitude_budget 144.0
 magnitude_ok true
 """
@@ -582,19 +608,19 @@ NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 # regeneration and which columns moved
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("ce6eec8dce15aa3b7dc68dca22379f58be1a06926ec8b200d9d6853897e684a7",
+        ("77d0554e8105b12c670ccd3cedf2499ad2c94bec53a92f2f65093520bf0ababd",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("db06c85f398fb4716fce2f882ec07dca83f6fad3d2a95f8beb004cefaa244af3",
+        ("3bef2034a7e6bc834ce404e865d9b88d1771087f959f62bfe06375d35704b15c",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
         ("d5bdfa01936624f10e326f77a5ac3dae1ebcbbb12df01a42f720ebcb790bfebf", ""),
     ("scaling", GRID_CONFIG, "json"):
         ("c779cafd67a1623faeb1e78a2aaa7993da8284e68e738de9fce4a2f28c4614c7", ""),
     ("mc", DET_CONFIG, "csv"):
-        ("ec969011f48273ba73f8eb6b8abdac840a069e791aaa65e0cce3f404cfcbb193", ""),
+        ("dcf623dd39c19bebd283b0d9b361c7b477af293e21a968f5dc0c1c95bf371100", ""),
     ("mc", DET_CONFIG, "json"):
-        ("3486b934ff1c499d810c232b4ae6a021baf9ab0aa4c1ceda51590443536a530d", ""),
+        ("0a5ce68f7fd124ac47bba499094fb96e3577d6e7b06ce76c206e5b0fceeb782c", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
         ("e9b6c3b44e104049ef112dff32e617971fc242cd895f339fef181923cb6f3468",
          "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),

@@ -41,8 +41,8 @@ from crossbar_lowrank.experiments import (
 )
 from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values
 from crossbar_lowrank.matrixgen import harmonic_spectrum
-from crossbar_lowrank.montecarlo import compare, run_baseline_trials
-from crossbar_lowrank.rng import child_seed
+from crossbar_lowrank.montecarlo import compare, run_baseline_trials, run_two_step_trials
+from crossbar_lowrank.rng import child_stream
 
 SMALL = dict(m=16, n=16, r=4, lam=4.0, trials=0)
 
@@ -211,7 +211,8 @@ class TestConfigValidation:
 
 
 class TestTargetCap:
-    """target() draws an m x m and an n x n square; the larger one is capped."""
+    """target() refuses a config whose larger side squared exceeds
+    MAX_SQUARE_CELLS, before it draws anything."""
 
     @pytest.fixture
     def built(self, monkeypatch):
@@ -623,14 +624,14 @@ class TestRunMc:
         # its floor, is refused)
         cfg = ExperimentConfig(m=20, n=20, r=3, sigma_e_sq=1e-30, trials=2000)
         res = run_baseline_trials(target(cfg), cfg.noise(), cfg.sigma_b_sq, cfg.trials,
-                                  child_seed(cfg.master_seed, experiments.STREAM_MC_BASELINE))
+                                  child_stream(cfg.master_seed, experiments.STREAM_MC_BASELINE))
         z, ok = compare(res, baseline_error_analytic(20, 20, 1e-30, 3.0))
         assert res.roundoff == 0.0 and z != 0.0 and ok
 
 
 class TestSweepAndMcShareEstimates:
-    """The two-step estimate at rank k has one seed, (STREAM_MC_TWOSTEP, k),
-    whichever command runs it."""
+    """The two-step estimate at rank k has one stream, keyed
+    (STREAM_MC_TWOSTEP, k), whichever command runs it."""
 
     def test_readme_states_the_stream_keys(self):
         # README's Determinism section names the target's, the baseline's
@@ -640,6 +641,25 @@ class TestSweepAndMcShareEstimates:
         keys = re.findall(r"keyed `\(master_seed, ([^`]*)\)`", section)
         assert keys == [str(experiments.STREAM_MATRIX), str(experiments.STREAM_MC_BASELINE),
                         f"{experiments.STREAM_MC_TWOSTEP}, k"]
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    def test_each_estimate_draws_from_its_own_key(self, dist):
+        # mc's rows are the estimates on child_stream(seed, *key) of each
+        # estimate's key, and no other stream
+        cfg = ExperimentConfig(m=24, n=20, r=5, trials=500, dist=dist, k_range=(2, 4))
+        A = target(cfg)
+        s = lowrank.svd(A)
+        base, *two = run_mc(cfg).rows
+        want = run_baseline_trials(A, cfg.noise(), cfg.sigma_b_sq, cfg.trials,
+                                   child_stream(cfg.master_seed, experiments.STREAM_MC_BASELINE))
+        assert (base.mean_sq_error, base.std_error) == (want.mean_sq_error, want.std_error)
+        assert [row.k for row in two] == [2, 4]
+        for row in two:
+            want = run_two_step_trials(s, A, row.k, row.t_L, row.t_R, cfg.noise(),
+                                       cfg.sigma_b_sq, cfg.trials,
+                                       child_stream(cfg.master_seed,
+                                                    experiments.STREAM_MC_TWOSTEP, row.k))
+            assert (row.mean_sq_error, row.std_error) == (want.mean_sq_error, want.std_error)
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     @pytest.mark.parametrize("k_range", ["all", (3,), (2, 4)])

@@ -9,7 +9,7 @@ from crossbar_lowrank import core, experiments, lowrank, matrixgen, montecarlo, 
 
 REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_count",
            "SchemeConfig", "SingularProfile", "spectrum", "DecompositionError",
-           "ROLE_BLOCK", "STREAM_SWEEP_MC", "mix64", "MASK64", "_GOLDEN")
+           "ROLE_BLOCK", "STREAM_SWEEP_MC", "mix64", "MASK64", "_GOLDEN", "child_seed")
 
 
 def test_every_exported_name_resolves():
@@ -46,3 +46,20 @@ def test_no_module_imports_a_private_name():
                 private += [f"{path.name}: {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def test_one_way_to_build_a_stream():
+    # rng alone builds a Generator, and experiments alone imports rng (the
+    # package's export list aside): every other module is handed a Generator
+    builders, importers = [], []
+    for path in sorted(pathlib.Path(crossbar_lowrank.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            named = {getattr(node, field, None) for field in ("attr", "id", "name")}
+            if path.name != "rng.py" and named & {"default_rng", "SeedSequence"}:
+                builders.append(path.name)
+            if isinstance(node, ast.ImportFrom) and (
+                    (node.module or "").split(".")[-1] == "rng"
+                    or any(alias.name == "rng" for alias in node.names)):
+                importers.append(path.name)
+    assert builders == []
+    assert sorted(set(importers)) == ["__init__.py", "experiments.py"]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,18 +16,6 @@ from crossbar_lowrank.matrixgen import (
     random_orthogonal,
 )
 from crossbar_lowrank.rng import child_stream
-
-
-def _reference_prescribed_matrix(m, n, vals, rng):
-    """The construction before the thin QR: QR of the full Gaussian
-    squares, then their leading r columns."""
-    def full_q(dim):
-        Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        return Q * np.where(np.diag(Q) < 0, -1.0, 1.0)
-
-    U = full_q(m)[:, :len(vals)]
-    V = full_q(n)[:, :len(vals)]
-    return (U * vals) @ V.T
 
 
 class TestRandomOrthogonal:
@@ -59,15 +48,15 @@ class TestRandomOrthogonal:
         with pytest.raises(ValueError, match="cols"):
             random_orthogonal(8, np.random.default_rng(0), cols)
 
-    def test_leading_columns_use_the_whole_square(self):
-        # the thin factor is the full factor's leading block, and the
-        # stream advances by the full square either way
-        full_rng, thin_rng = np.random.default_rng(5), np.random.default_rng(5)
-        full = random_orthogonal(30, full_rng)
-        thin = random_orthogonal(30, thin_rng, 4)
-        assert thin.shape == (30, 4)
-        np.testing.assert_allclose(thin, full[:, :4], rtol=0, atol=1e-13)
-        assert full_rng.standard_normal() == thin_rng.standard_normal()
+    def test_draws_only_the_factored_columns(self):
+        # dim*cols normals, factored by QR with nonnegative diagonal
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        q = random_orthogonal(30, rng, 4)
+        Q, _ = np.linalg.qr(ref.standard_normal((30, 4)))
+        assert rng.standard_normal() == ref.standard_normal()
+        assert q.shape == (30, 4) and (np.diag(q) >= 0).all()
+        assert np.array_equal(q, Q * np.where(np.diag(Q) < 0, -1.0, 1.0))
+        assert np.abs(q.T @ q - np.eye(4)).max() <= 1e-14
 
 
 class TestHarmonicSpectrum:
@@ -97,6 +86,18 @@ class TestHarmonicMatrix:
         assert res.rank == 16
         np.testing.assert_allclose(res.singulars[:16], 10.0 / np.arange(1, 17),
                                    rtol=1e-8)
+
+    def test_a_tall_target_is_cheap(self):
+        # (m + n) r normals and no m x m square: under 16 MiB traced at
+        # 8192 x 16, where a square would be 512 MiB
+        tracemalloc.start()
+        try:
+            a = harmonic_matrix(8192, 16, 16, 2.0, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.shape == (8192, 16)
+        assert peak < 16 * 2 ** 20
 
     def test_rejects_oversized_rank(self):
         with pytest.raises(ValueError):
@@ -133,16 +134,16 @@ class TestPrescribedMatrix:
     @pytest.mark.parametrize("m,n,r", [(1, 1, 1), (7, 3, 3), (3, 7, 2), (12, 12, 12),
                                        (40, 25, 6), (25, 40, 25), (64, 48, 8),
                                        (100, 100, 16)])
-    def test_matches_full_square_reference(self, m, n, r):
+    def test_spectrum_is_exact(self, m, n, r):
+        # the singular values are the prescribed ones to round-off, and the
+        # stream advances by U's m x r block, then V's n x r block
         rng = np.random.default_rng(1000 * m + n)
         vals = np.sort(rng.uniform(0.1, 9.0, size=r))[::-1]
         got_rng, ref_rng = child_stream(m, n, r), child_stream(m, n, r)
         got = prescribed_matrix(m, n, vals, got_rng)
-        ref = _reference_prescribed_matrix(m, n, vals, ref_rng)
-        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.linalg.norm(ref))
-        np.testing.assert_allclose(svd(got).singulars[:r], svd(ref).singulars[:r],
-                                   rtol=1e-12)
-        # same stream use: the next draw agrees
+        np.testing.assert_allclose(svd(got).singulars[:r], vals, rtol=1e-13, atol=0)
+        assert svd(got).rank == r
+        ref_rng.standard_normal((m + n) * r)
         assert got_rng.standard_normal() == ref_rng.standard_normal()
 
     @staticmethod

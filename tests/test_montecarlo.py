@@ -31,7 +31,7 @@ def small_matrix(seed=17):
 class TestBaselineTrials:
     def test_zero_noise_mean_is_exactly_zero(self):
         res = run_baseline_trials(small_matrix(), NoiseSpec(sigma_e_sq=0.0), 3.0,
-                                  trials=50, master_seed=1)
+                                  trials=50, rng=np.random.default_rng(1))
         assert res.mean_sq_error == 0.0
         assert res.std_error == 0.0
         assert compare(res, 0.0) == (0.0, True)
@@ -40,34 +40,35 @@ class TestBaselineTrials:
         rng = np.random.default_rng(3)
         A = rng.normal(size=(8, 8))
         noise = NoiseSpec(sigma_e_sq=0.05)
-        res = run_baseline_trials(A, noise, 3.0, trials=20_000, master_seed=77)
+        res = run_baseline_trials(A, noise, 3.0, trials=20_000, rng=np.random.default_rng(77))
         z, ok = compare(res, 8 * 8 * 0.05 * 3.0)
         assert ok, f"z={z:.2f}"
 
     def test_metadata_fields(self):
         res = run_baseline_trials(small_matrix(), NoiseSpec(sigma_e_sq=0.01), 1.0,
-                                  trials=10, master_seed=42)
+                                  trials=10, rng=np.random.default_rng(42))
         assert res.trials == 10
 
     def test_reproducible_and_seed_sensitive(self):
         A = small_matrix()
         noise = NoiseSpec(sigma_e_sq=0.05)
-        a = run_baseline_trials(A, noise, 3.0, trials=200, master_seed=5)
-        b = run_baseline_trials(A, noise, 3.0, trials=200, master_seed=5)
-        c = run_baseline_trials(A, noise, 3.0, trials=200, master_seed=6)
+        a = run_baseline_trials(A, noise, 3.0, trials=200, rng=np.random.default_rng(5))
+        b = run_baseline_trials(A, noise, 3.0, trials=200, rng=np.random.default_rng(5))
+        c = run_baseline_trials(A, noise, 3.0, trials=200, rng=np.random.default_rng(6))
         assert a == b
         assert a.mean_sq_error != c.mean_sq_error
 
     def test_rejects_tiny_trial_counts(self):
         with pytest.raises(ValueError):
-            run_baseline_trials(small_matrix(), NoiseSpec(), 1.0, trials=1, master_seed=0)
+            run_baseline_trials(small_matrix(), NoiseSpec(), 1.0, trials=1,
+                                rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     @pytest.mark.parametrize("sigma_b_sq", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_input_variance(self, dist, sigma_b_sq):
         with pytest.raises(ValueError, match="input variance"):
             run_baseline_trials(small_matrix(), NoiseSpec(sigma_e_sq=0.05, dist=dist),
-                                sigma_b_sq, trials=10, master_seed=0)
+                                sigma_b_sq, trials=10, rng=np.random.default_rng(0))
 
     def test_standard_error_shrinks_as_root_trials(self):
         # the errors are c chi^2_m chi^2_n; at m = n = 64 their kurtosis
@@ -88,8 +89,8 @@ class TestBaselineTrials:
                  - 3 * raw[1] ** 4) / var ** 2
         rel_sd = math.sqrt((kappa - 1) / 4 * (1 / coarse_trials + 1 / fine_trials))
         A, noise = np.zeros((m, n)), NoiseSpec(sigma_e_sq=0.05)
-        coarse = run_baseline_trials(A, noise, 3.0, coarse_trials, master_seed=31)
-        fine = run_baseline_trials(A, noise, 3.0, fine_trials, master_seed=31)
+        coarse = run_baseline_trials(A, noise, 3.0, coarse_trials, rng=np.random.default_rng(31))
+        fine = run_baseline_trials(A, noise, 3.0, fine_trials, rng=np.random.default_rng(31))
         ratio = coarse.std_error / fine.std_error
         assert ratio == pytest.approx(10.0, rel=5 * rel_sd)
 
@@ -105,13 +106,13 @@ def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
 class TestTwoStepTrials:
     def test_full_rank_zero_noise_error_is_roundoff(self):
         A, s, f, scheme = two_step_setup([3.0, 1.0], 6, 6, 2, 1, 1, NoiseSpec(), 2.0)
-        res = run_two_step_trials(s, A, *scheme, trials=100, master_seed=4)
+        res = run_two_step_trials(s, A, *scheme, trials=100, rng=np.random.default_rng(4))
         assert res.mean_sq_error <= 1e-18
 
     def test_zero_noise_truncation_only(self):
         noise = NoiseSpec()
         A, s, f, scheme = two_step_setup([3.0, 2.0, 1.0], 8, 8, 1, 1, 1, noise, 2.0)
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=13)
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(13))
         analytic = two_step_error_analytic([3.0, 2.0, 1.0], 8, 8, 1, 1, 1,
                                            0.0, 0.0, 2.0).total
         z, ok = compare(res, analytic)
@@ -122,7 +123,7 @@ class TestTwoStepTrials:
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, noise, 3.0)
         analytic = two_step_error_analytic([2.0], 4, 4, 1, 2, 2, 0.05, 0.05, 3.0).total
         assert analytic == pytest.approx(1.23, rel=1e-10)
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=555)
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(555))
         z, ok = compare(res, analytic)
         assert ok, f"z={z:.2f}"
 
@@ -133,9 +134,10 @@ class TestTwoStepTrials:
         for dist in ("gaussian", "uniform"):
             A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(dist=dist), 1.0)
             with pytest.raises(ValueError, match="not its SVD"):
-                run_two_step_trials(other, A, *scheme, trials=5, master_seed=0)
+                run_two_step_trials(other, A, *scheme, trials=5, rng=np.random.default_rng(0))
             with pytest.raises(ValueError, match="matrix shape"):
-                run_two_step_trials(s, np.zeros((5, 4)), *scheme, trials=5, master_seed=0)
+                run_two_step_trials(s, np.zeros((5, 4)), *scheme, trials=5,
+                                    rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     @pytest.mark.parametrize("wrong_V", ["swapped", "sign_flipped", "other_matrix"])
@@ -154,7 +156,7 @@ class TestTwoStepTrials:
             V = svd(prescribed_matrix(12, 20, [3.0, 1.5, 0.5], np.random.default_rng(22))).V
         with pytest.raises(ValueError, match="diag\\(s\\) V'.*not its SVD"):
             run_two_step_trials(dataclasses.replace(s, V=V), A, *scheme, trials=5,
-                                master_seed=0)
+                                rng=np.random.default_rng(0))
 
     def test_a_scaled_R_fails_the_verdict(self, monkeypatch):
         # R meets the trials only as R V: scaling it must show in the mean
@@ -162,10 +164,10 @@ class TestTwoStepTrials:
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(s.singulars, 12, 20, 2, 2, 3, 0.05, 0.08,
                                            2.0).total
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=7)
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(7))
         assert compare(res, analytic)[1]
         monkeypatch.setattr(montecarlo, "factor_lr", lambda *args: LrFactors(f.L, 1.1 * f.R))
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, master_seed=7)
+        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(7))
         z, ok = compare(res, analytic)
         assert not ok, f"z={z:.2f}"
 
@@ -173,22 +175,25 @@ class TestTwoStepTrials:
         # s has rank 1; A strays from span(U[:, :1]) by its 1e-12 tail only
         A, s, f, scheme = two_step_setup([2.0, 1e-12], 6, 6, 1, 2, 2, NoiseSpec(), 1.0)
         assert s.rank == 1
-        assert run_two_step_trials(s, A, *scheme, trials=5, master_seed=0).trials == 5
+        res = run_two_step_trials(s, A, *scheme, trials=5, rng=np.random.default_rng(0))
+        assert res.trials == 5
 
     def test_rejects_k_beyond_the_rank(self):
         A, s, f, scheme = two_step_setup([2.0], 8, 8, 1, 1, 1, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="rank"):
-            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(), 1.0, trials=5, master_seed=0)
+            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(), 1.0, trials=5,
+                                rng=np.random.default_rng(0))
 
     def test_rejects_mismatched_matrix(self):
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="matrix shape"):
-            run_two_step_trials(s, np.zeros((4, 5)), *scheme, trials=5, master_seed=0)
+            run_two_step_trials(s, np.zeros((4, 5)), *scheme, trials=5,
+                                rng=np.random.default_rng(0))
 
     def test_rejects_tiny_trial_counts(self):
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError):
-            run_two_step_trials(s, A, *scheme, trials=1, master_seed=0)
+            run_two_step_trials(s, A, *scheme, trials=1, rng=np.random.default_rng(0))
 
 
 class TestCompare:
@@ -242,10 +247,10 @@ class TestCompare:
         A = small_matrix()
         for dist, floor in (("gaussian", 0.0), ("uniform", roundoff_floor(A, 3.0))):
             res = run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05, dist=dist), 3.0,
-                                      trials=10, master_seed=1)
+                                      trials=10, rng=np.random.default_rng(1))
             assert res.roundoff == floor
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 3.0)
-        res = run_two_step_trials(s, A, *scheme, trials=10, master_seed=1)
+        res = run_two_step_trials(s, A, *scheme, trials=10, rng=np.random.default_rng(1))
         assert res.roundoff == roundoff_floor(A, 3.0) > 0
 
 
@@ -306,12 +311,10 @@ class TestLanes:
 
     def test_blocks_tile_the_trials_once(self, monkeypatch):
         # blocks of max(1, NOISE_CELLS // width) trials, all on the run's
-        # one stream, child_stream(seed)
-        keys = []
-        monkeypatch.setattr(montecarlo, "child_stream", lambda *key: keys.append(key) or key)
+        # one Generator
+        run_rng = np.random.default_rng(9)
         for width, size in ((1, NOISE_CELLS), (7, NOISE_CELLS // 7), (NOISE_CELLS, 1),
                             (NOISE_CELLS + 1, 1)):
-            keys.clear()
             seen, rngs = [], []
 
             def block(rng, count):
@@ -320,9 +323,9 @@ class TestLanes:
                 return np.full(count, float(len(seen)))
 
             trials = 3 * size + size // 2 + 1  # three full blocks and a short one
-            out = _run_blocks(9, trials, width, block)
+            out = _run_blocks(run_rng, trials, width, block)
             assert seen == [size] * 3 + [size // 2 + 1]
-            assert keys == [(9,)] and rngs == [(9,)] * 4
+            assert all(rng is run_rng for rng in rngs) and len(rngs) == 4
             assert np.array_equal(out, np.repeat([1.0, 2.0, 3.0, 4.0], seen))
 
 
@@ -334,39 +337,40 @@ class TestBlockRule:
     def test_noise_cells_bound_every_draw_and_block_array(self, monkeypatch):
         # at NOISE_CELLS = 256, with no row of a uniform stack over 256 noise
         # cells, nothing a block draws, or sums by rows, holds more; each
-        # run, of 3 blocks or more on every path, opens one stream
+        # run, of 3 blocks or more on every path, draws from the one
+        # Generator it is given
         for module in (montecarlo, schemes):
             monkeypatch.setattr(module, "NOISE_CELLS", 256)
-        sizes, streams, blocks = [], [], []
-        real_stream, real_row_sq = montecarlo.child_stream, montecarlo._row_sq
+        sizes, rngs, blocks = [], [], []
+        real_row_sq = montecarlo._row_sq
         real_run_blocks = montecarlo._run_blocks
-
-        def stream(*key):
-            streams.append(key)
-            return _DrawSpy(real_stream(*key), lambda name, out: sizes.append(np.size(out)))
 
         def row_sq(X):
             sizes.append(X.size)
             return real_row_sq(X)
 
-        def run_blocks(seed, trials, width, block_fn):
-            return real_run_blocks(seed, trials, width,
-                                   lambda rng, count: blocks.append(count) or block_fn(rng, count))
+        def run_blocks(rng, trials, width, block_fn):
+            def block(rng, count):
+                blocks.append(count)
+                rngs.append(rng)
+                return block_fn(rng, count)
+            return real_run_blocks(rng, trials, width, block)
 
-        monkeypatch.setattr(montecarlo, "child_stream", stream)
         monkeypatch.setattr(montecarlo, "_row_sq", row_sq)
         monkeypatch.setattr(montecarlo, "_run_blocks", run_blocks)
         for dist in ("gaussian", "uniform"):
             noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.08, dist=dist)
             A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 8, 12, 2, 2, 2, noise, 2.0)
-            for run in (lambda: run_baseline_trials(A, noise, 2.0, 600, master_seed=1),
-                        lambda: run_two_step_trials(s, A, *scheme, 600, master_seed=1)):
+            spy = _DrawSpy(np.random.default_rng(1),
+                           lambda name, out: sizes.append(np.size(out)))
+            for run in (lambda: run_baseline_trials(A, noise, 2.0, 600, rng=spy),
+                        lambda: run_two_step_trials(s, A, *scheme, 600, rng=spy)):
                 sizes.clear()
-                streams.clear()
+                rngs.clear()
                 blocks.clear()
                 run()
                 assert max(sizes) <= 256
-                assert streams == [(1,)]
+                assert all(rng is spy for rng in rngs)
                 assert len(blocks) >= 3 and sum(blocks) == 600
 
     def test_blocks_continue_one_stream(self, monkeypatch):
@@ -375,7 +379,7 @@ class TestBlockRule:
         monkeypatch.setattr(montecarlo, "NOISE_CELLS", 256)
         cap = _Capture(monkeypatch)
         run_baseline_trials(np.ones((12, 20)), NoiseSpec(sigma_e_sq=0.05), 2.0, 600,
-                            master_seed=8)
+                            rng=np.random.default_rng(8))
         rng = child_stream(8)
         want = [0.05 * 2.0 * rng.chisquare(12, size) * rng.chisquare(20, size)
                 for size in (256, 256, 88)]
@@ -383,9 +387,9 @@ class TestBlockRule:
 
     @pytest.mark.parametrize("seed", [8, 2 ** 64 + 3])
     def test_a_run_draws_from_its_seeds_own_stream(self, seed):
-        # child_stream(seed) with no key is np.random.default_rng(seed)
+        # the run's draws are those of the Generator it is given
         res = run_baseline_trials(np.ones((12, 20)), NoiseSpec(sigma_e_sq=0.05), 2.0, 64,
-                                  master_seed=seed)
+                                  rng=np.random.default_rng(seed))
         rng = np.random.default_rng(seed)
         assert res == _reduce(0.05 * 2.0 * rng.chisquare(12, 64) * rng.chisquare(20, 64), 0.0)
 
@@ -397,13 +401,15 @@ class TestBlockRule:
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
         cap = _Capture(monkeypatch)
         run_baseline_trials(A, dataclasses.replace(noise, dist="gaussian"), 2.0, 64,
-                            master_seed=8)
+                            rng=np.random.default_rng(8))
         rng = child_stream(8)
         assert np.array_equal(cap.errors,
                               0.05 * 2.0 * rng.chisquare(12, 64) * rng.chisquare(20, 64))
-        for run, vmm in ((lambda: run_baseline_trials(A, noise, 2.0, 64, master_seed=8),
+        for run, vmm in ((lambda: run_baseline_trials(A, noise, 2.0, 64,
+                                                      rng=np.random.default_rng(8)),
                           lambda B, g: baseline_noisy_vmm(B, A, noise, g)),
-                         (lambda: run_two_step_trials(s, A, *scheme, 64, master_seed=8),
+                         (lambda: run_two_step_trials(s, A, *scheme, 64,
+                                                      rng=np.random.default_rng(8)),
                           lambda B, g: two_step_vmm(B, f, 2, 3, noise, g))):
             run()
             rng = child_stream(8)
@@ -485,7 +491,7 @@ class TestEffectSamplerMatchesDevice:
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        res = run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=71)
+        res = run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(71))
         assert res.mean_sq_error == math.fsum(cap.errors) / self.TRIALS
         device = _device_errors(self.TRIALS, 72,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
@@ -500,7 +506,7 @@ class TestEffectSamplerMatchesDevice:
         analytic = two_step_error_analytic(svd(A).singulars, m, n, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=seed)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(seed))
         device = _device_errors(self.TRIALS, seed + 1,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
@@ -514,7 +520,7 @@ class TestEffectSamplerMatchesDevice:
         analytic = two_step_error_analytic(s.singulars, 6, 14, 2, 2, 2,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=103)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(103))
         device = _device_errors(self.TRIALS, 104,
                                 lambda b, g: two_step_vmm(b, f, 2, 2, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
@@ -523,7 +529,7 @@ class TestEffectSamplerMatchesDevice:
         A = small_matrix()
         noise = NoiseSpec(sigma_e_sq=0.05)
         cap = _Capture(monkeypatch)
-        run_baseline_trials(A, noise, 3.0, self.TRIALS, master_seed=73)
+        run_baseline_trials(A, noise, 3.0, self.TRIALS, rng=np.random.default_rng(73))
         device = _device_errors(self.TRIALS, 74,
                                 lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0)
         _check_same_law(cap.errors, device, 4 * 4 * 0.05 * 3.0)
@@ -532,7 +538,7 @@ class TestEffectSamplerMatchesDevice:
         A = np.random.default_rng(9).normal(size=(20, 12))
         noise = NoiseSpec(sigma_e_sq=0.05)
         cap = _Capture(monkeypatch)
-        run_baseline_trials(A, noise, 3.0, self.TRIALS, master_seed=95)
+        run_baseline_trials(A, noise, 3.0, self.TRIALS, rng=np.random.default_rng(95))
         device = _device_errors(self.TRIALS, 96,
                                 lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0)
         _check_same_law(cap.errors, device, 20 * 12 * 0.05 * 3.0)
@@ -542,7 +548,7 @@ class TestEffectSamplerMatchesDevice:
         # chi^2 with one degree of freedom on either side
         m, n = shape
         res = run_baseline_trials(np.ones(shape), NoiseSpec(sigma_e_sq=0.05), 3.0,
-                                  trials=50_000, master_seed=97)
+                                  trials=50_000, rng=np.random.default_rng(97))
         z, ok = compare(res, m * n * 0.05 * 3.0)
         assert ok, f"z={z:.2f}"
 
@@ -554,7 +560,7 @@ class TestEffectSamplerMatchesDevice:
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
         trials = NOISE_CELLS // 3  # one block, rank 3 wide
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, trials, master_seed=5)
+        run_two_step_trials(s, A, *scheme, trials, rng=np.random.default_rng(5))
         rng = child_stream(5)
         Q, V = s.U[:, :3], s.V[:, :3]
         W = iid_entries((trials, 3), 2.0, "gaussian", rng)
@@ -594,15 +600,13 @@ class TestGaussianDrawCounts:
     TRIALS = 2_000  # two blocks of the 12-wide two-step, one of the baseline
 
     @pytest.fixture
-    def counts(self, monkeypatch):
+    def counts(self):
         counts = {}
-        real = montecarlo.child_stream
 
         def tally(name, out):
             counts[name] = counts.get(name, 0) + np.size(out)
 
-        monkeypatch.setattr(montecarlo, "child_stream",
-                            lambda *key: _DrawSpy(real(*key), tally))
+        self.rng = _DrawSpy(np.random.default_rng(3), tally)
         return counts
 
     @staticmethod
@@ -624,7 +628,7 @@ class TestGaussianDrawCounts:
         values = np.linspace(3.0, 0.5, 12)
         A, s, f, scheme = two_step_setup(values, 12, 20, 2, 2, 3, noise, 2.0)
         assert s.rank == 12
-        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=3)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=self.rng)
         assert counts == self._expected(self.TRIALS, normals, chisquares)
 
     # a 12 x 20 target of rank 3 < m, at k = 2
@@ -638,12 +642,12 @@ class TestGaussianDrawCounts:
                                       chisquares):
         noise = NoiseSpec(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq)
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=3)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=self.rng)
         assert counts == self._expected(self.TRIALS, normals, chisquares)
 
     def test_baseline_draws_no_input(self, counts):
         run_baseline_trials(np.ones((20, 12)), NoiseSpec(sigma_e_sq=0.05), 3.0,
-                            self.TRIALS, master_seed=3)
+                            self.TRIALS, rng=self.rng)
         assert counts == {"chisquare": 2 * self.TRIALS}
 
 
@@ -711,7 +715,7 @@ class TestUniformBlockPath:
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, master_seed=81)
+        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(81))
         device = _device_errors(self.TRIALS, 82,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0,
                                 "uniform")
@@ -722,7 +726,7 @@ class TestUniformBlockPath:
         A = np.random.default_rng(8).normal(size=(40, 40)) / 4
         noise = NoiseSpec(sigma_e_sq=0.05, dist="uniform")
         cap = _Capture(monkeypatch)
-        run_baseline_trials(A, noise, 3.0, self.TRIALS, master_seed=83)
+        run_baseline_trials(A, noise, 3.0, self.TRIALS, rng=np.random.default_rng(83))
         device = _device_errors(self.TRIALS, 84,
                                 lambda b, g: baseline_noisy_vmm(b, A, noise, g), A, 3.0,
                                 "uniform")
@@ -746,7 +750,7 @@ class TestUniformBlockPath:
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05, dist="uniform")
         A, s, f, scheme = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
         sizes = self._spy_noise_draws(monkeypatch)
-        run_two_step_trials(s, A, *scheme, trials=100, master_seed=3)
+        run_two_step_trials(s, A, *scheme, trials=100, rng=np.random.default_rng(3))
         assert max(sizes) <= NOISE_CELLS
         assert sum(sizes) == 100 * (8 * 64 + 8 * 64) * 4
         assert sizes == [64 * 64 * 4] * 16 + [36 * 64 * 4] * 16
@@ -756,7 +760,7 @@ class TestUniformBlockPath:
         A = np.zeros((side, side))
         sizes = self._spy_noise_draws(monkeypatch)
         run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05, dist="uniform"), 1.0,
-                            trials=3, master_seed=3)
+                            trials=3, rng=np.random.default_rng(3))
         assert sizes == [A.size] * 3
 
 
@@ -770,8 +774,8 @@ PINNED_MC_GAUSSIAN = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.66861885541204,0.5212459447600104,9.600000000000001,0.13164391224881758,true
-two_step,2,2,2,300,11.073995896011256,0.5068260482061666,10.3275,1.4728838398368906,true
+baseline,,,,300,9.375954397493366,0.4088520749446653,9.600000000000001,-0.5479869523395663,true
+two_step,2,2,2,300,9.52593523614142,0.4369342899340692,10.3275,-1.8345201608679698,true
 # all_passed=true
 """
 
@@ -786,11 +790,11 @@ sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 k,t_L,t_R,feasible,analytic_total,analytic_truncation,analytic_stage1,analytic_stage2,\
 analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
-0.030000000000000013,10.081750422027325,0.48094054312996926,21.6,0.5361111111111111
+0.030000000000000013,11.820033592575346,0.643739574674355,21.6,0.5361111111111111
 2,3,3,true,8.64,3.0,2.7,2.7,\
-0.2400000000000001,9.590307144682683,0.4579254502118412,21.6,0.4
+0.2400000000000001,8.812494955648619,0.34553339027726127,21.6,0.4
 3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
-0.8100000000000003,10.171603089849619,0.46416912896828305,21.6,0.4958333333333334
+0.8100000000000003,11.200240715621218,0.517082686391071,21.6,0.4958333333333334
 # argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
@@ -799,8 +803,8 @@ PINNED_MC_UNIFORM = """\
 # config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
-baseline,,,,300,9.680503458391314,0.3144094956969552,9.600000000000001,0.25604652369948216,true
-two_step,2,2,2,300,10.559820708604695,0.470309423503658,10.3275,0.49397417316025266,true
+baseline,,,,300,9.312509628202976,0.32604537814365364,9.600000000000001,-0.8817495694429339,true
+two_step,2,2,2,300,10.199919469724179,0.4308834305093176,10.3275,-0.2960905925879242,true
 # all_passed=true
 """
 

@@ -53,7 +53,7 @@ def _run_scheme(m, n, k, t_L, t_R, sigma_b_sq=1.0):
     A = np.random.default_rng(0).normal(size=(m, n))
     noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
     return run_two_step_trials(svd(A), A, k, t_L, t_R, noise, sigma_b_sq,
-                               trials=2, master_seed=0)
+                               trials=2, rng=np.random.default_rng(0))
 
 
 class TestSchemeConfig:
