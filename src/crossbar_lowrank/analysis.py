@@ -1,4 +1,4 @@
-"""Closed-form expected errors, budget optimization, and asymptotic bounds.
+"""Closed-form expected errors, budget optimization, and asymptotic growth.
 
 All expectations are over the random input b (zero mean, covariance
 sigma_b_sq * I) and the write-noise realizations. Each expected squared
@@ -147,18 +147,26 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
 
 def t_L_max(m: int, n: int, k: int) -> int:
     """Largest t_L that leaves budget for t_R >= 1 at rank k: the number
-    of t_L values optimize_repetitions scans (at most n)."""
+    of t_L values the optimizers scan (at most n). The one owner of a
+    rank's budget: a budget m*n over MAX_BUDGET, which the scan's int64
+    arithmetic cannot hold, is a ValueError, and a rank that does not fit
+    even at t_L = t_R = 1 an InfeasibleBudgetError."""
+    if m * n > MAX_BUDGET:
+        raise ValueError(f"the budget m*n = {m}*{n} = {m * n} exceeds {MAX_BUDGET}, "
+                         f"the most the optimizer's int64 arithmetic holds")
+    if not budget_feasible(m, n, k, 1, 1):
+        raise InfeasibleBudgetError(
+            f"rank {k} does not fit the budget even at t_L=t_R=1: "
+            f"mk+nk = {m * k + n * k} > mn = {m * n}"
+        )
     return (m * n - n * k) // (m * k)
 
 
 def _best_split(s: np.ndarray, m: int, n: int, k: int,
                 noise: NoiseSpec) -> tuple[int, int, list[float]]:
-    """The winning (t_L, t_R) at a feasible rank k of a checked spectrum s,
-    and its four parts per unit input variance: all t_L in one array pass,
-    so a budget m*n over MAX_BUDGET is a ValueError."""
-    if m * n > MAX_BUDGET:
-        raise ValueError(f"the budget m*n = {m}*{n} = {m * n} exceeds {MAX_BUDGET}, "
-                         f"the most the optimizer's int64 arithmetic holds")
+    """The winning (t_L, t_R) at rank k of a checked spectrum s, and its
+    four parts per unit input variance: all t_L_max(m, n, k) values of t_L
+    in one array pass, after t_L_max's refusals."""
     t_L = np.arange(1, t_L_max(m, n, k) + 1)
     t_R = (m * n - t_L * m * k) // (n * k)
     with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses a non-finite winner
@@ -182,15 +190,10 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     of the least (see least), so round-off in the spectrum cannot break an
     exact tie (m = n with sigma_L_sq = sigma_R_sq). Totals are scored per
     unit input variance, so the winner does not depend on sigma_b_sq; see
-    _scaled for what is refused.
+    t_L_max for the budgets refused and _scaled for the totals refused.
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
-    if not budget_feasible(m, n, k, 1, 1):
-        raise InfeasibleBudgetError(
-            f"rank {k} does not fit the budget even at t_L=t_R=1: "
-            f"mk+nk = {m * k + n * k} > mn = {m * n}"
-        )
     _check_variances(sigma_b_sq)
     t_L, t_R, unit = _best_split(check_spectrum(singulars), m, n, k, noise)
     return t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
@@ -251,12 +254,14 @@ def tail_bound(lam: float, k: int, r: int) -> tuple[float, float | None]:
 
 def asymptotic_bound(n: int, p: AsymptoticParams, sigma_L_sq: float,
                      sigma_R_sq: float, sigma_b_sq: float) -> float:
-    """Closed-form error bound at array size n under the growth laws.
+    """Growth-law approximation of the error at array size n, not a bound.
 
     Evaluated with real-valued k = c1*r^beta and r = c2*n^alpha (no
     flooring): truncation tail bound plus the stage-noise trace bounds
     plus the accumulated term, with repetition counts absorbed into the
-    constants.
+    constants. It lies above every row of scaling's default grid at
+    alpha = 1, but not above every integer row: at alpha = 0.25 and
+    n = 1024 (r = 5, k floored to 2) the exact total is 1.19 times it.
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")

@@ -58,7 +58,7 @@ def _add_common(sp, with_trials: bool = True, with_format: bool = True,
     sp.add_argument("--out", metavar="PATH", help="output path (default stdout)")
     sp.add_argument("--seed", type=int, help="override master_seed")
     if with_trials:
-        sp.add_argument("--trials", type=_int_at_least(0), help="override trial count")
+        sp.add_argument("--trials", type=int, help="override trial count")
     if with_format:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_lanes:

@@ -60,10 +60,15 @@ def conductance_map(A, dev: DeviceParams) -> np.ndarray:
 def magnitude_check(A, dev: DeviceParams) -> MagnitudeCheck:
     """Total programmed magnitude sum(g**2) against the budget m*n*rho.
 
-    Boundary equality counts as satisfied.
+    Boundary equality counts as satisfied; a total that overflows float64
+    is a ValueError.
     """
-    G = conductance_map(A, dev)
-    total = float(np.sum(G * G))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        G = conductance_map(A, dev)
+        total = float(np.sum(G * G))
+    if not math.isfinite(total):
+        raise ValueError(f"the total magnitude sum(g^2) is {total} in float64: "
+                         f"the matrix entries or r_T are too large")
     budget = float(G.shape[0] * G.shape[1] * dev.rho)
     return MagnitudeCheck(total <= budget, total, budget)
 
@@ -93,8 +98,8 @@ def iid_entries(shape, sigma_sq: float, dist: str, rng: np.random.Generator) -> 
     """i.i.d. zero-mean entries with variance sigma_sq: unit cells through
     noise_law's map.
 
-    sigma_sq = 0 returns zeros without consuming any randomness, so a
-    noiseless stage leaves the stream untouched.
+    sigma_sq = 0 returns zeros without consuming any randomness, the rule
+    a noiseless stage of schemes keeps too (it draws no unit cells).
     """
     scale, shift = noise_law(sigma_sq, dist)
     if sigma_sq == 0:

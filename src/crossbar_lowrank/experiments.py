@@ -4,11 +4,14 @@ Configs are flat key=value text files ('#' starts a comment), parsed by
 one table that gives each key its config field and its kind of value;
 every key has a default matching the standard demonstration setup
 (100x100 array, rank-16 harmonic spectrum, lam=10, all write variances
-0.05, input variance 3). `ExperimentConfig` checks its own keys and
-leaves the noise and device keys to `NoiseSpec` and `DeviceParams`,
-turning their errors into `ConfigError`. `lambda` and `beta` are checked
-as the values the program uses, so a `lambda=max` that resolves to a
-non-finite or zero value is a `ConfigError` too. `target(config)` is the
+0.05, input variance 3). `ExperimentConfig` checks its own keys,
+`n_grid` and the scaling knobs too, whatever the command, and leaves
+the noise and device keys to `NoiseSpec` and `DeviceParams`, turning
+their errors into `ConfigError`. `lambda` and `beta` are checked as the
+values the program uses, so a `lambda=max` that resolves to a
+non-finite or zero value is a `ConfigError` too. `run_scaling` asks
+`analysis.t_L_max` for a row's budget refusals and names the row in
+them; it adds only its own caps. `target(config)` is the
 one place the target matrix is built, and it refuses a config whose
 larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
@@ -35,7 +38,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
-    MAX_BUDGET,
     baseline_error_analytic,
     lambda_max,
     least,
@@ -137,8 +139,16 @@ class ExperimentConfig:
             raise ConfigError(f"beta must lie in (0, 1] or be 'optimal', got {self.beta}")
         if not 0 < self.c1 <= 1 or not 0 < self.c2 <= 1:
             raise ConfigError("c1 and c2 must lie in (0, 1]")
-        if len(self.n_grid) < 2 or any(v < 2 for v in self.n_grid):
-            raise ConfigError("n_grid needs at least two sizes >= 2")
+        grid = self.n_grid
+        if len(grid) < 4:
+            raise ConfigError(f"n_grid needs at least 4 sizes, got {len(grid)}")
+        if grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ConfigError("n_grid must be strictly increasing sizes >= 2")
+        ratio = grid[1] / grid[0]
+        for a, b in zip(grid, grid[1:]):
+            if abs(b / a - ratio) > 0.01 * ratio:
+                raise ConfigError(f"n_grid must be geometrically spaced; step {a}->{b} "
+                                  f"breaks the ratio {ratio:g}")
 
     def device(self) -> DeviceParams:
         return DeviceParams(r_T=self.r_T, rho=self.rho)
@@ -339,12 +349,13 @@ def _analytic_columns(bd, baseline: float) -> dict:
 
 
 @contextlib.contextmanager
-def _naming(what: str):
-    """Put `what` in front of a ValueError raised in the block, keeping its type."""
+def _naming(what: str, error: type[ValueError] | None = None):
+    """Put `what` in front of a ValueError raised in the block, raising it
+    as `error`, or as its own type by default."""
     try:
         yield
     except ValueError as exc:
-        raise type(exc)(f"{what}: {exc}") from None
+        raise (error or type(exc))(f"{what}: {exc}") from None
 
 
 def _check_lanes(lanes: int) -> None:
@@ -431,30 +442,16 @@ class ScalingResult:
     config: ExperimentConfig
 
 
-def _check_geometric(grid: tuple[int, ...]) -> None:
-    if len(grid) < 4:
-        raise ConfigError(f"scaling grid needs at least 4 sizes, got {len(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("scaling grid must be strictly increasing")
-    ratio = grid[1] / grid[0]
-    for a, b in zip(grid, grid[1:]):
-        if abs(b / a - ratio) > 0.01 * ratio:
-            raise ConfigError(
-                f"scaling grid must be geometrically spaced; step {a}->{b} "
-                f"breaks the ratio {ratio:g}"
-            )
-
-
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
     """Analytic error growth along n with r = floor(c2*n^alpha) and
     k = max(1, floor(c1*r^beta)); lam saturates the magnitude budget at
     every size. Emits per-n rows plus fitted log-log slopes.
 
-    A row whose budget n*n would exceed analysis.MAX_BUDGET, whose rank r
-    or t_L scan would exceed MAX_SCALING_SCAN, whose rank k does not fit
-    the budget even at t_L = t_R = 1, or whose lambda_max is not finite and
-    positive, is a ConfigError, raised before any row is computed."""
-    _check_geometric(config.n_grid)
+    Before any row is computed, each row asks analysis.t_L_max for its
+    scan, so a budget n*n or a rank k that the optimizer refuses is a
+    ConfigError naming the row; so is a row whose rank r or t_L scan
+    exceeds MAX_SCALING_SCAN, or whose lambda_max is not finite and
+    positive. ExperimentConfig has already checked the grid."""
     _require_baseline_noise(config)
     beta = config.resolved_beta()
     dev = config.device()
@@ -463,19 +460,12 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     for n in config.n_grid:
         r = min(n, max(1, math.floor(config.c2 * n ** config.alpha)))
         k = min(r, max(1, math.floor(config.c1 * r ** beta)))
-        if n * n > MAX_BUDGET:
-            raise ConfigError(
-                f"scaling row n={n}: the budget n*n = {n * n} exceeds {MAX_BUDGET}, "
-                f"the most the optimizer's int64 arithmetic holds")
+        with _naming(f"scaling row n={n}, k={k}", ConfigError):
+            scan = t_L_max(n, n, k)
         if r > MAX_SCALING_SCAN:
             raise ConfigError(
                 f"scaling row n={n}, r={r}: the spectrum would hold {r} "
                 f"values, over the cap of {MAX_SCALING_SCAN}")
-        if not budget_feasible(n, n, k, 1, 1):
-            raise ConfigError(
-                f"scaling row n={n}, k={k}: the rank does not fit the budget "
-                f"even at t_L=t_R=1")
-        scan = t_L_max(n, n, k)
         if scan > MAX_SCALING_SCAN:
             raise ConfigError(
                 f"scaling row n={n}, k={k}: the optimizer would scan {scan} "

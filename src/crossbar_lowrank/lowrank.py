@@ -47,7 +47,11 @@ class LrFactors:
 
 def numerical_rank(s: np.ndarray) -> int:
     """Count of singular values above RANK_TOL_REL * s[0], the one rank
-    rule of this module."""
+    rule of this module; a singular value that is not finite, as an
+    overflow leaves it, is a ValueError."""
+    if not np.isfinite(s).all():
+        raise ValueError("a singular value is not finite in float64: "
+                         "the matrix entries are too large")
     tol = RANK_TOL_REL * s[0] if s.size and s[0] > 0 else 0.0
     return int(np.count_nonzero(s > tol))
 

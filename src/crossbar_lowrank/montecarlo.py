@@ -80,17 +80,24 @@ class TrialBatchResult:
     roundoff: float = 0.0
 
 
+def _frobenius(X: np.ndarray) -> float:
+    """||X||_F, summed on X / max|x| and scaled back by max|x|, so it is
+    finite wherever its value is (a plain sum of x^2 overflows past
+    |x| ~ 1e154)."""
+    top = float(np.max(np.abs(X))) or 1.0
+    return top * math.sqrt(float(np.sum(np.square(X / top))))
+
+
 def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     """Mean squared error that float64 round-off alone can leave in a
     trial's product for an m x n matrix A: ((m + n) eps)^2 E||bA||^2, with
     E||bA||^2 = sigma_b^2 ||A||_F^2. Each output entry is a sum of about
     m + n rounded terms of magnitude |bA|, so its relative error is of
-    order (m + n) eps. ||A||_F^2 is summed on A / max|a| and max|a| goes
-    into the square root's factor, so the floor is finite where its value is."""
+    order (m + n) eps. ||A||_F comes from _frobenius and is squared last,
+    so the floor is finite where its value is."""
     m, n = A.shape
-    top = float(np.max(np.abs(A))) or 1.0
-    root = (m + n) * math.ulp(1.0) * top * math.sqrt(sigma_b_sq)
-    return root * root * float(np.sum(np.square(A / top)))
+    root = (m + n) * math.ulp(1.0) * _frobenius(A) * math.sqrt(sigma_b_sq)
+    return root * root
 
 
 def _run_blocks(rng: np.random.Generator, trials: int, width: int,
@@ -191,7 +198,7 @@ def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
     off_right = QA - s.singulars[:s.rank, None] * V.T
     for what, resid in (("lies outside the span of", A - Q @ QA),
                         ("has coordinates off diag(s) V' in", off_right)):
-        norm = math.sqrt(float(np.sum(resid * resid)))
+        norm = _frobenius(resid)
         if not norm <= tol:
             raise ValueError(f"the matrix {what} the SVD's {s.rank} left singular "
                              f"vectors by {norm:.3g} > {tol:.3g}: not its SVD")

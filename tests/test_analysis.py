@@ -23,7 +23,7 @@ from crossbar_lowrank.analysis import (
     two_step_error_analytic,
 )
 from crossbar_lowrank.core import DeviceParams
-from crossbar_lowrank.experiments import ExperimentConfig, target
+from crossbar_lowrank.experiments import ExperimentConfig, run_scaling, target
 from crossbar_lowrank.lowrank import svd
 from crossbar_lowrank.matrixgen import harmonic_spectrum
 from crossbar_lowrank.schemes import NoiseSpec
@@ -527,6 +527,19 @@ class TestAsymptoticBound:
                                             0.05, 0.05, 3.0).total
             bound = asymptotic_bound(n, p, 0.05, 0.05, 3.0)
             assert bound >= exact
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "a growth-law approximation, not a bound at integer (r, k): the row "
+        "floors k = 0.5 * 5 to 2 and has its own t_L, t_R; ROADMAP item 4(a)"))
+    def test_bounds_the_scaling_row_at_alpha_quarter(self):
+        # scaling's default grid at alpha = 0.25 (beta = 1): at n = 1024,
+        # r = 5, k = 2 and t_L = t_R = 256, the exact total is about 1.19
+        # times asymptotic_bound
+        res = run_scaling(ExperimentConfig(alpha=0.25))
+        row = next(row for row in res.rows if row.n == 1024)
+        p = AsymptoticParams(alpha=0.25, beta=res.beta_resolved, c1=0.5, c2=1.0,
+                             lam=lambda_max(1024, 1024, DeviceParams()))
+        assert row.analytic_total <= asymptotic_bound(1024, p, 0.05, 0.05, 3.0)
 
     def test_unit_repetition_comparison_flags_only(self):
         # repetition counts are absorbed into the bound's constants; at

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossbar_lowrank.analysis import lambda_max
+from crossbar_lowrank.analysis import InfeasibleBudgetError, lambda_max, t_L_max
 from crossbar_lowrank import experiments
 from crossbar_lowrank.cli import build_parser, main
 from crossbar_lowrank.core import DeviceParams
@@ -119,6 +119,21 @@ class TestGenValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: SVD did not converge"]
+
+    @pytest.mark.parametrize("entry,message", [
+        ("1e308", "error: a singular value is not finite in float64: "
+                  "the matrix entries are too large"),
+        ("1e200", "error: the total magnitude sum(g^2) is inf in float64: "
+                  "the matrix entries or r_T are too large")])
+    def test_an_overflowing_report_is_one_error_line(self, tmp_path, capsys, entry, message):
+        # at 1e308 the largest singular value is inf; at 1e200 it is
+        # finite, but sum(g^2) overflows. Neither may print inf or a rank
+        path = tmp_path / "huge.mat"
+        path.write_text(f"2 3\n{entry} {entry} {entry}\n{entry} {entry} {entry}\n")
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [message]
 
 
 class TestUsageErrors:
@@ -364,15 +379,15 @@ class TestUsageErrors:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "n=2097152" in err[0] and "r=2097152" in err[0]
 
-    @pytest.mark.parametrize("grid,refused", [
-        ("1073741824 2147483648 4294967296 8589934592", "n=4294967296:"),
-        ("379625062 759250125 1518500250 3037000500", "n=3037000500:"),
+    @pytest.mark.parametrize("grid,n,k", [
+        ("1073741824 2147483648 4294967296 8589934592", 4294967296, 65536),
+        ("379625062 759250125 1518500250 3037000500", 3037000500, 55108),
     ])
     def test_scaling_budget_past_int64_is_a_config_error(self, tmp_path, capsys, monkeypatch,
-                                                         grid, refused):
+                                                         grid, n, k):
         # r = k = floor(sqrt(n)) at alpha=0.5 keeps the scan under its cap,
         # but from n = 3037000500 on, n*n exceeds 2**63 - 1; the row is
-        # refused before any row is computed
+        # refused with t_L_max's own message before any row is computed
         def never(*args, **kwargs):
             raise AssertionError("scaling row computed")
         monkeypatch.setattr(experiments, "optimize_repetitions", never)
@@ -382,8 +397,9 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == ""
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert refused in err[0] and "int64" in err[0]
+        with pytest.raises(ValueError, match="int64") as refusal:
+            t_L_max(n, n, k)
+        assert err == [f"error: scaling row n={n}, k={k}: {refusal.value}"]
 
     def test_scaling_budget_just_under_int64_computes(self, tmp_path, capsys):
         p = tmp_path / "grid.cfg"
@@ -419,6 +435,40 @@ class TestUsageErrors:
         p.write_text("n_grid=16 32 64\ntrials=0\n")
         assert main(["scaling", "--config", str(p)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["sweep", "mc", "gen", "validate", "scaling"])
+    @pytest.mark.parametrize("grid,named", [("16 32 64", "at least 4 sizes"),
+                                            ("256 512 900 2048", "geometrically spaced")])
+    def test_every_command_checks_n_grid(self, tmp_path, capsys, command, grid, named):
+        # n_grid is a config key like any other, so every command refuses
+        # a grid that scaling cannot use, with the same line, before any work
+        p = tmp_path / "grid.cfg"
+        p.write_text(f"m=8\nn=8\nr=2\ntrials=2\nn_grid={grid}\n")
+        argv = [command, "--config", str(p)]
+        if command == "validate":
+            write_matrix(np.eye(2), str(tmp_path / "a.mat"))
+            argv.insert(1, str(tmp_path / "a.mat"))
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert captured.out == ""
+        assert len(err) == 1 and err[0].startswith("error: n_grid ") and named in err[0]
+
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    def test_trials_flag_and_key_share_one_rule(self, tmp_path, small_config, capsys, command):
+        assert main([command, "--config", small_config, "--trials", "-1"]) == 2
+        flag = capsys.readouterr()
+        p = tmp_path / "neg.cfg"
+        p.write_text("m=20\nn=20\nr=5\nlambda=8\ntrials=-1\n")
+        assert main([command, "--config", str(p)]) == 2
+        key = capsys.readouterr()
+        assert flag.out == key.out == ""
+        assert flag.err == key.err == (
+            "error: trials must be 0 (analytic only) or >= 2, got -1\n")
+
+    def test_a_trials_flag_that_is_not_an_int_is_a_usage_error(self, small_config, capsys):
+        assert main(["sweep", "--config", small_config, "--trials", "0x10"]) == 2
+        assert "--trials: invalid int value: '0x10'" in capsys.readouterr().err
 
     def test_unwritable_out_path(self, tmp_path, small_config, capsys):
         missing = tmp_path / "no" / "dir" / "x.csv"
@@ -510,16 +560,20 @@ class TestScalingCommand:
         assert "# fit_total slope=" in out
         assert "# fit_baseline slope=" in out
 
-    def test_a_rank_that_does_not_fit_is_a_config_error(self, tmp_path, capsys):
-        # k = r = n at every size: refused before any row, naming n and k
+    def test_a_rank_that_does_not_fit_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # k = r = n at every size: refused with t_L_max's own message before
+        # any row is computed, naming n and k
+        def never(*args, **kwargs):
+            raise AssertionError("scaling row computed")
+        monkeypatch.setattr(experiments, "optimize_repetitions", never)
         p = tmp_path / "full.cfg"
         p.write_text("alpha=1\nbeta=1\nc1=1\nc2=1\nn_grid=16 32 64 128\n")
         assert main(["scaling", "--config", str(p)]) == 2
         captured = capsys.readouterr()
-        err = captured.err.splitlines()
         assert captured.out == ""
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "n=16" in err[0] and "k=16" in err[0] and "budget" in err[0]
+        with pytest.raises(InfeasibleBudgetError) as refusal:
+            t_L_max(16, 16, 16)
+        assert captured.err.splitlines() == [f"error: scaling row n=16, k=16: {refusal.value}"]
 
 
 class TestMcCommand:
@@ -675,7 +729,8 @@ _SIZE = (["1", "2", "3", "5", "8"], ["0", "-1", "2.5", "9000", "200000", "100000
 CONFIG_VALUES = {
     "m": _SIZE, "n": _SIZE,
     "r": (["1", "2", "3"], ["0", "-1", "16"]),
-    "lambda": (["max", "0.5", "3"], ["0", "-1", "nan", "inf", "1e300", "1e-300", "x"]),
+    "lambda": (["max", "0.5", "3"],
+               ["0", "-1", "nan", "inf", "1e300", "1e170", "1e-300", "x"]),
     "sigma_e_sq": (_NOISE[0], _NOISE[1] + _ODD_SCALE), "sigma_L_sq": _NOISE,
     "sigma_R_sq": _NOISE,
     "sigma_b_sq": (["0.5", "3"], ["0", "1e-300", "1e300", "-1", "nan", "inf"] + _ODD_SCALE),
@@ -706,13 +761,17 @@ class TestExitCodesProperty:
     an `error:` line, never a traceback, and a table written with exit 0
     holds no inf or NaN."""
 
-    # known holes: a baseline that underflows to 0, and normalized = inf
+    # holes once, each now one `error:` line: a baseline that underflows
+    # to 0, normalized = inf, and an SVD check whose residual's square
+    # overflows (it called a correct SVD "not its SVD")
     @example(command="sweep", lanes="1", config={
         "m": "8", "n": "8", "r": "2", "sigma_e_sq": "1e-200", "sigma_b_sq": "1e-200",
         "k_range": "1,2", "trials": "0"})
     @example(command="scaling", lanes="1", config={
         "m": "8", "n": "8", "r": "2", "sigma_e_sq": "1e-300", "sigma_L_sq": "1e10",
         "sigma_R_sq": "1e10", "trials": "0"})
+    @example(command="mc", lanes="1", config={
+        "m": "12", "n": "12", "r": "3", "lambda": "1e170", "trials": "50"})
     @settings(max_examples=150)
     @given(command=st.sampled_from(["sweep", "scaling", "gen", "validate", "mc"]),
            config=_configs, lanes=st.sampled_from(["1", "2"]))

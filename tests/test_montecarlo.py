@@ -178,6 +178,18 @@ class TestTwoStepTrials:
         res = run_two_step_trials(s, A, *scheme, trials=5, rng=np.random.default_rng(0))
         assert res.trials == 5
 
+    def test_accepts_the_svd_of_huge_entries(self):
+        # the span check's residuals are about 1e154 here, so their plain
+        # sum of squares overflows (a RuntimeWarning fails the test); the
+        # SVD is A's, and the truncation-only run matches sigma_b^2 s_3^2,
+        # formed as (s_3 sigma_b)^2 since s_3^2 alone overflows
+        A, s, f, scheme = two_step_setup([3e170, 1.5e170, 0.5e170], 12, 12, 2, 1, 1,
+                                         NoiseSpec(), 1e-300)
+        res = run_two_step_trials(s, A, *scheme, trials=2000, rng=np.random.default_rng(5))
+        analytic = (0.5e170 * 1e-150) ** 2
+        z, ok = compare(res, analytic)
+        assert ok, f"z={z:.2f}"
+
     def test_rejects_k_beyond_the_rank(self):
         A, s, f, scheme = two_step_setup([2.0], 8, 8, 1, 1, 1, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="rank"):
