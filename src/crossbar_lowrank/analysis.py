@@ -38,6 +38,9 @@ TIE_RTOL = 1e-12
 
 # the largest budget m*n that the optimizers' int64 scan arithmetic holds
 MAX_BUDGET = int(np.iinfo(np.int64).max)
+# the most t_L values one rank's scan may hold (8 MiB of int64 candidates,
+# about 80 MiB with the breakdown arrays); a rank k scans about n/k of them
+MAX_SCAN = 2 ** 20
 
 
 class InfeasibleBudgetError(ValueError):
@@ -70,8 +73,12 @@ class AsymptoticParams:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        _check_lam(self.lam)
+
+
+def _check_lam(lam: float) -> None:
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam}")
 
 
 def _check_variances(*values: float) -> None:
@@ -148,9 +155,11 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
 def t_L_max(m: int, n: int, k: int) -> int:
     """Largest t_L that leaves budget for t_R >= 1 at rank k: the number
     of t_L values the optimizers scan (at most n). The one owner of a
-    rank's budget: a budget m*n over MAX_BUDGET, which the scan's int64
-    arithmetic cannot hold, is a ValueError, and a rank that does not fit
-    even at t_L = t_R = 1 an InfeasibleBudgetError."""
+    rank's budget and scan: a budget m*n over MAX_BUDGET, which the scan's
+    int64 arithmetic cannot hold, is a ValueError; a rank that does not
+    fit even at t_L = t_R = 1 an InfeasibleBudgetError; and a scan longer
+    than MAX_SCAN values (about n/k > 2**20) a ValueError, raised before
+    any candidate is allocated."""
     if m * n > MAX_BUDGET:
         raise ValueError(f"the budget m*n = {m}*{n} = {m * n} exceeds {MAX_BUDGET}, "
                          f"the most the optimizer's int64 arithmetic holds")
@@ -159,14 +168,18 @@ def t_L_max(m: int, n: int, k: int) -> int:
             f"rank {k} does not fit the budget even at t_L=t_R=1: "
             f"mk+nk = {m * k + n * k} > mn = {m * n}"
         )
-    return (m * n - n * k) // (m * k)
+    scan = (m * n - n * k) // (m * k)
+    if scan > MAX_SCAN:
+        raise ValueError(f"rank {k} would scan {scan} t_L values, over the cap of {MAX_SCAN}")
+    return scan
 
 
 def _best_split(s: np.ndarray, m: int, n: int, k: int,
                 noise: NoiseSpec) -> tuple[int, int, list[float]]:
     """The winning (t_L, t_R) at rank k of a checked spectrum s, and its
     four parts per unit input variance: all t_L_max(m, n, k) values of t_L
-    in one array pass, after t_L_max's refusals."""
+    in one array pass. t_L_max's refusals, the scan cap among them, come
+    before the candidates are allocated, so both optimizers are bounded."""
     t_L = np.arange(1, t_L_max(m, n, k) + 1)
     t_R = (m * n - t_L * m * k) // (n * k)
     with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses a non-finite winner
@@ -190,7 +203,8 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     of the least (see least), so round-off in the spectrum cannot break an
     exact tie (m = n with sigma_L_sq = sigma_R_sq). Totals are scored per
     unit input variance, so the winner does not depend on sigma_b_sq; see
-    t_L_max for the budgets refused and _scaled for the totals refused.
+    t_L_max for the budgets and scans refused and _scaled for the totals
+    refused.
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
@@ -202,7 +216,9 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,
                   k_max: int) -> tuple[int, int, int, ErrorBreakdown]:
     """Joint best (k, t_L, t_R) over k in [1, k_max], each k's unit total
-    being its best split's; least picks k, and only the winner is scaled."""
+    being its best split's; least picks k, and only the winner is scaled.
+    Rank 1 alone scans n - 1 values of t_L, so t_L_max's scan cap refuses
+    any n over 2**20 + 1."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
     _check_variances(sigma_b_sq)
@@ -218,18 +234,25 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
     return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 
+def _check_finite(what: str, lam: float, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} at lam={lam} is not finite in float64: lam is too large")
+
+
 def harmonic_trace(lam: float, k: int) -> tuple[float, float]:
     """Exact trace sum_{i<=k} lam/i and its log-form upper bound.
 
     bound = lam * (ln k + gamma + 1/(2k)) with gamma the
-    Euler-Mascheroni constant; bound >= exact for every k >= 1.
+    Euler-Mascheroni constant; bound >= exact for every k >= 1. lam must
+    be finite and positive, and a sum or bound that is not finite in
+    float64 is a ValueError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
     exact = lam * math.fsum(1.0 / i for i in range(1, k + 1))
     bound = lam * (math.log(k) + EULER_MASCHERONI + 1.0 / (2.0 * k))
+    _check_finite("the harmonic trace", lam, exact, bound)
     return exact, bound
 
 
@@ -237,18 +260,21 @@ def tail_bound(lam: float, k: int, r: int) -> tuple[float, float | None]:
     """Exact truncation tail sum_{i=k+1..r} (lam/i)^2 and its bound.
 
     bound = lam^2 * (1/k - 1/r), valid for k >= 1; at k = 0 the bound is
-    undefined and None is returned in its place.
+    undefined and None is returned in its place. lam must be finite and
+    positive, and a tail or bound that is not finite in float64 (lam^2
+    overflows) is a ValueError.
     """
-    if not lam > 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_lam(lam)
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if k > r:
         raise ValueError(f"k must not exceed r, got k={k}, r={r}")
     exact = lam * lam * math.fsum(1.0 / (i * i) for i in range(k + 1, r + 1))
     if k == 0:
+        _check_finite("the truncation tail", lam, exact)
         return exact, None
     bound = lam * lam * (1.0 / k - 1.0 / r)
+    _check_finite("the truncation tail", lam, exact, bound)
     return exact, bound
 
 
@@ -291,8 +317,14 @@ def lambda_max(m: int, n: int, dev: DeviceParams) -> float:
     """Largest harmonic-class lam that always fits the magnitude budget.
 
     sum(g^2) = r_T^2 * lam^2 * sum 1/i^2 <= r_T^2 * lam^2 * pi^2/6, so
-    lam up to sqrt(6*m*n*rho) / (pi*r_T) is safe for every rank.
+    lam up to sqrt(6*m*n*rho) / (pi*r_T) is safe for every rank. The one
+    owner of its range: a value that is not finite and positive in
+    float64 (an extreme rho or r_T) is a ValueError that shows it.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
-    return math.sqrt(6.0 * m * n * dev.rho) / (math.pi * dev.r_T)
+    lam = math.sqrt(6.0 * m * n * dev.rho) / (math.pi * dev.r_T)
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at {m}x{n} is {lam!r} "
+                         f"in float64: rho or r_T is out of range")
+    return lam

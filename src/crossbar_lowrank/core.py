@@ -96,14 +96,10 @@ def unit_cells(shape, dist: str, rng: np.random.Generator) -> np.ndarray:
 
 def iid_entries(shape, sigma_sq: float, dist: str, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. zero-mean entries with variance sigma_sq: unit cells through
-    noise_law's map.
-
-    sigma_sq = 0 returns zeros without consuming any randomness, the rule
-    a noiseless stage of schemes keeps too (it draws no unit cells).
+    noise_law's map. sigma_sq = 0 gives zeros (scale 0), still drawing its
+    unit cells; a noiseless stage of schemes draws none.
     """
     scale, shift = noise_law(sigma_sq, dist)
-    if sigma_sq == 0:
-        return np.zeros(shape)
     # for uniform, rng.uniform(-w, w, shape) computes -w + 2w u with these
     # two roundings, so this draws its bits without its per-call overhead
     u = unit_cells(shape, dist, rng)

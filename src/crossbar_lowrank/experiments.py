@@ -6,12 +6,12 @@ every key has a default matching the standard demonstration setup
 (100x100 array, rank-16 harmonic spectrum, lam=10, all write variances
 0.05, input variance 3). `ExperimentConfig` checks its own keys,
 `n_grid` and the scaling knobs too, whatever the command, and leaves
-the noise and device keys to `NoiseSpec` and `DeviceParams`, turning
-their errors into `ConfigError`. `lambda` and `beta` are checked as the
-values the program uses, so a `lambda=max` that resolves to a
-non-finite or zero value is a `ConfigError` too. `run_scaling` asks
-`analysis.t_L_max` for a row's budget refusals and names the row in
-them; it adds only its own caps. `target(config)` is the
+the noise and device keys to `NoiseSpec` and `DeviceParams`, and
+`lambda=max` to `analysis.lambda_max`, turning their errors into
+`ConfigError`. `lambda` and `beta` are checked as the values the program
+uses. `run_scaling` asks `analysis.t_L_max` for a row's budget and scan
+refusals and `analysis.lambda_max` for its lam, and names the row in
+their refusals; it adds only its own cap on r. `target(config)` is the
 one place the target matrix is built, and it refuses a config whose
 larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
@@ -60,14 +60,13 @@ STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
 
 # cap on max(m, n)**2, so max(m, n) may be at most 8192: it bounds the
-# target's m*n float64 cells to 512 MiB, and the optimizer's t_L scan to
-# fewer than 8192 candidates per k, whether or not a target is built
+# target's m*n float64 cells to 512 MiB, and keeps the optimizer's t_L
+# scan under 8192 candidates per k, far below analysis.MAX_SCAN, whether
+# or not a target is built
 MAX_SQUARE_CELLS = 2 ** 26
-# cap on one scaling row's work and memory: the t_L candidates the
-# optimizer scans (a row at k = 1 scans n - 1 of them, so such rows may
-# have n up to 2**20 + 1) and the rank r, whose spectrum is r floats
-# (8 MiB at the cap)
-MAX_SCALING_SCAN = 2 ** 20
+# cap on one scaling row's rank r, whose spectrum is r floats (8 MiB at
+# the cap); the row's t_L scan is capped by analysis.t_L_max
+MAX_SCALING_RANK = 2 ** 20
 
 SWEEP_SCHEMA = "# crossbar-lowrank sweep v1"
 SCALING_SCHEMA = "# crossbar-lowrank scaling v1"
@@ -113,13 +112,11 @@ class ExperimentConfig:
         try:
             self.noise()
             self.device()
+            lam = self.resolved_lambda()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        lam = self.resolved_lambda()
         if not _finite_positive(lam):
-            got = (f"{self.lam}, which resolves to {lam!r}"
-                   if isinstance(self.lam, str) else self.lam)
-            raise ConfigError(f"lambda must be finite and positive or 'max', got {got}")
+            raise ConfigError(f"lambda must be finite and positive or 'max', got {self.lam}")
         if not _finite_positive(self.sigma_b_sq):
             raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
         if self.trials < 0 or self.trials == 1:
@@ -448,10 +445,11 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     every size. Emits per-n rows plus fitted log-log slopes.
 
     Before any row is computed, each row asks analysis.t_L_max for its
-    scan, so a budget n*n or a rank k that the optimizer refuses is a
-    ConfigError naming the row; so is a row whose rank r or t_L scan
-    exceeds MAX_SCALING_SCAN, or whose lambda_max is not finite and
-    positive. ExperimentConfig has already checked the grid."""
+    scan and analysis.lambda_max for its lam, so a budget n*n, a rank k or
+    a scan that the optimizer refuses, or a lambda_max that is not finite
+    and positive, is a ConfigError naming the row; so is a row whose rank
+    r exceeds MAX_SCALING_RANK. ExperimentConfig has already checked the
+    grid."""
     _require_baseline_noise(config)
     beta = config.resolved_beta()
     dev = config.device()
@@ -461,19 +459,12 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         r = min(n, max(1, math.floor(config.c2 * n ** config.alpha)))
         k = min(r, max(1, math.floor(config.c1 * r ** beta)))
         with _naming(f"scaling row n={n}, k={k}", ConfigError):
-            scan = t_L_max(n, n, k)
-        if r > MAX_SCALING_SCAN:
+            t_L_max(n, n, k)
+            lam = lambda_max(n, n, dev)
+        if r > MAX_SCALING_RANK:
             raise ConfigError(
                 f"scaling row n={n}, r={r}: the spectrum would hold {r} "
-                f"values, over the cap of {MAX_SCALING_SCAN}")
-        if scan > MAX_SCALING_SCAN:
-            raise ConfigError(
-                f"scaling row n={n}, k={k}: the optimizer would scan {scan} "
-                f"t_L values, over the cap of {MAX_SCALING_SCAN}")
-        lam = lambda_max(n, n, dev)
-        if not _finite_positive(lam):
-            raise ConfigError(
-                f"scaling row n={n}: lambda_max is {lam!r}, not finite and positive")
+                f"values, over the cap of {MAX_SCALING_RANK}")
         sizes.append((n, r, k, lam))
     rows: list[ScalingRow] = []
     for n, r, k, lam in sizes:
@@ -521,7 +512,8 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     run_sweep; the MC runs on the generated target, whose SVD gives only
     the factors. Every verdict therefore also checks that the target has
     the spectrum the formulas assume. The ranks and repetitions are chosen
-    before any MC runs, so a choice that fails costs no trials."""
+    before any MC runs, so a choice that fails costs no trials; an error
+    in a row's trials or in its verdict names the row."""
     _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
@@ -543,17 +535,19 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     s = svd(A)
 
     def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
-        with _naming(scheme if k is None else f"{scheme} k={k}"):
-            z, ok = compare(res, analytic)
+        z, ok = compare(res, analytic)
         return McRow(scheme=scheme, k=k, t_L=t_L, t_R=t_R, trials=res.trials,
                      mean_sq_error=res.mean_sq_error, std_error=res.std_error,
                      analytic=analytic, z=z, passed=ok)
 
-    base_res = run_baseline_trials(A, noise, config.sigma_b_sq, config.trials,
-                                   child_stream(config.master_seed, STREAM_MC_BASELINE))
-    rows = [row("baseline", None, None, None, base_res, base_analytic)]
-    rows += [row("two_step", k, t_L, t_R, _two_step_mc(config, A, s, k, t_L, t_R), bd.total)
-             for k, t_L, t_R, bd in choices]
+    with _naming("baseline"):
+        base_res = run_baseline_trials(A, noise, config.sigma_b_sq, config.trials,
+                                       child_stream(config.master_seed, STREAM_MC_BASELINE))
+        rows = [row("baseline", None, None, None, base_res, base_analytic)]
+    for k, t_L, t_R, bd in choices:
+        with _naming(f"two_step k={k}"):
+            rows.append(row("two_step", k, t_L, t_R,
+                            _two_step_mc(config, A, s, k, t_L, t_R), bd.total))
     return McResult(rows=rows, all_passed=all(r.passed for r in rows),
                     lam_resolved=config.resolved_lambda(), config=config)
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from crossbar_lowrank import analysis
@@ -306,6 +306,37 @@ class TestBudgetPastInt64:
         assert (k, t_L, t_R) == (1, 1, (2 ** 62 - 1) // 2)
 
 
+class TestScanCap:
+    """t_L_max refuses a scan longer than MAX_SCAN = 2**20 values of t_L,
+    before any candidate is allocated; rank 1 scans n - 1 of them."""
+
+    TOP = 2 ** 20 + 1
+
+    def test_cap_is_inclusive(self):
+        assert analysis.MAX_SCAN == 2 ** 20
+        assert analysis.t_L_max(self.TOP, self.TOP, 1) == 2 ** 20
+        n = self.TOP + 1
+        with pytest.raises(ValueError) as refusal:
+            analysis.t_L_max(n, n, 1)
+        assert str(refusal.value) == (
+            f"rank 1 would scan {2 ** 20 + 1} t_L values, over the cap of {2 ** 20}")
+
+    def test_optimizers_refuse_just_over(self):
+        n = self.TOP + 1
+        with pytest.raises(ValueError, match="rank 1 would scan 1048577 t_L values"):
+            optimize_repetitions([1.0], n, n, 1, NoiseSpec(), 1.0)
+        with pytest.raises(ValueError, match="rank 1 would scan 1048577 t_L values"):
+            optimize_rank([1.0], n, n, NoiseSpec(), 1.0, 1)
+
+    def test_budget_under_int64_with_a_long_scan(self):
+        # n*n fits int64, but rank 1 would scan n - 1 values (22.6 GiB of
+        # candidates); checked on t_L_max alone, so a lost check cannot
+        # allocate them
+        n = 3_037_000_499
+        with pytest.raises(ValueError, match=f"rank 1 would scan {n - 1} t_L values"):
+            analysis.t_L_max(n, n, 1)
+
+
 class TestNonFiniteInput:
     """A non-finite spectrum or variance is refused at the entry point, not
     turned into a NaN breakdown or a made-up argmin."""
@@ -435,6 +466,10 @@ class TestHarmonicTrace:
             harmonic_trace(1.0, 0)
         with pytest.raises(ValueError):
             harmonic_trace(0.0, 3)
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            harmonic_trace(math.inf, 3)
+        with pytest.raises(ValueError, match="not finite in float64"):
+            harmonic_trace(1e308, 10)
 
     def test_bound_dominates_up_to_one_million(self):
         # Neumaier-compensated running harmonic sum: the true margin
@@ -481,6 +516,14 @@ class TestTailBound:
     def test_rejects_k_above_r(self):
         with pytest.raises(ValueError):
             tail_bound(1.0, 5, 4)
+
+    def test_rejects_what_float64_cannot_hold(self):
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            tail_bound(math.inf, 1, 5)
+        with pytest.raises(ValueError, match="not finite in float64"):
+            tail_bound(1e200, 1, 5)
+        with pytest.raises(ValueError, match="not finite in float64"):
+            tail_bound(1e200, 0, 5)
 
     @given(
         st.integers(min_value=1, max_value=10_000),
@@ -576,6 +619,8 @@ class TestAsymptoticBound:
             AsymptoticParams(alpha=1.0, beta=1.5, c1=0.5, c2=1.0, lam=1.0)
         with pytest.raises(ValueError):
             AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=0.0)
+        with pytest.raises(ValueError, match="lam must be finite and positive"):
+            AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=math.inf)
 
 
 class TestOptimalBeta:
@@ -588,6 +633,32 @@ class TestOptimalBeta:
         for alpha in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
                 optimal_beta(alpha)
+
+
+class TestClosedFormsStayFinite:
+    """Over the whole float64 range, a closed form returns finite values or
+    raises ValueError; it never returns inf or NaN."""
+
+    WIDE = st.floats(min_value=1e-300, max_value=1e300)
+
+    @staticmethod
+    def _finite_or_refused(f, *args):
+        try:
+            out = f(*args)
+        except ValueError:
+            return
+        values = out if isinstance(out, tuple) else (out,)
+        assert all(math.isfinite(v) for v in values if v is not None), (args, out)
+
+    @given(WIDE, WIDE, WIDE, WIDE, WIDE, st.integers(1, 300), st.integers(1, 300),
+           st.integers(0, 300))
+    @example(1e300, 1e300, 1e-300, 1e300, 1e300, 300, 300, 300)
+    @example(1e-300, 1e-300, 1e300, 1e-300, 1e-300, 1, 1, 0)
+    def test_finite_or_value_error(self, lam, rho, r_T, sigma_e_sq, sigma_b_sq, m, n, k):
+        self._finite_or_refused(lambda_max, m, n, DeviceParams(r_T=r_T, rho=rho))
+        self._finite_or_refused(harmonic_trace, lam, max(k, 1))
+        self._finite_or_refused(tail_bound, lam, min(k, n), n)
+        self._finite_or_refused(baseline_error_analytic, m, n, sigma_e_sq, sigma_b_sq)
 
 
 class TestLambdaMax:
@@ -604,6 +675,16 @@ class TestLambdaMax:
         one = lambda_max(10, 20, DeviceParams(r_T=1.0))
         two = lambda_max(10, 20, DeviceParams(r_T=2.0))
         assert two == pytest.approx(one / 2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("device,shown", [(DeviceParams(rho=1e308), "inf"),
+                                              (DeviceParams(r_T=1e308, rho=1e-300), "0.0")],
+                             ids=["rho=1e308", "r_T=1e308 rho=1e-300"])
+    def test_refuses_what_float64_cannot_hold(self, device, shown):
+        with pytest.raises(ValueError) as refusal:
+            lambda_max(8, 8, device)
+        assert str(refusal.value) == (
+            f"lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at 8x8 is {shown} in float64: "
+            f"rho or r_T is out of range")
 
 
 class TestLeast:

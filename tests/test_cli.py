@@ -135,6 +135,20 @@ class TestGenValidate:
         assert captured.out == ""
         assert captured.err.splitlines() == [message]
 
+    def test_lambda_max_out_of_range_is_one_error_line(self, tmp_path, capsys):
+        # rho=1e308 makes lambda_max and the budget m*n*rho inf: refused,
+        # not reported as inf
+        path = tmp_path / "a.mat"
+        path.write_text("2 3\n1 2 3\n4 5 6\n")
+        cfg = tmp_path / "rho.cfg"
+        cfg.write_text("rho=1e308\n")
+        assert main(["validate", str(path), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at 2x3 is inf in float64: "
+            "rho or r_T is out of range"]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -324,14 +338,15 @@ class TestUsageErrors:
                                                  ("r_T=1e308 rho=1e-300", "0.0")])
     def test_lambda_max_out_of_range_is_a_config_error(self, tmp_path, capsys,
                                                        command, device, resolved):
+        # refused with lambda_max's own message, which shows the value
         p = tmp_path / "max.cfg"
         p.write_text(f"m=8 n=8 r=2 lambda=max {device}".replace(" ", "\n") + "\n")
         assert main([*command, "--config", str(p)]) == 2
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == ""
-        assert len(err) == 1 and err[0].startswith("error: lambda ")
-        assert f"resolves to {resolved}" in err[0]
+        assert err == [f"error: lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at 8x8 is {resolved} "
+                       f"in float64: rho or r_T is out of range"]
 
     def test_scaling_lambda_max_out_of_range_is_a_config_error(self, tmp_path, capsys,
                                                                monkeypatch):
@@ -346,8 +361,9 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == ""
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "n=10000:" in err[0] and "lambda_max is inf" in err[0]
+        with pytest.raises(ValueError, match="at 10000x10000 is inf in float64") as refusal:
+            lambda_max(10000, 10000, DeviceParams(rho=1e300))
+        assert err == [f"error: scaling row n=10000, k=1: {refusal.value}"]
 
     def test_long_scaling_scan_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # r = k = 1 at alpha=0.01, so the row at n=1e7 would scan 1e7 - 1
@@ -361,8 +377,9 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         err = captured.err.splitlines()
         assert captured.out == ""
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert "n=10000000" in err[0] and "k=1" in err[0]
+        with pytest.raises(ValueError, match="rank 1 would scan 9999999 t_L values") as refusal:
+            t_L_max(10 ** 7, 10 ** 7, 1)
+        assert err == [f"error: scaling row n=10000000, k=1: {refusal.value}"]
 
     def test_high_scaling_rank_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # r = n at alpha=1, so the row at n=2**21 would hold 2**21 singular
@@ -607,6 +624,18 @@ class TestMcCommand:
                      f"dist={dist}\ntrials=2000\n")
         assert main(["mc", "--config", str(p), "--seed", str(seed)]) == 0
         assert capsys.readouterr().out.rstrip().endswith("# all_passed=true")
+
+    def test_failing_trials_name_their_row(self, tmp_path, capsys):
+        # at lambda=1e170 a two-step trial's squared error overflows; the
+        # refusal names the row, as compare's refusals do
+        p = tmp_path / "hot.cfg"
+        p.write_text("m=12\nn=12\nr=3\nlambda=1e170\ntrials=200\n")
+        assert main(["mc", "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: two_step k=3: the trials' mean squared error is inf: "
+            "a trial's error is not finite in float64"]
 
 
 PINNED_NUMPY = "2.4.6"

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crossbar_lowrank.analysis import (
+    MAX_SCAN,
     ErrorBreakdown,
     baseline_error_analytic,
     budget_feasible,
@@ -16,7 +17,7 @@ from crossbar_lowrank.analysis import (
 )
 from crossbar_lowrank import experiments, lowrank, matrixgen
 from crossbar_lowrank.experiments import (
-    MAX_SCALING_SCAN,
+    MAX_SCALING_RANK,
     MAX_SQUARE_CELLS,
     MC_SCHEMA,
     SCALING_SCHEMA,
@@ -515,7 +516,7 @@ class TestRunScaling:
 
     def test_scan_cap_is_inclusive(self, monkeypatch):
         calls = self._fake_optimizer(monkeypatch)
-        top = MAX_SCALING_SCAN + 1
+        top = MAX_SCAN + 1
         grid = (top // 8, top // 4, top // 2, top)
         run_scaling(ExperimentConfig(alpha=0.01, n_grid=grid))
         assert calls == [(n, 1) for n in grid]
@@ -534,7 +535,7 @@ class TestRunScaling:
 
     def test_rank_cap_is_inclusive(self, monkeypatch):
         calls = self._fake_optimizer(monkeypatch)
-        top = MAX_SCALING_SCAN
+        top = MAX_SCALING_RANK
         grid = (top // 8, top // 4, top // 2, top)
         res = run_scaling(ExperimentConfig(alpha=1.0, n_grid=grid))
         assert [row.r for row in res.rows] == list(grid)

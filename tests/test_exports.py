@@ -1,6 +1,8 @@
 import ast
+import importlib
 import inspect
 import pathlib
+import re
 
 import pytest
 
@@ -63,3 +65,16 @@ def test_one_way_to_build_a_stream():
                 importers.append(path.name)
     assert builders == []
     assert sorted(set(importers)) == ["__init__.py", "experiments.py"]
+
+
+def test_readme_module_names_resolve():
+    # every `module.NAME` the README cites is an attribute of that module
+    package = pathlib.Path(crossbar_lowrank.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    readme = (package.parents[1] / "README.md").read_text()
+    cited = [(module, name) for module, name in re.findall(r"`(\w+)\.(\w+)`", readme)
+             if module in modules]
+    assert cited
+    missing = [f"{module}.{name}" for module, name in cited
+               if not hasattr(importlib.import_module(f"crossbar_lowrank.{module}"), name)]
+    assert missing == []
