@@ -16,9 +16,8 @@ written. So no argmin depends on sigma_b_sq: the optimizers score unit
 totals, and _scaled multiplies sigma_b_sq into the parts, in one place.
 One rule, least, picks every winner: t_L within a rank, k, and the sweep's k.
 The harmonic singular-value class (s_i = lam/i) admits closed-form bounds
-on the trace and truncation tail, and an asymptotic error expression in
-the array size n when the rank and truncation level grow as
-r = c2*n^alpha, k = c1*r^beta.
+on the trace and truncation tail, and with them asymptotic_bound, the
+error's bound under AsymptoticParams' growth law for r and k.
 """
 from __future__ import annotations
 
@@ -60,20 +59,22 @@ class ErrorBreakdown:
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Growth-law parameters: rank r = c2*n^alpha, truncation k = c1*r^beta."""
+    """The growth law, each knob in (0, 1]: at array size n, ranks gives
+    r = min(n, max(1, floor(c2*n^alpha))) and k = min(r, max(1, floor(c1*r^beta)))."""
 
     alpha: float
     beta: float
     c1: float
     c2: float
-    lam: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "c1", "c2"):
-            v = getattr(self, name)
+        for name, v in vars(self).items():
             if not 0 < v <= 1:
                 raise ValueError(f"{name} must lie in (0, 1], got {v}")
-        _check_lam(self.lam)
+
+    def ranks(self, n: int) -> tuple[int, int]:
+        r = min(n, max(1, math.floor(self.c2 * n ** self.alpha)))
+        return r, min(r, max(1, math.floor(self.c1 * r ** self.beta)))
 
 
 def _check_lam(lam: float) -> None:
@@ -152,6 +153,12 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
     return ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4], "the two-step error"))
 
 
+def _check_fits(m: int, n: int, k: int) -> None:
+    if not budget_feasible(m, n, k, 1, 1):
+        raise InfeasibleBudgetError(f"rank {k} does not fit the budget even at t_L=t_R=1: "
+                                    f"mk+nk = {m * k + n * k} > mn = {m * n}")
+
+
 def t_L_max(m: int, n: int, k: int) -> int:
     """Largest t_L that leaves budget for t_R >= 1 at rank k: the number
     of t_L values the optimizers scan (at most n). The one owner of a
@@ -163,11 +170,7 @@ def t_L_max(m: int, n: int, k: int) -> int:
     if m * n > MAX_BUDGET:
         raise ValueError(f"the budget m*n = {m}*{n} = {m * n} exceeds {MAX_BUDGET}, "
                          f"the most the optimizer's int64 arithmetic holds")
-    if not budget_feasible(m, n, k, 1, 1):
-        raise InfeasibleBudgetError(
-            f"rank {k} does not fit the budget even at t_L=t_R=1: "
-            f"mk+nk = {m * k + n * k} > mn = {m * n}"
-        )
+    _check_fits(m, n, k)
     scan = (m * n - n * k) // (m * k)
     if scan > MAX_SCAN:
         raise ValueError(f"rank {k} would scan {scan} t_L values, over the cap of {MAX_SCAN}")
@@ -234,9 +237,17 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
     return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 
-def _check_finite(what: str, lam: float, *values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
+def _check_finite(what: str, lam: float, *values: float | None) -> None:
+    if not all(math.isfinite(v) for v in values if v is not None):
         raise ValueError(f"{what} at lam={lam} is not finite in float64: lam is too large")
+
+
+def _trace_bound(lam: float, k: int) -> float:
+    return lam * (math.log(k) + EULER_MASCHERONI + 1.0 / (2.0 * k))
+
+
+def _tail_bound(lam: float, k: int, r: int) -> float:
+    return lam * lam * (1.0 / k - 1.0 / r)
 
 
 def harmonic_trace(lam: float, k: int) -> tuple[float, float]:
@@ -251,7 +262,7 @@ def harmonic_trace(lam: float, k: int) -> tuple[float, float]:
         raise ValueError(f"k must be >= 1, got {k}")
     _check_lam(lam)
     exact = lam * math.fsum(1.0 / i for i in range(1, k + 1))
-    bound = lam * (math.log(k) + EULER_MASCHERONI + 1.0 / (2.0 * k))
+    bound = _trace_bound(lam, k)
     _check_finite("the harmonic trace", lam, exact, bound)
     return exact, bound
 
@@ -270,37 +281,29 @@ def tail_bound(lam: float, k: int, r: int) -> tuple[float, float | None]:
     if k > r:
         raise ValueError(f"k must not exceed r, got k={k}, r={r}")
     exact = lam * lam * math.fsum(1.0 / (i * i) for i in range(k + 1, r + 1))
-    if k == 0:
-        _check_finite("the truncation tail", lam, exact)
-        return exact, None
-    bound = lam * lam * (1.0 / k - 1.0 / r)
+    bound = _tail_bound(lam, k, r) if k else None
     _check_finite("the truncation tail", lam, exact, bound)
     return exact, bound
 
 
-def asymptotic_bound(n: int, p: AsymptoticParams, sigma_L_sq: float,
+def asymptotic_bound(n: int, p: AsymptoticParams, lam: float, sigma_L_sq: float,
                      sigma_R_sq: float, sigma_b_sq: float) -> float:
-    """Growth-law approximation of the error at array size n, not a bound.
-
-    Evaluated with real-valued k = c1*r^beta and r = c2*n^alpha (no
-    flooring): truncation tail bound plus the stage-noise trace bounds
-    plus the accumulated term, with repetition counts absorbed into the
-    constants. It lies above every row of scaling's default grid at
-    alpha = 1, but not above every integer row: at alpha = 0.25 and
-    n = 1024 (r = 5, k floored to 2) the exact total is 1.19 times it.
-    """
+    """Upper bound, O(1) in n, on optimize_repetitions' least error at
+    (r, k) = p.ranks(n) on the spectrum lam/i, i <= r: the four parts at
+    t_L = t_R = floor(n/(2k)), with the tail and trace bounds of tail_bound
+    and harmonic_trace for their exact sums. At that t_L the greedy t_R is
+    no smaller, and the error does not increase with t_R. A rank that does
+    not fit the n x n budget at t_L = t_R = 1 is an InfeasibleBudgetError."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    _check_lam(lam)
     _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
-    ab = p.alpha * p.beta
-    k_real = p.c1 * p.c2 ** p.beta * n ** ab
-    r_real = p.c2 * n ** p.alpha
-    term_trunc = p.lam ** 2 * (1.0 / k_real - 1.0 / r_real)
-    term_stage = (4.0 * p.c1 * p.c2 ** p.beta * p.lam * (sigma_L_sq + sigma_R_sq)
-                  * n ** ab * (ab * math.log(n) + 1.0 / (2.0 * k_real) + EULER_MASCHERONI))
-    term_acc = (4.0 * p.c1 ** 3 * p.c2 ** (3.0 * p.beta) * n ** (3.0 * ab)
-                * sigma_L_sq * sigma_R_sq)
-    return _scaled(sigma_b_sq, [term_trunc + term_stage + term_acc], "the asymptotic bound")[-1]
+    r, k = p.ranks(n)
+    _check_fits(n, n, k)
+    t = n // (2 * k)
+    unit = _breakdown(_tail_bound(lam, k, r), _trace_bound(lam, k), n, n, k, t, t,
+                      sigma_L_sq, sigma_R_sq)
+    return _scaled(sigma_b_sq, astuple(unit)[:4], "the asymptotic bound")[-1]
 
 
 def optimal_beta(alpha: float) -> tuple[float, float]:

@@ -135,6 +135,7 @@ def _cmd_validate(args) -> int:
     A = read_matrix(args.matrix)
     s = singular_values(A)
     rank = numerical_rank(s)
+    lam_max = lambda_max(A.shape[0], A.shape[1], dev)  # refuses an overflowing rho first
     check = magnitude_check(A, dev)
     singulars = " ".join(repr(float(v)) for v in s[:rank])
     report = "\n".join([
@@ -142,7 +143,7 @@ def _cmd_validate(args) -> int:
         f"cols {A.shape[1]}",
         f"rank {rank}",
         f"singular_values {singulars}",
-        f"lambda_max {lambda_max(A.shape[0], A.shape[1], dev)!r}",
+        f"lambda_max {lam_max!r}",
         f"magnitude_total {check.total!r}",
         f"magnitude_budget {check.budget!r}",
         f"magnitude_ok {'true' if check.satisfied else 'false'}",

@@ -60,8 +60,8 @@ def conductance_map(A, dev: DeviceParams) -> np.ndarray:
 def magnitude_check(A, dev: DeviceParams) -> MagnitudeCheck:
     """Total programmed magnitude sum(g**2) against the budget m*n*rho.
 
-    Boundary equality counts as satisfied; a total that overflows float64
-    is a ValueError.
+    Boundary equality counts as satisfied; a total or a budget that
+    overflows float64 is a ValueError.
     """
     with np.errstate(over="ignore"):  # an overflow is refused below
         G = conductance_map(A, dev)
@@ -70,6 +70,8 @@ def magnitude_check(A, dev: DeviceParams) -> MagnitudeCheck:
         raise ValueError(f"the total magnitude sum(g^2) is {total} in float64: "
                          f"the matrix entries or r_T are too large")
     budget = float(G.shape[0] * G.shape[1] * dev.rho)
+    if not math.isfinite(budget):
+        raise ValueError(f"the magnitude budget m*n*rho is {budget} in float64: rho is too large")
     return MagnitudeCheck(total <= budget, total, budget)
 
 

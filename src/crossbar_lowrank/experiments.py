@@ -5,15 +5,13 @@ one table that gives each key its config field and its kind of value;
 every key has a default matching the standard demonstration setup
 (100x100 array, rank-16 harmonic spectrum, lam=10, all write variances
 0.05, input variance 3). `ExperimentConfig` checks its own keys,
-`n_grid` and the scaling knobs too, whatever the command, and leaves
-the noise and device keys to `NoiseSpec` and `DeviceParams`, and
-`lambda=max` to `analysis.lambda_max`, turning their errors into
-`ConfigError`. `lambda` and `beta` are checked as the values the program
-uses. `run_scaling` asks `analysis.t_L_max` for a row's budget and scan
-refusals and `analysis.lambda_max` for its lam, and names the row in
-their refusals; it adds only its own cap on r. `target(config)` is the
-one place the target matrix is built, and it refuses a config whose
-larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
+`n_grid` too, whatever the command, and leaves the noise and device
+keys to `NoiseSpec` and `DeviceParams`, the growth knobs (alpha, beta
+resolved, c1, c2) to `analysis.AsymptoticParams`, and `lambda=max` to
+`analysis.lambda_max`, turning their errors into `ConfigError`. `lambda`
+and `beta` are checked as the values the program uses. `target(config)`
+is the one place the target matrix is built, and it refuses a config
+whose larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
 `matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
 
@@ -38,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .analysis import (
+    AsymptoticParams,
     baseline_error_analytic,
     lambda_max,
     least,
@@ -113,6 +112,7 @@ class ExperimentConfig:
             self.noise()
             self.device()
             lam = self.resolved_lambda()
+            self.growth()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not _finite_positive(lam):
@@ -130,12 +130,6 @@ class ExperimentConfig:
                 raise ConfigError(f"k_range entries must lie in [1, r]=[1, {self.r}]")
             if list(ks) != sorted(set(ks)):
                 raise ConfigError("k_range must be strictly increasing")
-        if not 0 < self.alpha <= 1:
-            raise ConfigError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0 < self.resolved_beta() <= 1:
-            raise ConfigError(f"beta must lie in (0, 1] or be 'optimal', got {self.beta}")
-        if not 0 < self.c1 <= 1 or not 0 < self.c2 <= 1:
-            raise ConfigError("c1 and c2 must lie in (0, 1]")
         grid = self.n_grid
         if len(grid) < 4:
             raise ConfigError(f"n_grid needs at least 4 sizes, got {len(grid)}")
@@ -159,10 +153,9 @@ class ExperimentConfig:
             return lambda_max(self.m, self.n, self.device())
         return float(self.lam)
 
-    def resolved_beta(self) -> float:
-        if self.beta == "optimal":
-            return optimal_beta(self.alpha)[0]
-        return float(self.beta)
+    def growth(self) -> AsymptoticParams:
+        beta = optimal_beta(self.alpha)[0] if self.beta == "optimal" else float(self.beta)
+        return AsymptoticParams(self.alpha, beta, self.c1, self.c2)
 
     def resolved_k_range(self) -> tuple[int, ...]:
         if self.k_range == "all":
@@ -440,24 +433,24 @@ class ScalingResult:
 
 
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
-    """Analytic error growth along n with r = floor(c2*n^alpha) and
-    k = max(1, floor(c1*r^beta)); lam saturates the magnitude budget at
-    every size. Emits per-n rows plus fitted log-log slopes.
+    """Analytic error growth along n, each row at the (r, k) of the
+    config's growth law (AsymptoticParams.ranks) and at the lam that
+    saturates the magnitude budget; analysis.asymptotic_bound lies above
+    each row's total. Emits per-n rows plus fitted log-log slopes.
 
     Before any row is computed, each row asks analysis.t_L_max for its
     scan and analysis.lambda_max for its lam, so a budget n*n, a rank k or
     a scan that the optimizer refuses, or a lambda_max that is not finite
     and positive, is a ConfigError naming the row; so is a row whose rank
-    r exceeds MAX_SCALING_RANK. ExperimentConfig has already checked the
-    grid."""
+    r exceeds MAX_SCALING_RANK, the one cap of its own. ExperimentConfig
+    has already checked the grid and the growth law."""
     _require_baseline_noise(config)
-    beta = config.resolved_beta()
+    growth = config.growth()
     dev = config.device()
     noise = config.noise()
     sizes = []
     for n in config.n_grid:
-        r = min(n, max(1, math.floor(config.c2 * n ** config.alpha)))
-        k = min(r, max(1, math.floor(config.c1 * r ** beta)))
+        r, k = growth.ranks(n)
         with _naming(f"scaling row n={n}, k={k}", ConfigError):
             t_L_max(n, n, k)
             lam = lambda_max(n, n, dev)
@@ -477,7 +470,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         rows=rows,
         fit_total=fit_loglog_slope([(row.n, row.analytic_total) for row in rows]),
         fit_baseline=fit_loglog_slope([(row.n, row.baseline_analytic) for row in rows]),
-        beta_resolved=beta, config=config)
+        beta_resolved=growth.beta, config=config)
 
 
 @dataclass(frozen=True)
@@ -588,11 +581,10 @@ def _table_csv(schema: str, config_line: str, row_type, rows, tail: list[str]) -
     return "\n".join(lines) + "\n"
 
 
-def _table_json(schema: str, config: ExperimentConfig, rows, **extra) -> str:
-    d = dataclasses.asdict(config)
-    d["k_range"] = list(config.resolved_k_range())
+def _table_json(schema: str, result, k_range, **extra) -> str:
+    d = {**dataclasses.asdict(result.config), "k_range": k_range}
     doc = {"schema": schema.lstrip("# "), "config": d,
-           "rows": [dataclasses.asdict(row) for row in rows], **extra}
+           "rows": [dataclasses.asdict(row) for row in result.rows], **extra}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -627,17 +619,18 @@ def mc_csv(result: McResult) -> str:
 
 
 def sweep_json(result: SweepResult) -> str:
-    return _table_json(SWEEP_SCHEMA, result.config, result.rows,
+    return _table_json(SWEEP_SCHEMA, result, list(result.config.resolved_k_range()),
                        lambda_resolved=result.lam_resolved, argmin_k=result.argmin_k)
 
 
 def scaling_json(result: ScalingResult) -> str:
-    return _table_json(SCALING_SCHEMA, result.config, result.rows,
+    # its rows are no k of k_range, so "all" stays as written, not r ints
+    return _table_json(SCALING_SCHEMA, result, result.config.k_range,
                        beta_resolved=result.beta_resolved,
                        fit_total=result.fit_total._asdict(),
                        fit_baseline=result.fit_baseline._asdict())
 
 
 def mc_json(result: McResult) -> str:
-    return _table_json(MC_SCHEMA, result.config, result.rows,
+    return _table_json(MC_SCHEMA, result, list(result.config.resolved_k_range()),
                        lambda_resolved=result.lam_resolved, all_passed=result.all_passed)

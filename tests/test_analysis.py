@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -537,90 +538,116 @@ class TestTailBound:
 
 
 class TestAsymptoticBound:
-    def _params(self, lam=10.0):
-        return AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=lam)
+    # scaling's default grid at alpha = 1, 0.4 and 0.25, and a grid of
+    # larger sizes at alpha = 0.4 and 0.25
+    LARGE = (16384, 32768, 65536, 131072, 262144, 524288, 1048576)
+    GRIDS = [(1.0, ExperimentConfig().n_grid), (0.4, ExperimentConfig().n_grid),
+             (0.25, ExperimentConfig().n_grid), (0.4, LARGE), (0.25, LARGE)]
+
+    def _params(self):
+        return AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0)
 
     @pytest.mark.parametrize("variances", [(-0.05, 0.05, 1.0), (0.05, 0.05, -1.0),
                                            (0.05, 0.05, math.nan), (math.inf, 0.05, 1.0)])
     def test_rejects_bad_variances(self, variances):
         with pytest.raises(ValueError, match="variances"):
-            asymptotic_bound(1024, self._params(), *variances)
+            asymptotic_bound(1024, self._params(), 10.0, *variances)
+
+    @pytest.mark.parametrize("lam,message", [
+        (0.0, "lam must be finite and positive"), (math.inf, "lam must be finite and positive"),
+        (1e308, "the asymptotic bound is inf in float64")])
+    def test_rejects_bad_lam(self, lam, message):
+        with pytest.raises(ValueError, match=message):
+            asymptotic_bound(1024, self._params(), lam, 0.05, 0.05, 3.0)
+
+    def test_refuses_a_rank_that_does_not_fit(self):
+        # c1 = beta = 1 gives k = r = n, and 2nk > n^2
+        with pytest.raises(InfeasibleBudgetError, match="rank 8 does not fit"):
+            asymptotic_bound(8, AsymptoticParams(1.0, 1.0, 1.0, 1.0), 1.0, 0.05, 0.05, 3.0)
 
     def test_zero_noise_reduction(self):
+        # without write noise only the tail bound is left, at the floored (r, k)
         p = self._params()
-        n = 4096
-        got = asymptotic_bound(n, p, 0.0, 0.0, 2.0)
-        k_real = p.c1 * p.c2 ** p.beta * n ** (p.alpha * p.beta)
-        r_real = p.c2 * n ** p.alpha
-        want = 2.0 * p.lam ** 2 * (1.0 / k_real - 1.0 / r_real)
-        assert got == pytest.approx(want, rel=1e-14)
+        r, k = p.ranks(4096)
+        assert (r, k) == (4096, 32)
+        got = asymptotic_bound(4096, p, 10.0, 0.0, 0.0, 2.0)
+        assert got == pytest.approx(2.0 * 10.0 ** 2 * (1.0 / k - 1.0 / r), rel=1e-14)
+
+    def test_four_parts_by_hand(self):
+        # n = 16: r = 16, k = floor(0.5 * 4) = 2, t_L = t_R = 16 // 4 = 4, so
+        # m sigma_L^2 / t_L = n sigma_R^2 / t_R = 4 at unit variances
+        trace = math.log(2) + EULER_MASCHERONI + 0.25
+        want = (1 / 2 - 1 / 16) + 4 * trace + 4 * trace + 4 * 4 * 2
+        assert asymptotic_bound(16, self._params(), 1.0, 1.0, 1.0, 1.0) == pytest.approx(
+            want, rel=1e-15)
 
     def test_dominates_exact_total_at_proof_repetitions(self):
         # with t_L = t_R = floor(n / (2k)) the closed-form bound lies
         # above the exact four-term total for the harmonic class
         dev = DeviceParams()
+        p = self._params()
         for n in (256, 1024):
             lam = lambda_max(n, n, dev)
-            p = AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=lam)
-            r = math.floor(p.c2 * n ** p.alpha)
-            k = max(1, math.floor(p.c1 * r ** p.beta))
-            t = max(1, n // (2 * k))
-            singulars = lam / np.arange(1, r + 1)
-            exact = two_step_error_analytic(singulars, n, n, k, t, t,
+            r, k = p.ranks(n)
+            t = n // (2 * k)
+            exact = two_step_error_analytic(harmonic_spectrum(lam, r), n, n, k, t, t,
                                             0.05, 0.05, 3.0).total
-            bound = asymptotic_bound(n, p, 0.05, 0.05, 3.0)
-            assert bound >= exact
+            assert asymptotic_bound(n, p, lam, 0.05, 0.05, 3.0) >= exact
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "a growth-law approximation, not a bound at integer (r, k): the row "
-        "floors k = 0.5 * 5 to 2 and has its own t_L, t_R; ROADMAP item 4(a)"))
+    @pytest.mark.parametrize("alpha,grid", GRIDS)
+    def test_bounds_every_scaling_row(self, alpha, grid):
+        # the bound is evaluated at each row's own (r, k) and lam; the
+        # optimizer's winner may lie within TIE_RTOL above the least total
+        cfg = ExperimentConfig(alpha=alpha, n_grid=grid)
+        p = cfg.growth()
+        for row in run_scaling(cfg).rows:
+            assert p.ranks(row.n) == (row.r, row.k)
+            bound = asymptotic_bound(row.n, p, lambda_max(row.n, row.n, DeviceParams()),
+                                     cfg.sigma_L_sq, cfg.sigma_R_sq, cfg.sigma_b_sq)
+            assert row.analytic_total <= bound * (1 + 1e-12), (row.n, row.analytic_total, bound)
+
     def test_bounds_the_scaling_row_at_alpha_quarter(self):
         # scaling's default grid at alpha = 0.25 (beta = 1): at n = 1024,
-        # r = 5, k = 2 and t_L = t_R = 256, the exact total is about 1.19
-        # times asymptotic_bound
+        # r = 5, k = 2 and t_L = t_R = 256; a growth law in real-valued
+        # (r, k) put the exact total at 1.19 times its value
         res = run_scaling(ExperimentConfig(alpha=0.25))
         row = next(row for row in res.rows if row.n == 1024)
-        p = AsymptoticParams(alpha=0.25, beta=res.beta_resolved, c1=0.5, c2=1.0,
-                             lam=lambda_max(1024, 1024, DeviceParams()))
-        assert row.analytic_total <= asymptotic_bound(1024, p, 0.05, 0.05, 3.0)
+        p = AsymptoticParams(alpha=0.25, beta=res.beta_resolved, c1=0.5, c2=1.0)
+        assert (row.r, row.k) == p.ranks(1024) == (5, 2)
+        lam = lambda_max(1024, 1024, DeviceParams())
+        assert row.analytic_total <= asymptotic_bound(1024, p, lam, 0.05, 0.05, 3.0)
 
-    def test_unit_repetition_comparison_flags_only(self):
-        # repetition counts are absorbed into the bound's constants; at
-        # t_L = t_R = 1 the stage terms can exceed it, so this case is
-        # reported, not asserted
-        dev = DeviceParams()
+    def test_unit_repetitions_can_exceed_the_bound(self):
+        # the bound holds for the optimized split, not for every split: at
+        # t_L = t_R = 1 the stage terms lie above it
         n = 256
-        lam = lambda_max(n, n, dev)
-        p = AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=lam)
-        r = math.floor(p.c2 * n ** p.alpha)
-        k = max(1, math.floor(p.c1 * r ** p.beta))
-        singulars = lam / np.arange(1, r + 1)
-        exact = two_step_error_analytic(singulars, n, n, k, 1, 1, 0.05, 0.05, 3.0).total
-        bound = asymptotic_bound(n, p, 0.05, 0.05, 3.0)
-        if bound < exact:
-            print(f"note: bound {bound:.4g} below exact {exact:.4g} at t_L=t_R=1 (n={n})")
+        lam = lambda_max(n, n, DeviceParams())
+        p = self._params()
+        r, k = p.ranks(n)
+        exact = two_step_error_analytic(harmonic_spectrum(lam, r), n, n, k, 1, 1,
+                                        0.05, 0.05, 3.0).total
+        assert asymptotic_bound(n, p, lam, 0.05, 0.05, 3.0) < exact
 
     def test_growth_factor_near_eight(self):
         # alpha=1, beta=1/2, lam proportional to n: quadrupling n scales the
         # dominant zero-noise term by 4**1.5 = 8
         dev = DeviceParams()
-        vals = {}
-        for n in (1024, 4096):
-            lam = lambda_max(n, n, dev)
-            p = AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=lam)
-            vals[n] = asymptotic_bound(n, p, 0.0, 0.0, 1.0)
+        vals = {n: asymptotic_bound(n, self._params(), lambda_max(n, n, dev), 0.0, 0.0, 1.0)
+                for n in (1024, 4096)}
         ratio = vals[4096] / vals[1024]
         assert ratio == pytest.approx(8.0, rel=0.10)
 
+    def test_stays_closed_form_at_large_n(self):
+        # O(1) in n: no sum over r = 2**26 values
+        p = self._params()
+        seconds = min(timeit.repeat(lambda: asymptotic_bound(2 ** 26, p, 10.0, 0.05, 0.05, 3.0),
+                                    number=1, repeat=5))
+        assert seconds < 1e-3
+
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            AsymptoticParams(alpha=0.0, beta=0.5, c1=0.5, c2=1.0, lam=1.0)
-        with pytest.raises(ValueError):
-            AsymptoticParams(alpha=1.0, beta=1.5, c1=0.5, c2=1.0, lam=1.0)
-        with pytest.raises(ValueError):
-            AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=0.0)
-        with pytest.raises(ValueError, match="lam must be finite and positive"):
-            AsymptoticParams(alpha=1.0, beta=0.5, c1=0.5, c2=1.0, lam=math.inf)
+        for bad in [dict(alpha=0.0), dict(beta=1.5), dict(c1=0.0), dict(c2=math.nan)]:
+            with pytest.raises(ValueError, match=f"{next(iter(bad))} must lie in"):
+                AsymptoticParams(**{**dict(alpha=1.0, beta=0.5, c1=0.5, c2=1.0), **bad})
 
 
 class TestOptimalBeta:
@@ -659,6 +686,8 @@ class TestClosedFormsStayFinite:
         self._finite_or_refused(harmonic_trace, lam, max(k, 1))
         self._finite_or_refused(tail_bound, lam, min(k, n), n)
         self._finite_or_refused(baseline_error_analytic, m, n, sigma_e_sq, sigma_b_sq)
+        self._finite_or_refused(asymptotic_bound, n, AsymptoticParams(1.0, 0.5, 0.5, 1.0), lam,
+                                sigma_e_sq, sigma_e_sq, sigma_b_sq)
 
 
 class TestLambdaMax:

@@ -699,7 +699,7 @@ PINNED_TABLES = {
     ("scaling", GRID_CONFIG, "csv"):
         ("d5bdfa01936624f10e326f77a5ac3dae1ebcbbb12df01a42f720ebcb790bfebf", ""),
     ("scaling", GRID_CONFIG, "json"):
-        ("c779cafd67a1623faeb1e78a2aaa7993da8284e68e738de9fce4a2f28c4614c7", ""),
+        ("285142f786d2c6067da79c7e1a0566d562ae7016e3b8d726d2f5ef67192aa4ec", ""),
     ("mc", DET_CONFIG, "csv"):
         ("dcf623dd39c19bebd283b0d9b361c7b477af293e21a968f5dc0c1c95bf371100", ""),
     ("mc", DET_CONFIG, "json"):

@@ -112,6 +112,11 @@ class TestMagnitudeCheck:
         ok, total, budget = magnitude_check(np.ones((2, 2)), DeviceParams(rho=0.5))
         assert not ok and total == 4.0 and budget == 2.0
 
+    def test_refuses_a_budget_that_overflows(self):
+        # m*n*rho = 6e308 is inf in float64, while the total, 91, is finite
+        with pytest.raises(ValueError, match="budget m\\*n\\*rho is inf in float64"):
+            magnitude_check([[1, 2, 3], [4, 5, 6]], DeviceParams(rho=1e308))
+
     @given(st.floats(min_value=0.01, max_value=100.0))
     def test_scale_consistency(self, s):
         A = np.array([[0.3, -1.2], [2.0, 0.7], [-0.4, 0.9]])

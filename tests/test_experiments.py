@@ -101,7 +101,7 @@ class TestConfigParsing:
         ({"lambda": "huge"}, "lambda must be a number, got 'huge'"),
         ({"lambda": "-1"}, "lambda must be finite and positive or 'max', got -1.0"),
         ({"beta": "best"}, "beta must be a number, got 'best'"),
-        ({"beta": "1.5"}, "beta must lie in (0, 1] or be 'optimal', got 1.5"),
+        ({"beta": "1.5"}, "beta must lie in (0, 1], got 1.5"),
         ({"k_range": "1,two"}, "k_range must be a comma-separated integer list, got '1,two'"),
         ({"n_grid": "16 32.5"}, "n_grid must be a comma-separated integer list, got '16 32.5'"),
     ])
@@ -206,7 +206,7 @@ class TestConfigValidation:
     def test_resolvers(self):
         cfg = ExperimentConfig(lam="max", beta="optimal", alpha=1.0)
         assert cfg.resolved_lambda() == lambda_max(100, 100, cfg.device())
-        assert cfg.resolved_beta() == optimal_beta(1.0)[0]
+        assert cfg.growth().beta == optimal_beta(1.0)[0]
         assert ExperimentConfig(r=3).resolved_k_range() == (1, 2, 3)
         assert ExperimentConfig(r=5, k_range=(2, 4)).resolved_k_range() == (2, 4)
 
@@ -564,6 +564,13 @@ class TestRunScaling:
         assert doc["schema"] == "crossbar-lowrank scaling v1"
         assert doc["fit_baseline"]["slope"] == pytest.approx(2.0, abs=1e-10)
         assert [row["n"] for row in doc["rows"]] == [16, 32, 64, 128]
+
+    def test_json_keeps_k_range_as_configured(self):
+        # scaling rows are no k of k_range, so "all" is not resolved to r ints
+        doc = json.loads(scaling_json(run_scaling(ExperimentConfig())))
+        assert doc["config"]["k_range"] == "all"
+        doc = json.loads(scaling_json(run_scaling(ExperimentConfig(**self.CFG, k_range=(1, 2)))))
+        assert doc["config"]["k_range"] == [1, 2]
 
 
 class TestRunMc:

@@ -78,3 +78,12 @@ def test_readme_module_names_resolve():
     missing = [f"{module}.{name}" for module, name in cited
                if not hasattr(importlib.import_module(f"crossbar_lowrank.{module}"), name)]
     assert missing == []
+
+
+def test_readme_python_blocks_run():
+    # every ```python block of the README runs against the current API
+    readme = (pathlib.Path(crossbar_lowrank.__file__).parents[2] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for number, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {number}", "exec"), {})
