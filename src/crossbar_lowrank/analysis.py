@@ -22,6 +22,7 @@ error's bound under AsymptoticParams' growth law for r and k.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -57,6 +58,11 @@ class ErrorBreakdown:
     total: float
 
 
+def _check_knob(name: str, v: float) -> None:
+    if not 0 < v <= 1:
+        raise ValueError(f"{name} must lie in (0, 1], got {v}")
+
+
 @dataclass(frozen=True)
 class AsymptoticParams:
     """The growth law, each knob in (0, 1]: at array size n, ranks gives
@@ -69,11 +75,15 @@ class AsymptoticParams:
 
     def __post_init__(self):
         for name, v in vars(self).items():
-            if not 0 < v <= 1:
-                raise ValueError(f"{name} must lie in (0, 1], got {v}")
+            _check_knob(name, v)
 
     def ranks(self, n: int) -> tuple[int, int]:
-        r = min(n, max(1, math.floor(self.c2 * n ** self.alpha)))
+        """(r, k) at array size n; an n below 1 or past float64's range is a ValueError."""
+        if n < 1:
+            raise ValueError(f"n must be positive, got {n}")
+        if n > sys.float_info.max:
+            raise ValueError("n is too large for float64")
+        r = min(n, max(1, math.floor(self.c2 * float(n) ** self.alpha)))
         return r, min(r, max(1, math.floor(self.c1 * r ** self.beta)))
 
 
@@ -218,21 +228,17 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,
                   k_max: int) -> tuple[int, int, int, ErrorBreakdown]:
-    """Joint best (k, t_L, t_R) over k in [1, k_max], each k's unit total
-    being its best split's; least picks k, and only the winner is scaled.
-    Rank 1 alone scans n - 1 values of t_L, so t_L_max's scan cap refuses
-    any n over 2**20 + 1."""
+    """Joint best (k, t_L, t_R) over the ranks in [1, k_max] that fit, each
+    k's unit total being its best split's; least picks k, and only the winner
+    is scaled. The budget grows with k, so _check_fits refuses rank 1 for all.
+    Rank 1 alone scans n - 1 values of t_L: the scan cap refuses n > 2**20 + 1."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
     _check_variances(sigma_b_sq)
     s = check_spectrum(singulars)
+    _check_fits(m, n, 1)
     choices = [(k, *_best_split(s, m, n, k, noise))
                for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)]
-    if not choices:
-        raise InfeasibleBudgetError(
-            f"no rank fits the budget: m+n = {m + n} devices per unit rank "
-            f"exceed mn = {m * n}"
-        )
     k, t_L, t_R, unit = choices[least([sum(choice[3]) for choice in choices])]
     return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
@@ -289,16 +295,15 @@ def tail_bound(lam: float, k: int, r: int) -> tuple[float, float | None]:
 def asymptotic_bound(n: int, p: AsymptoticParams, lam: float, sigma_L_sq: float,
                      sigma_R_sq: float, sigma_b_sq: float) -> float:
     """Upper bound, O(1) in n, on optimize_repetitions' least error at
-    (r, k) = p.ranks(n) on the spectrum lam/i, i <= r: the four parts at
-    t_L = t_R = floor(n/(2k)), with the tail and trace bounds of tail_bound
-    and harmonic_trace for their exact sums. At that t_L the greedy t_R is
-    no smaller, and the error does not increase with t_R. A rank that does
-    not fit the n x n budget at t_L = t_R = 1 is an InfeasibleBudgetError."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    (r, k) = p.ranks(n), which refuses n < 1 and an n past float64, on the
+    spectrum lam/i, i <= r: the four parts at t_L = t_R = floor(n/(2k)), with
+    the tail and trace bounds of tail_bound and harmonic_trace for their exact
+    sums. At that t_L the greedy t_R is no smaller, and the error does not
+    increase with t_R. A rank that does not fit the n x n budget at
+    t_L = t_R = 1 is an InfeasibleBudgetError."""
+    r, k = p.ranks(n)
     _check_lam(lam)
     _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
-    r, k = p.ranks(n)
     _check_fits(n, n, k)
     t = n // (2 * k)
     unit = _breakdown(_tail_bound(lam, k, r), _trace_bound(lam, k), n, n, k, t, t,
@@ -309,8 +314,7 @@ def asymptotic_bound(n: int, p: AsymptoticParams, lam: float, sigma_L_sq: float,
 def optimal_beta(alpha: float) -> tuple[float, float]:
     """Best truncation exponent beta* = min(1, 1/(2 alpha)) and the
     resulting error growth exponent: 2 - alpha below alpha = 1/2, else 3/2."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    _check_knob("alpha", alpha)
     beta_star = min(1.0, 1.0 / (2.0 * alpha))
     exponent = 2.0 - alpha if alpha < 0.5 else 1.5
     return beta_star, exponent

@@ -7,7 +7,8 @@ Subcommands:
   validate  report dims, spectrum, rank and the magnitude budget check
   mc        single-config Monte Carlo vs analytic comparison
 
-Exit codes: 0 success, 1 validation failure, 2 usage or config error.
+Exit codes: 0 success, 1 validation failure, 2 usage or config error,
+a rank the config asks for that the budget cannot hold among them.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import dataclasses
 import sys
 from typing import Iterable
 
-from .analysis import lambda_max
+from .analysis import InfeasibleBudgetError, lambda_max
 from .core import DeviceParams, magnitude_check
 from .experiments import (
     ConfigError,
@@ -177,7 +178,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MatrixFormatError as exc:

@@ -438,19 +438,20 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     saturates the magnitude budget; analysis.asymptotic_bound lies above
     each row's total. Emits per-n rows plus fitted log-log slopes.
 
-    Before any row is computed, each row asks analysis.t_L_max for its
-    scan and analysis.lambda_max for its lam, so a budget n*n, a rank k or
-    a scan that the optimizer refuses, or a lambda_max that is not finite
-    and positive, is a ConfigError naming the row; so is a row whose rank
-    r exceeds MAX_SCALING_RANK, the one cap of its own. ExperimentConfig
-    has already checked the grid and the growth law."""
+    Before any row is computed, each row asks AsymptoticParams.ranks for
+    (r, k), analysis.t_L_max for its scan and analysis.lambda_max for its
+    lam, so an n, budget, rank or scan that they refuse, or a lambda_max
+    that is not finite and positive, is a ConfigError naming the row; so is
+    a row whose r exceeds MAX_SCALING_RANK, the one cap of its own.
+    ExperimentConfig has already checked the grid and the growth law."""
     _require_baseline_noise(config)
     growth = config.growth()
     dev = config.device()
     noise = config.noise()
     sizes = []
     for n in config.n_grid:
-        r, k = growth.ranks(n)
+        with _naming(f"scaling row n={n}", ConfigError):
+            r, k = growth.ranks(n)
         with _naming(f"scaling row n={n}, k={k}", ConfigError):
             t_L_max(n, n, k)
             lam = lambda_max(n, n, dev)

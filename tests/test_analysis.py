@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import timeit
 
 import numpy as np
@@ -275,6 +276,14 @@ class TestOptimizeRank:
     def test_no_feasible_rank(self):
         with pytest.raises(InfeasibleBudgetError):
             optimize_rank([1.0], 1, 1, NoiseSpec(), 1.0, 1)
+
+    def test_no_feasible_rank_is_refused_as_rank_1(self):
+        # the budget grows with k, so the refusal is the fit rule's own at k = 1
+        with pytest.raises(InfeasibleBudgetError) as refusal:
+            analysis.t_L_max(1, 5, 1)
+        with pytest.raises(InfeasibleBudgetError) as got:
+            optimize_rank([1.0], 1, 5, NoiseSpec(), 1.0, 1)
+        assert str(got.value) == str(refusal.value)
 
     def test_rejects_bad_k_max(self):
         with pytest.raises(ValueError):
@@ -643,6 +652,25 @@ class TestAsymptoticBound:
         seconds = min(timeit.repeat(lambda: asymptotic_bound(2 ** 26, p, 10.0, 0.05, 0.05, 3.0),
                                     number=1, repeat=5))
         assert seconds < 1e-3
+
+    @pytest.mark.parametrize("n,message", [(0, "n must be positive, got 0"),
+                                           (-3, "n must be positive, got -3"),
+                                           (10 ** 400, "n is too large for float64")])
+    def test_ranks_refuses_n_outside_its_domain(self, n, message):
+        # ranks owns n's domain, and asymptotic_bound asks it
+        with pytest.raises(ValueError, match=message):
+            self._params().ranks(n)
+        with pytest.raises(ValueError, match=message):
+            asymptotic_bound(n, self._params(), 10.0, 0.05, 0.05, 3.0)
+
+    def test_ranks_holds_up_to_the_largest_float(self):
+        # every n that float64 holds keeps the bits of n ** alpha
+        top = int(sys.float_info.max)
+        p = AsymptoticParams(alpha=0.5, beta=0.5, c1=1.0, c2=1.0)
+        r = math.floor(top ** 0.5)
+        assert p.ranks(top) == (r, math.floor(r ** 0.5))
+        with pytest.raises(ValueError, match="n is too large for float64"):
+            p.ranks(top + 1)
 
     def test_param_validation(self):
         for bad in [dict(alpha=0.0), dict(beta=1.5), dict(c1=0.0), dict(c2=math.nan)]:

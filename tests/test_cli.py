@@ -425,6 +425,16 @@ class TestUsageErrors:
         rows = capsys.readouterr().out.splitlines()[3:7]
         assert rows[-1].startswith("3037000499,55108,55108,27554,27555,")
 
+    def test_scaling_size_past_float64_is_a_config_error(self, tmp_path, capsys):
+        # n^alpha of a 401-digit n is past float64: one line naming n once
+        p = tmp_path / "grid.cfg"
+        p.write_text(f"n_grid={_HUGE_GRID}\n")
+        assert main(["scaling", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: scaling row n={10 ** 400}: n is too large for float64"]
+
     def test_oversized_dims_still_run_scaling(self, tmp_path, capsys, monkeypatch):
         # scaling forms no matrix, so the cap does not apply to it
         monkeypatch.setattr(experiments, "harmonic_matrix", None)
@@ -609,10 +619,22 @@ class TestMcCommand:
         # two-step row exists and the run stops before any trial
         p = tmp_path / "thin.cfg"
         p.write_text(f"{shape}\nr=1\nlambda=1\nk_range={k_range}\ntrials=50\n")
-        assert main(["mc", "--config", str(p)]) == 1
+        assert main(["mc", "--config", str(p)]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("error:") == 1 and "budget" in err
+
+    def test_an_explicit_rank_that_does_not_fit_is_a_config_error(self, tmp_path, capsys):
+        # rank 5 at 8x8 needs mk + nk = 80 > 64 devices: refused with the
+        # fit rule's message, exit 2 as in scaling, before any trial
+        p = tmp_path / "wide.cfg"
+        p.write_text("m=8\nn=8\nr=6\nlambda=3\nk_range=5\ntrials=50\n")
+        assert main(["mc", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        with pytest.raises(InfeasibleBudgetError) as refusal:
+            t_L_max(8, 8, 5)
+        assert captured.err.splitlines() == [f"error: rank 5: {refusal.value}"]
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     @pytest.mark.parametrize("seed", range(1, 9))
@@ -754,6 +776,7 @@ class TestPinnedTables:
 _NOISE = (["0", "0.05", "1"], ["1e-300", "1e300", "-1", "nan", "inf", "x"])
 _ODD_SCALE = ["1e-200", "1e200"]
 _DEVICE = (["0.5", "1", "2"], ["0", "1e-300", "1e300", "-1", "nan", "inf"])
+_HUGE_GRID = " ".join(str(10 ** e) for e in range(400, 404))
 _SIZE = (["1", "2", "3", "5", "8"], ["0", "-1", "2.5", "9000", "200000", "1000000000000"])
 CONFIG_VALUES = {
     "m": _SIZE, "n": _SIZE,
@@ -772,7 +795,8 @@ CONFIG_VALUES = {
     "beta": (["optimal", "0.5", "1"], ["0", "2", "nan"]),
     "c1": (["0.5", "1"], ["0", "2", "nan"]), "c2": (["0.5", "1"], ["0", "2", "nan"]),
     "n_grid": (["16 32 64 128", "2 4 8 16"],
-               ["16 32 64", "16 32 48 128", "0 1 2 3", "128 64 32 16", "16,32,64,128"]),
+               ["16 32 64", "16 32 48 128", "0 1 2 3", "128 64 32 16", "16,32,64,128",
+                _HUGE_GRID]),
 }
 # trials is always set and at most 50, so no example runs the default
 # 10,000 trials
@@ -801,6 +825,8 @@ class TestExitCodesProperty:
         "sigma_R_sq": "1e10", "trials": "0"})
     @example(command="mc", lanes="1", config={
         "m": "12", "n": "12", "r": "3", "lambda": "1e170", "trials": "50"})
+    # sizes past float64 (an OverflowError traceback once)
+    @example(command="scaling", lanes="1", config={"n_grid": _HUGE_GRID, "trials": "0"})
     @settings(max_examples=150)
     @given(command=st.sampled_from(["sweep", "scaling", "gen", "validate", "mc"]),
            config=_configs, lanes=st.sampled_from(["1", "2"]))
@@ -832,6 +858,8 @@ class TestExitCodesProperty:
         assert "Traceback" not in err.getvalue()
         assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), lines
         assert lines or code != 2
+        # a rank that does not fit is a config error in every command
+        assert code == 2 or not any("does not fit the budget" in line for line in lines)
         if code == 0 and command in ("sweep", "scaling", "mc"):
             tokens = re.split(r"[\s,:=\[\]{}]+", (work / "out").read_text() + out.getvalue())
             assert not {"inf", "-inf", "nan", "Infinity", "-Infinity", "NaN"} & set(tokens)

@@ -27,6 +27,8 @@ def naive_vmm(b, A):
 
 
 class TestVmmExact:
+    """baseline_noisy_vmm at zero noise (ideal_vmm) is the exact product b A."""
+
     def test_unit_vector_selects_row(self):
         assert np.array_equal(ideal_vmm([1, 0], [[3, 4], [5, 6]]), [3, 4])
 

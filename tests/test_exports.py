@@ -67,6 +67,19 @@ def test_one_way_to_build_a_stream():
     assert sorted(set(importers)) == ["__init__.py", "experiments.py"]
 
 
+def test_each_rule_is_stated_once():
+    # the growth law's (0, 1] range and the fit rule each have one owner in
+    # analysis; every other refusal of them is that owner's message
+    package = pathlib.Path(crossbar_lowrank.__file__).parent
+    texts = {path.name: path.read_text() for path in sorted(package.glob("*.py"))}
+    assert sum(text.count("must lie in (0, 1]") for text in texts.values()) == 1
+    assert [name for name, text in texts.items()
+            for _ in range(text.count("does not fit the budget"))] == ["analysis.py"]
+    fits = inspect.getsource(crossbar_lowrank.analysis._check_fits)
+    assert "does not fit the budget" in fits
+    assert not any("no rank fits" in text.lower() for text in texts.values())
+
+
 def test_readme_module_names_resolve():
     # every `module.NAME` the README cites is an attribute of that module
     package = pathlib.Path(crossbar_lowrank.__file__).parent
