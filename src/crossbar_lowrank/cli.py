@@ -126,7 +126,8 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    _emit(matrix_lines(target(_load(args))), args.out)
+    A, _ = target(_load(args))
+    _emit(matrix_lines(A), args.out)
     return 0
 
 

@@ -14,6 +14,8 @@ is the one place the target matrix is built, and it refuses a config
 whose larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
 `matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
+The target comes with its SVD, the factors it is built from, so no
+command decomposes a matrix it has built; the MC checks that SVD.
 
 Every stream is `rng.child_stream(master_seed, *key)`, built here and
 handed as a Generator to the function that draws from it: the target's,
@@ -46,8 +48,8 @@ from .analysis import (
     t_L_max,
 )
 from .core import DeviceParams
-from .lowrank import svd
-from .matrixgen import harmonic_matrix, harmonic_spectrum
+from .lowrank import SvdResult, factors_svd
+from .matrixgen import harmonic_spectrum, prescribed_factors
 from .montecarlo import compare, run_baseline_trials, run_two_step_trials
 from .rng import child_stream
 from .schemes import NoiseSpec, budget_feasible
@@ -305,16 +307,19 @@ def _check_target_size(config: ExperimentConfig) -> None:
             f"refused, a cap that bounds the target's cells and the optimizer's t_L scan")
 
 
-def target(config: ExperimentConfig) -> np.ndarray:
-    """The config's harmonic target matrix, drawn from its own stream,
-    child_stream(master_seed, STREAM_MATRIX): an m x r Gaussian block for
-    U, then an n x r one for V. Its singular values are
-    harmonic_spectrum(resolved lambda, r) up to round-off. A config whose
-    larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
+def target(config: ExperimentConfig) -> tuple[np.ndarray, SvdResult]:
+    """The config's harmonic target matrix A and its SVD, drawn from its own
+    stream, child_stream(master_seed, STREAM_MATRIX): an m x r Gaussian
+    block for U, then an n x r one for V. A = U diag(sigma) V' for
+    sigma = harmonic_spectrum(resolved lambda, r), and the SVD is those
+    factors (lowrank.factors_svd), so nothing is decomposed. A config
+    whose larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
     """
     _check_target_size(config)
-    return harmonic_matrix(config.m, config.n, config.r, config.resolved_lambda(),
-                           child_stream(config.master_seed, STREAM_MATRIX))
+    U, sigma, V = prescribed_factors(config.m, config.n,
+                                     harmonic_spectrum(config.resolved_lambda(), config.r),
+                                     child_stream(config.master_seed, STREAM_MATRIX))
+    return (U * sigma) @ V.T, factors_svd(U, sigma, V)
 
 
 def _require_baseline_noise(config: ExperimentConfig) -> None:
@@ -370,7 +375,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     lambda, r), so they do not depend on the seed. When trials > 0, one
     harmonic target matrix is generated for the whole sweep and each k
     gets the Monte Carlo estimate run_mc gives that k, from the same stream;
-    the target and its SVD are computed only then. Infeasible k values are
+    the target, with its SVD, is built only then. Infeasible k values are
     emitted flagged instead of aborting; analysis.least picks argmin_k, as
     it picks optimize_rank's k. `lanes` has no effect (see _check_lanes).
     The target's size cap holds at every trial count.
@@ -380,8 +385,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     _check_target_size(config)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     if config.trials > 0:
-        A = target(config)
-        s = svd(A)
+        A, s = target(config)
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
@@ -503,9 +507,10 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
 
     The analytic values, and the optimizer's choices, come from the
     prescribed spectrum harmonic_spectrum(resolved lambda, r), as in
-    run_sweep; the MC runs on the generated target, whose SVD gives only
-    the factors. Every verdict therefore also checks that the target has
-    the spectrum the formulas assume. The ranks and repetitions are chosen
+    run_sweep; the MC runs on the generated target, whose generator's
+    factors give its SVD, and the MC checks that they are orthonormal and
+    factor A. Every verdict therefore also checks that the target has the
+    spectrum the formulas assume. The ranks and repetitions are chosen
     before any MC runs, so a choice that fails costs no trials; an error
     in a row's trials or in its verdict names the row."""
     _check_lanes(lanes)
@@ -525,8 +530,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
             with _naming(f"rank {k}"):
                 choices.append((k, *optimize_repetitions(singulars, config.m, config.n,
                                                          k, noise, config.sigma_b_sq)))
-    A = target(config)
-    s = svd(A)
+    A, s = target(config)
 
     def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
         z, ok = compare(res, analytic)

@@ -5,6 +5,10 @@ one large array: L = U_k sqrt(S_k) is m x k, R = sqrt(S_k) V_k' is k x n.
 Splitting the singular values symmetrically gives both factors the same
 Frobenius mass, ||L||_F^2 = ||R||_F^2 = trace(S_k), which is what the
 stage-noise error terms depend on.
+
+`svd` decomposes a general matrix, as the paper's scheme does first;
+`factors_svd` wraps the factors of a matrix built from them, such as the
+generated target, and decomposes nothing.
 """
 from __future__ import annotations
 
@@ -20,11 +24,13 @@ RANK_TOL_REL = 1e-10
 
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD A = U diag(singulars) V' with a deterministic sign convention.
+    """Thin SVD A = U diag(singulars) V' with a deterministic sign
+    convention: the largest-magnitude entry of each U column is positive.
 
-    U is m x p and V is n x p with orthonormal columns, p = min(m, n);
-    singulars is nonincreasing and nonnegative. rank counts singular
-    values above RANK_TOL_REL * singulars[0].
+    U is m x p and V is n x p with orthonormal columns, p >= rank: svd
+    gives p = min(m, n), factors_svd the factors' own count. singulars is
+    nonincreasing and nonnegative. rank counts singular values above
+    RANK_TOL_REL * singulars[0].
     """
 
     U: np.ndarray
@@ -65,18 +71,30 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(as_matrix(A), full_matrices=False, compute_uv=False)
 
 
+def _signed(U: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U and V with each column pair negated where needed so that the
+    largest-magnitude entry of each U column is positive: a joint flip,
+    which leaves U diag(s) V' unchanged, and is exact."""
+    lead = np.argmax(np.abs(U), axis=0)
+    signs = np.where(U[lead, np.arange(U.shape[1])] < 0, -1.0, 1.0)
+    return U * signs, V * signs
+
+
 def svd(A) -> SvdResult:
+    """The thin SVD of a general matrix, by LAPACK: O(m n min(m, n))."""
     A = as_matrix(A)
     U, s, Vt = np.linalg.svd(A, full_matrices=False, compute_uv=True)
-    V = Vt.T
-    # sign convention: largest-magnitude entry of each U column is positive,
-    # with V flipped jointly so the product is unchanged
-    p = s.shape[0]
-    lead = np.argmax(np.abs(U), axis=0)
-    signs = np.where(U[lead, np.arange(p)] < 0, -1.0, 1.0)
-    U = U * signs
-    V = V * signs
+    U, V = _signed(U, Vt.T)
     return SvdResult(U=U, singulars=s, V=V, rank=numerical_rank(s))
+
+
+def factors_svd(U: np.ndarray, singulars: np.ndarray, V: np.ndarray) -> SvdResult:
+    """The SVD of U diag(singulars) V' for known orthonormal U and V and
+    nonincreasing singulars, as a matrix generator draws them: no
+    decomposition is computed. The signs follow svd's rule, so the factors
+    equal svd's of that matrix to round-off."""
+    U, V = _signed(U, V)
+    return SvdResult(U=U, singulars=singulars, V=V, rank=numerical_rank(singulars))
 
 
 def truncate(s: SvdResult, k: int) -> np.ndarray:

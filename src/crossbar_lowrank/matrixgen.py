@@ -2,8 +2,9 @@
 
 A spectrum is a plain 1-D array of singular values, valid when
 `check_spectrum` passes it. `harmonic_spectrum` is the one statement of
-the harmonic profile lam/i, i <= r, and `prescribed_matrix` builds a
-matrix with any valid, nonempty and positive spectrum.
+the harmonic profile lam/i, i <= r. `prescribed_factors` draws the
+orthonormal factors of a matrix with any valid, nonempty and positive
+spectrum, and `prescribed_matrix` multiplies them out.
 
 Stream contract: a rank-r m x n matrix draws an m x r Gaussian block,
 then an n x r one, from its stream, and orthogonalizes each: (m + n) r
@@ -60,15 +61,16 @@ def random_orthogonal(dim: int, rng: np.random.Generator,
     return Q * signs
 
 
-def prescribed_matrix(m: int, n: int, singulars,
-                      rng: np.random.Generator) -> np.ndarray:
-    """m x n matrix with exactly the given singular values.
+def prescribed_factors(m: int, n: int, singulars,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, sigma, V): m x r and n x r orthonormal columns of independent
+    random orthogonal factors, and the given singular values as an array,
+    so that U diag(sigma) V' has exactly those singular values up to
+    orthogonalization round-off. U's m x r block is drawn before V's n x r
+    block.
 
     The values must pass check_spectrum and be nonempty, positive and at
-    most min(m, n) long; they are checked before anything is drawn. Built
-    as U_r diag(s) V_r' from r orthonormal columns of independent random
-    orthogonal factors, so the spectrum is exact up to orthogonalization
-    round-off. U's m x r block is drawn before V's n x r block.
+    most min(m, n) long; they are checked before anything is drawn.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
@@ -80,6 +82,13 @@ def prescribed_matrix(m: int, n: int, singulars,
         raise ValueError(f"rank {r} exceeds min(m, n) = {min(m, n)}")
     U = random_orthogonal(m, rng, r)
     V = random_orthogonal(n, rng, r)
+    return U, sigma, V
+
+
+def prescribed_matrix(m: int, n: int, singulars,
+                      rng: np.random.Generator) -> np.ndarray:
+    """m x n matrix U diag(s) V' of prescribed_factors(m, n, singulars, rng)."""
+    U, sigma, V = prescribed_factors(m, n, singulars, rng)
     return (U * sigma) @ V.T
 
 

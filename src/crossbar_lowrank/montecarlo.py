@@ -36,7 +36,8 @@ Each trial's squared error is then drawn from its exact law:
   (no chi^2 term when n = 1). A trial draws rank + k + 3 numbers. The
   trials still multiply by the actual L, R and A, projected on both
   sides, so a verdict checks the factorization and the target's spectrum
-  too; an SVD that A does not satisfy on either side is refused first.
+  too; an SVD whose vectors are not orthonormal, or that A does not
+  satisfy on either side, is refused first.
 
 A noiseless two-step stage takes the exact path and draws nothing; a
 noiseless stage 1 needs no ||b|| and draws no chi^2_{m-rank}.
@@ -83,8 +84,8 @@ class TrialBatchResult:
 def _frobenius(X: np.ndarray) -> float:
     """||X||_F, summed on X / max|x| and scaled back by max|x|, so it is
     finite wherever its value is (a plain sum of x^2 overflows past
-    |x| ~ 1e154)."""
-    top = float(np.max(np.abs(X))) or 1.0
+    |x| ~ 1e154); 0 for an empty X."""
+    top = float(np.max(np.abs(X), initial=0.0)) or 1.0
     return top * math.sqrt(float(np.sum(np.square(X / top))))
 
 
@@ -137,14 +138,15 @@ def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
     """Mean and standard error of nonnegative errors, summed on errors / 2^e
     (e the exponent of the largest) and scaled back: bit-identical to plain
     sums where those stay in float64, and finite for finite errors. An inf
-    or NaN trial is a ValueError."""
+    or NaN trial is a ValueError, refused before the sum."""
+    if not np.isfinite(errors).all():
+        mean = math.nan if np.isnan(errors).any() else math.inf
+        raise ValueError(f"the trials' mean squared error is {mean}: a trial's error "
+                         f"is not finite in float64")
     trials = errors.shape[0]
     e = math.frexp(float(errors.max()))[1]
     x = np.ldexp(errors, -e)
     mean = math.fsum(x.tolist()) / trials
-    if not math.isfinite(mean):
-        raise ValueError(f"the trials' mean squared error is {mean}: a trial's error "
-                         f"is not finite in float64")
     var = math.fsum(((x - mean) ** 2).tolist()) / (trials - 1)
     return TrialBatchResult(trials=trials, mean_sq_error=math.ldexp(mean, e),
                             std_error=math.ldexp(math.sqrt(var / trials), e),
@@ -184,17 +186,26 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
 
 def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
     """Q'A V for Q = s.U[:, :s.rank] and V = s.V[:, :s.rank], after
-    checking that s has A's shape and is A's SVD on both sides: A lies in
-    span(Q), and Q'A = diag(s.singulars[:s.rank]) V', so its rows lie in
-    span(V). Each residual, ||A - Q Q'A||_F and ||Q'A - diag(s) V'||_F, may
-    exceed sqrt(min(m, n)) * RANK_TOL_REL * s_1, the most that the singular
-    values below the rank tolerance can add up to, by SPAN_SLACK times at
-    most."""
+    checking that s has A's shape and is A's SVD on both sides: Q and V
+    are orthonormal, A lies in span(Q), and Q'A = diag(s.singulars[:s.rank])
+    V', so its rows lie in span(V). ||Q'Q - I||_F and ||V'V - I||_F may be
+    at most SPAN_SLACK * sqrt(min(m, n)) * RANK_TOL_REL; each residual,
+    ||A - Q Q'A||_F and ||Q'A - diag(s) V'||_F, may exceed sqrt(min(m, n))
+    * RANK_TOL_REL * s_1, the most that the singular values below the rank
+    tolerance can add up to, by SPAN_SLACK times at most. The residuals
+    alone would pass a V with a column off unit length, and A built on it."""
     if s.shape != A.shape:
         raise ValueError(f"SVD shape {s.shape} does not match matrix shape {A.shape}")
     Q, V = s.U[:, :s.rank], s.V[:, :s.rank]
+    tol = SPAN_SLACK * math.sqrt(min(A.shape)) * RANK_TOL_REL
+    eye = np.eye(s.rank)
+    for side, X in (("left", Q), ("right", V)):
+        norm = _frobenius(X.T @ X - eye)
+        if not norm <= tol:
+            raise ValueError(f"the SVD's {s.rank} {side} singular vectors are off "
+                             f"orthonormal by {norm:.3g} > {tol:.3g}: not an SVD")
     QA = Q.T @ A
-    tol = SPAN_SLACK * math.sqrt(min(A.shape)) * RANK_TOL_REL * float(s.singulars[0])
+    tol *= float(s.singulars[0])
     off_right = QA - s.singulars[:s.rank, None] * V.T
     for what, resid in (("lies outside the span of", A - Q @ QA),
                         ("has coordinates off diag(s) V' in", off_right)):
@@ -213,8 +224,10 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
     error is against the exact product with the full matrix, so truncation
     cost is included.
 
-    s must be svd(A): a shape that differs, or an A that s does not
-    factor on either side (see _span_coords), is a ValueError. (k, t_L,
+    s must be A's SVD, from svd(A) or from the factors A is built from
+    (lowrank.factors_svd): a shape that differs, vectors that are not
+    orthonormal, or an A that s does not factor on either side (see
+    _span_coords), is a ValueError. (k, t_L,
     t_R) must be positive and fit the device budget, which also rules out
     k > min(m, n), and k may not exceed s.rank.
     """

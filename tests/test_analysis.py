@@ -147,7 +147,7 @@ class TestOptimizeRepetitions:
         # pick (13, 12) at seeds 0, 1, 7, 8, 18, 23, 31 and 38
         for seed in (0, 1, 2, 7, 8, 18, 23, 31, 38):
             cfg = ExperimentConfig(master_seed=seed)
-            A = target(cfg)
+            A, _ = target(cfg)
             t_L, t_R, _ = optimize_repetitions(svd(A).singulars, cfg.m, cfg.n, 4,
                                                cfg.noise(), cfg.sigma_b_sq)
             assert (t_L, t_R) == (12, 13), seed

@@ -58,7 +58,8 @@ class TestGenValidate:
         assert main(["gen", "--config", small_config]) == 0
         stdout = capsys.readouterr().out
         assert main(["gen", "--config", small_config, "--out", str(mat)]) == 0
-        text = dumps_matrix(experiments.target(experiments.load_config(small_config)))
+        A, _ = experiments.target(experiments.load_config(small_config))
+        text = dumps_matrix(A)
         assert stdout == mat.read_bytes().decode() == text
 
     def test_gen_seed_changes_matrix(self, small_config, capsys):
@@ -315,7 +316,7 @@ class TestUsageErrors:
         # never built even where the check is missing
         def never(*args, **kwargs):
             raise AssertionError("target matrix built")
-        monkeypatch.setattr(experiments, "harmonic_matrix", never)
+        monkeypatch.setattr(experiments, "prescribed_factors", never)
         p = tmp_path / "huge.cfg"
         p.write_text("m=200000\nn=4\nr=2\ntrials=2\n")
         assert main([command, "--config", str(p)]) == 2
@@ -437,7 +438,7 @@ class TestUsageErrors:
 
     def test_oversized_dims_still_run_scaling(self, tmp_path, capsys, monkeypatch):
         # scaling forms no matrix, so the cap does not apply to it
-        monkeypatch.setattr(experiments, "harmonic_matrix", None)
+        monkeypatch.setattr(experiments, "prescribed_factors", None)
         p = tmp_path / "huge.cfg"
         p.write_text("m=200000\nn=4\nr=2\nn_grid=16 32 64 128\n")
         assert main(["scaling", "--config", str(p)]) == 0
@@ -659,6 +660,17 @@ class TestMcCommand:
             "error: two_step k=3: the trials' mean squared error is inf: "
             "a trial's error is not finite in float64"]
 
+    def test_an_inf_trial_among_huge_ones_is_one_error_line(self, tmp_path, capsys):
+        # at lambda=3e169 some trials overflow and others come near float64's
+        # top: refused before their sum, not an OverflowError traceback
+        p = tmp_path / "hot.cfg"
+        p.write_text("m=12\nn=12\nr=3\nlambda=3e169\ntrials=200\n")
+        assert main(["mc", "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: two_step k=3: ")
+
 
 PINNED_NUMPY = "2.4.6"
 
@@ -713,19 +725,19 @@ NO_FEASIBLE_CONFIG = "m=2\nn=2\nr=2\nlambda=1\nk_range=2\ntrials=0\n"
 # regeneration and which columns moved
 PINNED_TABLES = {
     ("sweep", DET_CONFIG, "csv"):
-        ("77d0554e8105b12c670ccd3cedf2499ad2c94bec53a92f2f65093520bf0ababd",
+        ("668b1e6b72e1fb39bd9174dad34a7e72eeae798e959ceacbab87ad000ea56a18",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("sweep", DET_CONFIG, "json"):
-        ("3bef2034a7e6bc834ce404e865d9b88d1771087f959f62bfe06375d35704b15c",
+        ("b5b08846bbede2101b82c3456fd10179ba1680a8412a49a1133e9df53877779f",
          "argmin k=2 t_L=3 t_R=3 normalized=0.4\n"),
     ("scaling", GRID_CONFIG, "csv"):
         ("d5bdfa01936624f10e326f77a5ac3dae1ebcbbb12df01a42f720ebcb790bfebf", ""),
     ("scaling", GRID_CONFIG, "json"):
         ("285142f786d2c6067da79c7e1a0566d562ae7016e3b8d726d2f5ef67192aa4ec", ""),
     ("mc", DET_CONFIG, "csv"):
-        ("dcf623dd39c19bebd283b0d9b361c7b477af293e21a968f5dc0c1c95bf371100", ""),
+        ("8be434496ccdaacef509f1641fcbd59f916718048a9a599123ae49aa1402a53d", ""),
     ("mc", DET_CONFIG, "json"):
-        ("0a5ce68f7fd124ac47bba499094fb96e3577d6e7b06ce76c206e5b0fceeb782c", ""),
+        ("5071bf87ae01a513adbac37bb3c67c6b626fc30bb910e99adc9735cd55d1ca3b", ""),
     ("sweep", INFEASIBLE_CONFIG, "csv"):
         ("e9b6c3b44e104049ef112dff32e617971fc242cd895f339fef181923cb6f3468",
          "argmin k=2 t_L=2 t_R=2 normalized=0.7467775651927437\n"),
@@ -840,7 +852,7 @@ class TestExitCodesProperty:
             write_matrix(np.diag([3.0, 1.0, 0.0]), str(work / "a.mat"))
         if command in ("sweep", "mc"):
             argv += ["--lanes", lanes]
-        real = experiments.harmonic_matrix
+        real = experiments.prescribed_factors
 
         def small_only(m, n, *rest):
             # sizes above the cap must never reach the generator; the
@@ -850,7 +862,7 @@ class TestExitCodesProperty:
 
         out, err = io.StringIO(), io.StringIO()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(experiments, "harmonic_matrix", small_only)
+            mp.setattr(experiments, "prescribed_factors", small_only)
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(argv)
         lines = err.getvalue().splitlines()

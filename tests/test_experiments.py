@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -218,15 +219,18 @@ class TestTargetCap:
     @pytest.fixture
     def built(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(experiments, "harmonic_matrix",
-                            lambda m, n, *rest: calls.append((m, n)) or "A")
+        monkeypatch.setattr(experiments, "prescribed_factors",
+                            lambda m, n, *rest: calls.append((m, n))
+                            or matrixgen.prescribed_factors(m, n, *rest))
         return calls
 
     def test_largest_allowed_side(self, built):
         side = math.isqrt(MAX_SQUARE_CELLS)
         assert side * side == MAX_SQUARE_CELLS
-        assert target(ExperimentConfig(m=1, n=side, r=1)) == "A"
-        assert target(ExperimentConfig(m=side, n=3, r=1)) == "A"
+        A, s = target(ExperimentConfig(m=1, n=side, r=1))
+        assert A.shape == s.shape == (1, side)
+        A, s = target(ExperimentConfig(m=side, n=3, r=1))
+        assert A.shape == s.shape == (side, 3)
         assert built == [(1, side), (side, 3)]
 
     @pytest.mark.parametrize("m,n", [(8193, 1), (1, 8193), (200000, 4)])
@@ -336,18 +340,22 @@ class TestRunSweep:
 
 
 class TestSweepSingularVectors:
-    """The analytic sweep builds no target and decomposes nothing."""
+    """No command decomposes its target: the analytic sweep builds none,
+    and an MC run takes the target's SVD from the factors it is built from."""
 
     # each name's message, and the module attributes a call could go through
     SITES = {
-        "svd": ("singular vectors computed", [(experiments, "svd"), (lowrank, "svd")]),
+        "svd": ("singular vectors computed",
+                [(experiments, "svd"), (lowrank, "svd"), (np.linalg, "svd")]),
         "singular_values": ("singular values computed",
                             [(experiments, "singular_values"),
                              (lowrank, "singular_values")]),
         "harmonic_matrix": ("target matrix built",
                             [(experiments, "harmonic_matrix"),
+                             (experiments, "prescribed_factors"),
                              (matrixgen, "harmonic_matrix"),
-                             (matrixgen, "prescribed_matrix")]),
+                             (matrixgen, "prescribed_matrix"),
+                             (matrixgen, "prescribed_factors")]),
     }
 
     @classmethod
@@ -365,10 +373,23 @@ class TestSweepSingularVectors:
         res = run_sweep(ExperimentConfig(**SMALL))
         assert all(row.feasible and row.mc_mean is None for row in res.rows)
 
-    def test_mc_sweep_computes_them(self, monkeypatch):
-        self._refuse(monkeypatch, "svd")
-        with pytest.raises(AssertionError, match="singular vectors"):
-            run_sweep(ExperimentConfig(**{**SMALL, "trials": 10}))
+    def test_mc_sweep_computes_none(self, monkeypatch):
+        self._refuse(monkeypatch, "svd", "singular_values")
+        res = run_sweep(ExperimentConfig(**{**SMALL, "trials": 10}))
+        assert all(row.mc_mean is not None for row in res.rows)
+
+    def test_mc_computes_none(self, monkeypatch):
+        self._refuse(monkeypatch, "svd", "singular_values")
+        res = run_mc(ExperimentConfig(**{**SMALL, "trials": 10, "k_range": (1, 2)}))
+        assert [row.k for row in res.rows] == [None, 1, 2]
+
+    def test_experiments_calls_no_svd(self):
+        # the source itself: no call of a name or attribute `svd` or
+        # `singular_values`
+        tree = ast.parse(Path(experiments.__file__).read_text())
+        calls = [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        names = {getattr(func, "id", getattr(func, "attr", None)) for func in calls}
+        assert not names & {"svd", "singular_values"}
 
     def test_mc_sweep_builds_the_target(self, monkeypatch):
         self._refuse(monkeypatch, "harmonic_matrix")
@@ -395,9 +416,23 @@ class TestPrescribedSpectrum:
     def test_target_has_the_spectrum(self, m, n, r, lam):
         cfg = ExperimentConfig(m=m, n=n, r=r, lam=lam, master_seed=7)
         expected = harmonic_spectrum(cfg.resolved_lambda(), r)
-        s = singular_values(target(cfg))
+        s = singular_values(target(cfg)[0])
         np.testing.assert_allclose(s[:r], expected, rtol=1e-13, atol=0)
         assert np.all(s[r:] < RANK_TOL_REL * s[0])
+
+    @pytest.mark.parametrize("m,n,r", [(100, 100, 16), (64, 48, 8), (12, 20, 12),
+                                       (8, 8, 8), (5, 1, 1)])
+    def test_target_svd_is_the_svd_of_the_target(self, m, n, r):
+        # the generator's factors, signed as svd signs them: the same columns
+        # that LAPACK recovers from A, to round-off
+        A, got = target(ExperimentConfig(m=m, n=n, r=r, master_seed=7))
+        want = lowrank.svd(A)
+        assert got.shape == want.shape and got.rank == want.rank == r
+        np.testing.assert_allclose(got.singulars, want.singulars[:r], rtol=1e-12, atol=0)
+        for mine, theirs in ((got.U, want.U[:, :r]), (got.V, want.V[:, :r])):
+            # unit columns, so an absolute bound is one relative to each column
+            assert (np.einsum("ij,ij->j", mine, theirs) > 0).all()
+            np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12)
 
     def test_sweep_and_mc_agree_bit_for_bit(self):
         cfg = dict(m=12, n=12, r=3, lam=3.0)
@@ -631,7 +666,7 @@ class TestRunMc:
         # baseline error gets a z (the two-step row of this config, below
         # its floor, is refused)
         cfg = ExperimentConfig(m=20, n=20, r=3, sigma_e_sq=1e-30, trials=2000)
-        res = run_baseline_trials(target(cfg), cfg.noise(), cfg.sigma_b_sq, cfg.trials,
+        res = run_baseline_trials(target(cfg)[0], cfg.noise(), cfg.sigma_b_sq, cfg.trials,
                                   child_stream(cfg.master_seed, experiments.STREAM_MC_BASELINE))
         z, ok = compare(res, baseline_error_analytic(20, 20, 1e-30, 3.0))
         assert res.roundoff == 0.0 and z != 0.0 and ok
@@ -655,8 +690,7 @@ class TestSweepAndMcShareEstimates:
         # mc's rows are the estimates on child_stream(seed, *key) of each
         # estimate's key, and no other stream
         cfg = ExperimentConfig(m=24, n=20, r=5, trials=500, dist=dist, k_range=(2, 4))
-        A = target(cfg)
-        s = lowrank.svd(A)
+        A, s = target(cfg)
         base, *two = run_mc(cfg).rows
         want = run_baseline_trials(A, cfg.noise(), cfg.sigma_b_sq, cfg.trials,
                                    child_stream(cfg.master_seed, experiments.STREAM_MC_BASELINE))

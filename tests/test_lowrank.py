@@ -3,12 +3,14 @@ import pytest
 
 from crossbar_lowrank.lowrank import (
     factor_lr,
+    factors_svd,
     numerical_rank,
     singular_values,
     svd,
     truncate,
     truncation_error_sq,
 )
+from crossbar_lowrank.matrixgen import prescribed_factors
 
 
 def random_matrix(rng, m, n):
@@ -61,6 +63,24 @@ class TestSvd:
         s = svd(np.random.default_rng(4).standard_normal((12, 12)))
         lead = np.argmax(np.abs(s.U), axis=0)
         assert np.all(s.U[lead, np.arange(s.U.shape[1])] > 0)
+
+
+class TestFactorsSvd:
+    def test_signs_follow_svd_and_flip_jointly(self):
+        U, s, V = prescribed_factors(12, 9, [3.0, 2.0, 1.0], np.random.default_rng(4))
+        flipped = U * [-1.0, 1.0, -1.0], V * [-1.0, 1.0, -1.0]
+        a, b = factors_svd(U, s, V), factors_svd(flipped[0], s, flipped[1])
+        assert np.array_equal(a.U, b.U) and np.array_equal(a.V, b.V)
+        lead = np.argmax(np.abs(a.U), axis=0)
+        assert np.all(a.U[lead, np.arange(3)] > 0)
+        # each column pair is U's and V's, negated together or kept
+        assert np.array_equal(np.abs(a.U), np.abs(U))
+        assert np.array_equal(np.sign(a.U * U)[0], np.sign(a.V * V)[0])
+        assert a.shape == (12, 9) and a.singulars is s and a.rank == 3
+
+    def test_rank_counts_values_above_the_tolerance(self):
+        U, s, V = prescribed_factors(6, 6, [2.0, 1e-11], np.random.default_rng(0))
+        assert factors_svd(U, s, V).rank == 1
 
 
 def _low_rank(rng, m, n, r):

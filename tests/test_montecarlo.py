@@ -8,8 +8,8 @@ from crossbar_lowrank import montecarlo, schemes
 from crossbar_lowrank.analysis import two_step_error_analytic
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
-from crossbar_lowrank.lowrank import LrFactors, factor_lr, svd, truncate
-from crossbar_lowrank.matrixgen import prescribed_matrix
+from crossbar_lowrank.lowrank import LrFactors, SvdResult, factor_lr, svd, truncate
+from crossbar_lowrank.matrixgen import prescribed_factors, prescribed_matrix
 from crossbar_lowrank.montecarlo import (
     TrialBatchResult,
     _reduce,
@@ -158,6 +158,42 @@ class TestTwoStepTrials:
             run_two_step_trials(dataclasses.replace(s, V=V), A, *scheme, trials=5,
                                 rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    @pytest.mark.parametrize("spoiled,message", [
+        ("U", "3 left singular vectors are off orthonormal"),
+        ("V", "3 right singular vectors are off orthonormal"),
+        ("singulars", "diag\\(s\\) V'.*not its SVD")])
+    def test_rejects_factors_that_are_not_an_svd(self, dist, spoiled, message):
+        # a column of U or of V off unit length by 1e-6, with A built on the
+        # spoiled factor, or singular values 0.1% off those A is built on;
+        # the spoiled V leaves both span residuals at 0, so only the
+        # orthonormality check refuses it
+        U, sigma, V = prescribed_factors(24, 20, [3.0, 1.5, 0.5], np.random.default_rng(9))
+        if spoiled == "U":
+            U[:, 1] *= 1 + 1e-6
+        elif spoiled == "V":
+            V[:, 1] *= 1 + 1e-6
+        A = (U * sigma) @ V.T
+        if spoiled == "singulars":
+            sigma = 1.001 * sigma
+        s = SvdResult(U=U, singulars=sigma, V=V, rank=3)
+        with pytest.raises(ValueError, match=message):
+            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(dist=dist), 1.0, trials=5,
+                                rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m,n,rank", [(30, 30, 30), (50, 20, 20), (20, 50, 7),
+                                          (64, 64, 5), (400, 300, 300), (8, 3, 1),
+                                          (2, 2, 1)])
+    def test_accepts_the_svd_of_random_and_rank_deficient_matrices(self, m, n, rank):
+        rng = np.random.default_rng(m * n + rank)
+        A = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        s = svd(A)
+        assert s.rank == rank
+        noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
+        res = run_two_step_trials(s, A, 1, 1, 1, noise, 1.0, trials=5,
+                                  rng=np.random.default_rng(0))
+        assert res.trials == 5
+
     def test_a_scaled_R_fails_the_verdict(self, monkeypatch):
         # R meets the trials only as R V: scaling it must show in the mean
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.08)
@@ -194,6 +230,14 @@ class TestTwoStepTrials:
         A, s, f, scheme = two_step_setup([2.0], 8, 8, 1, 1, 1, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="rank"):
             run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(), 1.0, trials=5,
+                                rng=np.random.default_rng(0))
+
+    def test_rejects_any_k_for_the_zero_matrix(self):
+        # rank 0: the SVD check passes on empty factors, and k = 1 is refused
+        # by the rank rule, not by a reduction over an empty array
+        A = np.zeros((4, 4))
+        with pytest.raises(ValueError, match=r"k must be in \[1, rank\]=\[1, 0\]"):
+            run_two_step_trials(svd(A), A, 1, 1, 1, NoiseSpec(), 1.0, trials=5,
                                 rng=np.random.default_rng(0))
 
     def test_rejects_mismatched_matrix(self):
@@ -282,6 +326,16 @@ def test_reduce_refuses_a_non_finite_mean_or_variance(errors):
     # an inf or NaN trial, first or not, and both: the largest error that
     # sets the scaling is inf or NaN
     with pytest.raises(ValueError, match="not finite"):
+        _reduce(np.array(errors), 0.0)
+
+
+@pytest.mark.parametrize("errors,mean", [([math.inf, 1e308, 1e308], "inf"),
+                                         ([1e308, math.nan, math.inf], "nan")])
+def test_reduce_refuses_a_non_finite_trial_before_the_sum(errors, mean):
+    # an inf trial leaves the scaling at 2^0, so a scaled sum of the finite
+    # trials would overflow in fsum (an OverflowError once)
+    with pytest.raises(ValueError, match=f"^the trials' mean squared error is {mean}: "
+                                         f"a trial's error is not finite in float64$"):
         _reduce(np.array(errors), 0.0)
 
 
@@ -787,7 +841,7 @@ PINNED_MC_GAUSSIAN = """\
 sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
 baseline,,,,300,9.375954397493366,0.4088520749446653,9.600000000000001,-0.5479869523395663,true
-two_step,2,2,2,300,9.52593523614142,0.4369342899340692,10.3275,-1.8345201608679698,true
+two_step,2,2,2,300,9.525935236141423,0.43693428993406924,10.3275,-1.8345201608679615,true
 # all_passed=true
 """
 
@@ -804,9 +858,9 @@ analytic_accumulated,mc_mean,mc_stderr,baseline_analytic,normalized
 1,6,6,true,11.58,9.75,0.9000000000000001,0.9000000000000001,\
 0.030000000000000013,11.820033592575346,0.643739574674355,21.6,0.5361111111111111
 2,3,3,true,8.64,3.0,2.7,2.7,\
-0.2400000000000001,8.812494955648619,0.34553339027726127,21.6,0.4
+0.2400000000000001,8.812494955648617,0.3455333902772612,21.6,0.4
 3,2,2,true,10.710000000000003,0.0,4.950000000000001,4.950000000000001,\
-0.8100000000000003,11.200240715621218,0.517082686391071,21.6,0.4958333333333334
+0.8100000000000003,11.200240715621215,0.5170826863910708,21.6,0.4958333333333334
 # argmin k=2 t_L=3 t_R=3 normalized=0.4
 """
 
@@ -816,7 +870,7 @@ PINNED_MC_UNIFORM = """\
 sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=300 seed=12345
 scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
 baseline,,,,300,9.312509628202976,0.32604537814365364,9.600000000000001,-0.8817495694429339,true
-two_step,2,2,2,300,10.199919469724179,0.4308834305093176,10.3275,-0.2960905925879242,true
+two_step,2,2,2,300,10.199919469724172,0.4308834305093176,10.3275,-0.2960905925879407,true
 # all_passed=true
 """
 
