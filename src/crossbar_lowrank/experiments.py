@@ -15,7 +15,8 @@ whose larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
 `matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
 The target comes with its SVD, the factors it is built from, so no
-command decomposes a matrix it has built; the MC checks that SVD.
+command decomposes a matrix it has built; the MC checks that SVD, once
+per command (montecarlo.check_target), however many ranks it estimates.
 
 Every stream is `rng.child_stream(master_seed, *key)`, built here and
 handed as a Generator to the function that draws from it: the target's,
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ from .analysis import (
 from .core import DeviceParams
 from .lowrank import SvdResult, factors_svd
 from .matrixgen import harmonic_spectrum, prescribed_factors
-from .montecarlo import compare, run_baseline_trials, run_two_step_trials
+from .montecarlo import CheckedTarget, check_target, compare, run_baseline_trials, run_two_step_on
 from .rng import child_stream
 from .schemes import NoiseSpec, budget_feasible
 
@@ -61,9 +63,11 @@ STREAM_MC_BASELINE = 2
 STREAM_MC_TWOSTEP = 3
 
 # cap on max(m, n)**2, so max(m, n) may be at most 8192: it bounds the
-# target's m*n float64 cells to 512 MiB, and keeps the optimizer's t_L
-# scan under 8192 candidates per k, far below analysis.MAX_SCAN, whether
-# or not a target is built
+# target's m*n float64 cells to 512 MiB, and a command's peak to about
+# twice that, since each pass over the target holds at most one m x n
+# temporary (validate's SVD adds LAPACK's own copy); it also keeps the
+# optimizer's t_L scan under 8192 candidates per k, far below
+# analysis.MAX_SCAN, whether or not a target is built
 MAX_SQUARE_CELLS = 2 ** 26
 # cap on one scaling row's rank r, whose spectrum is r floats (8 MiB at
 # the cap); the row's t_L scan is capped by analysis.t_L_max
@@ -360,11 +364,17 @@ def _check_lanes(lanes: int) -> None:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
 
 
-def _two_step_mc(config: ExperimentConfig, A: np.ndarray, s, k: int, t_L: int, t_R: int):
+def _checked_once(A: np.ndarray, s: SvdResult):
+    """check_target(s, A), run at the first call, inside whatever names
+    that call's errors, and returned as it is at every later one."""
+    return functools.cache(functools.partial(check_target, s, A))
+
+
+def _two_step_mc(config: ExperimentConfig, checked: CheckedTarget, k: int, t_L: int, t_R: int):
     """MC of the two-step scheme at rank k; sweep and mc share its stream."""
-    return run_two_step_trials(s, A, k, t_L, t_R, config.noise(),
-                               config.sigma_b_sq, config.trials,
-                               child_stream(config.master_seed, STREAM_MC_TWOSTEP, k))
+    return run_two_step_on(checked, k, t_L, t_R, config.noise(),
+                           config.sigma_b_sq, config.trials,
+                           child_stream(config.master_seed, STREAM_MC_TWOSTEP, k))
 
 
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
@@ -375,7 +385,8 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     lambda, r), so they do not depend on the seed. When trials > 0, one
     harmonic target matrix is generated for the whole sweep and each k
     gets the Monte Carlo estimate run_mc gives that k, from the same stream;
-    the target, with its SVD, is built only then. Infeasible k values are
+    the target, with its SVD, is built only then, and checked once, at the
+    first k's estimate. Infeasible k values are
     emitted flagged instead of aborting; analysis.least picks argmin_k, as
     it picks optimize_rank's k. `lanes` has no effect (see _check_lanes).
     The target's size cap holds at every trial count.
@@ -385,7 +396,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     _check_target_size(config)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     if config.trials > 0:
-        A, s = target(config)
+        checked = _checked_once(*target(config))
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
@@ -400,7 +411,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
                                                 k, noise, config.sigma_b_sq)
             mc_mean = mc_stderr = None
             if config.trials > 0:
-                res = _two_step_mc(config, A, s, k, t_L, t_R)
+                res = _two_step_mc(config, checked(), k, t_L, t_R)
                 mc_mean, mc_stderr = res.mean_sq_error, res.std_error
             rows.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
                                  mc_mean=mc_mean, mc_stderr=mc_stderr,
@@ -508,11 +519,12 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     The analytic values, and the optimizer's choices, come from the
     prescribed spectrum harmonic_spectrum(resolved lambda, r), as in
     run_sweep; the MC runs on the generated target, whose generator's
-    factors give its SVD, and the MC checks that they are orthonormal and
-    factor A. Every verdict therefore also checks that the target has the
-    spectrum the formulas assume. The ranks and repetitions are chosen
-    before any MC runs, so a choice that fails costs no trials; an error
-    in a row's trials or in its verdict names the row."""
+    factors give its SVD, and the MC checks once, at the first two-step
+    row, that they are orthonormal and factor A. Every verdict therefore
+    also checks that the target has the spectrum the formulas assume.
+    The ranks and repetitions are chosen before any MC runs, so a choice
+    that fails costs no trials; an error in a row's trials or in its
+    verdict names the row."""
     _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
@@ -531,6 +543,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
                 choices.append((k, *optimize_repetitions(singulars, config.m, config.n,
                                                          k, noise, config.sigma_b_sq)))
     A, s = target(config)
+    checked = _checked_once(A, s)
 
     def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
         z, ok = compare(res, analytic)
@@ -545,7 +558,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     for k, t_L, t_R, bd in choices:
         with _naming(f"two_step k={k}"):
             rows.append(row("two_step", k, t_L, t_R,
-                            _two_step_mc(config, A, s, k, t_L, t_R), bd.total))
+                            _two_step_mc(config, checked(), k, t_L, t_R), bd.total))
     return McResult(rows=rows, all_passed=all(r.passed for r in rows),
                     lam_resolved=config.resolved_lambda(), config=config)
 

@@ -37,7 +37,8 @@ Each trial's squared error is then drawn from its exact law:
   trials still multiply by the actual L, R and A, projected on both
   sides, so a verdict checks the factorization and the target's spectrum
   too; an SVD whose vectors are not orthonormal, or that A does not
-  satisfy on either side, is refused first.
+  satisfy on either side, is refused first (check_target, once per
+  target for any number of estimates on it).
 
 A noiseless two-step stage takes the exact path and draws nothing; a
 noiseless stage 1 needs no ||b|| and draws no chi^2_{m-rank}.
@@ -81,12 +82,23 @@ class TrialBatchResult:
     roundoff: float = 0.0
 
 
-def _frobenius(X: np.ndarray) -> float:
+def _frobenius(X: np.ndarray, overwrite: bool = False) -> float:
     """||X||_F, summed on X / max|x| and scaled back by max|x|, so it is
     finite wherever its value is (a plain sum of x^2 overflows past
-    |x| ~ 1e154); 0 for an empty X."""
-    top = float(np.max(np.abs(X), initial=0.0)) or 1.0
-    return top * math.sqrt(float(np.sum(np.square(X / top))))
+    |x| ~ 1e154); 0 for an empty X. max|x| is max(max x, -min x), read
+    without a copy; X / max|x| is one temporary of X's size, squared in
+    place, or X itself with overwrite=True, which leaves X scaled and
+    squared."""
+    top = max(float(np.max(X, initial=0.0)), -float(np.min(X, initial=0.0))) or 1.0
+    scaled = np.divide(X, top, out=X if overwrite else None)
+    return top * math.sqrt(float(np.sum(np.square(scaled, out=scaled))))
+
+
+def _floor(shape: tuple[int, int], frobenius: float, sigma_b_sq: float) -> float:
+    """roundoff_floor of an m x n matrix whose ||A||_F is `frobenius`."""
+    m, n = shape
+    root = (m + n) * math.ulp(1.0) * frobenius * math.sqrt(sigma_b_sq)
+    return root * root
 
 
 def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
@@ -94,11 +106,10 @@ def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
     trial's product for an m x n matrix A: ((m + n) eps)^2 E||bA||^2, with
     E||bA||^2 = sigma_b^2 ||A||_F^2. Each output entry is a sum of about
     m + n rounded terms of magnitude |bA|, so its relative error is of
-    order (m + n) eps. ||A||_F comes from _frobenius and is squared last,
-    so the floor is finite where its value is."""
-    m, n = A.shape
-    root = (m + n) * math.ulp(1.0) * _frobenius(A) * math.sqrt(sigma_b_sq)
-    return root * root
+    order (m + n) eps. ||A||_F comes from _frobenius, so the floor costs
+    one m x n temporary, and is squared last, so the floor is finite where
+    its value is."""
+    return _floor(A.shape, _frobenius(A), sigma_b_sq)
 
 
 def _run_blocks(rng: np.random.Generator, trials: int, width: int,
@@ -193,7 +204,9 @@ def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
     ||A - Q Q'A||_F and ||Q'A - diag(s) V'||_F, may exceed sqrt(min(m, n))
     * RANK_TOL_REL * s_1, the most that the singular values below the rank
     tolerance can add up to, by SPAN_SLACK times at most. The residuals
-    alone would pass a V with a column off unit length, and A built on it."""
+    alone would pass a V with a column off unit length, and A built on it.
+    Its one m x n temporary is Q Q'A, which becomes the residual A - Q Q'A
+    in place and is normed in place; the rest is rank wide."""
     if s.shape != A.shape:
         raise ValueError(f"SVD shape {s.shape} does not match matrix shape {A.shape}")
     Q, V = s.U[:, :s.rank], s.V[:, :s.rank]
@@ -206,14 +219,39 @@ def _span_coords(s: SvdResult, A: np.ndarray) -> np.ndarray:
                              f"orthonormal by {norm:.3g} > {tol:.3g}: not an SVD")
     QA = Q.T @ A
     tol *= float(s.singulars[0])
+    off_left = Q @ QA
+    np.subtract(A, off_left, out=off_left)
     off_right = QA - s.singulars[:s.rank, None] * V.T
-    for what, resid in (("lies outside the span of", A - Q @ QA),
+    for what, resid in (("lies outside the span of", off_left),
                         ("has coordinates off diag(s) V' in", off_right)):
-        norm = _frobenius(resid)
+        norm = _frobenius(resid, overwrite=True)
         if not norm <= tol:
             raise ValueError(f"the matrix {what} the SVD's {s.rank} left singular "
                              f"vectors by {norm:.3g} > {tol:.3g}: not its SVD")
     return QA @ V
+
+
+@dataclass(frozen=True)
+class CheckedTarget:
+    """A target matrix A and its SVD s, checked once by check_target for
+    any number of two-step estimates on them, with what each estimate
+    reuses: QAV = Q'A V (see _span_coords) and ||A||_F, the round-off
+    floor's norm. A must not change after the check."""
+
+    s: SvdResult
+    A: np.ndarray
+    QAV: np.ndarray
+    frobenius: float
+
+
+def check_target(s: SvdResult, A) -> CheckedTarget:
+    """A as a finite 2-D float64 array, checked against its SVD s: a shape
+    that differs, vectors that are not orthonormal, or an A that s does
+    not factor on either side (see _span_coords), is a ValueError. It
+    holds one m x n temporary at a time."""
+    A = as_matrix(A)
+    QAV = _span_coords(s, A)
+    return CheckedTarget(s=s, A=A, QAV=QAV, frobenius=_frobenius(A))
 
 
 def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: NoiseSpec,
@@ -225,15 +263,22 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
     cost is included.
 
     s must be A's SVD, from svd(A) or from the factors A is built from
-    (lowrank.factors_svd): a shape that differs, vectors that are not
-    orthonormal, or an A that s does not factor on either side (see
-    _span_coords), is a ValueError. (k, t_L,
+    (lowrank.factors_svd); check_target refuses it otherwise. (k, t_L,
     t_R) must be positive and fit the device budget, which also rules out
-    k > min(m, n), and k may not exceed s.rank.
+    k > min(m, n), and k may not exceed s.rank. The trials are
+    run_two_step_on's, on the checked target: estimates at several ranks
+    of one target check it once and call run_two_step_on for each.
     """
+    _check_run(sigma_b_sq, trials)  # refused before the target's check
+    return run_two_step_on(check_target(s, A), k, t_L, t_R, noise, sigma_b_sq, trials, rng)
+
+
+def run_two_step_on(target: CheckedTarget, k: int, t_L: int, t_R: int, noise: NoiseSpec,
+                    sigma_b_sq: float, trials: int,
+                    rng: np.random.Generator) -> TrialBatchResult:
+    """run_two_step_trials on a target that check_target has checked."""
     _check_run(sigma_b_sq, trials)
-    A = as_matrix(A)
-    QAV = _span_coords(s, A)
+    s, A, QAV = target.s, target.A, target.QAV
     m, n = A.shape
     if k < 1:
         raise ValueError(f"need a rank k >= 1, got k={k}")
@@ -273,7 +318,7 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
         return _row_sq(D)
 
     errors = _run_blocks(rng, trials, rank if gaussian else max(m, n), block)
-    return _reduce(errors, roundoff_floor(A, sigma_b_sq))
+    return _reduce(errors, _floor((m, n), target.frobenius, sigma_b_sq))
 
 
 def compare(result: TrialBatchResult, analytic: float) -> tuple[float, bool]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,29 @@ class TestMagnitudeCheck:
         # m*n*rho = 6e308 is inf in float64, while the total, 91, is finite
         with pytest.raises(ValueError, match="budget m\\*n\\*rho is inf in float64"):
             magnitude_check([[1, 2, 3], [4, 5, 6]], DeviceParams(rho=1e308))
+
+    def test_total_is_pinned_and_the_matrix_is_untouched(self):
+        # the conductances are squared in their own array, never in A's
+        # (conductance_map returns a new one even at r_T = 1), and the total
+        # is the float sum(g * g) gives
+        A = np.random.default_rng(28).standard_normal((9, 7))
+        before = A.copy()
+        assert (magnitude_check(A, DeviceParams(r_T=3.7, rho=2.0)).total
+                == float.fromhex("0x1.d94443eb24f45p+9"))
+        assert magnitude_check(A, DeviceParams()).total == float(np.sum(A * A))
+        assert np.array_equal(A, before)
+
+    def test_adds_one_array_of_the_matrix_size(self):
+        # A (8 MiB) is built before tracing starts; the check adds its
+        # conductances and nothing more of that order
+        A = np.random.default_rng(0).standard_normal((1024, 1024))
+        tracemalloc.start()
+        try:
+            magnitude_check(A, DeviceParams(r_T=3.7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * A.nbytes
 
     @given(st.floats(min_value=0.01, max_value=100.0))
     def test_scale_consistency(self, s):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from crossbar_lowrank.analysis import (
     lambda_max,
     optimal_beta,
 )
-from crossbar_lowrank import experiments, lowrank, matrixgen
+from crossbar_lowrank import experiments, lowrank, matrixgen, montecarlo
 from crossbar_lowrank.experiments import (
     MAX_SCALING_RANK,
     MAX_SQUARE_CELLS,
@@ -41,7 +42,7 @@ from crossbar_lowrank.experiments import (
     sweep_summary,
     target,
 )
-from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values
+from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values, svd
 from crossbar_lowrank.matrixgen import harmonic_spectrum
 from crossbar_lowrank.montecarlo import compare, run_baseline_trials, run_two_step_trials
 from crossbar_lowrank.rng import child_stream
@@ -712,3 +713,68 @@ class TestSweepAndMcShareEstimates:
         assert mc and all(row.scheme == "two_step" for row in mc)
         for row in mc:
             assert (row.mean_sq_error, row.std_error) == sweep[row.k]
+
+
+class TestTargetCheckedOnce:
+    """sweep and mc check the target against its SVD, and take ||A||_F,
+    once per command, however many ranks they estimate; an error in that
+    check still names the row whose estimate ran it."""
+
+    @staticmethod
+    def _count(monkeypatch):
+        calls = {"span": 0, "norm of A": 0}
+        span, norm = montecarlo._span_coords, montecarlo._frobenius
+
+        def counted_span(s, A):
+            calls["span"] += 1
+            return span(s, A)
+
+        def counted_norm(X, overwrite=False):
+            # A is 16 x 16; the residuals are normed in place, the rest is rank wide
+            calls["norm of A"] += not overwrite and X.shape == (16, 16)
+            return norm(X, overwrite)
+        monkeypatch.setattr(montecarlo, "_span_coords", counted_span)
+        monkeypatch.setattr(montecarlo, "_frobenius", counted_norm)
+        return calls
+
+    def test_sweep_checks_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        res = run_sweep(ExperimentConfig(**{**SMALL, "trials": 10}))
+        assert [row.k for row in res.rows if row.mc_mean is not None] == [1, 2, 3, 4]
+        assert calls == {"span": 1, "norm of A": 1}
+
+    def test_mc_checks_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        res = run_mc(ExperimentConfig(**{**SMALL, "trials": 10, "k_range": (1, 2, 3)}))
+        assert [row.k for row in res.rows] == [None, 1, 2, 3]
+        assert calls == {"span": 1, "norm of A": 1}
+
+    def test_a_refused_target_names_the_first_row(self, monkeypatch):
+        # another matrix's SVD: the first estimate's check refuses it
+        def wrong(config):
+            A, s = target(config)
+            return A, svd(np.random.default_rng(1).standard_normal(A.shape))
+        monkeypatch.setattr(experiments, "target", wrong)
+        cfg = ExperimentConfig(**{**SMALL, "trials": 10, "k_range": (2, 3)})
+        with pytest.raises(ValueError, match="^rank 2: the matrix .* not its SVD$"):
+            run_sweep(cfg)
+        with pytest.raises(ValueError, match="^two_step k=2: the matrix .* not its SVD$"):
+            run_mc(cfg)
+
+
+class TestMemory:
+    """At 1024 x 1024 (A is 8 MiB), r = 16 and trials = 2, mc and sweep hold
+    the target plus one m x n temporary at a time, A counted."""
+
+    @pytest.mark.parametrize("run,extra", [
+        (run_mc, {}), (run_mc, {"dist": "uniform"}), (run_sweep, {"k_range": (4,)})],
+        ids=["mc_gaussian", "mc_uniform", "sweep"])
+    def test_peak_is_under_2_3_targets(self, run, extra):
+        cfg = ExperimentConfig(m=1024, n=1024, r=16, trials=2, **extra)
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * 1024 * 1024 * 8

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from crossbar_lowrank.lowrank import LrFactors, SvdResult, factor_lr, svd, trunc
 from crossbar_lowrank.matrixgen import prescribed_factors, prescribed_matrix
 from crossbar_lowrank.montecarlo import (
     TrialBatchResult,
+    _frobenius,
     _reduce,
     _run_blocks,
+    check_target,
     compare,
     roundoff_floor,
     run_baseline_trials,
@@ -308,6 +311,80 @@ class TestCompare:
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 3.0)
         res = run_two_step_trials(s, A, *scheme, trials=10, rng=np.random.default_rng(1))
         assert res.roundoff == roundoff_floor(A, 3.0) > 0
+
+
+def _negative_peak():
+    """A matrix whose largest |x| is an entry below zero."""
+    X = np.random.default_rng(29).standard_normal((6, 5))
+    X[4, 1] = -7.25
+    return X
+
+
+class TestNorms:
+    """_frobenius reads max|x| as max(max x, -min x) and squares one scaled
+    temporary in place; its floats, and roundoff_floor's, are pinned."""
+
+    @pytest.mark.parametrize("X,norm,sigma_b_sq,floor", [
+        (_negative_peak(), "0x1.364cf6b9039b4p+3", 2.5, "0x1.bc700650a72f8p-90"),
+        (np.zeros((4, 3)), "0x0.0p+0", 2.5, "0x0.0p+0"),
+        # a plain sum of squares overflows here; the norm and floor are finite
+        (1e200 * np.random.default_rng(30).standard_normal((8, 6)),
+         "0x1.09b69dbc588cbp+667", 1e-300, "0x1.1ad1a88eddf6cp+241"),
+    ], ids=["negative_peak", "zeros", "near_1e200"])
+    def test_pinned(self, X, norm, sigma_b_sq, floor):
+        before = X.copy()
+        assert _frobenius(X) == float.fromhex(norm)
+        assert roundoff_floor(X, sigma_b_sq) == float.fromhex(floor)
+        assert np.array_equal(X, before)
+        # the in-place path gives the same float and spends its argument
+        assert _frobenius(X.copy(), overwrite=True) == float.fromhex(norm)
+
+    def test_negative_peak_is_the_largest_magnitude(self):
+        X = _negative_peak()
+        assert -X.min() == 7.25 > X.max()
+
+    def test_empty_is_zero(self):
+        for overwrite in (False, True):
+            assert _frobenius(np.zeros((0, 3)), overwrite=overwrite) == 0.0
+
+    def test_floor_adds_one_array_of_the_matrix_size(self):
+        A = np.random.default_rng(0).standard_normal((1024, 1024))
+        tracemalloc.start()
+        try:
+            roundoff_floor(A, 3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * A.nbytes
+
+    @pytest.mark.parametrize("spoiled,message", [
+        ("U", "the SVD's 3 left singular vectors are off orthonormal by 2e-06 > 4.47e-09: "
+              "not an SVD"),
+        ("V", "the SVD's 3 right singular vectors are off orthonormal by 2e-06 > 4.47e-09: "
+              "not an SVD"),
+        ("singulars", "the matrix has coordinates off diag(s) V' in the SVD's 3 left "
+                      "singular vectors by 0.00339 > 1.34e-08: not its SVD"),
+        ("other", "the matrix lies outside the span of the SVD's 3 left singular "
+                  "vectors by 3.21 > 1.34e-08: not its SVD")])
+    def test_span_check_messages_are_pinned(self, spoiled, message):
+        # the residuals are normed in place; each refusal's figures stay put
+        U, sigma, V = prescribed_factors(24, 20, [3.0, 1.5, 0.5], np.random.default_rng(9))
+        if spoiled == "U":
+            U[:, 1] *= 1 + 1e-6
+        elif spoiled == "V":
+            V[:, 1] *= 1 + 1e-6
+        A = (U * sigma) @ V.T
+        s = SvdResult(U=U, singulars=1.001 * sigma if spoiled == "singulars" else sigma,
+                      V=V, rank=3)
+        if spoiled == "other":
+            s = svd(prescribed_matrix(24, 20, [3.0, 1.5, 0.5], np.random.default_rng(22)))
+        with pytest.raises(ValueError) as err:
+            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(), 1.0, trials=5,
+                                rng=np.random.default_rng(0))
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            check_target(s, A)
+        assert str(err.value) == message
 
 
 def test_reduce_sums_exactly_as_the_scalar_loop():
