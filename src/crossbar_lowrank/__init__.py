@@ -19,7 +19,8 @@ from .analysis import (
 )
 from .matrixgen import harmonic_matrix, harmonic_spectrum, prescribed_matrix, random_orthogonal
 from .matrixio import MatrixFormatError, dumps_matrix, loads_matrix, read_matrix, write_matrix
-from .montecarlo import TrialBatchResult, compare, run_baseline_trials, run_two_step_trials
+from .montecarlo import (CheckedTarget, TrialBatchResult, check_target, compare,
+                         run_baseline_trials, run_two_step_trials)
 from .experiments import ExperimentConfig, fit_loglog_slope, run_mc, run_scaling, run_sweep
 from .rng import child_stream
 
@@ -27,6 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticParams",
+    "CheckedTarget",
     "DeviceParams",
     "ErrorBreakdown",
     "ExperimentConfig",
@@ -41,6 +43,7 @@ __all__ = [
     "baseline_error_analytic",
     "baseline_noisy_vmm",
     "budget_feasible",
+    "check_target",
     "child_stream",
     "compare",
     "conductance_map",

@@ -7,16 +7,17 @@ every key has a default matching the standard demonstration setup
 0.05, input variance 3). `ExperimentConfig` checks its own keys,
 `n_grid` too, whatever the command, and leaves the noise and device
 keys to `NoiseSpec` and `DeviceParams`, the growth knobs (alpha, beta
-resolved, c1, c2) to `analysis.AsymptoticParams`, and `lambda=max` to
-`analysis.lambda_max`, turning their errors into `ConfigError`. `lambda`
-and `beta` are checked as the values the program uses. `target(config)`
-is the one place the target matrix is built, and it refuses a config
-whose larger side squared exceeds `MAX_SQUARE_CELLS`. The target is built
+resolved, c1, c2) to `analysis.AsymptoticParams`, `lambda=max` to
+`analysis.lambda_max` and the trial cap to `montecarlo.check_run`,
+turning their errors into `ConfigError`; `lambda` and `beta` are checked
+as the values the program uses. `target(config)` is the one place the
+target matrix is built, and it refuses a config whose larger side
+squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
 `matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
 The target comes with its SVD, the factors it is built from, so no
-command decomposes a matrix it has built; the MC checks that SVD, once
-per command (montecarlo.check_target), however many ranks it estimates.
+command decomposes a matrix it has built; the MC checks that SVD once
+per command, before any trial (montecarlo.check_target).
 
 Every stream is `rng.child_stream(master_seed, *key)`, built here and
 handed as a Generator to the function that draws from it: the target's,
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -52,7 +52,8 @@ from .analysis import (
 from .core import DeviceParams
 from .lowrank import SvdResult, factors_svd
 from .matrixgen import harmonic_spectrum, prescribed_factors
-from .montecarlo import CheckedTarget, check_target, compare, run_baseline_trials, run_two_step_on
+from .montecarlo import (CheckedTarget, check_run, check_target, compare,
+                         run_baseline_trials, run_two_step_trials)
 from .rng import child_stream
 from .schemes import NoiseSpec, budget_feasible
 
@@ -119,14 +120,16 @@ class ExperimentConfig:
             self.device()
             lam = self.resolved_lambda()
             self.growth()
+            if not _finite_positive(lam):
+                raise ConfigError(f"lambda must be finite and positive or 'max', got {self.lam}")
+            if not _finite_positive(self.sigma_b_sq):
+                raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
+            if self.trials < 0 or self.trials == 1:
+                raise ConfigError(f"trials must be 0 (analytic only) or >= 2, got {self.trials}")
+            if self.trials:  # of the MC's run checks, only its trial cap is left
+                check_run(self.sigma_b_sq, self.trials)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not _finite_positive(lam):
-            raise ConfigError(f"lambda must be finite and positive or 'max', got {self.lam}")
-        if not _finite_positive(self.sigma_b_sq):
-            raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
-        if self.trials < 0 or self.trials == 1:
-            raise ConfigError(f"trials must be 0 (analytic only) or >= 2, got {self.trials}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be nonnegative, got {self.master_seed}")
         # checked as written: resolving "all" builds r ints, and scaling takes any r
@@ -238,9 +241,9 @@ def load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return ExperimentConfig()
     try:
-        with open(path, "r") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return config_from_mapping(parse_config_text(text))
 
@@ -364,17 +367,11 @@ def _check_lanes(lanes: int) -> None:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
 
 
-def _checked_once(A: np.ndarray, s: SvdResult):
-    """check_target(s, A), run at the first call, inside whatever names
-    that call's errors, and returned as it is at every later one."""
-    return functools.cache(functools.partial(check_target, s, A))
-
-
 def _two_step_mc(config: ExperimentConfig, checked: CheckedTarget, k: int, t_L: int, t_R: int):
     """MC of the two-step scheme at rank k; sweep and mc share its stream."""
-    return run_two_step_on(checked, k, t_L, t_R, config.noise(),
-                           config.sigma_b_sq, config.trials,
-                           child_stream(config.master_seed, STREAM_MC_TWOSTEP, k))
+    return run_two_step_trials(checked, k, t_L, t_R, config.noise(),
+                               config.sigma_b_sq, config.trials,
+                               child_stream(config.master_seed, STREAM_MC_TWOSTEP, k))
 
 
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
@@ -385,18 +382,20 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     lambda, r), so they do not depend on the seed. When trials > 0, one
     harmonic target matrix is generated for the whole sweep and each k
     gets the Monte Carlo estimate run_mc gives that k, from the same stream;
-    the target, with its SVD, is built only then, and checked once, at the
-    first k's estimate. Infeasible k values are
-    emitted flagged instead of aborting; analysis.least picks argmin_k, as
-    it picks optimize_rank's k. `lanes` has no effect (see _check_lanes).
-    The target's size cap holds at every trial count.
+    the target, with its SVD, is built only then and checked at once, so a
+    refusal names the target. Infeasible k values are emitted flagged
+    instead of aborting; analysis.least picks argmin_k, as it picks
+    optimize_rank's k. `lanes` has no effect (see _check_lanes). The
+    target's size cap holds at every trial count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
     _check_target_size(config)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
     if config.trials > 0:
-        checked = _checked_once(*target(config))
+        A, s = target(config)
+        with _naming("target"):
+            checked = check_target(s, A)
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
@@ -411,7 +410,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
                                                 k, noise, config.sigma_b_sq)
             mc_mean = mc_stderr = None
             if config.trials > 0:
-                res = _two_step_mc(config, checked(), k, t_L, t_R)
+                res = _two_step_mc(config, checked, k, t_L, t_R)
                 mc_mean, mc_stderr = res.mean_sq_error, res.std_error
             rows.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
                                  mc_mean=mc_mean, mc_stderr=mc_stderr,
@@ -519,12 +518,12 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     The analytic values, and the optimizer's choices, come from the
     prescribed spectrum harmonic_spectrum(resolved lambda, r), as in
     run_sweep; the MC runs on the generated target, whose generator's
-    factors give its SVD, and the MC checks once, at the first two-step
-    row, that they are orthonormal and factor A. Every verdict therefore
+    factors give its SVD, and the MC checks once, as soon as the target is
+    built, that they are orthonormal and factor A. Every verdict therefore
     also checks that the target has the spectrum the formulas assume.
-    The ranks and repetitions are chosen before any MC runs, so a choice
-    that fails costs no trials; an error in a row's trials or in its
-    verdict names the row."""
+    The ranks and repetitions are chosen, and the target checked, before
+    any MC runs, so neither costs trials when it fails; an error in the
+    check names the target, one in a row's trials or verdict the row."""
     _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
@@ -543,7 +542,8 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
                 choices.append((k, *optimize_repetitions(singulars, config.m, config.n,
                                                          k, noise, config.sigma_b_sq)))
     A, s = target(config)
-    checked = _checked_once(A, s)
+    with _naming("target"):
+        checked = check_target(s, A)
 
     def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
         z, ok = compare(res, analytic)
@@ -558,7 +558,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     for k, t_L, t_R, bd in choices:
         with _naming(f"two_step k={k}"):
             rows.append(row("two_step", k, t_L, t_R,
-                            _two_step_mc(config, checked(), k, t_L, t_R), bd.total))
+                            _two_step_mc(config, checked, k, t_L, t_R), bd.total))
     return McResult(rows=rows, all_passed=all(r.passed for r in rows),
                     lam_resolved=config.resolved_lambda(), config=config)
 

@@ -71,6 +71,10 @@ Z_PASS_LIMIT = 4.0
 # its SVD on either side (see _span_coords)
 SPAN_SLACK = 10.0
 
+# cap on a run's trials, whose squared errors it holds: about 56 B a trial
+# at the peak, so 0.9 GiB at the cap (see experiments.MAX_SQUARE_CELLS)
+MAX_TRIALS = 2 ** 24
+
 
 @dataclass(frozen=True)
 class TrialBatchResult:
@@ -164,10 +168,12 @@ def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
                             roundoff=roundoff)
 
 
-def _check_run(sigma_b_sq: float, trials: int) -> None:
-    """The checks both MC entry points make first."""
+def check_run(sigma_b_sq: float, trials: int) -> None:
+    """The checks both MC entry points make first, before any draw."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if not 0 < sigma_b_sq < math.inf:
         raise ValueError(f"input variance must be positive and finite, got {sigma_b_sq}")
 
@@ -175,7 +181,7 @@ def _check_run(sigma_b_sq: float, trials: int) -> None:
 def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
                         rng: np.random.Generator) -> TrialBatchResult:
     """Empirical mean of ||b(A+E) - bA||^2 over per-trial fresh (b, E)."""
-    _check_run(sigma_b_sq, trials)
+    check_run(sigma_b_sq, trials)
     A = as_matrix(A)
     m, n = A.shape
 
@@ -254,7 +260,7 @@ def check_target(s: SvdResult, A) -> CheckedTarget:
     return CheckedTarget(s=s, A=A, QAV=QAV, frobenius=_frobenius(A))
 
 
-def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: NoiseSpec,
+def run_two_step_trials(target: CheckedTarget, k: int, t_L: int, t_R: int, noise: NoiseSpec,
                         sigma_b_sq: float, trials: int,
                         rng: np.random.Generator) -> TrialBatchResult:
     """Empirical mean of ||c'' - bA||^2 for the rank-k factors
@@ -262,22 +268,12 @@ def run_two_step_trials(s: SvdResult, A, k: int, t_L: int, t_R: int, noise: Nois
     error is against the exact product with the full matrix, so truncation
     cost is included.
 
-    s must be A's SVD, from svd(A) or from the factors A is built from
-    (lowrank.factors_svd); check_target refuses it otherwise. (k, t_L,
-    t_R) must be positive and fit the device budget, which also rules out
-    k > min(m, n), and k may not exceed s.rank. The trials are
-    run_two_step_on's, on the checked target: estimates at several ranks
-    of one target check it once and call run_two_step_on for each.
+    target is check_target(s, A) for A's SVD s, from svd(A) or from the
+    factors A is built from (lowrank.factors_svd). (k, t_L, t_R) must be
+    positive and fit the device budget, which also rules out k > min(m, n),
+    and k may not exceed s.rank.
     """
-    _check_run(sigma_b_sq, trials)  # refused before the target's check
-    return run_two_step_on(check_target(s, A), k, t_L, t_R, noise, sigma_b_sq, trials, rng)
-
-
-def run_two_step_on(target: CheckedTarget, k: int, t_L: int, t_R: int, noise: NoiseSpec,
-                    sigma_b_sq: float, trials: int,
-                    rng: np.random.Generator) -> TrialBatchResult:
-    """run_two_step_trials on a target that check_target has checked."""
-    _check_run(sigma_b_sq, trials)
+    check_run(sigma_b_sq, trials)
     s, A, QAV = target.s, target.A, target.QAV
     m, n = A.shape
     if k < 1:

@@ -494,6 +494,26 @@ class TestUsageErrors:
         assert flag.err == key.err == (
             "error: trials must be 0 (analytic only) or >= 2, got -1\n")
 
+    @pytest.mark.parametrize("command", ["sweep", "mc"])
+    def test_trials_past_the_cap_exit_2_before_any_target(self, small_config, capsys,
+                                                          monkeypatch, command):
+        built = []
+        monkeypatch.setattr(experiments, "target", lambda config: built.append(config))
+        assert main([command, "--config", small_config, "--trials", str(2 ** 24 + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and built == []
+        assert captured.err == "error: trials must be at most 16777216, got 16777217\n"
+
+    @pytest.mark.parametrize("command", ["sweep", "scaling", "gen", "mc"])
+    def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys, command):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(b"m=20\xff\n")
+        assert main([command, "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot read config {p}: 'utf-8' codec can't decode "
+                                f"byte 0xff in position 4: invalid start byte\n")
+
     def test_a_trials_flag_that_is_not_an_int_is_a_usage_error(self, small_config, capsys):
         assert main(["sweep", "--config", small_config, "--trials", "0x10"]) == 2
         assert "--trials: invalid int value: '0x10'" in capsys.readouterr().err

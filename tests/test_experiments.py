@@ -44,7 +44,8 @@ from crossbar_lowrank.experiments import (
 )
 from crossbar_lowrank.lowrank import RANK_TOL_REL, singular_values, svd
 from crossbar_lowrank.matrixgen import harmonic_spectrum
-from crossbar_lowrank.montecarlo import compare, run_baseline_trials, run_two_step_trials
+from crossbar_lowrank.montecarlo import (check_target, compare, run_baseline_trials,
+                                         run_two_step_trials)
 from crossbar_lowrank.rng import child_stream
 
 SMALL = dict(m=16, n=16, r=4, lam=4.0, trials=0)
@@ -159,6 +160,16 @@ class TestConfigValidation:
 
     def test_trials_zero_allowed(self):
         assert ExperimentConfig(trials=0).trials == 0
+
+    def test_trials_capped(self):
+        # the MC's own rule, with its message, before any target is built
+        assert ExperimentConfig(trials=montecarlo.MAX_TRIALS).trials == 2 ** 24
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(trials=montecarlo.MAX_TRIALS + 1)
+        with pytest.raises(ValueError) as mc_err:
+            montecarlo.check_run(3.0, montecarlo.MAX_TRIALS + 1)
+        assert str(err.value) == str(mc_err.value) == (
+            "trials must be at most 16777216, got 16777217")
 
     def test_rank_beyond_dims(self):
         with pytest.raises(ConfigError, match="r must"):
@@ -698,7 +709,7 @@ class TestSweepAndMcShareEstimates:
         assert (base.mean_sq_error, base.std_error) == (want.mean_sq_error, want.std_error)
         assert [row.k for row in two] == [2, 4]
         for row in two:
-            want = run_two_step_trials(s, A, row.k, row.t_L, row.t_R, cfg.noise(),
+            want = run_two_step_trials(check_target(s, A), row.k, row.t_L, row.t_R, cfg.noise(),
                                        cfg.sigma_b_sq, cfg.trials,
                                        child_stream(cfg.master_seed,
                                                     experiments.STREAM_MC_TWOSTEP, row.k))
@@ -717,8 +728,8 @@ class TestSweepAndMcShareEstimates:
 
 class TestTargetCheckedOnce:
     """sweep and mc check the target against its SVD, and take ||A||_F,
-    once per command, however many ranks they estimate; an error in that
-    check still names the row whose estimate ran it."""
+    once per command, however many ranks they estimate; they check it as
+    soon as it is built, so an error in that check names the target."""
 
     @staticmethod
     def _count(monkeypatch):
@@ -749,17 +760,25 @@ class TestTargetCheckedOnce:
         assert [row.k for row in res.rows] == [None, 1, 2, 3]
         assert calls == {"span": 1, "norm of A": 1}
 
-    def test_a_refused_target_names_the_first_row(self, monkeypatch):
-        # another matrix's SVD: the first estimate's check refuses it
+    def test_a_refused_target_names_the_target(self, monkeypatch):
+        # another matrix's SVD: the check refuses it before any estimate's
+        # stream is built, so no trial is drawn
         def wrong(config):
             A, s = target(config)
             return A, svd(np.random.default_rng(1).standard_normal(A.shape))
+        roles = []
+
+        def recorded(seed, role, *key):
+            roles.append(role)
+            return child_stream(seed, role, *key)
         monkeypatch.setattr(experiments, "target", wrong)
+        monkeypatch.setattr(experiments, "child_stream", recorded)
         cfg = ExperimentConfig(**{**SMALL, "trials": 10, "k_range": (2, 3)})
-        with pytest.raises(ValueError, match="^rank 2: the matrix .* not its SVD$"):
-            run_sweep(cfg)
-        with pytest.raises(ValueError, match="^two_step k=2: the matrix .* not its SVD$"):
-            run_mc(cfg)
+        for run in (run_sweep, run_mc):
+            with pytest.raises(ValueError, match="^target: the matrix .* not its SVD$"):
+                run(cfg)
+        # each command built the target's stream and no STREAM_MC_* one
+        assert roles == [experiments.STREAM_MATRIX] * 2
 
 
 class TestMemory:

@@ -11,7 +11,8 @@ from crossbar_lowrank import core, experiments, lowrank, matrixgen, montecarlo, 
 
 REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_count",
            "SchemeConfig", "SingularProfile", "spectrum", "DecompositionError",
-           "ROLE_BLOCK", "STREAM_SWEEP_MC", "mix64", "MASK64", "_GOLDEN", "child_seed")
+           "ROLE_BLOCK", "STREAM_SWEEP_MC", "mix64", "MASK64", "_GOLDEN", "child_seed",
+           "run_two_step_on", "_checked_once")
 
 
 def test_every_exported_name_resolves():

@@ -100,7 +100,7 @@ class TestBaselineTrials:
 
 def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
     """A, its SVD s, its rank-k factors f, and run_two_step_trials'
-    arguments after s and A: (k, t_L, t_R, noise, sigma_b_sq)."""
+    arguments after the target: (k, t_L, t_R, noise, sigma_b_sq)."""
     A = prescribed_matrix(m, n, values, np.random.default_rng(seed))
     s = svd(A)
     return A, s, factor_lr(s, k), (k, t_L, t_R, noise, sigma_b_sq)
@@ -109,13 +109,15 @@ def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
 class TestTwoStepTrials:
     def test_full_rank_zero_noise_error_is_roundoff(self):
         A, s, f, scheme = two_step_setup([3.0, 1.0], 6, 6, 2, 1, 1, NoiseSpec(), 2.0)
-        res = run_two_step_trials(s, A, *scheme, trials=100, rng=np.random.default_rng(4))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=100,
+                                  rng=np.random.default_rng(4))
         assert res.mean_sq_error <= 1e-18
 
     def test_zero_noise_truncation_only(self):
         noise = NoiseSpec()
         A, s, f, scheme = two_step_setup([3.0, 2.0, 1.0], 8, 8, 1, 1, 1, noise, 2.0)
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(13))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=20_000,
+                                  rng=np.random.default_rng(13))
         analytic = two_step_error_analytic([3.0, 2.0, 1.0], 8, 8, 1, 1, 1,
                                            0.0, 0.0, 2.0).total
         z, ok = compare(res, analytic)
@@ -126,7 +128,8 @@ class TestTwoStepTrials:
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, noise, 3.0)
         analytic = two_step_error_analytic([2.0], 4, 4, 1, 2, 2, 0.05, 0.05, 3.0).total
         assert analytic == pytest.approx(1.23, rel=1e-10)
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(555))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=20_000,
+                                  rng=np.random.default_rng(555))
         z, ok = compare(res, analytic)
         assert ok, f"z={z:.2f}"
 
@@ -137,9 +140,10 @@ class TestTwoStepTrials:
         for dist in ("gaussian", "uniform"):
             A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(dist=dist), 1.0)
             with pytest.raises(ValueError, match="not its SVD"):
-                run_two_step_trials(other, A, *scheme, trials=5, rng=np.random.default_rng(0))
+                run_two_step_trials(check_target(other, A), *scheme, trials=5,
+                                    rng=np.random.default_rng(0))
             with pytest.raises(ValueError, match="matrix shape"):
-                run_two_step_trials(s, np.zeros((5, 4)), *scheme, trials=5,
+                run_two_step_trials(check_target(s, np.zeros((5, 4))), *scheme, trials=5,
                                     rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
@@ -158,7 +162,7 @@ class TestTwoStepTrials:
         else:
             V = svd(prescribed_matrix(12, 20, [3.0, 1.5, 0.5], np.random.default_rng(22))).V
         with pytest.raises(ValueError, match="diag\\(s\\) V'.*not its SVD"):
-            run_two_step_trials(dataclasses.replace(s, V=V), A, *scheme, trials=5,
+            run_two_step_trials(check_target(dataclasses.replace(s, V=V), A), *scheme, trials=5,
                                 rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
@@ -181,7 +185,7 @@ class TestTwoStepTrials:
             sigma = 1.001 * sigma
         s = SvdResult(U=U, singulars=sigma, V=V, rank=3)
         with pytest.raises(ValueError, match=message):
-            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(dist=dist), 1.0, trials=5,
+            run_two_step_trials(check_target(s, A), 2, 1, 1, NoiseSpec(dist=dist), 1.0, trials=5,
                                 rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("m,n,rank", [(30, 30, 30), (50, 20, 20), (20, 50, 7),
@@ -193,7 +197,7 @@ class TestTwoStepTrials:
         s = svd(A)
         assert s.rank == rank
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
-        res = run_two_step_trials(s, A, 1, 1, 1, noise, 1.0, trials=5,
+        res = run_two_step_trials(check_target(s, A), 1, 1, 1, noise, 1.0, trials=5,
                                   rng=np.random.default_rng(0))
         assert res.trials == 5
 
@@ -203,10 +207,12 @@ class TestTwoStepTrials:
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
         analytic = two_step_error_analytic(s.singulars, 12, 20, 2, 2, 3, 0.05, 0.08,
                                            2.0).total
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(7))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=20_000,
+                                  rng=np.random.default_rng(7))
         assert compare(res, analytic)[1]
         monkeypatch.setattr(montecarlo, "factor_lr", lambda *args: LrFactors(f.L, 1.1 * f.R))
-        res = run_two_step_trials(s, A, *scheme, trials=20_000, rng=np.random.default_rng(7))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=20_000,
+                                  rng=np.random.default_rng(7))
         z, ok = compare(res, analytic)
         assert not ok, f"z={z:.2f}"
 
@@ -214,7 +220,8 @@ class TestTwoStepTrials:
         # s has rank 1; A strays from span(U[:, :1]) by its 1e-12 tail only
         A, s, f, scheme = two_step_setup([2.0, 1e-12], 6, 6, 1, 2, 2, NoiseSpec(), 1.0)
         assert s.rank == 1
-        res = run_two_step_trials(s, A, *scheme, trials=5, rng=np.random.default_rng(0))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=5,
+                                  rng=np.random.default_rng(0))
         assert res.trials == 5
 
     def test_accepts_the_svd_of_huge_entries(self):
@@ -224,7 +231,8 @@ class TestTwoStepTrials:
         # formed as (s_3 sigma_b)^2 since s_3^2 alone overflows
         A, s, f, scheme = two_step_setup([3e170, 1.5e170, 0.5e170], 12, 12, 2, 1, 1,
                                          NoiseSpec(), 1e-300)
-        res = run_two_step_trials(s, A, *scheme, trials=2000, rng=np.random.default_rng(5))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=2000,
+                                  rng=np.random.default_rng(5))
         analytic = (0.5e170 * 1e-150) ** 2
         z, ok = compare(res, analytic)
         assert ok, f"z={z:.2f}"
@@ -232,7 +240,7 @@ class TestTwoStepTrials:
     def test_rejects_k_beyond_the_rank(self):
         A, s, f, scheme = two_step_setup([2.0], 8, 8, 1, 1, 1, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="rank"):
-            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(), 1.0, trials=5,
+            run_two_step_trials(check_target(s, A), 2, 1, 1, NoiseSpec(), 1.0, trials=5,
                                 rng=np.random.default_rng(0))
 
     def test_rejects_any_k_for_the_zero_matrix(self):
@@ -240,19 +248,36 @@ class TestTwoStepTrials:
         # by the rank rule, not by a reduction over an empty array
         A = np.zeros((4, 4))
         with pytest.raises(ValueError, match=r"k must be in \[1, rank\]=\[1, 0\]"):
-            run_two_step_trials(svd(A), A, 1, 1, 1, NoiseSpec(), 1.0, trials=5,
+            run_two_step_trials(check_target(svd(A), A), 1, 1, 1, NoiseSpec(), 1.0, trials=5,
                                 rng=np.random.default_rng(0))
 
     def test_rejects_mismatched_matrix(self):
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError, match="matrix shape"):
-            run_two_step_trials(s, np.zeros((4, 5)), *scheme, trials=5,
+            run_two_step_trials(check_target(s, np.zeros((4, 5))), *scheme, trials=5,
                                 rng=np.random.default_rng(0))
 
     def test_rejects_tiny_trial_counts(self):
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 1.0)
         with pytest.raises(ValueError):
-            run_two_step_trials(s, A, *scheme, trials=1, rng=np.random.default_rng(0))
+            run_two_step_trials(check_target(s, A), *scheme, trials=1,
+                                rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    def test_a_trial_count_past_the_cap_draws_nothing(self, dist):
+        # both entry points refuse it before the first draw, or any allocation
+        noise = NoiseSpec(sigma_e_sq=0.05, sigma_L_sq=0.05, sigma_R_sq=0.05, dist=dist)
+        A, s, f, scheme = two_step_setup([2.0, 1.0], 6, 6, 1, 2, 2, noise, 1.0)
+        drawn = []
+        spy = _DrawSpy(np.random.default_rng(0), lambda name, out: drawn.append(name))
+        for run in (lambda n: run_baseline_trials(A, noise, 1.0, n, rng=spy),
+                    lambda n: run_two_step_trials(check_target(s, A), *scheme, n, rng=spy)):
+            with pytest.raises(ValueError, match="^trials must be at most 16777216, got 16777217"):
+                run(montecarlo.MAX_TRIALS + 1)
+            assert drawn == []
+            assert run(2).trials == 2
+            assert drawn != []
+            drawn.clear()
 
 
 class TestCompare:
@@ -309,7 +334,8 @@ class TestCompare:
                                       trials=10, rng=np.random.default_rng(1))
             assert res.roundoff == floor
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 3.0)
-        res = run_two_step_trials(s, A, *scheme, trials=10, rng=np.random.default_rng(1))
+        res = run_two_step_trials(check_target(s, A), *scheme, trials=10,
+                                  rng=np.random.default_rng(1))
         assert res.roundoff == roundoff_floor(A, 3.0) > 0
 
 
@@ -378,10 +404,6 @@ class TestNorms:
                       V=V, rank=3)
         if spoiled == "other":
             s = svd(prescribed_matrix(24, 20, [3.0, 1.5, 0.5], np.random.default_rng(22)))
-        with pytest.raises(ValueError) as err:
-            run_two_step_trials(s, A, 2, 1, 1, NoiseSpec(), 1.0, trials=5,
-                                rng=np.random.default_rng(0))
-        assert str(err.value) == message
         with pytest.raises(ValueError) as err:
             check_target(s, A)
         assert str(err.value) == message
@@ -507,7 +529,7 @@ class TestBlockRule:
             spy = _DrawSpy(np.random.default_rng(1),
                            lambda name, out: sizes.append(np.size(out)))
             for run in (lambda: run_baseline_trials(A, noise, 2.0, 600, rng=spy),
-                        lambda: run_two_step_trials(s, A, *scheme, 600, rng=spy)):
+                        lambda: run_two_step_trials(check_target(s, A), *scheme, 600, rng=spy)):
                 sizes.clear()
                 rngs.clear()
                 blocks.clear()
@@ -551,7 +573,7 @@ class TestBlockRule:
         for run, vmm in ((lambda: run_baseline_trials(A, noise, 2.0, 64,
                                                       rng=np.random.default_rng(8)),
                           lambda B, g: baseline_noisy_vmm(B, A, noise, g)),
-                         (lambda: run_two_step_trials(s, A, *scheme, 64,
+                         (lambda: run_two_step_trials(check_target(s, A), *scheme, 64,
                                                       rng=np.random.default_rng(8)),
                           lambda B, g: two_step_vmm(B, f, 2, 3, noise, g))):
             run()
@@ -634,7 +656,8 @@ class TestEffectSamplerMatchesDevice:
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        res = run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(71))
+        res = run_two_step_trials(check_target(s, A), *scheme, self.TRIALS,
+                                  rng=np.random.default_rng(71))
         assert res.mean_sq_error == math.fsum(cap.errors) / self.TRIALS
         device = _device_errors(self.TRIALS, 72,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
@@ -649,7 +672,8 @@ class TestEffectSamplerMatchesDevice:
         analytic = two_step_error_analytic(svd(A).singulars, m, n, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(seed))
+        run_two_step_trials(check_target(s, A), *scheme, self.TRIALS,
+                            rng=np.random.default_rng(seed))
         device = _device_errors(self.TRIALS, seed + 1,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
@@ -663,7 +687,8 @@ class TestEffectSamplerMatchesDevice:
         analytic = two_step_error_analytic(s.singulars, 6, 14, 2, 2, 2,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(103))
+        run_two_step_trials(check_target(s, A), *scheme, self.TRIALS,
+                            rng=np.random.default_rng(103))
         device = _device_errors(self.TRIALS, 104,
                                 lambda b, g: two_step_vmm(b, f, 2, 2, noise, g), A, 2.0)
         _check_same_law(cap.errors, device, analytic)
@@ -703,7 +728,7 @@ class TestEffectSamplerMatchesDevice:
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 20, 12, 2, 2, 3, noise, 2.0)
         trials = NOISE_CELLS // 3  # one block, rank 3 wide
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, trials, rng=np.random.default_rng(5))
+        run_two_step_trials(check_target(s, A), *scheme, trials, rng=np.random.default_rng(5))
         rng = child_stream(5)
         Q, V = s.U[:, :3], s.V[:, :3]
         W = iid_entries((trials, 3), 2.0, "gaussian", rng)
@@ -771,7 +796,7 @@ class TestGaussianDrawCounts:
         values = np.linspace(3.0, 0.5, 12)
         A, s, f, scheme = two_step_setup(values, 12, 20, 2, 2, 3, noise, 2.0)
         assert s.rank == 12
-        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=self.rng)
+        run_two_step_trials(check_target(s, A), *scheme, self.TRIALS, rng=self.rng)
         assert counts == self._expected(self.TRIALS, normals, chisquares)
 
     # a 12 x 20 target of rank 3 < m, at k = 2
@@ -785,7 +810,7 @@ class TestGaussianDrawCounts:
                                       chisquares):
         noise = NoiseSpec(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq)
         A, s, f, scheme = two_step_setup([3.0, 1.5, 0.5], 12, 20, 2, 2, 3, noise, 2.0)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=self.rng)
+        run_two_step_trials(check_target(s, A), *scheme, self.TRIALS, rng=self.rng)
         assert counts == self._expected(self.TRIALS, normals, chisquares)
 
     def test_baseline_draws_no_input(self, counts):
@@ -858,7 +883,8 @@ class TestUniformBlockPath:
         analytic = two_step_error_analytic(svd(A).singulars, 12, 12, 2, 2, 3,
                                            0.05, 0.08, 2.0).total
         cap = _Capture(monkeypatch)
-        run_two_step_trials(s, A, *scheme, self.TRIALS, rng=np.random.default_rng(81))
+        run_two_step_trials(check_target(s, A), *scheme, self.TRIALS,
+                            rng=np.random.default_rng(81))
         device = _device_errors(self.TRIALS, 82,
                                 lambda b, g: two_step_vmm(b, f, 2, 3, noise, g), A, 2.0,
                                 "uniform")
@@ -893,7 +919,7 @@ class TestUniformBlockPath:
         noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05, dist="uniform")
         A, s, f, scheme = two_step_setup([3.0, 2.0, 1.0, 0.5], 64, 64, 4, 8, 8, noise, 1.0)
         sizes = self._spy_noise_draws(monkeypatch)
-        run_two_step_trials(s, A, *scheme, trials=100, rng=np.random.default_rng(3))
+        run_two_step_trials(check_target(s, A), *scheme, trials=100, rng=np.random.default_rng(3))
         assert max(sizes) <= NOISE_CELLS
         assert sum(sizes) == 100 * (8 * 64 + 8 * 64) * 4
         assert sizes == [64 * 64 * 4] * 16 + [36 * 64 * 4] * 16

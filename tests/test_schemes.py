@@ -7,7 +7,7 @@ from crossbar_lowrank import schemes
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.lowrank import factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_matrix
-from crossbar_lowrank.montecarlo import run_two_step_trials
+from crossbar_lowrank.montecarlo import check_target, run_two_step_trials
 from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import (
     NOISE_CELLS,
@@ -52,7 +52,7 @@ def _run_scheme(m, n, k, t_L, t_R, sigma_b_sq=1.0):
     matrix."""
     A = np.random.default_rng(0).normal(size=(m, n))
     noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
-    return run_two_step_trials(svd(A), A, k, t_L, t_R, noise, sigma_b_sq,
+    return run_two_step_trials(check_target(svd(A), A), k, t_L, t_R, noise, sigma_b_sq,
                                trials=2, rng=np.random.default_rng(0))
 
 
