@@ -63,9 +63,10 @@ def _add_common(sp, with_trials: bool = True, with_format: bool = True,
     if with_format:
         sp.add_argument("--format", choices=("csv", "json"), default="csv")
     if with_lanes:
-        sp.add_argument("--lanes", type=_int_at_least(1), default=1,
-                        help="accepted for compatibility; has no effect "
-                             "(trials run on one thread)")
+        sp.add_argument("--lanes", type=_int_at_least(1), default=1, metavar="N",
+                        help="run whole MC estimates in up to N forked processes, "
+                             "at most one per estimate and per usable core; the "
+                             "output is the same at any N")
 
 
 def build_parser() -> argparse.ArgumentParser:

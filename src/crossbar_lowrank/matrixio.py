@@ -10,17 +10,23 @@ float() per token, straight into the result array, so nothing of the
 text's size is held. One line parser serves text and files, so both give
 the same values and the same errors. A parse error names the 1-based
 line and, for a value that is not a number, the first such token of that
-line.
+line. A file is read as UTF-8, and its first byte that does not decode is
+reported before any other error, by its line.
 """
 from __future__ import annotations
 
 import itertools
 import os
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .core import as_matrix
+
+
+# a byte that is not UTF-8, as errors="surrogateescape" decodes it
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
 
 
 class MatrixFormatError(ValueError):
@@ -122,10 +128,6 @@ def _parse(lines: Iterable[str], size: int) -> np.ndarray:
     if found < m:
         raise MatrixFormatError(found + 2, f"expected {m} data rows, found {found}")
     if error is not None:
-        # read to the end first: a file that does not decode fails as it
-        # does when read whole, wherever its bad bytes fall
-        for _ in lines:
-            pass
         raise error
     for line_no, line in enumerate(lines, start=m + 2):
         if line.strip():
@@ -140,10 +142,35 @@ def loads_matrix(text: str) -> np.ndarray:
     return _parse(text.splitlines(), len(text))
 
 
+def _file_lines(fh) -> Iterator[str]:
+    """The lines of a text file opened as UTF-8 with
+    errors="surrogateescape", split again as str.splitlines() splits them,
+    so they are numbered as loads_matrix numbers the text's. A byte that
+    does not decode reads as a lone surrogate, which UTF-8 text never
+    holds, and is a MatrixFormatError naming its line; an ASCII line, the
+    usual kind, is known to hold none without a scan."""
+    line_no = 0
+    for line in fh:
+        pieces = line.splitlines()
+        if not line.isascii():
+            for offset, piece in enumerate(pieces, start=1):
+                bad = _ESCAPED_BYTE.search(piece)
+                if bad:
+                    raise MatrixFormatError(
+                        line_no + offset,
+                        f"byte {ord(bad.group()) - 0xDC00:#04x} is not UTF-8")
+        line_no += len(pieces)
+        yield from pieces
+
+
 def read_matrix(path: str | os.PathLike) -> np.ndarray:
-    with open(path, "r") as fh:
-        # a file line may hold breaks that str.splitlines() also splits on
-        # ("\x0b", "\x85", ...); splitting it again numbers lines as
-        # loads_matrix does
-        return _parse((piece for line in fh for piece in line.splitlines()),
-                      os.fstat(fh.fileno()).st_size)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        lines = _file_lines(fh)
+        try:
+            return _parse(lines, os.fstat(fh.fileno()).st_size)
+        except MatrixFormatError:
+            # a byte that does not decode is reported first, wherever it
+            # falls; reading on raises it
+            for _ in lines:
+                pass
+            raise

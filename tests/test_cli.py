@@ -81,6 +81,14 @@ class TestGenValidate:
         err = capsys.readouterr().err
         assert "bad.mat" in err and "line 3" in err
 
+    def test_validate_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mat"
+        bad.write_bytes(b"2 2\n1 2\n3 4\xff\n")
+        assert main(["validate", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: line 3: byte 0xff is not UTF-8\n"
+
     def test_validate_reports_oversized_header(self, tmp_path, capsys):
         big = tmp_path / "big.mat"
         big.write_text(OVERSIZED_HEADER)

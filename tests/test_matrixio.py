@@ -261,7 +261,33 @@ class TestFileMatchesText:
         # must still fail the read, as they do when the file is read whole
         path = tmp_path / "A.txt"
         path.write_bytes(b"2 2\n1 x\n3 4\n" + b" " * pad + b"\n\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(MatrixFormatError, match=r"^line 5: byte 0xff is not UTF-8$"):
+            read_matrix(path)
+
+    @pytest.mark.parametrize("data,line_no,byte", [
+        (b"2 2\n1 2\n3 4\xff\n", 3, 0xff),                 # the last row
+        (b"2 2\xff\n1 2\n3 4\n", 1, 0xff),                 # the header
+        (b"2\n1 2\n\xfe", 3, 0xfe),                        # beats a bad header
+        (b"1 2\n1 2\n\ntail\n\x80\n", 5, 0x80),            # beats content after rows
+        (b"1 2\r\n1 2\r\n\r\xc3(\r\n", 4, 0xc3),           # CRLF and a lone CR
+        (b"1 2\n1 \xc3\xa9\xe2\x80\xa8\xed\xa0\x80\n", 3, 0xed),  # after U+2028
+    ])
+    def test_first_undecodable_byte_names_its_line(self, tmp_path, data, line_no, byte):
+        # lines are counted as str.splitlines() counts them, as every
+        # other error of a file counts them
+        path = tmp_path / "A.txt"
+        path.write_bytes(data)
+        with pytest.raises(MatrixFormatError) as info:
+            read_matrix(path)
+        assert str(info.value) == f"line {line_no}: byte {byte:#04x} is not UTF-8"
+        assert info.value.line_no == line_no
+
+    def test_utf8_that_is_not_ascii_still_reads(self, tmp_path):
+        # a non-ASCII character is read, not refused, and fails only as a
+        # token, as it does in text
+        path = tmp_path / "A.txt"
+        path.write_bytes("1 2\n1 \u00e9\n".encode())
+        with pytest.raises(MatrixFormatError, match=r"^line 2: invalid number '\u00e9'$"):
             read_matrix(path)
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -1,12 +1,16 @@
 import dataclasses
 import math
+import os
+import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from crossbar_lowrank import montecarlo, schemes
+from crossbar_lowrank import experiments, montecarlo, schemes
 from crossbar_lowrank.analysis import two_step_error_analytic
+from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
 from crossbar_lowrank.lowrank import LrFactors, SvdResult, factor_lr, svd, truncate
@@ -462,8 +466,16 @@ def test_reduce_keeps_a_finite_mean_whose_raw_sums_overflow(errors, mean, std_er
 
 
 class TestLanes:
-    """run_mc and run_sweep keep a `lanes` keyword that has no effect but
-    must be >= 1; the trials themselves run block by block in order."""
+    """`lanes` (>= 1) on run_sweep and run_mc runs whole MC estimates in
+    forked processes, dealt round-robin over at most one lane per estimate
+    and per usable core; the output, and the error a failing estimate
+    raises, are those of a serial run. Within an estimate, the trials run
+    block by block, in order, on its one Generator."""
+
+    @pytest.fixture(autouse=True)
+    def three_cores(self, monkeypatch):
+        # lane counts up to 3 fork as asked, whatever this host has
+        monkeypatch.setattr(experiments, "_usable_cores", lambda: 3)
 
     @pytest.mark.parametrize("lanes", [0, -1])
     def test_count_rejects_nonpositive(self, lanes):
@@ -473,6 +485,130 @@ class TestLanes:
                 run_sweep(cfg, lanes=lanes)
             with pytest.raises(ValueError, match="lanes"):
                 run_mc(cfg, lanes=lanes)
+
+    def test_lane_count_is_capped_by_jobs_and_cores(self):
+        assert experiments._lane_count(10 ** 6, 8, 2) == 2
+        assert experiments._lane_count(10 ** 6, 3, 64) == 3
+        assert experiments._lane_count(10 ** 6, 0, 64) == 1
+        assert experiments._lane_count(2, 8, 64) == 2
+        assert experiments._lane_count(1, 8, 64) == 1
+
+    def test_jobs_are_dealt_round_robin_to_forked_lanes(self):
+        pids = experiments._in_lanes(list(range(7)), lambda job: (job, os.getpid()), 3)
+        assert [job for job, _ in pids] == list(range(7))
+        lane_pids = [{pid for job, pid in pids if job % 3 == lane} for lane in range(3)]
+        assert lane_pids[0] == {os.getpid()}
+        assert all(len(p) == 1 for p in lane_pids) and len(set.union(*lane_pids)) == 3
+
+    @pytest.mark.parametrize("setting", ["no fork", "threads"])
+    def test_without_fork_or_beside_threads_the_caller_runs_every_job(
+            self, monkeypatch, setting):
+        if setting == "no fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(experiments.threading, "active_count", lambda: 2)
+        pids = experiments._in_lanes(list(range(4)), lambda job: os.getpid(), 3)
+        assert pids == [os.getpid()] * 4
+
+    @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
+    def test_output_is_the_same_at_every_lane_count(self, dist):
+        cfg = ExperimentConfig(m=12, n=12, r=5, lam=3.0, dist=dist, trials=200,
+                               k_range=(1, 2, 4))
+        sweep = {lanes: sweep_csv(run_sweep(cfg, lanes=lanes)) for lanes in (1, 2, 3)}
+        mc = {lanes: mc_csv(run_mc(cfg, lanes=lanes)) for lanes in (1, 2, 3)}
+        assert sweep[1] == sweep[2] == sweep[3]
+        assert mc[1] == mc[2] == mc[3]
+        assert mc[1].count("two_step") == 3
+
+    @pytest.mark.parametrize("failing", [{2, 3}, {1, 2}, {3}])
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_the_earliest_failing_estimate_names_the_error(self, monkeypatch, failing, lanes):
+        # at 2 lanes k=1 and k=3 run in the caller and k=2 in a child
+        real = experiments._two_step_mc
+
+        def two_step_mc(config, checked, k, t_L, t_R):
+            if k in failing:
+                raise ValueError(f"estimate {k} fails")
+            return real(config, checked, k, t_L, t_R)
+
+        monkeypatch.setattr(experiments, "_two_step_mc", two_step_mc)
+        cfg = ExperimentConfig(m=12, n=12, r=3, lam=3.0, trials=100)
+        with pytest.raises(ValueError, match=rf"^rank {min(failing)}: estimate {min(failing)} fails$"):
+            run_sweep(cfg, lanes=lanes)
+        with pytest.raises(ValueError, match=rf"^two_step k={min(failing)}: estimate "):
+            run_mc(dataclasses.replace(cfg, k_range=(1, 2, 3)), lanes=lanes)
+
+    @pytest.mark.parametrize("failing,error", [({2}, "rank 2: estimate fails"),
+                                               ({3}, "rank 3: refused"),
+                                               (set(), "rank 3: refused")])
+    def test_a_refusing_optimizer_stops_the_sweep_where_a_serial_run_stops(
+            self, monkeypatch, failing, error):
+        # rank 3's optimizer refuses: the estimates of ranks 1 and 2 still
+        # run and win if they fail, and no estimate runs past rank 2
+        real_opt, real_mc = experiments.optimize_repetitions, experiments._two_step_mc
+        estimated = []
+
+        def optimize_repetitions(singulars, m, n, k, noise, sigma_b_sq):
+            if k == 3:
+                raise ValueError("refused")
+            return real_opt(singulars, m, n, k, noise, sigma_b_sq)
+
+        def two_step_mc(config, checked, k, t_L, t_R):
+            estimated.append(k)
+            if k in failing:
+                raise ValueError("estimate fails")
+            return real_mc(config, checked, k, t_L, t_R)
+
+        monkeypatch.setattr(experiments, "optimize_repetitions", optimize_repetitions)
+        monkeypatch.setattr(experiments, "_two_step_mc", two_step_mc)
+        cfg = ExperimentConfig(m=12, n=12, r=4, lam=3.0, trials=100)
+        with pytest.raises(ValueError, match=rf"^{error}$"):
+            run_sweep(cfg, lanes=1)
+        assert estimated == [1, 2]
+        with pytest.raises(ValueError, match=rf"^{error}$"):
+            run_sweep(cfg, lanes=3)
+
+    def test_an_estimate_that_overflows_in_a_child_lane(self, tmp_path, capsys):
+        path = tmp_path / "inf.cfg"
+        path.write_text("m=12\nn=12\nr=3\nlambda=3e169\ntrials=200\n")
+        errors = []
+        for lanes in ("1", "2"):
+            assert main(["mc", "--config", str(path), "--lanes", lanes]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert re.fullmatch(r"error: two_step k=3: [^\n]* inf[^\n]*\n", errors[1])
+
+    def test_a_child_that_dies_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        parent, real = os.getpid(), experiments._two_step_mc
+
+        def two_step_mc(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_two_step_mc", two_step_mc)
+        path = tmp_path / "small.cfg"
+        path.write_text("m=12\nn=12\nr=3\nlambda=3\ntrials=100\nk_range=1,2\n")
+        assert main(["mc", "--config", str(path), "--lanes", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: MC lane 1 \(pid \d+\) ended without a result, "
+                            r"exit code 9\n", captured.err)
+
+    def test_a_caller_that_raises_kills_and_reaps_its_children(self):
+        # the children would sleep for half a minute; the caller's
+        # interrupt ends them
+        def job(job):
+            if job == 0:
+                raise KeyboardInterrupt
+            time.sleep(30)
+
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            experiments._in_lanes([0, 1, 2], job, 3)
+        assert time.perf_counter() - t0 < 15
 
     def test_blocks_tile_the_trials_once(self, monkeypatch):
         # blocks of max(1, NOISE_CELLS // width) trials, all on the run's
