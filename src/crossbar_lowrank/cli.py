@@ -9,6 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation failure, 2 usage or config error,
 a rank the config asks for that the budget cannot hold among them.
+
+`gen --out` and `validate` format and parse a large matrix's text in
+forked lanes, up to one per usable core (matrixio), with the same bytes,
+values and errors; `--lanes` sets the MC lanes of sweep and mc only.
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ from .experiments import (
     target,
 )
 from .lowrank import numerical_rank, singular_values
-from .matrixio import MatrixFormatError, matrix_lines, read_matrix
+from .matrixio import MatrixFormatError, matrix_lines, read_matrix, write_matrix
 
 __all__ = ["main", "build_parser"]
 
@@ -128,7 +132,10 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_gen(args) -> int:
     A, _ = target(_load(args))
-    _emit(matrix_lines(A), args.out)
+    if args.out is None:
+        _emit(matrix_lines(A), None)
+    else:
+        write_matrix(A, args.out)
     return 0
 
 

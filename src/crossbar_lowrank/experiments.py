@@ -22,8 +22,8 @@ per command, before any trial (montecarlo.check_target).
 Every stream is `rng.child_stream(master_seed, *key)`, built here and
 handed as a Generator to the function that draws from it: the target's,
 keyed (STREAM_MATRIX,), and one per MC estimate. So the estimates are
-independent jobs, and `lanes` runs them in forked processes (_in_lanes)
-with the same results at any lane count.
+independent jobs, and `lanes` runs them in forked processes
+(lanes.in_lanes) with the same results at any lane count.
 
 Every result is a table of one row dataclass, written by one CSV and one
 JSON writer: the columns are the row's fields, and the extra lines or
@@ -36,11 +36,8 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -370,111 +367,6 @@ def _check_lanes(lanes: int) -> None:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
 
 
-def _lane_count(lanes: int, jobs: int, cores: int) -> int:
-    """How many lanes run `jobs` jobs when `lanes` are asked for: no more
-    than one per job and one per usable core, and at least one."""
-    return max(1, min(lanes, jobs, cores))
-
-
-def _usable_cores() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_lane(jobs: list, run: Callable) -> tuple[list, Exception | None]:
-    """run(job) for the jobs in order, up to the first that raises: the
-    results before it, and its exception or None."""
-    done = []
-    try:
-        for job in jobs:
-            done.append(run(job))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
-@dataclass
-class _Child:
-    """A forked lane: its pid, the read end of its pipe, what it sent
-    (None until read to the end) and its wait status (None until reaped)."""
-
-    pid: int
-    pipe: BinaryIO
-    sent: bytes | None = None
-    status: int | None = None
-
-
-def _fork_lane(jobs: list, run: Callable) -> _Child:
-    """A forked child that runs _run_lane(jobs, run) and writes its pickled
-    outcome to a pipe. It ends in os._exit, so it runs no handler or
-    cleanup of the parent's."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_run_lane(jobs, run)))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return _Child(pid, open(read_fd, "rb"))
-
-
-def _in_lanes(jobs: list, run: Callable, lanes: int) -> list:
-    """[run(job) for job in jobs], dealt round-robin over L =
-    _lane_count(lanes, len(jobs), usable cores) lanes: job i runs in lane
-    i % L. Lane 0 is the calling process. Every other lane is a forked
-    child, which inherits what run needs copy-on-write, runs its jobs in
-    order and pickles back only their results, or the exception that
-    stopped it. Each job must draw only from streams it builds, so every
-    result is the same at any lane count, and the exception raised is that
-    of the earliest failing job, the one a serial run raises.
-
-    A child that ends without a result is a ChildProcessError. Every child
-    is reaped before this returns or raises; one still running when the
-    call raises, KeyboardInterrupt included, is killed first. Without
-    os.fork, at one lane, or beside other Python threads, which a fork
-    would not copy, the jobs run in order in the calling process."""
-    count = _lane_count(lanes, len(jobs), _usable_cores())
-    if count == 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [run(job) for job in jobs]
-    children: list[_Child] = []
-    try:
-        for lane in range(1, count):
-            children.append(_fork_lane(jobs[lane::count], run))
-        outcomes = [_run_lane(jobs[::count], run)]
-        for child in children:
-            child.sent = child.pipe.read()
-    finally:
-        for child in children:
-            child.pipe.close()
-            if child.sent is None:  # not read to its end: it may still be running
-                # imported only here: signal builds its enums on import,
-                # a cost that a call which succeeds need not pay
-                import signal
-                os.kill(child.pid, signal.SIGKILL)
-            child.status = os.waitpid(child.pid, 0)[1]
-    for lane, child in enumerate(children, start=1):
-        try:
-            outcomes.append(pickle.loads(child.sent))
-        except Exception:
-            raise ChildProcessError(
-                f"MC lane {lane} (pid {child.pid}) ended without a result, exit code "
-                f"{os.waitstatus_to_exitcode(child.status)}") from None
-    failed = [(lane + len(done) * count, error)
-              for lane, (done, error) in enumerate(outcomes) if error is not None]
-    if failed:
-        raise min(failed, key=lambda failure: failure[0])[1]
-    results = [None] * len(jobs)
-    for lane, (done, _) in enumerate(outcomes):
-        results[lane::count] = done
-    return results
-
-
 def _two_step_mc(config: ExperimentConfig, checked: CheckedTarget, k: int, t_L: int, t_R: int):
     """MC of the two-step scheme at rank k; sweep and mc share its stream."""
     return run_two_step_trials(checked, k, t_L, t_R, config.noise(),
@@ -496,7 +388,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     optimize_rank's k. The target's size cap holds at every trial count.
 
     Every k's repetitions are chosen first; the estimates then run in up
-    to `lanes` processes (_in_lanes), one job per feasible k before the
+    to `lanes` processes (in_lanes), one job per feasible k before the
     first k whose optimizer refuses, and the error raised is the one a
     serial run raises: the earliest failing estimate's, else that refusal.
     The result is the same at any lane count.
@@ -538,7 +430,8 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
                             mc_mean=mc_mean, mc_stderr=mc_stderr,
                             **_analytic_columns(bd, baseline))
 
-    feasible = _in_lanes(choices, estimate, lanes if config.trials > 0 else 1)
+    from .lanes import in_lanes  # here, so that importing the package loads no lane code
+    feasible = in_lanes(choices, estimate, lanes if config.trials > 0 else 1)
     if refusal is not None:
         raise refusal
     rows = sorted(feasible + infeasible, key=lambda r: r.k)
@@ -652,7 +545,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     check names the target, one in a row's trials or verdict the row.
 
     The rows' estimates, the baseline's and each two-step k's, run in up
-    to `lanes` processes (_in_lanes): the result, and the error raised,
+    to `lanes` processes (in_lanes): the result, and the error raised,
     are the same at any lane count."""
     _check_lanes(lanes)
     if config.trials < 2:
@@ -694,7 +587,8 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
             return row("two_step", k, t_L, t_R,
                        _two_step_mc(config, checked, k, t_L, t_R), bd.total)
 
-    rows = _in_lanes([None, *choices], estimate, lanes)
+    from .lanes import in_lanes
+    rows = in_lanes([None, *choices], estimate, lanes)
     return McResult(rows=rows, all_passed=all(r.passed for r in rows),
                     lam_resolved=config.resolved_lambda(), config=config)
 

@@ -1,9 +1,13 @@
 import os
+import re
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from crossbar_lowrank import lanes, matrixio
+from crossbar_lowrank.cli import main
 from crossbar_lowrank.matrixio import (
     MatrixFormatError,
     dumps_matrix,
@@ -340,3 +344,201 @@ class TestParseErrorNamesFirstBadToken:
         # first underscored token
         with pytest.raises(MatrixFormatError, match=r"^line 2: invalid number '1_0'$"):
             loads_matrix("1 3\nfoo 1_0 2\n")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """A list that grows by one item at each os.fork() call."""
+    calls, real = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or real())
+    return calls
+
+
+@pytest.fixture
+def io_lanes(monkeypatch):
+    """Set how many cores the lanes see and the cells each lane needs."""
+    def set_lanes(cores, min_cells=1):
+        monkeypatch.setattr(lanes, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(matrixio, "MIN_LANE_CELLS", min_cells)
+    return set_lanes
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Lanes that run one after the other in this process, as many as the
+    list's one item asks for (2 to begin with), so no case forks."""
+    count = [2]
+    monkeypatch.setattr(lanes, "available", lambda wanted, jobs: min(count[0], jobs))
+    monkeypatch.setattr(lanes, "in_lanes", lambda jobs, run, *_: [run(job) for job in jobs])
+    return count
+
+
+class TestLanesMatchSerial:
+    """Above MIN_LANE_CELLS cells, a matrix is written, and read from a
+    regular file, in up to one forked lane per usable core, with the
+    serial bytes, values and errors."""
+
+    def test_mutated_files_in_two_and_three_lanes_run_in_process(self, in_process):
+        # a file the lanes refuse is read serially
+        text_fd, out_fd = os.memfd_create("text"), os.memfd_create("out")
+        accepted = 0
+        try:
+            for text in _mutated_texts():
+                data = text.encode()
+                os.ftruncate(text_fd, 0)
+                os.pwrite(text_fd, data, 0)
+                want = _outcome(loads_matrix, text)
+                for in_process[0] in (2, 3):
+                    got = matrixio._read_in_lanes(text_fd, len(data))
+                    if got is not None:
+                        accepted += 1
+                        assert not isinstance(want, tuple) and np.array_equal(got, want)
+                    if not isinstance(want, tuple) and len(want) >= in_process[0]:
+                        write_matrix(want, f"/dev/fd/{out_fd}")
+                        written = os.pread(out_fd, os.fstat(out_fd).st_size, 0)
+                        assert written == dumps_matrix(want).encode()
+        finally:
+            os.close(text_fd)
+            os.close(out_fd)
+        # most files of two or more rows that parse go through the lanes
+        assert accepted > 1000
+
+    @pytest.mark.parametrize("data", [
+        b"2 2\x1c\n1 2\n3 4\n",  # str.splitlines() ends the header before "\n"
+        b"2 2\r\n1 2\r\n3 4\r\n",
+        b"2 2\n1 2\n3 4",  # no line end after the last row
+        b"2 2\n1 2\n3 4\n \n",
+        b"2 2\n1 2\n3 4\n5 6\n",
+        b"2 2\n1 2\n3\xa04\n",  # not UTF-8; latin-1 would read a space
+        b"2\xa02\n1 2\n3 4\n",  # the same in the header
+        "2 2\n1 2\n3\u20034\n".encode(),  # a space that is not ASCII
+        b"2 100000000000\n1\n1\n",  # 1.6 TB claimed: no allocation is tried
+    ])
+    def test_what_the_lanes_leave_to_the_serial_parse(self, in_process, tmp_path, data):
+        path = tmp_path / "A.txt"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            assert matrixio._read_in_lanes(fh.fileno(), len(data)) is None
+        got = _outcome(read_matrix, path)
+        in_process[0] = 1
+        want = _outcome(read_matrix, path)
+        assert got == want if isinstance(want, tuple) else np.array_equal(got, want)
+
+    def test_bytes_at_one_two_and_three_lanes(self, tmp_path, io_lanes, forks):
+        A = np.random.default_rng(23).standard_normal((400, 400))
+        files = []
+        for cores in (1, 2, 3):
+            io_lanes(cores, min_cells=2 ** 10)
+            files.append(tmp_path / f"A{cores}.txt")
+            write_matrix(A, files[-1])
+        assert files[0].read_bytes() == files[1].read_bytes() == files[2].read_bytes()
+        assert np.array_equal(read_matrix(files[2]), A)
+        assert len(forks) == 1 + 2 + 2
+
+    def test_edge_values_round_trip(self, tmp_path, io_lanes, forks):
+        io_lanes(3)
+        A = _edge_values().reshape(6, 7)
+        path = tmp_path / "A.txt"
+        write_matrix(A, path)
+        B = read_matrix(path)
+        assert len(forks) == 4
+        assert path.read_bytes() == _reference_dumps(A).encode()
+        assert np.array_equal(B, A) and np.array_equal(np.signbit(B), np.signbit(A))
+
+    def test_fewer_rows_than_cores(self, tmp_path, io_lanes, forks):
+        io_lanes(3)
+        A = _edge_values()[:10].reshape(2, 5)
+        path = tmp_path / "A.txt"
+        write_matrix(A, path)
+        assert np.array_equal(read_matrix(path), A)
+        assert len(forks) == 2  # one row a lane
+        assert path.read_bytes() == _reference_dumps(A).encode()
+
+    @pytest.mark.parametrize("lanes_on", [True, False])
+    def test_streams_hold_nothing_of_the_text_size(self, monkeypatch, tmp_path, io_lanes,
+                                                   forks, lanes_on):
+        # the children's memory is not the caller's, and tracemalloc sees
+        # the caller only
+        if lanes_on:
+            io_lanes(2, min_cells=matrixio.MIN_LANE_CELLS)
+        else:
+            monkeypatch.setattr(lanes, "available", lambda wanted, jobs: 1)
+        TestFileMatchesText().test_streams_hold_nothing_of_the_text_size(tmp_path)
+        assert len(forks) == (2 if lanes_on else 0)
+
+    def test_a_read_lane_that_dies_gives_the_serial_result(self, monkeypatch, tmp_path,
+                                                           io_lanes, forks):
+        io_lanes(3)
+        parent, real = os.getpid(), matrixio._parse_rows
+        monkeypatch.setattr(matrixio, "_parse_rows", lambda *args: real(*args)
+                            if os.getpid() == parent else os._exit(9))
+        path = tmp_path / "A.txt"
+        A = np.arange(12.0).reshape(6, 2)
+        for text in (dumps_matrix(A), dumps_matrix(A).replace("\n10 ", "\n1x ")):
+            path.write_text(text)
+            want, got = _outcome(loads_matrix, text), _outcome(read_matrix, path)
+            assert got == want if isinstance(want, tuple) else np.array_equal(got, want)
+        assert len(forks) == 4
+
+    def test_a_write_lane_that_dies_is_one_error_line(self, monkeypatch, tmp_path, io_lanes,
+                                                      capsys):
+        io_lanes(2)
+        parent, real = os.getpid(), matrixio._rows
+        monkeypatch.setattr(matrixio, "_rows", lambda A: real(A)
+                            if os.getpid() == parent else os._exit(9))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m=12\nn=12\nr=3\nlambda=3\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(tmp_path / "A.txt")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: matrix write lane 1 \(pid \d+\) ended without a result, "
+                            r"exit code 9\n", captured.err)
+
+    @pytest.mark.parametrize("step", ["write", "read"])
+    def test_an_interrupted_caller_kills_and_reaps_its_lanes(self, monkeypatch, tmp_path,
+                                                             io_lanes, step):
+        # the children would sleep for half a minute
+        io_lanes(3)
+        A = np.arange(12.0).reshape(6, 2)
+        path = tmp_path / "A.txt"
+        write_matrix(A, path)
+        parent = os.getpid()
+
+        def lane(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(30)
+
+        monkeypatch.setattr(matrixio, "_rows", lane)
+        monkeypatch.setattr(matrixio, "_parse_rows", lane)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            write_matrix(A, path) if step == "write" else read_matrix(path)
+        assert time.perf_counter() - t0 < 15
+
+    def test_gen_writes_the_same_bytes_to_out_and_to_stdout(self, tmp_path, io_lanes, forks,
+                                                            capsys):
+        io_lanes(3)
+        cfg, mat = tmp_path / "c.cfg", tmp_path / "A.txt"
+        cfg.write_text("m=30\nn=20\nr=4\nlambda=3\n")
+        assert main(["gen", "--config", str(cfg), "--out", str(mat)]) == 0
+        assert main(["gen", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.encode() == mat.read_bytes()
+        assert len(forks) == 2  # the file in three lanes, stdout in one
+
+    @pytest.mark.parametrize("command", ["gen", "validate"])
+    def test_cli_output_is_the_same_at_one_two_and_three_lanes(self, tmp_path, io_lanes,
+                                                               capsys, command):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("m=30\nn=20\nr=4\nlambda=3\n")
+        mat = tmp_path / "A.txt"
+        outputs = []
+        for cores in (1, 2, 3):
+            io_lanes(cores)
+            argv = ["gen", "--config", str(cfg), "--out", str(mat)]
+            if command == "validate":
+                main(argv)
+                argv = ["validate", str(mat), "--config", str(cfg)]
+            code = main(argv)
+            outputs.append((code, capsys.readouterr(), mat.read_bytes()))
+        assert outputs[0] == outputs[1] == outputs[2]

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from crossbar_lowrank import experiments, montecarlo, schemes
+from crossbar_lowrank import experiments, lanes, montecarlo, schemes
 from crossbar_lowrank.analysis import two_step_error_analytic
 from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import iid_entries
@@ -475,7 +475,7 @@ class TestLanes:
     @pytest.fixture(autouse=True)
     def three_cores(self, monkeypatch):
         # lane counts up to 3 fork as asked, whatever this host has
-        monkeypatch.setattr(experiments, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(lanes, "_usable_cores", lambda: 3)
 
     @pytest.mark.parametrize("lanes", [0, -1])
     def test_count_rejects_nonpositive(self, lanes):
@@ -487,14 +487,14 @@ class TestLanes:
                 run_mc(cfg, lanes=lanes)
 
     def test_lane_count_is_capped_by_jobs_and_cores(self):
-        assert experiments._lane_count(10 ** 6, 8, 2) == 2
-        assert experiments._lane_count(10 ** 6, 3, 64) == 3
-        assert experiments._lane_count(10 ** 6, 0, 64) == 1
-        assert experiments._lane_count(2, 8, 64) == 2
-        assert experiments._lane_count(1, 8, 64) == 1
+        assert lanes._lane_count(10 ** 6, 8, 2) == 2
+        assert lanes._lane_count(10 ** 6, 3, 64) == 3
+        assert lanes._lane_count(10 ** 6, 0, 64) == 1
+        assert lanes._lane_count(2, 8, 64) == 2
+        assert lanes._lane_count(1, 8, 64) == 1
 
     def test_jobs_are_dealt_round_robin_to_forked_lanes(self):
-        pids = experiments._in_lanes(list(range(7)), lambda job: (job, os.getpid()), 3)
+        pids = lanes.in_lanes(list(range(7)), lambda job: (job, os.getpid()), 3)
         assert [job for job, _ in pids] == list(range(7))
         lane_pids = [{pid for job, pid in pids if job % 3 == lane} for lane in range(3)]
         assert lane_pids[0] == {os.getpid()}
@@ -506,8 +506,8 @@ class TestLanes:
         if setting == "no fork":
             monkeypatch.delattr(os, "fork")
         else:
-            monkeypatch.setattr(experiments.threading, "active_count", lambda: 2)
-        pids = experiments._in_lanes(list(range(4)), lambda job: os.getpid(), 3)
+            monkeypatch.setattr(lanes.threading, "active_count", lambda: 2)
+        pids = lanes.in_lanes(list(range(4)), lambda job: os.getpid(), 3)
         assert pids == [os.getpid()] * 4
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
@@ -607,7 +607,7 @@ class TestLanes:
 
         t0 = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
-            experiments._in_lanes([0, 1, 2], job, 3)
+            lanes.in_lanes([0, 1, 2], job, 3)
         assert time.perf_counter() - t0 < 15
 
     def test_blocks_tile_the_trials_once(self, monkeypatch):
