@@ -15,12 +15,16 @@ with trace_k = sum_{i<=k} s_i, each part evaluated left to right as
 written. So no argmin depends on sigma_b_sq: the optimizers score unit
 totals, and _scaled multiplies sigma_b_sq into the parts, in one place.
 One rule, least, picks every winner: t_L within a rank, k, and the sweep's k.
+The optimizers score every (k, t_L) candidate of their ranks in one array
+pass (_best_splits), in batches of at most MAX_SCAN candidates, with the
+scalar formulas' floats and least's winner in each rank's segment.
 The harmonic singular-value class (s_i = lam/i) admits closed-form bounds
 on the trace and truncation tail, and with them asymptotic_bound, the
 error's bound under AsymptoticParams' growth law for r and k.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import astuple, dataclass
@@ -38,8 +42,9 @@ TIE_RTOL = 1e-12
 
 # the largest budget m*n that the optimizers' int64 scan arithmetic holds
 MAX_BUDGET = int(np.iinfo(np.int64).max)
-# the most t_L values one rank's scan may hold (8 MiB of int64 candidates,
-# about 80 MiB with the breakdown arrays); a rank k scans about n/k of them
+# the most t_L values one rank's scan may hold, and the most candidates one
+# batch of the optimizers' pass holds: 8 MiB per array, and a batch holds
+# 11 such arrays at its peak (88 MiB); a rank k scans about n/k of them
 MAX_SCAN = 2 ** 20
 
 
@@ -140,8 +145,8 @@ def _breakdown(tail_sq: float, trace_k: float, m: int, n: int, k: int,
 
 
 def _tail_and_trace(s: np.ndarray, k: int) -> tuple[float, float]:
-    kk = min(k, s.shape[0])
-    return float(np.sum(s[kk:] ** 2)), float(np.sum(s[:kk]))
+    """sum_{i>k} s_i^2 and sum_{i<=k} s_i, each one np.add.reduce."""
+    return float(np.add.reduce(np.square(s[k:]))), float(np.add.reduce(s[:k]))
 
 
 def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: int,
@@ -187,22 +192,46 @@ def t_L_max(m: int, n: int, k: int) -> int:
     return scan
 
 
-def _best_split(s: np.ndarray, m: int, n: int, k: int,
-                noise: NoiseSpec) -> tuple[int, int, list[float]]:
-    """The winning (t_L, t_R) at rank k of a checked spectrum s, and its
-    four parts per unit input variance: all t_L_max(m, n, k) values of t_L
-    in one array pass. t_L_max's refusals, the scan cap among them, come
-    before the candidates are allocated, so both optimizers are bounded."""
-    t_L = np.arange(1, t_L_max(m, n, k) + 1)
-    t_R = (m * n - t_L * m * k) // (n * k)
+def _best_splits(s: np.ndarray, m: int, n: int, ranks: list[int],
+                 noise: NoiseSpec) -> list[tuple[int, int, tuple[float, ...]]]:
+    """The winning (t_L, t_R) at each rank of a checked spectrum s, and its
+    four parts per unit input variance, from one _scan of each batch of
+    consecutive ranks whose candidates add up to at most MAX_SCAN. t_L_max's
+    refusals, the scan cap among them, come in rank order before any
+    candidate is allocated."""
+    scans = [t_L_max(m, n, k) for k in ranks]
+    splits, lo = [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses a non-finite winner
-        unit = _breakdown(*_tail_and_trace(s, k), m, n, k, t_L, t_R,
-                          noise.sigma_L_sq, noise.sigma_R_sq)
-    best = least(unit.total.tolist())
-    # truncation does not depend on t_L: it is the one scalar field
-    return int(t_L[best]), int(t_R[best]), [
-        float(unit.truncation), float(unit.stage1_noise[best]),
-        float(unit.stage2_noise[best]), float(unit.accumulated[best])]
+        while lo < len(ranks):
+            hi, size = lo + 1, scans[lo]
+            while hi < len(ranks) and size + scans[hi] <= MAX_SCAN:
+                size, hi = size + scans[hi], hi + 1
+            splits += _scan(s, m, n, ranks[lo:hi], scans[lo:hi], size, noise)
+            lo = hi
+    return splits
+
+
+def _scan(s: np.ndarray, m: int, n: int, ranks: list[int], scans: list[int], size: int,
+          noise: NoiseSpec) -> list[tuple[int, int, tuple[float, ...]]]:
+    """The candidates t_L in [1, scans[i]] of each rank, size in all, side
+    by side in one array, scored by the elementwise _breakdown on the rank's
+    own tail and trace, so every float has the bits of a scan of that rank
+    alone; the winner in each rank's segment is least's: the first total
+    within TIE_RTOL of the segment's least number (fmin skips NaN), or the
+    segment's first if all its totals are NaN."""
+    tails, traces = map(np.array, zip(*(_tail_and_trace(s, k) for k in ranks)))
+    counts, starts = np.array(scans), np.array([0, *itertools.accumulate(scans[:-1])])
+    k = np.array(ranks).repeat(counts)
+    t_L = np.arange(1, size + 1) - starts.repeat(counts)
+    t_R = (m * n - t_L * m * k) // (n * k)
+    unit = _breakdown(tails.repeat(counts), traces.repeat(counts), m, n, k, t_L, t_R,
+                      noise.sigma_L_sq, noise.sigma_R_sq)
+    low = np.fmin.reduceat(unit.total, starts).repeat(counts)
+    tied = ((unit.total * (1.0 - TIE_RTOL) <= low) | np.isnan(low)).nonzero()[0]
+    best = tied[tied.searchsorted(starts)]
+    return list(zip(t_L[best].tolist(), t_R[best].tolist(), zip(
+        tails.tolist(), unit.stage1_noise[best].tolist(), unit.stage2_noise[best].tolist(),
+        unit.accumulated[best].tolist())))
 
 
 def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
@@ -222,7 +251,7 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
     _check_variances(sigma_b_sq)
-    t_L, t_R, unit = _best_split(check_spectrum(singulars), m, n, k, noise)
+    [(t_L, t_R, unit)] = _best_splits(check_spectrum(singulars), m, n, [k], noise)
     return t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 
@@ -231,15 +260,18 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
     """Joint best (k, t_L, t_R) over the ranks in [1, k_max] that fit, each
     k's unit total being its best split's; least picks k, and only the winner
     is scaled. The budget grows with k, so _check_fits refuses rank 1 for all.
+    All ranks' candidates are scored in one array pass, in batches of at most
+    MAX_SCAN candidates, so memory stays within one batch's at any k_max.
     Rank 1 alone scans n - 1 values of t_L: the scan cap refuses n > 2**20 + 1."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
     _check_variances(sigma_b_sq)
     s = check_spectrum(singulars)
     _check_fits(m, n, 1)
-    choices = [(k, *_best_split(s, m, n, k, noise))
-               for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)]
-    k, t_L, t_R, unit = choices[least([sum(choice[3]) for choice in choices])]
+    ranks = [k for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)]
+    splits = _best_splits(s, m, n, ranks, noise)
+    best = least([sum(split[2]) for split in splits])
+    (t_L, t_R, unit), k = splits[best], ranks[best]
     return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 

@@ -21,11 +21,14 @@ def check_spectrum(singulars) -> np.ndarray:
     """singulars as a float64 array, checked to be 1-D, finite,
     nonnegative and nonincreasing."""
     s = np.asarray(singulars, dtype=float)
+    # valid at once if nonincreasing (so NaN-free) from a finite to a nonnegative value
+    if s.ndim == 1 and s.size and s[0] < math.inf and s[-1] >= 0 and (s[1:] <= s[:-1]).all():
+        return s
     if s.ndim != 1:
         raise ValueError(f"singular values must be a 1-D array, got shape {s.shape}")
     if not (np.isfinite(s) & (s >= 0)).all():
         raise ValueError("singular values must be finite and nonnegative")
-    if (np.diff(s) > 0).any():
+    if (s[1:] > s[:-1]).any():
         raise ValueError("singular values must be nonincreasing")
     return s
 

@@ -71,8 +71,9 @@ Z_PASS_LIMIT = 4.0
 # its SVD on either side (see _span_coords)
 SPAN_SLACK = 10.0
 
-# cap on a run's trials, whose squared errors it holds: about 56 B a trial
-# at the peak, so 0.9 GiB at the cap (see experiments.MAX_SQUARE_CELLS)
+# cap on a run's trials, whose squared errors it holds: about 25 B a trial
+# at the peak (the errors, _reduce's scaled copy and its squared deviations),
+# so 0.4 GiB at the cap (see experiments.MAX_SQUARE_CELLS)
 MAX_TRIALS = 2 ** 24
 
 
@@ -152,8 +153,8 @@ def _plus_isotropic(y_sq: np.ndarray, a: np.ndarray, dim: int,
 def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
     """Mean and standard error of nonnegative errors, summed on errors / 2^e
     (e the exponent of the largest) and scaled back: bit-identical to plain
-    sums where those stay in float64, and finite for finite errors. An inf
-    or NaN trial is a ValueError, refused before the sum."""
+    sums where those stay in float64, and finite for finite errors; fsum reads
+    the arrays in place. An inf or NaN trial is a ValueError, refused first."""
     if not np.isfinite(errors).all():
         mean = math.nan if np.isnan(errors).any() else math.inf
         raise ValueError(f"the trials' mean squared error is {mean}: a trial's error "
@@ -161,8 +162,8 @@ def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
     trials = errors.shape[0]
     e = math.frexp(float(errors.max()))[1]
     x = np.ldexp(errors, -e)
-    mean = math.fsum(x.tolist()) / trials
-    var = math.fsum(((x - mean) ** 2).tolist()) / (trials - 1)
+    mean = math.fsum(memoryview(x)) / trials
+    var = math.fsum(memoryview((x - mean) ** 2)) / (trials - 1)
     return TrialBatchResult(trials=trials, mean_sq_error=math.ldexp(mean, e),
                             std_error=math.ldexp(math.sqrt(var / trials), e),
                             roundoff=roundoff)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 import timeit
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from crossbar_lowrank.analysis import (
 from crossbar_lowrank.core import DeviceParams
 from crossbar_lowrank.experiments import ExperimentConfig, run_scaling, target
 from crossbar_lowrank.lowrank import svd
-from crossbar_lowrank.matrixgen import harmonic_spectrum
+from crossbar_lowrank.matrixgen import check_spectrum, harmonic_spectrum
 from crossbar_lowrank.schemes import NoiseSpec
 
 
@@ -790,3 +791,141 @@ class TestOneRuleRegressions:
         # k = 1's unit truncation (1e200)^2 overflows; k = 2 has none
         assert optimize_rank([1e200, 1e200], 40, 40, self.NOISE, 1.0, 2) == (
             2, 10, 10, analysis.ErrorBreakdown(0.0, 4e199, 4e199, 0.08000000000000002, 8e199))
+
+
+def _best_split_oracle(s, m, n, k, noise):
+    """The per-rank scan that the one-pass scan replaced, kept as its
+    oracle: the t_L_max(m, n, k) values of t_L of rank k alone in one array
+    pass, the tail and trace by np.sum, and least over the totals as a list."""
+    t_L = np.arange(1, analysis.t_L_max(m, n, k) + 1)
+    t_R = (m * n - t_L * m * k) // (n * k)
+    kk = min(k, s.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = analysis._breakdown(float(np.sum(s[kk:] ** 2)), float(np.sum(s[:kk])), m, n, k,
+                                   t_L, t_R, noise.sigma_L_sq, noise.sigma_R_sq)
+    best = analysis.least(unit.total.tolist())
+    return int(t_L[best]), int(t_R[best]), [
+        float(unit.truncation), float(unit.stage1_noise[best]),
+        float(unit.stage2_noise[best]), float(unit.accumulated[best])]
+
+
+def _oracle_repetitions(singulars, m, n, k, noise, sigma_b_sq):
+    if not 1 <= k <= min(m, n):
+        raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
+    analysis._check_variances(sigma_b_sq)
+    t_L, t_R, unit = _best_split_oracle(check_spectrum(singulars), m, n, k, noise)
+    return t_L, t_R, analysis.ErrorBreakdown(
+        *analysis._scaled(sigma_b_sq, unit, "the least two-step error"))
+
+
+def _oracle_rank(singulars, m, n, noise, sigma_b_sq, k_max):
+    if not 1 <= k_max <= min(m, n):
+        raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
+    analysis._check_variances(sigma_b_sq)
+    s = check_spectrum(singulars)
+    analysis._check_fits(m, n, 1)
+    choices = [(k, *_best_split_oracle(s, m, n, k, noise))
+               for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)]
+    k, t_L, t_R, unit = choices[analysis.least([sum(choice[3]) for choice in choices])]
+    return k, t_L, t_R, analysis.ErrorBreakdown(
+        *analysis._scaled(sigma_b_sq, unit, "the least two-step error"))
+
+
+def _outcome(optimizer, *args):
+    """The result with each float as its bits (float.hex), or the refusal's
+    type and message."""
+    try:
+        *ints, bd = optimizer(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    parts = dataclasses.astuple(bd)
+    assert all(type(v) is int for v in ints) and all(type(v) is float for v in parts)
+    return (*ints, *(v.hex() for v in parts))
+
+
+def _random_spectrum(rng, size, kind):
+    if kind == 0:  # a flat spectrum puts totals within TIE_RTOL of each other
+        return np.full(size, float(rng.choice([1.0, 1e10])))
+    if kind == 1:  # tails past 1e154 square to inf, traces past 1e308 sum to it, and
+        # at zero stage noise 0 * inf turns a rank's every total NaN
+        return np.full(size, float(rng.choice([1e200, 1e308, 1e300])))
+    if kind == 2:
+        return harmonic_spectrum(float(rng.uniform(0.5, 20.0)), size)
+    return np.sort(rng.uniform(0.0, 5.0, size) * (rng.random(size) < 0.8))[::-1]
+
+
+def test_the_one_pass_scan_equals_the_per_rank_scans(monkeypatch):
+    """Both optimizers against the per-rank oracle on 2000 random configs:
+    every fourth square with equal stage noise (exact ties), spectra whose
+    totals overflow to inf or, at zero or subnormal stage noise, turn NaN
+    for all or some of a rank's t_L, a sigma_b_sq that overflows a winner,
+    k and k_max out of range, budgets that do not fit, and a third of the
+    configs under a MAX_SCAN at or below 1.5 times rank 1's scan, so their
+    ranks cross batch boundaries or hit the cap. Each result must match to
+    the bit, and each refusal in type and message."""
+    rng = np.random.default_rng(27)
+    scans = []
+    real_scan = analysis._scan
+
+    def counting_scan(s, m, n, ranks, rank_scans, size, noise):
+        # one batch: consecutive ranks whose candidates fit under the cap
+        assert size == sum(rank_scans) <= analysis.MAX_SCAN
+        scans[-1] += 1
+        return real_scan(s, m, n, ranks, rank_scans, size, noise)
+
+    monkeypatch.setattr(analysis, "_scan", counting_scan)
+    crossed, refused, real_cap = 0, 0, analysis.MAX_SCAN
+    for case in range(2_000):
+        m = int(rng.integers(1, 48))
+        n = m if case % 4 == 0 else int(rng.integers(1, 48))
+        # 5e-324 * m / t_L rounds to 0 past t_L = 2m, so next to an inf trace
+        # some of a rank's totals are NaN and some inf
+        sl = float(rng.choice([0.0, 0.05, 5e-324, rng.uniform(0.001, 0.5)]))
+        sr = sl if case % 4 == 0 else float(rng.choice([0.0, 0.05, 5e-324,
+                                                         rng.uniform(0.001, 0.5)]))
+        noise = NoiseSpec(sigma_L_sq=sl, sigma_R_sq=sr)
+        singulars = _random_spectrum(rng, int(rng.integers(1, min(m, n) + 1)), case % 5)
+        sb = float(rng.choice([0.0, 1.0, rng.uniform(0.1, 4.0), 1e300]))
+        k_max = int(rng.integers(1, min(m, n) + 2))
+        k = int(rng.integers(1, min(m, n) + 2))
+        cap = real_cap
+        if case % 3 == 0 and m + n <= m * n:
+            first = (m * n - n) // m  # rank 1's scan, the longest
+            cap = int(rng.integers(max(1, first * 2 // 3), first + first // 2 + 1))
+        monkeypatch.setattr(analysis, "MAX_SCAN", cap)
+        scans.append(0)
+        got = _outcome(optimize_rank, singulars, m, n, noise, sb, k_max)
+        crossed += scans[-1] > 1
+        refused += len(got) == 2
+        assert got == _outcome(_oracle_rank, singulars, m, n, noise, sb, k_max), case
+        assert _outcome(optimize_repetitions, singulars, m, n, k, noise, sb) == \
+            _outcome(_oracle_repetitions, singulars, m, n, k, noise, sb), case
+    assert crossed > 250 and 500 < refused < 1_500, (crossed, refused)
+
+
+def test_a_pass_over_many_ranks_holds_one_batch():
+    """At m = n = 2**18 the 64 ranks scan about 1.25M candidates, more than
+    MAX_SCAN, so the pass runs in batches: its peak stays within the 11
+    arrays of one MAX_SCAN batch that the MAX_SCAN comment states (a single
+    pass would hold 11 arrays of 1.25M), and the result is the per-rank
+    oracle's."""
+    n = 2 ** 18
+    spectrum, noise = harmonic_spectrum(10.0, 64), NoiseSpec(sigma_L_sq=0.02, sigma_R_sq=0.08)
+    assert sum(analysis.t_L_max(n, n, k) for k in range(1, 65)) > 1.18 * analysis.MAX_SCAN
+    tracemalloc.start()
+    try:
+        got = optimize_rank(spectrum, n, n, noise, 3.0, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * analysis.MAX_SCAN + 2 ** 20
+    assert _outcome(lambda *a: got) == _outcome(_oracle_rank, spectrum, n, n, noise, 3.0, 64)
+
+
+def test_a_nan_total_ahead_of_an_inf_one_does_not_win():
+    # the trace 2 * 1e308 overflows; at t_L = 1, t_R = 10 and the stage-2
+    # factor 5 * 5e-324 / 10 rounds to 0, so stage 2 is 0 * inf, NaN; at
+    # t_L = 2 (t_R = 3) it is inf. least skips the NaN, so the refusal names inf
+    noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=5e-324)
+    with pytest.raises(ValueError, match="the least two-step error is inf"):
+        optimize_repetitions([1e308] * 5, 34, 5, 2, noise, 1.0)

@@ -10,6 +10,7 @@ from crossbar_lowrank.analysis import lambda_max
 from crossbar_lowrank.core import DeviceParams, magnitude_check
 from crossbar_lowrank.lowrank import svd
 from crossbar_lowrank.matrixgen import (
+    check_spectrum,
     harmonic_matrix,
     harmonic_spectrum,
     prescribed_matrix,
@@ -71,6 +72,39 @@ class TestHarmonicSpectrum:
     def test_rejects_bad_rank(self):
         with pytest.raises(ValueError, match="rank"):
             harmonic_spectrum(1.0, 0)
+
+
+def _check_spectrum_in_turn(singulars):
+    """check_spectrum as its three checks in turn, without the shortcut for
+    a valid spectrum: the refusals and their order it must keep."""
+    s = np.asarray(singulars, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"singular values must be a 1-D array, got shape {s.shape}")
+    if not (np.isfinite(s) & (s >= 0)).all():
+        raise ValueError("singular values must be finite and nonnegative")
+    if (np.diff(s) > 0).any():
+        raise ValueError("singular values must be nonincreasing")
+    return s
+
+
+def test_check_spectrum_passes_and_refuses_as_its_checks_in_turn():
+    rng = np.random.default_rng(8)
+    specials = [math.nan, math.inf, -math.inf, -1.0, -0.0, 0.0, 5e-324, 1e308]
+    cases = [[], 2.0, [[2.0, 1.0]], [1.0, 5.0, math.nan], [math.nan], [math.inf, 1.0]]
+    for _ in range(3_000):
+        s = np.sort(rng.uniform(0.0, 5.0, int(rng.integers(1, 9))))[::-1]
+        if rng.random() < 0.7:
+            s[rng.integers(s.size)] = rng.choice(specials + [9.0])
+        cases.append(s.tolist())
+    for singulars in cases:
+        try:
+            want = _check_spectrum_in_turn(singulars).tolist()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refusal:
+                check_spectrum(singulars)
+            assert str(refusal.value) == str(exc)
+        else:
+            assert check_spectrum(singulars).tolist() == want
 
 
 class TestHarmonicMatrix:
