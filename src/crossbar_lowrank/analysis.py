@@ -24,9 +24,11 @@ error's bound under AsymptoticParams' growth law for r and k.
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -250,9 +252,24 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
+    return next(optimize_each_rank(singulars, m, n, [k], noise, sigma_b_sq))
+
+
+def optimize_each_rank(singulars, m: int, n: int, ranks: list[int], noise: NoiseSpec,
+                       sigma_b_sq: float) -> Iterator[tuple[int, int, ErrorBreakdown]]:
+    """optimize_repetitions at each of `ranks` (in [1, min(m, n)]) in turn:
+    one _best_splits pass scores the ranks before the first that t_L_max
+    refuses, and each rank yields its result or raises its refusal lazily."""
     _check_variances(sigma_b_sq)
-    [(t_L, t_R, unit)] = _best_splits(check_spectrum(singulars), m, n, [k], noise)
-    return t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
+    s, fit = check_spectrum(singulars), 0
+    with contextlib.suppress(ValueError):  # the refusal is raised again at its turn
+        for k in ranks:
+            t_L_max(m, n, k)
+            fit += 1
+    for t_L, t_R, unit in _best_splits(s, m, n, ranks[:fit], noise):
+        yield t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
+    if fit < len(ranks):
+        t_L_max(m, n, ranks[fit])
 
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,

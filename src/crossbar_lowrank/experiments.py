@@ -47,6 +47,7 @@ from .analysis import (
     lambda_max,
     least,
     optimal_beta,
+    optimize_each_rank,
     optimize_rank,
     optimize_repetitions,
     t_L_max,
@@ -367,6 +368,15 @@ def _check_lanes(lanes: int) -> None:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
 
 
+def _repetitions(config: ExperimentConfig, singulars: np.ndarray, noise: NoiseSpec,
+                 ranks: list[int]):
+    """(k, t_L, t_R, breakdown) at each of `ranks` in turn; a refusal names its rank."""
+    splits = optimize_each_rank(singulars, config.m, config.n, ranks, noise, config.sigma_b_sq)
+    for k in ranks:
+        with _naming(f"rank {k}"):
+            yield (k, *next(splits))
+
+
 def _two_step_mc(config: ExperimentConfig, checked: CheckedTarget, k: int, t_L: int, t_R: int):
     """MC of the two-step scheme at rank k; sweep and mc share its stream."""
     return run_two_step_trials(checked, k, t_L, t_R, config.noise(),
@@ -404,20 +414,16 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
-    infeasible: list[SweepRow] = []
+    ks = config.resolved_k_range()
+    ranks = [k for k in ks if budget_feasible(config.m, config.n, k, 1, 1)]
+    infeasible = [SweepRow(k=k, t_L=0, t_R=0, feasible=False, baseline_analytic=baseline)
+                  for k in ks if not budget_feasible(config.m, config.n, k, 1, 1)]
     choices, refusal = [], None
-    for k in config.resolved_k_range():
-        if not budget_feasible(config.m, config.n, k, 1, 1):
-            infeasible.append(SweepRow(k=k, t_L=0, t_R=0, feasible=False,
-                                       baseline_analytic=baseline))
-            continue
-        try:
-            with _naming(f"rank {k}"):
-                choices.append((k, *optimize_repetitions(singulars, config.m, config.n,
-                                                         k, noise, config.sigma_b_sq)))
-        except ValueError as exc:
-            refusal = exc
-            break
+    try:
+        for choice in _repetitions(config, singulars, noise, ranks):
+            choices.append(choice)
+    except ValueError as exc:
+        refusal = exc
 
     def estimate(choice) -> SweepRow:
         k, t_L, t_R, bd = choice
@@ -559,11 +565,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
         choices = [optimize_rank(singulars, config.m, config.n, noise,
                                  config.sigma_b_sq, config.r)]
     else:
-        choices = []
-        for k in config.k_range:
-            with _naming(f"rank {k}"):
-                choices.append((k, *optimize_repetitions(singulars, config.m, config.n,
-                                                         k, noise, config.sigma_b_sq)))
+        choices = list(_repetitions(config, singulars, noise, list(config.k_range)))
     A, s = target(config)
     with _naming("target"):
         checked = check_target(s, A)

@@ -9,8 +9,9 @@ baseline, the rank of A for the Gaussian two-step, and max(m, n) for
 uniform noise, whose scheme functions run a block's rows in chunks by the
 same bound (see schemes). A block draws its input rows B (trials x m), or
 for Gaussian two-step trials their coordinates W (trials x rank, see
-below), then the noise of its trials. A fixed-order compensated sum
-reduces the errors.
+below), then the noise of its trials. The errors are reduced by exact sums
+rounded once, as math.fsum rounds them, and computed by error-free
+extraction in vector passes (_exact_sum).
 
 Gaussian noise is sampled by its effect, not cell by cell. The error
 depends on a write-noise matrix only through x E for the row vector x
@@ -71,9 +72,12 @@ Z_PASS_LIMIT = 4.0
 # its SVD on either side (see _span_coords)
 SPAN_SLACK = 10.0
 
-# cap on a run's trials, whose squared errors it holds: about 25 B a trial
-# at the peak (the errors, _reduce's scaled copy and its squared deviations),
-# so 0.4 GiB at the cap (see experiments.MAX_SQUARE_CELLS)
+# the most values _exact_sum copies and splits at once
+SUM_BLOCK = 2 ** 14
+
+# cap on a run's trials, whose squared errors it holds: about 16.5 B a trial
+# at the peak (the errors and _reduce's scaled copy, or the blocks and their
+# concatenation), so 0.26 GiB at the cap (see experiments.MAX_SQUARE_CELLS)
 MAX_TRIALS = 2 ** 24
 
 
@@ -150,11 +154,28 @@ def _plus_isotropic(y_sq: np.ndarray, a: np.ndarray, dim: int,
     return out
 
 
+def _exact_sum(x: np.ndarray) -> float:
+    """The exact sum of 1-D float64 x, |x| < 2^1000, rounded once as fsum rounds
+    it (error-free extraction: Ogita, Rump and Oishi 2005). Each level splits a
+    block p of at most SUM_BLOCK values exactly into q = (p + sigma) - sigma, which
+    np.add.reduce sums exactly, and p - q, for sigma = 2^(M + e), e the exponent of
+    max|p| and 2^M >= len(p) + 2, until p (of either sign) is all zeros."""
+    totals = []
+    for lo in range(0, x.size, SUM_BLOCK):
+        p = x[lo:lo + SUM_BLOCK].copy()
+        while top := max(float(p.max()), -float(p.min())):
+            sigma = math.ldexp(1.0, (p.size + 1).bit_length() + math.frexp(top)[1])
+            q = p + sigma - sigma
+            p -= q
+            totals.append(float(np.add.reduce(q)))
+    return math.fsum(totals)
+
+
 def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
     """Mean and standard error of nonnegative errors, summed on errors / 2^e
     (e the exponent of the largest) and scaled back: bit-identical to plain
-    sums where those stay in float64, and finite for finite errors; fsum reads
-    the arrays in place. An inf or NaN trial is a ValueError, refused first."""
+    sums where those stay in float64, and finite for finite errors; each sum is
+    exact, rounded once (_exact_sum). An inf or NaN trial is refused first."""
     if not np.isfinite(errors).all():
         mean = math.nan if np.isnan(errors).any() else math.inf
         raise ValueError(f"the trials' mean squared error is {mean}: a trial's error "
@@ -162,8 +183,8 @@ def _reduce(errors: np.ndarray, roundoff: float) -> TrialBatchResult:
     trials = errors.shape[0]
     e = math.frexp(float(errors.max()))[1]
     x = np.ldexp(errors, -e)
-    mean = math.fsum(memoryview(x)) / trials
-    var = math.fsum(memoryview((x - mean) ** 2)) / (trials - 1)
+    mean = _exact_sum(x) / trials
+    var = _exact_sum(np.square(np.subtract(x, mean, out=x), out=x)) / (trials - 1)
     return TrialBatchResult(trials=trials, mean_sq_error=math.ldexp(mean, e),
                             std_error=math.ldexp(math.sqrt(var / trials), e),
                             roundoff=roundoff)

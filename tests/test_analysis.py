@@ -20,6 +20,7 @@ from crossbar_lowrank.analysis import (
     harmonic_trace,
     lambda_max,
     optimal_beta,
+    optimize_each_rank,
     optimize_rank,
     optimize_repetitions,
     tail_bound,
@@ -901,6 +902,29 @@ def test_the_one_pass_scan_equals_the_per_rank_scans(monkeypatch):
         assert _outcome(optimize_repetitions, singulars, m, n, k, noise, sb) == \
             _outcome(_oracle_repetitions, singulars, m, n, k, noise, sb), case
     assert crossed > 250 and 500 < refused < 1_500, (crossed, refused)
+
+
+def test_optimize_each_rank_is_one_call_per_rank_in_turn():
+    """Against one optimize_repetitions call per rank, on random configs
+    whose rank lists may hold ranks that do not fit or whose totals are
+    refused: each rank yields that call's result to the bit, or raises its
+    refusal at its turn, after every rank before it."""
+    rng = np.random.default_rng(35)
+    stopped = 0
+    for case in range(500):
+        m, n = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        noise = NoiseSpec(sigma_L_sq=float(rng.choice([0.0, 0.05, 5e-324])),
+                          sigma_R_sq=float(rng.uniform(0.001, 0.5)))
+        singulars = _random_spectrum(rng, int(rng.integers(1, min(m, n) + 1)), case % 5)
+        sb = float(rng.choice([1.0, 1e300]))
+        ranks = sorted(set(rng.integers(1, min(m, n) + 1, 4).tolist()))
+        want = [_outcome(optimize_repetitions, singulars, m, n, k, noise, sb) for k in ranks]
+        stop = next((i for i, w in enumerate(want) if len(w) == 2), len(ranks) - 1)
+        splits = optimize_each_rank(singulars, m, n, ranks, noise, sb)
+        assert [_outcome(next, splits) for _ in want[:stop + 1]] == want[:stop + 1], case
+        assert next(splits, None) is None
+        stopped += len(want[stop]) == 2
+    assert 50 < stopped < 450, stopped
 
 
 def test_a_pass_over_many_ranks_holds_one_batch():

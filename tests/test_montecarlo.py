@@ -16,7 +16,9 @@ from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_s
 from crossbar_lowrank.lowrank import LrFactors, SvdResult, factor_lr, svd, truncate
 from crossbar_lowrank.matrixgen import prescribed_factors, prescribed_matrix
 from crossbar_lowrank.montecarlo import (
+    SUM_BLOCK,
     TrialBatchResult,
+    _exact_sum,
     _frobenius,
     _reduce,
     _run_blocks,
@@ -423,9 +425,69 @@ def test_reduce_sums_exactly_as_the_scalar_loop():
     assert res.std_error == math.sqrt(var / n)
 
 
+def _reduce_by_fsum(errors):
+    """_reduce's mean and SE with both sums by math.fsum, as _reduce formed
+    them before _exact_sum: the oracle for their bits."""
+    trials = errors.shape[0]
+    e = math.frexp(float(errors.max()))[1]
+    x = np.ldexp(errors, -e)
+    mean = math.fsum(memoryview(x)) / trials
+    var = math.fsum(memoryview((x - mean) ** 2)) / (trials - 1)
+    return math.ldexp(mean, e), math.ldexp(math.sqrt(var / trials), e)
+
+
+def _sum_cases(rng, small=830):
+    """Arrays of the kinds _exact_sum must sum as fsum does, at `small` random
+    small lengths and at 1, 2, one block +- 1 and past 2^16; the signed kinds
+    give remainders of both signs, tiny values give a subnormal sigma, and the
+    negatives of one binade sum past sigma when 2^M < len(p)."""
+    def kinds(n):
+        sign = rng.choice([-1.0, 1.0], n)
+        half_zero = 10.0 ** rng.uniform(-300, 0, n) * (rng.random(n) < 0.5)
+        return {
+            "uniform": rng.random(n),
+            "negative_binade": -rng.uniform(0.5, 1.0, n),
+            "chi2_products": rng.chisquare(12, n) * rng.chisquare(20, n),
+            "exponents_to_subnormal": sign * np.ldexp(rng.random(n), rng.integers(-1074, 8, n)),
+            "all_tiny": sign * np.ldexp(rng.random(n), rng.integers(-1074, -1020, n)),
+            "half_zeros": half_zero,
+            "near_constant": 0.3 * (1.0 + rng.integers(-3, 4, n) * 2.0 ** -52),
+        }
+    for n in rng.integers(1, 48, small):
+        yield from kinds(int(n)).items()
+    for n in (1, 2, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 ** 16 + 3):
+        yield from kinds(n).items()
+    for ties in ([0.5, 2.0 ** -54], [1.0, 2.0 ** -53, 2.0 ** -100], [2.0 ** 53, 1.0],
+                 [2.0 ** 53, 1.0, 2.0 ** -60], [1.0, -(2.0 ** -54), -(2.0 ** -120)],
+                 [1.5, 2.0 ** -53], [2.0 ** -1074, 2.0 ** -1074], [3.0, -3.0]):
+        yield "halfway", np.array(ties)
+    # a tie whose parts lie in different blocks
+    spread = np.zeros(2 * SUM_BLOCK + 1)
+    spread[[0, SUM_BLOCK, 2 * SUM_BLOCK]] = 1.0, 2.0 ** -53, 2.0 ** -100
+    yield "halfway_across_blocks", spread
+
+
+def test_exact_sum_equals_fsum_bit_for_bit():
+    cases = list(_sum_cases(np.random.default_rng(33)))
+    assert len(cases) >= 5000
+    wrong = [(kind, x.size) for kind, x in cases
+             if _exact_sum(x).hex() != math.fsum(memoryview(x)).hex()]
+    assert wrong == []
+
+
+def test_reduce_equals_its_fsum_form_bit_for_bit():
+    # the mean and SE of nonnegative errors, via the squared deviations too
+    for kind, x in _sum_cases(np.random.default_rng(34), small=200):
+        errors = np.abs(x)
+        if errors.size > 1 and errors.max() > 0:
+            res = _reduce(errors, 0.0)
+            assert (res.mean_sq_error, res.std_error) == _reduce_by_fsum(errors), kind
+
+
 def test_reduce_holds_no_copy_of_the_errors_as_a_list():
-    # fsum reads the scaled errors and their squared deviations in place; a
-    # list of them would add 32 B a value (a pointer and a float object)
+    # _exact_sum copies one block of the scaled errors at a time, and the
+    # squared deviations overwrite the scaled copy; a list of the values
+    # would add 32 B a value (a pointer and a float object)
     errors = np.random.default_rng(6).chisquare(10, 2 ** 16)
     tracemalloc.start()
     try:
@@ -558,13 +620,14 @@ class TestLanes:
             self, monkeypatch, failing, error):
         # rank 3's optimizer refuses: the estimates of ranks 1 and 2 still
         # run and win if they fail, and no estimate runs past rank 2
-        real_opt, real_mc = experiments.optimize_repetitions, experiments._two_step_mc
+        real_opt, real_mc = experiments.optimize_each_rank, experiments._two_step_mc
         estimated = []
 
-        def optimize_repetitions(singulars, m, n, k, noise, sigma_b_sq):
-            if k == 3:
-                raise ValueError("refused")
-            return real_opt(singulars, m, n, k, noise, sigma_b_sq)
+        def optimize_each_rank(singulars, m, n, ranks, noise, sigma_b_sq):
+            for k, split in zip(ranks, real_opt(singulars, m, n, ranks, noise, sigma_b_sq)):
+                if k == 3:
+                    raise ValueError("refused")
+                yield split
 
         def two_step_mc(config, checked, k, t_L, t_R):
             estimated.append(k)
@@ -572,7 +635,7 @@ class TestLanes:
                 raise ValueError("estimate fails")
             return real_mc(config, checked, k, t_L, t_R)
 
-        monkeypatch.setattr(experiments, "optimize_repetitions", optimize_repetitions)
+        monkeypatch.setattr(experiments, "optimize_each_rank", optimize_each_rank)
         monkeypatch.setattr(experiments, "_two_step_mc", two_step_mc)
         cfg = ExperimentConfig(m=12, n=12, r=4, lam=3.0, trials=100)
         with pytest.raises(ValueError, match=rf"^{error}$"):
@@ -1150,6 +1213,28 @@ two_step,2,2,2,300,10.199919469724172,0.4308834305093176,10.3275,-0.296090592587
 # all_passed=true
 """
 
+# pins past one block of _reduce's sums (2^14 trials): a Gaussian and a
+# uniform mc whose errors it sums over several blocks
+PINNED_MC_GAUSSIAN_50K = """\
+# crossbar-lowrank mc v1
+# config m=12 n=12 r=3 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
+sigma_b_sq=3.0 dist=gaussian rho=1.0 r_T=1.0 trials=50000 seed=12345
+scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
+baseline,,,,50000,21.623311741935673,0.05847867522123614,21.6,0.39863662860827165,true
+two_step,2,3,3,50000,8.65666320284906,0.03344690553297798,8.64,0.4981986400096134,true
+# all_passed=true
+"""
+
+PINNED_MC_UNIFORM_40K = """\
+# crossbar-lowrank mc v1
+# config m=8 n=8 r=4 lambda=3.0 sigma_e_sq=0.05 sigma_L_sq=0.05 sigma_R_sq=0.05 \
+sigma_b_sq=3.0 dist=uniform rho=1.0 r_T=1.0 trials=40000 seed=12345
+scheme,k,t_L,t_R,trials,mean_sq_error,std_error,analytic,z,pass
+baseline,,,,40000,9.615886761955881,0.027996129533005627,9.600000000000001,0.5674627964965774,true
+two_step,2,2,2,40000,10.35657877954056,0.036295571167659725,10.3275,0.8011660542890201,true
+# all_passed=true
+"""
+
 
 class TestPinnedOutputs:
     @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
@@ -1166,6 +1251,15 @@ class TestPinnedOutputs:
          PINNED_MC_64X160),
         (ExperimentConfig(m=28, n=28, r=8, trials=200), PINNED_MC_TIE)])
     def test_gaussian_mc_argmin(self, cfg, pinned):
+        assert mc_csv(run_mc(cfg)) == pinned
+
+    @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                        reason=f"MC values pinned with numpy {PINNED_NUMPY}")
+    @pytest.mark.parametrize("cfg,pinned", [
+        (ExperimentConfig(m=12, n=12, r=3, lam=3.0, trials=50000), PINNED_MC_GAUSSIAN_50K),
+        (ExperimentConfig(m=8, n=8, r=4, lam=3.0, dist="uniform", trials=40000),
+         PINNED_MC_UNIFORM_40K)])
+    def test_mc_past_one_sum_block(self, cfg, pinned):
         assert mc_csv(run_mc(cfg)) == pinned
 
     @pytest.mark.parametrize("lanes", [1, 2])
