@@ -1,7 +1,7 @@
 """Noisy crossbar VMM simulation and low-rank two-step error analysis."""
 
-from .core import DeviceParams, MagnitudeCheck, conductance_map, magnitude_check
-from .lowrank import LrFactors, SvdResult, factor_lr, svd, truncate, truncation_error_sq
+from .core import DeviceParams, MagnitudeCheck, magnitude_check
+from .lowrank import LrFactors, SvdResult, factor_lr, svd
 from .schemes import NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
 from .analysis import (
     AsymptoticParams,
@@ -9,16 +9,14 @@ from .analysis import (
     InfeasibleBudgetError,
     asymptotic_bound,
     baseline_error_analytic,
-    harmonic_trace,
     lambda_max,
     optimal_beta,
     optimize_rank,
     optimize_repetitions,
-    tail_bound,
     two_step_error_analytic,
 )
-from .matrixgen import harmonic_matrix, harmonic_spectrum, prescribed_matrix, random_orthogonal
-from .matrixio import MatrixFormatError, dumps_matrix, loads_matrix, read_matrix, write_matrix
+from .matrixgen import harmonic_matrix, harmonic_spectrum, random_orthogonal
+from .matrixio import MatrixFormatError, read_matrix, write_matrix
 from .montecarlo import (CheckedTarget, TrialBatchResult, check_target, compare,
                          run_baseline_trials, run_two_step_trials)
 from .experiments import ExperimentConfig, fit_loglog_slope, run_mc, run_scaling, run_sweep
@@ -46,20 +44,15 @@ __all__ = [
     "check_target",
     "child_stream",
     "compare",
-    "conductance_map",
-    "dumps_matrix",
     "factor_lr",
     "fit_loglog_slope",
     "harmonic_matrix",
     "harmonic_spectrum",
-    "harmonic_trace",
     "lambda_max",
-    "loads_matrix",
     "magnitude_check",
     "optimal_beta",
     "optimize_rank",
     "optimize_repetitions",
-    "prescribed_matrix",
     "random_orthogonal",
     "read_matrix",
     "run_baseline_trials",
@@ -68,9 +61,6 @@ __all__ = [
     "run_sweep",
     "run_two_step_trials",
     "svd",
-    "tail_bound",
-    "truncate",
-    "truncation_error_sq",
     "two_step_error_analytic",
     "two_step_vmm",
     "write_matrix",

@@ -292,11 +292,6 @@ def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float
     return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 
-def _check_finite(what: str, lam: float, *values: float | None) -> None:
-    if not all(math.isfinite(v) for v in values if v is not None):
-        raise ValueError(f"{what} at lam={lam} is not finite in float64: lam is too large")
-
-
 def _trace_bound(lam: float, k: int) -> float:
     return lam * (math.log(k) + EULER_MASCHERONI + 1.0 / (2.0 * k))
 
@@ -305,50 +300,15 @@ def _tail_bound(lam: float, k: int, r: int) -> float:
     return lam * lam * (1.0 / k - 1.0 / r)
 
 
-def harmonic_trace(lam: float, k: int) -> tuple[float, float]:
-    """Exact trace sum_{i<=k} lam/i and its log-form upper bound.
-
-    bound = lam * (ln k + gamma + 1/(2k)) with gamma the
-    Euler-Mascheroni constant; bound >= exact for every k >= 1. lam must
-    be finite and positive, and a sum or bound that is not finite in
-    float64 is a ValueError.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    _check_lam(lam)
-    exact = lam * math.fsum(1.0 / i for i in range(1, k + 1))
-    bound = _trace_bound(lam, k)
-    _check_finite("the harmonic trace", lam, exact, bound)
-    return exact, bound
-
-
-def tail_bound(lam: float, k: int, r: int) -> tuple[float, float | None]:
-    """Exact truncation tail sum_{i=k+1..r} (lam/i)^2 and its bound.
-
-    bound = lam^2 * (1/k - 1/r), valid for k >= 1; at k = 0 the bound is
-    undefined and None is returned in its place. lam must be finite and
-    positive, and a tail or bound that is not finite in float64 (lam^2
-    overflows) is a ValueError.
-    """
-    _check_lam(lam)
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if k > r:
-        raise ValueError(f"k must not exceed r, got k={k}, r={r}")
-    exact = lam * lam * math.fsum(1.0 / (i * i) for i in range(k + 1, r + 1))
-    bound = _tail_bound(lam, k, r) if k else None
-    _check_finite("the truncation tail", lam, exact, bound)
-    return exact, bound
-
-
 def asymptotic_bound(n: int, p: AsymptoticParams, lam: float, sigma_L_sq: float,
                      sigma_R_sq: float, sigma_b_sq: float) -> float:
     """Upper bound, O(1) in n, on optimize_repetitions' least error at
     (r, k) = p.ranks(n), which refuses n < 1 and an n past float64, on the
     spectrum lam/i, i <= r: the four parts at t_L = t_R = floor(n/(2k)), with
-    the tail and trace bounds of tail_bound and harmonic_trace for their exact
-    sums. At that t_L the greedy t_R is no smaller, and the error does not
-    increase with t_R. A rank that does not fit the n x n budget at
+    the tail bound lam^2 (1/k - 1/r) and the trace bound lam (ln k + gamma +
+    1/(2k)), gamma the Euler-Mascheroni constant, for their exact sums. At
+    that t_L the greedy t_R is no smaller, and the error does not increase
+    with t_R. A rank that does not fit the n x n budget at
     t_L = t_R = 1 is an InfeasibleBudgetError."""
     r, k = p.ranks(n)
     _check_lam(lam)

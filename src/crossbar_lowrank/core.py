@@ -52,21 +52,16 @@ def as_matrix(A) -> np.ndarray:
     return A
 
 
-def conductance_map(A, dev: DeviceParams) -> np.ndarray:
-    """Conductances that realize A on the array: g = r_T * a, a new array
-    even at r_T = 1."""
-    return dev.r_T * as_matrix(A)
-
-
 def magnitude_check(A, dev: DeviceParams) -> MagnitudeCheck:
     """Total programmed magnitude sum(g**2) against the budget m*n*rho.
 
     Boundary equality counts as satisfied; a total or a budget that
     overflows float64 is a ValueError. It allocates one array of A's
-    size, the conductances, and squares them in place; A is not written.
+    size, the conductances g = r_T * a (a new array even at r_T = 1), and
+    squares them in place; A is not written.
     """
     with np.errstate(over="ignore"):  # an overflow is refused below
-        G = conductance_map(A, dev)
+        G = dev.r_T * as_matrix(A)
         total = float(np.sum(np.square(G, out=G)))
     if not math.isfinite(total):
         raise ValueError(f"the total magnitude sum(g^2) is {total} in float64: "

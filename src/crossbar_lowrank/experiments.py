@@ -258,13 +258,14 @@ class Fit(NamedTuple):
 
 
 def fit_loglog_slope(points) -> Fit:
-    """Ordinary least squares on (ln n, ln value)."""
+    """Ordinary least squares on (ln n, ln value); an n or value that is
+    not finite and positive is a ValueError."""
     pts = list(points)
     if len(pts) < 2:
         raise ValueError(f"need at least 2 points, got {len(pts)}")
     xs, ys = [], []
     for n, v in pts:
-        if n <= 0 or v <= 0:
+        if not (0 < n < math.inf and 0 < v < math.inf):  # NaN fails both
             raise ValueError(f"log-log fit needs positive values, got ({n}, {v})")
         xs.append(math.log(n))
         ys.append(math.log(v))

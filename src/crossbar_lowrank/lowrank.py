@@ -1,4 +1,4 @@
-"""Truncated SVD, best rank-k approximation, and the L/R split factorization.
+"""Thin SVD and the L/R split of the best rank-k approximation.
 
 The two-step scheme stores A_k = L R on two small arrays instead of A on
 one large array: L = U_k sqrt(S_k) is m x k, R = sqrt(S_k) V_k' is k x n.
@@ -97,16 +97,6 @@ def factors_svd(U: np.ndarray, singulars: np.ndarray, V: np.ndarray) -> SvdResul
     return SvdResult(U=U, singulars=singulars, V=V, rank=numerical_rank(singulars))
 
 
-def truncate(s: SvdResult, k: int) -> np.ndarray:
-    """Best Frobenius rank-k approximation A_k; k beyond rank is clamped."""
-    if k < 0:
-        raise ValueError(f"rank must be nonnegative, got {k}")
-    k = min(k, s.rank)
-    if k == 0:
-        return np.zeros(s.shape)
-    return (s.U[:, :k] * s.singulars[:k]) @ s.V[:, :k].T
-
-
 def factor_lr(s: SvdResult, k: int) -> LrFactors:
     """Split A_k into L = U_k sqrt(S_k) and R = sqrt(S_k) V_k'.
 
@@ -120,12 +110,3 @@ def factor_lr(s: SvdResult, k: int) -> LrFactors:
     R = (s.V[:, :k] * root).T
     return LrFactors(L=L, R=R)
 
-
-def truncation_error_sq(s: SvdResult, k: int) -> float:
-    """Squared Frobenius tail sum(singulars[k:rank]**2); 0 when k >= rank."""
-    if k < 0:
-        raise ValueError(f"rank must be nonnegative, got {k}")
-    if k >= s.rank:
-        return 0.0
-    tail = s.singulars[k:s.rank]
-    return float(np.sum(tail * tail))

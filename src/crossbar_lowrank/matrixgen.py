@@ -4,7 +4,7 @@ A spectrum is a plain 1-D array of singular values, valid when
 `check_spectrum` passes it. `harmonic_spectrum` is the one statement of
 the harmonic profile lam/i, i <= r. `prescribed_factors` draws the
 orthonormal factors of a matrix with any valid, nonempty and positive
-spectrum, and `prescribed_matrix` multiplies them out.
+spectrum, and `harmonic_matrix` multiplies them out for the harmonic one.
 
 Stream contract: a rank-r m x n matrix draws an m x r Gaussian block,
 then an n x r one, from its stream, and orthogonalizes each: (m + n) r
@@ -88,14 +88,9 @@ def prescribed_factors(m: int, n: int, singulars,
     return U, sigma, V
 
 
-def prescribed_matrix(m: int, n: int, singulars,
-                      rng: np.random.Generator) -> np.ndarray:
-    """m x n matrix U diag(s) V' of prescribed_factors(m, n, singulars, rng)."""
-    U, sigma, V = prescribed_factors(m, n, singulars, rng)
-    return (U * sigma) @ V.T
-
-
 def harmonic_matrix(m: int, n: int, r: int, lam: float,
                     rng: np.random.Generator) -> np.ndarray:
-    """Member of the harmonic class: rank r, singular values lam/i."""
-    return prescribed_matrix(m, n, harmonic_spectrum(lam, r), rng)
+    """Member of the harmonic class: rank r, singular values lam/i, the
+    m x n matrix U diag(sigma) V' of prescribed_factors."""
+    U, sigma, V = prescribed_factors(m, n, harmonic_spectrum(lam, r), rng)
+    return (U * sigma) @ V.T

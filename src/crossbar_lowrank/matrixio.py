@@ -7,11 +7,11 @@ significant digits so a float64 round-trips value-exact.
 Each lane streams its rows a line at a time: a row is formatted with one
 "%.17g" template and written as soon as it is made, and read back with
 one float() per token, straight into the result array, so no process
-holds anything of the text's size. One line parser serves text and files,
-so both give the same values and the same errors. A parse error names the
-1-based line and, for a value that is not a number, the first such token
-of that line. A file is read as UTF-8, and its first byte that does not
-decode is reported before any other error, by its line.
+holds anything of the text's size. One line parser serves every read of a
+file, serial or in lanes, so both give the same values and the same errors.
+A parse error names the 1-based line and, for a value that is not a number,
+the first such token of that line. A file is read as UTF-8, and its first
+byte that does not decode is reported before any other error, by its line.
 
 From 2 * MIN_LANE_CELLS cells, a matrix is written, and read from a
 regular file, in forked lanes of contiguous rows (lanes.py), at most one
@@ -64,10 +64,6 @@ def matrix_lines(A) -> Iterator[str]:
     before this returns."""
     A = as_matrix(A)
     return itertools.chain([f"{A.shape[0]} {A.shape[1]}\n"], _rows(A))
-
-
-def dumps_matrix(A) -> str:
-    return "".join(matrix_lines(A))
 
 
 def _lane_count(m: int, n: int) -> int:
@@ -192,14 +188,10 @@ def _parse(lines: Iterable[str], size: int) -> np.ndarray:
     return A
 
 
-def loads_matrix(text: str) -> np.ndarray:
-    return _parse(text.splitlines(), len(text))
-
-
 def _file_lines(fh) -> Iterator[str]:
     """The lines of a text file opened as UTF-8 with
     errors="surrogateescape", split again as str.splitlines() splits them,
-    so they are numbered as loads_matrix numbers the text's. A byte that
+    so they are numbered as the lines of the whole text are. A byte that
     does not decode reads as a lone surrogate, which UTF-8 text never
     holds, and is a MatrixFormatError naming its line; an ASCII line, the
     usual kind, is known to hold none without a scan."""

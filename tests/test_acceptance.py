@@ -7,23 +7,23 @@ errors; runtime ceilings are asserted where a guarantee carries one.
 """
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 
+from crossbar_lowrank import analysis
 from crossbar_lowrank.analysis import (
     budget_feasible,
-    harmonic_trace,
     lambda_max,
     optimal_beta,
     optimize_repetitions,
-    tail_bound,
     two_step_error_analytic,
 )
 from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import DeviceParams, iid_entries, magnitude_check
 from crossbar_lowrank.experiments import ExperimentConfig, run_sweep
-from crossbar_lowrank.lowrank import svd, truncate, truncation_error_sq
-from crossbar_lowrank.matrixgen import harmonic_matrix, prescribed_matrix
+from crossbar_lowrank.lowrank import factor_lr, svd
+from crossbar_lowrank.matrixgen import harmonic_matrix, prescribed_factors
 from crossbar_lowrank.matrixio import write_matrix
 from crossbar_lowrank.montecarlo import (check_target, compare, run_baseline_trials,
                                          run_two_step_trials)
@@ -31,6 +31,12 @@ from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import NoiseSpec
 
 Z_LIMIT = 4.0
+
+
+def _prescribed(m, n, values, rng):
+    """U diag(sigma) V' of prescribed_factors, as harmonic_matrix forms it."""
+    U, sigma, V = prescribed_factors(m, n, values, rng)
+    return (U * sigma) @ V.T
 
 
 def _report(num: int, name: str, failures: list[str], detail: str) -> None:
@@ -95,7 +101,7 @@ def test_criterion_02_two_step_error_formula():
                           sigma_R_sq=float(rng.uniform(0.01, 0.1)), dist=dist)
         sb = float(rng.uniform(0.5, 4.0))
         vals = np.sort(rng.uniform(0.3, 5.0, size=r))[::-1]
-        A = prescribed_matrix(m, n, vals, rng)
+        A = _prescribed(m, n, vals, rng)
         s = svd(A)
         analytic = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R,
                                            noise.sigma_L_sq, noise.sigma_R_sq, sb).total
@@ -116,7 +122,7 @@ def test_criterion_02_two_step_error_formula():
         ([5.0, 1.0], 24, 12, 1, 4, 3, 0.02, 0.09, 1.0, "gaussian"),
     ]
     for j, (vals, m, n, k, t_L, t_R, sl, sr, sb, dist) in enumerate(iso_configs):
-        A = prescribed_matrix(m, n, vals, np.random.default_rng(900 + j))
+        A = _prescribed(m, n, vals, np.random.default_rng(900 + j))
         s = svd(A)
         r = len(vals)
         parts = two_step_error_analytic(s.singulars, m, n, k, t_L, t_R, sl, sr, sb)
@@ -207,20 +213,43 @@ def test_criterion_04_best_rank_k_identity():
         if i % 3 == 0 and min(m, n) >= 2:
             r = int(rng.integers(1, min(m, n)))
             vals = np.sort(rng.uniform(0.1, 8.0, size=r))[::-1]
-            A = prescribed_matrix(m, n, vals, rng)
+            A = _prescribed(m, n, vals, rng)
         else:
             A = 10.0 ** rng.uniform(-2, 2) * rng.normal(size=(m, n))
         s = svd(A)
         scale = float(np.linalg.norm(A) ** 2)
+        U, sv, Vt = np.linalg.svd(A, full_matrices=False)
         for k in range(0, min(m, n) + 1):
-            fro2 = float(np.linalg.norm(A - truncate(s, k)) ** 2)
-            tail = truncation_error_sq(s, k)
+            if 1 <= k <= s.rank:
+                # the tail the optimizers score, against the split the scheme stores
+                f = factor_lr(s, k)
+                fro2 = float(np.linalg.norm(A - f.L @ f.R) ** 2)
+            else:
+                fro2 = float(np.linalg.norm(A - (U[:, :k] * sv[:k]) @ Vt[:k]) ** 2)
+            if k:
+                tail = two_step_error_analytic(s.singulars, m, n, k, 1, 1,
+                                               0.0, 0.0, 1.0).truncation
+            else:  # the whole spectrum, a rank the closed form does not take
+                tail = float(np.sum(s.singulars ** 2))
             err = abs(fro2 - tail) / scale
             worst = max(worst, err)
             if err > 1e-8:
                 failures.append(f"matrix {i} ({m}x{n}) k={k}: rel err {err:.2e}")
     _report(4, "rank-k residual equals the spectrum tail", failures,
             f"100 matrices, every k, worst rel err {worst:.2e}")
+
+
+def _exact_sum(terms: range, power: int) -> tuple[int, int]:
+    """sum of 1/i**power over terms as an exact fraction (p, q): added
+    pairwise and never reduced, which at 10^4 terms is quicker than a gcd
+    at each step."""
+    if not terms:
+        return 0, 1
+    if len(terms) == 1:
+        return 1, terms[0] ** power
+    half = len(terms) // 2
+    (p1, q1), (p2, q2) = _exact_sum(terms[:half], power), _exact_sum(terms[half:], power)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def test_criterion_05_closed_form_bounds_dominate():
@@ -244,12 +273,13 @@ def test_criterion_05_closed_form_bounds_dominate():
         lam = 10.0 ** rng.uniform(-3, 3)
         r = int(rng.integers(1, R + 1))
         k = int(rng.integers(1, r + 1))
-        exact, bound = tail_bound(lam, k, r)
-        if exact > bound:
-            failures.append(f"tail_bound(lam={lam:.3g}, k={k}, r={r})")
-        exact, bound = harmonic_trace(lam, k)
-        if exact > bound:
-            failures.append(f"harmonic_trace(lam={lam:.3g}, k={k})")
+        # exact tail lam^2 p/q against the bound, multiplied out by q > 0
+        p, q = _exact_sum(range(k + 1, r + 1), power=2)
+        if Fraction(lam) ** 2 * p > Fraction(analysis._tail_bound(lam, k, r)) * q:
+            failures.append(f"tail bound (lam={lam:.3g}, k={k}, r={r})")
+        p, q = _exact_sum(range(1, k + 1), power=1)
+        if Fraction(lam) * p > Fraction(analysis._trace_bound(lam, k)) * q:
+            failures.append(f"trace bound (lam={lam:.3g}, k={k})")
     _report(5, "trace and tail bounds dominate their exact sums", failures,
             f"all pairs k<=r<={R} plus 100 direct calls")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 import sys
 import timeit
 import tracemalloc
@@ -17,13 +18,11 @@ from crossbar_lowrank.analysis import (
     asymptotic_bound,
     baseline_error_analytic,
     budget_feasible,
-    harmonic_trace,
     lambda_max,
     optimal_beta,
     optimize_each_rank,
     optimize_rank,
     optimize_repetitions,
-    tail_bound,
     two_step_error_analytic,
 )
 from crossbar_lowrank.core import DeviceParams
@@ -102,6 +101,39 @@ class TestTwoStepError:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             two_step_error_analytic([1.0], 4, 4, 5, 1, 1, 0.05, 0.05, 1.0)
+
+
+class TestTruncationTail:
+    """The tail and trace every optimizer and two_step_error_analytic sum."""
+
+    def test_single_tail_term(self):
+        tail, trace = analysis._tail_and_trace(svd(np.diag([3.0, 1.0])).singulars, 1)
+        assert tail == pytest.approx(1.0)
+        assert trace == pytest.approx(3.0)
+
+    def test_beyond_rank_is_exact_zero(self):
+        s = svd(np.diag([3.0, 1.0])).singulars
+        assert analysis._tail_and_trace(s, 2)[0] == 0.0
+        assert analysis._tail_and_trace(s, 5)[0] == 0.0
+
+    def test_harmonic_pair(self):
+        s = svd(np.diag([1.0, 0.5])).singulars
+        assert analysis._tail_and_trace(s, 1)[0] == pytest.approx(0.25, rel=1e-12)
+
+    def test_monotone_in_k(self):
+        s = svd(np.random.default_rng(17).standard_normal((9, 9))).singulars
+        tails, traces = zip(*(analysis._tail_and_trace(s, k) for k in range(10)))
+        assert all(a >= b for a, b in zip(tails, tails[1:]))
+        assert all(a <= b for a, b in zip(traces, traces[1:]))
+
+    def test_tail_is_the_residual_of_numpy_truncation(self):
+        A = np.random.default_rng(18).standard_normal((12, 8))
+        s = svd(A).singulars
+        U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+        fro2 = np.linalg.norm(A) ** 2
+        for k in range(0, 9):
+            direct = np.linalg.norm(A - (U[:, :k] * sv[:k]) @ Vt[:k]) ** 2
+            assert abs(direct - analysis._tail_and_trace(s, k)[0]) <= 1e-8 * fro2
 
 
 class TestBudgetFeasible:
@@ -454,34 +486,35 @@ class TestNonFiniteInput:
         assert two_step_error_analytic([1.0], 8, 8, 1, 1, 1, 0.0, 0.0, 1e-300).total == 0.0
 
 
-class TestHarmonicTrace:
+def _harmonic(k: int) -> Fraction:
+    """The exact harmonic number sum_{i<=k} 1/i."""
+    return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
+
+
+def _inverse_squares(k: int, r: int) -> Fraction:
+    """The exact tail sum_{i=k+1..r} 1/i^2."""
+    return sum((Fraction(1, i * i) for i in range(k + 1, r + 1)), Fraction(0))
+
+
+class TestTraceBound:
+    """analysis._trace_bound, lam (ln k + gamma + 1/(2k)), against the
+    exact trace sum_{i<=k} lam/i that asymptotic_bound stands it for."""
+
     def test_single_term(self):
-        exact, bound = harmonic_trace(1.0, 1)
-        assert exact == 1.0
+        bound = analysis._trace_bound(1.0, 1)
         assert bound == pytest.approx(EULER_MASCHERONI + 0.5, rel=1e-15)
-        assert bound >= exact
+        assert Fraction(bound) >= _harmonic(1)
 
     def test_four_terms(self):
-        exact, bound = harmonic_trace(1.0, 4)
-        assert exact == pytest.approx(25.0 / 12.0, rel=1e-14)
+        bound = analysis._trace_bound(1.0, 4)
+        assert _harmonic(4) == Fraction(25, 12)
         assert bound == pytest.approx(math.log(4) + EULER_MASCHERONI + 0.125, rel=1e-14)
-        assert bound >= exact
+        assert Fraction(bound) >= _harmonic(4)
 
     def test_scales_with_lambda(self):
-        e1, b1 = harmonic_trace(1.0, 10)
-        e2, b2 = harmonic_trace(2.5, 10)
-        assert e2 == pytest.approx(2.5 * e1, rel=1e-14)
-        assert b2 == pytest.approx(2.5 * b1, rel=1e-14)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            harmonic_trace(1.0, 0)
-        with pytest.raises(ValueError):
-            harmonic_trace(0.0, 3)
-        with pytest.raises(ValueError, match="lam must be finite and positive"):
-            harmonic_trace(math.inf, 3)
-        with pytest.raises(ValueError, match="not finite in float64"):
-            harmonic_trace(1e308, 10)
+        assert analysis._trace_bound(2.5, 10) == pytest.approx(
+            2.5 * analysis._trace_bound(1.0, 10), rel=1e-14)
+        assert Fraction(analysis._trace_bound(2.5, 10)) >= Fraction(2.5) * _harmonic(10)
 
     def test_bound_dominates_up_to_one_million(self):
         # Neumaier-compensated running harmonic sum: the true margin
@@ -503,39 +536,21 @@ class TestHarmonicTrace:
 
 
 class TestTailBound:
+    """analysis._tail_bound, lam^2 (1/k - 1/r), against the exact tail
+    sum_{i=k+1..r} (lam/i)^2 that asymptotic_bound stands it for."""
+
     def test_single_term(self):
-        exact, bound = tail_bound(1.0, 1, 2)
-        assert exact == 0.25
-        assert bound == 0.5
+        assert _inverse_squares(1, 2) == Fraction(1, 4)
+        assert analysis._tail_bound(1.0, 1, 2) == 0.5
 
     def test_k_equals_r(self):
-        exact, bound = tail_bound(1.0, 4, 4)
-        assert exact == 0.0
-        assert bound == 0.0
+        assert _inverse_squares(4, 4) == 0
+        assert analysis._tail_bound(1.0, 4, 4) == 0.0
 
     def test_summation_oracle(self):
-        exact, bound = tail_bound(2.0, 4, 16)
-        want = 4.0 * math.fsum(1.0 / (i * i) for i in range(5, 17))
-        assert exact == pytest.approx(want, rel=1e-14)
+        bound = analysis._tail_bound(2.0, 4, 16)
         assert bound == pytest.approx(0.75, rel=1e-14)
-        assert exact <= bound
-
-    def test_zero_k_has_no_bound(self):
-        exact, bound = tail_bound(3.0, 0, 5)
-        assert exact == pytest.approx(9.0 * math.fsum(1.0 / (i * i) for i in range(1, 6)))
-        assert bound is None
-
-    def test_rejects_k_above_r(self):
-        with pytest.raises(ValueError):
-            tail_bound(1.0, 5, 4)
-
-    def test_rejects_what_float64_cannot_hold(self):
-        with pytest.raises(ValueError, match="lam must be finite and positive"):
-            tail_bound(math.inf, 1, 5)
-        with pytest.raises(ValueError, match="not finite in float64"):
-            tail_bound(1e200, 1, 5)
-        with pytest.raises(ValueError, match="not finite in float64"):
-            tail_bound(1e200, 0, 5)
+        assert Fraction(4) * _inverse_squares(4, 16) <= Fraction(bound)
 
     @given(
         st.integers(min_value=1, max_value=10_000),
@@ -544,8 +559,8 @@ class TestTailBound:
     )
     def test_dominance_property(self, r, k_offset, lam):
         k = max(1, r - k_offset)
-        exact, bound = tail_bound(lam, k, r)
-        assert exact <= bound
+        exact = lam * lam * math.fsum(1.0 / (i * i) for i in range(k + 1, r + 1))
+        assert exact <= analysis._tail_bound(lam, k, r)
 
 
 class TestAsymptoticBound:
@@ -704,17 +719,13 @@ class TestClosedFormsStayFinite:
             out = f(*args)
         except ValueError:
             return
-        values = out if isinstance(out, tuple) else (out,)
-        assert all(math.isfinite(v) for v in values if v is not None), (args, out)
+        assert math.isfinite(out), (args, out)
 
-    @given(WIDE, WIDE, WIDE, WIDE, WIDE, st.integers(1, 300), st.integers(1, 300),
-           st.integers(0, 300))
-    @example(1e300, 1e300, 1e-300, 1e300, 1e300, 300, 300, 300)
-    @example(1e-300, 1e-300, 1e300, 1e-300, 1e-300, 1, 1, 0)
-    def test_finite_or_value_error(self, lam, rho, r_T, sigma_e_sq, sigma_b_sq, m, n, k):
+    @given(WIDE, WIDE, WIDE, WIDE, WIDE, st.integers(1, 300), st.integers(1, 300))
+    @example(1e300, 1e300, 1e-300, 1e300, 1e300, 300, 300)
+    @example(1e-300, 1e-300, 1e300, 1e-300, 1e-300, 1, 1)
+    def test_finite_or_value_error(self, lam, rho, r_T, sigma_e_sq, sigma_b_sq, m, n):
         self._finite_or_refused(lambda_max, m, n, DeviceParams(r_T=r_T, rho=rho))
-        self._finite_or_refused(harmonic_trace, lam, max(k, 1))
-        self._finite_or_refused(tail_bound, lam, min(k, n), n)
         self._finite_or_refused(baseline_error_analytic, m, n, sigma_e_sq, sigma_b_sq)
         self._finite_or_refused(asymptotic_bound, n, AsymptoticParams(1.0, 0.5, 0.5, 1.0), lam,
                                 sigma_e_sq, sigma_e_sq, sigma_b_sq)

@@ -276,6 +276,10 @@ class TestLogLogFit:
             fit_loglog_slope([(4, 2.0)])
         with pytest.raises(ValueError):
             fit_loglog_slope([(4, 2.0), (8, -1.0)])
+        for bad in ([(1, math.nan), (2, 1.0), (4, 2.0)], [(1, 1.0), (2, math.inf)],
+                    [(math.nan, 1.0), (2, 1.0)], [(math.inf, 1.0), (2, 1.0)]):
+            with pytest.raises(ValueError, match="needs positive values"):
+                fit_loglog_slope(bad)
         with pytest.raises(ValueError):
             fit_loglog_slope([(4, 2.0), (4, 3.0)])
 
@@ -366,7 +370,6 @@ class TestSweepSingularVectors:
                             [(experiments, "harmonic_matrix"),
                              (experiments, "prescribed_factors"),
                              (matrixgen, "harmonic_matrix"),
-                             (matrixgen, "prescribed_matrix"),
                              (matrixgen, "prescribed_factors")]),
     }
 

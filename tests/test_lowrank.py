@@ -7,14 +7,18 @@ from crossbar_lowrank.lowrank import (
     numerical_rank,
     singular_values,
     svd,
-    truncate,
-    truncation_error_sq,
 )
 from crossbar_lowrank.matrixgen import prescribed_factors
 
 
 def random_matrix(rng, m, n):
     return rng.standard_normal((m, n))
+
+
+def numpy_truncation(A, k):
+    """The best rank-k approximation A_k of A, from numpy's SVD."""
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
+    return (U[:, :k] * s[:k]) @ Vt[:k]
 
 
 class TestSvd:
@@ -129,31 +133,19 @@ class TestSingularValues:
             fn(np.eye(2))
 
 
-class TestTruncate:
+class TestEckartYoung:
     def test_full_rank_reconstructs(self):
         A = np.random.default_rng(9).standard_normal((6, 6))
         s = svd(A)
-        assert np.linalg.norm(truncate(s, s.rank) - A) <= 1e-10 * np.linalg.norm(A)
+        f = factor_lr(s, s.rank)
+        assert np.linalg.norm(f.L @ f.R - A) <= 1e-10 * np.linalg.norm(A)
 
-    def test_zero_rank(self):
-        s = svd(np.ones((3, 4)))
-        assert np.array_equal(truncate(s, 0), np.zeros((3, 4)))
-
-    def test_negative_rank_rejected(self):
-        s = svd(np.ones((2, 2)))
-        with pytest.raises(ValueError):
-            truncate(s, -1)
-
-    def test_clamps_beyond_rank(self):
-        A = np.random.default_rng(10).standard_normal((5, 4))
-        s = svd(A)
-        assert np.array_equal(truncate(s, 99), truncate(s, s.rank))
-
-    def test_eckart_young(self):
+    def test_residual_is_the_tail(self):
         rng = np.random.default_rng(14)
         A = random_matrix(rng, 8, 6)
         s = svd(A)
-        err = np.linalg.norm(A - truncate(s, 2)) ** 2
+        f = factor_lr(s, 2)
+        err = np.linalg.norm(A - f.L @ f.R) ** 2
         tail = float(np.sum(s.singulars[2:] ** 2))
         assert err == pytest.approx(tail, rel=1e-9)
 
@@ -182,7 +174,7 @@ class TestFactorLr:
         A = B @ C
         s = svd(A)
         f = factor_lr(s, 3)
-        assert np.linalg.norm(f.L @ f.R - truncate(s, 3)) <= 1e-9 * np.linalg.norm(A)
+        assert np.linalg.norm(f.L @ f.R - numpy_truncation(A, 3)) <= 1e-9 * np.linalg.norm(A)
 
     def test_rejects_out_of_range(self):
         s = svd(np.diag([2.0, 1.0]))
@@ -197,33 +189,6 @@ class TestFactorLr:
             factor_lr(s, 2)
 
 
-class TestTruncationErrorSq:
-    def test_single_tail_term(self):
-        assert truncation_error_sq(svd(np.diag([3.0, 1.0])), 1) == pytest.approx(1.0)
-
-    def test_beyond_rank_is_exact_zero(self):
-        s = svd(np.diag([3.0, 1.0]))
-        assert truncation_error_sq(s, 2) == 0.0
-        assert truncation_error_sq(s, 5) == 0.0
-
-    def test_harmonic_pair(self):
-        s = svd(np.diag([1.0, 0.5]))
-        assert truncation_error_sq(s, 1) == pytest.approx(0.25, rel=1e-12)
-
-    def test_monotone_nonincreasing(self):
-        s = svd(np.random.default_rng(17).standard_normal((9, 9)))
-        vals = [truncation_error_sq(s, k) for k in range(10)]
-        assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-    def test_consistent_with_truncate(self):
-        A = np.random.default_rng(18).standard_normal((12, 8))
-        s = svd(A)
-        fro2 = np.linalg.norm(A) ** 2
-        for k in range(0, 9):
-            direct = np.linalg.norm(A - truncate(s, k)) ** 2
-            assert abs(direct - truncation_error_sq(s, k)) <= 1e-8 * fro2
-
-
 def test_sign_flip_invariance():
     rng = np.random.default_rng(19)
     A = rng.standard_normal((7, 6))
@@ -234,7 +199,7 @@ def test_sign_flip_invariance():
     # joint sign flips leave every reconstruction unchanged
     k = 3
     recon_flipped = (U2[:, :k] * s.singulars[:k]) @ V2[:, :k].T
-    assert np.allclose(recon_flipped, truncate(s, k), rtol=1e-12, atol=1e-12)
+    assert np.allclose(recon_flipped, numpy_truncation(A, k), rtol=1e-12, atol=1e-12)
     root = np.sqrt(s.singulars[:k])
     lr_flipped = (U2[:, :k] * root) @ (V2[:, :k] * root).T
     f = factor_lr(s, k)

@@ -13,7 +13,7 @@ from crossbar_lowrank.matrixgen import (
     check_spectrum,
     harmonic_matrix,
     harmonic_spectrum,
-    prescribed_matrix,
+    prescribed_factors,
     random_orthogonal,
 )
 from crossbar_lowrank.rng import child_stream
@@ -142,14 +142,20 @@ class TestHarmonicMatrix:
             harmonic_matrix(4, 4, 2, math.inf, np.random.default_rng(0))
 
 
-class TestPrescribedMatrix:
+def prescribed(m, n, values, rng):
+    """U diag(sigma) V' of prescribed_factors, as harmonic_matrix forms it."""
+    U, sigma, V = prescribed_factors(m, n, values, rng)
+    return (U * sigma) @ V.T
+
+
+class TestPrescribedFactors:
     def test_exact_spectrum(self):
-        a = prescribed_matrix(5, 4, [3.0, 1.0], np.random.default_rng(11))
+        a = prescribed(5, 4, [3.0, 1.0], np.random.default_rng(11))
         got = svd(a).singulars[:2]
         np.testing.assert_allclose(got, [3.0, 1.0], rtol=1e-10)
 
     def test_rank_one_frobenius(self):
-        a = prescribed_matrix(4, 3, [7.0], np.random.default_rng(2))
+        a = prescribed(4, 3, [7.0], np.random.default_rng(2))
         assert np.linalg.norm(a) == pytest.approx(7.0, rel=1e-9)
         assert svd(a).rank == 1
 
@@ -160,7 +166,7 @@ class TestPrescribedMatrix:
             n = int(rng.integers(2, 24))
             r = int(rng.integers(1, min(m, n) + 1))
             vals = np.sort(rng.uniform(0.1, 9.0, size=r))[::-1]
-            a = prescribed_matrix(m, n, vals, rng)
+            a = prescribed(m, n, vals, rng)
             res = svd(a)
             np.testing.assert_allclose(res.singulars[:r], vals, rtol=1e-8)
             assert np.linalg.norm(a) ** 2 == pytest.approx(float(vals @ vals), rel=1e-8)
@@ -174,7 +180,7 @@ class TestPrescribedMatrix:
         rng = np.random.default_rng(1000 * m + n)
         vals = np.sort(rng.uniform(0.1, 9.0, size=r))[::-1]
         got_rng, ref_rng = child_stream(m, n, r), child_stream(m, n, r)
-        got = prescribed_matrix(m, n, vals, got_rng)
+        got = prescribed(m, n, vals, got_rng)
         np.testing.assert_allclose(svd(got).singulars[:r], vals, rtol=1e-13, atol=0)
         assert svd(got).rank == r
         ref_rng.standard_normal((m + n) * r)
@@ -187,7 +193,7 @@ class TestPrescribedMatrix:
     def test_rejects_rank_beyond_dims(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="exceeds"):
-            prescribed_matrix(1, 5, [2.0, 1.0], rng)
+            prescribed_factors(1, 5, [2.0, 1.0], rng)
         self._assert_nothing_drawn(rng)
 
     @pytest.mark.parametrize("vals", [
@@ -202,7 +208,7 @@ class TestPrescribedMatrix:
     def test_rejects_bad_values(self, vals):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="singular values"):
-            prescribed_matrix(4, 5, vals, rng)
+            prescribed_factors(4, 5, vals, rng)
         self._assert_nothing_drawn(rng)
 
 

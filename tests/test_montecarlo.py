@@ -13,8 +13,8 @@ from crossbar_lowrank.analysis import two_step_error_analytic
 from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
-from crossbar_lowrank.lowrank import LrFactors, SvdResult, factor_lr, svd, truncate
-from crossbar_lowrank.matrixgen import prescribed_factors, prescribed_matrix
+from crossbar_lowrank.lowrank import LrFactors, SvdResult, factor_lr, svd
+from crossbar_lowrank.matrixgen import prescribed_factors
 from crossbar_lowrank.montecarlo import (
     SUM_BLOCK,
     TrialBatchResult,
@@ -30,6 +30,12 @@ from crossbar_lowrank.montecarlo import (
 )
 from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, two_step_vmm
+
+
+def prescribed(m, n, values, rng):
+    """U diag(sigma) V' of prescribed_factors, as harmonic_matrix forms it."""
+    U, sigma, V = prescribed_factors(m, n, values, rng)
+    return (U * sigma) @ V.T
 
 
 def small_matrix(seed=17):
@@ -107,7 +113,7 @@ class TestBaselineTrials:
 def two_step_setup(values, m, n, k, t_L, t_R, noise, sigma_b_sq, seed=21):
     """A, its SVD s, its rank-k factors f, and run_two_step_trials'
     arguments after the target: (k, t_L, t_R, noise, sigma_b_sq)."""
-    A = prescribed_matrix(m, n, values, np.random.default_rng(seed))
+    A = prescribed(m, n, values, np.random.default_rng(seed))
     s = svd(A)
     return A, s, factor_lr(s, k), (k, t_L, t_R, noise, sigma_b_sq)
 
@@ -142,7 +148,7 @@ class TestTwoStepTrials:
     def test_rejects_mismatched_factors(self):
         # the factors come from s, so an SVD of another matrix of the same
         # shape is refused: A lies outside the span of its U[:, :rank]
-        other = svd(prescribed_matrix(4, 4, [2.0], np.random.default_rng(22)))
+        other = svd(prescribed(4, 4, [2.0], np.random.default_rng(22)))
         for dist in ("gaussian", "uniform"):
             A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(dist=dist), 1.0)
             with pytest.raises(ValueError, match="not its SVD"):
@@ -166,7 +172,7 @@ class TestTwoStepTrials:
         elif wrong_V == "sign_flipped":
             V[:, 1] *= -1.0
         else:
-            V = svd(prescribed_matrix(12, 20, [3.0, 1.5, 0.5], np.random.default_rng(22))).V
+            V = svd(prescribed(12, 20, [3.0, 1.5, 0.5], np.random.default_rng(22))).V
         with pytest.raises(ValueError, match="diag\\(s\\) V'.*not its SVD"):
             run_two_step_trials(check_target(dataclasses.replace(s, V=V), A), *scheme, trials=5,
                                 rng=np.random.default_rng(0))
@@ -409,7 +415,7 @@ class TestNorms:
         s = SvdResult(U=U, singulars=1.001 * sigma if spoiled == "singulars" else sigma,
                       V=V, rank=3)
         if spoiled == "other":
-            s = svd(prescribed_matrix(24, 20, [3.0, 1.5, 0.5], np.random.default_rng(22)))
+            s = svd(prescribed(24, 20, [3.0, 1.5, 0.5], np.random.default_rng(22)))
         with pytest.raises(ValueError) as err:
             check_target(s, A)
         assert str(err.value) == message

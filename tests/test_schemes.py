@@ -5,8 +5,8 @@ import pytest
 
 from crossbar_lowrank import schemes
 from crossbar_lowrank.core import iid_entries
-from crossbar_lowrank.lowrank import factor_lr, svd, truncate
-from crossbar_lowrank.matrixgen import prescribed_matrix
+from crossbar_lowrank.lowrank import factor_lr, svd
+from crossbar_lowrank.matrixgen import prescribed_factors
 from crossbar_lowrank.montecarlo import check_target, run_two_step_trials
 from crossbar_lowrank.rng import child_stream
 from crossbar_lowrank.schemes import (
@@ -25,6 +25,12 @@ from crossbar_lowrank.analysis import (
 # the many-trial moment tests draw their trials as this many (T, ...)
 # stacks, each from its own stream
 CHUNKS = 4
+
+
+def prescribed(m, n, values, rng):
+    """U diag(sigma) V' of prescribed_factors, as harmonic_matrix forms it."""
+    U, sigma, V = prescribed_factors(m, n, values, rng)
+    return (U * sigma) @ V.T
 
 
 class TestNoiseSpec:
@@ -176,7 +182,8 @@ class TestTwoStepVmm:
         out = two_step_vmm(b, f, 4, 4, NoiseSpec(), rng)
         # exact staged product, and the rank-2 approximation numerically
         assert np.array_equal(out, (b @ f.L) @ f.R)
-        want = b @ truncate(s, 2)
+        U, sv, Vt = np.linalg.svd(A)
+        want = b @ ((U[:, :2] * sv[:2]) @ Vt[:2])
         assert np.allclose(out, want, rtol=1e-12, atol=1e-12)
 
     def test_rejects_zero_repetitions(self):
@@ -200,7 +207,7 @@ class TestTwoStepVmm:
     def test_monte_carlo_matches_analytic_hand_case(self):
         # m=n=4, k=1, singulars=[2], t_L=t_R=2, variances 0.05, input var 3
         gen = child_stream(1234, 0)
-        A = prescribed_matrix(4, 4, [2.0], gen)
+        A = prescribed(4, 4, [2.0], gen)
         s = svd(A)
         f = factor_lr(s, 1)
         ns = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
@@ -221,7 +228,7 @@ class TestTwoStepVmm:
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     def test_distribution_invariance(self, dist):
         gen = child_stream(4321, 0)
-        A = prescribed_matrix(8, 8, [3.0, 2.0, 1.0], gen)
+        A = prescribed(8, 8, [3.0, 2.0, 1.0], gen)
         s = svd(A)
         f = factor_lr(s, 2)
         ns = NoiseSpec(sigma_L_sq=0.04, sigma_R_sq=0.06, dist=dist)
@@ -395,7 +402,7 @@ def test_cross_term_cancellation():
     m, k, n = 4, 2, 4
     t_L = t_R = 2
     sL, sR = 0.05, 0.05
-    A = prescribed_matrix(m, n, [2.0, 1.0], rng)
+    A = prescribed(m, n, [2.0, 1.0], rng)
     f = factor_lr(svd(A), k)
     trials = 100_000
     T = trials // CHUNKS
