@@ -24,18 +24,16 @@ error's bound under AsymptoticParams' growth law for r and k.
 """
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
 import sys
-from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .core import DeviceParams
 from .matrixgen import check_spectrum
-from .schemes import NoiseSpec, budget_feasible
+from .schemes import NoiseSpec, budget_feasible, check_repetitions
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -161,8 +159,7 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
-    if t_L < 1 or t_R < 1:
-        raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
+    check_repetitions(t_L, t_R)
     _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
     with np.errstate(over="ignore"):  # an inf tail is refused with its total
         unit = _breakdown(*_tail_and_trace(check_spectrum(singulars), k), m, n, k,
@@ -252,24 +249,22 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
     """
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
-    return next(optimize_each_rank(singulars, m, n, [k], noise, sigma_b_sq))
+    _check_variances(sigma_b_sq)
+    [(t_L, t_R, unit)] = _best_splits(check_spectrum(singulars), m, n, [k], noise)
+    return t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
 
 
 def optimize_each_rank(singulars, m: int, n: int, ranks: list[int], noise: NoiseSpec,
-                       sigma_b_sq: float) -> Iterator[tuple[int, int, ErrorBreakdown]]:
-    """optimize_repetitions at each of `ranks` (in [1, min(m, n)]) in turn:
-    one _best_splits pass scores the ranks before the first that t_L_max
-    refuses, and each rank yields its result or raises its refusal lazily."""
+                       sigma_b_sq: float) -> list[tuple[int, int, int, ErrorBreakdown]]:
+    """(k, *optimize_repetitions(..., k, ...)) for each k of `ranks` (in [1,
+    min(m, n)]), from one _best_splits pass, or a refusal naming its rank:
+    t_L_max's first, before any candidate is allocated, then the first
+    rank whose least total _scaled refuses."""
     _check_variances(sigma_b_sq)
-    s, fit = check_spectrum(singulars), 0
-    with contextlib.suppress(ValueError):  # the refusal is raised again at its turn
-        for k in ranks:
-            t_L_max(m, n, k)
-            fit += 1
-    for t_L, t_R, unit in _best_splits(s, m, n, ranks[:fit], noise):
-        yield t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
-    if fit < len(ranks):
-        t_L_max(m, n, ranks[fit])
+    splits = _best_splits(check_spectrum(singulars), m, n, ranks, noise)
+    return [(k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit,
+                                                  f"rank {k}: the least two-step error")))
+            for k, (t_L, t_R, unit) in zip(ranks, splits)]
 
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,

@@ -16,8 +16,9 @@ squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
 `matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
 The target comes with its SVD, the factors it is built from, so no
-command decomposes a matrix it has built; the MC checks that SVD once
-per command, before any trial (montecarlo.check_target).
+command decomposes a matrix it has built. `sweep` and `mc` plan first:
+every rank's repetitions, and any refusal, come before the target is
+built and its SVD checked (_checked_target), and that before any trial.
 
 Every stream is `rng.child_stream(master_seed, *key)`, built here and
 handed as a Generator to the function that draws from it: the target's,
@@ -369,13 +370,11 @@ def _check_lanes(lanes: int) -> None:
         raise ValueError(f"lanes must be >= 1, got {lanes}")
 
 
-def _repetitions(config: ExperimentConfig, singulars: np.ndarray, noise: NoiseSpec,
-                 ranks: list[int]):
-    """(k, t_L, t_R, breakdown) at each of `ranks` in turn; a refusal names its rank."""
-    splits = optimize_each_rank(singulars, config.m, config.n, ranks, noise, config.sigma_b_sq)
-    for k in ranks:
-        with _naming(f"rank {k}"):
-            yield (k, *next(splits))
+def _checked_target(config: ExperimentConfig) -> CheckedTarget:
+    """target(config), checked by montecarlo.check_target; a refusal names the target."""
+    A, s = target(config)
+    with _naming("target"):
+        return check_target(s, A)
 
 
 def _two_step_mc(config: ExperimentConfig, checked: CheckedTarget, k: int, t_L: int, t_R: int):
@@ -392,26 +391,21 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     both evaluated on the prescribed spectrum harmonic_spectrum(resolved
     lambda, r), so they do not depend on the seed. When trials > 0, one
     harmonic target matrix is generated for the whole sweep and each k
-    gets the Monte Carlo estimate run_mc gives that k, from the same stream;
-    the target, with its SVD, is built only then and checked at once, so a
-    refusal names the target. Infeasible k values are emitted flagged
-    instead of aborting; analysis.least picks argmin_k, as it picks
-    optimize_rank's k. The target's size cap holds at every trial count.
+    gets the Monte Carlo estimate run_mc gives that k, from the same stream.
+    Infeasible k values are emitted flagged instead of aborting;
+    analysis.least picks argmin_k, as it picks optimize_rank's k. The
+    target's size cap holds at every trial count.
 
-    Every k's repetitions are chosen first; the estimates then run in up
-    to `lanes` processes (in_lanes), one job per feasible k before the
-    first k whose optimizer refuses, and the error raised is the one a
-    serial run raises: the earliest failing estimate's, else that refusal.
-    The result is the same at any lane count.
+    As in run_mc, every feasible k's repetitions come first, from one
+    analysis.optimize_each_rank call, so its refusal comes before the
+    target is built and checked; the estimates then run in up to `lanes`
+    processes (in_lanes), one job per feasible k, with the same result,
+    and the same error (the earliest failing estimate's), at any count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
     _check_target_size(config)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
-    if config.trials > 0:
-        A, s = target(config)
-        with _naming("target"):
-            checked = check_target(s, A)
     noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
@@ -419,12 +413,8 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     ranks = [k for k in ks if budget_feasible(config.m, config.n, k, 1, 1)]
     infeasible = [SweepRow(k=k, t_L=0, t_R=0, feasible=False, baseline_analytic=baseline)
                   for k in ks if not budget_feasible(config.m, config.n, k, 1, 1)]
-    choices, refusal = [], None
-    try:
-        for choice in _repetitions(config, singulars, noise, ranks):
-            choices.append(choice)
-    except ValueError as exc:
-        refusal = exc
+    choices = optimize_each_rank(singulars, config.m, config.n, ranks, noise, config.sigma_b_sq)
+    checked = _checked_target(config) if config.trials > 0 else None
 
     def estimate(choice) -> SweepRow:
         k, t_L, t_R, bd = choice
@@ -439,8 +429,6 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
 
     from .lanes import in_lanes  # here, so that importing the package loads no lane code
     feasible = in_lanes(choices, estimate, lanes if config.trials > 0 else 1)
-    if refusal is not None:
-        raise refusal
     rows = sorted(feasible + infeasible, key=lambda r: r.k)
     best = feasible[least([row.analytic_total for row in feasible])] if feasible else None
     return SweepResult(rows=rows, argmin_k=None if best is None else best.k,
@@ -482,7 +470,8 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     (r, k), analysis.t_L_max for its scan and analysis.lambda_max for its
     lam, so an n, budget, rank or scan that they refuse, or a lambda_max
     that is not finite and positive, is a ConfigError naming the row; so is
-    a row whose r exceeds MAX_SCALING_RANK, the one cap of its own.
+    a row whose r exceeds MAX_SCALING_RANK, the one cap of its own; a
+    total refused while a row is computed is a ValueError naming the row.
     ExperimentConfig has already checked the grid and the growth law."""
     _require_baseline_noise(config)
     growth = config.growth()
@@ -502,11 +491,12 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         sizes.append((n, r, k, lam))
     rows: list[ScalingRow] = []
     for n, r, k, lam in sizes:
-        t_L, t_R, bd = optimize_repetitions(harmonic_spectrum(lam, r),
-                                            n, n, k, noise, config.sigma_b_sq)
-        baseline = baseline_error_analytic(n, n, config.sigma_e_sq, config.sigma_b_sq)
-        rows.append(ScalingRow(n=n, r=r, k=k, t_L=t_L, t_R=t_R,
-                               **_analytic_columns(bd, baseline)))
+        with _naming(f"scaling row n={n}, k={k}"):
+            t_L, t_R, bd = optimize_repetitions(harmonic_spectrum(lam, r),
+                                                n, n, k, noise, config.sigma_b_sq)
+            baseline = baseline_error_analytic(n, n, config.sigma_e_sq, config.sigma_b_sq)
+            rows.append(ScalingRow(n=n, r=r, k=k, t_L=t_L, t_R=t_R,
+                                   **_analytic_columns(bd, baseline)))
     return ScalingResult(
         rows=rows,
         fit_total=fit_loglog_slope([(row.n, row.analytic_total) for row in rows]),
@@ -566,10 +556,9 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
         choices = [optimize_rank(singulars, config.m, config.n, noise,
                                  config.sigma_b_sq, config.r)]
     else:
-        choices = list(_repetitions(config, singulars, noise, list(config.k_range)))
-    A, s = target(config)
-    with _naming("target"):
-        checked = check_target(s, A)
+        choices = optimize_each_rank(singulars, config.m, config.n, list(config.k_range),
+                                     noise, config.sigma_b_sq)
+    checked = _checked_target(config)
 
     def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
         z, ok = compare(res, analytic)
@@ -582,7 +571,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
         choice = (k, t_L, t_R, breakdown)."""
         if choice is None:
             with _naming("baseline"):
-                res = run_baseline_trials(A, noise, config.sigma_b_sq, config.trials,
+                res = run_baseline_trials(checked.A, noise, config.sigma_b_sq, config.trials,
                                           child_stream(config.master_seed, STREAM_MC_BASELINE))
                 return row("baseline", None, None, None, res, base_analytic)
         k, t_L, t_R, bd = choice

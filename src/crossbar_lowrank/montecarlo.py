@@ -64,7 +64,8 @@ import numpy as np
 
 from .core import as_matrix, iid_entries
 from .lowrank import RANK_TOL_REL, SvdResult, factor_lr
-from .schemes import NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, budget_feasible, two_step_vmm
+from .schemes import (NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, budget_feasible,
+                      check_repetitions, two_step_vmm)
 
 Z_PASS_LIMIT = 4.0
 
@@ -300,8 +301,7 @@ def run_two_step_trials(target: CheckedTarget, k: int, t_L: int, t_R: int, noise
     m, n = A.shape
     if k < 1:
         raise ValueError(f"need a rank k >= 1, got k={k}")
-    if t_L < 1 or t_R < 1:
-        raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
+    check_repetitions(t_L, t_R)
     if not budget_feasible(m, n, k, t_L, t_R):
         raise ValueError(f"memristor budget violated: k={k}, t_L={t_L}, t_R={t_R} "
                          f"need {(t_L * m + t_R * n) * k} devices > m*n = {m * n}")

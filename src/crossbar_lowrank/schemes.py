@@ -9,7 +9,8 @@ replicas; stage 2 multiplies the averaged intermediate by (R + E_R_j)
 and averages over the t_R replicas. Replication divides each stage's
 noise variance by its repetition count at the cost of devices, subject
 to the budget t_L*m*k + t_R*n*k <= m*n. `budget_feasible` is the one
-statement of that budget; the optimizer and the Monte Carlo runs call it.
+statement of that budget, and `check_repetitions` of t_L, t_R >= 1; the
+closed form, the optimizer and the Monte Carlo runs call them.
 
 Both schemes draw every noise cell. A stage draws each replica as a slab
 of unit cells (core.unit_cells), sums the slabs in place, and applies the
@@ -51,6 +52,12 @@ def budget_feasible(m: int, n: int, k: int, t_L: int, t_R: int) -> bool:
     """True iff t_L*m*k + t_R*n*k <= m*n. With t_L, t_R >= 1 no
     k > min(m, n) fits: one of the two terms alone exceeds m*n."""
     return t_L * m * k + t_R * n * k <= m * n
+
+
+def check_repetitions(t_L: int, t_R: int) -> None:
+    """The one statement of t_L, t_R >= 1: a ValueError otherwise."""
+    if t_L < 1 or t_R < 1:
+        raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
 
 
 def _as_rows(b) -> np.ndarray:
@@ -142,8 +149,7 @@ def two_step_vmm(b, f: LrFactors, t_L: int, t_R: int, noise: NoiseSpec,
         raise ValueError(f"dimension mismatch: b has length {b.shape[-1]}, L is {m}x{k}")
     if k2 != k:
         raise ValueError(f"factor mismatch: L is {m}x{k}, R is {k2}x{n}")
-    if t_L < 1 or t_R < 1:
-        raise ValueError(f"repetition counts must be >= 1, got t_L={t_L}, t_R={t_R}")
+    check_repetitions(t_L, t_R)
     out = []
     for X in _chunks(b, max(m, n) * k):
         c_mid = _noisy_stage(X, f.L, t_L, noise.sigma_L_sq, noise.dist, rng)

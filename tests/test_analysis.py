@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 from fractions import Fraction
@@ -915,27 +916,44 @@ def test_the_one_pass_scan_equals_the_per_rank_scans(monkeypatch):
     assert crossed > 250 and 500 < refused < 1_500, (crossed, refused)
 
 
-def test_optimize_each_rank_is_one_call_per_rank_in_turn():
+def test_optimize_each_rank_is_one_call_per_rank():
     """Against one optimize_repetitions call per rank, on random configs
     whose rank lists may hold ranks that do not fit or whose totals are
-    refused: each rank yields that call's result to the bit, or raises its
-    refusal at its turn, after every rank before it."""
+    refused: every rank with its result to the bit, or the first refusal in
+    rank order, a rank that does not fit (t_L_max's) ahead of any total's,
+    which names its rank."""
     rng = np.random.default_rng(35)
-    stopped = 0
+    outcomes = collections.Counter()
     for case in range(500):
         m, n = int(rng.integers(1, 40)), int(rng.integers(1, 40))
         noise = NoiseSpec(sigma_L_sq=float(rng.choice([0.0, 0.05, 5e-324])),
                           sigma_R_sq=float(rng.uniform(0.001, 0.5)))
         singulars = _random_spectrum(rng, int(rng.integers(1, min(m, n) + 1)), case % 5)
         sb = float(rng.choice([1.0, 1e300]))
-        ranks = sorted(set(rng.integers(1, min(m, n) + 1, 4).tolist()))
+        # at most one rank past the last that fits, mk + nk <= mn
+        top = min(m, n, m * n // (m + n) + 1)
+        ranks = sorted(set(rng.integers(1, top + 1, 4).tolist()))
         want = [_outcome(optimize_repetitions, singulars, m, n, k, noise, sb) for k in ranks]
-        stop = next((i for i, w in enumerate(want) if len(w) == 2), len(ranks) - 1)
-        splits = optimize_each_rank(singulars, m, n, ranks, noise, sb)
-        assert [_outcome(next, splits) for _ in want[:stop + 1]] == want[:stop + 1], case
-        assert next(splits, None) is None
-        stopped += len(want[stop]) == 2
-    assert 50 < stopped < 450, stopped
+        refusals = [(k, w) for k, w in zip(ranks, want) if len(w) == 2]
+        misfits = [w for k, w in refusals if w[0] is InfeasibleBudgetError]
+        if misfits:
+            outcome = "misfit after a refused total" if refusals[0][1] != misfits[0] else "misfit"
+            want = misfits[0]
+        elif refusals:
+            outcome, (k, (kind, message)) = "refused total", refusals[0]
+            want = kind, f"rank {k}: {message}"
+        else:
+            outcome = "results"
+        try:
+            choices = optimize_each_rank(singulars, m, n, ranks, noise, sb)
+        except ValueError as exc:
+            got = type(exc), str(exc)
+        else:
+            assert [choice[0] for choice in choices] == ranks, case
+            got = [_outcome(lambda: choice[1:]) for choice in choices]
+        assert got == want, case
+        outcomes[outcome] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) > 25, outcomes
 
 
 def test_a_pass_over_many_ranks_holds_one_batch():

@@ -632,6 +632,18 @@ class TestScalingCommand:
             t_L_max(16, 16, 16)
         assert captured.err.splitlines() == [f"error: scaling row n=16, k=16: {refusal.value}"]
 
+    def test_an_overflowing_row_is_named(self, tmp_path, capsys):
+        # at sigma_b_sq=1e306 the least total of the first row, n=256 at
+        # k=8, overflows float64: a validation failure naming n and k once
+        p = tmp_path / "huge.cfg"
+        p.write_text("sigma_b_sq=1e306\nn_grid=256 512 1024 2048\n")
+        assert main(["scaling", "--config", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: scaling row n=256, k=8: the least two-step error is inf in float64: "
+            "the variances or singular values are too large"]
+
 
 class TestMcCommand:
     def test_passing_run_exits_zero(self, tmp_path, capsys):
@@ -664,7 +676,7 @@ class TestMcCommand:
         assert captured.out == ""
         with pytest.raises(InfeasibleBudgetError) as refusal:
             t_L_max(8, 8, 5)
-        assert captured.err.splitlines() == [f"error: rank 5: {refusal.value}"]
+        assert captured.err.splitlines() == [f"error: {refusal.value}"]
 
     @pytest.mark.parametrize("dist", ["gaussian", "uniform"])
     @pytest.mark.parametrize("seed", range(1, 9))

@@ -122,6 +122,48 @@ def test_each_rule_is_stated_once():
     fits = inspect.getsource(crossbar_lowrank.analysis._check_fits)
     assert "does not fit the budget" in fits
     assert not any("no rank fits" in text.lower() for text in texts.values())
+    # the repetition-count rule has one owner in schemes
+    assert sum(text.count("repetition counts must be >= 1") for text in texts.values()) == 1
+    repetitions = inspect.getsource(crossbar_lowrank.schemes.check_repetitions)
+    assert "repetition counts must be >= 1" in repetitions
+
+
+# calls that sum, by the name called: np.sum, math.fsum, np.add.reduce, ...
+SUMMING_CALLS = {"sum", "fsum", "reduce", "nansum", "dot", "vdot", "inner", "einsum", "norm"}
+
+
+def _sums(node):
+    """Whether node is a summing call or a matrix product."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.MatMult)
+    return isinstance(node, ast.Call) and getattr(
+        node.func, "attr", getattr(node.func, "id", None)) in SUMMING_CALLS
+
+
+def _sums_by_rank(path):
+    """(function, 'tail' or 'head') for each function of a module that sums
+    and slices by the rank, which the package names k throughout: x[k:...]
+    is a tail, x[...:k] a head."""
+    found = set()
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        nodes = list(ast.walk(fn))
+        if not any(_sums(node) for node in nodes):
+            continue
+        for node in nodes:
+            if isinstance(node, ast.Slice):
+                for end, bound in (("tail", node.lower), ("head", node.upper)):
+                    if isinstance(bound, ast.Name) and bound.id == "k":
+                        found.add((f"{path.stem}.{fn.name}", end))
+    return found
+
+
+def test_the_tail_and_the_trace_are_each_summed_once():
+    # the truncation tail sum_{i>k} s_i^2 and trace_k = sum_{i<=k} s_i are
+    # summed in one function, which every closed form and optimizer uses
+    found = set().union(*(_sums_by_rank(PACKAGE / f"{module}.py") for module in MODULES))
+    assert found == {("analysis._tail_and_trace", "tail"), ("analysis._tail_and_trace", "head")}
 
 
 def test_readme_module_names_resolve():

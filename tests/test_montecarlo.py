@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from crossbar_lowrank import experiments, lanes, montecarlo, schemes
-from crossbar_lowrank.analysis import two_step_error_analytic
+from crossbar_lowrank.analysis import InfeasibleBudgetError, two_step_error_analytic
 from crossbar_lowrank.cli import main
 from crossbar_lowrank.core import iid_entries
 from crossbar_lowrank.experiments import ExperimentConfig, mc_csv, run_mc, run_sweep, sweep_csv
@@ -619,36 +619,25 @@ class TestLanes:
         with pytest.raises(ValueError, match=rf"^two_step k={min(failing)}: estimate "):
             run_mc(dataclasses.replace(cfg, k_range=(1, 2, 3)), lanes=lanes)
 
-    @pytest.mark.parametrize("failing,error", [({2}, "rank 2: estimate fails"),
-                                               ({3}, "rank 3: refused"),
-                                               (set(), "rank 3: refused")])
-    def test_a_refusing_optimizer_stops_the_sweep_where_a_serial_run_stops(
-            self, monkeypatch, failing, error):
-        # rank 3's optimizer refuses: the estimates of ranks 1 and 2 still
-        # run and win if they fail, and no estimate runs past rank 2
-        real_opt, real_mc = experiments.optimize_each_rank, experiments._two_step_mc
-        estimated = []
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_a_refused_plan_costs_nothing(self, monkeypatch, lanes):
+        # every rank's repetitions are chosen, and any refusal raised,
+        # before the target is built or any estimate runs, in sweep as in mc
+        def never(*args):
+            raise AssertionError("the run went past a refused plan")
 
-        def optimize_each_rank(singulars, m, n, ranks, noise, sigma_b_sq):
-            for k, split in zip(ranks, real_opt(singulars, m, n, ranks, noise, sigma_b_sq)):
-                if k == 3:
-                    raise ValueError("refused")
-                yield split
-
-        def two_step_mc(config, checked, k, t_L, t_R):
-            estimated.append(k)
-            if k in failing:
-                raise ValueError("estimate fails")
-            return real_mc(config, checked, k, t_L, t_R)
-
-        monkeypatch.setattr(experiments, "optimize_each_rank", optimize_each_rank)
-        monkeypatch.setattr(experiments, "_two_step_mc", two_step_mc)
-        cfg = ExperimentConfig(m=12, n=12, r=4, lam=3.0, trials=100)
-        with pytest.raises(ValueError, match=rf"^{error}$"):
-            run_sweep(cfg, lanes=1)
-        assert estimated == [1, 2]
-        with pytest.raises(ValueError, match=rf"^{error}$"):
-            run_sweep(cfg, lanes=3)
+        monkeypatch.setattr(experiments, "target", never)
+        monkeypatch.setattr(experiments, "_two_step_mc", never)
+        # rank 2's truncation per unit input variance, (1e160/3)^2, is inf
+        huge = ExperimentConfig(m=40, n=40, r=3, lam=1e160, sigma_b_sq=1e-100, trials=100,
+                                k_range=(2, 3))
+        for run in (run_sweep, run_mc):
+            with pytest.raises(ValueError, match=r"^rank 2: the least two-step error is inf "):
+                run(huge, lanes=lanes)
+        # rank 5 at 8x8 needs mk + nk = 80 > 64 devices
+        wide = ExperimentConfig(m=8, n=8, r=6, lam=3.0, trials=50, k_range=(1, 5))
+        with pytest.raises(InfeasibleBudgetError, match=r"^rank 5 does not fit the budget"):
+            run_mc(wide, lanes=lanes)
 
     def test_an_estimate_that_overflows_in_a_child_lane(self, tmp_path, capsys):
         path = tmp_path / "inf.cfg"
