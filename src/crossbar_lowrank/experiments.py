@@ -17,8 +17,9 @@ from, and every closed form is evaluated on, the prescribed spectrum
 `matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
 The target comes with its SVD, the factors it is built from, so no
 command decomposes a matrix it has built. `sweep` and `mc` plan first:
-every rank's repetitions, and any refusal, come before the target is
-built and its SVD checked (_checked_target), and that before any trial.
+every rank's repetitions, `sweep`'s rows but their MC columns, and any
+refusal come before the target is built and its SVD checked
+(_checked_target), and that before any trial.
 
 Every stream is `rng.child_stream(master_seed, *key)`, built here and
 handed as a Generator to the function that draws from it: the target's,
@@ -396,42 +397,42 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     analysis.least picks argmin_k, as it picks optimize_rank's k. The
     target's size cap holds at every trial count.
 
-    As in run_mc, every feasible k's repetitions come first, from one
-    analysis.optimize_each_rank call, so its refusal comes before the
-    target is built and checked; the estimates then run in up to `lanes`
-    processes (in_lanes), one job per feasible k, with the same result,
-    and the same error (the earliest failing estimate's), at any count.
+    The plan comes first: every row but its MC columns, each feasible k's
+    from one analysis.optimize_each_rank call, so every refusal, the
+    optimizer's or a row's normalized error, comes before the target is
+    built and checked. Only then, and only when trials > 0, do the
+    estimates fill mc_mean and mc_stderr, in up to `lanes` processes
+    (in_lanes), one job per feasible k, with the same result, and the
+    same error (the earliest failing estimate's), at any count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
     _check_target_size(config)
     singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
-    noise = config.noise()
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
     ks = config.resolved_k_range()
     ranks = [k for k in ks if budget_feasible(config.m, config.n, k, 1, 1)]
     infeasible = [SweepRow(k=k, t_L=0, t_R=0, feasible=False, baseline_analytic=baseline)
                   for k in ks if not budget_feasible(config.m, config.n, k, 1, 1)]
-    choices = optimize_each_rank(singulars, config.m, config.n, ranks, noise, config.sigma_b_sq)
-    checked = _checked_target(config) if config.trials > 0 else None
-
-    def estimate(choice) -> SweepRow:
-        k, t_L, t_R, bd = choice
+    feasible = []
+    for k, t_L, t_R, bd in optimize_each_rank(singulars, config.m, config.n, ranks,
+                                              config.noise(), config.sigma_b_sq):
         with _naming(f"rank {k}"):
-            mc_mean = mc_stderr = None
-            if config.trials > 0:
-                res = _two_step_mc(config, checked, k, t_L, t_R)
-                mc_mean, mc_stderr = res.mean_sq_error, res.std_error
-            return SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
-                            mc_mean=mc_mean, mc_stderr=mc_stderr,
-                            **_analytic_columns(bd, baseline))
+            feasible.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
+                                     **_analytic_columns(bd, baseline)))
+    argmin_k = feasible[least([row.analytic_total for row in feasible])].k if feasible else None
+    if config.trials > 0:
+        checked = _checked_target(config)
 
-    from .lanes import in_lanes  # here, so that importing the package loads no lane code
-    feasible = in_lanes(choices, estimate, lanes if config.trials > 0 else 1)
-    rows = sorted(feasible + infeasible, key=lambda r: r.k)
-    best = feasible[least([row.analytic_total for row in feasible])] if feasible else None
-    return SweepResult(rows=rows, argmin_k=None if best is None else best.k,
+        def estimate(row: SweepRow) -> SweepRow:
+            with _naming(f"rank {row.k}"):
+                res = _two_step_mc(config, checked, row.k, row.t_L, row.t_R)
+            return dataclasses.replace(row, mc_mean=res.mean_sq_error, mc_stderr=res.std_error)
+
+        from .lanes import in_lanes  # here, so that importing the package loads no lane code
+        feasible = in_lanes(feasible, estimate, lanes)
+    return SweepResult(rows=sorted(feasible + infeasible, key=lambda r: r.k), argmin_k=argmin_k,
                        lam_resolved=config.resolved_lambda(), config=config)
 
 
@@ -481,7 +482,6 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     for n in config.n_grid:
         with _naming(f"scaling row n={n}", ConfigError):
             r, k = growth.ranks(n)
-        with _naming(f"scaling row n={n}, k={k}", ConfigError):
             t_L_max(n, n, k)
             lam = lambda_max(n, n, dev)
         if r > MAX_SCALING_RANK:

@@ -88,7 +88,7 @@ class TrialBatchResult:
     mean_sq_error: float
     std_error: float
     # |mean - analytic| at or below this is float64 round-off, not a
-    # discrepancy (see roundoff_floor); 0 where no trial forms a product with A
+    # discrepancy (see _floor); 0 where no trial forms a product with A
     roundoff: float = 0.0
 
 
@@ -105,21 +105,16 @@ def _frobenius(X: np.ndarray, overwrite: bool = False) -> float:
 
 
 def _floor(shape: tuple[int, int], frobenius: float, sigma_b_sq: float) -> float:
-    """roundoff_floor of an m x n matrix whose ||A||_F is `frobenius`."""
+    """Mean squared error that float64 round-off alone can leave in a
+    trial's product for an m x n matrix A whose ||A||_F is `frobenius`:
+    ((m + n) eps)^2 E||bA||^2, with E||bA||^2 = sigma_b^2 ||A||_F^2. Each
+    output entry is a sum of about m + n rounded terms of magnitude |bA|,
+    so its relative error is of order (m + n) eps. _frobenius gives
+    ||A||_F for one m x n temporary, and the floor is squared last, so it
+    is finite where its value is."""
     m, n = shape
     root = (m + n) * math.ulp(1.0) * frobenius * math.sqrt(sigma_b_sq)
     return root * root
-
-
-def roundoff_floor(A: np.ndarray, sigma_b_sq: float) -> float:
-    """Mean squared error that float64 round-off alone can leave in a
-    trial's product for an m x n matrix A: ((m + n) eps)^2 E||bA||^2, with
-    E||bA||^2 = sigma_b^2 ||A||_F^2. Each output entry is a sum of about
-    m + n rounded terms of magnitude |bA|, so its relative error is of
-    order (m + n) eps. ||A||_F comes from _frobenius, so the floor costs
-    one m x n temporary, and is squared last, so the floor is finite where
-    its value is."""
-    return _floor(A.shape, _frobenius(A), sigma_b_sq)
 
 
 def _run_blocks(rng: np.random.Generator, trials: int, width: int,
@@ -220,7 +215,8 @@ def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,
         D -= B @ A
         return _row_sq(D)
 
-    width, floor = (1, 0.0) if gaussian else (max(m, n), roundoff_floor(A, sigma_b_sq))
+    width, floor = ((1, 0.0) if gaussian
+                    else (max(m, n), _floor(A.shape, _frobenius(A), sigma_b_sq)))
     return _reduce(_run_blocks(rng, trials, width, block), floor)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -313,6 +314,33 @@ class TestUsageErrors:
             "error: rank 2: the least two-step error is inf in float64: the variances "
             "or singular values are too large"]
 
+    @pytest.mark.parametrize("command,body", [
+        ("sweep", "m=40\nn=40\nr=3\nlambda=1e160\nsigma_b_sq=1e-100\nk_range=2,3\ntrials=0\n"),
+        ("sweep", "m=100\nn=100\nr=4\nsigma_e_sq=1e-10\nsigma_b_sq=1e307\n"
+                  "k_range=1,2\ntrials=0\n"),
+        ("sweep", "m=8\nn=8\nr=2\nsigma_e_sq=1e-300\nsigma_L_sq=1e10\nsigma_R_sq=1e10\n"
+                  "k_range=1,2\ntrials=50\n"),
+        ("mc", "m=40\nn=40\nr=3\nlambda=1e160\nsigma_b_sq=1e-100\nk_range=2,3\n"),
+        ("mc", "m=8\nn=8\nr=6\nlambda=3\nk_range=5\ntrials=50\n"),
+        ("mc", "m=1\nn=5\nr=1\nlambda=1\nk_range=1\ntrials=50\n"),
+        ("mc", "m=12\nn=12\nr=3\nlambda=1e170\ntrials=200\n"),
+        ("scaling", "alpha=1\nbeta=1\nc1=1\nc2=1\nn_grid=16 32 64 128\n"),
+        ("scaling", "alpha=0.01\nn_grid=1000000 10000000 100000000 1000000000\n"),
+        ("scaling", "alpha=0.5\nc1=1\nc2=1\nn_grid=379625062 759250125 1518500250 3037000500\n"),
+        ("scaling", "rho=1e300\nalpha=0.01\nn_grid=1000 10000 100000 1000000\n"),
+        ("scaling", "sigma_b_sq=1e306\nn_grid=256 512 1024 2048\n"),
+    ])
+    def test_a_refusal_names_its_rank_once(self, tmp_path, capsys, command, body):
+        # no refusal names a rank twice: a row's prefix names its rank only
+        # where the message behind it does not
+        p = tmp_path / "refused.cfg"
+        p.write_text(body)
+        assert main([command, "--config", str(p)]) in (1, 2)
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        ranks = re.findall(r"\b(?:k=|rank )(\d+)\b", err[0])
+        assert len(ranks) == len(set(ranks)), err[0]
+
     def test_zero_baseline_noise_still_runs_mc(self, tmp_path, capsys):
         p = tmp_path / "quiet.cfg"
         p.write_text("m=8\nn=8\nr=2\nsigma_e_sq=0\ntrials=400\n")
@@ -373,7 +401,7 @@ class TestUsageErrors:
         assert captured.out == ""
         with pytest.raises(ValueError, match="at 10000x10000 is inf in float64") as refusal:
             lambda_max(10000, 10000, DeviceParams(rho=1e300))
-        assert err == [f"error: scaling row n=10000, k=1: {refusal.value}"]
+        assert err == [f"error: scaling row n=10000: {refusal.value}"]
 
     def test_long_scaling_scan_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # r = k = 1 at alpha=0.01, so the row at n=1e7 would scan 1e7 - 1
@@ -389,7 +417,7 @@ class TestUsageErrors:
         assert captured.out == ""
         with pytest.raises(ValueError, match="rank 1 would scan 9999999 t_L values") as refusal:
             t_L_max(10 ** 7, 10 ** 7, 1)
-        assert err == [f"error: scaling row n=10000000, k=1: {refusal.value}"]
+        assert err == [f"error: scaling row n=10000000: {refusal.value}"]
 
     def test_high_scaling_rank_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # r = n at alpha=1, so the row at n=2**21 would hold 2**21 singular
@@ -426,7 +454,7 @@ class TestUsageErrors:
         assert captured.out == ""
         with pytest.raises(ValueError, match="int64") as refusal:
             t_L_max(n, n, k)
-        assert err == [f"error: scaling row n={n}, k={k}: {refusal.value}"]
+        assert err == [f"error: scaling row n={n}: {refusal.value}"]
 
     def test_scaling_budget_just_under_int64_computes(self, tmp_path, capsys):
         p = tmp_path / "grid.cfg"
@@ -618,8 +646,8 @@ class TestScalingCommand:
         assert "# fit_baseline slope=" in out
 
     def test_a_rank_that_does_not_fit_is_a_config_error(self, tmp_path, capsys, monkeypatch):
-        # k = r = n at every size: refused with t_L_max's own message before
-        # any row is computed, naming n and k
+        # k = r = n at every size: refused with t_L_max's own message, which
+        # names k, behind the row's n, before any row is computed
         def never(*args, **kwargs):
             raise AssertionError("scaling row computed")
         monkeypatch.setattr(experiments, "optimize_repetitions", never)
@@ -630,7 +658,7 @@ class TestScalingCommand:
         assert captured.out == ""
         with pytest.raises(InfeasibleBudgetError) as refusal:
             t_L_max(16, 16, 16)
-        assert captured.err.splitlines() == [f"error: scaling row n=16, k=16: {refusal.value}"]
+        assert captured.err.splitlines() == [f"error: scaling row n=16: {refusal.value}"]
 
     def test_an_overflowing_row_is_named(self, tmp_path, capsys):
         # at sigma_b_sq=1e306 the least total of the first row, n=256 at
@@ -958,6 +986,22 @@ def test_readme_cli_block_parses():
 
 
 class TestConsoleScript:
+    def test_entry_point_in_pyproject(self, capsys, monkeypatch):
+        # the script an install writes calls module:function with no
+        # arguments, so the function reads sys.argv
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"crossbar-lowrank": "crossbar_lowrank.cli:main"}
+        module, function = scripts["crossbar-lowrank"].split(":")
+        entry = getattr(importlib.import_module(module), function)
+        monkeypatch.setattr(sys, "argv", ["crossbar-lowrank", "--help"])
+        assert entry() == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: crossbar-lowrank ")
+        assert re.findall(r"^    (\w+) ", out, re.M) == [
+            "sweep", "scaling", "gen", "validate", "mc"]
+
     def test_installed_entry_point(self):
         exe = shutil.which("crossbar-lowrank")
         if exe is None:

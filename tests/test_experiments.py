@@ -560,7 +560,7 @@ class TestRunScaling:
         # alpha=0.01 gives r = k = 1, so row n scans n - 1 values of t_L
         calls = self._fake_optimizer(monkeypatch)
         cfg = ExperimentConfig(alpha=0.01, n_grid=(10 ** 6, 10 ** 7, 10 ** 8, 10 ** 9))
-        with pytest.raises(ConfigError, match="n=10000000, k=1: .* 9999999 "):
+        with pytest.raises(ConfigError, match="n=10000000: rank 1 would scan 9999999 "):
             run_scaling(cfg)
         assert calls == []
 
@@ -570,7 +570,7 @@ class TestRunScaling:
         grid = (top // 8, top // 4, top // 2, top)
         run_scaling(ExperimentConfig(alpha=0.01, n_grid=grid))
         assert calls == [(n, 1) for n in grid]
-        with pytest.raises(ConfigError, match=f"n={top + 1}, k=1"):
+        with pytest.raises(ConfigError, match=f"n={top + 1}: rank 1 would scan "):
             run_scaling(ExperimentConfig(alpha=0.01, n_grid=grid[:3] + (top + 1,)))
 
     def test_rank_cap_rejects_before_any_row(self, monkeypatch):

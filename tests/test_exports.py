@@ -16,7 +16,7 @@ REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_cou
            "ROLE_BLOCK", "STREAM_SWEEP_MC", "mix64", "MASK64", "_GOLDEN", "child_seed",
            "run_two_step_on", "_checked_once", "truncate", "truncation_error_sq",
            "harmonic_trace", "tail_bound", "_check_finite", "dumps_matrix", "loads_matrix",
-           "prescribed_matrix", "conductance_map")
+           "prescribed_matrix", "conductance_map", "roundoff_floor")
 
 # the exports that no other package module uses, each with why it stays
 UNREACHED_ALLOWED = {

@@ -19,12 +19,12 @@ from crossbar_lowrank.montecarlo import (
     SUM_BLOCK,
     TrialBatchResult,
     _exact_sum,
+    _floor,
     _frobenius,
     _reduce,
     _run_blocks,
     check_target,
     compare,
-    roundoff_floor,
     run_baseline_trials,
     run_two_step_trials,
 )
@@ -325,7 +325,8 @@ class TestCompare:
     def test_floor_scales_with_signal_and_dimensions(self):
         A = np.full((2, 3), 2.0)
         eps = np.finfo(float).eps
-        assert roundoff_floor(A, 3.0) == pytest.approx((5 * eps) ** 2 * 3.0 * 24.0, rel=1e-15)
+        assert _floor(A.shape, _frobenius(A), 3.0) == pytest.approx(
+            (5 * eps) ** 2 * 3.0 * 24.0, rel=1e-15)
 
     def test_floor_of_huge_entries_does_not_overflow(self):
         # sum(A * A) overflows past |a| ~ 1.3e154; the floor itself is finite
@@ -333,22 +334,23 @@ class TestCompare:
         A[0, 0] = -3e160
         eps = np.finfo(float).eps
         exact = (80 * eps) ** 2 * (1599 + 9) * 1e-100 * 1e160 * 1e160
-        floor = roundoff_floor(A, 1e-100)  # a RuntimeWarning fails the test
+        floor = _floor(A.shape, _frobenius(A), 1e-100)  # a RuntimeWarning fails the test
         assert math.isfinite(floor)
         assert floor == pytest.approx(exact, rel=1e-12)
-        assert roundoff_floor(np.zeros((3, 2)), 2.0) == 0.0
+        assert _floor((3, 2), _frobenius(np.zeros((3, 2))), 2.0) == 0.0
 
     def test_runs_carry_their_floor(self):
         # a Gaussian baseline run forms no product with A: its floor is 0
         A = small_matrix()
-        for dist, floor in (("gaussian", 0.0), ("uniform", roundoff_floor(A, 3.0))):
+        uniform = _floor(A.shape, _frobenius(A), 3.0)
+        for dist, floor in (("gaussian", 0.0), ("uniform", uniform)):
             res = run_baseline_trials(A, NoiseSpec(sigma_e_sq=0.05, dist=dist), 3.0,
                                       trials=10, rng=np.random.default_rng(1))
             assert res.roundoff == floor
         A, s, f, scheme = two_step_setup([2.0], 4, 4, 1, 2, 2, NoiseSpec(), 3.0)
         res = run_two_step_trials(check_target(s, A), *scheme, trials=10,
                                   rng=np.random.default_rng(1))
-        assert res.roundoff == roundoff_floor(A, 3.0) > 0
+        assert res.roundoff == _floor(A.shape, _frobenius(A), 3.0) > 0
 
 
 def _negative_peak():
@@ -360,7 +362,7 @@ def _negative_peak():
 
 class TestNorms:
     """_frobenius reads max|x| as max(max x, -min x) and squares one scaled
-    temporary in place; its floats, and roundoff_floor's, are pinned."""
+    temporary in place; its floats, and _floor's on them, are pinned."""
 
     @pytest.mark.parametrize("X,norm,sigma_b_sq,floor", [
         (_negative_peak(), "0x1.364cf6b9039b4p+3", 2.5, "0x1.bc700650a72f8p-90"),
@@ -372,7 +374,7 @@ class TestNorms:
     def test_pinned(self, X, norm, sigma_b_sq, floor):
         before = X.copy()
         assert _frobenius(X) == float.fromhex(norm)
-        assert roundoff_floor(X, sigma_b_sq) == float.fromhex(floor)
+        assert _floor(X.shape, _frobenius(X), sigma_b_sq) == float.fromhex(floor)
         assert np.array_equal(X, before)
         # the in-place path gives the same float and spends its argument
         assert _frobenius(X.copy(), overwrite=True) == float.fromhex(norm)
@@ -389,7 +391,7 @@ class TestNorms:
         A = np.random.default_rng(0).standard_normal((1024, 1024))
         tracemalloc.start()
         try:
-            roundoff_floor(A, 3.0)
+            _floor(A.shape, _frobenius(A), 3.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -634,6 +636,12 @@ class TestLanes:
         for run in (run_sweep, run_mc):
             with pytest.raises(ValueError, match=r"^rank 2: the least two-step error is inf "):
                 run(huge, lanes=lanes)
+        # rank 1's total, 1.2e21, over a baseline of 1.92e-298 is inf: a sweep
+        # row's normalized column is part of the plan
+        tiny = ExperimentConfig(m=8, n=8, r=2, sigma_e_sq=1e-300, sigma_L_sq=1e10,
+                                sigma_R_sq=1e10, k_range=(1, 2), trials=50)
+        with pytest.raises(ValueError, match=r"^rank 1: the normalized error "):
+            run_sweep(tiny, lanes=lanes)
         # rank 5 at 8x8 needs mk + nk = 80 > 64 devices
         wide = ExperimentConfig(m=8, n=8, r=6, lam=3.0, trials=50, k_range=(1, 5))
         with pytest.raises(InfeasibleBudgetError, match=r"^rank 5 does not fit the budget"):
