@@ -15,9 +15,10 @@ with trace_k = sum_{i<=k} s_i, each part evaluated left to right as
 written. So no argmin depends on sigma_b_sq: the optimizers score unit
 totals, and _scaled multiplies sigma_b_sq into the parts, in one place.
 One rule, least, picks every winner: t_L within a rank, k, and the sweep's k.
-The optimizers score every (k, t_L) candidate of their ranks in one array
-pass (_best_splits), in batches of at most MAX_SCAN candidates, with the
-scalar formulas' floats and least's winner in each rank's segment.
+optimize_each_rank owns the per-rank scan (greedy t_R fill, least's ties,
+unit totals scaled once); optimize_repetitions is that scan at one rank.
+It scores every (k, t_L) candidate in one array pass (_best_splits), in
+batches of at most MAX_SCAN, with the scalar formulas' floats.
 The harmonic singular-value class (s_i = lam/i) admits closed-form bounds
 on the trace and truncation tail, and with them asymptotic_bound, the
 error's bound under AsymptoticParams' growth law for r and k.
@@ -176,11 +177,13 @@ def _check_fits(m: int, n: int, k: int) -> None:
 def t_L_max(m: int, n: int, k: int) -> int:
     """Largest t_L that leaves budget for t_R >= 1 at rank k: the number
     of t_L values the optimizers scan (at most n). The one owner of a
-    rank's budget and scan: a budget m*n over MAX_BUDGET, which the scan's
-    int64 arithmetic cannot hold, is a ValueError; a rank that does not
-    fit even at t_L = t_R = 1 an InfeasibleBudgetError; and a scan longer
-    than MAX_SCAN values (about n/k > 2**20) a ValueError, raised before
-    any candidate is allocated."""
+    rank's budget and scan: a rank or dimension below 1 is a ValueError
+    before any arithmetic, a budget m*n over MAX_BUDGET (the scan's int64)
+    a ValueError, a rank that does not fit even at t_L = t_R = 1 (any k
+    past min(m, n)) an InfeasibleBudgetError, and a scan over MAX_SCAN
+    values (n/k > 2**20) a ValueError, before any candidate is allocated."""
+    if min(m, n, k) < 1:
+        raise ValueError(f"rank {k} of a {m}x{n} array: the rank and dimensions must be >= 1")
     if m * n > MAX_BUDGET:
         raise ValueError(f"the budget m*n = {m}*{n} = {m * n} exceeds {MAX_BUDGET}, "
                          f"the most the optimizer's int64 arithmetic holds")
@@ -235,31 +238,23 @@ def _scan(s: np.ndarray, m: int, n: int, ranks: list[int], scans: list[int], siz
 
 def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
                          sigma_b_sq: float) -> tuple[int, int, ErrorBreakdown]:
-    """Best integer (t_L, t_R) for a fixed rank k under the memristor budget.
-
-    Scores every t_L of its feasible range, t_R filling the remaining
-    budget greedily; the error is nonincreasing in t_R, so the greedy fill
-    dominates any smaller t_R at the same t_L and the scan is exact. The
-    winner is the smallest t_L whose total lies within a relative TIE_RTOL
-    of the least (see least), so round-off in the spectrum cannot break an
-    exact tie (m = n with sigma_L_sq = sigma_R_sq). Totals are scored per
-    unit input variance, so the winner does not depend on sigma_b_sq; see
-    t_L_max for the budgets and scans refused and _scaled for the totals
-    refused.
-    """
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
-    _check_variances(sigma_b_sq)
-    [(t_L, t_R, unit)] = _best_splits(check_spectrum(singulars), m, n, [k], noise)
-    return t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
+    """Best integer (t_L, t_R) for a fixed rank k under the memristor budget,
+    and its breakdown: optimize_each_rank's scan at the one rank k, with
+    its refusals and their messages."""
+    [(_, t_L, t_R, breakdown)] = optimize_each_rank(singulars, m, n, [k], noise, sigma_b_sq)
+    return t_L, t_R, breakdown
 
 
 def optimize_each_rank(singulars, m: int, n: int, ranks: list[int], noise: NoiseSpec,
                        sigma_b_sq: float) -> list[tuple[int, int, int, ErrorBreakdown]]:
-    """(k, *optimize_repetitions(..., k, ...)) for each k of `ranks` (in [1,
-    min(m, n)]), from one _best_splits pass, or a refusal naming its rank:
-    t_L_max's first, before any candidate is allocated, then the first
-    rank whose least total _scaled refuses."""
+    """(k, t_L, t_R, breakdown) at each k of `ranks`: the one per-rank scan.
+    Every t_L that t_L_max allows is scored with t_R filling the rest of
+    the budget (the error does not grow with t_R, so the scan is exact);
+    least picks t_L, so round-off cannot break an exact tie, and only the
+    unit winner is scaled. One _best_splits pass scores all ranks, each to
+    the bit of a pass over it alone. A refusal names its rank: t_L_max's
+    first, before any candidate is allocated, then the first least total
+    that _scaled refuses."""
     _check_variances(sigma_b_sq)
     splits = _best_splits(check_spectrum(singulars), m, n, ranks, noise)
     return [(k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit,

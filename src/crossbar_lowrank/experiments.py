@@ -491,7 +491,7 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
         sizes.append((n, r, k, lam))
     rows: list[ScalingRow] = []
     for n, r, k, lam in sizes:
-        with _naming(f"scaling row n={n}, k={k}"):
+        with _naming(f"scaling row n={n}"):
             t_L, t_R, bd = optimize_repetitions(harmonic_spectrum(lam, r),
                                                 n, n, k, noise, config.sigma_b_sq)
             baseline = baseline_error_analytic(n, n, config.sigma_e_sq, config.sigma_b_sq)

@@ -165,6 +165,15 @@ class TestOptimizeRepetitions:
         with pytest.raises(InfeasibleBudgetError):
             optimize_repetitions(np.ones(51), 100, 100, 51, noise, 3.0)
 
+    def test_a_rank_past_the_array_is_the_fit_rules_refusal(self):
+        # k > min(m, n) cannot fit at t_L = t_R = 1: t_L_max's message, as mc reports it
+        with pytest.raises(InfeasibleBudgetError) as refusal:
+            analysis.t_L_max(8, 8, 9)
+        with pytest.raises(InfeasibleBudgetError) as got:
+            optimize_repetitions([2.0, 1.0], 8, 8, 9, NoiseSpec(), 1.0)
+        assert str(got.value) == str(refusal.value)
+        assert str(got.value).startswith("rank 9 does not fit")
+
     def test_square_symmetric_case_nearly_balanced(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -214,6 +223,30 @@ class TestOptimizeRepetitions:
                 t_L += 1
             assert (got[0], got[1]) == (best[0], best[1])
             assert got[2].total == best[2].total
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_a_rank_below_1_is_refused_by_name(k):
+    # t_L_max refuses it before any arithmetic, so no entry point dies in
+    # its division (k = 0) or in numpy's negative dimensions (k = -1)
+    noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
+    for call in (lambda: analysis.t_L_max(8, 8, k),
+                 lambda: optimize_repetitions([2.0, 1.0], 8, 8, k, noise, 1.0),
+                 lambda: optimize_each_rank([2.0, 1.0], 8, 8, [k], noise, 1.0),
+                 lambda: optimize_each_rank([2.0, 1.0], 8, 8, [1, k], noise, 1.0)):
+        with pytest.raises(ValueError) as refusal:
+            call()
+        assert type(refusal.value) is ValueError
+        assert str(refusal.value) == (
+            f"rank {k} of a 8x8 array: the rank and dimensions must be >= 1")
+
+
+@pytest.mark.parametrize("m,n", [(0, 0), (-1, -1), (0, 5)])
+def test_a_dimension_below_1_is_refused_before_the_scan(m, n):
+    # 0x0 and -1x-1 would pass the fit rule (0 <= 0, -2 <= 1) into the scan
+    with pytest.raises(ValueError, match=f"rank 1 of a {m}x{n} array: .* must be >= 1"):
+        optimize_repetitions([1.0], m, n, 1, NoiseSpec(), 1.0)
+
 
 
 def _optimize_repetitions_by_loop(singulars, m, n, k, noise, sigma_b_sq):
@@ -823,12 +856,10 @@ def _best_split_oracle(s, m, n, k, noise):
 
 
 def _oracle_repetitions(singulars, m, n, k, noise, sigma_b_sq):
-    if not 1 <= k <= min(m, n):
-        raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
     analysis._check_variances(sigma_b_sq)
     t_L, t_R, unit = _best_split_oracle(check_spectrum(singulars), m, n, k, noise)
     return t_L, t_R, analysis.ErrorBreakdown(
-        *analysis._scaled(sigma_b_sq, unit, "the least two-step error"))
+        *analysis._scaled(sigma_b_sq, unit, f"rank {k}: the least two-step error"))
 
 
 def _oracle_rank(singulars, m, n, noise, sigma_b_sq, k_max):
@@ -917,11 +948,11 @@ def test_the_one_pass_scan_equals_the_per_rank_scans(monkeypatch):
 
 
 def test_optimize_each_rank_is_one_call_per_rank():
-    """Against one optimize_repetitions call per rank, on random configs
-    whose rank lists may hold ranks that do not fit or whose totals are
-    refused: every rank with its result to the bit, or the first refusal in
-    rank order, a rank that does not fit (t_L_max's) ahead of any total's,
-    which names its rank."""
+    """Against one optimize_repetitions call per rank, each the one-rank
+    optimize_each_rank call to the bit, on random configs whose rank lists
+    may hold ranks that do not fit or whose totals are refused: every rank
+    with its result to the bit, or the first refusal in rank order, a rank
+    that does not fit (t_L_max's) ahead of any total's, which names its rank."""
     rng = np.random.default_rng(35)
     outcomes = collections.Counter()
     for case in range(500):
@@ -934,14 +965,17 @@ def test_optimize_each_rank_is_one_call_per_rank():
         top = min(m, n, m * n // (m + n) + 1)
         ranks = sorted(set(rng.integers(1, top + 1, 4).tolist()))
         want = [_outcome(optimize_repetitions, singulars, m, n, k, noise, sb) for k in ranks]
+        assert want == [_outcome(lambda k: optimize_each_rank(singulars, m, n, [k], noise,
+                                                              sb)[0][1:], k)
+                        for k in ranks], case
         refusals = [(k, w) for k, w in zip(ranks, want) if len(w) == 2]
         misfits = [w for k, w in refusals if w[0] is InfeasibleBudgetError]
         if misfits:
             outcome = "misfit after a refused total" if refusals[0][1] != misfits[0] else "misfit"
             want = misfits[0]
         elif refusals:
-            outcome, (k, (kind, message)) = "refused total", refusals[0]
-            want = kind, f"rank {k}: {message}"
+            outcome, (k, want) = "refused total", refusals[0]
+            assert want[1].startswith(f"rank {k}: "), case
         else:
             outcome = "results"
         try:

@@ -662,14 +662,15 @@ class TestScalingCommand:
 
     def test_an_overflowing_row_is_named(self, tmp_path, capsys):
         # at sigma_b_sq=1e306 the least total of the first row, n=256 at
-        # k=8, overflows float64: a validation failure naming n and k once
+        # k=8, overflows float64: a validation failure naming the row, then
+        # the rank as the optimizer names it
         p = tmp_path / "huge.cfg"
         p.write_text("sigma_b_sq=1e306\nn_grid=256 512 1024 2048\n")
         assert main(["scaling", "--config", str(p)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            "error: scaling row n=256, k=8: the least two-step error is inf in float64: "
+            "error: scaling row n=256: rank 8: the least two-step error is inf in float64: "
             "the variances or singular values are too large"]
 
 

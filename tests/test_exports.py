@@ -94,6 +94,38 @@ def test_no_module_imports_a_private_name():
     assert private == []
 
 
+# what the benchmark's worker (perfbench/worker.py) reaches of each package module
+WORKER_REACHES = {
+    "experiments": {"load_config", "run_mc", "run_sweep", "mc_csv", "sweep_csv",
+                    "STREAM_MATRIX"},
+    "matrixgen": {"harmonic_matrix"},
+    "lowrank": {"svd"},
+    "rng": {"child_stream"},
+    "analysis": {"optimize_rank", "optimize_repetitions"},
+    "cli": {"main"},
+}
+
+
+def test_every_name_the_benchmark_worker_reaches_resolves():
+    # the worker imports package modules and uses their attributes; a rename
+    # that would stop the benchmark fails here first
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "worker.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "crossbar_lowrank"
+               for alias in node.names}
+    reached = {}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            reached.setdefault(modules[node.value.id], set()).add(node.attr)
+    missing = [f"{module}.{name}" for module, names in sorted(reached.items())
+               for name in sorted(names)
+               if not hasattr(importlib.import_module(f"crossbar_lowrank.{module}"), name)]
+    assert missing == []
+    assert reached == WORKER_REACHES
+
+
 def test_one_way_to_build_a_stream():
     # rng alone builds a Generator, and experiments alone imports rng (the
     # package's export list aside): every other module is handed a Generator
