@@ -14,9 +14,10 @@ two-step scheme's u splits into four additive parts:
 with trace_k = sum_{i<=k} s_i, each part evaluated left to right as
 written. So no argmin depends on sigma_b_sq: the optimizers score unit
 totals, and _scaled multiplies sigma_b_sq into the parts, in one place.
-One rule, least, picks every winner: t_L within a rank, k, and the sweep's k.
-optimize_each_rank owns the per-rank scan (greedy t_R fill, least's ties,
-unit totals scaled once); optimize_repetitions is that scan at one rank.
+One rule, least over unit totals, picks every winner: t_L within a rank,
+and k in optimize_rank, sweep and mc. optimize_each_rank owns the unit
+per-rank scan (greedy t_R fill, least's ties), scaled_choices scales the
+ranks a caller reports, and optimize_repetitions is the scan at one rank.
 It scores every (k, t_L) candidate in one array pass (_best_splits), in
 batches of at most MAX_SCAN, with the scalar formulas' floats.
 The harmonic singular-value class (s_i = lam/i) admits closed-form bounds
@@ -239,47 +240,53 @@ def _scan(s: np.ndarray, m: int, n: int, ranks: list[int], scans: list[int], siz
 def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
                          sigma_b_sq: float) -> tuple[int, int, ErrorBreakdown]:
     """Best integer (t_L, t_R) for a fixed rank k under the memristor budget,
-    and its breakdown: optimize_each_rank's scan at the one rank k, with
-    its refusals and their messages."""
-    [(_, t_L, t_R, breakdown)] = optimize_each_rank(singulars, m, n, [k], noise, sigma_b_sq)
+    and its breakdown: optimize_each_rank's scan at the one rank k, scaled
+    by scaled_choices, with their refusals and messages."""
+    [(_, t_L, t_R, breakdown)] = scaled_choices(
+        optimize_each_rank(singulars, m, n, [k], noise), sigma_b_sq)
     return t_L, t_R, breakdown
 
 
-def optimize_each_rank(singulars, m: int, n: int, ranks: list[int], noise: NoiseSpec,
-                       sigma_b_sq: float) -> list[tuple[int, int, int, ErrorBreakdown]]:
-    """(k, t_L, t_R, breakdown) at each k of `ranks`: the one per-rank scan.
-    Every t_L that t_L_max allows is scored with t_R filling the rest of
-    the budget (the error does not grow with t_R, so the scan is exact);
-    least picks t_L, so round-off cannot break an exact tie, and only the
-    unit winner is scaled. One _best_splits pass scores all ranks, each to
-    the bit of a pass over it alone. A refusal names its rank: t_L_max's
-    first, before any candidate is allocated, then the first least total
-    that _scaled refuses."""
-    _check_variances(sigma_b_sq)
+def optimize_each_rank(singulars, m: int, n: int, ranks: list[int],
+                       noise: NoiseSpec) -> list[tuple[int, int, int, ErrorBreakdown]]:
+    """(k, t_L, t_R, unit breakdown) at each k of `ranks`, per unit input
+    variance: the one per-rank scan. Every t_L that t_L_max allows is scored
+    with t_R filling the rest of the budget (the error does not grow with
+    t_R, so the scan is exact), and least picks t_L. One _best_splits pass
+    scores all ranks, each to the bit of a pass over it alone; t_L_max's
+    refusals come first, in rank order, before any candidate is allocated."""
     splits = _best_splits(check_spectrum(singulars), m, n, ranks, noise)
-    return [(k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit,
-                                                  f"rank {k}: the least two-step error")))
+    return [(k, t_L, t_R, ErrorBreakdown(*unit, sum(unit)))
             for k, (t_L, t_R, unit) in zip(ranks, splits)]
+
+
+def scaled_choices(choices, sigma_b_sq: float) -> list[tuple[int, int, int, ErrorBreakdown]]:
+    """optimize_each_rank's choices, each unit breakdown times sigma_b_sq
+    (_scaled), in order; the first total that _scaled refuses is a
+    ValueError naming its rank."""
+    _check_variances(sigma_b_sq)
+    return [(k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4],
+                                                  f"rank {k}: the least two-step error")))
+            for k, t_L, t_R, unit in choices]
 
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,
                   k_max: int) -> tuple[int, int, int, ErrorBreakdown]:
-    """Joint best (k, t_L, t_R) over the ranks in [1, k_max] that fit, each
-    k's unit total being its best split's; least picks k, and only the winner
-    is scaled. The budget grows with k, so _check_fits refuses rank 1 for all.
-    All ranks' candidates are scored in one array pass, in batches of at most
-    MAX_SCAN candidates, so memory stays within one batch's at any k_max.
-    Rank 1 alone scans n - 1 values of t_L: the scan cap refuses n > 2**20 + 1."""
+    """Joint best (k, t_L, t_R) over the ranks in [1, k_max] that fit:
+    least over optimize_each_rank's unit totals picks k, and only the winner
+    is scaled, so a losing rank's total is never refused. The budget grows
+    with k, so _check_fits refuses rank 1 for all. Rank 1 alone scans n - 1
+    values of t_L: the scan cap refuses n > 2**20 + 1."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
     _check_variances(sigma_b_sq)
     s = check_spectrum(singulars)
     _check_fits(m, n, 1)
-    ranks = [k for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)]
-    splits = _best_splits(s, m, n, ranks, noise)
-    best = least([sum(split[2]) for split in splits])
-    (t_L, t_R, unit), k = splits[best], ranks[best]
-    return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, unit, "the least two-step error"))
+    choices = optimize_each_rank(s, m, n, [k for k in range(1, k_max + 1)
+                                           if budget_feasible(m, n, k, 1, 1)], noise)
+    k, t_L, t_R, unit = choices[least([unit.total for *_, unit in choices])]
+    return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4],
+                                                "the least two-step error"))
 
 
 def _trace_bound(lam: float, k: int) -> float:

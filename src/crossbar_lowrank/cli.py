@@ -143,9 +143,9 @@ def _cmd_validate(args) -> int:
     config = _load(args)
     dev = config.device()
     A = read_matrix(args.matrix)
+    lam_max = lambda_max(A.shape[0], A.shape[1], dev)  # refuses an extreme rho before the SVD
     s = singular_values(A)
     rank = numerical_rank(s)
-    lam_max = lambda_max(A.shape[0], A.shape[1], dev)  # refuses an overflowing rho first
     check = magnitude_check(A, dev)
     singulars = " ".join(repr(float(v)) for v in s[:rank])
     report = "\n".join([

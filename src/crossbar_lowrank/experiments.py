@@ -14,12 +14,11 @@ as the values the program uses. `target(config)` is the one place the
 target matrix is built, and it refuses a config whose larger side
 squared exceeds `MAX_SQUARE_CELLS`. The target is built
 from, and every closed form is evaluated on, the prescribed spectrum
-`matrixgen.harmonic_spectrum(lam, r)`, the singular values lam/i, i <= r.
+`matrixgen.harmonic_spectrum(lam, r)`, lam/i for i <= r (_spectrum).
 The target comes with its SVD, the factors it is built from, so no
-command decomposes a matrix it has built. `sweep` and `mc` plan first:
-every rank's repetitions, `sweep`'s rows but their MC columns, and any
-refusal come before the target is built and its SVD checked
-(_checked_target), and that before any trial.
+command decomposes a matrix it has built. `sweep` and `mc` share one
+plan (_plan), and it, with every refusal, comes before the target is
+built and its SVD checked (_checked_target), and that before any trial.
 
 Every stream is `rng.child_stream(master_seed, *key)`, built here and
 handed as a Generator to the function that draws from it: the target's,
@@ -50,8 +49,8 @@ from .analysis import (
     least,
     optimal_beta,
     optimize_each_rank,
-    optimize_rank,
     optimize_repetitions,
+    scaled_choices,
     t_L_max,
 )
 from .core import DeviceParams
@@ -320,19 +319,43 @@ def _check_target_size(config: ExperimentConfig) -> None:
             f"refused, a cap that bounds the target's cells and the optimizer's t_L scan")
 
 
+def _spectrum(config: ExperimentConfig) -> np.ndarray:
+    """The spectrum that target builds from and sweep and mc evaluate on."""
+    return harmonic_spectrum(config.resolved_lambda(), config.r)
+
+
 def target(config: ExperimentConfig) -> tuple[np.ndarray, SvdResult]:
     """The config's harmonic target matrix A and its SVD, drawn from its own
     stream, child_stream(master_seed, STREAM_MATRIX): an m x r Gaussian
     block for U, then an n x r one for V. A = U diag(sigma) V' for
-    sigma = harmonic_spectrum(resolved lambda, r), and the SVD is those
-    factors (lowrank.factors_svd), so nothing is decomposed. A config
-    whose larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
+    sigma = _spectrum(config), and the SVD is those factors
+    (lowrank.factors_svd), so nothing is decomposed. A config whose
+    larger side squared exceeds MAX_SQUARE_CELLS is a ConfigError.
     """
     _check_target_size(config)
-    U, sigma, V = prescribed_factors(config.m, config.n,
-                                     harmonic_spectrum(config.resolved_lambda(), config.r),
+    U, sigma, V = prescribed_factors(config.m, config.n, _spectrum(config),
                                      child_stream(config.master_seed, STREAM_MATRIX))
     return (U * sigma) @ V.T, factors_svd(U, sigma, V)
+
+
+def _fitting(config: ExperimentConfig) -> list[int]:
+    """The candidate ranks: those of k_range that fit the budget at
+    t_L = t_R = 1, a prefix of k_range, since a rank's cost grows with k."""
+    return [k for k in config.resolved_k_range()
+            if budget_feasible(config.m, config.n, k, 1, 1)]
+
+
+def _plan(config: ExperimentConfig, ranks) -> tuple[float, list, int]:
+    """A sweep's or an mc's analytic part, before any target is built: the
+    baseline error, optimize_each_rank's unit (k, t_L, t_R, breakdown) at
+    each of `ranks`, and the index of the least unit total (analysis.least,
+    as in optimize_rank). Callers scale only what they report (scaled_choices)."""
+    _check_target_size(config)
+    baseline = baseline_error_analytic(config.m, config.n,
+                                       config.sigma_e_sq, config.sigma_b_sq)
+    choices = optimize_each_rank(_spectrum(config), config.m, config.n, list(ranks),
+                                 config.noise())
+    return baseline, choices, least([unit.total for *_, unit in choices])
 
 
 def _require_baseline_noise(config: ExperimentConfig) -> None:
@@ -388,40 +411,28 @@ def _two_step_mc(config: ExperimentConfig, checked: CheckedTarget, k: int, t_L: 
 def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     """Per-k comparison of the two-step scheme against the baseline.
 
-    Each k gets budget-optimal repetitions and the closed-form breakdown,
-    both evaluated on the prescribed spectrum harmonic_spectrum(resolved
-    lambda, r), so they do not depend on the seed. When trials > 0, one
-    harmonic target matrix is generated for the whole sweep and each k
-    gets the Monte Carlo estimate run_mc gives that k, from the same stream.
-    Infeasible k values are emitted flagged instead of aborting;
-    analysis.least picks argmin_k, as it picks optimize_rank's k. The
-    target's size cap holds at every trial count.
-
-    The plan comes first: every row but its MC columns, each feasible k's
-    from one analysis.optimize_each_rank call, so every refusal, the
-    optimizer's or a row's normalized error, comes before the target is
-    built and checked. Only then, and only when trials > 0, do the
-    estimates fill mc_mean and mc_stderr, in up to `lanes` processes
-    (in_lanes), one job per feasible k, with the same result, and the
-    same error (the earliest failing estimate's), at any count.
+    The plan (_plan) comes first: each k of k_range that fits the budget
+    gets its optimal repetitions and closed-form breakdown, which do not
+    depend on the seed, and the least unit total names argmin_k, the rank
+    run_mc checks at k_range 'all'; a k that does not fit is emitted
+    flagged. Every refusal, the optimizer's or a row's normalized error,
+    comes before the target is built and checked (the size cap holds at
+    every trial count). Only then, and only when trials > 0, does each
+    feasible k get run_mc's estimate at that k, from the same stream, in
+    up to `lanes` processes (in_lanes), with the same result, and the same
+    error (the earliest failing estimate's), at any count.
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
-    _check_target_size(config)
-    singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
-    baseline = baseline_error_analytic(config.m, config.n,
-                                       config.sigma_e_sq, config.sigma_b_sq)
-    ks = config.resolved_k_range()
-    ranks = [k for k in ks if budget_feasible(config.m, config.n, k, 1, 1)]
-    infeasible = [SweepRow(k=k, t_L=0, t_R=0, feasible=False, baseline_analytic=baseline)
-                  for k in ks if not budget_feasible(config.m, config.n, k, 1, 1)]
+    ranks = _fitting(config)
+    baseline, choices, best = _plan(config, ranks)
     feasible = []
-    for k, t_L, t_R, bd in optimize_each_rank(singulars, config.m, config.n, ranks,
-                                              config.noise(), config.sigma_b_sq):
+    for k, t_L, t_R, bd in scaled_choices(choices, config.sigma_b_sq):
         with _naming(f"rank {k}"):
             feasible.append(SweepRow(k=k, t_L=t_L, t_R=t_R, feasible=True,
                                      **_analytic_columns(bd, baseline)))
-    argmin_k = feasible[least([row.analytic_total for row in feasible])].k if feasible else None
+    infeasible = [SweepRow(k=k, t_L=0, t_R=0, feasible=False, baseline_analytic=baseline)
+                  for k in config.resolved_k_range()[len(ranks):]]
     if config.trials > 0:
         checked = _checked_target(config)
 
@@ -432,7 +443,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
 
         from .lanes import in_lanes  # here, so that importing the package loads no lane code
         feasible = in_lanes(feasible, estimate, lanes)
-    return SweepResult(rows=sorted(feasible + infeasible, key=lambda r: r.k), argmin_k=argmin_k,
+    return SweepResult(rows=feasible + infeasible, argmin_k=choices[best][0] if choices else None,
                        lam_resolved=config.resolved_lambda(), config=config)
 
 
@@ -528,18 +539,19 @@ class McResult:
 
 def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     """Monte Carlo vs analytic for one config: the baseline scheme plus
-    the two-step scheme at each k in k_range (or at the overall optimal
-    k when k_range is 'all').
+    the two-step scheme at each k in k_range, or, when k_range is 'all',
+    at run_sweep's argmin_k.
 
-    The analytic values, and the optimizer's choices, come from the
-    prescribed spectrum harmonic_spectrum(resolved lambda, r), as in
-    run_sweep; the MC runs on the generated target, whose generator's
-    factors give its SVD, and the MC checks once, as soon as the target is
-    built, that they are orthonormal and factor A. Every verdict therefore
-    also checks that the target has the spectrum the formulas assume.
-    The ranks and repetitions are chosen, and the target checked, before
-    any MC runs, so neither costs trials when it fails; an error in the
-    check names the target, one in a row's trials or verdict the row.
+    The ranks, repetitions and analytic values come from the plan (_plan),
+    which refuses a k of k_range that the budget cannot hold, or rank 1 at
+    'all' if it holds none; at 'all' only the chosen rank is scaled, so a
+    losing rank whose total overflows does not fail mc. The MC runs on the
+    generated target, whose generator's factors give its SVD, and checks
+    once, as soon as the target is built, that they are orthonormal and
+    factor A, so every verdict also checks that the target has the
+    spectrum the formulas assume. The plan is made, and the target checked,
+    before any MC runs, so neither costs trials when it fails; an error in
+    the check names the target, one in a row's trials or verdict the row.
 
     The rows' estimates, the baseline's and each two-step k's, run in up
     to `lanes` processes (in_lanes): the result, and the error raised,
@@ -547,17 +559,13 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     _check_lanes(lanes)
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
-    _check_target_size(config)
-    singulars = harmonic_spectrum(config.resolved_lambda(), config.r)
+    if config.k_range == "all":  # least's rank; where none fits, rank 1's refusal
+        baseline, choices, best = _plan(config, _fitting(config) or [1])
+        choices = [choices[best]]
+    else:  # a rank as written that does not fit is refused
+        baseline, choices, _ = _plan(config, config.k_range)
+    choices = scaled_choices(choices, config.sigma_b_sq)
     noise = config.noise()
-    base_analytic = baseline_error_analytic(config.m, config.n,
-                                            config.sigma_e_sq, config.sigma_b_sq)
-    if config.k_range == "all":
-        choices = [optimize_rank(singulars, config.m, config.n, noise,
-                                 config.sigma_b_sq, config.r)]
-    else:
-        choices = optimize_each_rank(singulars, config.m, config.n, list(config.k_range),
-                                     noise, config.sigma_b_sq)
     checked = _checked_target(config)
 
     def row(scheme, k, t_L, t_R, res, analytic) -> McRow:
@@ -573,7 +581,7 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
             with _naming("baseline"):
                 res = run_baseline_trials(checked.A, noise, config.sigma_b_sq, config.trials,
                                           child_stream(config.master_seed, STREAM_MC_BASELINE))
-                return row("baseline", None, None, None, res, base_analytic)
+                return row("baseline", None, None, None, res, baseline)
         k, t_L, t_R, bd = choice
         with _naming(f"two_step k={k}"):
             return row("two_step", k, t_L, t_R,

@@ -24,6 +24,7 @@ from crossbar_lowrank.analysis import (
     optimize_each_rank,
     optimize_rank,
     optimize_repetitions,
+    scaled_choices,
     two_step_error_analytic,
 )
 from crossbar_lowrank.core import DeviceParams
@@ -232,8 +233,8 @@ def test_a_rank_below_1_is_refused_by_name(k):
     noise = NoiseSpec(sigma_L_sq=0.05, sigma_R_sq=0.05)
     for call in (lambda: analysis.t_L_max(8, 8, k),
                  lambda: optimize_repetitions([2.0, 1.0], 8, 8, k, noise, 1.0),
-                 lambda: optimize_each_rank([2.0, 1.0], 8, 8, [k], noise, 1.0),
-                 lambda: optimize_each_rank([2.0, 1.0], 8, 8, [1, k], noise, 1.0)):
+                 lambda: optimize_each_rank([2.0, 1.0], 8, 8, [k], noise),
+                 lambda: optimize_each_rank([2.0, 1.0], 8, 8, [1, k], noise)):
         with pytest.raises(ValueError) as refusal:
             call()
         assert type(refusal.value) is ValueError
@@ -949,7 +950,8 @@ def test_the_one_pass_scan_equals_the_per_rank_scans(monkeypatch):
 
 def test_optimize_each_rank_is_one_call_per_rank():
     """Against one optimize_repetitions call per rank, each the one-rank
-    optimize_each_rank call to the bit, on random configs whose rank lists
+    optimize_each_rank call scaled by scaled_choices to the bit, and the
+    same pair over the whole rank list, on random configs whose rank lists
     may hold ranks that do not fit or whose totals are refused: every rank
     with its result to the bit, or the first refusal in rank order, a rank
     that does not fit (t_L_max's) ahead of any total's, which names its rank."""
@@ -965,9 +967,8 @@ def test_optimize_each_rank_is_one_call_per_rank():
         top = min(m, n, m * n // (m + n) + 1)
         ranks = sorted(set(rng.integers(1, top + 1, 4).tolist()))
         want = [_outcome(optimize_repetitions, singulars, m, n, k, noise, sb) for k in ranks]
-        assert want == [_outcome(lambda k: optimize_each_rank(singulars, m, n, [k], noise,
-                                                              sb)[0][1:], k)
-                        for k in ranks], case
+        assert want == [_outcome(lambda k: scaled_choices(
+            optimize_each_rank(singulars, m, n, [k], noise), sb)[0][1:], k) for k in ranks], case
         refusals = [(k, w) for k, w in zip(ranks, want) if len(w) == 2]
         misfits = [w for k, w in refusals if w[0] is InfeasibleBudgetError]
         if misfits:
@@ -979,7 +980,7 @@ def test_optimize_each_rank_is_one_call_per_rank():
         else:
             outcome = "results"
         try:
-            choices = optimize_each_rank(singulars, m, n, ranks, noise, sb)
+            choices = scaled_choices(optimize_each_rank(singulars, m, n, ranks, noise), sb)
         except ValueError as exc:
             got = type(exc), str(exc)
         else:

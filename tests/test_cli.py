@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossbar_lowrank.analysis import InfeasibleBudgetError, lambda_max, t_L_max
-from crossbar_lowrank import experiments
+from crossbar_lowrank import cli, experiments
 from crossbar_lowrank.cli import build_parser, main
 from crossbar_lowrank.core import DeviceParams
 from crossbar_lowrank.matrixgen import harmonic_matrix
@@ -159,6 +159,20 @@ class TestGenValidate:
         assert captured.err.splitlines() == [
             "error: lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at 2x3 is inf in float64: "
             "rho or r_T is out of range"]
+
+    def test_lambda_max_is_refused_before_the_svd(self, tmp_path, capsys, monkeypatch):
+        # the refusal needs only the matrix's shape, so it costs no SVD
+        def no_svd(*args, **kwargs):
+            raise AssertionError("singular_values called")
+        monkeypatch.setattr(cli, "singular_values", no_svd)
+        path = tmp_path / "a.mat"
+        path.write_text("2 3\n1 2 3\n4 5 6\n")
+        cfg = tmp_path / "rho.cfg"
+        cfg.write_text("rho=1e308\n")
+        assert main(["validate", str(path), "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: lambda_max = ")
 
 
 class TestUsageErrors:
@@ -312,6 +326,20 @@ class TestUsageErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == [
             "error: rank 2: the least two-step error is inf in float64: the variances "
+            "or singular values are too large"]
+
+    @pytest.mark.parametrize("command", [["sweep", "--trials", "0"], ["mc"]])
+    def test_the_chosen_ranks_overflow_is_named_at_all(self, tmp_path, capsys, command):
+        # the one rank's least total, 200.01 per unit input variance,
+        # overflows once scaled by sigma_b_sq; mc at k_range=all names the
+        # rank as sweep does
+        p = tmp_path / "hot.cfg"
+        p.write_text("m=100\nn=100\nr=1\nlambda=1000\nsigma_e_sq=1e-10\nsigma_L_sq=0.05\n"
+                     "sigma_R_sq=0.05\nsigma_b_sq=1e307\ntrials=50\n")
+        assert main([*command, "--config", str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: rank 1: the least two-step error is inf in float64: the variances "
             "or singular values are too large"]
 
     @pytest.mark.parametrize("command,body", [

@@ -12,12 +12,13 @@ import pytest
 from crossbar_lowrank.analysis import (
     MAX_SCAN,
     ErrorBreakdown,
+    InfeasibleBudgetError,
     baseline_error_analytic,
     budget_feasible,
     lambda_max,
     optimal_beta,
 )
-from crossbar_lowrank import experiments, lowrank, matrixgen, montecarlo
+from crossbar_lowrank import analysis, experiments, lowrank, matrixgen, montecarlo
 from crossbar_lowrank.experiments import (
     MAX_SCALING_RANK,
     MAX_SQUARE_CELLS,
@@ -421,6 +422,38 @@ class TestSweepSingularVectors:
         assert all(row.feasible and row.t_L <= side for row in res.rows)
 
 
+def _assert_mc_checks_the_argmin_row(cfg: dict) -> None:
+    """mc at k_range 'all' checks sweep's argmin row: its k, t_L, t_R and the
+    analytic total's bits; where no rank fits, both refuse rank 1."""
+    sweep = run_sweep(ExperimentConfig(**cfg, trials=0))
+    if sweep.argmin_k is None:
+        with pytest.raises(InfeasibleBudgetError, match=r"^rank 1 does not fit"):
+            run_mc(ExperimentConfig(**cfg, trials=2))
+        return
+    want = next(row for row in sweep.rows if row.k == sweep.argmin_k)
+    got = run_mc(ExperimentConfig(**cfg, trials=2)).rows[1]
+    assert (got.k, got.t_L, got.t_R) == (want.k, want.t_L, want.t_R), cfg
+    assert got.analytic.hex() == want.analytic_total.hex(), cfg
+
+
+def _random_small_configs(count: int, seed: int) -> list[dict]:
+    """Small configs with every noise, size and spectrum knob drawn at
+    random, some with no rank that fits the budget."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        m, n = (int(v) for v in rng.integers(1, 25, size=2))
+        lam = "max" if rng.random() < 0.2 else float(10 ** rng.uniform(-2, 3))
+        configs.append(dict(
+            m=m, n=n, r=int(rng.integers(1, min(m, n) + 1)), lam=lam,
+            sigma_e_sq=float(10 ** rng.uniform(-3, 0)),
+            sigma_L_sq=0.0 if rng.random() < 0.2 else float(10 ** rng.uniform(-3, 0)),
+            sigma_R_sq=float(10 ** rng.uniform(-3, 0)),
+            sigma_b_sq=float(10 ** rng.uniform(-2, 1)),
+            master_seed=int(rng.integers(2 ** 32))))
+    return configs
+
+
 class TestPrescribedSpectrum:
     """Analytic values come from harmonic_spectrum(); MC runs on target().
     These pin the two to each other."""
@@ -464,16 +497,59 @@ class TestPrescribedSpectrum:
         dict(m=40, n=24, r=8, lam=5.0, sigma_L_sq=0.02, sigma_R_sq=0.1),
         dict(m=40, n=40, r=3, lam=1e10),
         dict(m=40, n=40, r=8, lam=1e9, sigma_b_sq=1e-50),
+        # the configs of the pinned tables and MC runs
+        dict(m=8, n=8, r=4, lam=3.0),
+        dict(m=8, n=8, r=8, lam=2.0),
+        dict(m=2, n=2, r=2, lam=1.0),
+        dict(m=32, n=32, r=8, dist="uniform"),
+        dict(m=64, n=160, r=16, sigma_L_sq=0.02, sigma_R_sq=0.08),
+        dict(m=28, n=28, r=8),
     ])
     def test_sweep_and_mc_pick_the_same_rank(self, cfg):
-        # one argmin rule, analysis.least, picks both
-        sweep = run_sweep(ExperimentConfig(**cfg, trials=0))
-        assert sweep.argmin_k == run_mc(ExperimentConfig(**cfg, trials=2)).rows[1].k
+        # one plan and one argmin rule, analysis.least, pick both
+        _assert_mc_checks_the_argmin_row(cfg)
 
     def test_analytic_sweep_ignores_the_seed(self):
         a = run_sweep(ExperimentConfig(**SMALL, master_seed=0))
         b = run_sweep(ExperimentConfig(**SMALL, master_seed=2 ** 64))
         assert a.rows == b.rows and a.argmin_k == b.argmin_k
+
+
+class TestOnePlan:
+    """sweep and mc plan alike: one rank filter, one optimizer call and one
+    argmin rule, so mc at k_range 'all' checks the row sweep names."""
+
+    def test_mc_at_all_checks_the_sweeps_argmin_row_on_random_configs(self):
+        configs = _random_small_configs(150, seed=38)
+        assert any(min(cfg["m"], cfg["n"]) == 1 for cfg in configs)
+        for cfg in configs:
+            _assert_mc_checks_the_argmin_row(cfg)
+
+    def test_one_rank_filter_and_one_optimizer_call(self):
+        # the plan states the candidate ranks and calls the per-rank
+        # optimizer once for both commands; no module picks a rank through
+        # optimize_rank, which stays for library callers
+        calls = {}
+        for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            calls[path.name] = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+        def named(module, name):
+            return [call for call in calls[module]
+                    if getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
+        assert len(named("experiments.py", "optimize_each_rank")) == 1
+        assert all(named(module, "optimize_rank") == [] for module in calls)
+        [fits] = named("experiments.py", "budget_feasible")
+        assert [ast.literal_eval(arg) for arg in fits.args[3:]] == [1, 1]
+
+    def test_one_scan_under_every_optimizer(self):
+        # optimize_rank and the plan pick k from optimize_each_rank's unit
+        # totals, so the scan itself has that one caller in analysis
+        tree = ast.parse(Path(analysis.__file__).read_text())
+        callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for node in ast.walk(fn) if isinstance(node, ast.Call)
+                   and getattr(node.func, "id", None) == "_best_splits"}
+        assert callers == {"optimize_each_rank"}
 
 
 class TestSweepOutput:

@@ -26,6 +26,7 @@ UNREACHED_ALLOWED = {
     "asymptotic_bound": "the paper's asymptotic bound, which each scaling row lies under",
     "fit_loglog_slope": "scaling's slope fit, for refitting a scaling CSV",
     "harmonic_matrix": "perfbench's worker builds its targets with it",
+    "optimize_rank": "perfbench's worker calls it",
     "random_orthogonal": "the random orthogonal factors every target is drawn from",
     "svd": "the paper's first step on a general matrix; perfbench's worker calls it",
     "two_step_error_analytic": "the paper's general expression for the two-step error",
