@@ -15,11 +15,12 @@ with trace_k = sum_{i<=k} s_i, each part evaluated left to right as
 written. So no argmin depends on sigma_b_sq: the optimizers score unit
 totals, and _scaled multiplies sigma_b_sq into the parts, in one place.
 One rule, least over unit totals, picks every winner: t_L within a rank,
-and k in optimize_rank, sweep and mc. optimize_each_rank owns the unit
-per-rank scan (greedy t_R fill, least's ties), scaled_choices scales the
-ranks a caller reports, and optimize_repetitions is the scan at one rank.
-It scores every (k, t_L) candidate in one array pass (_best_splits), in
-batches of at most MAX_SCAN, with the scalar formulas' floats.
+and k in optimize_rank, sweep and mc. fitting_ranks states which ranks
+fit the budget at all, optimize_each_rank is the one optimizer pass (greedy
+t_R fill, least's ties), scaled_choices scales the ranks a caller reports,
+and optimize_repetitions and optimize_rank are that pass at one rank and
+over every fitting rank. The pass scores every (k, t_L) candidate in one
+array pass of at most MAX_SCAN candidates, with the scalar formulas' floats.
 The harmonic singular-value class (s_i = lam/i) admits closed-form bounds
 on the trace and truncation tail, and with them asymptotic_bound, the
 error's bound under AsymptoticParams' growth law for r and k.
@@ -44,9 +45,9 @@ TIE_RTOL = 1e-12
 
 # the largest budget m*n that the optimizers' int64 scan arithmetic holds
 MAX_BUDGET = int(np.iinfo(np.int64).max)
-# the most t_L values one rank's scan may hold, and the most candidates one
-# batch of the optimizers' pass holds: 8 MiB per array, and a batch holds
-# 11 such arrays at its peak (88 MiB); a rank k scans about n/k of them
+# the most candidates one optimizer pass may hold, over all its ranks (and so
+# the most t_L values one rank's scan may hold): 8 MiB per array, and a pass
+# holds 11 such arrays at its peak (88 MiB); a rank k scans about n/k of them
 MAX_SCAN = 2 ** 20
 
 
@@ -104,13 +105,18 @@ def _check_variances(*values: float) -> None:
         raise ValueError(f"variances must be finite and nonnegative, got {values}")
 
 
-def least(totals) -> int:
-    """Index of the first total t that the least total does not undercut by
-    a relative TIE_RTOL (t (1 - TIE_RTOL) <= least), so round-off cannot
-    break an exact tie and ties go to the earlier index. A NaN never beats
-    a number; all-NaN totals give 0, whose NaN the caller refuses."""
-    low = min((t for t in totals if t == t), default=math.inf)  # NaN != NaN
-    return next((i for i, t in enumerate(totals) if t * (1.0 - TIE_RTOL) <= low), 0)
+def least(totals, starts=(0,), counts=None) -> np.ndarray:
+    """The index of the winner in each segment of totals, segment i holding
+    the counts[i] totals from starts[i] on (by default one segment of all):
+    the first total t that the segment's least number does not undercut by a
+    relative TIE_RTOL (t (1 - TIE_RTOL) <= least), so round-off cannot break
+    an exact tie and ties go to the earlier index. A NaN never beats a
+    number (fmin skips it); an all-NaN segment gives its first index, whose
+    NaN the caller refuses."""
+    totals = np.asarray(totals, dtype=float)
+    low = np.fmin.reduceat(totals, starts).repeat(len(totals) if counts is None else counts)
+    tied = ((totals * (1.0 - TIE_RTOL) <= low) | np.isnan(low)).nonzero()[0]
+    return tied[tied.searchsorted(starts)]
 
 
 def _scaled(sigma_b_sq: float, unit_parts, what: str) -> list[float]:
@@ -169,8 +175,15 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
     return ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4], "the two-step error"))
 
 
+def fitting_ranks(m: int, n: int, ranks) -> list[int]:
+    """The ranks of the increasing `ranks` that fit the budget at
+    t_L = t_R = 1, the one statement of that fit: a prefix of `ranks`, since
+    a rank's cost (m + n) k grows with k."""
+    return list(itertools.takewhile(lambda k: budget_feasible(m, n, k, 1, 1), ranks))
+
+
 def _check_fits(m: int, n: int, k: int) -> None:
-    if not budget_feasible(m, n, k, 1, 1):
+    if not fitting_ranks(m, n, [k]):
         raise InfeasibleBudgetError(f"rank {k} does not fit the budget even at t_L=t_R=1: "
                                     f"mk+nk = {m * k + n * k} > mn = {m * n}")
 
@@ -195,48 +208,6 @@ def t_L_max(m: int, n: int, k: int) -> int:
     return scan
 
 
-def _best_splits(s: np.ndarray, m: int, n: int, ranks: list[int],
-                 noise: NoiseSpec) -> list[tuple[int, int, tuple[float, ...]]]:
-    """The winning (t_L, t_R) at each rank of a checked spectrum s, and its
-    four parts per unit input variance, from one _scan of each batch of
-    consecutive ranks whose candidates add up to at most MAX_SCAN. t_L_max's
-    refusals, the scan cap among them, come in rank order before any
-    candidate is allocated."""
-    scans = [t_L_max(m, n, k) for k in ranks]
-    splits, lo = [], 0
-    with np.errstate(over="ignore", invalid="ignore"):  # _scaled refuses a non-finite winner
-        while lo < len(ranks):
-            hi, size = lo + 1, scans[lo]
-            while hi < len(ranks) and size + scans[hi] <= MAX_SCAN:
-                size, hi = size + scans[hi], hi + 1
-            splits += _scan(s, m, n, ranks[lo:hi], scans[lo:hi], size, noise)
-            lo = hi
-    return splits
-
-
-def _scan(s: np.ndarray, m: int, n: int, ranks: list[int], scans: list[int], size: int,
-          noise: NoiseSpec) -> list[tuple[int, int, tuple[float, ...]]]:
-    """The candidates t_L in [1, scans[i]] of each rank, size in all, side
-    by side in one array, scored by the elementwise _breakdown on the rank's
-    own tail and trace, so every float has the bits of a scan of that rank
-    alone; the winner in each rank's segment is least's: the first total
-    within TIE_RTOL of the segment's least number (fmin skips NaN), or the
-    segment's first if all its totals are NaN."""
-    tails, traces = map(np.array, zip(*(_tail_and_trace(s, k) for k in ranks)))
-    counts, starts = np.array(scans), np.array([0, *itertools.accumulate(scans[:-1])])
-    k = np.array(ranks).repeat(counts)
-    t_L = np.arange(1, size + 1) - starts.repeat(counts)
-    t_R = (m * n - t_L * m * k) // (n * k)
-    unit = _breakdown(tails.repeat(counts), traces.repeat(counts), m, n, k, t_L, t_R,
-                      noise.sigma_L_sq, noise.sigma_R_sq)
-    low = np.fmin.reduceat(unit.total, starts).repeat(counts)
-    tied = ((unit.total * (1.0 - TIE_RTOL) <= low) | np.isnan(low)).nonzero()[0]
-    best = tied[tied.searchsorted(starts)]
-    return list(zip(t_L[best].tolist(), t_R[best].tolist(), zip(
-        tails.tolist(), unit.stage1_noise[best].tolist(), unit.stage2_noise[best].tolist(),
-        unit.accumulated[best].tolist())))
-
-
 def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
                          sigma_b_sq: float) -> tuple[int, int, ErrorBreakdown]:
     """Best integer (t_L, t_R) for a fixed rank k under the memristor budget,
@@ -250,14 +221,34 @@ def optimize_repetitions(singulars, m: int, n: int, k: int, noise: NoiseSpec,
 def optimize_each_rank(singulars, m: int, n: int, ranks: list[int],
                        noise: NoiseSpec) -> list[tuple[int, int, int, ErrorBreakdown]]:
     """(k, t_L, t_R, unit breakdown) at each k of `ranks`, per unit input
-    variance: the one per-rank scan. Every t_L that t_L_max allows is scored
+    variance: the one optimizer pass. Every t_L that t_L_max allows is scored
     with t_R filling the rest of the budget (the error does not grow with
-    t_R, so the scan is exact), and least picks t_L. One _best_splits pass
-    scores all ranks, each to the bit of a pass over it alone; t_L_max's
-    refusals come first, in rank order, before any candidate is allocated."""
-    splits = _best_splits(check_spectrum(singulars), m, n, ranks, noise)
-    return [(k, t_L, t_R, ErrorBreakdown(*unit, sum(unit)))
-            for k, (t_L, t_R, unit) in zip(ranks, splits)]
+    t_R, so the scan is exact), and least picks t_L. The candidates of all
+    ranks lie side by side in one array, each scored by the elementwise
+    _breakdown on its rank's own tail and trace, so every float has the bits
+    of a pass over that rank alone. t_L_max's refusals come first, in rank
+    order, then a ValueError for a pass of more than MAX_SCAN candidates in
+    all, before any candidate is allocated."""
+    s = check_spectrum(singulars)
+    scans = [t_L_max(m, n, k) for k in ranks]
+    size = sum(scans)
+    if size > MAX_SCAN:
+        raise ValueError(f"the {len(ranks)} ranks {ranks[0]} to {ranks[-1]} would scan {size} "
+                         f"t_L values in all, over the cap of {MAX_SCAN} for one pass")
+    if not ranks:
+        return []
+    counts, starts = np.array(scans), np.array([0, *itertools.accumulate(scans[:-1])])
+    with np.errstate(over="ignore", invalid="ignore"):  # scaled_choices refuses a non-finite total
+        tails, traces = map(np.array, zip(*(_tail_and_trace(s, k) for k in ranks)))
+        k = np.array(ranks).repeat(counts)
+        t_L = np.arange(1, size + 1) - starts.repeat(counts)
+        t_R = (m * n - t_L * m * k) // (n * k)
+        unit = _breakdown(tails.repeat(counts), traces.repeat(counts), m, n, k, t_L, t_R,
+                          noise.sigma_L_sq, noise.sigma_R_sq)
+        best = least(unit.total, starts, counts)
+    columns = [t_L[best].tolist(), t_R[best].tolist(),
+               *(part[best].tolist() for part in vars(unit).values())]
+    return [(k, t_L, t_R, ErrorBreakdown(*parts)) for k, t_L, t_R, *parts in zip(ranks, *columns)]
 
 
 def scaled_choices(choices, sigma_b_sq: float) -> list[tuple[int, int, int, ErrorBreakdown]]:
@@ -272,21 +263,18 @@ def scaled_choices(choices, sigma_b_sq: float) -> list[tuple[int, int, int, Erro
 
 def optimize_rank(singulars, m: int, n: int, noise: NoiseSpec, sigma_b_sq: float,
                   k_max: int) -> tuple[int, int, int, ErrorBreakdown]:
-    """Joint best (k, t_L, t_R) over the ranks in [1, k_max] that fit:
-    least over optimize_each_rank's unit totals picks k, and only the winner
-    is scaled, so a losing rank's total is never refused. The budget grows
-    with k, so _check_fits refuses rank 1 for all. Rank 1 alone scans n - 1
-    values of t_L: the scan cap refuses n > 2**20 + 1."""
+    """Joint best (k, t_L, t_R) over the ranks in [1, k_max] that fit
+    (fitting_ranks): least over optimize_each_rank's unit totals picks k,
+    and scaled_choices scales only the winner, so a losing rank's total is
+    never refused. The pass refuses rank 1 if it does not fit. Rank 1 alone
+    scans n - 1 values of t_L, and the pass at k_max = n about n ln(n/2),
+    so at k_max = n the pass cap refuses every square n above 98,440."""
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
-    _check_variances(sigma_b_sq)
-    s = check_spectrum(singulars)
-    _check_fits(m, n, 1)
-    choices = optimize_each_rank(s, m, n, [k for k in range(1, k_max + 1)
-                                           if budget_feasible(m, n, k, 1, 1)], noise)
-    k, t_L, t_R, unit = choices[least([unit.total for *_, unit in choices])]
-    return k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4],
-                                                "the least two-step error"))
+    choices = optimize_each_rank(singulars, m, n,
+                                 fitting_ranks(m, n, range(1, k_max + 1)) or [1], noise)
+    [best] = least([unit.total for *_, unit in choices])
+    return scaled_choices([choices[best]], sigma_b_sq)[0]
 
 
 def _trace_bound(lam: float, k: int) -> float:
@@ -331,11 +319,15 @@ def lambda_max(m: int, n: int, dev: DeviceParams) -> float:
 
     sum(g^2) = r_T^2 * lam^2 * sum 1/i^2 <= r_T^2 * lam^2 * pi^2/6, so
     lam up to sqrt(6*m*n*rho) / (pi*r_T) is safe for every rank. The one
-    owner of its range: a value that is not finite and positive in
-    float64 (an extreme rho or r_T) is a ValueError that shows it.
+    owner of its range: an m or n past float64's range is a ValueError
+    before any float arithmetic, and a value that is not finite and
+    positive in float64 (an extreme rho or r_T) one that shows it.
     """
     if m < 1 or n < 1:
         raise ValueError(f"dimensions must be positive, got {m}x{n}")
+    if max(m, n) > sys.float_info.max:
+        raise ValueError("lambda_max = sqrt(6*m*n*rho)/(pi*r_T): m or n is too large "
+                         "for float64")
     lam = math.sqrt(6.0 * m * n * dev.rho) / (math.pi * dev.r_T)
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at {m}x{n} is {lam!r} "

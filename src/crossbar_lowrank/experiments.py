@@ -45,6 +45,7 @@ import numpy as np
 from .analysis import (
     AsymptoticParams,
     baseline_error_analytic,
+    fitting_ranks,
     lambda_max,
     least,
     optimal_beta,
@@ -59,7 +60,7 @@ from .matrixgen import harmonic_spectrum, prescribed_factors
 from .montecarlo import (CheckedTarget, check_run, check_target, compare,
                          run_baseline_trials, run_two_step_trials)
 from .rng import child_stream
-from .schemes import NoiseSpec, budget_feasible
+from .schemes import NoiseSpec
 
 # stream roles: the target's stream, and one stream per MC estimate (the
 # two-step one at rank k is keyed (STREAM_MC_TWOSTEP, k) in sweep and mc alike)
@@ -71,8 +72,9 @@ STREAM_MC_TWOSTEP = 3
 # target's m*n float64 cells to 512 MiB, and a command's peak to about
 # twice that, since each pass over the target holds at most one m x n
 # temporary (validate's SVD adds LAPACK's own copy); it also keeps the
-# optimizer's t_L scan under 8192 candidates per k, far below
-# analysis.MAX_SCAN, whether or not a target is built
+# optimizer pass of a sweep or mc, over every rank that fits, at most 66,916
+# candidates (at 8192 x 8192), far below analysis.MAX_SCAN, whether or not
+# a target is built
 MAX_SQUARE_CELLS = 2 ** 26
 # cap on one scaling row's rank r, whose spectrum is r floats (8 MiB at
 # the cap); the row's t_L scan is capped by analysis.t_L_max
@@ -338,24 +340,18 @@ def target(config: ExperimentConfig) -> tuple[np.ndarray, SvdResult]:
     return (U * sigma) @ V.T, factors_svd(U, sigma, V)
 
 
-def _fitting(config: ExperimentConfig) -> list[int]:
-    """The candidate ranks: those of k_range that fit the budget at
-    t_L = t_R = 1, a prefix of k_range, since a rank's cost grows with k."""
-    return [k for k in config.resolved_k_range()
-            if budget_feasible(config.m, config.n, k, 1, 1)]
-
-
-def _plan(config: ExperimentConfig, ranks) -> tuple[float, list, int]:
+def _plan(config: ExperimentConfig, ranks) -> tuple[float, list, int | None]:
     """A sweep's or an mc's analytic part, before any target is built: the
     baseline error, optimize_each_rank's unit (k, t_L, t_R, breakdown) at
     each of `ranks`, and the index of the least unit total (analysis.least,
-    as in optimize_rank). Callers scale only what they report (scaled_choices)."""
+    as in optimize_rank), None for no ranks. Callers scale only what they
+    report (scaled_choices)."""
     _check_target_size(config)
     baseline = baseline_error_analytic(config.m, config.n,
                                        config.sigma_e_sq, config.sigma_b_sq)
     choices = optimize_each_rank(_spectrum(config), config.m, config.n, list(ranks),
                                  config.noise())
-    return baseline, choices, least([unit.total for *_, unit in choices])
+    return baseline, choices, least([unit.total for *_, unit in choices])[0] if choices else None
 
 
 def _require_baseline_noise(config: ExperimentConfig) -> None:
@@ -424,7 +420,7 @@ def run_sweep(config: ExperimentConfig, lanes: int = 1) -> SweepResult:
     """
     _check_lanes(lanes)
     _require_baseline_noise(config)
-    ranks = _fitting(config)
+    ranks = fitting_ranks(config.m, config.n, config.resolved_k_range())
     baseline, choices, best = _plan(config, ranks)
     feasible = []
     for k, t_L, t_R, bd in scaled_choices(choices, config.sigma_b_sq):
@@ -560,7 +556,8 @@ def run_mc(config: ExperimentConfig, lanes: int = 1) -> McResult:
     if config.trials < 2:
         raise ConfigError(f"mc needs trials >= 2, got {config.trials}")
     if config.k_range == "all":  # least's rank; where none fits, rank 1's refusal
-        baseline, choices, best = _plan(config, _fitting(config) or [1])
+        ranks = fitting_ranks(config.m, config.n, config.resolved_k_range()) or [1]
+        baseline, choices, best = _plan(config, ranks)
         choices = [choices[best]]
     else:  # a rank as written that does not fit is refused
         baseline, choices, _ = _plan(config, config.k_range)

@@ -791,6 +791,14 @@ class TestLambdaMax:
             f"lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at 8x8 is {shown} in float64: "
             f"rho or r_T is out of range")
 
+    @pytest.mark.parametrize("m,n", [(10 ** 400, 4), (4, 10 ** 400)], ids=["huge-m", "huge-n"])
+    def test_refuses_dimensions_past_float64(self, m, n):
+        # 6.0 * m cannot convert such an m: refused before any float arithmetic
+        with pytest.raises(ValueError) as refusal:
+            lambda_max(m, n, DeviceParams())
+        assert str(refusal.value) == (
+            "lambda_max = sqrt(6*m*n*rho)/(pi*r_T): m or n is too large for float64")
+
 
 class TestLeast:
     """One argmin rule: the first total that the least total does not
@@ -814,6 +822,15 @@ class TestLeast:
         assert analysis.least([math.nan, math.inf]) == 1
         assert analysis.least([math.inf, 1e308, math.nan]) == 1
         assert analysis.least([math.nan, math.nan]) == 0
+
+    def test_each_segment_gets_its_own_winner(self):
+        # segments [3, 1, 2], [1 + 0.9e-12, 1], [nan, nan] and [inf]: each
+        # winner is a global index, the all-NaN segment's its first
+        totals = [3.0, 1.0, 2.0, 1.0 + 0.9e-12, 1.0, math.nan, math.nan, math.inf]
+        best = analysis.least(totals, [0, 3, 5, 7], [3, 2, 2, 1])
+        assert best.tolist() == [1, 3, 5, 7]
+        assert [analysis.least(totals[lo:lo + count])[0] + lo
+                for lo, count in ((0, 3), (3, 2), (5, 2), (7, 1))] == best.tolist()
 
     def test_an_all_nan_scan_is_refused_as_nan(self):
         # sigma_L_sq = 0 times a trace that overflows makes every stage-1
@@ -840,17 +857,26 @@ class TestOneRuleRegressions:
             2, 10, 10, analysis.ErrorBreakdown(0.0, 4e199, 4e199, 0.08000000000000002, 8e199))
 
 
+def _scalar_least(totals) -> int:
+    """The tie rule as a scalar loop, kept as the oracle of analysis.least:
+    the first total within a relative TIE_RTOL of the least number, or 0
+    where all are NaN."""
+    low = min((t for t in totals if t == t), default=math.inf)  # NaN != NaN
+    return next((i for i, t in enumerate(totals) if t * (1.0 - analysis.TIE_RTOL) <= low), 0)
+
+
 def _best_split_oracle(s, m, n, k, noise):
     """The per-rank scan that the one-pass scan replaced, kept as its
     oracle: the t_L_max(m, n, k) values of t_L of rank k alone in one array
-    pass, the tail and trace by np.sum, and least over the totals as a list."""
+    pass, the tail and trace by np.sum, and the scalar least over the totals
+    as a list."""
     t_L = np.arange(1, analysis.t_L_max(m, n, k) + 1)
     t_R = (m * n - t_L * m * k) // (n * k)
     kk = min(k, s.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
         unit = analysis._breakdown(float(np.sum(s[kk:] ** 2)), float(np.sum(s[:kk])), m, n, k,
                                    t_L, t_R, noise.sigma_L_sq, noise.sigma_R_sq)
-    best = analysis.least(unit.total.tolist())
+    best = _scalar_least(unit.total.tolist())
     return int(t_L[best]), int(t_R[best]), [
         float(unit.truncation), float(unit.stage1_noise[best]),
         float(unit.stage2_noise[best]), float(unit.accumulated[best])]
@@ -871,9 +897,9 @@ def _oracle_rank(singulars, m, n, noise, sigma_b_sq, k_max):
     analysis._check_fits(m, n, 1)
     choices = [(k, *_best_split_oracle(s, m, n, k, noise))
                for k in range(1, k_max + 1) if budget_feasible(m, n, k, 1, 1)]
-    k, t_L, t_R, unit = choices[analysis.least([sum(choice[3]) for choice in choices])]
+    k, t_L, t_R, unit = choices[_scalar_least([sum(choice[3]) for choice in choices])]
     return k, t_L, t_R, analysis.ErrorBreakdown(
-        *analysis._scaled(sigma_b_sq, unit, "the least two-step error"))
+        *analysis._scaled(sigma_b_sq, unit, f"rank {k}: the least two-step error"))
 
 
 def _outcome(optimizer, *args):
@@ -905,21 +931,12 @@ def test_the_one_pass_scan_equals_the_per_rank_scans(monkeypatch):
     totals overflow to inf or, at zero or subnormal stage noise, turn NaN
     for all or some of a rank's t_L, a sigma_b_sq that overflows a winner,
     k and k_max out of range, budgets that do not fit, and a third of the
-    configs under a MAX_SCAN at or below 1.5 times rank 1's scan, so their
-    ranks cross batch boundaries or hit the cap. Each result must match to
-    the bit, and each refusal in type and message."""
+    configs under a MAX_SCAN at or below 1.5 times rank 1's scan, so that
+    their passes or ranks hit the cap. Each result must match to the bit,
+    and each refusal in type and message, except that a pass whose ranks'
+    scans add up past the cap is refused, naming them and their sum."""
     rng = np.random.default_rng(27)
-    scans = []
-    real_scan = analysis._scan
-
-    def counting_scan(s, m, n, ranks, rank_scans, size, noise):
-        # one batch: consecutive ranks whose candidates fit under the cap
-        assert size == sum(rank_scans) <= analysis.MAX_SCAN
-        scans[-1] += 1
-        return real_scan(s, m, n, ranks, rank_scans, size, noise)
-
-    monkeypatch.setattr(analysis, "_scan", counting_scan)
-    crossed, refused, real_cap = 0, 0, analysis.MAX_SCAN
+    outcomes, real_cap = collections.Counter(), analysis.MAX_SCAN
     for case in range(2_000):
         m = int(rng.integers(1, 48))
         n = m if case % 4 == 0 else int(rng.integers(1, 48))
@@ -938,14 +955,21 @@ def test_the_one_pass_scan_equals_the_per_rank_scans(monkeypatch):
             first = (m * n - n) // m  # rank 1's scan, the longest
             cap = int(rng.integers(max(1, first * 2 // 3), first + first // 2 + 1))
         monkeypatch.setattr(analysis, "MAX_SCAN", cap)
-        scans.append(0)
         got = _outcome(optimize_rank, singulars, m, n, noise, sb, k_max)
-        crossed += scans[-1] > 1
-        refused += len(got) == 2
-        assert got == _outcome(_oracle_rank, singulars, m, n, noise, sb, k_max), case
+        want = _outcome(_oracle_rank, singulars, m, n, noise, sb, k_max)
+        if got == want:
+            outcomes["refusal" if len(got) == 2 else "bits"] += 1
+        else:  # every rank's scan fits the cap, but not their sum
+            ranks = [r for r in range(1, k_max + 1) if budget_feasible(m, n, r, 1, 1)]
+            size = sum(analysis.t_L_max(m, n, r) for r in ranks)
+            assert size > cap and got == (ValueError, (
+                f"the {len(ranks)} ranks 1 to {ranks[-1]} would scan {size} t_L values "
+                f"in all, over the cap of {cap} for one pass")), case
+            outcomes["pass cap"] += 1
         assert _outcome(optimize_repetitions, singulars, m, n, k, noise, sb) == \
             _outcome(_oracle_repetitions, singulars, m, n, k, noise, sb), case
-    assert crossed > 250 and 500 < refused < 1_500, (crossed, refused)
+    assert outcomes["bits"] > 700 and outcomes["refusal"] > 500 and \
+        outcomes["pass cap"] > 200, outcomes
 
 
 def test_optimize_each_rank_is_one_call_per_rank():
@@ -991,23 +1015,25 @@ def test_optimize_each_rank_is_one_call_per_rank():
     assert len(outcomes) == 4 and min(outcomes.values()) > 25, outcomes
 
 
-def test_a_pass_over_many_ranks_holds_one_batch():
+def test_a_pass_over_the_cap_is_refused_before_any_allocation():
     """At m = n = 2**18 the 64 ranks scan about 1.25M candidates, more than
-    MAX_SCAN, so the pass runs in batches: its peak stays within the 11
-    arrays of one MAX_SCAN batch that the MAX_SCAN comment states (a single
-    pass would hold 11 arrays of 1.25M), and the result is the per-rank
-    oracle's."""
+    MAX_SCAN, though each rank's scan fits it: the pass is refused, naming
+    its ranks and their sum, before any candidate is allocated (a pass would
+    hold 11 arrays of 1.25M, about 100 MiB)."""
     n = 2 ** 18
     spectrum, noise = harmonic_spectrum(10.0, 64), NoiseSpec(sigma_L_sq=0.02, sigma_R_sq=0.08)
-    assert sum(analysis.t_L_max(n, n, k) for k in range(1, 65)) > 1.18 * analysis.MAX_SCAN
+    size = sum(analysis.t_L_max(n, n, k) for k in range(1, 65))
+    assert size > 1.18 * analysis.MAX_SCAN
     tracemalloc.start()
     try:
-        got = optimize_rank(spectrum, n, n, noise, 3.0, 64)
+        with pytest.raises(ValueError) as refusal:
+            optimize_rank(spectrum, n, n, noise, 3.0, 64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 11 * 8 * analysis.MAX_SCAN + 2 ** 20
-    assert _outcome(lambda *a: got) == _outcome(_oracle_rank, spectrum, n, n, noise, 3.0, 64)
+    assert peak < 2 ** 20
+    assert str(refusal.value) == (f"the 64 ranks 1 to 64 would scan {size} t_L values in all, "
+                                  f"over the cap of {analysis.MAX_SCAN} for one pass")
 
 
 def test_a_nan_total_ahead_of_an_inf_one_does_not_win():

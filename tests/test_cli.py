@@ -414,6 +414,22 @@ class TestUsageErrors:
         assert err == [f"error: lambda_max = sqrt(6*m*n*rho)/(pi*r_T) at 8x8 is {resolved} "
                        f"in float64: rho or r_T is out of range"]
 
+    @pytest.mark.parametrize("command", ["sweep", "mc", "scaling", "gen", "validate"])
+    def test_lambda_max_of_dimensions_past_float64_is_a_config_error(self, tmp_path, capsys,
+                                                                     command):
+        # a 401-digit m, written out, has no float64: every command loads the
+        # config, and lambda_max refuses it instead of an OverflowError
+        p = tmp_path / "huge.cfg"
+        p.write_text(f"m={10 ** 400}\nn=4\nr=2\nlambda=max\n")
+        matrix = tmp_path / "A.mat"
+        write_matrix(np.eye(2), str(matrix))
+        argv = [command, str(matrix)] if command == "validate" else [command]
+        assert main([*argv, "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: lambda_max = sqrt(6*m*n*rho)/(pi*r_T): m or n is too large for float64"]
+
     def test_scaling_lambda_max_out_of_range_is_a_config_error(self, tmp_path, capsys,
                                                                monkeypatch):
         # lambda_max(n, n) overflows to inf from n=10000 on at rho=1e300; the

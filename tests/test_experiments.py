@@ -421,6 +421,19 @@ class TestSweepSingularVectors:
         assert [row.k for row in res.rows] == list(range(1, 65))
         assert all(row.feasible and row.t_L <= side for row in res.rows)
 
+    def test_the_largest_plan_is_far_under_the_pass_cap(self, monkeypatch):
+        # every rank at the largest side: the 4096 that fit (k <= side / 2)
+        # scan 66,916 candidates in all, 6.4% of MAX_SCAN, in one pass
+        self._refuse(monkeypatch, "svd", "singular_values", "harmonic_matrix")
+        side = math.isqrt(MAX_SQUARE_CELLS)
+        ranks = analysis.fitting_ranks(side, side, range(1, side + 1))
+        assert ranks == list(range(1, side // 2 + 1))
+        assert sum(analysis.t_L_max(side, side, k) for k in ranks) == 66_916 <= MAX_SCAN
+        res = run_sweep(ExperimentConfig(m=side, n=side, r=side, trials=0))
+        assert [row.k for row in res.rows] == list(range(1, side + 1))
+        assert [row.feasible for row in res.rows] == [True] * len(ranks) + [False] * len(ranks)
+        assert res.argmin_k == 4
+
 
 def _assert_mc_checks_the_argmin_row(cfg: dict) -> None:
     """mc at k_range 'all' checks sweep's argmin row: its k, t_L, t_R and the
@@ -526,9 +539,9 @@ class TestOnePlan:
             _assert_mc_checks_the_argmin_row(cfg)
 
     def test_one_rank_filter_and_one_optimizer_call(self):
-        # the plan states the candidate ranks and calls the per-rank
-        # optimizer once for both commands; no module picks a rank through
-        # optimize_rank, which stays for library callers
+        # the plan takes the candidate ranks from analysis.fitting_ranks and
+        # calls the optimizer pass once for both commands; no module picks a
+        # rank through optimize_rank, which stays for library callers
         calls = {}
         for path in sorted(Path(experiments.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
@@ -539,17 +552,16 @@ class TestOnePlan:
                     if getattr(call.func, "id", getattr(call.func, "attr", None)) == name]
         assert len(named("experiments.py", "optimize_each_rank")) == 1
         assert all(named(module, "optimize_rank") == [] for module in calls)
-        [fits] = named("experiments.py", "budget_feasible")
-        assert [ast.literal_eval(arg) for arg in fits.args[3:]] == [1, 1]
+        assert named("experiments.py", "budget_feasible") == []
 
     def test_one_scan_under_every_optimizer(self):
-        # optimize_rank and the plan pick k from optimize_each_rank's unit
-        # totals, so the scan itself has that one caller in analysis
+        # optimize_each_rank is the one pass: optimize_rank and
+        # optimize_repetitions, like the plan, score through it
         tree = ast.parse(Path(analysis.__file__).read_text())
         callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
                    for node in ast.walk(fn) if isinstance(node, ast.Call)
-                   and getattr(node.func, "id", None) == "_best_splits"}
-        assert callers == {"optimize_each_rank"}
+                   and getattr(node.func, "id", None) == "optimize_each_rank"}
+        assert callers == {"optimize_rank", "optimize_repetitions"}
 
 
 class TestSweepOutput:

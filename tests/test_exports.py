@@ -199,6 +199,37 @@ def test_the_tail_and_the_trace_are_each_summed_once():
     assert found == {("analysis._tail_and_trace", "tail"), ("analysis._tail_and_trace", "head")}
 
 
+def _sites(match):
+    """module.function for each node of the package that match holds for,
+    the function being the innermost def around it ('' at module level)."""
+    found = []
+
+    def visit(node, module, fn):
+        if match(node):
+            found.append(f"{module}.{fn}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, child.name if isinstance(child, ast.FunctionDef) else fn)
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    return found
+
+
+def test_the_tie_rule_and_the_fit_rule_each_have_one_owner():
+    def reads_tie_rtol(node):
+        return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+                and getattr(node, "id", getattr(node, "attr", None)) == "TIE_RTOL")
+
+    def fits_at_one(node):
+        return (isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "budget_feasible"
+                and [ast.unparse(arg) for arg in node.args[3:]] == ["1", "1"])
+    # TIE_RTOL is read in least alone, which picks every winner: t_L in the
+    # optimizer pass, k in optimize_rank and the plan
+    assert _sites(reads_tie_rtol) == ["analysis.least"]
+    # "rank k fits at t_L = t_R = 1" is written once, in fitting_ranks
+    assert _sites(fits_at_one) == ["analysis.fitting_ranks"]
+
+
 def test_readme_module_names_resolve():
     # every `module.NAME` the README cites is an attribute of that module
     package = pathlib.Path(crossbar_lowrank.__file__).parent
