@@ -34,7 +34,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import DeviceParams
+from .core import DeviceParams, check_dims, check_nonnegative, check_positive
 from .matrixgen import check_spectrum
 from .schemes import NoiseSpec, budget_feasible, check_repetitions
 
@@ -95,16 +95,6 @@ class AsymptoticParams:
         return r, min(r, max(1, math.floor(self.c1 * r ** self.beta)))
 
 
-def _check_lam(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
-
-
-def _check_variances(*values: float) -> None:
-    if not all(math.isfinite(v) and v >= 0 for v in values):
-        raise ValueError(f"variances must be finite and nonnegative, got {values}")
-
-
 def least(totals, starts=(0,), counts=None) -> np.ndarray:
     """The index of the winner in each segment of totals, segment i holding
     the counts[i] totals from starts[i] on (by default one segment of all):
@@ -135,9 +125,8 @@ def _scaled(sigma_b_sq: float, unit_parts, what: str) -> list[float]:
 
 def baseline_error_analytic(m: int, n: int, sigma_e_sq: float, sigma_b_sq: float) -> float:
     """Expected squared error of the one-shot scheme: m*n*sigma_e_sq*sigma_b_sq."""
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got {m}x{n}")
-    _check_variances(sigma_e_sq, sigma_b_sq)
+    check_dims(m, n)
+    check_nonnegative(sigma_e_sq=sigma_e_sq, sigma_b_sq=sigma_b_sq)
     return _scaled(sigma_b_sq, [m * n * sigma_e_sq], "the baseline error")[-1]
 
 
@@ -168,7 +157,7 @@ def two_step_error_analytic(singulars, m: int, n: int, k: int, t_L: int, t_R: in
     if not 1 <= k <= min(m, n):
         raise ValueError(f"k must be in [1, min(m, n)]=[1, {min(m, n)}], got {k}")
     check_repetitions(t_L, t_R)
-    _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
+    check_nonnegative(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq, sigma_b_sq=sigma_b_sq)
     with np.errstate(over="ignore"):  # an inf tail is refused with its total
         unit = _breakdown(*_tail_and_trace(check_spectrum(singulars), k), m, n, k,
                           t_L, t_R, sigma_L_sq, sigma_R_sq)
@@ -255,7 +244,7 @@ def scaled_choices(choices, sigma_b_sq: float) -> list[tuple[int, int, int, Erro
     """optimize_each_rank's choices, each unit breakdown times sigma_b_sq
     (_scaled), in order; the first total that _scaled refuses is a
     ValueError naming its rank."""
-    _check_variances(sigma_b_sq)
+    check_nonnegative(sigma_b_sq=sigma_b_sq)
     return [(k, t_L, t_R, ErrorBreakdown(*_scaled(sigma_b_sq, astuple(unit)[:4],
                                                   f"rank {k}: the least two-step error")))
             for k, t_L, t_R, unit in choices]
@@ -296,8 +285,8 @@ def asymptotic_bound(n: int, p: AsymptoticParams, lam: float, sigma_L_sq: float,
     with t_R. A rank that does not fit the n x n budget at
     t_L = t_R = 1 is an InfeasibleBudgetError."""
     r, k = p.ranks(n)
-    _check_lam(lam)
-    _check_variances(sigma_L_sq, sigma_R_sq, sigma_b_sq)
+    check_positive(lam=lam)
+    check_nonnegative(sigma_L_sq=sigma_L_sq, sigma_R_sq=sigma_R_sq, sigma_b_sq=sigma_b_sq)
     _check_fits(n, n, k)
     t = n // (2 * k)
     unit = _breakdown(_tail_bound(lam, k, r), _trace_bound(lam, k), n, n, k, t, t,
@@ -323,8 +312,7 @@ def lambda_max(m: int, n: int, dev: DeviceParams) -> float:
     before any float arithmetic, and a value that is not finite and
     positive in float64 (an extreme rho or r_T) one that shows it.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got {m}x{n}")
+    check_dims(m, n)
     if max(m, n) > sys.float_info.max:
         raise ValueError("lambda_max = sqrt(6*m*n*rho)/(pi*r_T): m or n is too large "
                          "for float64")

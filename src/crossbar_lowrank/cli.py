@@ -22,7 +22,7 @@ import sys
 from typing import Iterable
 
 from .analysis import InfeasibleBudgetError, lambda_max
-from .core import DeviceParams, magnitude_check
+from .core import magnitude_check
 from .experiments import (
     ConfigError,
     ExperimentConfig,

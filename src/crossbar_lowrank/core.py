@@ -16,6 +16,34 @@ import numpy as np
 SUPPORTED_DISTS = ("gaussian", "uniform")
 
 
+def check_positive(**named: float) -> None:
+    """The one statement of "finite and positive": a ValueError naming the
+    first of the named values that is not."""
+    for name, v in named.items():
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be finite and positive, got {v}")
+
+
+def check_nonnegative(**named: float) -> None:
+    """The one statement of "finite and nonnegative": a ValueError naming
+    the first of the named values that is not."""
+    for name, v in named.items():
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {v}")
+
+
+def check_dims(m: int, n: int) -> None:
+    """The one statement of an m x n size's rule, m, n >= 1."""
+    if m < 1 or n < 1:
+        raise ValueError(f"dimensions must be positive, got {m}x{n}")
+
+
+def check_dist(dist: str) -> None:
+    """The one statement of the noise-distribution rule: one of SUPPORTED_DISTS."""
+    if dist not in SUPPORTED_DISTS:
+        raise ValueError(f"unsupported distribution {dist!r}; expected one of {SUPPORTED_DISTS}")
+
+
 @dataclass(frozen=True)
 class DeviceParams:
     """Crossbar device parameters.
@@ -28,10 +56,7 @@ class DeviceParams:
     rho: float = 1.0
 
     def __post_init__(self):
-        for name in ("r_T", "rho"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+        check_positive(r_T=self.r_T, rho=self.rho)
 
 
 class MagnitudeCheck(NamedTuple):
@@ -77,10 +102,8 @@ def noise_law(sigma_sq: float, dist: str) -> tuple[float, float]:
     zero-mean cells scale * u + shift of variance sigma_sq: (sigma, 0) for
     Gaussian, and (2w, -w) with w = sqrt(3 sigma_sq) for uniform on [-w, w],
     whose variance is w^2/3."""
-    if not (math.isfinite(sigma_sq) and sigma_sq >= 0):
-        raise ValueError(f"variance must be finite and nonnegative, got {sigma_sq}")
-    if dist not in SUPPORTED_DISTS:
-        raise ValueError(f"unsupported distribution {dist!r}; expected one of {SUPPORTED_DISTS}")
+    check_nonnegative(variance=sigma_sq)
+    check_dist(dist)
     if dist == "gaussian":
         return math.sqrt(sigma_sq), 0.0
     w = math.sqrt(3.0 * sigma_sq)

@@ -54,7 +54,7 @@ from .analysis import (
     scaled_choices,
     t_L_max,
 )
-from .core import DeviceParams
+from .core import DeviceParams, check_positive
 from .lowrank import SvdResult, factors_svd
 from .matrixgen import harmonic_spectrum, prescribed_factors
 from .montecarlo import (CheckedTarget, check_run, check_target, compare,
@@ -87,10 +87,6 @@ MC_SCHEMA = "# crossbar-lowrank mc v1"
 
 class ConfigError(ValueError):
     pass
-
-
-def _finite_positive(v: float) -> bool:
-    return math.isfinite(v) and v > 0
 
 
 @dataclass(frozen=True)
@@ -126,10 +122,9 @@ class ExperimentConfig:
             self.device()
             lam = self.resolved_lambda()
             self.growth()
-            if not _finite_positive(lam):
+            if not 0 < lam < math.inf:
                 raise ConfigError(f"lambda must be finite and positive or 'max', got {self.lam}")
-            if not _finite_positive(self.sigma_b_sq):
-                raise ConfigError(f"sigma_b_sq must be finite and positive, got {self.sigma_b_sq}")
+            check_positive(sigma_b_sq=self.sigma_b_sq)
             if self.trials < 0 or self.trials == 1:
                 raise ConfigError(f"trials must be 0 (analytic only) or >= 2, got {self.trials}")
             if self.trials:  # of the MC's run checks, only its trial cap is left
@@ -150,11 +145,14 @@ class ExperimentConfig:
             raise ConfigError(f"n_grid needs at least 4 sizes, got {len(grid)}")
         if grid[0] < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigError("n_grid must be strictly increasing sizes >= 2")
-        ratio = grid[1] / grid[0]
         for a, b in zip(grid, grid[1:]):
-            if abs(b / a - ratio) > 0.01 * ratio:
+            # |b/a - ratio| > ratio/100 for ratio = grid[1]/grid[0], exact in integers
+            if abs(b * grid[0] - a * grid[1]) * 100 > a * grid[1]:
+                from decimal import Decimal  # here, so that importing the package loads no decimal
+                ratio = Decimal(grid[1]) / grid[0]  # to 28 digits, also past float64's range
+                shown = f"{float(ratio):g}" if ratio < 1e300 else f"{ratio.normalize():.6g}"
                 raise ConfigError(f"n_grid must be geometrically spaced; step {a}->{b} "
-                                  f"breaks the ratio {ratio:g}")
+                                  f"breaks the ratio {shown}")
 
     def device(self) -> DeviceParams:
         return DeviceParams(r_T=self.r_T, rho=self.rho)

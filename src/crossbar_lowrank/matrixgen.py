@@ -12,18 +12,15 @@ normals in all, and nothing of size m x m or n x n.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .core import check_dims, check_positive
 
 
 def check_spectrum(singulars) -> np.ndarray:
     """singulars as a float64 array, checked to be 1-D, finite,
     nonnegative and nonincreasing."""
     s = np.asarray(singulars, dtype=float)
-    # valid at once if nonincreasing (so NaN-free) from a finite to a nonnegative value
-    if s.ndim == 1 and s.size and s[0] < math.inf and s[-1] >= 0 and (s[1:] <= s[:-1]).all():
-        return s
     if s.ndim != 1:
         raise ValueError(f"singular values must be a 1-D array, got shape {s.shape}")
     if not (np.isfinite(s) & (s >= 0)).all():
@@ -38,8 +35,7 @@ def harmonic_spectrum(lam: float, r: int) -> np.ndarray:
     built from and every closed form is evaluated on."""
     if r < 1:
         raise ValueError(f"rank must be positive, got {r}")
-    if not (math.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and positive, got {lam}")
+    check_positive(lam=lam)
     return lam / np.arange(1, r + 1)
 
 
@@ -75,8 +71,7 @@ def prescribed_factors(m: int, n: int, singulars,
     The values must pass check_spectrum and be nonempty, positive and at
     most min(m, n) long; they are checked before anything is drawn.
     """
-    if m < 1 or n < 1:
-        raise ValueError(f"dimensions must be positive, got {m}x{n}")
+    check_dims(m, n)
     sigma = check_spectrum(singulars)
     r = sigma.size
     if r == 0 or sigma[-1] == 0:  # nonincreasing, so the last value is the least

@@ -62,7 +62,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import as_matrix, iid_entries
+from .core import as_matrix, check_positive, iid_entries
 from .lowrank import RANK_TOL_REL, SvdResult, factor_lr
 from .schemes import (NOISE_CELLS, NoiseSpec, baseline_noisy_vmm, budget_feasible,
                       check_repetitions, two_step_vmm)
@@ -192,8 +192,7 @@ def check_run(sigma_b_sq: float, trials: int) -> None:
         raise ValueError(f"need at least 2 trials for a standard error, got {trials}")
     if trials > MAX_TRIALS:
         raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    if not 0 < sigma_b_sq < math.inf:
-        raise ValueError(f"input variance must be positive and finite, got {sigma_b_sq}")
+    check_positive(**{"input variance": sigma_b_sq})
 
 
 def run_baseline_trials(A, noise: NoiseSpec, sigma_b_sq: float, trials: int,

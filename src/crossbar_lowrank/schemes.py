@@ -19,12 +19,11 @@ sum, instead of to each cell.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SUPPORTED_DISTS, as_matrix, noise_law, unit_cells
+from .core import as_matrix, check_dist, check_nonnegative, noise_law, unit_cells
 from .lowrank import LrFactors
 
 
@@ -38,14 +37,9 @@ class NoiseSpec:
     dist: str = "gaussian"
 
     def __post_init__(self):
-        for name in ("sigma_e_sq", "sigma_L_sq", "sigma_R_sq"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative, got {v}")
-        if self.dist not in SUPPORTED_DISTS:
-            raise ValueError(
-                f"unsupported distribution {self.dist!r}; expected one of {SUPPORTED_DISTS}"
-            )
+        check_nonnegative(sigma_e_sq=self.sigma_e_sq, sigma_L_sq=self.sigma_L_sq,
+                          sigma_R_sq=self.sigma_R_sq)
+        check_dist(self.dist)
 
 
 def budget_feasible(m: int, n: int, k: int, t_L: int, t_R: int) -> bool:

@@ -27,7 +27,7 @@ from crossbar_lowrank.analysis import (
     scaled_choices,
     two_step_error_analytic,
 )
-from crossbar_lowrank.core import DeviceParams
+from crossbar_lowrank.core import DeviceParams, check_nonnegative
 from crossbar_lowrank.experiments import ExperimentConfig, run_scaling, target
 from crossbar_lowrank.lowrank import svd
 from crossbar_lowrank.matrixgen import check_spectrum, harmonic_spectrum
@@ -434,22 +434,26 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("sigma_b_sq", [math.nan, math.inf])
     def test_rejects_bad_input_variance(self, sigma_b_sq):
-        with pytest.raises(ValueError, match="variances"):
+        named = f"^sigma_b_sq must be finite and nonnegative, got {sigma_b_sq}$"
+        with pytest.raises(ValueError, match=named):
             optimize_repetitions([2.0, 1.0], 40, 40, 1, self.NOISE, sigma_b_sq)
-        with pytest.raises(ValueError, match="variances"):
+        with pytest.raises(ValueError, match=named):
             optimize_rank([2.0, 1.0], 40, 40, self.NOISE, sigma_b_sq, 2)
-        with pytest.raises(ValueError, match="variances"):
+        with pytest.raises(ValueError, match=named):
             two_step_error_analytic([2.0, 1.0], 40, 40, 1, 1, 1, 0.05, 0.05, sigma_b_sq)
-        with pytest.raises(ValueError, match="variances"):
+        with pytest.raises(ValueError, match=named):
             baseline_error_analytic(40, 40, 0.05, sigma_b_sq)
 
     @pytest.mark.parametrize("sigma_sq", [math.nan, math.inf, -0.1])
     def test_rejects_bad_noise_variance(self, sigma_sq):
-        with pytest.raises(ValueError, match="variances"):
+        # each refusal names the variance it refuses
+        def named(name):
+            return f"^{name} must be finite and nonnegative, got {sigma_sq}$"
+        with pytest.raises(ValueError, match=named("sigma_L_sq")):
             two_step_error_analytic([1.0], 4, 4, 1, 1, 1, sigma_sq, 0.05, 1.0)
-        with pytest.raises(ValueError, match="variances"):
+        with pytest.raises(ValueError, match=named("sigma_R_sq")):
             two_step_error_analytic([1.0], 4, 4, 1, 1, 1, 0.05, sigma_sq, 1.0)
-        with pytest.raises(ValueError, match="variances"):
+        with pytest.raises(ValueError, match=named("sigma_e_sq")):
             baseline_error_analytic(4, 4, sigma_sq, 1.0)
 
 
@@ -611,7 +615,10 @@ class TestAsymptoticBound:
     @pytest.mark.parametrize("variances", [(-0.05, 0.05, 1.0), (0.05, 0.05, -1.0),
                                            (0.05, 0.05, math.nan), (math.inf, 0.05, 1.0)])
     def test_rejects_bad_variances(self, variances):
-        with pytest.raises(ValueError, match="variances"):
+        # the message names the first bad variance, in parameter order
+        [(name, value), *_] = [(name, v) for name, v in zip(
+            ("sigma_L_sq", "sigma_R_sq", "sigma_b_sq"), variances) if not 0 <= v < math.inf]
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative, got {value}$"):
             asymptotic_bound(1024, self._params(), 10.0, *variances)
 
     @pytest.mark.parametrize("lam,message", [
@@ -883,7 +890,7 @@ def _best_split_oracle(s, m, n, k, noise):
 
 
 def _oracle_repetitions(singulars, m, n, k, noise, sigma_b_sq):
-    analysis._check_variances(sigma_b_sq)
+    check_nonnegative(sigma_b_sq=sigma_b_sq)
     t_L, t_R, unit = _best_split_oracle(check_spectrum(singulars), m, n, k, noise)
     return t_L, t_R, analysis.ErrorBreakdown(
         *analysis._scaled(sigma_b_sq, unit, f"rank {k}: the least two-step error"))
@@ -892,7 +899,7 @@ def _oracle_repetitions(singulars, m, n, k, noise, sigma_b_sq):
 def _oracle_rank(singulars, m, n, noise, sigma_b_sq, k_max):
     if not 1 <= k_max <= min(m, n):
         raise ValueError(f"k_max must be in [1, min(m, n)]=[1, {min(m, n)}], got {k_max}")
-    analysis._check_variances(sigma_b_sq)
+    check_nonnegative(sigma_b_sq=sigma_b_sq)
     s = check_spectrum(singulars)
     analysis._check_fits(m, n, 1)
     choices = [(k, *_best_split_oracle(s, m, n, k, noise))

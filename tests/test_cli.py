@@ -546,8 +546,13 @@ class TestUsageErrors:
         capsys.readouterr()
 
     @pytest.mark.parametrize("command", ["sweep", "mc", "gen", "validate", "scaling"])
-    @pytest.mark.parametrize("grid,named", [("16 32 64", "at least 4 sizes"),
-                                            ("256 512 900 2048", "geometrically spaced")])
+    @pytest.mark.parametrize("grid,named", [
+        ("16 32 64", "at least 4 sizes"), ("256 512 900 2048", "geometrically spaced"),
+        ("1 2 4 8", "strictly increasing sizes >= 2"),
+        # steps past float64's range: the spacing rule compares them in integers
+        pytest.param(f"4,8,16,{10 ** 400}", "geometrically spaced", id="4,8,16,10^400"),
+        pytest.param(" ".join(str(v) for v in (2, 10 ** 400, 10 ** 800, 10 ** 1200)),
+                     "breaks the ratio 5e+399", id="2 10^400 10^800 10^1200")])
     def test_every_command_checks_n_grid(self, tmp_path, capsys, command, grid, named):
         # n_grid is a config key like any other, so every command refuses
         # a grid that scaling cannot use, with the same line, before any work

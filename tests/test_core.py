@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from crossbar_lowrank.core import DeviceParams, iid_entries, magnitude_check
+from crossbar_lowrank.core import DeviceParams, as_matrix, iid_entries, magnitude_check
 from crossbar_lowrank.schemes import NoiseSpec, baseline_noisy_vmm
 
 
@@ -87,6 +88,15 @@ class TestDeviceParams:
         (key,) = kwargs
         with pytest.raises(ValueError, match=f"{key} must be finite"):
             DeviceParams(**kwargs)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("A,message", [
+        ([1.0, 2.0], "expected a 2-D matrix, got ndim=1"),
+        (np.empty((0, 3)), "matrix dimensions must be positive, got (0, 3)")])
+    def test_refuses_a_shape_that_is_not_a_matrix(self, A, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            as_matrix(A)
 
 
 class TestConductanceScale:

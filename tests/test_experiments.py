@@ -631,6 +631,14 @@ class TestRunScaling:
         with pytest.raises(ConfigError, match="geometric"):
             run_scaling(ExperimentConfig(n_grid=(256, 512, 900, 2048), trials=0))
 
+    def test_a_step_exactly_1_percent_off_the_ratio_passes(self):
+        # the spacing rule is exact: 404/200 is 1% off the ratio 2, and
+        # 1% passes, while 405/200 is past it
+        ExperimentConfig(n_grid=(100, 200, 404, 808))
+        with pytest.raises(ConfigError, match="^n_grid must be geometrically spaced; "
+                                              "step 200->405 breaks the ratio 2$"):
+            ExperimentConfig(n_grid=(100, 200, 405, 810))
+
     @staticmethod
     def _fake_optimizer(monkeypatch):
         # stands in for the scan, so these tests never run a long one

@@ -16,7 +16,8 @@ REMOVED = ("sample_input", "vmm_exact", "sample_noise", "make_stream", "lane_cou
            "ROLE_BLOCK", "STREAM_SWEEP_MC", "mix64", "MASK64", "_GOLDEN", "child_seed",
            "run_two_step_on", "_checked_once", "truncate", "truncation_error_sq",
            "harmonic_trace", "tail_bound", "_check_finite", "dumps_matrix", "loads_matrix",
-           "prescribed_matrix", "conductance_map", "roundoff_floor")
+           "prescribed_matrix", "conductance_map", "roundoff_floor", "_check_lam",
+           "_check_variances", "_finite_positive")
 
 # the exports that no other package module uses, each with why it stays
 UNREACHED_ALLOWED = {
@@ -159,6 +160,45 @@ def test_each_rule_is_stated_once():
     assert sum(text.count("repetition counts must be >= 1") for text in texts.values()) == 1
     repetitions = inspect.getsource(crossbar_lowrank.schemes.check_repetitions)
     assert "repetition counts must be >= 1" in repetitions
+
+
+# each input rule's refusal, as its raise statement writes it, and the one
+# function in core that raises it; as_matrix and the matrix file header
+# refuse an empty matrix with messages of their own, which name its shape
+INPUT_RULES = {
+    "must be finite and positive, got": "core.check_positive",
+    "must be finite and nonnegative, got": "core.check_nonnegative",
+    "dimensions must be positive, got {m}x{n}": "core.check_dims",
+    "unsupported distribution": "core.check_dist",
+}
+
+
+@pytest.mark.parametrize("text", INPUT_RULES)
+def test_each_input_rule_is_raised_by_one_owner(text):
+    def raises(node):
+        return isinstance(node, ast.Raise) and text in ast.unparse(node)
+    assert _sites(raises) == [INPUT_RULES[text]]
+
+
+def test_check_spectrum_has_one_path():
+    # its three checks run on every call: there is no early return
+    source = inspect.getsource(crossbar_lowrank.matrixgen.check_spectrum)
+    returns = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Return)]
+    assert len(returns) == 1
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # an import that the module's code never reads is dead; the package's
+    # __init__ imports names to export them
+    unused = []
+    for module in MODULES:
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module}: {name}" for name in sorted(imported - read)]
+    assert unused == []
 
 
 # calls that sum, by the name called: np.sum, math.fsum, np.add.reduce, ...

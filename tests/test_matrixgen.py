@@ -190,6 +190,15 @@ class TestPrescribedFactors:
     def _assert_nothing_drawn(rng):
         assert rng.standard_normal() == np.random.default_rng(0).standard_normal()
 
+    def test_rejects_a_size_below_1(self):
+        # the dimension rule that lambda_max states too, with the same message
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="^dimensions must be positive, got 0x3$"):
+            prescribed_factors(0, 3, [1.0], rng)
+        self._assert_nothing_drawn(rng)
+        with pytest.raises(ValueError, match="^dimensions must be positive, got 0x5$"):
+            lambda_max(0, 5, DeviceParams())
+
     def test_rejects_rank_beyond_dims(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError, match="exceeds"):

@@ -5,7 +5,7 @@ import pytest
 
 from crossbar_lowrank import schemes
 from crossbar_lowrank.core import iid_entries
-from crossbar_lowrank.lowrank import factor_lr, svd
+from crossbar_lowrank.lowrank import LrFactors, factor_lr, svd
 from crossbar_lowrank.matrixgen import prescribed_factors
 from crossbar_lowrank.montecarlo import check_target, run_two_step_trials
 from crossbar_lowrank.rng import child_stream
@@ -162,6 +162,10 @@ class TestBaselineNoisyVmm:
         with pytest.raises(ValueError, match="dimension mismatch"):
             baseline_noisy_vmm([1.0, 2.0], np.eye(3), NoiseSpec(), np.random.default_rng(0))
 
+    def test_rejects_an_empty_row(self):
+        with pytest.raises(ValueError, match="^row vector must have positive length$"):
+            baseline_noisy_vmm([], np.eye(3), NoiseSpec(), np.random.default_rng(0))
+
 
 class TestTwoStepVmm:
     def test_noiseless_full_rank_collapses(self):
@@ -194,6 +198,11 @@ class TestTwoStepVmm:
     def test_rejects_dimension_mismatch(self):
         f = factor_lr(svd(np.diag([2.0, 1.0])), 1)
         with pytest.raises(ValueError, match="dimension mismatch"):
+            two_step_vmm([1.0, 0.0, 0.0], f, 1, 1, NoiseSpec(), np.random.default_rng(0))
+
+    def test_rejects_factors_of_two_ranks(self):
+        f = LrFactors(L=np.ones((3, 2)), R=np.ones((1, 4)))
+        with pytest.raises(ValueError, match="^factor mismatch: L is 3x2, R is 1x4$"):
             two_step_vmm([1.0, 0.0, 0.0], f, 1, 1, NoiseSpec(), np.random.default_rng(0))
 
     def test_fixed_seed_reproducible(self):
